@@ -8,16 +8,25 @@ a finite product of Pochhammer factors
 
 and a GenEtaQuotient is a finite product of eta(d*tau)**a[d] and generalized
 factors eta_{d,g}(tau)**ag[d, g] at some level N.  Both expand to exact
-QSeries values; the heavy expansions run through theta-series shortcuts that
-are cross-checked against the plain products in the test suite.
+QSeries values by one of two independent routes: the fast route goes through
+pentagonal and theta series and Newton inversion, the reference route through
+the integer Euler-transform recurrence of the plain product.  The test suite
+cross-checks the two.
+
+Partition-function products are cached per (r, rg, route): the cache holds the
+longest expansion asked for, answers shorter requests by truncation, and (on
+the reference route) extends the coefficient list from where it stopped.  A
+lock guards it, so derivations on several threads share it safely.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .series import QSeries, euler_product, pair_product, pochhammer
+from .series import QSeries, euler_product, pair_product
 
 
 class NonIntegralPower(ValueError):
@@ -124,37 +133,113 @@ class PartitionSpec:
 
     def product_expansion(self, order: int) -> QSeries:
         """Coefficients a(0..order-1) of the defining product, exact."""
-        return _product_expansion(self.r, self.rg, order, fast=True)
+        return _cached_product(self.r, self.rg, order, fast=True)
 
     def product_expansion_reference(self, order: int) -> QSeries:
-        """Same expansion through plain factor-by-factor products only."""
-        return _product_expansion(self.r, self.rg, order, fast=False)
+        """Same expansion through the integer Euler transform only."""
+        return _cached_product(self.r, self.rg, order, fast=False)
 
     def slice_expansion(self, m: int, t: int, terms: int, reference=False) -> QSeries:
         """q**((t-l)/m) * sum_n a(m n + t) q^n with at least `terms` coefficients."""
         if not 0 <= t < m:
             raise ValueError("need 0 <= t < m")
+        # whole blocks of m, so every residue of one modulus reads one product
         full = (self.product_expansion_reference if reference
-                else self.product_expansion)(m * terms + t + 1)
+                else self.product_expansion)(m * (terms + 1))
         sliced = full.sift(m, t)
         return sliced.shift(self.slice_prefactor(m, t))
+
+
+_PRODUCT_CACHE = {}    # (r items, rg items, route) -> longest expansion held
+_PRODUCT_LOCK = threading.Lock()
+
+
+def _cached_product(r, rg, order, fast):
+    """_product_expansion through the per-spec cache.
+
+    The fast route holds a QSeries and recomputes it when a longer one is
+    asked for; the reference route holds the integer coefficient list and
+    extends it.  The two routes are keyed apart, so neither reads the other.
+    """
+    order = int(order)
+    if order < 1:
+        raise ValueError("order must be positive")
+    key = (tuple(sorted(r.items())), tuple(sorted(rg.items())),
+           "fast" if fast else "reference")
+    with _PRODUCT_LOCK:
+        held = _PRODUCT_CACHE.get(key)
+    if fast:
+        if held is None or held.trunc < order:
+            held = _publish(key, _product_expansion(r, rg, order, fast=True),
+                            lambda v: v.trunc)
+        return held if held.trunc == order else held.truncated(order)
+    if held is None or len(held) < order:
+        held = _publish(key, _euler_transform(r, rg, order, held or ()), len)
+    return _int_series(held[:order])
+
+
+def _publish(key, value, size):
+    """Store value unless another thread already stored a longer one."""
+    with _PRODUCT_LOCK:
+        held = _PRODUCT_CACHE.get(key)
+        if held is None or size(held) < size(value):
+            _PRODUCT_CACHE[key] = value
+            return value
+        return held
+
+
+def _euler_transform(r, rg, order, known=()) -> list:
+    """Integer coefficients f(0..order-1) of the product, by its Euler transform.
+
+    Writing the product as prod_{n>0} (1 - q^n)^c(n), the logarithmic
+    derivative gives  n f(n) = sum_{k=1..n} s(k) f(n-k)  with
+    s(k) = -sum_{d | k} d c(d).  Every step is integer arithmetic and no
+    series is multiplied or inverted.  `known` is a prefix of the answer from
+    an earlier call; the recurrence continues after it.
+    """
+    if len(known) >= order:
+        return list(known[:order])
+    c = [0] * order
+    for d, e in r.items():
+        for n in range(d, order, d):
+            c[n] += e
+    for (d, g), e in rg.items():
+        # (q^g, q^(d-g); q^d): both residues, the same one twice when 2g = d
+        for start in (g, d - g):
+            for n in range(start, order, d):
+                c[n] += e
+    s = [0] * order
+    for n in range(1, order):
+        if c[n]:
+            v = n * c[n]
+            for k in range(n, order, n):
+                s[k] -= v
+    f = list(known) or [1]
+    for n in range(len(f), order):
+        total, rem = divmod(sum(map(mul, s[1:n + 1], reversed(f))), n)
+        if rem:
+            raise AssertionError("Euler transform left a remainder at q^%d" % n)
+        f.append(total)
+    return f
+
+
+def _int_series(coeffs: list) -> QSeries:
+    return QSeries({i: Fraction(v) for i, v in enumerate(coeffs) if v},
+                   len(coeffs), 1)
 
 
 def _product_expansion(r, rg, order, fast):
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
+    if not fast:
+        return _int_series(_euler_transform(r, rg, order))
     num = []
     den = []
     for d, e in r.items():
-        core = euler_product(d, order) if fast else pochhammer(0, d, order)
-        (num if e > 0 else den).append((core, abs(e)))
+        (num if e > 0 else den).append((euler_product(d, order), abs(e)))
     for (d, g), e in rg.items():
-        if fast:
-            core = pair_product(g, d, order)
-        else:
-            core = pochhammer(g, d, order) * pochhammer(d - g, d, order)
-        (num if e > 0 else den).append((core, abs(e)))
+        (num if e > 0 else den).append((pair_product(g, d, order), abs(e)))
     result = QSeries.one(order)
     for core, e in num:
         result = result * core ** e

@@ -119,26 +119,54 @@ class Identity:
                 * self.spec.slice_expansion(self.m, self.t, span, reference=reference))
 
     def rhs_series(self, terms: int, reference=False) -> QSeries:
+        """The certified right-hand side, known to at least `terms`.
+
+        Each generator is expanded once, far enough for the largest total
+        pole of any monomial, and the powers of z are built one
+        multiplication at a time.
+        """
         gens = self.basis.gens
-        cache = {}
+        z_pole = gens[0].pole if gens else 0
+        degree = {}                  # element index -> top z degree
+        for idx, j in self.rhs:
+            degree[idx] = max(degree.get(idx, 0), j)
+        combos = {idx: self.basis.elements[idx].combo for idx in degree}
+        margin = max((top * z_pole + max(sum(e * g.pole for e, g in zip(mono, gens))
+                                         for mono in combos[idx])
+                      for idx, top in degree.items()), default=0)
+        length = terms + margin + 4
+        series = {}
 
-        def gen_pow(i, e):
-            if (i, e) not in cache:
-                cache[(i, e)] = gens[i].quotient.expansion(
-                    terms + e * gens[i].pole + 4, reference=reference) ** e
-            return cache[(i, e)]
+        def gen(i):
+            if i not in series:
+                series[i] = gens[i].quotient.expansion(length, reference=reference)
+            return series[i]
 
-        total = QSeries.zero(terms)
-        for (idx, j), c in sorted(self.rhs.items()):
-            mono = QSeries.one(terms + 4)
+        def monomial(mono):
+            out = QSeries.one(length)
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    out = out * gen(i)
+            return out
+
+        # polys[idx] = sum_j rhs[idx, j] z^j along one chain of powers of z
+        polys = {}
+        z_pow = QSeries.one(length)
+        for j in range(max(degree.values(), default=0) + 1):
             if j:
-                mono = mono * gen_pow(0, j)
-            for combo_mono, coef in self.basis.elements[idx].combo.items():
-                term = mono.scale(c * coef)
-                for gi, ge in enumerate(combo_mono):
-                    if ge:
-                        term = term * gen_pow(gi, ge)
-                total = total + term.truncated(terms)
+                z_pow = z_pow * gen(0)
+            for idx in degree:
+                c = self.rhs.get((idx, j))
+                if c:
+                    term = z_pow.scale(c)
+                    polys[idx] = polys[idx] + term if idx in polys else term
+        total = QSeries.zero(terms)
+        for idx, poly in sorted(polys.items()):
+            element = None
+            for mono, coef in sorted(combos[idx].items()):
+                term = monomial(mono).scale(coef)
+                element = term if element is None else element + term
+            total = total + (poly * element).truncated(terms)
         return total
 
     def slice_series(self, terms: int) -> QSeries:
@@ -239,9 +267,11 @@ _BASIS_CACHE = {}
 
 
 def level_basis(N: int) -> ModuleBasis:
-    if N not in _BASIS_CACHE:
-        _BASIS_CACHE[N] = module_basis(generators(N))
-    return _BASIS_CACHE[N]
+    mb = _BASIS_CACHE.get(N)
+    if mb is None:
+        # two threads may both build; setdefault keeps the first one stored
+        mb = _BASIS_CACHE.setdefault(N, module_basis(generators(N)))
+    return mb
 
 
 def derive_identity(spec: PartitionSpec, m: int, t: int,
@@ -301,11 +331,14 @@ def _reduce_with_retry(spec, m, t, quot, mb, target):
 def _independent_check(identity: Identity, order: int):
     lhs = identity.lhs_series(order, reference=True)
     rhs = identity.rhs_series(order, reference=True)
-    diff = lhs - rhs
-    if not diff.truncated(order).is_known_zero():
-        lead = diff.truncated(order).leading()
+    diff = (lhs - rhs).truncated(order)
+    if not diff.is_known_zero():
         raise VerificationFailure(
-            "independent re-expansion differs at q^%s" % (lead[0],))
+            "independent re-expansion differs at q^%s" % (diff.leading()[0],))
+    if diff.bound() < order:
+        raise VerificationFailure(
+            "independent re-expansion known only to q^%s, need %d"
+            % (diff.bound(), order))
 
 
 def verify_identity(lhs: str, rhs: str, order: int):

@@ -13,6 +13,7 @@ double-checked coefficientwise to the certified truncation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,8 +59,12 @@ class ModuleBasis:
     n: int                           # pole order of z
     elements: list = field(default_factory=list)  # [unit, e_1, ...]
     _terms: int = 0
-    _gen_series: list = field(default_factory=list)
-    _mono_cache: dict = field(default_factory=dict)
+    # (terms, generator expansions, monomial cache), replaced as one value so
+    # a reader on another thread never pairs a cache with the wrong expansions
+    _expansions: tuple = field(default_factory=lambda: (0, [], {}), repr=False,
+                               compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
+                                  compare=False)
 
     @property
     def z(self):
@@ -73,23 +78,16 @@ class ModuleBasis:
         return {e.pole % self.n: e for e in self.elements}
 
     def ensure_terms(self, terms: int):
-        if terms > self._terms:
-            self._terms = terms
-            self._gen_series = [g.expansion(terms + g.pole + 2) for g in self.gens]
-            self._mono_cache = {}
+        if terms <= self._terms:
+            return
+        fresh = (terms, [g.expansion(terms + g.pole + 2) for g in self.gens], {})
+        with self._lock:
+            if terms > self._terms:
+                self._expansions = fresh
+                self._terms = terms
 
     def monomial_series(self, mono: tuple) -> QSeries:
-        cached = self._mono_cache.get(mono)
-        if cached is not None:
-            return cached
-        if not any(mono):
-            out = QSeries.one(self._terms)
-        else:
-            i = max(j for j, e in enumerate(mono) if e)
-            below = tuple(e if j != i else e - 1 for j, e in enumerate(mono))
-            out = self.monomial_series(below) * self._gen_series[i]
-        self._mono_cache[mono] = out
-        return out
+        return _monomial_series(mono, *self._expansions)
 
     def combo_series(self, combo: dict) -> QSeries:
         total = None
@@ -100,6 +98,20 @@ class ModuleBasis:
 
     def element_series(self, idx: int) -> QSeries:
         return self.combo_series(self.elements[idx].combo)
+
+
+def _monomial_series(mono, terms, gen_series, cache) -> QSeries:
+    cached = cache.get(mono)
+    if cached is not None:
+        return cached
+    if not any(mono):
+        out = QSeries.one(terms)
+    else:
+        i = max(j for j, e in enumerate(mono) if e)
+        below = tuple(e if j != i else e - 1 for j, e in enumerate(mono))
+        out = _monomial_series(below, terms, gen_series, cache) * gen_series[i]
+    cache[mono] = out
+    return out
 
 
 def _pole_of(series: QSeries):

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import etaram.eta
+import etaram.series
 from etaram.eta import (
-    GenEtaQuotient, NonIntegralPower, PartitionSpec, bernoulli_p1, bernoulli_p2,
+    GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
+    bernoulli_p1, bernoulli_p2,
 )
-from etaram.series import QSeries
+from etaram.series import QSeries, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -80,6 +83,91 @@ def test_fast_vs_reference_expansions():
                  PartitionSpec(5, rg={(5, 1): -1, (5, 2): 1}),
                  PartitionSpec(10, {1: 2, 2: 1, 10: -1})]:
         assert spec.product_expansion(60) == spec.product_expansion_reference(60)
+
+
+def pochhammer_route(r, rg, order):
+    """The product multiplied out factor by factor with plain Pochhammer
+    symbols, denominators inverted at the end."""
+    num = den = QSeries.one(order)
+    factors = [(pochhammer(0, d, order), e) for d, e in r.items()]
+    factors += [(pochhammer(g, d, order) * pochhammer(d - g, d, order), e)
+                for (d, g), e in rg.items()]
+    for core, e in factors:
+        if e > 0:
+            num = num * core ** e
+        else:
+            den = den * core ** -e
+    return (num * den.invert()).truncated(order)
+
+
+@pytest.mark.parametrize("r, rg", [
+    ({1: -1}, {}),                                     # partitions
+    ({1: -3, 2: 1, 5: 1, 10: -1}, {}),                 # broken diamond
+    ({1: 4, 3: -2}, {}),                               # positive and negative
+    ({}, {(5, 1): -1, (5, 2): 1}),                     # Rogers-Ramanujan
+    ({1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1}),          # singular overpartitions
+    ({2: 1}, {(7, 3): -2, (7, 1): 1}),                 # negative rg exponent
+    ({}, {(4, 2): 1}),                                 # 2g = d: (q^2; q^4)^2
+    ({1: 1}, {(6, 3): -1}),                            # 2g = d, negative
+])
+def test_euler_transform_matches_pochhammer_route(r, rg):
+    order = 120
+    coeffs = _euler_transform(r, rg, order)
+    expected = pochhammer_route(r, rg, order)
+    assert len(coeffs) == order
+    assert coeffs == [expected.coefficient(n) for n in range(order)]
+
+
+def test_euler_transform_extends_a_known_prefix(monkeypatch):
+    r, rg = {1: -3, 2: 1, 5: 1, 10: -1}, {(5, 2): 1}
+    fresh = _euler_transform(r, rg, 400)
+    assert _euler_transform(r, rg, 400, _euler_transform(r, rg, 50)) == fresh
+    assert _euler_transform(r, rg, 30, fresh) == fresh[:30]
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    spec = PartitionSpec(10, r, rg)
+    short = spec.product_expansion_reference(50)
+    assert spec.product_expansion_reference(400).coefficients_range(0, 400) == fresh
+    assert spec.product_expansion_reference(50) == short
+    assert short.coefficients_range(0, 50) == fresh[:50]
+
+
+def test_residues_of_one_modulus_share_one_product(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    calls = []
+    for name in ("_product_expansion", "_euler_transform"):
+        original = getattr(etaram.eta, name)
+        monkeypatch.setattr(etaram.eta, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    for t in range(5):
+        fast = OVERPARTITION.slice_expansion(5, t, 20)
+        reference = OVERPARTITION.slice_expansion(5, t, 20, reference=True)
+        assert fast == reference and fast.bound() - fast.leading()[0] >= 20
+    assert sorted(calls) == ["_euler_transform", "_product_expansion"]
+
+
+def test_reference_route_never_touches_the_fast_route(monkeypatch):
+    spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
+    quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    fast = spec.product_expansion(200)
+    fast_quot = quot.expansion(60)
+    # spoil every fast-route value held: the reference route must not see it
+    cache = etaram.eta._PRODUCT_CACHE
+    for key in [k for k in cache if k[-1] == "fast"]:
+        cache[key] = QSeries.zero(cache[key].trunc)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference route used a fast-route kernel")
+
+    for module in (etaram.eta, etaram.series):
+        for name in ("euler_product", "theta_pair", "pair_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(QSeries, "invert", forbidden)
+    assert spec.product_expansion_reference(200) == fast
+    assert spec.slice_expansion(9, 3, 20, reference=True).agrees_with(
+        fast.sift(9, 3).shift(spec.slice_prefactor(9, 3)))
+    assert quot.expansion(60, reference=True) == fast_quot
 
 
 def test_slice_expansion_overpartition():

@@ -1,18 +1,26 @@
+import dataclasses
 import json
+import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+
+import etaram.eta
+import etaram.identities
 
 from etaram.cusps import INFINITY, cusp_set
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.exprs import ParseError, expand, parse
 from etaram.generators import generators
 from etaram.identities import (
-    DeriveOptions, NoHFound, derive_identity, dissect, find_multiplier,
-    verify_identity,
+    DeriveOptions, NoHFound, _independent_check, derive_identity, dissect,
+    find_multiplier, verify_identity,
 )
 from etaram.modularity import find_prefactor
 from etaram.cusps import cusp_order_bounds
+from etaram.reduction import VerificationFailure
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -168,3 +176,59 @@ def test_failure_is_reported_not_raised():
                             DeriveOptions(order=40, phi_weight=1))
     assert ident.status == "Failed"
     assert "prefactor" in ident.failure
+
+
+def test_independent_check_rejects_a_perturbed_identity():
+    ident = derive_identity(OVERPARTITION, 5, 2,
+                            DeriveOptions(order=100, verify=False))
+    assert ident.status == "Derived"
+    _independent_check(ident, ident.certified_to)
+    bad = dataclasses.replace(ident, rhs=dict(ident.rhs))
+    bad.rhs[(0, 1)] += 1
+    # the extra z term first shows at the pole of z
+    first = -ident.basis.z.pole
+    with pytest.raises(VerificationFailure,
+                       match=re.escape("differs at q^%d" % first) + "$"):
+        _independent_check(bad, bad.certified_to)
+
+
+def test_independent_check_rejects_a_short_comparison(monkeypatch):
+    ident = derive_identity(OVERPARTITION, 5, 2,
+                            DeriveOptions(order=100, verify=False))
+    full = etaram.identities.Identity.rhs_series
+    monkeypatch.setattr(etaram.identities.Identity, "rhs_series",
+                        lambda self, terms, reference=False:
+                        full(self, terms, reference).truncated(terms - 10))
+    with pytest.raises(VerificationFailure, match=r"known only to q\^90, need 100"):
+        _independent_check(ident, ident.certified_to)
+
+
+def test_concurrent_derivations_match_sequential(monkeypatch):
+    def derive(t):
+        ident = derive_identity(OVERPARTITION, 5, t, DeriveOptions(order=100))
+        return json.dumps(ident.to_json())
+
+    def empty_caches():
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        monkeypatch.setattr(etaram.identities, "_BASIS_CACHE", {})
+
+    empty_caches()
+    sequential = {t: derive(t) for t in (2, 3)}
+    empty_caches()
+    concurrent = {}
+    # two threads per progression, more threads than cores
+    residues = (2, 3, 2, 3)
+    threads = [threading.Thread(target=lambda k=k, t=t: concurrent.update({k: derive(t)}))
+               for k, t in enumerate(residues)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave the derivations finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert {k: sequential[t] for k, t in enumerate(residues)} == concurrent
+    assert json.loads(sequential[2])["status"] == "Derived"
