@@ -15,8 +15,10 @@ cross-checks the two.
 
 Partition-function products are cached per (r, rg, route): the cache holds the
 longest expansion asked for, answers shorter requests by truncation, and (on
-the reference route) extends the coefficient list from where it stopped.  A
-lock guards it, so derivations on several threads share it safely.
+the reference route) extends the coefficient list from where it stopped.  The
+fast route also caches the positive factor powers it multiplies, per (d, g, e);
+the reference route never reads that cache.  One lock guards both caches, so
+derivations on several threads share them safely.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .series import QSeries, euler_product, pair_product
 
@@ -151,6 +153,7 @@ class PartitionSpec:
 
 
 _PRODUCT_CACHE = {}    # (r items, rg items, route) -> longest expansion held
+_FACTOR_CACHE = {}     # (d, g, e) -> longest fast-route core**e held, e > 0
 _PRODUCT_LOCK = threading.Lock()
 
 
@@ -170,20 +173,41 @@ def _cached_product(r, rg, order, fast):
         held = _PRODUCT_CACHE.get(key)
     if fast:
         if held is None or held.trunc < order:
-            held = _publish(key, _product_expansion(r, rg, order, fast=True),
-                            lambda v: v.trunc)
+            held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order, fast=True),
+                            attrgetter("trunc"))
         return held if held.trunc == order else held.truncated(order)
     if held is None or len(held) < order:
-        held = _publish(key, _euler_transform(r, rg, order, held or ()), len)
-    return _int_series(held[:order])
+        held = _publish(_PRODUCT_CACHE, key,
+                        _euler_transform(r, rg, order, held or ()), len)
+    return QSeries.from_ints(held[:order])
 
 
-def _publish(key, value, size):
+def _factor_power(d, g, e, order):
+    """core**e (e > 0) to q**order, core = euler_product(d) for g = 0, else
+    pair_product(g, d).  A held power that falls short is recomputed to at
+    least twice its length, so slowly growing requests recompute it only
+    logarithmically often.  Inverted powers are not cached: their coefficients
+    grow like partition numbers, and one inversion per expansion is cheaper.
+    """
+    key = (d, g, e)
+    with _PRODUCT_LOCK:
+        held = _FACTOR_CACHE.get(key)
+    if held is None or held.trunc < order:
+        size = order if held is None else max(order, 2 * held.trunc)
+        if e > 1:
+            power = _factor_power(d, g, 1, size) ** e
+        else:
+            power = euler_product(d, size) if g == 0 else pair_product(g, d, size)
+        held = _publish(_FACTOR_CACHE, key, power, attrgetter("trunc"))
+    return held if held.trunc == order else held.truncated(order)
+
+
+def _publish(cache, key, value, size):
     """Store value unless another thread already stored a longer one."""
     with _PRODUCT_LOCK:
-        held = _PRODUCT_CACHE.get(key)
+        held = cache.get(key)
         if held is None or size(held) < size(value):
-            _PRODUCT_CACHE[key] = value
+            cache[key] = value
             return value
         return held
 
@@ -223,31 +247,23 @@ def _euler_transform(r, rg, order, known=()) -> list:
     return f
 
 
-def _int_series(coeffs: list) -> QSeries:
-    return QSeries({i: Fraction(v) for i, v in enumerate(coeffs) if v},
-                   len(coeffs), 1)
-
-
 def _product_expansion(r, rg, order, fast):
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
     if not fast:
-        return _int_series(_euler_transform(r, rg, order))
-    num = []
-    den = []
-    for d, e in r.items():
-        (num if e > 0 else den).append((euler_product(d, order), abs(e)))
-    for (d, g), e in rg.items():
-        (num if e > 0 else den).append((pair_product(g, d, order), abs(e)))
-    result = QSeries.one(order)
-    for core, e in num:
-        result = result * core ** e
-    if den:
-        d_prod = QSeries.one(order)
-        for core, e in den:
-            d_prod = d_prod * core ** e
-        result = result * d_prod.invert()
+        return QSeries.from_ints(_euler_transform(r, rg, order))
+    num = den = None
+    factors = [(d, 0, e) for d, e in r.items()] + [(d, g, e) for (d, g), e in rg.items()]
+    for d, g, e in factors:
+        power = _factor_power(d, g, abs(e), order)
+        if e > 0:
+            num = power if num is None else num * power
+        else:
+            den = power if den is None else den * power
+    result = QSeries.one(order) if num is None else num
+    if den is not None:
+        result = result * den.invert()
     return result.truncated(order)
 
 

@@ -7,9 +7,9 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    bernoulli_p1, bernoulli_p2,
+    _factor_power, bernoulli_p1, bernoulli_p2,
 )
-from etaram.series import QSeries, pochhammer
+from etaram.series import QSeries, euler_product, pair_product, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -131,6 +131,19 @@ def test_euler_transform_extends_a_known_prefix(monkeypatch):
     assert short.coefficients_range(0, 50) == fresh[:50]
 
 
+@pytest.mark.parametrize("d, g, e", [(1, 0, 3), (10, 0, 2), (5, 2, 1), (7, 3, 4)])
+def test_factor_power_extends_a_shorter_one(monkeypatch, d, g, e):
+    monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
+    core = euler_product(d, 400) if g == 0 else pair_product(g, d, 400)
+    fresh = core ** e
+    short = _factor_power(d, g, e, 50)
+    assert short == fresh.truncated(50)
+    assert _factor_power(d, g, e, 400) == fresh
+    assert etaram.eta._FACTOR_CACHE[(d, g, e)].trunc >= 400
+    assert _factor_power(d, g, e, 50) == short
+    assert _factor_power(d, g, e, 120) == fresh.truncated(120)
+
+
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     calls = []
@@ -149,12 +162,17 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
     fast = spec.product_expansion(200)
     fast_quot = quot.expansion(60)
     # spoil every fast-route value held: the reference route must not see it
     cache = etaram.eta._PRODUCT_CACHE
     for key in [k for k in cache if k[-1] == "fast"]:
         cache[key] = QSeries.zero(cache[key].trunc)
+    factors = etaram.eta._FACTOR_CACHE
+    assert factors
+    for key in factors:
+        factors[key] = QSeries.zero(factors[key].trunc)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference route used a fast-route kernel")

@@ -210,6 +210,7 @@ def test_concurrent_derivations_match_sequential(monkeypatch):
 
     def empty_caches():
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
         monkeypatch.setattr(etaram.identities, "_BASIS_CACHE", {})
 
     empty_caches()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -208,3 +209,144 @@ def test_mul_truncation_rule():
     f = QSeries({2: 1}, 5)
     g = QSeries({1: 1}, 4)
     assert (f * g).bound() == 6
+
+
+# -- kernel oracle: every operation against a naive dict-of-Fraction model ----
+#
+# A reference series is (terms, bound): {exact exponent: nonzero Fraction} and
+# the first unknown exponent.  The truncation rules are the documented ones.
+
+def ref_of(f):
+    return dict(f.terms()), f.bound()
+
+
+def ref_lead(r):
+    terms, bound = r
+    return min(terms) if terms else bound
+
+
+def ref_mul(r, s):
+    bound = min(r[1] + ref_lead(s), s[1] + ref_lead(r))
+    out = {}
+    for e, c in r[0].items():
+        for k, d in s[0].items():
+            if e + k < bound:
+                out[e + k] = out.get(e + k, 0) + c * d
+    return {e: c for e, c in out.items() if c}, bound
+
+
+def ref_add(r, s, sign=1):
+    bound = min(r[1], s[1])
+    out = {e: c for e, c in r[0].items() if e < bound}
+    for e, c in s[0].items():
+        if e < bound:
+            out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}, bound
+
+
+def ref_invert(r):
+    (terms, bound), e0 = r, min(r[0])
+    c0 = terms[e0]
+    # 1/f = q^-e0 / c0 * sum_k (-h)^k with h = f q^-e0 / c0 - 1
+    known = bound - e0
+    h = ({e - e0: -c / c0 for e, c in terms.items() if e != e0}, known)
+    total = power = ({Fraction(0): Fraction(1)}, known)
+    while power[0]:
+        power = ref_add(ref_mul(power, h), ({}, known))
+        total = ref_add(total, power)
+    return {e - e0: c / c0 for e, c in total[0].items()}, bound - 2 * e0
+
+
+def kernel_state(f):
+    return f.denom, f.trunc, f.val, f.stride, f.num, f.den
+
+
+def assert_canonical(f):
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int for c in f.num)
+    assert gcd(f.den, *f.num) == 1
+    if f.num:
+        assert f.num[0] and f.num[-1]
+        offsets = [i * f.stride for i, c in enumerate(f.num) if c]
+        assert f.stride == gcd(*offsets) if len(offsets) > 1 else f.stride == 0
+        assert f.val + (len(f.num) - 1) * f.stride < f.trunc
+    else:
+        assert (f.val, f.stride, f.den) == (0, 0, 1)
+    assert gcd(f.denom, f.trunc, f.val, f.stride) == 1
+
+
+def random_kernel_series(rng, denom, nonzero=False):
+    stride = rng.choice([1, 1, 2, 3, 5])
+    val = rng.randint(-7, 4)
+    n = rng.randint(1 if nonzero else 0, 9)
+    coeffs = {val + i * stride: Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+              for i in range(n)}
+    if nonzero:
+        coeffs[val] = Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    trunc = val + stride * n + rng.randint(1, 9)
+    return QSeries(coeffs, trunc, denom)
+
+
+def check_op(op, ref, *operands):
+    before = [kernel_state(f) for f in operands]
+    result = op(*operands)
+    assert [kernel_state(f) for f in operands] == before, "an operand was mutated"
+    assert_canonical(result)
+    assert ref_of(result) == ref
+    assert dict(result.coeffs) == {e * result.denom: c for e, c in ref[0].items()}
+    assert len(result.coeffs) == len(ref[0])
+    return result
+
+
+@pytest.mark.parametrize("denom", [1, 2, 3, 24])
+def test_kernel_matches_a_fraction_dict_oracle(denom):
+    rng = random.Random(1000 + denom)
+    for _ in range(150):
+        f = random_kernel_series(rng, denom)
+        g = random_kernel_series(rng, rng.choice([1, denom]))
+        assert_canonical(f)
+        rf, rg = ref_of(f), ref_of(g)
+        check_op(lambda a, b: a * b, ref_mul(rf, rg), f, g)
+        check_op(lambda a, b: a + b, ref_add(rf, rg), f, g)
+        check_op(lambda a, b: a - b, ref_add(rf, rg, -1), f, g)
+        # cancellation: (f + g) - g is f on the common range
+        h = f + g
+        check_op(lambda a, b: a - b, ref_add(ref_of(h), rg, -1), h, g)
+        check_op(lambda a: a - a, ({}, rf[1]), f)
+        c = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+        check_op(lambda a: a.scale(c), ({e: c * v for e, v in rf[0].items() if c},
+                                        rf[1]), f)
+        e = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5]))
+        check_op(lambda a: a.shift(e), ({k + e: v for k, v in rf[0].items()},
+                                        rf[1] + e), f)
+        o = Fraction(rng.randint(-8, 12), rng.choice([1, 2, 3, 7]))
+        bound = min(rf[1], o)
+        check_op(lambda a: a.truncated(o), ({k: v for k, v in rf[0].items() if k < bound},
+                                            bound), f)
+
+
+@pytest.mark.parametrize("denom", [1, 2, 3, 24])
+def test_kernel_invert_and_negative_powers_match_the_oracle(denom):
+    rng = random.Random(2000 + denom)
+    for _ in range(60):
+        f = random_kernel_series(rng, denom, nonzero=True)
+        rf = ref_of(f)
+        inv = check_op(lambda a: a.invert(), ref_invert(rf), f)
+        k = rng.randint(1, 3)
+        expected = ref_of(inv)
+        for _ in range(k - 1):
+            expected = ref_mul(expected, ref_of(inv))
+        check_op(lambda a: a ** -k, expected, f)
+
+
+def test_kernel_sift_matches_the_oracle():
+    rng = random.Random(3000)
+    for _ in range(200):
+        f = random_kernel_series(rng, 1)
+        m = rng.choice([2, 3, 4, 5, 7, 10])
+        t = rng.randrange(m)
+        terms, bound = ref_of(f)
+        expected = ({(e - t) / m: c for e, c in terms.items() if (e - t) % m == 0},
+                    Fraction(-((t - bound) // m)))
+        check_op(lambda a: a.sift(m, t), expected, f)
