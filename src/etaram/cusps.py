@@ -202,6 +202,7 @@ def _combined_exponents(h: GenEtaQuotient):
     return combined
 
 
+@functools.lru_cache(maxsize=None)
 def order_form_coefficient(N: int, lam: int, eps: int, d: int, g: int) -> Fraction:
     """Coefficient of the (d, g) exponent in the order value at lam/(mu*eps)."""
     gde = gcd(d, eps)

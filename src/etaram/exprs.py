@@ -168,8 +168,10 @@ def parse(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
-def evaluate(node, order: int) -> QSeries:
-    """Expand an AST to the requested order (exponents below `order` known)."""
+def evaluate(node, order: int, memo=None) -> QSeries:
+    """Expand an AST to the requested order (exponents below `order` known);
+    memo holds this call's P(g, d) expansions, keyed (g, d, order)."""
+    memo = {} if memo is None else memo
     kind = node[0]
     if kind == "const":
         c = node[1]
@@ -177,39 +179,37 @@ def evaluate(node, order: int) -> QSeries:
     if kind == "q":
         return QSeries.monomial(node[1], 1, order)
     if kind == "poch":
-        return pochhammer(node[1], node[2], max(order, 1))
+        key = (node[1], node[2], max(order, 1))
+        return memo[key] if key in memo else memo.setdefault(key, pochhammer(*key))
     if kind == "neg":
-        return -evaluate(node[1], order)
+        return -evaluate(node[1], order, memo)
     if kind == "pow":
-        base = node[1]
-        k = node[2]
+        _, base, k = node
         inner_order = order
         if k:
             # a pole of the base deepens the needed range of the inner series
-            probe = evaluate(base, max(order, 4))
-            lead = probe.leading()
+            lead = evaluate(base, max(order, 4), memo).leading()
             if lead is not None and lead[0] < 0:
                 inner_order = order + int(-lead[0]) * (abs(k) + 1)
-        return evaluate(base, inner_order) ** k
+        return evaluate(base, inner_order, memo) ** k
     if kind == "slice":
         _, inner, m, t = node
-        full = evaluate(inner, m * order + t + 1)
+        full = evaluate(inner, m * order + t + 1, memo)
         if full.denom != 1:
             raise ParseError("slice needs integer exponents")
         return full.sift(m, t)
     op, left, right = node
     if op == "+":
-        return evaluate(left, order) + evaluate(right, order)
+        return evaluate(left, order, memo) + evaluate(right, order, memo)
     if op == "-":
-        return evaluate(left, order) - evaluate(right, order)
+        return evaluate(left, order, memo) - evaluate(right, order, memo)
     if op == "*":
-        return evaluate(left, order) * evaluate(right, order)
+        return evaluate(left, order, memo) * evaluate(right, order, memo)
     if op == "/":
-        num = evaluate(left, order)
-        den_probe = evaluate(right, 4)
-        lead = den_probe.leading()
+        num = evaluate(left, order, memo)
+        lead = evaluate(right, 4, memo).leading()
         extra = int(2 * abs(lead[0])) + 2 if lead is not None and lead[0] != 0 else 0
-        return num * evaluate(right, order + extra).invert()
+        return num * evaluate(right, order + extra, memo).invert()
     raise ParseError("unknown node %r" % (node,))
 
 

@@ -132,34 +132,40 @@ def unit_lattice(N: int):
     return tuple(tuple(v[:pfs.nslots]) for v in lineality)
 
 
-def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
-    """Generator record (orders, pole, sort head) for an explicit quotient."""
-    q = q.canonicalize()
+def _generator_record(N: int, q: GenEtaQuotient, scaled_vector, error) -> Generator:
+    """Orders, pole and sort head of a canonical quotient; raises error (the
+    caller's failure type) unless it is pole-free away from a pole at infinity."""
     orders = {}
     for data in cusp_set(N):
         o = order_at_cusp(q, N, data)
         if o.denominator != 1 or (not data.cusp.is_infinity and o < 0):
-            raise ValueError("quotient is not pole-free away from infinity")
+            raise error("quotient is not pole-free away from infinity")
         orders[data.cusp] = int(o)
     pole = -orders[INFINITY]
     if pole <= 0:
-        raise ValueError("quotient has no pole at infinity")
+        raise error("quotient has no pole at infinity")
     exp = q.expansion(16)
     head = tuple(exp.coefficient(n) for n in range(-pole, -pole + 14))
-    slots = exponent_slots(N)
+    return Generator(quotient=q, orders=orders, pole=pole,
+                     scaled_vector=tuple(scaled_vector), head=head)
+
+
+def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
+    """Generator record (orders, pole, sort head) for an explicit quotient."""
+    q = q.canonicalize()
     vec = []
-    for d, g in slots:
+    for d, g in exponent_slots(N):
         v = q.ag.get((d, g), Fraction(0))
         if g == 0:
             v += Fraction(q.a.get(d, 0), 2)
         vec.append(int(v * chi_weight(d, g)))
-    return Generator(quotient=q, orders=orders, pole=pole,
-                     scaled_vector=tuple(vec), head=head)
+    return _generator_record(N, q, vec, ValueError)
 
 
 def sort_generators(gens) -> tuple:
-    out = sorted(gens, key=lambda g: (g.pole, tuple(-c for c in g.head)))
-    return tuple(out)
+    # exponent presentations are only unique up to unit factors, so order by
+    # the expansion itself: smallest pole first, then largest head sequence
+    return tuple(sorted(gens, key=lambda g: (g.pole, tuple(-c for c in g.head))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,26 +180,9 @@ def generators(N: int) -> tuple:
     out = []
     for v in pointed:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots]).canonicalize()
-        if is_constant_one(q, N):
-            continue
-        orders = {}
-        for data in cusp_set(N):
-            o = order_at_cusp(q, N, data)
-            if o.denominator != 1:
-                raise AssertionError("non-integral cusp order for a generator")
-            if not data.cusp.is_infinity and o < 0:
-                raise AssertionError("generator has a finite pole")
-            orders[data.cusp] = int(o)
-        pole = -orders[INFINITY]
-        if pole <= 0:
-            raise AssertionError("generator without a pole at infinity")
-        exp = q.expansion(16)
-        head = tuple(exp.coefficient(n) for n in range(-pole, -pole + 14))
-        out.append(Generator(quotient=q, orders=orders, pole=pole,
-                             scaled_vector=tuple(v[:pfs.nslots]), head=head))
-    # exponent presentations are only unique up to unit factors, so order by
-    # the expansion itself: smallest pole first, then largest head sequence
-    out.sort(key=lambda g: (g.pole, tuple(-c for c in g.head)))
+        if not is_constant_one(q, N):
+            out.append(_generator_record(N, q, v[:pfs.nslots], AssertionError))
+    out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")
-    return tuple(out)
+    return out

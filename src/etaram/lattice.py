@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, ge, mul
 
 
 class Infeasible(ValueError):
     """The Diophantine system has no solution."""
+
+
+class StepBudgetExceeded(RuntimeError):
+    """The Hilbert-basis completion ran out of its step budget."""
 
 
 def _identity(n):
@@ -104,7 +109,6 @@ def solve_diophantine(A, b):
     n = len(A[0]) if m else 0
     H, U, pivots = hnf_column(A)
     y = [0] * n
-    used = 0
     residual = list(b)
     for col, row in enumerate(pivots):
         if residual[row] % H[row][col]:
@@ -113,7 +117,6 @@ def solve_diophantine(A, b):
         y[col] = q
         for i in range(m):
             residual[i] -= q * H[i][col]
-        used = col + 1
     if any(residual):
         return None
     return _matvec(U, y)
@@ -295,41 +298,40 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
 def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     """Minimal nonzero solutions of (rows) x = 0 over nonnegative integers.
 
-    Breadth-first completion: grow candidate vectors coordinatewise, only
-    along directions whose column value decreases the current defect, pruning
-    anything dominated by a known solution.  Complete and terminating for
-    homogeneous integer systems.
+    Breadth-first completion (Contejean-Devie): grow candidate vectors
+    coordinatewise, only along directions whose column value decreases the
+    current defect, pruning anything dominated by a known solution.  Complete
+    and terminating; raises StepBudgetExceeded after progress_limit candidates.
+    x grown along j has a parent that passed the dominance test, so a minimal
+    s <= x has s[j] == x[j]: x is tested only against minimals under (j, x[j]).
     """
     if not rows:
         raise ValueError("need at least one equation row")
-    m = len(rows)
     n = len(rows[0])
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
+    cols = list(zip(*rows))
     minimals = []
-    frontier = {}
-    for j in range(n):
-        x = tuple(1 if i == j else 0 for i in range(n))
-        frontier[x] = cols[j]
-    seen = set(frontier)
+    by_entry = {}        # (i, s[i]) -> minimals s with that entry
+    frontier = {tuple(int(i == j) for i in range(n)): (cols[j], j) for j in range(n)}
     steps = 0
     while frontier:
         nxt = {}
-        for x, v in frontier.items():
+        for x, (v, grown) in frontier.items():
             steps += 1
             if steps > progress_limit:
-                raise RuntimeError("completion exceeded the step budget")
-            if any(all(a >= b for a, b in zip(x, s)) for s in minimals):
+                raise StepBudgetExceeded("completion exceeded the step budget")
+            if any(all(map(ge, x, s)) for s in by_entry.get((grown, x[grown]), ())):
                 continue
             if not any(v):
                 minimals.append(x)
+                for key in enumerate(x):
+                    by_entry.setdefault(key, []).append(x)
                 continue
             for j in range(n):
-                if sum(a * b for a, b in zip(v, cols[j])) < 0:
+                if sum(map(mul, v, cols[j])) < 0:
                     x2 = x[:j] + (x[j] + 1,) + x[j + 1:]
-                    if x2 in seen:
-                        continue
-                    seen.add(x2)
-                    nxt[x2] = tuple(a + b for a, b in zip(v, cols[j]))
+                    # x2 sums to one more than x, so only nxt can hold it
+                    if x2 not in nxt:
+                        nxt[x2] = (tuple(map(add, v, cols[j])), j)
         frontier = nxt
     return minimals
 
@@ -416,17 +418,14 @@ def hilbert_basis(system: DioSystem):
             candidates.append(y)
 
     lat_cols = lattice_hnf(proj, k)
-
-    def in_image(y):
-        return in_lattice(list(y), lat_cols)
-
     keep = []
     for y in sorted(candidates, key=lambda v: (sum(v), v)):
         reducible = False
         for g0 in candidates:
             if g0 == y:
                 continue
-            if all(a <= b for a, b in zip(g0, y)) and in_image([b - a for a, b in zip(g0, y)]):
+            if all(a <= b for a, b in zip(g0, y)) and \
+                    in_lattice([b - a for a, b in zip(g0, y)], lat_cols):
                 reducible = True
                 break
         if not reducible:

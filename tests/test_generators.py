@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from etaram.cusps import INFINITY, cusp_set, order_at_cusp
 from etaram.eta import GenEtaQuotient
 from etaram.generators import (
-    chi_weight, exponent_slots, generators, pole_free_system,
-    quotient_from_scaled, unit_lattice,
+    chi_weight, exponent_slots, generator_from_quotient, generators,
+    pole_free_system, quotient_from_scaled, unit_lattice,
 )
 from etaram.lattice import enumerate_coset, in_lattice, lattice_hnf
 
@@ -78,6 +80,22 @@ def test_level_10_generator_functions_match_published_set():
 
 def test_level_11_generator_count():
     assert len(generators(11)) == 27
+
+
+def test_generator_from_quotient_matches_generators_and_rejects_bad_input():
+    for g in generators(10):
+        rec = generator_from_quotient(10, g.quotient)
+        assert (rec.quotient, rec.orders, rec.pole, rec.head) == \
+            (g.quotient, g.orders, g.pole, g.head)
+    z = generators(10)[0].quotient
+    for bad in (z ** -1, z ** 0):     # a finite pole; no pole at infinity
+        with pytest.raises(ValueError):
+            generator_from_quotient(10, bad)
+
+
+@pytest.mark.slow
+def test_level_18_generator_count():
+    assert len(generators(18)) == 377
 
 
 def test_generator_orders_nonnegative_and_integral():

@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import pytest
+
+from etaram import lattice
+from etaram.generators import pole_free_system
 from etaram.lattice import (
-    DioSystem, enumerate_coset, hilbert_basis, hnf_column, in_lattice,
-    kernel_basis, lattice_hnf, minimal_nonneg_solutions, reduce_mod_lattice,
-    solve_diophantine,
+    DioSystem, StepBudgetExceeded, enumerate_coset, hilbert_basis, hnf_column,
+    in_lattice, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
+    reduce_mod_lattice, solve_diophantine,
 )
 
 
@@ -82,6 +86,94 @@ def test_minimal_nonneg_simple():
     assert minimal_nonneg_solutions([[1, -1]]) == [(1, 1)]
     # 2x = 3y: minimal (3, 2)
     assert minimal_nonneg_solutions([[2, -3]]) == [(3, 2)]
+
+
+def _reference_minimal_nonneg_solutions(rows):
+    """The completion with a full dominance scan and a set of every visited
+    vector; returns the minimals and the number of candidates popped."""
+    m = len(rows)
+    n = len(rows[0])
+    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
+    minimals = []
+    frontier = {}
+    for j in range(n):
+        x = tuple(1 if i == j else 0 for i in range(n))
+        frontier[x] = cols[j]
+    seen = set(frontier)
+    steps = 0
+    while frontier:
+        nxt = {}
+        for x, v in frontier.items():
+            steps += 1
+            if any(all(a >= b for a, b in zip(x, s)) for s in minimals):
+                continue
+            if not any(v):
+                minimals.append(x)
+                continue
+            for j in range(n):
+                if sum(a * b for a, b in zip(v, cols[j])) < 0:
+                    x2 = x[:j] + (x[j] + 1,) + x[j + 1:]
+                    if x2 in seen:
+                        continue
+                    seen.add(x2)
+                    nxt[x2] = tuple(a + b for a, b in zip(v, cols[j]))
+        frontier = nxt
+    return minimals, steps
+
+
+def _assert_matches_reference(rows):
+    expect, steps = _reference_minimal_nonneg_solutions(rows)
+    assert minimal_nonneg_solutions(rows, progress_limit=steps) == expect, rows
+    with pytest.raises(StepBudgetExceeded):
+        minimal_nonneg_solutions(rows, progress_limit=steps - 1)
+
+
+def _random_rows(rng):
+    """1-3 rows over 2-4 columns; some rows get a (-d, +d) slack pair, as the
+    congruence rows of the pole-free systems do."""
+    k = rng.randint(2, 4)
+    rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+    moduli = [rng.choice((0, 0, 2, 3)) for _ in rows]
+    width = k + 2 * sum(1 for d in moduli if d)
+    out, at = [], k
+    for row, d in zip(rows, moduli):
+        r = row + [0] * (width - k)
+        if d:
+            r[at], r[at + 1] = -d, d
+            at += 2
+        out.append(r)
+    return out
+
+
+def test_completion_matches_full_scan_on_random_systems():
+    rng = random.Random(4)
+    for _ in range(100):
+        _assert_matches_reference(_random_rows(rng))
+
+
+def test_completion_matches_full_scan_on_level_systems(monkeypatch):
+    captured = []
+    original = lattice.minimal_nonneg_solutions
+
+    def capture(rows, *args, **kwargs):
+        captured.append(rows)
+        return original(rows, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "minimal_nonneg_solutions", capture)
+    for N in (11, 14, 15):
+        hilbert_basis(pole_free_system(N).system)
+    assert len(captured) == 3
+    for rows in captured:
+        _assert_matches_reference(rows)
+
+
+def test_step_budget_is_typed():
+    rows = [[2, -3, 1, -1, 0, 0], [1, 1, -2, 0, -2, 2]]
+    expect, steps = _reference_minimal_nonneg_solutions(rows)
+    assert minimal_nonneg_solutions(rows, progress_limit=steps) == expect
+    with pytest.raises(StepBudgetExceeded) as info:
+        minimal_nonneg_solutions(rows, progress_limit=steps - 1)
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_hilbert_trivial_one_variable():
