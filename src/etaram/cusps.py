@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
+from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
 
 
 @dataclass(frozen=True, order=True)
@@ -192,16 +192,6 @@ def find_cusp_class(N: int, cusp: Cusp) -> CuspData:
 # order formulas
 # ---------------------------------------------------------------------------
 
-def _combined_exponents(h: GenEtaQuotient):
-    """Exponents with plain eta powers folded into the g = 0 slots."""
-    combined = {}
-    for d, e in h.a.items():
-        combined[(d, 0)] = combined.get((d, 0), Fraction(0)) + Fraction(e, 2)
-    for k, e in h.ag.items():
-        combined[k] = combined.get(k, Fraction(0)) + e
-    return combined
-
-
 @functools.lru_cache(maxsize=None)
 def order_form_coefficient(N: int, lam: int, eps: int, d: int, g: int) -> Fraction:
     """Coefficient of the (d, g) exponent in the order value at lam/(mu*eps)."""
@@ -210,17 +200,34 @@ def order_form_coefficient(N: int, lam: int, eps: int, d: int, g: int) -> Fracti
             * bernoulli_p2(Fraction(lam * g, gde)))
 
 
+@functools.lru_cache(maxsize=None)
+def _order_rows(N: int, lam: int, eps: int):
+    """Every slot's order_form_coefficient (d | N, 0 <= g <= d/2) as an
+    integer numerator over one denominator, which is returned doubled:
+    order_at_cusp weights the numerators with a[d] (a plain eta power counts
+    half at its g = 0 slot) and with the integer 2*ag[d, g]."""
+    coeffs = {(d, g): order_form_coefficient(N, lam, eps, d, g)
+              for d in divisors(N) for g in range(d // 2 + 1)}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, 2 * den
+
+
 def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
     """Order of a generalized eta-quotient at a cusp, by the closed formula.
 
     Exact rational; an integer whenever h is modular for the level-N group.
+    The sum runs in integers over the cached _order_rows.
     """
     data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
-    total = Fraction(0)
-    for (d, g), e in _combined_exponents(h).items():
-        if e:
-            total += order_form_coefficient(N, data.lam, data.eps, d, g) * e
-    return total
+    rows, den = _order_rows(N, data.lam, data.eps)
+    try:
+        total = sum(rows[d, 0] * e.numerator for d, e in h.a.items())
+        for k, e in h.ag.items():
+            total += rows[k] * (2 * e.numerator // e.denominator)
+    except KeyError as exc:
+        raise ValueError("eta argument %d does not divide level %d"
+                         % (exc.args[0][0], N)) from None
+    return Fraction(total, den)
 
 
 def kappa(m: int) -> int:

@@ -94,19 +94,28 @@ def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
     return GenEtaQuotient(N, ag=ag)
 
 
-def is_constant_one(q: GenEtaQuotient, N: int) -> bool:
+def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
+    """{cusp: order} of q at every level-N cusp, by the closed formula."""
+    return {data.cusp: order_at_cusp(q, N, data) for data in cusp_set(N)}
+
+
+def is_constant_one(q: GenEtaQuotient, N: int, expansion=None, orders=None) -> bool:
     """Constant detection by two independent routes that must agree.
 
     Exponent identities beyond the plain-eta reductions can hide the constant
     1 inside a nonempty product (odd residues regrouped across divisors), so
-    emptiness of the canonical form is sufficient but not necessary.
+    emptiness of the canonical form is sufficient but not necessary.  The
+    caller may pass q's 50-term expansion and its cusp_orders when it has
+    them; both routes are compared either way.
     """
     if q.is_one():
         return True
-    exp = q.expansion(50)
+    exp = q.expansion(50) if expansion is None else expansion
     by_series = (exp.leading() == (Fraction(0), Fraction(1))
                  and len(exp.coeffs) == 1)
-    by_orders = all(order_at_cusp(q, N, d) == 0 for d in cusp_set(N))
+    if orders is None:
+        orders = cusp_orders(q, N)
+    by_orders = all(o == 0 for o in orders.values())
     if by_series != by_orders:
         raise AssertionError("constant detection disagrees for %r" % q)
     return by_series
@@ -132,20 +141,19 @@ def unit_lattice(N: int):
     return tuple(tuple(v[:pfs.nslots]) for v in lineality)
 
 
-def _generator_record(N: int, q: GenEtaQuotient, scaled_vector, error) -> Generator:
-    """Orders, pole and sort head of a canonical quotient; raises error (the
-    caller's failure type) unless it is pole-free away from a pole at infinity."""
-    orders = {}
-    for data in cusp_set(N):
-        o = order_at_cusp(q, N, data)
-        if o.denominator != 1 or (not data.cusp.is_infinity and o < 0):
+def _generator_record(q: GenEtaQuotient, scaled_vector, error,
+                      expansion, orders) -> Generator:
+    """Record of a canonical quotient from its expansion (at least 14 terms)
+    and its cusp_orders; raises error (the caller's failure type) unless it
+    is pole-free away from a pole at infinity."""
+    for c, o in orders.items():
+        if o.denominator != 1 or (not c.is_infinity and o < 0):
             raise error("quotient is not pole-free away from infinity")
-        orders[data.cusp] = int(o)
+    orders = {c: int(o) for c, o in orders.items()}
     pole = -orders[INFINITY]
     if pole <= 0:
         raise error("quotient has no pole at infinity")
-    exp = q.expansion(16)
-    head = tuple(exp.coefficient(n) for n in range(-pole, -pole + 14))
+    head = tuple(expansion.coefficient(n) for n in range(-pole, -pole + 14))
     return Generator(quotient=q, orders=orders, pole=pole,
                      scaled_vector=tuple(scaled_vector), head=head)
 
@@ -159,7 +167,7 @@ def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
         if g == 0:
             v += Fraction(q.a.get(d, 0), 2)
         vec.append(int(v * chi_weight(d, g)))
-    return _generator_record(N, q, vec, ValueError)
+    return _generator_record(q, vec, ValueError, q.expansion(16), cusp_orders(q, N))
 
 
 def sort_generators(gens) -> tuple:
@@ -180,8 +188,11 @@ def generators(N: int) -> tuple:
     out = []
     for v in pointed:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots]).canonicalize()
-        if not is_constant_one(q, N):
-            out.append(_generator_record(N, q, v[:pfs.nslots], AssertionError))
+        # one expansion and one set of orders serve both consumers
+        exp, orders = q.expansion(50), cusp_orders(q, N)
+        if not is_constant_one(q, N, exp, orders):
+            out.append(_generator_record(q, v[:pfs.nslots], AssertionError,
+                                         exp, orders))
     out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")

@@ -100,14 +100,15 @@ def kernel_basis(A):
     return [[U[i][j] for i in range(n)] for j in range(rank, n)]
 
 
-def solve_diophantine(A, b):
+def solve_diophantine(A, b, hnf=None):
     """One integer solution of A x = b, or None.
 
-    Use kernel_basis for the homogeneous part.
+    hnf, when given, must be hnf_column(A): one factorization then serves
+    every right-hand side.  Use kernel_basis for the homogeneous part.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    H, U, pivots = hnf_column(A)
+    H, U, pivots = hnf_column(A) if hnf is None else hnf
     y = [0] * n
     residual = list(b)
     for col, row in enumerate(pivots):
@@ -301,7 +302,9 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     Breadth-first completion (Contejean-Devie): grow candidate vectors
     coordinatewise, only along directions whose column value decreases the
     current defect, pruning anything dominated by a known solution.  Complete
-    and terminating; raises StepBudgetExceeded after progress_limit candidates.
+    and terminating.  Raises StepBudgetExceeded as soon as more than
+    progress_limit candidates are certain to be popped, so a frontier that
+    cannot be finished is never built in full.
     x grown along j has a parent that passed the dominance test, so a minimal
     s <= x has s[j] == x[j]: x is tested only against minimals under (j, x[j]).
     """
@@ -312,13 +315,13 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     minimals = []
     by_entry = {}        # (i, s[i]) -> minimals s with that entry
     frontier = {tuple(int(i == j) for i in range(n)): (cols[j], j) for j in range(n)}
-    steps = 0
+    steps = 0            # candidates popped, this level's counted up front
     while frontier:
+        steps += len(frontier)
+        if steps > progress_limit:
+            raise StepBudgetExceeded("completion exceeded the step budget")
         nxt = {}
         for x, (v, grown) in frontier.items():
-            steps += 1
-            if steps > progress_limit:
-                raise StepBudgetExceeded("completion exceeded the step budget")
             if any(all(map(ge, x, s)) for s in by_entry.get((grown, x[grown]), ())):
                 continue
             if not any(v):
@@ -332,6 +335,9 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
                     # x2 sums to one more than x, so only nxt can hold it
                     if x2 not in nxt:
                         nxt[x2] = (tuple(map(add, v, cols[j])), j)
+            # every vector of nxt is popped on the next level
+            if steps + len(nxt) > progress_limit:
+                raise StepBudgetExceeded("completion exceeded the step budget")
         frontier = nxt
     return minimals
 
@@ -433,10 +439,11 @@ def hilbert_basis(system: DioSystem):
 
     # lift the projected generators back to full solutions
     lift_rows = eqs + unit_rows
+    lift_hnf = hnf_column(lift_rows)
     pointed = []
     for y in keep:
         rhs = [0] * len(eqs) + list(y)
-        x = solve_diophantine(lift_rows, rhs)
+        x = solve_diophantine(lift_rows, rhs, lift_hnf)
         if x is None:
             raise RuntimeError("projected generator failed to lift")
         x = reduce_mod_lattice(x, lineality)

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from etaram.cusps import (
-    INFINITY, Cusp, SL2Matrix, completion_matrix, cusp_order_bounds, cusp_set,
-    cusps_equivalent, find_cusp_class, make_cusp, order_at_cusp,
-    quotient_min_exponent, slice_min_exponent, width,
+    INFINITY, Cusp, CuspData, SL2Matrix, completion_matrix, cusp_order_bounds,
+    cusp_set, cusps_equivalent, find_cusp_class, make_cusp, order_at_cusp,
+    order_form_coefficient, quotient_min_exponent, slice_min_exponent, width,
 )
 from etaram.eta import GenEtaQuotient, PartitionSpec
 
@@ -112,6 +114,55 @@ def test_order_formula_matches_series_at_infinity():
             checked += 1
             if checked % 17 == 0:
                 break  # rotate levels
+
+
+def _reference_order_at_cusp(h, N, cusp):
+    """The closed formula summed term by term in Fractions, with the plain
+    eta powers folded into the g = 0 slots."""
+    data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
+    combined = {}
+    for d, e in h.a.items():
+        combined[(d, 0)] = combined.get((d, 0), Fraction(0)) + Fraction(e, 2)
+    for k, e in h.ag.items():
+        combined[k] = combined.get(k, Fraction(0)) + e
+    total = Fraction(0)
+    for (d, g), e in combined.items():
+        if e:
+            total += order_form_coefficient(N, data.lam, data.eps, d, g) * e
+    return total
+
+
+def _random_half_quotient(rng, N):
+    """Random exponents of both signs on every kind of slot, half-integral on
+    the g = 0 and 2g = d slots."""
+    a, ag = {}, {}
+    for d in [x for x in range(1, N + 1) if N % x == 0]:
+        if rng.random() < 0.6:
+            a[d] = rng.randint(-4, 4)
+        for g in range(0, d // 2 + 1):
+            if rng.random() < 0.4:
+                half = g == 0 or 2 * g == d
+                ag[(d, g)] = Fraction(rng.randint(-5, 5), 2 if half else 1)
+    return GenEtaQuotient(N, a, ag)
+
+
+def test_integer_orders_match_fraction_sum():
+    rng = random.Random(11)
+    for N in [6, 10, 11, 12, 18]:
+        halves = 0
+        for _ in range(40):
+            h = _random_half_quotient(rng, N)
+            halves += any(e.denominator == 2 for e in h.ag.values())
+            for data in cusp_set(N):
+                expect = _reference_order_at_cusp(h, N, data)
+                assert order_at_cusp(h, N, data) == expect, (h, data.cusp)
+                assert order_at_cusp(h, N, data.cusp) == expect
+        assert halves > 5
+
+
+def test_order_rejects_divisor_outside_level():
+    with pytest.raises(ValueError):
+        order_at_cusp(GenEtaQuotient(4, a={4: 1}), 6, INFINITY)
 
 
 def test_quotient_exponent_double_coset_invariance():

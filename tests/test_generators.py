@@ -1,3 +1,6 @@
+import hashlib
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,10 @@ from etaram.generators import (
     pole_free_system, quotient_from_scaled, unit_lattice,
 )
 from etaram.lattice import enumerate_coset, in_lattice, lattice_hnf
+from etaram.series import QSeries
+
+# the package re-exports the function generators under the module's name
+generators_module = sys.modules["etaram.generators"]
 
 # published solution of the level-10 system: five base vectors and six units
 # (first 12 entries are the scaled exponents; the slack tail is recomputed)
@@ -91,6 +98,58 @@ def test_generator_from_quotient_matches_generators_and_rejects_bad_input():
     for bad in (z ** -1, z ** 0):     # a finite pole; no pole at infinity
         with pytest.raises(ValueError):
             generator_from_quotient(10, bad)
+
+
+def _records_json(N):
+    """Canonical JSON of every generator record of level N."""
+    return json.dumps([{
+        "quotient": g.quotient.to_json(),
+        "pole": g.pole,
+        "head": [str(c) for c in g.head],
+        "scaled_vector": list(g.scaled_vector),
+        "orders": {str(c): o for c, o in sorted(g.orders.items())},
+    } for g in generators(N)], sort_keys=True, separators=(",", ":"))
+
+
+# SHA-256 of _records_json(N): any change to the generators, their order or
+# their records shows up here
+RECORD_HASHES = {
+    10: "90e5e01e750d172b75ad2089e2135736eae0f035f4cd64f956a2b7fa2f878a51",
+    11: "b8e1a3e7258ba9bfb8fe3f7a043fccd58072c5fe1e93520fb2dd38713fadf4ad",
+    14: "0f1422016aa1cf8e08eae5e0b8fbad0c40d3b952db09ee3b60809bfe373661f3",
+    15: "ce95488a60a9a0250e69be6d1574223d30425b40eedeacf51d0cb1016e6bf0f7",
+}
+
+
+@pytest.mark.parametrize("N", sorted(RECORD_HASHES))
+def test_generator_records_are_pinned(N):
+    digest = hashlib.sha256(_records_json(N).encode()).hexdigest()
+    assert digest == RECORD_HASHES[N]
+
+
+@pytest.mark.parametrize("route", ["orders", "series"])
+def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
+    # spoil one route for one non-constant candidate: its orders all read 0,
+    # or its expansion reads as the constant 1
+    target = generators(10)[2].quotient
+    if route == "orders":
+        real = generators_module.order_at_cusp
+
+        def spoiled(q, N, cusp):
+            return Fraction(0) if q == target else real(q, N, cusp)
+
+        monkeypatch.setattr(generators_module, "order_at_cusp", spoiled)
+    else:
+        real = GenEtaQuotient.expansion
+
+        def spoiled(q, terms, reference=False):
+            if q == target:
+                return QSeries.from_ints([1] + [0] * terms)
+            return real(q, terms, reference=reference)
+
+        monkeypatch.setattr(GenEtaQuotient, "expansion", spoiled)
+    with pytest.raises(AssertionError, match="constant detection disagrees"):
+        generators.__wrapped__(10)      # bypass the cache, leave it untouched
 
 
 @pytest.mark.slow

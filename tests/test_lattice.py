@@ -50,6 +50,25 @@ def test_solve_detects_infeasible():
     assert solve_diophantine([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
 
 
+def test_solve_with_precomputed_hnf_matches_fresh_solve():
+    rng = random.Random(12)
+    infeasible = 0
+    for _ in range(100):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        hnf = hnf_column(A)
+        for _ in range(3):
+            if rng.random() < 0.5:
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
+            else:
+                b = [rng.randint(-9, 9) for _ in range(m)]
+            fresh = solve_diophantine(A, b)
+            infeasible += fresh is None
+            assert solve_diophantine(A, b, hnf) == fresh, (A, b)
+    assert infeasible > 20
+
+
 def test_enumerate_coset_matches_box_scan():
     rng = random.Random(3)
     for _ in range(25):
