@@ -55,13 +55,7 @@ class SL2Matrix:
             raise ValueError("matrix determinant must be 1")
 
     def apply_to_infinity(self) -> Cusp:
-        a, c = self.a, self.c
-        if c == 0:
-            return INFINITY
-        if c < 0:
-            a, c = -a, -c
-        g = gcd(abs(a), c)
-        return Cusp(a // g, c // g)
+        return make_cusp(self.a, self.c)
 
 
 def make_cusp(a: int, c: int) -> Cusp:

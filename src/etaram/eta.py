@@ -173,7 +173,7 @@ def _cached_product(r, rg, order, fast):
         held = _PRODUCT_CACHE.get(key)
     if fast:
         if held is None or held.trunc < order:
-            held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order, fast=True),
+            held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order),
                             attrgetter("trunc"))
         return held if held.trunc == order else held.truncated(order)
     if held is None or len(held) < order:
@@ -247,12 +247,8 @@ def _euler_transform(r, rg, order, known=()) -> list:
     return f
 
 
-def _product_expansion(r, rg, order, fast):
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be positive")
-    if not fast:
-        return QSeries.from_ints(_euler_transform(r, rg, order))
+def _product_expansion(r, rg, order):
+    """The product to q**order through cached theta-series factor powers."""
     num = den = None
     factors = [(d, 0, e) for d, e in r.items()] + [(d, g, e) for (d, g), e in rg.items()]
     for d, g, e in factors:
@@ -328,18 +324,6 @@ class GenEtaQuotient:
         s = self.canonicalize()
         return not s.a and not s.ag
 
-    def exponent_vector(self) -> tuple:
-        """Canonical exponents over all (divisor, residue) slots, for ordering."""
-        s = self.canonicalize()
-        key = []
-        for d in divisors(self.N):
-            key.append(s.a.get(d, Fraction(0)))
-        for d in divisors(self.N):
-            for g in range(1, d // 2 + 1):
-                if 2 * g != d:
-                    key.append(s.ag.get((d, g), Fraction(0)))
-        return tuple(key)
-
     def __mul__(self, other: "GenEtaQuotient") -> "GenEtaQuotient":
         N = self.N * other.N // gcd(self.N, other.N)
         a = dict(self.a)
@@ -391,13 +375,13 @@ class GenEtaQuotient:
         """Expansion with at least `terms` known coefficients past the lead."""
         s = self.canonicalize()
         order = int(terms)
+        if order < 1:
+            raise ValueError("order must be positive")
         r = {d: int(e) for d, e in s.a.items()}
         rg = {k: int(e) for k, e in s.ag.items()}
-        core = _product_expansion(r, rg, order, fast=not reference)
+        core = (QSeries.from_ints(_euler_transform(r, rg, order)) if reference
+                else _product_expansion(r, rg, order))
         return core.shift(self.lead_exponent())
-
-    def expansion_reference(self, terms: int) -> QSeries:
-        return self.expansion(terms, reference=True)
 
     # -- serialization ----------------------------------------------------------------
 

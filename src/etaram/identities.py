@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, gcd
 
 from . import exprs
@@ -21,9 +22,12 @@ from .lattice import DioSystem, hilbert_basis
 from .modularity import NoPhiFound, check_level, find_level, find_prefactor
 from .reduction import (
     InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
-    express, module_basis,
+    _combination, _monomial_series, express, module_basis,
 )
 from .series import QSeries
+
+
+GUARD = 50     # certification margin past the pole budget
 
 
 class NoHFound(RuntimeError):
@@ -35,8 +39,6 @@ class DeriveOptions:
     N: int = 0                # 0 = choose the smallest admissible level
     order: int = 0            # minimum certification order
     phi_weight: int = 32      # search weight cap for the prefactor
-    guard: int = 50           # certification margin past the pole budget
-    verify: bool = True       # re-expand both sides through the plain route
 
 
 def find_multiplier(bounds: dict, gens, N: int):
@@ -121,52 +123,36 @@ class Identity:
     def rhs_series(self, terms: int, reference=False) -> QSeries:
         """The certified right-hand side, known to at least `terms`.
 
-        Each generator is expanded once, far enough for the largest total
-        pole of any monomial, and the powers of z are built one
-        multiplication at a time.
+        Only the generators it uses are expanded, once each on the asked
+        route and far enough for the largest total pole of any monomial; every
+        product, the powers of z included, comes from one monomial cache.
         """
         gens = self.basis.gens
-        z_pole = gens[0].pole if gens else 0
-        degree = {}                  # element index -> top z degree
-        for idx, j in self.rhs:
-            degree[idx] = max(degree.get(idx, 0), j)
-        combos = {idx: self.basis.elements[idx].combo for idx in degree}
-        margin = max((top * z_pole + max(sum(e * g.pole for e, g in zip(mono, gens))
-                                         for mono in combos[idx])
-                      for idx, top in degree.items()), default=0)
-        length = terms + margin + 4
-        series = {}
+        polys = {}                   # element index -> {monomial z^j: coefficient}
+        for (idx, j), c in self.rhs.items():
+            if c:
+                z_power = tuple(j if i == 0 else 0 for i in range(len(gens)))
+                polys.setdefault(idx, {})[z_power] = c
+        pairs = [(polys[idx], self.basis.elements[idx].combo) for idx in sorted(polys)]
 
-        def gen(i):
-            if i not in series:
-                series[i] = gens[i].quotient.expansion(length, reference=reference)
-            return series[i]
+        def pole(mono):
+            return sum(e * g.pole for e, g in zip(mono, gens))
+
+        length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
+                                  for poly, element in pairs), default=0)
+        used = {i for pair in pairs for combo in pair for mono in combo
+                for i, e in enumerate(mono) if e}
+        series = [g.quotient.expansion(length, reference=reference) if i in used else None
+                  for i, g in enumerate(gens)]
+        cache = {}
 
         def monomial(mono):
-            out = QSeries.one(length)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    out = out * gen(i)
-            return out
+            return _monomial_series(mono, length, series, cache)
 
-        # polys[idx] = sum_j rhs[idx, j] z^j along one chain of powers of z
-        polys = {}
-        z_pow = QSeries.one(length)
-        for j in range(max(degree.values(), default=0) + 1):
-            if j:
-                z_pow = z_pow * gen(0)
-            for idx in degree:
-                c = self.rhs.get((idx, j))
-                if c:
-                    term = z_pow.scale(c)
-                    polys[idx] = polys[idx] + term if idx in polys else term
         total = QSeries.zero(terms)
-        for idx, poly in sorted(polys.items()):
-            element = None
-            for mono, coef in sorted(combos[idx].items()):
-                term = monomial(mono).scale(coef)
-                element = term if element is None else element + term
-            total = total + (poly * element).truncated(terms)
+        for poly, element in pairs:
+            total = total + (_combination(poly, monomial, length)
+                             * _combination(element, monomial, length)).truncated(terms)
         return total
 
     def slice_series(self, terms: int) -> QSeries:
@@ -263,15 +249,9 @@ class Identity:
         return doc
 
 
-_BASIS_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def level_basis(N: int) -> ModuleBasis:
-    mb = _BASIS_CACHE.get(N)
-    if mb is None:
-        # two threads may both build; setdefault keeps the first one stored
-        mb = _BASIS_CACHE.setdefault(N, module_basis(generators(N)))
-    return mb
+    return module_basis(generators(N))
 
 
 def derive_identity(spec: PartitionSpec, m: int, t: int,
@@ -295,15 +275,14 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         inf_bound = bounds[INFINITY] + sum(
             tj * (-g.pole) for tj, g in zip(h_powers, gens))
         pole_budget = max(0, int(ceil(-inf_bound)))
-        target = max(pole_budget + opts.guard, opts.order)
+        target = max(pole_budget + GUARD, opts.order)
         quot = (phi * h).canonicalize()
         rhs_coeffs, certified = _reduce_with_retry(spec, m, t, quot, mb, target)
         identity = Identity(spec=spec, m=m, t=t, status="Derived", N=N, phi=phi,
                             h=h, h_powers=h_powers, basis=mb, rhs=rhs_coeffs,
                             certified_to=certified)
-        if opts.verify:
-            stage = "verification"
-            _independent_check(identity, certified)
+        stage = "verification"
+        _independent_check(identity, certified)
         return identity
     except (NoPhiFound, NoHFound, NotMember, VerificationFailure,
             RuntimeError, ValueError) as exc:

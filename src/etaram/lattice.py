@@ -9,7 +9,6 @@ asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add, ge, mul
 
 
@@ -221,7 +220,9 @@ def reduce_mod_lattice(v, basis, passes=4):
             bb = sum(c * c for c in b)
             if not bb:
                 continue
-            k = round(Fraction(sum(x[i] * b[i] for i in range(len(x))), bb))
+            # round half to even, as round(Fraction(dot, bb)) does
+            k, r = divmod(sum(x[i] * b[i] for i in range(len(x))), bb)
+            k += 2 * r > bb or (2 * r == bb and k % 2)
             if k:
                 x = [x[i] - k * b[i] for i in range(len(x))]
                 changed = True

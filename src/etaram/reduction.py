@@ -90,11 +90,7 @@ class ModuleBasis:
         return _monomial_series(mono, *self._expansions)
 
     def combo_series(self, combo: dict) -> QSeries:
-        total = None
-        for mono, c in sorted(combo.items()):
-            term = self.monomial_series(mono).scale(c)
-            total = term if total is None else total + term
-        return total if total is not None else QSeries.zero(self._terms)
+        return _combination(combo, self.monomial_series, self._terms)
 
     def element_series(self, idx: int) -> QSeries:
         return self.combo_series(self.elements[idx].combo)
@@ -112,6 +108,15 @@ def _monomial_series(mono, terms, gen_series, cache) -> QSeries:
         out = _monomial_series(below, terms, gen_series, cache) * gen_series[i]
     cache[mono] = out
     return out
+
+
+def _combination(combo, monomial, terms) -> QSeries:
+    """sum c * monomial(mono) over the combo, in sorted monomial order."""
+    total = None
+    for mono, c in sorted(combo.items()):
+        term = monomial(mono).scale(c)
+        total = term if total is None else total + term
+    return total if total is not None else QSeries.zero(terms)
 
 
 def _pole_of(series: QSeries):
@@ -132,7 +137,7 @@ def _pole_of(series: QSeries):
     return -int(e)
 
 
-def module_basis(gens, start_terms: int = 48) -> ModuleBasis:
+def module_basis(gens) -> ModuleBasis:
     """Module basis of the span of the generators (an adaptation of the
     classical basis-completion over the smallest-pole generator).
 
@@ -141,16 +146,16 @@ def module_basis(gens, start_terms: int = 48) -> ModuleBasis:
     representatives are chosen with minimal pole, seeding from single
     generators in order of their expansion head.
     """
+    terms = max(48, 4 * max((g.pole for g in gens), default=0))
     if not gens:
         # no nonconstant functions at all: the span is the constants
         mb = ModuleBasis(gens=(), n=1)
-        mb.ensure_terms(start_terms)
+        mb.ensure_terms(terms)
         mb.elements = [BasisElement({(): Fraction(1)}, 0)]
         return mb
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
     mb = ModuleBasis(gens=tuple(gens), n=n)
-    terms = max(start_terms, 4 * max(g.pole for g in gens))
     while True:
         try:
             _module_basis_attempt(mb, terms)
@@ -170,36 +175,15 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
     mb.elements = [unit]
     basis = {0: unit}
 
-    def install(elem):
-        r = elem.pole % mb.n
-        old = basis.get(r)
-        basis[r] = elem
-        return old
-
     def reduce_elem(combo):
         """Strip reducible leading poles; None when absorbed into the span."""
-        combo = dict(combo)
-        series = mb.combo_series(combo)
-        while True:
-            p = _pole_of(series)
-            if p is None:
-                return None
-            e = basis.get(p % mb.n)
-            if e is None or e.pole > p:
-                lead_c = series.leading()[1]
-                combo2 = {m: v / lead_c for m, v in combo.items()}
-                return BasisElement(combo2, p)
-            j = (p - e.pole) // mb.n
-            c = series.leading()[1]
-            mono_shift = {tuple(m_e + (j if i == 0 else 0) for i, m_e in enumerate(mono)): v
-                          for mono, v in e.combo.items()}
-            sub = mb.combo_series(mono_shift).scale(c)
-            series2 = series - sub
-            p2 = _pole_of(series2)
-            if p2 is not None and p2 >= p:
-                raise AssertionError("reduction failed to decrease the pole order")
-            _combo_axpy(combo, c, mono_shift)
-            series = series2
+        steps, rem, p = _reduce(mb.combo_series(combo), mb, basis)
+        if p is None:
+            return None
+        for e, j, c in steps:
+            _combo_axpy(combo, c, e.combo, shift_index=0, shift_by=j)
+        lead_c = rem.leading()[1]
+        return BasisElement({m: v / lead_c for m, v in combo.items()}, p)
 
     # seed classes with single generators (smallest pole, then leanest head)
     for i in sorted(range(k), key=lambda i: (mb.gens[i].pole, mb.gens[i].head)):
@@ -207,9 +191,7 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
         r = g.pole % mb.n
         if r not in basis or basis[r].pole > g.pole:
             mono = tuple(1 if j == i else 0 for j in range(k))
-            elem = BasisElement({mono: Fraction(1)}, g.pole)
-            old = install(elem)
-            assert old is None or old.pole > g.pole
+            basis[r] = BasisElement({mono: Fraction(1)}, g.pole)
 
     rounds = 0
     changed = True
@@ -240,6 +222,34 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
     return mb
 
 
+def _reduce(series: QSeries, mb: ModuleBasis, by_class: dict):
+    """Strip leading poles with the elements of by_class (pole class ->
+    element) and powers of z.
+
+    Returns (steps, remainder, pole): steps lists the (element, z degree,
+    coefficient) subtracted in turn, and pole is the order of the first pole
+    no element covers, or None when the remainder has no visible pole.  Every
+    step must lower the pole, so the loop ends.
+    """
+    steps = []
+    while True:
+        p = _pole_of(series)
+        if p is None:
+            return steps, series, None
+        e = by_class.get(p % mb.n)
+        if e is None or e.pole > p:
+            return steps, series, p
+        j = (p - e.pole) // mb.n
+        c = series.leading()[1]
+        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
+        series2 = series - mb.combo_series(shifted).scale(c)
+        p2 = _pole_of(series2)
+        if p2 is not None and p2 >= p:
+            raise AssertionError("reduction failed to decrease the pole order")
+        steps.append((e, j, c))
+        series = series2
+
+
 def reduce_by_basis(f: QSeries, mb: ModuleBasis):
     """Leading-pole reduction of f against the basis.
 
@@ -247,37 +257,16 @@ def reduce_by_basis(f: QSeries, mb: ModuleBasis):
     remainder has no visible pole.  Raises NotMember when a pole class has no
     usable basis element and InsufficientTruncation when the series runs out.
     """
-    coeffs = {}
-    series = f
-    by_class = mb.by_class()
-    guard = 0
-    budget = None
-    while True:
-        p = _pole_of(series)
-        if p is None:
-            return coeffs, series
-        if budget is None:
-            budget = 8 * (p + len(mb.elements) + 4)
-        guard += 1
-        if guard > budget:
-            raise RuntimeError("reduction loop failed to terminate")
+    steps, series, p = _reduce(f, mb, mb.by_class() if mb.gens else {})
+    if p is not None:
         if not mb.gens:
             raise NotMember("a pole of order %d over an empty basis" % p)
-        elem = by_class.get(p % mb.n)
-        if elem is None or elem.pole > p:
-            raise NotMember("no basis element matches pole order %d" % p)
-        j = (p - elem.pole) // mb.n
-        c = series.leading()[1]
-        idx = mb.elements.index(elem)
-        mono_shift = {tuple(me + (j if i == 0 else 0) for i, me in enumerate(mono)): v
-                      for mono, v in elem.combo.items()}
-        series2 = series - mb.combo_series(mono_shift).scale(c)
-        p2 = _pole_of(series2)
-        if p2 is not None and p2 >= p:
-            raise AssertionError("reduction failed to decrease the pole order")
-        key = (idx, j)
+        raise NotMember("no basis element matches pole order %d" % p)
+    coeffs = {}
+    for elem, j, c in steps:
+        key = (mb.elements.index(elem), j)
         coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        series = series2
+    return coeffs, series
 
 
 def express(f: QSeries, mb: ModuleBasis, certify_to: int):
@@ -289,7 +278,7 @@ def express(f: QSeries, mb: ModuleBasis, certify_to: int):
     """
     lead = f.leading()
     pole0 = int(-lead[0]) if lead is not None and lead[0] < 0 else 0
-    mb.ensure_terms(max(mb._terms, certify_to + pole0 + 8))
+    mb.ensure_terms(certify_to + pole0 + 8)
     coeffs, rem = reduce_by_basis(f, mb)
     if rem.bound() <= 0:
         raise InsufficientTruncation("remainder undetermined at order zero")

@@ -524,7 +524,6 @@ def theta_pair(g: int, delta: int, order: int) -> QSeries:
 
 def pair_product(g: int, delta: int, order: int) -> QSeries:
     """(q^g, q^(delta-g); q^delta)_infinity for 0 < g <= delta/2, theta route."""
-    if not 0 < g <= delta // 2 and not (g * 2 == delta):
-        if not 0 < g < delta:
-            raise ValueError("need 0 < g < delta")
+    if not 0 < g < delta:
+        raise ValueError("need 0 < g < delta")
     return theta_pair(g, delta, order) * euler_product(delta, order).invert()

@@ -179,8 +179,7 @@ def test_failure_is_reported_not_raised():
 
 
 def test_independent_check_rejects_a_perturbed_identity():
-    ident = derive_identity(OVERPARTITION, 5, 2,
-                            DeriveOptions(order=100, verify=False))
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
     assert ident.status == "Derived"
     _independent_check(ident, ident.certified_to)
     bad = dataclasses.replace(ident, rhs=dict(ident.rhs))
@@ -192,9 +191,30 @@ def test_independent_check_rejects_a_perturbed_identity():
         _independent_check(bad, bad.certified_to)
 
 
+def test_reference_check_never_touches_the_fast_route(monkeypatch):
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
+    fast = ident.rhs_series(60)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference check used a fast-route expansion")
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
+    assert ident.rhs_series(60, reference=True) == fast
+    _independent_check(ident, ident.certified_to)
+
+
+def test_derive_always_runs_the_independent_check(monkeypatch):
+    def failing(identity, order):
+        raise VerificationFailure("re-expansion spoiled on purpose")
+
+    monkeypatch.setattr(etaram.identities, "_independent_check", failing)
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
+    assert ident.status == "Failed"
+    assert ident.failure == "verification: re-expansion spoiled on purpose"
+
+
 def test_independent_check_rejects_a_short_comparison(monkeypatch):
-    ident = derive_identity(OVERPARTITION, 5, 2,
-                            DeriveOptions(order=100, verify=False))
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
     full = etaram.identities.Identity.rhs_series
     monkeypatch.setattr(etaram.identities.Identity, "rhs_series",
                         lambda self, terms, reference=False:
@@ -211,7 +231,7 @@ def test_concurrent_derivations_match_sequential(monkeypatch):
     def empty_caches():
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
         monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
-        monkeypatch.setattr(etaram.identities, "_BASIS_CACHE", {})
+        etaram.identities.level_basis.cache_clear()
 
     empty_caches()
     sequential = {t: derive(t) for t in (2, 3)}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -127,3 +129,56 @@ def test_basis_from_published_generator_fixture():
     hF = overpartition_hF(H_PUBLISHED, 120)
     coeffs = express(hF.truncated(100), mb, 100)
     assert {j: c for (i, j), c in coeffs.items()} == {3: 4, 2: 4, 1: -32, 0: 32}
+
+
+def _basis_json(N):
+    """Canonical JSON of the level-N basis: each element's pole, then its
+    sorted combination with string coefficients."""
+    return json.dumps([[e.pole, [[list(mono), str(c)] for mono, c in sorted(e.combo.items())]]
+                       for e in module_basis(generators(N)).elements],
+                      separators=(",", ":"))
+
+
+# SHA-256 of _basis_json(N): any change to an element's combination shows up
+# here.  Levels 11, 14 and 15 have width 1, so their closure reduces products.
+BASIS_HASHES = {
+    6: "30bd69c76dd09d3e93194f4fd5556db231cc89910a43effc6e27b1ef02997e4b",
+    10: "422efb3b936bad669308fd2ca237e3949c364f7afe6b70548b5f58b5a8704c40",
+    11: "b70a786004371d18e50ab7761d6247878ae7b80d389e8ef963a4d8b1eec27fe6",
+    12: "b065e03ef5b675bfa4eae39faf95d477c6d784bde82de95a7ef823bd23e6a686",
+    14: "32fc123d7f98b0762474cdcce38c4c444b2a84ed70d0335d1997fa2b41b049ae",
+    15: "6075a2b6e00aa4fcdab9d3c78936c690eb93f031c076f6758a6519d3ccf38585",
+}
+
+
+@pytest.mark.parametrize("N", sorted(BASIS_HASHES))
+def test_basis_elements_are_pinned(N):
+    digest = hashlib.sha256(_basis_json(N).encode()).hexdigest()
+    assert digest == BASIS_HASHES[N]
+
+
+def test_closure_element_found_by_reduction():
+    # without the pole-3 generators, class 1 (mod 2) is first filled by
+    # reducing the pole-4 generator g2 against z^2: e = g2 - z^2, pole 3
+    gens = tuple(g for g in generators(11) if g.pole != 3)
+    mb = module_basis(gens)
+    assert [e.pole for e in mb.elements] == [0, 3]
+    unit = [0] * len(gens)
+    g2, z2 = list(unit), list(unit)
+    g2[2], z2[0] = 1, 2
+    assert mb.elements[1].combo == {tuple(g2): 1, tuple(z2): -1}
+    mb.ensure_terms(20)
+    assert mb.element_series(1).leading() == (-3, 1)
+
+
+def test_empty_basis_expresses_a_constant():
+    mb = module_basis(())
+    assert mb.elements[0].combo == {(): 1}
+    assert express(QSeries.one(40).scale(Fraction(7, 3)), mb, 30) == {(0, 0): Fraction(7, 3)}
+
+
+def test_empty_basis_rejects_a_pole():
+    mb = module_basis(())
+    f = QSeries({-1: Fraction(1), 0: Fraction(2)}, 30)
+    with pytest.raises(NotMember, match="^a pole of order 1 over an empty basis$"):
+        reduce_by_basis(f, mb)
