@@ -212,6 +212,35 @@ def _publish(cache, key, value, size):
         return held
 
 
+def _pack_mul(a, b) -> list:
+    """Exact product of two nonempty integer lists by one big-integer product.
+
+    Each list is evaluated at B = 2**(8w) by packing it into w-byte chunks,
+    half = B/2 added to every coefficient so every chunk is a nonnegative
+    digit.  w makes every product coefficient lie in (-half, half), so the
+    base-B digits of product + (half in each chunk) are the coefficients plus
+    half, with no carries.  This is the reference route's own kernel: it
+    shares no code with the fast route's series.py.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    n = len(a) + len(b) - 1
+    if not bound:
+        return [0] * n
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    halves = bytes(w - 1) + b"\x80"          # half as one little-endian chunk
+
+    def pack(cs):
+        digits = b"".join([(c + half).to_bytes(w, "little") for c in cs])
+        return int.from_bytes(digits, "little") - int.from_bytes(halves * len(cs), "little")
+
+    raw = (pack(a) * pack(b) + int.from_bytes(halves * n, "little")).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+_EULER_BLOCK = 64   # blocks this short sum their convolution directly
+
+
 def _euler_transform(r, rg, order, known=()) -> list:
     """Integer coefficients f(0..order-1) of the product, by its Euler transform.
 
@@ -220,9 +249,14 @@ def _euler_transform(r, rg, order, known=()) -> list:
     s(k) = -sum_{d | k} d c(d).  Every step is integer arithmetic and no
     series is multiplied or inverted.  `known` is a prefix of the answer from
     an earlier call; the recurrence continues after it.
+
+    The convolution is evaluated online by divide and conquer: once f on
+    [lo, mid) is known, its whole contribution to [mid, hi) is one product
+    through _pack_mul, so the cost is O(M(T) log T) instead of O(T^2).
     """
-    if len(known) >= order:
-        return list(known[:order])
+    f = list(known[:order]) or [1]
+    if len(f) == order:
+        return f
     c = [0] * order
     for d, e in r.items():
         for n in range(d, order, d):
@@ -238,12 +272,28 @@ def _euler_transform(r, rg, order, known=()) -> list:
             v = n * c[n]
             for k in range(n, order, n):
                 s[k] -= v
-    f = list(known) or [1]
-    for n in range(len(f), order):
-        total, rem = divmod(sum(map(mul, s[1:n + 1], reversed(f))), n)
-        if rem:
-            raise AssertionError("Euler transform left a remainder at q^%d" % n)
-        f.append(total)
+    # acc[n] collects s(n-j) f(j) over every j already folded in for n
+    acc = [0] * order
+    acc[len(f):] = _pack_mul(f, s[1:order])[len(f) - 1:order - 1]
+
+    def solve(lo, hi):
+        if hi - lo <= _EULER_BLOCK:
+            for n in range(lo, hi):
+                total, rem = divmod(acc[n] + sum(map(mul, s[1:n - lo + 1],
+                                                     reversed(f[lo:n]))), n)
+                if rem:
+                    raise AssertionError("Euler transform left a remainder at q^%d" % n)
+                f.append(total)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        # f(lo + i) s(1 + k) lands on n = lo + i + k + 1
+        part = _pack_mul(f[lo:mid], s[1:hi - lo])
+        for n in range(mid, hi):
+            acc[n] += part[n - lo - 1]
+        solve(mid, hi)
+
+    solve(len(f), order)
     return f
 
 

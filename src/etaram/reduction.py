@@ -208,13 +208,11 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
                 red = reduce_elem(combo)
                 if red is None:
                     continue
-                cls = red.pole % mb.n
-                old = basis.get(cls)
-                if old is None or old.pole > red.pole:
-                    basis[cls] = red
-                    changed = True
-                    break
-                raise AssertionError("irreducible element in an occupied class")
+                # _reduce stops only at a pole its class does not cover, so
+                # red's class is empty or held by an element of larger pole
+                basis[red.pole % mb.n] = red
+                changed = True
+                break
             if changed:
                 break
     mb.elements = [unit] + sorted(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -7,7 +8,7 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _factor_power, bernoulli_p1, bernoulli_p2,
+    _factor_power, _pack_mul, bernoulli_p1, bernoulli_p2,
 )
 from etaram.series import QSeries, euler_product, pair_product, pochhammer
 
@@ -131,6 +132,87 @@ def test_euler_transform_extends_a_known_prefix(monkeypatch):
     assert short.coefficients_range(0, 50) == fresh[:50]
 
 
+def _reference_euler_transform(r, rg, order, known=()):
+    """The Euler-transform recurrence with its convolution summed term by
+    term, O(order^2): the exact oracle for _euler_transform."""
+    if len(known) >= order:
+        return list(known[:order])
+    c = [0] * order
+    for d, e in r.items():
+        for n in range(d, order, d):
+            c[n] += e
+    for (d, g), e in rg.items():
+        for start in (g, d - g):
+            for n in range(start, order, d):
+                c[n] += e
+    s = [0] * order
+    for n in range(1, order):
+        if c[n]:
+            v = n * c[n]
+            for k in range(n, order, n):
+                s[k] -= v
+    f = list(known) or [1]
+    for n in range(len(f), order):
+        total, rem = divmod(sum(map(mul, s[1:n + 1], reversed(f))), n)
+        assert not rem
+        f.append(total)
+    return f
+
+
+def _random_product(rng):
+    r = {d: rng.choice([-3, -2, -1, 1, 2, 3])
+         for d in rng.sample([1, 2, 3, 4, 5, 6, 10, 12], rng.randint(1, 3))}
+    rg = {}
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice([2, 4, 5, 6, 7, 10, 12])
+        rg[(d, rng.randint(1, d // 2))] = rng.choice([-2, -1, 1, 2])   # g = d/2 too
+    return r, rg
+
+
+ORACLE_PRODUCTS = [
+    ({1: -1}, {}),
+    ({1: -3, 2: 1, 5: 1, 10: -1}, {}),
+    ({1: 1}, {(6, 3): -1, (5, 2): 2}),
+    ({}, {(4, 2): 1, (7, 3): -2}),
+] + [_random_product(random.Random(seed)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("r, rg", ORACLE_PRODUCTS)
+def test_euler_transform_matches_the_quadratic_oracle(r, rg):
+    oracle = _reference_euler_transform(r, rg, 2500)
+    for order in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 2500):
+        assert _euler_transform(r, rg, order) == oracle[:order]
+    for k in (1, 50, 64, 137, 999):
+        assert _euler_transform(r, rg, 1000, oracle[:k]) == oracle[:1000]
+    assert _euler_transform(r, rg, 100, oracle[:1000]) == oracle[:100]
+    assert _euler_transform(r, rg, 1000, oracle[:1000]) == oracle[:1000]
+
+
+def test_euler_transform_keeps_its_exactness_check(monkeypatch):
+    r, rg = {1: -2}, {(5, 1): 1}
+    honest = _pack_mul
+    # one unit too much in every block product: some n no longer divides
+    monkeypatch.setattr(etaram.eta, "_pack_mul",
+                        lambda a, b: [c + 1 for c in honest(a, b)])
+    with pytest.raises(AssertionError, match="left a remainder"):
+        _euler_transform(r, rg, 300)
+
+
+def test_pack_mul_matches_schoolbook():
+    rng = random.Random(5)
+    for _ in range(200):
+        size = rng.choice([1, 2, 5, 40])
+        a = [rng.choice([0, rng.randint(-9, 9), rng.randint(-2 ** 300, 2 ** 300)])
+             for _ in range(rng.randint(1, size))]
+        b = [rng.randint(-2 ** rng.randint(0, 70), 2 ** rng.randint(0, 70))
+             for _ in range(rng.randint(1, size))]
+        expected = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        assert _pack_mul(a, b) == expected
+
+
 @pytest.mark.parametrize("d, g, e", [(1, 0, 3), (10, 0, 2), (5, 2, 1), (7, 3, 4)])
 def test_factor_power_extends_a_shorter_one(monkeypatch, d, g, e):
     monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
@@ -178,7 +260,8 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
         raise AssertionError("the reference route used a fast-route kernel")
 
     for module in (etaram.eta, etaram.series):
-        for name in ("euler_product", "theta_pair", "pair_product"):
+        for name in ("euler_product", "theta_pair", "pair_product",
+                     "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(QSeries, "invert", forbidden)
