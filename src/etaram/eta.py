@@ -8,17 +8,18 @@ a finite product of Pochhammer factors
 
 and a GenEtaQuotient is a finite product of eta(d*tau)**a[d] and generalized
 factors eta_{d,g}(tau)**ag[d, g] at some level N.  Both expand to exact
-QSeries values by one of two independent routes: the fast route goes through
-pentagonal and theta series and Newton inversion, the reference route through
-the integer Euler-transform recurrence of the plain product.  The test suite
-cross-checks the two.
+QSeries values by one of two independent routes.  The fast route writes the
+product as powers of pentagonal and triple-product theta series, each
+1 + O(q) with a few terms, and multiplies them out in integers by sparse
+passes and Miller's power recurrence (series.product_of_powers); no series is
+inverted.  The reference route runs the integer Euler-transform recurrence
+of the plain product.  The test suite cross-checks the two.
 
 Partition-function products are cached per (r, rg, route): the cache holds the
 longest expansion asked for, answers shorter requests by truncation, and (on
-the reference route) extends the coefficient list from where it stopped.  The
-fast route also caches the positive factor powers it multiplies, per (d, g, e);
-the reference route never reads that cache.  One lock guards both caches, so
-derivations on several threads share them safely.
+the reference route) extends the coefficient list from where it stopped.
+One lock guards that cache, so derivations on several threads share it
+safely.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter, mul
 
-from .series import QSeries, euler_product, pair_product
+from .series import QSeries, euler_product, product_of_powers, theta_pair
 
 
 class NonIntegralPower(ValueError):
@@ -153,7 +154,6 @@ class PartitionSpec:
 
 
 _PRODUCT_CACHE = {}    # (r items, rg items, route) -> longest expansion held
-_FACTOR_CACHE = {}     # (d, g, e) -> longest fast-route core**e held, e > 0
 _PRODUCT_LOCK = threading.Lock()
 
 
@@ -180,26 +180,6 @@ def _cached_product(r, rg, order, fast):
         held = _publish(_PRODUCT_CACHE, key,
                         _euler_transform(r, rg, order, held or ()), len)
     return QSeries.from_ints(held[:order])
-
-
-def _factor_power(d, g, e, order):
-    """core**e (e > 0) to q**order, core = euler_product(d) for g = 0, else
-    pair_product(g, d).  A held power that falls short is recomputed to at
-    least twice its length, so slowly growing requests recompute it only
-    logarithmically often.  Inverted powers are not cached: their coefficients
-    grow like partition numbers, and one inversion per expansion is cheaper.
-    """
-    key = (d, g, e)
-    with _PRODUCT_LOCK:
-        held = _FACTOR_CACHE.get(key)
-    if held is None or held.trunc < order:
-        size = order if held is None else max(order, 2 * held.trunc)
-        if e > 1:
-            power = _factor_power(d, g, 1, size) ** e
-        else:
-            power = euler_product(d, size) if g == 0 else pair_product(g, d, size)
-        held = _publish(_FACTOR_CACHE, key, power, attrgetter("trunc"))
-    return held if held.trunc == order else held.truncated(order)
 
 
 def _publish(cache, key, value, size):
@@ -298,19 +278,19 @@ def _euler_transform(r, rg, order, known=()) -> list:
 
 
 def _product_expansion(r, rg, order):
-    """The product to q**order through cached theta-series factor powers."""
-    num = den = None
-    factors = [(d, 0, e) for d, e in r.items()] + [(d, g, e) for (d, g), e in rg.items()]
-    for d, g, e in factors:
-        power = _factor_power(d, g, abs(e), order)
-        if e > 0:
-            num = power if num is None else num * power
-        else:
-            den = power if den is None else den * power
-    result = QSeries.one(order) if num is None else num
-    if den is not None:
-        result = result * den.invert()
-    return result.truncated(order)
+    """The product to q**order from sparse theta series only.
+
+    (q^g, q^(d-g); q^d) = theta_pair(g, d) / (q^d; q^d), so the product is
+    prod euler_product(d)**a[d] * prod theta_pair(g, d)**rg[d, g] with
+    a[d] = r[d] - sum_g rg[d, g]: every factor is 1 + O(q) with a few terms.
+    """
+    plain = dict(r)
+    factors = []
+    for (d, g), e in rg.items():
+        plain[d] = plain.get(d, 0) - e
+        factors.append((theta_pair(g, d, order), e))
+    factors += [(euler_product(d, order), e) for d, e in plain.items() if e]
+    return product_of_powers(factors, order)
 
 
 class GenEtaQuotient:

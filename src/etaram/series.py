@@ -11,15 +11,20 @@ Coefficients are stored densely as Python ints over one common denominator
 built only when a caller reads a coefficient.  All arithmetic is exact;
 floating point is never used.  Values are immutable after construction and
 safe to share between threads.
+
+product_of_powers, at the end, multiplies out powers of sparse series
+1 + O(q) in integers by sparse passes and Miller's power recurrence; the
+fast route of eta.py expands every eta product through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 
 class ZeroSeries(ArithmeticError):
@@ -527,3 +532,102 @@ def pair_product(g: int, delta: int, order: int) -> QSeries:
     if not 0 < g < delta:
         raise ValueError("need 0 < g < delta")
     return theta_pair(g, delta, order) * euler_product(delta, order).invert()
+
+
+# ---------------------------------------------------------------------------
+# products of powers of sparse unit series (the fast route's product kernel)
+# ---------------------------------------------------------------------------
+
+_MAX_PASSES = 4   # past the first factor, |e| up to this is applied as passes
+
+
+def _signed_exponents(h: QSeries, n: int):
+    """h = 1 + sum_{k in plus} q^k - sum_{k in minus} q^k below q**n.
+
+    h must be 1 + O(q) with integer coefficients; an exponent with
+    coefficient c appears |c| times, in the list of c's sign.
+    """
+    if h.denom != 1 or h.den != 1 or h.val != 0 or h.num[:1] != (1,):
+        raise ValueError("factor must be 1 + O(q) with integer coefficients")
+    plus, minus = [], []
+    for i in range(1, min(len(h.num), -(-n // (h.stride or 1)))):
+        c = h.num[i]
+        (plus if c > 0 else minus).extend([i * h.stride] * abs(c))
+    return plus, minus
+
+
+def _blocks(plus, minus, n):
+    """(lo, hi, kp, km): for lo <= i < hi, kp and km are the exponents <= i."""
+    edges = sorted(set(plus + minus))
+    for lo, hi in zip(edges, edges[1:] + [n]):
+        yield lo, hi, plus[:bisect_right(plus, lo)], minus[:bisect_right(minus, lo)]
+
+
+def _multiply_pass(f, plus, minus):
+    """f <- f * h in place, truncated to len(f)."""
+    old = f[:]
+    for ks, op in ((plus, add), (minus, sub)):
+        for k in ks:
+            f[k:] = map(op, f[k:], old)
+
+
+def _divide_pass(f, plus, minus):
+    """f <- f / h in place, truncated to len(f): f(i) -= sum_k c(k) f(i-k)."""
+    for lo, hi, kp, km in _blocks(plus, minus, len(f)):
+        for i in range(lo, hi):
+            f[i] += (sum(map(f.__getitem__, map(i.__sub__, km)))
+                     - sum(map(f.__getitem__, map(i.__sub__, kp))))
+
+
+def _miller_power(plus, minus, e, n):
+    """First n coefficients of h**e for any integer e.
+
+    J.C.P. Miller's recurrence  i g(i) = sum_k ((e+1) k - i) c(k) g(i-k)
+    follows from h * q dg/dq = e * g * q dh/dq.  Every division by i is
+    exact for integer e, and a remainder raises AssertionError.  A factor
+    in q**m alone is expanded in q**m.
+    """
+    m = gcd(*plus, *minus)
+    if m > 1:
+        g = _miller_power([k // m for k in plus], [k // m for k in minus], e, -(-n // m))
+        spread = [0] * n
+        spread[::m] = g
+        return spread
+    g = [1] + [0] * (min(plus[:1] + minus[:1] + [n]) - 1)
+    for lo, hi, kp, km in _blocks(plus, minus, n):
+        for i in range(lo, hi):
+            vp = list(map(g.__getitem__, map(i.__sub__, kp)))
+            vm = list(map(g.__getitem__, map(i.__sub__, km)))
+            weighted = sum(map(mul, kp, vp)) - sum(map(mul, km, vm))
+            total, rem = divmod((e + 1) * weighted - i * (sum(vp) - sum(vm)), i)
+            if rem:
+                raise AssertionError("power recurrence left a remainder at q^%d" % i)
+            g.append(total)
+    return g
+
+
+def product_of_powers(factors, order: int) -> QSeries:
+    """prod h**e over (h, e) in factors, to q**order, in integers.
+
+    Every h is a sparse series 1 + O(q) with integer coefficients, known to
+    q**order at least.  The factor with the largest |e| > 1 is expanded by
+    _miller_power into the coefficient list; any other factor with
+    |e| > _MAX_PASSES is expanded the same way and multiplied in, and the
+    rest are applied as |e| in-place multiply or divide passes.  A pass or
+    an expansion costs O(order * terms of h).  No series is inverted.
+    """
+    n = int(order)
+    f = None
+    passes = []
+    for h, e in sorted(factors, key=lambda he: -abs(he[1])):
+        plus, minus = _signed_exponents(h, n)
+        if abs(e) > (1 if f is None else _MAX_PASSES):
+            g = _miller_power(plus, minus, e, n)
+            f = g if f is None else _int_poly_mul_trunc(f, g, n)
+        else:
+            passes += [(_multiply_pass if e > 0 else _divide_pass, plus, minus)] * abs(e)
+    if f is None:
+        f = [1] + [0] * (n - 1)
+    for apply, plus, minus in passes:
+        apply(f, plus, minus)
+    return QSeries.from_ints(f)

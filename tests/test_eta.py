@@ -8,9 +8,9 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _factor_power, _pack_mul, bernoulli_p1, bernoulli_p2,
+    _pack_mul, _product_expansion, bernoulli_p1, bernoulli_p2,
 )
-from etaram.series import QSeries, euler_product, pair_product, pochhammer
+from etaram.series import _MAX_PASSES, QSeries, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -213,17 +213,65 @@ def test_pack_mul_matches_schoolbook():
         assert _pack_mul(a, b) == expected
 
 
-@pytest.mark.parametrize("d, g, e", [(1, 0, 3), (10, 0, 2), (5, 2, 1), (7, 3, 4)])
-def test_factor_power_extends_a_shorter_one(monkeypatch, d, g, e):
-    monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
-    core = euler_product(d, 400) if g == 0 else pair_product(g, d, 400)
-    fresh = core ** e
-    short = _factor_power(d, g, e, 50)
-    assert short == fresh.truncated(50)
-    assert _factor_power(d, g, e, 400) == fresh
-    assert etaram.eta._FACTOR_CACHE[(d, g, e)].trunc >= 400
-    assert _factor_power(d, g, e, 50) == short
-    assert _factor_power(d, g, e, 120) == fresh.truncated(120)
+def _random_powers(rng, big):
+    """A product with plain and rg factors (2g = d too) and exponents up to
+    big in absolute value, with at least one exponent beyond _MAX_PASSES."""
+    def exponent():
+        return rng.choice([-1, 1]) * rng.randint(1, big)
+    r = {d: exponent() for d in rng.sample([1, 2, 3, 5, 6, 10], rng.randint(1, 3))}
+    rg = {}
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice([2, 4, 5, 6, 7, 10])
+        rg[(d, rng.randint(1, d // 2))] = exponent()
+    d = min(r)
+    r[d] = rng.choice([-1, 1]) * rng.randint(_MAX_PASSES + 1, max(big, _MAX_PASSES + 1))
+    return r, rg
+
+
+# exponents up to 70 on both sides of the pass/Miller split
+POWER_PRODUCTS = [
+    ({1: -3, 2: 1, 5: 1, 10: -1}, {}),                     # broken diamond
+    ({1: _MAX_PASSES, 3: -_MAX_PASSES - 1}, {(5, 2): _MAX_PASSES + 1}),
+    ({1: 69, 2: -38, 5: 27, 10: -56},                     # diamond prefactor
+     {(10, 1): -34, (10, 2): 3, (10, 3): 23, (10, 4): 59}),
+    ({2: -70}, {(4, 2): 70, (7, 3): -2}),                 # 2g = d, stride 2
+] + [_random_powers(random.Random(seed), big)
+     for seed, big in enumerate([2, 3, 5, 12, 40, 70, 70, 70])]
+
+
+@pytest.mark.parametrize("r, rg", POWER_PRODUCTS)
+def test_product_expansion_matches_the_pochhammer_route(r, rg):
+    expected = pochhammer_route(r, rg, 200)
+    for order in (1, 2, 50, 200):
+        assert _product_expansion(r, rg, order) == expected.truncated(order)
+
+
+def test_product_expansion_matches_the_pochhammer_route_at_diamond_size():
+    # exponents on both sides of the split: one power expansion, then passes
+    r = {1: -_MAX_PASSES - 1, 2: _MAX_PASSES, 5: 1, 10: -1}
+    assert _product_expansion(r, {}, 4575) == pochhammer_route(r, {}, 4575)
+
+
+def test_quotient_expansion_matches_the_pochhammer_route():
+    # g = d/2 factors reach the kernel as plain eta powers through canonicalize
+    rng = random.Random(17)
+    for _ in range(6):
+        a = {d: rng.randint(-70, 70) for d in (1, 2, 5, 10)}
+        ag = {(10, 5): rng.randint(-70, 70), (2, 1): rng.randint(-3, 3),
+              (10, rng.randint(1, 4)): rng.randint(-70, 70)}
+        quot = GenEtaQuotient(10, a, ag)
+        expected = pochhammer_route(a, ag, 200)
+        for order in (1, 2, 50, 200):
+            core = quot.expansion(order).shift(-quot.lead_exponent())
+            assert core == expected.truncated(order)
+
+
+def test_power_recurrence_keeps_its_exactness_check(monkeypatch):
+    honest = etaram.series.mul
+    # one unit too much in every weighted term: some i no longer divides
+    monkeypatch.setattr(etaram.series, "mul", lambda a, b: honest(a, b) + 1)
+    with pytest.raises(AssertionError, match="power recurrence left a remainder"):
+        _product_expansion({1: -_MAX_PASSES - 1}, {}, 50)
 
 
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
@@ -244,24 +292,21 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
     fast = spec.product_expansion(200)
     fast_quot = quot.expansion(60)
     # spoil every fast-route value held: the reference route must not see it
     cache = etaram.eta._PRODUCT_CACHE
     for key in [k for k in cache if k[-1] == "fast"]:
         cache[key] = QSeries.zero(cache[key].trunc)
-    factors = etaram.eta._FACTOR_CACHE
-    assert factors
-    for key in factors:
-        factors[key] = QSeries.zero(factors[key].trunc)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference route used a fast-route kernel")
 
     for module in (etaram.eta, etaram.series):
         for name in ("euler_product", "theta_pair", "pair_product",
-                     "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv"):
+                     "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv",
+                     "product_of_powers", "_signed_exponents", "_multiply_pass",
+                     "_divide_pass", "_miller_power"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(QSeries, "invert", forbidden)

@@ -203,6 +203,14 @@ def test_reference_check_never_touches_the_fast_route(monkeypatch):
     _independent_check(ident, ident.certified_to)
 
 
+@pytest.mark.slow
+def test_partition_125n99_is_divisible_by_125():
+    # about 21k terms of 1/(q;q) on the fast route and 20k on the reference route
+    ident = derive_identity(PARTITION, 125, 99, DeriveOptions())
+    assert ident.status == "Derived"
+    assert ident.congruence_modulus() % 125 == 0
+
+
 def test_derive_always_runs_the_independent_check(monkeypatch):
     def failing(identity, order):
         raise VerificationFailure("re-expansion spoiled on purpose")
@@ -230,7 +238,6 @@ def test_concurrent_derivations_match_sequential(monkeypatch):
 
     def empty_caches():
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-        monkeypatch.setattr(etaram.eta, "_FACTOR_CACHE", {})
         etaram.identities.level_basis.cache_clear()
 
     empty_caches()
