@@ -13,7 +13,8 @@ product as powers of pentagonal and triple-product theta series, each
 1 + O(q) with a few terms, and multiplies them out in integers by sparse
 passes and Miller's power recurrence (series.product_of_powers); no series is
 inverted.  The reference route runs the integer Euler-transform recurrence
-of the plain product.  The test suite cross-checks the two.
+of the plain product (euler_transform, which the expression language in
+exprs.py uses for its products too).  The test suite cross-checks the two.
 
 Partition-function products are cached per (r, rg, route): the cache holds the
 longest expansion asked for, answers shorter requests by truncation, and (on
@@ -222,21 +223,10 @@ _EULER_BLOCK = 64   # blocks this short sum their convolution directly
 
 
 def _euler_transform(r, rg, order, known=()) -> list:
-    """Integer coefficients f(0..order-1) of the product, by its Euler transform.
+    """Integer coefficients f(0..order-1) of the product, by euler_transform.
 
-    Writing the product as prod_{n>0} (1 - q^n)^c(n), the logarithmic
-    derivative gives  n f(n) = sum_{k=1..n} s(k) f(n-k)  with
-    s(k) = -sum_{d | k} d c(d).  Every step is integer arithmetic and no
-    series is multiplied or inverted.  `known` is a prefix of the answer from
-    an earlier call; the recurrence continues after it.
-
-    The convolution is evaluated online by divide and conquer: once f on
-    [lo, mid) is known, its whole contribution to [mid, hi) is one product
-    through _pack_mul, so the cost is O(M(T) log T) instead of O(T^2).
+    `known` is a prefix of the answer from an earlier call.
     """
-    f = list(known[:order]) or [1]
-    if len(f) == order:
-        return f
     c = [0] * order
     for d, e in r.items():
         for n in range(d, order, d):
@@ -246,6 +236,25 @@ def _euler_transform(r, rg, order, known=()) -> list:
         for start in (g, d - g):
             for n in range(start, order, d):
                 c[n] += e
+    return euler_transform(c, known)
+
+
+def euler_transform(c, known=()) -> list:
+    """Integer coefficients below q^len(c) of prod_{n>0} (1 - q^n)^c[n].
+
+    The logarithmic derivative gives  n f(n) = sum_{k=1..n} s(k) f(n-k)  with
+    s(k) = -sum_{d | k} d c(d).  Every step is integer arithmetic and no
+    series is multiplied or inverted; c[0] is ignored.  `known` is a prefix of
+    the answer from an earlier call; the recurrence continues after it.
+
+    The convolution is evaluated online by divide and conquer: once f on
+    [lo, mid) is known, its whole contribution to [mid, hi) is one product
+    through _pack_mul, so the cost is O(M(T) log T) instead of O(T^2).
+    """
+    order = len(c)
+    f = list(known[:order]) or [1]
+    if len(f) == order:
+        return f
     s = [0] * order
     for n in range(1, order):
         if c[n]:

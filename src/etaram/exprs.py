@@ -11,16 +11,24 @@ Grammar (whitespace insensitive):
 
 P(g, d) is the single-residue product over n > 0, n = g mod d of (1 - q^n),
 with P(0, d) the full (q^d; q^d) factor; slice(e, m, t) extracts
-sum_n c[m n + t] q^n from the series of e.  Evaluation is exact and uses the
-plain product constructors only, so it is an independent route from the
-theta-based expansions used elsewhere.
+sum_n c[m n + t] q^n from the series of e.
+
+Evaluation is exact.  Every subtree that multiplies, divides, raises or
+negates constants, q^s and P atoms collapses to one monomial
+c q^s prod P(g, d)^e, whose product is expanded by one integer Euler
+transform: the derivation's reference route (eta.euler_transform), which
+shares no code with the theta-series fast route.  Sums and slices combine
+those expansions as series, each factor deepened by the poles of the others
+so that every result is known to the requested order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
-from .series import QSeries, pochhammer
+from .eta import euler_transform
+from .series import QSeries, ZeroSeries
 
 
 class ParseError(ValueError):
@@ -168,48 +176,107 @@ def parse(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
-def evaluate(node, order: int, memo=None) -> QSeries:
-    """Expand an AST to the requested order (exponents below `order` known);
-    memo holds this call's P(g, d) expansions, keyed (g, d, order)."""
-    memo = {} if memo is None else memo
+def _monomial(node):
+    """(c, s, {(g, d): e}) when node is c q^s prod P(g, d)^e, else None.
+
+    A monomial is a product, quotient, power or negation of constants, q^s
+    and P atoms.  Atoms are checked left to right, as evaluation meets them.
+    """
     kind = node[0]
     if kind == "const":
-        c = node[1]
-        return QSeries({0: c} if c else {}, order)
+        return node[1], Fraction(0), {}
     if kind == "q":
-        return QSeries.monomial(node[1], 1, order)
+        return Fraction(1), node[1], {}
     if kind == "poch":
-        key = (node[1], node[2], max(order, 1))
-        return memo[key] if key in memo else memo.setdefault(key, pochhammer(*key))
+        _, g, d = node
+        if d < 1 or g < 0:
+            raise ValueError("need delta >= 1 and g >= 0")
+        return Fraction(1), Fraction(0), {(g, d): 1}
     if kind == "neg":
-        return -evaluate(node[1], order, memo)
+        m = _monomial(node[1])
+        return m and (-m[0], m[1], m[2])
+    if kind == "pow":
+        m = _monomial(node[1])
+        if m is None:
+            return None
+        (c, s, exps), k = m, node[2]
+        if k < 0 and not c:
+            raise ZeroSeries("series has no known nonzero term below its truncation")
+        return c ** k, s * k, {key: e * k for key, e in exps.items()}
+    if kind == "/":
+        return _monomial(("*", node[1], ("pow", node[2], -1)))
+    if kind != "*":
+        return None
+    left = _monomial(node[1])
+    right = left and _monomial(node[2])
+    if right is None:
+        return None
+    (c, s, exps), (rc, rs, rexps) = left, right
+    for key, e in rexps.items():
+        exps[key] = exps.get(key, 0) + e
+    return c * rc, s + rs, exps
+
+
+def _expand_monomial(c, s, exps, order) -> QSeries:
+    """c q^s prod P(g, d)^e to q^order by one Euler transform.
+
+    P(g, d) contributes e to the exponent of (1 - q^n) for every
+    n = g (mod d) from n = g (n = d when g = 0), as the plain product does.
+    """
+    lead = QSeries.monomial(s, c, order)
+    if not c or not any(exps.values()):
+        return lead
+    cs = [0] * ceil(order - s)
+    for (g, d), e in exps.items():
+        for n in range(g or d, len(cs), d):
+            cs[n] += e
+    return QSeries.from_ints(euler_transform(cs)).shift(s).scale(c)
+
+
+def _pole(series: QSeries) -> int:
+    lead = series.leading()
+    return max(0, ceil(-lead[0])) if lead else 0
+
+
+def evaluate(node, order: int) -> QSeries:
+    """Expand an AST with every exponent below `order` known."""
+    mono = _monomial(node)
+    if mono is not None:
+        return _expand_monomial(*mono, order)
+    kind = node[0]
+    if kind == "neg":
+        return -evaluate(node[1], order)
     if kind == "pow":
         _, base, k = node
-        inner_order = order
-        if k:
-            # a pole of the base deepens the needed range of the inner series
-            lead = evaluate(base, max(order, 4), memo).leading()
-            if lead is not None and lead[0] < 0:
-                inner_order = order + int(-lead[0]) * (abs(k) + 1)
-        return evaluate(base, inner_order, memo) ** k
+        inner = evaluate(base, order)
+        lead = inner.leading()
+        # inner**k is known to (1 - k) * lead fewer exponents than inner
+        extra = ceil((1 - k) * lead[0]) if lead else 0
+        if extra > 0:
+            inner = evaluate(base, order + extra)
+        return inner ** k
     if kind == "slice":
         _, inner, m, t = node
-        full = evaluate(inner, m * order + t + 1, memo)
+        full = evaluate(inner, m * order + t + 1)
         if full.denom != 1:
             raise ParseError("slice needs integer exponents")
         return full.sift(m, t)
     op, left, right = node
     if op == "+":
-        return evaluate(left, order, memo) + evaluate(right, order, memo)
+        return evaluate(left, order) + evaluate(right, order)
     if op == "-":
-        return evaluate(left, order, memo) - evaluate(right, order, memo)
-    if op == "*":
-        return evaluate(left, order, memo) * evaluate(right, order, memo)
+        return evaluate(left, order) - evaluate(right, order)
     if op == "/":
-        num = evaluate(left, order, memo)
-        lead = evaluate(right, 4, memo).leading()
-        extra = int(2 * abs(lead[0])) + 2 if lead is not None and lead[0] != 0 else 0
-        return num * evaluate(right, order + extra, memo).invert()
+        op, right = "*", ("pow", right, -1)
+    if op == "*":
+        a, b = evaluate(left, order), evaluate(right, order)
+        # a pole of order p in one factor costs the other p known exponents
+        pa, pb = _pole(a), _pole(b)
+        if pb:
+            a = evaluate(left, order + pb)
+        if pa:
+            b = evaluate(right, order + pa)
+        return a * b
     raise ParseError("unknown node %r" % (node,))
 
 

@@ -321,10 +321,18 @@ def _independent_check(identity: Identity, order: int):
 
 
 def verify_identity(lhs: str, rhs: str, order: int):
-    """Expand both expressions to the given order and compare exactly."""
+    """Expand both expressions to the given order and compare exactly.
+
+    Raises VerificationFailure when a side is known below q^order, so the
+    comparison never covers fewer exponents than the report states.
+    """
     left = exprs.expand(lhs, order)
     right = exprs.expand(rhs, order)
-    diff = (left - right).truncated(min(left.bound(), right.bound(), order))
+    for text, side in ((lhs, left), (rhs, right)):
+        if side.bound() < order:
+            raise VerificationFailure("%s is known only to q^%s, need %d"
+                                      % (text, side.bound(), order))
+    diff = left - right
     if diff.is_known_zero():
         return True, {"order": order, "status": "equal"}
     e, c = diff.leading()

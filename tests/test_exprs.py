@@ -1,0 +1,127 @@
+"""The expression language's monomial path against plain Pochhammer products."""
+
+import random
+from fractions import Fraction
+from math import ceil
+
+import pytest
+
+import etaram.eta
+import etaram.exprs
+import etaram.series
+from etaram.exprs import expand
+from etaram.identities import verify_identity
+from etaram.series import QSeries, ZeroSeries, pochhammer
+
+# g = 0, g >= d, 2g = d and plain residues
+FACTORS = [(0, 1), (0, 3), (0, 5), (1, 5), (4, 5), (7, 5), (2, 4), (5, 10), (3, 2), (1, 7)]
+
+
+def _random_monomial(rng, top):
+    """Text of a random c q^s prod P(g, d)^e with s < top, and (c, s, factors).
+
+    q^s and each factor are written in one of several forms, so the monomial
+    nests through '/', 'pow' and 'neg'; the whole may be negated once more.
+    """
+    c = Fraction(rng.choice([-5, -1, 1, 2, 3]), rng.choice([1, 2, 7]))
+    s = Fraction(rng.randrange(-6, top), rng.choice([1, 2, 3]))
+    text = "%d/%d*" % (c.numerator, c.denominator) + rng.choice(
+        ["q^(%d/%d)" % (s.numerator, s.denominator),
+         "(q^(%d/%d))^-1" % (-s.numerator, s.denominator)])
+    factors = []
+    for g, d in rng.sample(FACTORS, rng.randrange(1, 5)):
+        e = rng.randrange(-4, 5)
+        form = rng.randrange(4)
+        if form == 0:
+            text += "*P(%d,%d)^%d" % (g, d, e)
+        elif form == 1:
+            text += "/P(%d,%d)^%d" % (g, d, -e)
+        elif form == 2:
+            text += "*(P(%d,%d)^-1)^%d" % (g, d, -e)
+        else:
+            text += "*(-P(%d,%d))^%d" % (g, d, e)
+            c = -c if e % 2 else c
+        factors.append((g, d, e))
+    if rng.random() < 0.5:
+        text, c = "-(%s)" % text, -c
+    return text, c, s, factors
+
+
+def _pochhammer_oracle(c, s, factors, order):
+    terms = ceil(order - s)
+    out = QSeries.one(terms)
+    for g, d, e in factors:
+        out = out * pochhammer(g, d, terms) ** e
+    return out.shift(s).scale(c).truncated(order)
+
+
+@pytest.mark.parametrize("order,count", [(1, 6), (2, 6), (63, 6), (64, 6), (65, 6),
+                                         (500, 4), (2505, 3)])
+def test_monomials_match_pochhammer_products(order, count):
+    rng = random.Random(order)
+    for _ in range(count):
+        text, c, s, factors = _random_monomial(rng, min(order, 7))
+        got = expand(text, order)
+        assert got == _pochhammer_oracle(c, s, factors, order), text
+        assert got.bound() == order
+        # '+ 0' sends the same monomial through the generic sum
+        assert expand("%s + 0" % text, order) == got
+
+
+def test_five_factors_at_verify_length_match_pochhammer():
+    # 2,505 terms: the slice of 1/(q;q) for p(5n+4) to order 500
+    order = 2505
+    got = expand("P(0,1)^-1*P(2,5)*P(3,5)/(P(1,5)*P(4,5))", order)
+    oracle = _pochhammer_oracle(1, 0, [(0, 1, -1), (2, 5, 1), (3, 5, 1),
+                                       (1, 5, -1), (4, 5, -1)], order)
+    assert got == oracle
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("P(-1,5)", ValueError, "need delta >= 1 and g >= 0"),
+    ("P(1,0)", ValueError, "need delta >= 1 and g >= 0"),
+    ("0^-1*P(0,1)", ZeroSeries, "series has no known nonzero term below its truncation"),
+    ("P(0,1)/0", ZeroSeries, "series has no known nonzero term below its truncation"),
+    ("q^50*P(0,1)", ValueError, "monomial exponent not below requested order"),
+])
+def test_monomial_errors_keep_their_type_and_message(text, error, message):
+    with pytest.raises(error) as info:
+        expand(text, 30)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_pole_deepens_the_other_factor():
+    # each factor is known to q^30; without deepening the product stops at q^28
+    assert expand("(q^-2 + 1)*P(0,2)^3", 30).bound() == 30
+    assert expand("P(0,2)^3*(q^-2 + 1)", 30).bound() == 30
+    assert expand("(1 + q)^-1*(q + q^2)^-1", 30).bound() == 30
+    assert expand("(q + q^2)^0", 30).bound() == 30
+    assert expand("(q^-2 + 1)/(q + q^3)", 30).agrees_with(expand("q^-3", 30))
+
+
+CLASSICAL = [
+    ("slice(P(0,1)^-1, 5, 4)", "5 * P(0,5)^5 * P(0,1)^-6", 300),
+    ("slice(P(0,1)^-1, 5, 0)",
+     "P(0,5) / (P(0,1)^2 * P(1,5)^8 * P(4,5)^8)"
+     " - 3*q*P(0,5)^6 * P(1,5)^2 * P(4,5)^2 / P(0,1)^7", 300),
+    ("P(2,5)*P(3,5) / (P(1,5)*P(4,5))",
+     "P(8,20)^2*P(12,20)^2/(P(6,20)*P(14,20)*P(10,20)^2)"
+     " + q*P(2,20)*P(18,20)*P(8,20)*P(12,20)/(P(4,20)*P(16,20)*P(10,20)^2)", 600),
+]
+
+
+def test_verification_never_touches_the_theta_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verification left the reference route")
+
+    for module in (etaram.eta, etaram.series, etaram.exprs):
+        for name in ("product_of_powers", "euler_product", "theta_pair", "pair_product",
+                     "pochhammer", "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for name in ("invert", "__pow__", "__mul__"):
+        monkeypatch.setattr(QSeries, name, forbidden)
+    for lhs, rhs, order in CLASSICAL:
+        assert verify_identity(lhs, rhs, order) == (True, {"order": order, "status": "equal"})
+        ok, report = verify_identity(lhs, rhs + " + 2*q^%d" % (order - 1), order)
+        assert not ok and report["exponent"] == str(order - 1)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import etaram.eta
+import etaram.exprs
 import etaram.identities
 
 from etaram.cusps import INFINITY, cusp_set
@@ -147,6 +148,17 @@ def test_verify_identity_pass_and_fail():
                                  "5 * P(0,5)^5 * P(0,1)^-6 + q^3", 80)
     assert not ok
     assert report["exponent"] == "3"
+
+
+def test_verify_identity_compares_to_the_full_order(monkeypatch):
+    # the pole of q^-2 must not leave the product known only to q^28
+    ok, report = verify_identity("(q^-2 + 1)*P(0,2)^3", "(q^-2+1)*P(0,2)^3 + q^29", 30)
+    assert not ok and report["exponent"] == "29" and report["difference"] == "-1"
+    full = etaram.exprs.expand
+    monkeypatch.setattr(etaram.exprs, "expand",
+                        lambda text, order: full(text, order).truncated(order - 2))
+    with pytest.raises(VerificationFailure, match=r"known only to q\^28, need 30$"):
+        verify_identity("P(0,1)", "P(0,1)", 30)
 
 
 def test_identity_json_is_deterministic():
