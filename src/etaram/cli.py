@@ -18,9 +18,16 @@ import sys
 
 from .cusps import cusp_set
 from .eta import PartitionSpec
-from .exprs import expand as expr_expand
+from .exprs import ParseError, expand as expr_expand
 from .generators import generators
 from .identities import DeriveOptions, derive_identity, dissect, verify_identity
+from .lattice import StepBudgetExceeded
+from .reduction import VerificationFailure
+from .series import ZeroSeries
+
+# failures that come from the user's input or the size of the problem: they
+# end in a one-line message and exit code 2, like argparse's own errors
+USER_ERRORS = (ParseError, VerificationFailure, StepBudgetExceeded, ZeroSeries)
 
 
 def _load_spec(path: str) -> PartitionSpec:
@@ -119,6 +126,13 @@ def _cmd_generators(args) -> int:
     return 0
 
 
+def level(text: str) -> int:
+    N = int(text)
+    if N < 1:
+        raise argparse.ArgumentTypeError("level must be positive, got %d" % N)
+    return N
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="etaram", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -156,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("cusps", help="cusp table for a level")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=level)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cusps)
 
     p = sub.add_parser("generators", help="generator table for a level")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=level)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_generators)
     return top
@@ -169,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except USER_ERRORS as exc:
+        print("etaram: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

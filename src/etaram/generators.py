@@ -105,8 +105,10 @@ def is_constant_one(q: GenEtaQuotient, N: int, expansion=None, orders=None) -> b
     Exponent identities beyond the plain-eta reductions can hide the constant
     1 inside a nonempty product (odd residues regrouped across divisors), so
     emptiness of the canonical form is sufficient but not necessary.  The
-    caller may pass q's 50-term expansion and its cusp_orders when it has
-    them; both routes are compared either way.
+    caller may pass q's expansion and its cusp_orders when it has them: 50
+    terms, or any number when q's lead exponent is nonzero, since the series
+    then reads as non-constant at every truncation.  Both routes are
+    compared either way.
     """
     if q.is_one():
         return True
@@ -141,11 +143,15 @@ def unit_lattice(N: int):
     return tuple(tuple(v[:pfs.nslots]) for v in lineality)
 
 
+# coefficients from the lead that a generator record keeps as its sort head
+HEAD_TERMS = 14
+
+
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       expansion, orders) -> Generator:
-    """Record of a canonical quotient from its expansion (at least 14 terms)
-    and its cusp_orders; raises error (the caller's failure type) unless it
-    is pole-free away from a pole at infinity."""
+    """Record of a canonical quotient from its expansion (at least HEAD_TERMS
+    terms) and its cusp_orders; raises error (the caller's failure type)
+    unless it is pole-free away from a pole at infinity."""
     for c, o in orders.items():
         if o.denominator != 1 or (not c.is_infinity and o < 0):
             raise error("quotient is not pole-free away from infinity")
@@ -153,7 +159,7 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
     pole = -orders[INFINITY]
     if pole <= 0:
         raise error("quotient has no pole at infinity")
-    head = tuple(expansion.coefficient(n) for n in range(-pole, -pole + 14))
+    head = tuple(expansion.coefficient(n) for n in range(-pole, -pole + HEAD_TERMS))
     return Generator(quotient=q, orders=orders, pole=pole,
                      scaled_vector=tuple(scaled_vector), head=head)
 
@@ -188,8 +194,13 @@ def generators(N: int) -> tuple:
     out = []
     for v in pointed:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots]).canonicalize()
-        # one expansion and one set of orders serve both consumers
-        exp, orders = q.expansion(50), cusp_orders(q, N)
+        # one expansion and one set of orders serve both consumers; past a
+        # nonzero lead the series cannot read as 1 at any truncation, so only
+        # a zero lead needs more terms than the record's head reads
+        exp = q.expansion(HEAD_TERMS)
+        if not exp.leading()[0]:
+            exp = q.expansion(50)
+        orders = cusp_orders(q, N)
         if not is_constant_one(q, N, exp, orders):
             out.append(_generator_record(q, v[:pfs.nslots], AssertionError,
                                          exp, orders))

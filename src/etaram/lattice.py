@@ -3,13 +3,23 @@ coset enumeration, and Hilbert bases of linear Diophantine systems.
 
 Everything here works on small dense matrices of python ints (a few dozen
 rows and columns at most), so the implementations favor verifiability over
-asymptotics.
+asymptotics.  The exception is the Hilbert-basis completion with its
+reducibility scan, which compares hundreds of thousands of nonnegative
+vectors coordinatewise.  They hold each vector packed into one int: entry i
+sits in bits [W i, W i + W), and W is chosen so that every entry stays below
+its field's top bit, the guard.  With H the sum of the guard bits, s <= x
+holds exactly when ((x + H) - s) & H == H: field i of x + H is
+x[i] + 2^(W-1) < 2^W, so subtracting s[i] borrows nothing from the field
+above and leaves the guard set exactly when x[i] >= s[i].  A field cannot
+carry because W leaves room for the largest entry that can occur: the
+completion's entries are bounded by its step budget, the scan's by the
+largest candidate entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, ge, mul
+from operator import add, mul
 
 
 class Infeasible(ValueError):
@@ -25,7 +35,7 @@ def _identity(n):
 
 
 def _matvec(A, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in A]
+    return [sum(map(mul, r, x)) for r in A]
 
 
 def hnf_column(A):
@@ -214,17 +224,17 @@ def reduce_mod_lattice(v, basis, passes=4):
     if not basis:
         return list(v)
     x = list(v)
+    norms = [sum(map(mul, b, b)) for b in basis]
     for _ in range(passes):
         changed = False
-        for b in basis:
-            bb = sum(c * c for c in b)
+        for b, bb in zip(basis, norms):
             if not bb:
                 continue
             # round half to even, as round(Fraction(dot, bb)) does
-            k, r = divmod(sum(x[i] * b[i] for i in range(len(x))), bb)
+            k, r = divmod(sum(map(mul, x, b)), bb)
             k += 2 * r > bb or (2 * r == bb and k % 2)
             if k:
-                x = [x[i] - k * b[i] for i in range(len(x))]
+                x = [a - k * c for a, c in zip(x, b)]
                 changed = True
         if not changed:
             break
@@ -297,6 +307,11 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
     yield from rec(0, head_weight)
 
 
+def _guard_bits(n, width):
+    """The top bit of each of n fields of the given width."""
+    return sum(1 << (width * i + width - 1) for i in range(n))
+
+
 def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     """Minimal nonzero solutions of (rows) x = 0 over nonnegative integers.
 
@@ -308,14 +323,27 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     cannot be finished is never built in full.
     x grown along j has a parent that passed the dominance test, so a minimal
     s <= x has s[j] == x[j]: x is tested only against minimals under (j, x[j]).
+
+    Vectors are packed as the module docstring describes, in fields of
+    W = (progress_limit + n).bit_length() + 1 bits, so growing along j adds
+    1 << (W j) and a dominance test is one guarded subtraction.  No field
+    carries: a level holds the vectors of one coordinate sum and pops at
+    least one of them, so before the budget raises no vector is built with
+    an entry above progress_limit + 1 < 2^(W-1).  Only the minimals are
+    unpacked, to tuples, in the order they were found.
     """
     if not rows:
         raise ValueError("need at least one equation row")
     n = len(rows[0])
     cols = list(zip(*rows))
+    width = (progress_limit + n).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [width * j for j in range(n)]
+    units = [1 << s for s in shifts]
+    H = _guard_bits(n, width)
     minimals = []
-    by_entry = {}        # (i, s[i]) -> minimals s with that entry
-    frontier = {tuple(int(i == j) for i in range(n)): (cols[j], j) for j in range(n)}
+    by_entry = {}        # (i, s[i]) -> packed minimals s with that entry
+    frontier = {units[j]: (cols[j], j) for j in range(n)}
     steps = 0            # candidates popped, this level's counted up front
     while frontier:
         steps += len(frontier)
@@ -323,16 +351,18 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
             raise StepBudgetExceeded("completion exceeded the step budget")
         nxt = {}
         for x, (v, grown) in frontier.items():
-            if any(all(map(ge, x, s)) for s in by_entry.get((grown, x[grown]), ())):
+            xh = x + H
+            if any((xh - s) & H == H
+                   for s in by_entry.get((grown, x >> shifts[grown] & mask), ())):
                 continue
             if not any(v):
                 minimals.append(x)
-                for key in enumerate(x):
-                    by_entry.setdefault(key, []).append(x)
+                for i in range(n):
+                    by_entry.setdefault((i, x >> shifts[i] & mask), []).append(x)
                 continue
             for j in range(n):
                 if sum(map(mul, v, cols[j])) < 0:
-                    x2 = x[:j] + (x[j] + 1,) + x[j + 1:]
+                    x2 = x + units[j]
                     # x2 sums to one more than x, so only nxt can hold it
                     if x2 not in nxt:
                         nxt[x2] = (tuple(map(add, v, cols[j])), j)
@@ -340,7 +370,7 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
             if steps + len(nxt) > progress_limit:
                 raise StepBudgetExceeded("completion exceeded the step budget")
         frontier = nxt
-    return minimals
+    return [tuple(x >> s & mask for s in shifts) for x in minimals]
 
 
 @dataclass
@@ -418,24 +448,22 @@ def hilbert_basis(system: DioSystem):
         full_rows = [[0] * width]
 
     raw = minimal_nonneg_solutions(full_rows)
-    candidates = []
-    for x in raw:
-        y = tuple(x[:k])
-        if any(y) and y not in candidates:
-            candidates.append(y)
+    candidates = dict.fromkeys(y for y in (tuple(x[:k]) for x in raw) if any(y))
 
+    # packed as in minimal_nonneg_solutions: g0 <= y is one guarded subtraction
+    bits = max(map(max, candidates), default=0).bit_length() + 1
+    H = _guard_bits(k, bits)
+    packed = {y: sum(c << (bits * i) for i, c in enumerate(y)) for y in candidates}
     lat_cols = lattice_hnf(proj, k)
     keep = []
     for y in sorted(candidates, key=lambda v: (sum(v), v)):
-        reducible = False
-        for g0 in candidates:
-            if g0 == y:
-                continue
-            if all(a <= b for a, b in zip(g0, y)) and \
+        yp = packed[y]
+        yh = yp + H
+        for g0, g in packed.items():
+            if (yh - g) & H == H and g != yp and \
                     in_lattice([b - a for a, b in zip(g0, y)], lat_cols):
-                reducible = True
                 break
-        if not reducible:
+        else:
             keep.append(y)
 
     # lift the projected generators back to full solutions

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from etaram import cli, lattice
 from etaram.cli import main
+from etaram.generators import generators
+from etaram.lattice import StepBudgetExceeded
 
 
 def test_cusps_table(capsys):
@@ -81,3 +84,45 @@ def test_dissect(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "t=0:" in out and "t=1:" in out
+
+
+def _assert_user_error(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("etaram: error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_unparsable_expression_is_a_user_error(capsys):
+    _assert_user_error(capsys, ["verify", "--lhs", "P(1", "--rhs", "1"],
+                       "unexpected end of expression")
+
+
+def test_side_known_below_the_order_is_a_user_error(capsys):
+    # 0^0 is 1 known only to q^1, short of the requested order
+    _assert_user_error(capsys, ["verify", "--lhs", "(1-1)^0", "--rhs", "1",
+                                "--order", "10"], "known only to q^1")
+
+
+def test_division_by_zero_series_is_a_user_error(capsys):
+    _assert_user_error(capsys, ["expand", "--expr", "1/(1-1)"],
+                       "no known nonzero term")
+
+
+@pytest.mark.parametrize("command", ["generators", "cusps"])
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_nonpositive_level_is_rejected_at_parsing(capsys, command, N):
+    with pytest.raises(SystemExit) as info:
+        main([command, N])
+    assert info.value.code == 2
+    assert "level must be positive" in capsys.readouterr().err
+
+
+def test_exhausted_completion_is_a_user_error(capsys, monkeypatch):
+    def exhausted(rows, progress_limit=0):
+        raise StepBudgetExceeded("completion exceeded the step budget")
+
+    monkeypatch.setattr(lattice, "minimal_nonneg_solutions", exhausted)
+    # bypass the generators cache, leave it untouched
+    monkeypatch.setattr(cli, "generators", generators.__wrapped__)
+    _assert_user_error(capsys, ["generators", "10"], "step budget")

@@ -118,10 +118,17 @@ RECORD_HASHES = {
     11: "b8e1a3e7258ba9bfb8fe3f7a043fccd58072c5fe1e93520fb2dd38713fadf4ad",
     14: "0f1422016aa1cf8e08eae5e0b8fbad0c40d3b952db09ee3b60809bfe373661f3",
     15: "ce95488a60a9a0250e69be6d1574223d30425b40eedeacf51d0cb1016e6bf0f7",
+    16: "d28a5d57f119c2019bbc2e8bd8b1b363e6fe1dc4c1e254306633451d94ceda89",
+    18: "e7f4960e9f9eef69ed6cc8155b8a1efc75fbfc5c55b5be526014cf2907e0ae65",
 }
+# the largest levels the completion finishes take seconds each; level 18 is
+# the only system with hundreds of minimal solutions
+SLOW_LEVELS = (16, 18)
 
 
-@pytest.mark.parametrize("N", sorted(RECORD_HASHES))
+@pytest.mark.parametrize("N", [pytest.param(N, marks=pytest.mark.slow)
+                               if N in SLOW_LEVELS else N
+                               for N in sorted(RECORD_HASHES)])
 def test_generator_records_are_pinned(N):
     digest = hashlib.sha256(_records_json(N).encode()).hexdigest()
     assert digest == RECORD_HASHES[N]
@@ -150,6 +157,33 @@ def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
         monkeypatch.setattr(GenEtaQuotient, "expansion", spoiled)
     with pytest.raises(AssertionError, match="constant detection disagrees"):
         generators.__wrapped__(10)      # bypass the cache, leave it untouched
+
+
+def test_candidates_expand_to_the_head_or_to_50_terms_at_a_zero_lead(monkeypatch):
+    # no pointed candidate of the levels tested has a zero lead, so hand the
+    # completion's output a unit vector: its quotient is the constant 1
+    real_basis = generators_module.hilbert_basis
+
+    def with_unit(system):
+        pointed, lineality = real_basis(system)
+        return pointed + [lineality[0]], lineality
+
+    seen = []
+    real_check = generators_module.is_constant_one
+
+    def spy(q, N, expansion=None, orders=None):
+        if expansion is not None:
+            seen.append((expansion.leading()[0], expansion.bound()))
+        return real_check(q, N, expansion, orders)
+
+    expect = generators(10)
+    monkeypatch.setattr(generators_module, "hilbert_basis", with_unit)
+    monkeypatch.setattr(generators_module, "is_constant_one", spy)
+    assert generators.__wrapped__(10) == expect
+    assert len(seen) == len(expect) + 1
+    for lead, bound in seen:
+        assert bound - lead == (50 if lead == 0 else generators_module.HEAD_TERMS)
+    assert sum(lead == 0 for lead, _ in seen) == 1
 
 
 @pytest.mark.slow

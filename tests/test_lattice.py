@@ -186,6 +186,21 @@ def test_completion_matches_full_scan_on_level_systems(monkeypatch):
         _assert_matches_reference(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, -64]],                     # minimal (64, 1)
+    [[1, -200]],                    # minimal (200, 1)
+    [[1, -100, 0], [0, 1, -1]],     # minimal (100, 1, 1)
+    # minimal (1, 0, 1), but its 22 pops reach a coordinate of 17: past the
+    # guard bit of a field one bit narrower than the completion's
+    [[3, -69, -3], [-2, 2, 2]],
+], ids=["k64", "k200", "two-rows", "two-rows-deep-pops"])
+def test_completion_fields_hold_large_coordinates(rows):
+    # progress_limit at the exact step count gives the narrowest packed
+    # fields; a large coordinate must neither carry into the next field nor
+    # spoil the dominance test
+    _assert_matches_reference(rows)
+
+
 def test_step_budget_is_typed():
     rows = [[2, -3, 1, -1, 0, 0], [1, 1, -2, 0, -2, 2]]
     expect, steps = _reference_minimal_nonneg_solutions(rows)
