@@ -18,9 +18,11 @@ import sys
 
 from .cusps import cusp_set
 from .eta import PartitionSpec
-from .exprs import ParseError, expand as expr_expand
+from .exprs import ParseError
 from .generators import generators
-from .identities import DeriveOptions, derive_identity, dissect, verify_identity
+from .identities import (
+    DeriveOptions, derive_identity, dissect, expand_expression, verify_identity,
+)
 from .lattice import StepBudgetExceeded
 from .reduction import VerificationFailure
 from .series import ZeroSeries
@@ -87,8 +89,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    series = expr_expand(args.expr, args.order)
-    print(series)
+    print(expand_expression(args.expr, args.order))
     return 0
 
 
@@ -126,11 +127,18 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def level(text: str) -> int:
-    N = int(text)
-    if N < 1:
-        raise argparse.ArgumentTypeError("level must be positive, got %d" % N)
-    return N
+def _positive(name: str):
+    """An argparse type for a positive integer, named in its error messages."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError("%s must be positive, got %d" % (name, n))
+        return n
+    parse.__name__ = name
+    return parse
+
+
+level = _positive("level")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare two expressions exactly")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--order", type=int, default=100)
+    p.add_argument("--order", type=_positive("order"), default=100)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand", help="expand an expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=int, default=20)
+    p.add_argument("--order", type=_positive("order"), default=20)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("cusps", help="cusp table for a level")

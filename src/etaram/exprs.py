@@ -159,6 +159,8 @@ class _Parser:
             self.expect(",")
             d = self.signed_int()
             self.expect(")")
+            if d < 1 or g < 0:
+                raise ParseError("need delta >= 1 and g >= 0")
             return ("poch", g, d)
         if tok == "slice":
             self.expect("(")
@@ -168,6 +170,8 @@ class _Parser:
             self.expect(",")
             t = self.signed_int()
             self.expect(")")
+            if m < 1:
+                raise ParseError("slice needs m >= 1")
             return ("slice", inner, m, t)
         raise ParseError("unexpected token %r" % tok)
 
@@ -180,7 +184,7 @@ def _monomial(node):
     """(c, s, {(g, d): e}) when node is c q^s prod P(g, d)^e, else None.
 
     A monomial is a product, quotient, power or negation of constants, q^s
-    and P atoms.  Atoms are checked left to right, as evaluation meets them.
+    and P atoms.
     """
     kind = node[0]
     if kind == "const":
@@ -189,8 +193,6 @@ def _monomial(node):
         return Fraction(1), node[1], {}
     if kind == "poch":
         _, g, d = node
-        if d < 1 or g < 0:
-            raise ValueError("need delta >= 1 and g >= 0")
         return Fraction(1), Fraction(0), {(g, d): 1}
     if kind == "neg":
         m = _monomial(node[1])

@@ -161,7 +161,7 @@ class Identity:
         pole = int(ceil(-min(0, quot.lead_exponent())))
         span = terms + 2 * pole + 8
         rhs = self.rhs_series(span)
-        inv = quot.expansion(span).invert()
+        inv = (quot ** -1).expansion(span)
         shift = -self.spec.slice_prefactor(self.m, self.t)
         return (rhs * inv).shift(shift).truncated(terms)
 
@@ -320,19 +320,22 @@ def _independent_check(identity: Identity, order: int):
             % (diff.bound(), order))
 
 
+def expand_expression(text: str, order: int) -> QSeries:
+    """exprs.expand, raising VerificationFailure unless q^order is reached."""
+    series = exprs.expand(text, order)
+    if series.bound() < order:
+        raise VerificationFailure("%s is known only to q^%s, need %d"
+                                  % (text, series.bound(), order))
+    return series
+
+
 def verify_identity(lhs: str, rhs: str, order: int):
     """Expand both expressions to the given order and compare exactly.
 
     Raises VerificationFailure when a side is known below q^order, so the
     comparison never covers fewer exponents than the report states.
     """
-    left = exprs.expand(lhs, order)
-    right = exprs.expand(rhs, order)
-    for text, side in ((lhs, left), (rhs, right)):
-        if side.bound() < order:
-            raise VerificationFailure("%s is known only to q^%s, need %d"
-                                      % (text, side.bound(), order))
-    diff = left - right
+    diff = expand_expression(lhs, order) - expand_expression(rhs, order)
     if diff.is_known_zero():
         return True, {"order": order, "status": "equal"}
     e, c = diff.leading()

@@ -104,6 +104,32 @@ def test_side_known_below_the_order_is_a_user_error(capsys):
                                 "--order", "10"], "known only to q^1")
 
 
+def test_expansion_known_below_the_order_is_a_user_error(capsys):
+    _assert_user_error(capsys, ["expand", "--expr", "(1-1)^0", "--order", "20"],
+                       "(1-1)^0 is known only to q^1, need 20")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--expr", "P(0,0)"], "need delta >= 1 and g >= 0"),
+    (["expand", "--expr", "P(1,-2)"], "need delta >= 1 and g >= 0"),
+    (["expand", "--expr", "slice(P(0,1), 0, 0)"], "slice needs m >= 1"),
+])
+def test_malformed_atom_is_a_user_error(capsys, argv, message):
+    _assert_user_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--expr", "P(0,1)"],
+    ["verify", "--lhs", "P(0,1)", "--rhs", "1"],
+])
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_nonpositive_order_is_rejected_at_parsing(capsys, argv, order):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--order", order])
+    assert info.value.code == 2
+    assert "order must be positive, got %s" % order in capsys.readouterr().err
+
+
 def test_division_by_zero_series_is_a_user_error(capsys):
     _assert_user_error(capsys, ["expand", "--expr", "1/(1-1)"],
                        "no known nonzero term")

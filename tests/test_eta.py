@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 from operator import mul
@@ -10,7 +11,7 @@ from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
     _pack_mul, _product_expansion, bernoulli_p1, bernoulli_p2,
 )
-from etaram.series import _MAX_PASSES, QSeries, pochhammer
+from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -198,6 +199,14 @@ def test_euler_transform_keeps_its_exactness_check(monkeypatch):
         _euler_transform(r, rg, 300)
 
 
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_pack_mul_matches_schoolbook():
     rng = random.Random(5)
     for _ in range(200):
@@ -206,11 +215,92 @@ def test_pack_mul_matches_schoolbook():
              for _ in range(rng.randint(1, size))]
         b = [rng.randint(-2 ** rng.randint(0, 70), 2 ** rng.randint(0, 70))
              for _ in range(rng.randint(1, size))]
-        expected = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                expected[i + j] += x * y
+        assert _pack_mul(a, b) == schoolbook(a, b)
+
+
+def spy_decimal_packer(monkeypatch):
+    """Lengths of the shorter operand of every product _pack_mul sends to libmpdec."""
+    taken = []
+    honest = etaram.eta._decimal_pack_mul
+    monkeypatch.setattr(etaram.eta, "_decimal_pack_mul", lambda a, b, n, w:
+                        taken.append(min(len(a), len(b))) or honest(a, b, n, w))
+    return taken
+
+
+def random_entries(rng, n, digits):
+    """n entries: zeros, small ones of both signs and ones of up to `digits` digits."""
+    return [rng.choice([0, rng.randint(-9, 9), rng.randint(-10 ** digits, 10 ** digits)])
+            for _ in range(n)]
+
+
+def test_pack_mul_is_exact_on_both_sides_of_its_cutoff(monkeypatch):
+    taken = spy_decimal_packer(monkeypatch)
+    rng = random.Random(23)
+    # entries of about 150 digits: the packed width is about 300 digits, so
+    # the shorter operand crosses _DECIMAL_DIGITS near 100 entries
+    short = etaram.eta._DECIMAL_DIGITS // 300
+    lengths = [(k, 2 * k + rng.randint(-5, 5)) for k in range(short - 12, short + 13, 3)]
+    lengths += [(1, 700), (2, 1), (700, 3), (short + 40, short + 40)]
+    for m, n in lengths:
+        a, b = random_entries(rng, m, 150), random_entries(rng, n, 150)
+        a[rng.randrange(m)] = rng.choice([-1, 1]) * 10 ** 150
+        expected = schoolbook(a, b)
+        assert _pack_mul(a, b) == expected == _int_poly_mul(a, b)
+        assert _pack_mul(b, a) == expected
+    for m, n in ((1, 1), (1, 600), (300, 300)):
+        assert _pack_mul([0] * m, random_entries(rng, n, 150)) == [0] * (m + n - 1)
+    assert 0 < len(taken) < 2 * len(lengths)
+    assert min(taken) * 300 * 10 >= etaram.eta._DECIMAL_DIGITS * 9
+
+
+def test_pack_mul_keeps_chunks_past_the_int_digit_limit_off_libmpdec(monkeypatch):
+    taken = spy_decimal_packer(monkeypatch)
+    rng = random.Random(29)
+    # one 4,400-digit entry widens every chunk past 4,300 decimal digits
+    a = random_entries(rng, 40, 50) + [-(10 ** 4400) - 7]
+    b = random_entries(rng, 60, 50)
+    expected = schoolbook(a, b)
+    assert _pack_mul(a, b) == expected == _int_poly_mul(a, b)
+    assert taken == []
+
+
+def test_pack_mul_ignores_the_thread_decimal_context(monkeypatch):
+    taken = spy_decimal_packer(monkeypatch)
+    rng = random.Random(31)
+    a, b = random_entries(rng, 400, 100), random_entries(rng, 500, 100)
+    expected = schoolbook(a, b)
+    strict = decimal.Context(prec=3, traps=[signal for signal in decimal.Context().flags])
+    with decimal.localcontext(strict) as ctx:
         assert _pack_mul(a, b) == expected
+        assert decimal.getcontext() is ctx
+        assert ctx.prec == 3 and not any(ctx.flags.values())
+        assert all(ctx.traps.values())
+    assert taken
+    # exact operations record no signal in the shared private context either
+    assert not any(etaram.eta._DECIMAL.flags.values())
+
+
+def test_euler_transform_catches_a_spoiled_libmpdec_product(monkeypatch):
+    honest = etaram.eta._DECIMAL
+
+    class OneDigitOff:
+        """The private context, with one digit of every product changed."""
+
+        def __getattr__(self, name):
+            return getattr(honest, name)
+
+        def multiply(self, x, y):
+            digits = honest.to_sci_string(honest.multiply(x, y))
+            i = len(digits) // 2
+            spoiled = digits[:i] + str((int(digits[i]) + 1) % 10) + digits[i + 1:]
+            return honest.create_decimal(spoiled)
+
+    monkeypatch.setattr(etaram.eta, "_DECIMAL", OneDigitOff())
+    monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
+    taken = spy_decimal_packer(monkeypatch)
+    with pytest.raises(AssertionError, match="left a remainder"):
+        _euler_transform({1: -2}, {(5, 1): 1}, 300)
+    assert taken
 
 
 def _random_powers(rng, big):
@@ -294,6 +384,9 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     fast = spec.product_expansion(200)
     fast_quot = quot.expansion(60)
+    # every reference-route product goes through its own libmpdec packer
+    taken = spy_decimal_packer(monkeypatch)
+    monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
     # spoil every fast-route value held: the reference route must not see it
     cache = etaram.eta._PRODUCT_CACHE
     for key in [k for k in cache if k[-1] == "fast"]:
@@ -314,6 +407,7 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
     assert spec.slice_expansion(9, 3, 20, reference=True).agrees_with(
         fast.sift(9, 3).shift(spec.slice_prefactor(9, 3)))
     assert quot.expansion(60, reference=True) == fast_quot
+    assert taken
 
 
 def test_slice_expansion_overpartition():

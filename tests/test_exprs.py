@@ -9,7 +9,7 @@ import pytest
 import etaram.eta
 import etaram.exprs
 import etaram.series
-from etaram.exprs import expand
+from etaram.exprs import ParseError, expand
 from etaram.identities import verify_identity
 from etaram.series import QSeries, ZeroSeries, pochhammer
 
@@ -78,8 +78,8 @@ def test_five_factors_at_verify_length_match_pochhammer():
 
 
 @pytest.mark.parametrize("text,error,message", [
-    ("P(-1,5)", ValueError, "need delta >= 1 and g >= 0"),
-    ("P(1,0)", ValueError, "need delta >= 1 and g >= 0"),
+    ("P(-1,5)", ParseError, "need delta >= 1 and g >= 0"),
+    ("P(1,0)", ParseError, "need delta >= 1 and g >= 0"),
     ("0^-1*P(0,1)", ZeroSeries, "series has no known nonzero term below its truncation"),
     ("P(0,1)/0", ZeroSeries, "series has no known nonzero term below its truncation"),
     ("q^50*P(0,1)", ValueError, "monomial exponent not below requested order"),

@@ -22,6 +22,7 @@ from etaram.identities import (
 from etaram.modularity import find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import VerificationFailure
+from etaram.series import QSeries
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -102,8 +103,14 @@ def test_derive_overpartition_5n3():
     assert {j: c for (i, j), c in ident.rhs.items()} == {3: 8, 2: -12, 1: 16, 0: -16}
 
 
-def test_derived_slice_matches_counts():
+def test_derived_slice_matches_counts(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
+
+    def forbidden(self):
+        raise AssertionError("slice_series inverted a series")
+
+    # the prefactor's inverse is expanded as a quotient of its own
+    monkeypatch.setattr(QSeries, "invert", forbidden)
     s = ident.slice_series(10)
     # overpartition counts 4, 12, 28, ... at 5n+2
     direct = OVERPARTITION.product_expansion(50)
