@@ -175,6 +175,29 @@ def cusp_set(N: int) -> tuple:
     return tuple(out)
 
 
+def genus(N: int) -> int:
+    """Genus of X1(N), the compactified curve of the level-N group.
+
+    For N >= 5 the group has no elliptic points and no irregular cusps, so
+    Riemann-Hurwitz gives g = 1 + mu/12 - c/2, where mu = (N^2/2) prod over
+    primes p | N of (1 - 1/p^2) is its index modulo -1 in PSL2(Z) and c is
+    the number of cusps.  X1(N) has genus 0 for N <= 4.
+    """
+    if N <= 4:
+        return 0
+    mu2, m, p = N * N, N, 2       # mu2 ends as twice the index
+    while m > 1:
+        if m % p == 0:
+            mu2 = mu2 // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    g, rest = divmod(12 + mu2 // 2 - 6 * len(cusp_set(N)), 12)
+    if rest:
+        raise AssertionError("the genus formula is not integral at level %d" % N)
+    return g
+
+
 def find_cusp_class(N: int, cusp: Cusp) -> CuspData:
     for data in cusp_set(N):
         if cusps_equivalent(N, data.cusp, cusp):

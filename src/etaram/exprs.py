@@ -224,7 +224,10 @@ def _expand_monomial(c, s, exps, order) -> QSeries:
 
     P(g, d) contributes e to the exponent of (1 - q^n) for every
     n = g (mod d) from n = g (n = d when g = 0), as the plain product does.
+    A monomial starting at or past q^order is zero to that order.
     """
+    if s >= order:
+        return QSeries.zero(order)
     lead = QSeries.monomial(s, c, order)
     if not c or not any(exps.values()):
         return lead

@@ -3,12 +3,20 @@ infinity.
 
 The generator quotients span a polynomial algebra that is finitely generated
 as a module over the polynomial ring in a single distinguished generator z
-(the one of smallest pole order).  module_basis computes a basis 1, e_1, ...
-whose pole orders are pairwise incongruent modulo the pole order of z, which
-makes leading-term reduction unambiguous: reduce_by_basis strips poles one at
-a time, and express certifies membership through the constancy principle
-(a remainder with no poles anywhere and positive order at infinity is zero),
-double-checked coefficientwise to the certified truncation.
+(the one of smallest pole order n).  module_basis computes a basis 1, e_1,
+... whose pole orders are pairwise incongruent modulo n, which makes
+leading-term reduction unambiguous.  It seeds each class of pole orders mod
+n with a single generator and counts the positive integers the seeds leave
+uncovered.  When that gap count equals the genus of X1(N), the Weierstrass
+gap theorem certifies that the seeds already cover every pole order a
+function with poles only at infinity can have, so they are the basis;
+otherwise a closure reduces every product of the basis with a generator.
+reduce_by_basis strips poles one at a time, and express certifies
+membership through the constancy principle (a remainder with no poles
+anywhere and positive order at infinity is zero), double-checked
+coefficientwise to the certified truncation.  A basis expands only z and
+the generators its elements use; any other generator is expanded the first
+time a monomial reads it.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cusps import genus
 from .series import QSeries
 
 
@@ -59,8 +68,9 @@ class ModuleBasis:
     n: int                           # pole order of z
     elements: list = field(default_factory=list)  # [unit, e_1, ...]
     _terms: int = 0
-    # (terms, generator expansions, monomial cache), replaced as one value so
-    # a reader on another thread never pairs a cache with the wrong expansions
+    # (terms, generator expansions or None, monomial cache), replaced as one
+    # value so a reader on another thread never pairs a cache with the wrong
+    # expansions
     _expansions: tuple = field(default_factory=lambda: (0, [], {}), repr=False,
                                compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
@@ -78,16 +88,37 @@ class ModuleBasis:
         return {e.pole % self.n: e for e in self.elements}
 
     def ensure_terms(self, terms: int):
+        """Expand z and the generators the elements use to terms past their
+        poles; any other generator waits for its first monomial_series."""
         if terms <= self._terms:
             return
-        fresh = (terms, [g.expansion(terms + g.pole + 2) for g in self.gens], {})
+        used = {i for e in self.elements for mono in e.combo
+                for i, x in enumerate(mono) if x}
+        fresh = (terms, [g.expansion(terms + g.pole + 2) if i == 0 or i in used
+                         else None for i, g in enumerate(self.gens)], {})
         with self._lock:
             if terms > self._terms:
                 self._expansions = fresh
                 self._terms = terms
 
     def monomial_series(self, mono: tuple) -> QSeries:
-        return _monomial_series(mono, *self._expansions)
+        state = self._expansions
+        if any(e and state[1][i] is None for i, e in enumerate(mono)):
+            state = self._expand_first_use(mono)
+        return _monomial_series(mono, *state)
+
+    def _expand_first_use(self, mono: tuple):
+        """Publish the expansions with mono's missing generators added at the
+        current truncation, keeping the monomial cache."""
+        with self._lock:
+            terms, series, cache = self._expansions
+            series = list(series)
+            for i, e in enumerate(mono):
+                if e and series[i] is None:
+                    g = self.gens[i]
+                    series[i] = g.expansion(terms + g.pole + 2)
+            self._expansions = (terms, series, cache)
+            return self._expansions
 
     def combo_series(self, combo: dict) -> QSeries:
         return _combination(combo, self.monomial_series, self._terms)
@@ -138,13 +169,21 @@ def _pole_of(series: QSeries):
 
 
 def module_basis(gens) -> ModuleBasis:
-    """Module basis of the span of the generators (an adaptation of the
-    classical basis-completion over the smallest-pole generator).
+    """Module basis of the span of the generators, certified by the genus.
 
-    Candidates enter one residue class each; products of the basis with all
-    generators are reduced until nothing new appears.  New class
-    representatives are chosen with minimal pole, seeding from single
-    generators in order of their expansion head.
+    Each residue class of pole orders mod n (the pole of z) is seeded with
+    the single generator of smallest pole, then leanest expansion head; the
+    unit holds class 0.  The seeds leave (pole_r - r) // n positive integers
+    of class r that are pole orders of no element.  At the cusp infinity of
+    X1(N), exactly genus(N) positive integers are not pole orders of
+    functions with no other pole (the Weierstrass gap theorem), so seeds
+    with that many gaps in all n classes already reach every pole order of
+    the whole ring, and they are returned as the basis.  Fewer gaps than the
+    genus is impossible and raises.  With more, or with a class no
+    generator seeds (infinitely many gaps), the classical completion over z
+    runs: products of the basis with all generators are reduced until
+    nothing new appears, and a reduction that stops at an uncovered pole
+    replaces its class's element.
     """
     terms = max(48, 4 * max((g.pole for g in gens), default=0))
     if not gens:
@@ -156,6 +195,17 @@ def module_basis(gens) -> ModuleBasis:
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
     mb = ModuleBasis(gens=tuple(gens), n=n)
+    seeds = _seeds(mb)
+    if len(seeds) == n:
+        gaps = sum((e.pole - r) // n for r, e in seeds.items())
+        g = genus(gens[0].quotient.N)
+        if gaps < g:
+            raise AssertionError("the seeds miss %d pole orders, below the genus %d"
+                                 % (gaps, g))
+        if gaps == g:
+            mb.elements = _in_pole_order(seeds)
+            mb.ensure_terms(terms)
+            return mb
     while True:
         try:
             _module_basis_attempt(mb, terms)
@@ -166,14 +216,31 @@ def module_basis(gens) -> ModuleBasis:
                 raise
 
 
+def _seeds(mb: ModuleBasis) -> dict:
+    """Pole class -> element: the unit at 0, then single generators (smallest
+    pole, then leanest head)."""
+    k = len(mb.gens)
+    seeds = {0: BasisElement({(0,) * k: Fraction(1)}, 0)}
+    for i in sorted(range(k), key=lambda i: (mb.gens[i].pole, mb.gens[i].head)):
+        g = mb.gens[i]
+        r = g.pole % mb.n
+        if r not in seeds or seeds[r].pole > g.pole:
+            mono = tuple(1 if j == i else 0 for j in range(k))
+            seeds[r] = BasisElement({mono: Fraction(1)}, g.pole)
+    return seeds
+
+
+def _in_pole_order(basis: dict) -> list:
+    """The unit, then the other classes' elements by pole."""
+    return [basis[0]] + sorted((e for r, e in basis.items() if r != 0),
+                               key=lambda e: e.pole)
+
+
 def _module_basis_attempt(mb: ModuleBasis, terms: int):
-    mb.elements = []
+    basis = _seeds(mb)
+    mb.elements = [basis[0]]
     mb.ensure_terms(terms)
     k = len(mb.gens)
-    zero_mono = tuple([0] * k)
-    unit = BasisElement({zero_mono: Fraction(1)}, 0)
-    mb.elements = [unit]
-    basis = {0: unit}
 
     def reduce_elem(combo):
         """Strip reducible leading poles; None when absorbed into the span."""
@@ -184,14 +251,6 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
             _combo_axpy(combo, c, e.combo, shift_index=0, shift_by=j)
         lead_c = rem.leading()[1]
         return BasisElement({m: v / lead_c for m, v in combo.items()}, p)
-
-    # seed classes with single generators (smallest pole, then leanest head)
-    for i in sorted(range(k), key=lambda i: (mb.gens[i].pole, mb.gens[i].head)):
-        g = mb.gens[i]
-        r = g.pole % mb.n
-        if r not in basis or basis[r].pole > g.pole:
-            mono = tuple(1 if j == i else 0 for j in range(k))
-            basis[r] = BasisElement({mono: Fraction(1)}, g.pole)
 
     rounds = 0
     changed = True
@@ -215,8 +274,7 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
                 break
             if changed:
                 break
-    mb.elements = [unit] + sorted(
-        (e for r, e in basis.items() if r != 0), key=lambda e: e.pole)
+    mb.elements = _in_pole_order(basis)
     return mb
 
 

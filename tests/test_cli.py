@@ -33,6 +33,11 @@ def test_expand(capsys):
     assert "1*q^(4)" in out
 
 
+def test_expand_past_the_order_prints_zero(capsys):
+    assert main(["expand", "--expr", "q^50", "--order", "30"]) == 0
+    assert capsys.readouterr().out == "0 + O(q^(30))\n"
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--lhs", "q", "--rhs", "q", "--order", "10"]) == 0
     assert main(["verify", "--lhs", "q", "--rhs", "q^2", "--order", "10"]) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from etaram.cusps import (
     INFINITY, Cusp, CuspData, SL2Matrix, completion_matrix, cusp_order_bounds,
-    cusp_set, cusps_equivalent, find_cusp_class, make_cusp, order_at_cusp,
+    cusp_set, cusps_equivalent, find_cusp_class, genus, make_cusp, order_at_cusp,
     order_form_coefficient, quotient_min_exponent, slice_min_exponent, width,
 )
 from etaram.eta import GenEtaQuotient, PartitionSpec
@@ -68,6 +68,15 @@ def test_every_small_fraction_hits_exactly_one_class():
 def test_width_sum_equals_index():
     for N in [5, 6, 7, 10, 11, 12, 20, 22]:
         assert sum(d.width for d in cusp_set(N)) == psl2_index(N)
+
+
+def test_genus_of_x1():
+    # the published genera of X1(N): 0 for N <= 10 and N = 12
+    published = {11: 1, 13: 2, 14: 1, 15: 1, 16: 2, 17: 5, 18: 2, 19: 7,
+                 20: 3, 21: 5, 22: 6, 23: 12, 24: 5, 25: 12}
+    for N in range(1, 26):
+        assert genus(N) == published.get(N, 0), N
+        assert type(genus(N)) is int
 
 
 def test_widths():

@@ -82,12 +82,17 @@ def test_five_factors_at_verify_length_match_pochhammer():
     ("P(1,0)", ParseError, "need delta >= 1 and g >= 0"),
     ("0^-1*P(0,1)", ZeroSeries, "series has no known nonzero term below its truncation"),
     ("P(0,1)/0", ZeroSeries, "series has no known nonzero term below its truncation"),
-    ("q^50*P(0,1)", ValueError, "monomial exponent not below requested order"),
 ])
 def test_monomial_errors_keep_their_type_and_message(text, error, message):
     with pytest.raises(error) as info:
         expand(text, 30)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_monomial_past_the_order_is_zero():
+    for text in ["q^50*P(0,1)", "q^50", "q^30*P(0,1)^-1"]:
+        series = expand(text, 30)
+        assert series.is_known_zero() and series.bound() == 30
 
 
 def test_a_pole_deepens_the_other_factor():

@@ -190,6 +190,17 @@ def test_classical_progressions_beyond_the_pinned_corpus():
     assert i75.congruence_modulus() % 7 == 0
 
 
+def test_derivation_expands_only_the_generators_the_basis_uses():
+    etaram.identities.level_basis.cache_clear()
+    ident = derive_identity(PARTITION, 11, 6)
+    assert ident.status == "Derived"
+    mb = etaram.identities.level_basis(11)
+    e_1 = {i for mono in mb.elements[1].combo for i, e in enumerate(mono) if e}
+    expanded = {i for i, s in enumerate(mb._expansions[1]) if s is not None}
+    assert expanded == {0} | e_1
+    assert len(expanded) < len(mb.gens)
+
+
 def test_failure_is_reported_not_raised():
     ident = derive_identity(OVERPARTITION, 5, 2,
                             DeriveOptions(order=40, phi_weight=1))

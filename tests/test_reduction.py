@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import etaram.reduction
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.generators import generator_from_quotient, generators, sort_generators
 from etaram.reduction import (
@@ -140,14 +143,19 @@ def _basis_json(N):
 
 
 # SHA-256 of _basis_json(N): any change to an element's combination shows up
-# here.  Levels 11, 14 and 15 have width 1, so their closure reduces products.
+# here.  Every value was computed by the full closure, which reduces every
+# product of the basis with a generator; the genus certificate must return
+# the same bases.  Levels 11, 14 and 15 have width 1, 13, 16 and 18 width 2.
 BASIS_HASHES = {
     6: "30bd69c76dd09d3e93194f4fd5556db231cc89910a43effc6e27b1ef02997e4b",
     10: "422efb3b936bad669308fd2ca237e3949c364f7afe6b70548b5f58b5a8704c40",
     11: "b70a786004371d18e50ab7761d6247878ae7b80d389e8ef963a4d8b1eec27fe6",
     12: "b065e03ef5b675bfa4eae39faf95d477c6d784bde82de95a7ef823bd23e6a686",
+    13: "39dae3b490cc635153eaedbb9d3d0046166c06f47c785003d6a67230e7393dfe",
     14: "32fc123d7f98b0762474cdcce38c4c444b2a84ed70d0335d1997fa2b41b049ae",
     15: "6075a2b6e00aa4fcdab9d3c78936c690eb93f031c076f6758a6519d3ccf38585",
+    16: "b06a32a7cb644f0a9e43eb27bfb22cac7254fa4246c3fb1dba676a65b51e693a",
+    18: "12efb6c839c05b95f196673faf0237d80e3fdaf97ade2b83d336ae92bd7c3dcf",
 }
 
 
@@ -157,11 +165,35 @@ def test_basis_elements_are_pinned(N):
     assert digest == BASIS_HASHES[N]
 
 
-def test_closure_element_found_by_reduction():
+def count_reductions(monkeypatch):
+    calls = []
+    reduce = etaram.reduction._reduce
+
+    def counted(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(etaram.reduction, "_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [6, 10, 11, 12, 13, 14, 15, 16])
+def test_genus_certificate_skips_the_closure(N, monkeypatch):
+    gens = generators(N)
+    calls = count_reductions(monkeypatch)
+    module_basis(gens)
+    assert not calls
+
+
+def test_closure_element_found_by_reduction(monkeypatch):
     # without the pole-3 generators, class 1 (mod 2) is first filled by
-    # reducing the pole-4 generator g2 against z^2: e = g2 - z^2, pole 3
+    # reducing the pole-4 generator g2 against z^2: e = g2 - z^2, pole 3.
+    # The seeds (poles 2 and 5) miss two pole orders, one more than the
+    # genus of X1(11), so the closure must run.
     gens = tuple(g for g in generators(11) if g.pole != 3)
+    calls = count_reductions(monkeypatch)
     mb = module_basis(gens)
+    assert calls
     assert [e.pole for e in mb.elements] == [0, 3]
     unit = [0] * len(gens)
     g2, z2 = list(unit), list(unit)
@@ -182,3 +214,59 @@ def test_empty_basis_rejects_a_pole():
     f = QSeries({-1: Fraction(1), 0: Fraction(2)}, 30)
     with pytest.raises(NotMember, match="^a pole of order 1 over an empty basis$"):
         reduce_by_basis(f, mb)
+
+
+def test_genus_above_the_gap_count_raises(monkeypatch):
+    # the level-11 seeds (poles 2 and 3) miss only the pole order 1
+    monkeypatch.setattr(etaram.reduction, "genus", lambda N: 2)
+    with pytest.raises(AssertionError, match="below the genus 2"):
+        module_basis(generators(11))
+
+
+def test_genus_below_the_gap_count_runs_the_closure(monkeypatch):
+    expected = module_basis(generators(11)).elements
+    monkeypatch.setattr(etaram.reduction, "genus", lambda N: 0)
+    calls = count_reductions(monkeypatch)
+    assert module_basis(generators(11)).elements == expected
+    assert calls
+
+
+def _expanded(mb):
+    return {i for i, s in enumerate(mb._expansions[1]) if s is not None}
+
+
+def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
+    mb = module_basis(generators(11))
+    terms = mb._terms
+    i = min(set(range(len(mb.gens))) - _expanded(mb))
+    mono = tuple(1 if j == i else 0 for j in range(len(mb.gens)))
+    g = mb.gens[i]
+    expansions = []
+    expand = g.expansion
+
+    def counted(length):
+        expansions.append(length)
+        return expand(length)
+
+    monkeypatch.setattr(g, "expansion", counted)
+    barrier = threading.Barrier(2)
+    results = []
+
+    def read():
+        barrier.wait()
+        results.append(mb.monomial_series(mono))
+
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 2 and results[0] == results[1]
+    assert expansions == [terms + g.pole + 2]
+    assert results[0].agrees_with(expand(terms + g.pole + 2))
+    assert i in _expanded(mb)
