@@ -16,11 +16,11 @@ inverted.  The reference route runs the integer Euler-transform recurrence
 of the plain product (euler_transform, which the expression language in
 exprs.py uses for its products too).  The test suite cross-checks the two.
 
-Partition-function products are cached per (r, rg, route): the cache holds the
-longest expansion asked for, answers shorter requests by truncation, and (on
-the reference route) extends the coefficient list from where it stopped.
-One lock guards that cache, so derivations on several threads share it
-safely.
+Products are cached per (r, rg, route), for partition functions and for the
+canonical exponents of quotients alike: the cache holds the longest expansion
+asked for, answers shorter requests by truncation, and (on the reference
+route) extends the coefficient list from where it stopped.  One lock guards
+that cache, so derivations on several threads share it safely.
 """
 
 from __future__ import annotations
@@ -378,15 +378,15 @@ class GenEtaQuotient:
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
             if e:
-                acc_a[d] = acc_a.get(d, Fraction(0)) + e
+                acc_a[d] = acc_a[d] + e if d in acc_a else e
         for (d, g), e in (ag or {}).items():
             d, g = int(d), int(g)
             e = Fraction(e)
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
-            g = _fold_pair_key(d, g) if g else 0
+            k = (d, _fold_pair_key(d, g) if g else 0)
             if e:
-                acc_g[(d, g)] = acc_g.get((d, g), Fraction(0)) + e
+                acc_g[k] = acc_g[k] + e if k in acc_g else e
         for (d, g), e in acc_g.items():
             if g == 0 or 2 * g == d:
                 if (2 * e).denominator != 1:
@@ -438,8 +438,11 @@ class GenEtaQuotient:
         """Push the g = 0 and g = d/2 factors into plain eta powers.
 
         Uses eta_{d,0} = eta(d tau)^2 and eta_{d,d/2} = eta(d tau / 2)^2
-        / eta(d tau)^2; idempotent, and the expansion is unchanged.
+        / eta(d tau)^2; idempotent, and the expansion is unchanged.  A
+        quotient without such a factor is canonical and is returned as is.
         """
+        if not any(g == 0 or 2 * g == d for d, g in self.ag):
+            return self
         a = dict(self.a)
         ag = {}
         for (d, g), e in self.ag.items():
@@ -459,25 +462,31 @@ class GenEtaQuotient:
     # -- analytic data -------------------------------------------------------------
 
     def lead_exponent(self) -> Fraction:
-        """Exact leading q-exponent of the expansion."""
-        total = Fraction(0)
-        for d, e in self.a.items():
-            total += Fraction(d, 24) * e
+        """Exact leading q-exponent of the expansion.
+
+        eta(d tau) leads with d/24 and eta_{d,g} with (d/2) B2(g/d) =
+        (6g^2 - 6gd + d^2) / (12d) for 0 <= g <= d/2; both are summed as
+        integer numerators over 24N (every d divides N, and 2e is an integer
+        for every exponent e).
+        """
+        N = self.N
+        total = sum(e.numerator * d * N for d, e in self.a.items())
         for (d, g), e in self.ag.items():
-            total += Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
-        return total
+            total += (2 * e.numerator // e.denominator
+                      * (6 * g * g - 6 * g * d + d * d) * (N // d))
+        return Fraction(total, 24 * N)
 
     def expansion(self, terms: int, reference=False) -> QSeries:
-        """Expansion with at least `terms` known coefficients past the lead."""
+        """Expansion with at least `terms` known coefficients past the lead.
+
+        The product is read through the cache the partition-function
+        products share (_cached_product), on the route asked for.
+        """
         s = self.canonicalize()
-        order = int(terms)
-        if order < 1:
-            raise ValueError("order must be positive")
         r = {d: int(e) for d, e in s.a.items()}
         rg = {k: int(e) for k, e in s.ag.items()}
-        core = (QSeries.from_ints(_euler_transform(r, rg, order)) if reference
-                else _product_expansion(r, rg, order))
-        return core.shift(self.lead_exponent())
+        core = _cached_product(r, rg, terms, fast=not reference)
+        return core.shift(s.lead_exponent())
 
     # -- serialization ----------------------------------------------------------------
 

@@ -87,11 +87,24 @@ def pole_free_system(N: int) -> PoleFreeSystem:
 
 
 def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
-    ag = {}
+    """The canonical quotient of a scaled exponent vector, built in integers.
+
+    A half slot's scaled entry v is twice its exponent, and eta_{d,0}^(v/2) =
+    eta(d tau)^v, eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v, so the
+    quotient canonicalize() would give has the integer exponents below.
+    """
+    a, ag = {}, {}
     for (d, g), v in zip(slots, vector):
-        if v:
-            ag[(d, g)] = Fraction(v, chi_weight(d, g))
-    return GenEtaQuotient(N, ag=ag)
+        if not v:
+            continue
+        if g == 0:
+            a[d] = a.get(d, 0) + v
+        elif 2 * g == d:
+            a[g] = a.get(g, 0) + v
+            a[d] = a.get(d, 0) - v
+        else:
+            ag[d, g] = v
+    return GenEtaQuotient(N, a, ag)
 
 
 def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
@@ -193,7 +206,7 @@ def generators(N: int) -> tuple:
             raise AssertionError("lineality vector did not canonicalize to 1")
     out = []
     for v in pointed:
-        q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots]).canonicalize()
+        q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
         # one expansion and one set of orders serve both consumers; past a
         # nonzero lead the series cannot read as 1 at any truncation, so only
         # a zero lead needs more terms than the record's head reads

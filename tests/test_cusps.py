@@ -169,6 +169,21 @@ def test_integer_orders_match_fraction_sum():
         assert halves > 5
 
 
+def test_lead_exponent_is_the_order_at_infinity():
+    # lead_exponent's integer sum against the closed order formula, on the
+    # helper's quotients as built: half-integral g = 0 and 2g = d slots kept
+    rng = random.Random(13)
+    for N in [12, 18]:
+        halves = 0
+        for _ in range(40):
+            h = _random_half_quotient(rng, N)
+            halves += any(e.denominator == 2 for e in h.ag.values())
+            expect = order_at_cusp(h, N, INFINITY) / width(N, INFINITY)
+            assert h.lead_exponent() == expect, h
+            assert h.canonicalize().lead_exponent() == expect, h
+        assert halves > 5
+
+
 def test_order_rejects_divisor_outside_level():
     with pytest.raises(ValueError):
         order_at_cusp(GenEtaQuotient(4, a={4: 1}), 6, INFINITY)

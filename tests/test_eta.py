@@ -378,6 +378,30 @@ def test_residues_of_one_modulus_share_one_product(monkeypatch):
     assert sorted(calls) == ["_euler_transform", "_product_expansion"]
 
 
+def test_quotient_expansions_read_the_product_cache(monkeypatch):
+    # on each route a quotient's product is expanded once: equal and shorter
+    # requests, and a spec with the same product, read the held expansion
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    a, ag = {1: 1, 5: 1, 10: -2}, {(5, 1): -2, (10, 1): -1}
+    quot = GenEtaQuotient(10, a, ag)
+    lead = quot.lead_exponent()
+    held = {reference: quot.expansion(80, reference=reference)
+            for reference in (False, True)}
+    assert held[False] == held[True]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a held product was expanded again")
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
+    monkeypatch.setattr(etaram.eta, "_euler_transform", forbidden)
+    for reference, full in held.items():
+        for terms in (80, 30, 1):
+            assert quot.expansion(terms, reference=reference) == full.truncated(lead + terms)
+    spec = PartitionSpec(10, a, ag)
+    assert spec.product_expansion(50) == held[False].shift(-lead).truncated(50)
+    assert spec.product_expansion_reference(50) == held[True].shift(-lead).truncated(50)
+
+
 def test_reference_route_never_touches_the_fast_route(monkeypatch):
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
@@ -469,6 +493,13 @@ def test_geq_canonicalize_plain():
     assert c.a == {3: -1, 6: 4}
     assert h.expansion(15).agrees_with(
         GenEtaQuotient(6, a={3: -1, 6: 4}).expansion(15))
+    # a g = d/2 slot alone moves too; a quotient with neither kind of slot is
+    # its own canonical form
+    h = GenEtaQuotient(6, ag={(6, 3): Fraction(-1, 2), (6, 1): 2})
+    c = h.canonicalize()
+    assert (c.a, c.ag) == ({3: -1, 6: 1}, {(6, 1): 2})
+    assert c.canonicalize() is c
+    assert c == h and hash(c) == hash(h)
 
 
 def test_geq_half_integer_rejected_off_special_slots():
