@@ -219,23 +219,31 @@ def _monomial(node):
     return c * rc, s + rs, exps
 
 
-def _expand_monomial(c, s, exps, order) -> QSeries:
+def _expand_monomial(c, s, exps, order, memo) -> QSeries:
     """c q^s prod P(g, d)^e to q^order by one Euler transform.
 
     P(g, d) contributes e to the exponent of (1 - q^n) for every
     n = g (mod d) from n = g (n = d when g = 0), as the plain product does.
     A monomial starting at or past q^order is zero to that order.
+    The transform's integer coefficients depend on the exponents alone, so
+    `memo` holds the longest list made for each product: a shorter request
+    is a prefix of it, and a longer one extends it.
     """
     if s >= order:
         return QSeries.zero(order)
     lead = QSeries.monomial(s, c, order)
-    if not c or not any(exps.values()):
+    product = tuple(sorted((key, e) for key, e in exps.items() if e))
+    if not c or not product:
         return lead
-    cs = [0] * ceil(order - s)
-    for (g, d), e in exps.items():
-        for n in range(g or d, len(cs), d):
-            cs[n] += e
-    return QSeries.from_ints(euler_transform(cs)).shift(s).scale(c)
+    terms = ceil(order - s)
+    held = memo.get(product, ())
+    if len(held) < terms:
+        cs = [0] * terms
+        for (g, d), e in product:
+            for n in range(g or d, terms, d):
+                cs[n] += e
+        held = memo[product] = euler_transform(cs, held)
+    return QSeries.from_ints(held[:terms]).shift(s).scale(c)
 
 
 def _pole(series: QSeries) -> int:
@@ -243,44 +251,52 @@ def _pole(series: QSeries) -> int:
     return max(0, ceil(-lead[0])) if lead else 0
 
 
-def evaluate(node, order: int) -> QSeries:
-    """Expand an AST with every exponent below `order` known."""
+def evaluate(node, order: int, memo=None) -> QSeries:
+    """Expand an AST with every exponent below `order` known.
+
+    `memo` maps each monomial product to its expansion so far (see
+    _expand_monomial); a nested expression re-expands a factor at a deeper
+    order for every pole around it, and the memo turns each repeat into a
+    prefix or an extension.
+    """
+    if memo is None:
+        memo = {}
     mono = _monomial(node)
     if mono is not None:
-        return _expand_monomial(*mono, order)
+        return _expand_monomial(*mono, order, memo)
     kind = node[0]
     if kind == "neg":
-        return -evaluate(node[1], order)
+        return -evaluate(node[1], order, memo)
     if kind == "pow":
         _, base, k = node
-        inner = evaluate(base, order)
+        inner = evaluate(base, order, memo)
         lead = inner.leading()
         # inner**k is known to (1 - k) * lead fewer exponents than inner
         extra = ceil((1 - k) * lead[0]) if lead else 0
         if extra > 0:
-            inner = evaluate(base, order + extra)
+            inner = evaluate(base, order + extra, memo)
         return inner ** k
     if kind == "slice":
         _, inner, m, t = node
-        full = evaluate(inner, m * order + t + 1)
+        full = evaluate(inner, m * order + t + 1, memo)
         if full.denom != 1:
             raise ParseError("slice needs integer exponents")
         return full.sift(m, t)
     op, left, right = node
     if op == "+":
-        return evaluate(left, order) + evaluate(right, order)
+        return evaluate(left, order, memo) + evaluate(right, order, memo)
     if op == "-":
-        return evaluate(left, order) - evaluate(right, order)
+        return evaluate(left, order, memo) - evaluate(right, order, memo)
     if op == "/":
         op, right = "*", ("pow", right, -1)
     if op == "*":
-        a, b = evaluate(left, order), evaluate(right, order)
+        a, b = evaluate(left, order, memo), evaluate(right, order, memo)
         # a pole of order p in one factor costs the other p known exponents
         pa, pb = _pole(a), _pole(b)
         if pb:
-            a = evaluate(left, order + pb)
+            a = evaluate(left, order + pb, memo)
         if pa:
-            b = evaluate(right, order + pa)
+            b = evaluate(right, order + pa, memo)
         return a * b
     raise ParseError("unknown node %r" % (node,))
 

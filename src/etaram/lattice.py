@@ -245,66 +245,73 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
     """All vectors v0 + (integer combination of basis) with l1-norm <= bound.
 
     Optionally restricts each coordinate to |v_i| <= box_bound as well.
-    Yields plain lists.  The enumeration walks a column-Hermite form of the
-    basis so only genuine coset points are visited.
+    Returns a list of plain lists.  The enumeration walks a column-Hermite
+    form of the basis so only genuine coset points are visited: fixing the
+    coefficient of column j settles the rows from its pivot up to the next
+    pivot.  One running vector holds the point being built, and stepping a
+    coefficient adds its column's nonzero entries to it, so the settled rows
+    are read off directly.  Leaving a column undoes nothing: the vector stays
+    in the coset, and each column's coefficient range is read afresh from
+    the vector's pivot row, so the walk is the same from any starting
+    multiple of the column.
     """
     dim = len(v0)
-    if not basis:
-        w = sum(abs(x) for x in v0)
-        if w <= weight_bound and (box_bound is None or all(abs(x) <= box_bound for x in v0)):
-            yield list(v0)
-        return
     A = [[b[i] for b in basis] for i in range(dim)]
     H, _, pivots = hnf_column(A)
     rank = len(pivots)
     cols = [[H[i][j] for i in range(dim)] for j in range(rank)]
-    start = reduce_mod_lattice(v0, cols)
+    current = reduce_mod_lattice(v0, cols)
 
-    # rows settled once the j-th coefficient is fixed: pivot row j .. pivot row j+1 - 1
-    segments = []
-    for j in range(rank):
-        lo = pivots[j]
-        hi = pivots[j + 1] if j + 1 < rank else dim
-        segments.append((lo, hi))
-
-    prefix = start[:pivots[0]] if rank else list(start)
+    # rows above the first pivot are the same at every point of the coset
+    prefix = current[:pivots[0] if rank else dim]
     head_weight = sum(abs(x) for x in prefix)
     if head_weight > weight_bound:
-        return
+        return []
     if box_bound is not None and any(abs(x) > box_bound for x in prefix):
-        return
+        return []
+    if not rank:
+        return [current]
 
-    current = list(start)
+    # per column: its pivot row, the end of the rows it settles, the pivot
+    # entry and the nonzero entries (row, value), all at or below the pivot
+    levels = []
+    for j, lo in enumerate(pivots):
+        hi = pivots[j + 1] if j + 1 < rank else dim
+        levels.append((lo, hi, cols[j][lo],
+                       [(i, cols[j][i]) for i in range(lo, dim) if cols[j][i]]))
+    points = []
 
     def rec(j, used):
-        if j == rank:
-            yield list(current)
-            return
-        lo, hi = segments[j]
-        p = cols[j][lo]
-        base = start[lo] + sum(cols[jj][lo] * coeffs[jj] for jj in range(j))
+        lo, hi, p, support = levels[j]
         budget = weight_bound - used
         limit = budget if box_bound is None else min(budget, box_bound)
-        # admissible coefficient range from |base + k p| <= limit
-        k_lo = -((limit + base) // p)
-        k_hi = (limit - base) // p
-        for k in range(k_lo, k_hi + 1):
-            coeffs[j] = k
-            add = 0
-            ok = True
-            for i in range(lo, hi):
-                current[i] = start[i] + sum(cols[jj][i] * coeffs[jj] for jj in range(j + 1))
-                add += abs(current[i])
-                if box_bound is not None and abs(current[i]) > box_bound:
-                    ok = False
-                    break
-            if not ok or used + add > weight_bound:
-                continue
-            yield from rec(j + 1, used + add)
-        coeffs[j] = 0
+        # admissible coefficient range from |current[lo] + k p| <= limit, so
+        # the pivot row needs no further check
+        k_lo = -((limit + current[lo]) // p)
+        k_hi = (limit - current[lo]) // p
+        if k_lo > k_hi:
+            return
+        for i, c in support:
+            current[i] += (k_lo - 1) * c
+        last = j + 1 == rank
+        wide = hi - lo > 1
+        for _ in range(k_lo, k_hi + 1):
+            for i, c in support:
+                current[i] += c
+            weight = used + abs(current[lo])
+            if wide:
+                rest = current[lo + 1:hi]
+                weight += sum(map(abs, rest))
+                if weight > weight_bound or \
+                        box_bound is not None and max(map(abs, rest)) > box_bound:
+                    continue
+            if last:
+                points.append(current[:])
+            else:
+                rec(j + 1, weight)
 
-    coeffs = [0] * rank
-    yield from rec(0, head_weight)
+    rec(0, head_weight)
+    return points
 
 
 def _guard_bits(n, width):

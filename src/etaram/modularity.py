@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
-from .lattice import enumerate_coset, kernel_basis, solve_diophantine
+from .lattice import enumerate_coset, kernel_basis, lattice_hnf, solve_diophantine
 from .cusps import kappa
 
 
@@ -237,10 +237,12 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
 
     Strategy: conditions (1)-(3) and the finitely many sign conditions are
     all linear (equalities or congruences) in the exponents, so the passers
-    form a coset of an integer lattice.  We enumerate the coset in growing
-    l1-balls and return the passer minimizing sum |exponents|, breaking ties
-    lexicographically; a found optimum w is certified once w <= current ball
-    radius.
+    form a coset of an integer lattice.  The search deepens: it walks the
+    coset's l1-balls of radius 0, 1, 2, ... up to weight_cap and stops at the
+    first radius that holds a passer.  No passer is lighter than that
+    radius, so the passer minimizing sum |exponents|, ties broken
+    lexicographically on the exponent vector, is among the points found.
+    NoPhiFound means no passer has weight <= weight_cap.
     """
     plain, paired, c1, (row2, const2), (row3, const3), sign_rows = \
         _criterion_parts(spec, m, t, N)
@@ -270,29 +272,19 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
     x0 = solve_diophantine(A, b)
     if x0 is None:
         raise NoPhiFound("the exponent conditions are inconsistent at level %d" % N)
-    kern = kernel_basis(A)
+    # in Hermite form already, the basis costs each walk below little set-up
+    basis = lattice_hnf([v[:nv] for v in kernel_basis(A)], nv)
     v0 = x0[:nv]
-    basis = [v[:nv] for v in kern]
-    basis = [v for v in basis if any(v)]
 
-    best = None
-    radius = 4
-    while True:
-        radius = min(radius, weight_cap)
-        for v in enumerate_coset(v0, basis, radius):
-            w = sum(abs(c) for c in v)
-            key = (w, tuple(v))
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] <= radius:
+    for radius in range(weight_cap + 1):
+        points = enumerate_coset(v0, basis, radius)
+        if points:
             break
-        if radius >= weight_cap:
-            break
-        radius = min(radius * 2, weight_cap)
-    if best is None:
+    else:
         raise NoPhiFound("no prefactor with exponent weight <= %d" % weight_cap)
 
-    vec = best[1]
+    # no point lies inside the previous radius, so this is the global minimum
+    vec = min((sum(map(abs, v)), tuple(v)) for v in points)[1]
     a = {d: vec[i] for i, d in enumerate(plain) if vec[i]}
     ag = {key: vec[len(plain) + i] for i, key in enumerate(paired) if vec[len(plain) + i]}
     phi = GenEtaQuotient(N, a, ag)

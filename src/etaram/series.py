@@ -512,8 +512,11 @@ def theta_pair(g: int, delta: int, order: int) -> QSeries:
     """sum_k (-1)^k q^(delta*k*(k-1)/2 + g*k), the triple-product theta series.
 
     Equals (q^g, q^(delta-g); q^delta)_inf * (q^delta; q^delta)_inf for
-    0 < g <= delta/2 (and g = delta covers the classical case).
+    0 < g < delta.  At g = 0 and g = delta the terms of k and -1-k cancel and
+    the sum is identically 0, so those are rejected.
     """
+    if not 0 < g < delta:
+        raise ValueError("need 0 < g < delta")
     T = int(order)
     c = [0] * T
     for k, step in ((0, 1), (-1, -1)):
@@ -528,9 +531,7 @@ def theta_pair(g: int, delta: int, order: int) -> QSeries:
 
 
 def pair_product(g: int, delta: int, order: int) -> QSeries:
-    """(q^g, q^(delta-g); q^delta)_infinity for 0 < g <= delta/2, theta route."""
-    if not 0 < g < delta:
-        raise ValueError("need 0 < g < delta")
+    """(q^g, q^(delta-g); q^delta)_infinity for 0 < g < delta, theta route."""
     return theta_pair(g, delta, order) * euler_product(delta, order).invert()
 
 

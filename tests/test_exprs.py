@@ -130,3 +130,28 @@ def test_verification_never_touches_the_theta_route(monkeypatch):
         assert verify_identity(lhs, rhs, order) == (True, {"order": order, "status": "equal"})
         ok, report = verify_identity(lhs, rhs + " + 2*q^%d" % (order - 1), order)
         assert not ok and report["exponent"] == str(order - 1)
+
+
+def test_nested_products_expand_each_monomial_from_scratch_once(monkeypatch):
+    # the poles deepen every factor below them, and the power and the
+    # quotient deepen their bases: each product is re-expanded at several
+    # orders, and every repeat reads or extends the first expansion
+    fresh, extended = [], []
+    real = etaram.exprs.euler_transform
+
+    def counting(c, known=()):
+        (extended if known else fresh).append(tuple(c[:8]))
+        return real(c, known)
+
+    monkeypatch.setattr(etaram.exprs, "euler_transform", counting)
+    order = 40
+    got = expand("(q^-2*P(1,5) + P(2,5)^3) * (q^-1*P(0,1)^-1 - 2*P(1,5))^3"
+                 " / (q + q^2*P(2,5)^3)", order)
+    # P(1,5) (twice, as q^-2 P(1,5) and -2 P(1,5)), P(2,5)^3 (twice) and P(0,1)^-1
+    assert len(fresh) == len(set(fresh)) == 3
+    assert extended
+    T = 60
+    a = pochhammer(1, 5, T).shift(-2) + pochhammer(2, 5, T) ** 3
+    b = pochhammer(0, 1, T).invert().shift(-1) - pochhammer(1, 5, T).scale(2)
+    c = QSeries.monomial(1, 1, T) + (pochhammer(2, 5, T) ** 3).shift(2)
+    assert got == (a * b ** 3 * c.invert()).truncated(order)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -176,6 +177,66 @@ def test_identity_json_is_deterministic():
     assert a["m"] == 5 and a["t"] == 2 and a["N"] == 10
     assert ["spec", "m", "t", "N", "phi", "h", "z", "basis", "rhs",
             "certified_to", "status"] == list(a)
+
+
+SINGULAR = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
+ROGERS_RAMANUJAN = PartitionSpec(5, rg={(5, 1): -1, (5, 2): 1})
+ROGERS_RAMANUJAN_INVERSE = PartitionSpec(5, rg={(5, 1): 1, (5, 2): -1})
+DIAMOND = PartitionSpec(10, {1: -3, 2: 1, 5: 1, 10: -1})
+
+# (spec, m, t, order) of each pinned document: the benchmark corpus (the
+# Rogers-Ramanujan pairs are the residues dissect derives), both broken
+# diamonds and p(13n+6), all at the orders the benchmark derives them at
+DOCUMENT_CASES = {
+    "over-5n+2": (OVERPARTITION, 5, 2, 100),
+    "over-5n+3": (OVERPARTITION, 5, 3, 100),
+    "p-5n+4": (PARTITION, 5, 4, 100),
+    "singular-9n+3": (SINGULAR, 9, 3, 100),
+    "singular-9n+6": (SINGULAR, 9, 6, 100),
+    "p-11n+6": (PARTITION, 11, 6, 150),
+    "rogers-ramanujan-2n+0": (ROGERS_RAMANUJAN, 2, 0, 100),
+    "rogers-ramanujan-2n+1": (ROGERS_RAMANUJAN, 2, 1, 100),
+    "rogers-ramanujan-inverse-2n+0": (ROGERS_RAMANUJAN_INVERSE, 2, 0, 100),
+    "rogers-ramanujan-inverse-2n+1": (ROGERS_RAMANUJAN_INVERSE, 2, 1, 100),
+    "diamond-25n+14": (DIAMOND, 25, 14, 0),
+    "diamond-25n+24": (DIAMOND, 25, 24, 0),
+    "p-13n+6": (PARTITION, 13, 6, 0),
+}
+# SHA-256 of json.dumps(derive_identity(...).to_json()): a change of phi, h,
+# the basis or the right-hand side of any pinned document shows up here
+DOCUMENT_HASHES = {
+    "over-5n+2": "22e572ead664e6d60a1cf6d32995b1316696b7c9419389d09be3c759a5dd20ec",
+    "over-5n+3": "2f827d55bf2fa8847929b6dbbec3dcec244de22cde4c88074c27624083072b71",
+    "p-5n+4": "449a5f703bdef7e9bcb41b8b820bceef456800eaaf753b5dd8215858697dd675",
+    "singular-9n+3": "858fc4c72c4c616bd3a61f199ed4454219d9ce846c9a4e3459e1cd08954c6c8e",
+    "singular-9n+6": "70687088f600338d6ee3411d623d66524a9891b4d1b2a45bc95ef94eda9e69d9",
+    "p-11n+6": "3aeb4d71bf2c970ba60183254155444b43914401c997567231f8f39af8e4d7fa",
+    "rogers-ramanujan-2n+0":
+        "bd8319baf199155198f1421fb4354400e8b2574a73fe4ae30df26f9cc7bc9343",
+    "rogers-ramanujan-2n+1":
+        "15758e14e6f91f271e3362f57eab5068e05bcfef236f9ff57350f5a91f63e7e9",
+    "rogers-ramanujan-inverse-2n+0":
+        "f90ddeda7e65ad5ab0e249c3c29b5e077f9c1688994348e458649fa773967479",
+    "rogers-ramanujan-inverse-2n+1":
+        "77c2b72b2c4f4f2585c5a8a4da67df6a4cfa452721676e7432f3b9df9e10243e",
+    "diamond-25n+14": "212872f0e1a6a8632ec600d8cd8690ed74e0b7c7aa0d0daab92a7ce2c54f5318",
+    "diamond-25n+24": "3413dde62e8bb4019952b3d0ec417550376877d906a66668bc657981b6c63758",
+    "p-13n+6": "7a54ef0d5993f96cf15fa7c249449f206285f2f31f83afac637c220d7a098c30",
+}
+# p(13n+6) takes about a second cold on a 2-vCPU machine, so its pin runs in
+# the slow lane; both diamonds together take about 0.7 s there
+SLOW_DOCUMENTS = ("p-13n+6",)
+
+
+@pytest.mark.parametrize("label", [pytest.param(label, marks=pytest.mark.slow)
+                                   if label in SLOW_DOCUMENTS else label
+                                   for label in DOCUMENT_CASES])
+def test_identity_documents_are_pinned(label):
+    spec, m, t, order = DOCUMENT_CASES[label]
+    ident = derive_identity(spec, m, t, DeriveOptions(order=order))
+    assert ident.status == "Derived"
+    digest = hashlib.sha256(json.dumps(ident.to_json()).encode()).hexdigest()
+    assert digest == DOCUMENT_HASHES[label]
 
 
 def test_classical_progressions_beyond_the_pinned_corpus():

@@ -69,8 +69,40 @@ def test_solve_with_precomputed_hnf_matches_fresh_solve():
     assert infeasible > 20
 
 
-def test_enumerate_coset_matches_box_scan():
+def _l1_ball(dim, W):
+    """Every integer vector of length dim with l1-norm <= W."""
+    if dim == 0:
+        yield ()
+        return
+    for x in range(-W, W + 1):
+        for rest in _l1_ball(dim - 1, W - abs(x)):
+            yield (x,) + rest
+
+
+def _coset_by_ball_scan(v0, basis, W, box_bound=None):
+    """The coset points of l1-norm <= W: every vector of the ball whose
+    difference from v0 lies in the lattice, so none can be missed."""
+    cols = lattice_hnf(basis, len(v0))
+    return {v for v in _l1_ball(len(v0), W)
+            if (box_bound is None or max(map(abs, v)) <= box_bound)
+            and in_lattice([a - b for a, b in zip(v, v0)], cols)}
+
+
+def _check_coset(v0, basis, W, box_bound=None):
+    got = [tuple(v) for v in enumerate_coset(v0, basis, W, box_bound)]
+    assert len(set(got)) == len(got)
+    assert set(got) == _coset_by_ball_scan(v0, basis, W, box_bound), (v0, basis, W)
+    return got
+
+
+def _segment_lengths(basis, dim):
+    _, _, pivots = hnf_column([[b[i] for b in basis] for i in range(dim)])
+    return [hi - lo for lo, hi in zip(pivots, pivots[1:] + [dim])]
+
+
+def test_enumerate_coset_matches_ball_scan():
     rng = random.Random(3)
+    multi_row = boxed = 0
     for _ in range(25):
         dim = rng.randint(2, 4)
         nb = rng.randint(1, dim)
@@ -80,16 +112,53 @@ def test_enumerate_coset_matches_box_scan():
             continue
         v0 = [rng.randint(-2, 2) for _ in range(dim)]
         W = 5
-        got = sorted(tuple(v) for v in enumerate_coset(v0, basis, W))
-        assert len(set(got)) == len(got)
-        cols = lattice_hnf(basis, dim)
-        expect = set()
-        span = 14
-        for coeff in itertools.product(range(-span, span + 1), repeat=len(cols)):
-            v = tuple(v0[i] + sum(c * b[i] for c, b in zip(coeff, cols)) for i in range(dim))
-            if sum(abs(x) for x in v) <= W:
-                expect.add(v)
-        assert set(got) == expect
+        _check_coset(v0, basis, W)
+        multi_row += max(_segment_lengths(basis, dim)) > 1
+        boxed += len(_check_coset(v0, basis, W, box_bound=2))
+    assert multi_row >= 5 and boxed > 0
+    # a basis of rank 0 leaves v0 alone
+    for basis in ([], [[0, 0, 0]]):
+        assert _check_coset([1, -2, 0], basis, 3) == [(1, -2, 0)]
+        assert _check_coset([1, -2, 0], basis, 2) == []
+        assert _check_coset([1, -2, 0], basis, 3, box_bound=1) == []
+
+
+def test_enumerate_coset_with_several_rows_per_segment():
+    # pivots at rows 0 and 2: column 0 settles rows 0-1, column 1 rows 2-4
+    basis = [[1, 1, -1, 0, 2], [0, 0, 3, 1, -1]]
+    assert _segment_lengths(basis, 5) == [2, 3]
+    for v0 in ([0, 0, 0, 0, 0], [1, -2, 0, 1, 0], [0, 1, 2, 0, -1]):
+        for W in range(6):
+            _check_coset(v0, basis, W)
+            _check_coset(v0, basis, W, box_bound=1)
+    # a fixed coordinate before the first pivot, which no basis vector moves
+    basis = [[0, 2, 1, 1], [0, 0, 0, 3]]
+    assert _segment_lengths(basis, 4) == [2, 1]
+    for W in range(6):
+        _check_coset([1, 0, 1, 1], basis, W)
+        _check_coset([1, 0, 1, 1], basis, W, box_bound=1)
+    assert sorted(_check_coset([1, 0, 1, 1], basis, 3)) == [(1, -2, 0, 0), (1, 0, 1, 1)]
+    assert _check_coset([3, 0, 1, 1], basis, 4) == []
+
+
+def test_enumerate_coset_of_the_level_10_prefactor_shape():
+    # seven free coordinates, then two rows fixed by congruences mod 20 and
+    # mod 12, as in the level-10 prefactor coset: the walk learns only at
+    # the bottom whether a point exists
+    dim = 9
+    basis = []
+    for i, (c20, c12) in enumerate([(10, 9), (10, 0), (3, 7), (7, 3), (4, 7), (11, 0),
+                                    (16, 7)]):
+        col = [0] * dim
+        col[i], col[7], col[8] = 1, c20, c12
+        basis.append(col)
+    basis += [[0] * 7 + [20, 4], [0] * 8 + [12]]
+    assert _segment_lengths(basis, dim) == [1] * dim
+    rng = random.Random(10)
+    found = 0
+    for v0 in [[0] * dim] + [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(3)]:
+        found += len(_check_coset(v0, basis, 4))
+    assert found > 1
 
 
 def test_reduce_mod_lattice_stays_in_coset():

@@ -4,10 +4,12 @@ from math import gcd
 
 import pytest
 
+import etaram.modularity as modularity
 from etaram.eta import GenEtaQuotient, PartitionSpec
+from etaram.lattice import enumerate_coset
 from etaram.modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
-    jacobi_symbol, _criterion_parts,
+    jacobi_symbol, _criterion_parts, _phi_variables,
 )
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -115,3 +117,46 @@ def test_sign_condition_multiplicative():
 def test_no_prefactor_within_tiny_weight():
     with pytest.raises(NoPhiFound):
         find_prefactor(OVERPARTITION, 5, 2, 10, weight_cap=1)
+
+
+def _recorded_prefactor(monkeypatch, spec, m, t, N, weight_cap=32):
+    """find_prefactor with every coset walk recorded as (v0, basis, radius)."""
+    walks = []
+    real = modularity.enumerate_coset
+
+    def recording(v0, basis, weight_bound, box_bound=None):
+        walks.append((v0, basis, weight_bound))
+        return real(v0, basis, weight_bound, box_bound)
+
+    monkeypatch.setattr(modularity, "enumerate_coset", recording)
+    return find_prefactor(spec, m, t, N, weight_cap), walks
+
+
+@pytest.mark.parametrize("spec, m, t, N, weight", [
+    (OVERPARTITION, 5, 2, 10, 3), (SINGULAR, 9, 3, 6, 2), (RR, 2, 0, 10, 4),
+    (RR, 2, 1, 10, 2), (PARTITION, 11, 6, 11, 1)])
+def test_prefactor_search_stops_at_the_first_occupied_radius(monkeypatch, spec, m, t,
+                                                             N, weight):
+    phi, walks = _recorded_prefactor(monkeypatch, spec, m, t, N)
+    assert [radius for _, _, radius in walks] == list(range(weight + 1))
+    # the answer is the least (weight, vector) of the whole coset, read here
+    # from a ball two steps past the optimum
+    v0, basis, _ = walks[-1]
+    best = min((sum(map(abs, v)), tuple(v)) for v in enumerate_coset(v0, basis, weight + 2))
+    assert best[0] == weight
+    plain, paired = _phi_variables(N)
+    vec = tuple([phi.a.get(d, 0) for d in plain] + [phi.ag.get(k, 0) for k in paired])
+    assert vec == best[1]
+
+
+def test_prefactor_weight_cap_bounds_the_deepening(monkeypatch):
+    with pytest.raises(NoPhiFound, match="weight <= 2"):
+        _recorded_prefactor(monkeypatch, OVERPARTITION, 5, 2, 10, weight_cap=2)
+    phi, walks = _recorded_prefactor(monkeypatch, OVERPARTITION, 5, 2, 10, weight_cap=3)
+    assert is_modular_prefactor(OVERPARTITION, 5, 2, 10, phi)
+    # cap 0 still walks radius 0, and a spec that is its own modular
+    # function takes phi = 1 there
+    phi, walks = _recorded_prefactor(monkeypatch, PartitionSpec(1, {}), 1, 0, 1, weight_cap=0)
+    assert phi.a == {} and phi.ag == {} and [w for _, _, w in walks] == [0]
+    with pytest.raises(NoPhiFound):
+        find_prefactor(PARTITION, 1, 0, 1, weight_cap=-1)

@@ -140,6 +140,15 @@ def test_theta_pair_matches_products():
         assert pair_product(g, d, T).agrees_with(pochhammer(g, d, T) * pochhammer(d - g, d, T))
 
 
+@pytest.mark.parametrize("g, d", [(0, 5), (5, 5), (6, 5), (-1, 5), (0, 1)])
+def test_theta_pair_rejects_g_outside_0_to_delta(g, d):
+    # at g = 0 and g = delta the terms of k and -1-k cancel: the sum is 0
+    with pytest.raises(ValueError, match="need 0 < g < delta"):
+        theta_pair(g, d, 30)
+    with pytest.raises(ValueError, match="need 0 < g < delta"):
+        pair_product(g, d, 30)
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240817)
     for _ in range(120):
