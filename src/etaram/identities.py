@@ -86,11 +86,16 @@ def find_multiplier(bounds: dict, gens, N: int):
         if best is None or key < best:
             best = key
     t = best[1]
-    h = GenEtaQuotient(N)
-    for tj, g in zip(t, gens):
-        if tj:
-            h = h * (g.quotient ** tj)
-    return h.canonicalize(), t
+    return _monomial_quotient(N, gens, t), t
+
+
+def _monomial_quotient(N: int, gens, mono) -> GenEtaQuotient:
+    """prod gens[i].quotient**mono[i] at level N, canonical."""
+    q = GenEtaQuotient(N)
+    for e, g in zip(mono, gens):
+        if e:
+            q = q * (g.quotient ** e)
+    return q.canonicalize()
 
 
 @dataclass
@@ -125,7 +130,7 @@ class Identity:
 
         Only the generators it uses are expanded, once each on the asked
         route and far enough for the largest total pole of any monomial; every
-        product, the powers of z included, comes from one monomial cache.
+        product, the powers of z included, comes from one series cache.
         """
         gens = self.basis.gens
         polys = {}                   # element index -> {monomial z^j: coefficient}
@@ -140,14 +145,10 @@ class Identity:
 
         length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
                                   for poly, element in pairs), default=0)
-        used = {i for pair in pairs for combo in pair for mono in combo
-                for i, e in enumerate(mono) if e}
-        series = [g.quotient.expansion(length, reference=reference) if i in used else None
-                  for i, g in enumerate(gens)]
-        cache = {}
+        series = {}
 
         def monomial(mono):
-            return _monomial_series(mono, length, series, cache)
+            return _monomial_series(mono, gens, length, series, reference)
 
         total = QSeries.zero(terms)
         for poly, element in pairs:
@@ -222,14 +223,8 @@ class Identity:
 
     def to_json(self) -> dict:
         def combo_json(elem):
-            out = []
-            for mono, coef in sorted(elem.combo.items()):
-                q = GenEtaQuotient(self.N)
-                for gi, ge in enumerate(mono):
-                    if ge:
-                        q = q * (self.basis.gens[gi].quotient ** ge)
-                out.append([str(coef), q.canonicalize().to_json()])
-            return out
+            return [[str(coef), _monomial_quotient(self.N, self.basis.gens, mono).to_json()]
+                    for mono, coef in sorted(elem.combo.items())]
 
         doc = {
             "spec": self.spec.to_json(),

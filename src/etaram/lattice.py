@@ -98,13 +98,16 @@ def hnf_column(A):
     return H, U, pivots
 
 
-def kernel_basis(A):
-    """Basis (list of int vectors) of the integer kernel of A."""
+def kernel_basis(A, hnf=None):
+    """Basis (list of int vectors) of the integer kernel of A.
+
+    hnf, when given, must be hnf_column(A), as in solve_diophantine.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     if n == 0:
         return []
-    H, U, pivots = hnf_column(A)
+    H, U, pivots = hnf_column(A) if hnf is None else hnf
     rank = len(pivots)
     return [[U[i][j] for i in range(n)] for j in range(rank, n)]
 
@@ -421,7 +424,10 @@ def hilbert_basis(system: DioSystem):
 
     kern = kernel_basis(eqs)
     unit_rows = [[1 if j == i else 0 for j in range(n)] for i in P]
-    lineality = kernel_basis(eqs + unit_rows)
+    # one factorization serves the lineality and the lift below
+    lift_rows = eqs + unit_rows
+    lift_hnf = hnf_column(lift_rows)
+    lineality = kernel_basis(lift_rows, lift_hnf)
 
     if not P:
         return [], lineality
@@ -482,8 +488,6 @@ def hilbert_basis(system: DioSystem):
             keep.append(y)
 
     # lift the projected generators back to full solutions
-    lift_rows = eqs + unit_rows
-    lift_hnf = hnf_column(lift_rows)
     pointed = []
     for y in keep:
         rhs = [0] * len(eqs) + list(y)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
-from .lattice import enumerate_coset, kernel_basis, lattice_hnf, solve_diophantine
+from .lattice import enumerate_coset, hnf_column, kernel_basis, lattice_hnf, solve_diophantine
 from .cusps import kappa
 
 
@@ -208,8 +208,12 @@ def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
 def is_modular_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
                          phi: GenEtaQuotient) -> bool:
     """Exact test of the four exponent conditions for phi."""
-    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = \
-        _criterion_parts(spec, m, t, N)
+    return _passes(_criterion_parts(spec, m, t, N), phi)
+
+
+def _passes(parts, phi: GenEtaQuotient) -> bool:
+    """is_modular_prefactor on the linear forms of _criterion_parts."""
+    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = parts
     phi = phi.canonicalize()
     vec = [phi.a.get(d, Fraction(0)) for d in plain]
     vec += [phi.ag.get(k, Fraction(0)) for k in paired]
@@ -244,8 +248,8 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
     lexicographically on the exponent vector, is among the points found.
     NoPhiFound means no passer has weight <= weight_cap.
     """
-    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = \
-        _criterion_parts(spec, m, t, N)
+    parts = _criterion_parts(spec, m, t, N)
+    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = parts
     nv = len(plain) + len(paired)
 
     # assemble (row, const, modulus): modulus 0 means exact equality
@@ -269,11 +273,12 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
             si += 1
         A.append(full)
         b.append(-int(const))
-    x0 = solve_diophantine(A, b)
+    hnf = hnf_column(A)
+    x0 = solve_diophantine(A, b, hnf)
     if x0 is None:
         raise NoPhiFound("the exponent conditions are inconsistent at level %d" % N)
     # in Hermite form already, the basis costs each walk below little set-up
-    basis = lattice_hnf([v[:nv] for v in kernel_basis(A)], nv)
+    basis = lattice_hnf([v[:nv] for v in kernel_basis(A, hnf)], nv)
     v0 = x0[:nv]
 
     for radius in range(weight_cap + 1):
@@ -288,6 +293,6 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
     a = {d: vec[i] for i, d in enumerate(plain) if vec[i]}
     ag = {key: vec[len(plain) + i] for i, key in enumerate(paired) if vec[len(plain) + i]}
     phi = GenEtaQuotient(N, a, ag)
-    if not is_modular_prefactor(spec, m, t, N, phi):
+    if not _passes(parts, phi):
         raise AssertionError("lattice enumeration produced a non-passer")
     return phi

@@ -14,14 +14,14 @@ otherwise a closure reduces every product of the basis with a generator.
 reduce_by_basis strips poles one at a time, and express certifies
 membership through the constancy principle (a remainder with no poles
 anywhere and positive order at infinity is zero), double-checked
-coefficientwise to the certified truncation.  A basis expands only z and
-the generators its elements use; any other generator is expanded the first
-time a monomial reads it.
+coefficientwise to the certified truncation.  A basis expands a generator
+the first time a monomial reads it.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,21 +58,20 @@ class BasisElement:
     combo: dict      # monomial (exponents over the generator list) -> coefficient
     pole: int
 
-    def scaled(self, c: Fraction) -> "BasisElement":
-        return BasisElement({m: v * c for m, v in self.combo.items()}, self.pole)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ModuleBasis:
+    """The basis 1, e_1, ... of a generator list's span over Q[z].
+
+    gens, n and elements are fixed.  The one value that changes is the
+    store, a (truncation, series) pair that ensure_terms replaces whole:
+    series maps each monomial read so far to its series, and each generator
+    index read so far to that generator's expansion.
+    """
     gens: tuple                      # Generator records, z first
     n: int                           # pole order of z
-    elements: list = field(default_factory=list)  # [unit, e_1, ...]
-    _terms: int = 0
-    # (terms, generator expansions or None, monomial cache), replaced as one
-    # value so a reader on another thread never pairs a cache with the wrong
-    # expansions
-    _expansions: tuple = field(default_factory=lambda: (0, [], {}), repr=False,
-                               compare=False)
+    elements: tuple                  # (unit, e_1, ...)
+    _store: tuple = field(repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                   compare=False)
 
@@ -88,47 +87,32 @@ class ModuleBasis:
         return {e.pole % self.n: e for e in self.elements}
 
     def ensure_terms(self, terms: int):
-        """Expand z and the generators the elements use to terms past their
-        poles; any other generator waits for its first monomial_series."""
-        if terms <= self._terms:
-            return
-        used = {i for e in self.elements for mono in e.combo
-                for i, x in enumerate(mono) if x}
-        fresh = (terms, [g.expansion(terms + g.pole + 2) if i == 0 or i in used
-                         else None for i, g in enumerate(self.gens)], {})
+        """Raise the truncation to terms; every series is then read afresh."""
         with self._lock:
-            if terms > self._terms:
-                self._expansions = fresh
-                self._terms = terms
+            if terms > self._store[0]:
+                object.__setattr__(self, "_store", (terms, {}))
 
     def monomial_series(self, mono: tuple) -> QSeries:
-        state = self._expansions
-        if any(e and state[1][i] is None for i, e in enumerate(mono)):
-            state = self._expand_first_use(mono)
-        return _monomial_series(mono, *state)
-
-    def _expand_first_use(self, mono: tuple):
-        """Publish the expansions with mono's missing generators added at the
-        current truncation, keeping the monomial cache."""
-        with self._lock:
-            terms, series, cache = self._expansions
-            series = list(series)
-            for i, e in enumerate(mono):
-                if e and series[i] is None:
-                    g = self.gens[i]
-                    series[i] = g.expansion(terms + g.pole + 2)
-            self._expansions = (terms, series, cache)
-            return self._expansions
+        terms, series = self._store
+        return _monomial_series(mono, self.gens, terms, series, lock=self._lock)
 
     def combo_series(self, combo: dict) -> QSeries:
-        return _combination(combo, self.monomial_series, self._terms)
+        return _combination(combo, self.monomial_series, self._store[0])
 
     def element_series(self, idx: int) -> QSeries:
         return self.combo_series(self.elements[idx].combo)
 
 
-def _monomial_series(mono, terms, gen_series, cache) -> QSeries:
-    cached = cache.get(mono)
+def _monomial_series(mono, gens, terms, series, reference=False,
+                     lock=nullcontext()) -> QSeries:
+    """prod gens[i]**mono[i], known to terms coefficients past its pole.
+
+    series caches every monomial under its exponent tuple and every
+    generator under its index.  A generator is expanded the first time a
+    monomial needs it, at terms + pole + 2 on the asked route, under lock,
+    so readers that share series expand it once.
+    """
+    cached = series.get(mono)
     if cached is not None:
         return cached
     if not any(mono):
@@ -136,8 +120,11 @@ def _monomial_series(mono, terms, gen_series, cache) -> QSeries:
     else:
         i = max(j for j, e in enumerate(mono) if e)
         below = tuple(e if j != i else e - 1 for j, e in enumerate(mono))
-        out = _monomial_series(below, terms, gen_series, cache) * gen_series[i]
-    cache[mono] = out
+        with lock:
+            if i not in series:
+                series[i] = gens[i].expansion(terms + gens[i].pole + 2, reference=reference)
+        out = _monomial_series(below, gens, terms, series, reference, lock) * series[i]
+    series[mono] = out
     return out
 
 
@@ -188,14 +175,10 @@ def module_basis(gens) -> ModuleBasis:
     terms = max(48, 4 * max((g.pole for g in gens), default=0))
     if not gens:
         # no nonconstant functions at all: the span is the constants
-        mb = ModuleBasis(gens=(), n=1)
-        mb.ensure_terms(terms)
-        mb.elements = [BasisElement({(): Fraction(1)}, 0)]
-        return mb
+        return ModuleBasis((), 1, (BasisElement({(): Fraction(1)}, 0),), _store=(terms, {}))
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
-    mb = ModuleBasis(gens=tuple(gens), n=n)
-    seeds = _seeds(mb)
+    seeds = _seeds(gens, n)
     if len(seeds) == n:
         gaps = sum((e.pole - r) // n for r, e in seeds.items())
         g = genus(gens[0].quotient.N)
@@ -203,48 +186,49 @@ def module_basis(gens) -> ModuleBasis:
             raise AssertionError("the seeds miss %d pole orders, below the genus %d"
                                  % (gaps, g))
         if gaps == g:
-            mb.elements = _in_pole_order(seeds)
-            mb.ensure_terms(terms)
-            return mb
+            return ModuleBasis(tuple(gens), n, _in_pole_order(seeds), _store=(terms, {}))
     while True:
         try:
-            _module_basis_attempt(mb, terms)
-            return mb
+            basis = _closure(gens, n, terms)
         except InsufficientTruncation:
             terms *= 2
             if terms > 1 << 14:
                 raise
+        else:
+            return ModuleBasis(tuple(gens), n, _in_pole_order(basis), _store=(terms, {}))
 
 
-def _seeds(mb: ModuleBasis) -> dict:
+def _seeds(gens, n: int) -> dict:
     """Pole class -> element: the unit at 0, then single generators (smallest
     pole, then leanest head)."""
-    k = len(mb.gens)
+    k = len(gens)
     seeds = {0: BasisElement({(0,) * k: Fraction(1)}, 0)}
-    for i in sorted(range(k), key=lambda i: (mb.gens[i].pole, mb.gens[i].head)):
-        g = mb.gens[i]
-        r = g.pole % mb.n
+    for i in sorted(range(k), key=lambda i: (gens[i].pole, gens[i].head)):
+        g = gens[i]
+        r = g.pole % n
         if r not in seeds or seeds[r].pole > g.pole:
             mono = tuple(1 if j == i else 0 for j in range(k))
             seeds[r] = BasisElement({mono: Fraction(1)}, g.pole)
     return seeds
 
 
-def _in_pole_order(basis: dict) -> list:
+def _in_pole_order(basis: dict) -> tuple:
     """The unit, then the other classes' elements by pole."""
-    return [basis[0]] + sorted((e for r, e in basis.items() if r != 0),
-                               key=lambda e: e.pole)
+    return (basis[0],) + tuple(sorted((e for r, e in basis.items() if r != 0),
+                                      key=lambda e: e.pole))
 
 
-def _module_basis_attempt(mb: ModuleBasis, terms: int):
-    basis = _seeds(mb)
-    mb.elements = [basis[0]]
-    mb.ensure_terms(terms)
-    k = len(mb.gens)
+def _closure(gens, n: int, terms: int) -> dict:
+    """Pole class -> element once products of the basis with every generator
+    reduce into the span, starting from the seeds."""
+    basis = _seeds(gens, n)
+    # reads series only: _reduce takes its elements from basis
+    reader = ModuleBasis(tuple(gens), n, (), _store=(terms, {}))
+    k = len(gens)
 
     def reduce_elem(combo):
         """Strip reducible leading poles; None when absorbed into the span."""
-        steps, rem, p = _reduce(mb.combo_series(combo), mb, basis)
+        steps, rem, p = _reduce(reader.combo_series(combo), reader, basis)
         if p is None:
             return None
         for e, j, c in steps:
@@ -269,13 +253,12 @@ def _module_basis_attempt(mb: ModuleBasis, terms: int):
                     continue
                 # _reduce stops only at a pole its class does not cover, so
                 # red's class is empty or held by an element of larger pole
-                basis[red.pole % mb.n] = red
+                basis[red.pole % n] = red
                 changed = True
                 break
             if changed:
                 break
-    mb.elements = _in_pole_order(basis)
-    return mb
+    return basis
 
 
 def _reduce(series: QSeries, mb: ModuleBasis, by_class: dict):

@@ -257,7 +257,7 @@ def test_derivation_expands_only_the_generators_the_basis_uses():
     assert ident.status == "Derived"
     mb = etaram.identities.level_basis(11)
     e_1 = {i for mono in mb.elements[1].combo for i, e in enumerate(mono) if e}
-    expanded = {i for i, s in enumerate(mb._expansions[1]) if s is not None}
+    expanded = {i for i in mb._store[1] if isinstance(i, int)}
     assert expanded == {0} | e_1
     assert len(expanded) < len(mb.gens)
 
@@ -351,3 +351,31 @@ def test_concurrent_derivations_match_sequential(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert {k: sequential[t] for k, t in enumerate(residues)} == concurrent
     assert json.loads(sequential[2])["status"] == "Derived"
+
+
+def test_concurrent_derivations_share_one_basis():
+    etaram.identities.level_basis.cache_clear()
+    mb = etaram.identities.level_basis(10)
+    idents = {}
+
+    def derive(label):
+        spec, m, t, order = DOCUMENT_CASES[label]
+        idents[label] = derive_identity(spec, m, t, DeriveOptions(order=order))
+
+    threads = [threading.Thread(target=derive, args=(label,))
+               for label in ("over-5n+2", "over-5n+3")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave the reads of the shared store
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(idents) == 2
+    for label, ident in idents.items():
+        assert ident.N == 10 and ident.basis is mb
+        digest = hashlib.sha256(json.dumps(ident.to_json()).encode()).hexdigest()
+        assert digest == DOCUMENT_HASHES[label]

@@ -66,6 +66,7 @@ def test_solve_with_precomputed_hnf_matches_fresh_solve():
             fresh = solve_diophantine(A, b)
             infeasible += fresh is None
             assert solve_diophantine(A, b, hnf) == fresh, (A, b)
+        assert kernel_basis(A, hnf) == kernel_basis(A), A
     assert infeasible > 20
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -231,22 +232,28 @@ def test_genus_below_the_gap_count_runs_the_closure(monkeypatch):
     assert calls
 
 
-def _expanded(mb):
-    return {i for i, s in enumerate(mb._expansions[1]) if s is not None}
+def test_built_basis_is_immutable():
+    mb = module_basis(generators(11))
+    assert isinstance(mb.elements, tuple)
+    for name in ("gens", "n", "elements"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mb, name, getattr(mb, name))
 
 
 def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     mb = module_basis(generators(11))
-    terms = mb._terms
-    i = min(set(range(len(mb.gens))) - _expanded(mb))
+    terms, series = mb._store
+    used = {i for e in mb.elements for mono in e.combo for i, x in enumerate(mono) if x}
+    i = min(set(range(len(mb.gens))) - used)
+    assert i not in series
     mono = tuple(1 if j == i else 0 for j in range(len(mb.gens)))
     g = mb.gens[i]
     expansions = []
     expand = g.expansion
 
-    def counted(length):
+    def counted(length, reference=False):
         expansions.append(length)
-        return expand(length)
+        return expand(length, reference)
 
     monkeypatch.setattr(g, "expansion", counted)
     barrier = threading.Barrier(2)
@@ -269,4 +276,4 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     assert len(results) == 2 and results[0] == results[1]
     assert expansions == [terms + g.pole + 2]
     assert results[0].agrees_with(expand(terms + g.pole + 2))
-    assert i in _expanded(mb)
+    assert mb._store[1] is series and i in series
