@@ -22,7 +22,7 @@ from .lattice import DioSystem, hilbert_basis
 from .modularity import NoPhiFound, check_level, find_level, find_prefactor
 from .reduction import (
     InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
-    _combination, _monomial_series, express, module_basis,
+    _combination, _monomial_series, _z_polynomial, express, module_basis,
 )
 from .series import QSeries
 
@@ -126,11 +126,15 @@ class Identity:
                 * self.spec.slice_expansion(self.m, self.t, span, reference=reference))
 
     def rhs_series(self, terms: int, reference=False) -> QSeries:
-        """The certified right-hand side, known to at least `terms`.
+        """The certified right-hand side sum p_i(z) e_i, known to at least `terms`.
 
         Only the generators it uses are expanded, once each on the asked
-        route and far enough for the largest total pole of any monomial; every
-        product, the powers of z included, comes from one series cache.
+        route and far enough for the largest total pole of any monomial.
+        Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial):
+        for degree d, b = ceil(sqrt(d + 1)) powers of z and
+        ceil((d + 1) / b) - 1 Horner steps, 15 full-length products where
+        the power-by-power sum makes 57 at d = 57.  The powers and the
+        elements' monomials come from one series cache.
         """
         gens = self.basis.gens
         polys = {}                   # element index -> {monomial z^j: coefficient}
@@ -152,7 +156,7 @@ class Identity:
 
         total = QSeries.zero(terms)
         for poly, element in pairs:
-            total = total + (_combination(poly, monomial, length)
+            total = total + (_z_polynomial(poly, monomial, length)
                              * _combination(element, monomial, length)).truncated(terms)
         return total
 

@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 from operator import add, mul
 
 
-class Infeasible(ValueError):
-    """The Diophantine system has no solution."""
-
-
 class StepBudgetExceeded(RuntimeError):
     """The Hilbert-basis completion ran out of its step budget."""
 
@@ -429,11 +425,7 @@ def hilbert_basis(system: DioSystem):
     lift_hnf = hnf_column(lift_rows)
     lineality = kernel_basis(lift_rows, lift_hnf)
 
-    if not P:
-        return [], lineality
-    if not kern:
-        if solve_diophantine(eqs, [0] * len(eqs)) is None:
-            raise Infeasible("inconsistent homogeneous system")
+    if not P or not kern:
         return [], lineality
 
     k = len(P)

@@ -24,6 +24,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .cusps import genus
 from .series import QSeries
@@ -135,6 +136,38 @@ def _combination(combo, monomial, terms) -> QSeries:
         term = monomial(mono).scale(c)
         total = term if total is None else total + term
     return total if total is not None else QSeries.zero(terms)
+
+
+def _z_polynomial(poly, monomial, terms) -> QSeries:
+    """sum c * z**j over poly {monomial z^j: c} by Paterson-Stockmeyer.
+
+    For the top degree d, b = ceil(sqrt(d + 1)) powers z^1 ... z^b are read
+    through monomial, the chunks sum_{i<b} c[kb+i] z^i are formed by scaling
+    and adding (an all-zero chunk is skipped), and ceil((d+1)/b) - 1 Horner
+    steps in z^b join them from the top down: about 2 sqrt(d) products where
+    the power-by-power _combination makes d.  Every chunk and partial sum
+    keeps the relative precision of the powers, so the result equals
+    _combination(poly, monomial, terms), truncation included.
+    """
+    coeffs = {sum(mono[:1]): c for mono, c in poly.items() if c}   # () is z^0
+    if not coeffs:
+        return QSeries.zero(terms)
+    width = len(next(iter(poly)))
+
+    def power(j):
+        return tuple(j if i == 0 else 0 for i in range(width))
+
+    d = max(coeffs)
+    b = isqrt(d) + 1             # ceil(sqrt(d + 1))
+    total = None
+    for k in range(d // b, -1, -1):
+        chunk = {power(i): coeffs[k * b + i] for i in range(b) if k * b + i in coeffs}
+        if total is not None:
+            total = total * monomial(power(b))
+        if chunk:
+            part = _combination(chunk, monomial, terms)
+            total = part if total is None else total + part
+    return total
 
 
 def _pole_of(series: QSeries):

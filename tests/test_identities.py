@@ -22,7 +22,7 @@ from etaram.identities import (
 )
 from etaram.modularity import find_prefactor
 from etaram.cusps import cusp_order_bounds
-from etaram.reduction import VerificationFailure
+from etaram.reduction import VerificationFailure, _combination, _monomial_series
 from etaram.series import QSeries
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -292,6 +292,70 @@ def test_reference_check_never_touches_the_fast_route(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
     assert ident.rhs_series(60, reference=True) == fast
     _independent_check(ident, ident.certified_to)
+
+
+@pytest.fixture(scope="module")
+def rhs_identities():
+    return {label: derive_identity(*DOCUMENT_CASES[label][:3],
+                                   DeriveOptions(order=DOCUMENT_CASES[label][3]))
+            for label in ("diamond-25n+14", "p-11n+6")}
+
+
+def power_by_power_rhs(ident, terms, reference):
+    """sum p_i(z) e_i with every power z^j its own product, at the length
+    rhs_series reads its monomials at."""
+    gens = ident.basis.gens
+    polys = {}
+    for (idx, j), c in ident.rhs.items():
+        if c:
+            polys.setdefault(idx, {})[tuple(j if i == 0 else 0 for i in range(len(gens)))] = c
+    pairs = [(polys[idx], ident.basis.elements[idx].combo) for idx in sorted(polys)]
+
+    def pole(mono):
+        return sum(e * g.pole for e, g in zip(mono, gens))
+
+    length = terms + 4 + max(max(map(pole, poly)) + max(map(pole, element))
+                             for poly, element in pairs)
+    series = {}
+
+    def monomial(mono):
+        return _monomial_series(mono, gens, length, series, reference)
+
+    total = QSeries.zero(terms)
+    for poly, element in pairs:
+        total = total + (_combination(poly, monomial, length)
+                         * _combination(element, monomial, length)).truncated(terms)
+    return total
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("label", ["diamond-25n+14", "p-11n+6"])
+def test_rhs_series_equals_the_power_by_power_sum(rhs_identities, label, reference):
+    ident = rhs_identities[label]
+    assert ident.status == "Derived"
+    if label == "p-11n+6":
+        assert {idx for idx, _ in ident.rhs} == {0, 1}
+    order = ident.certified_to
+    assert ident.rhs_series(order, reference) == power_by_power_rhs(ident, order, reference)
+
+
+def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypatch):
+    ident = rhs_identities["diamond-25n+14"]
+    d = max(j for _, j in ident.rhs)
+    assert d == 57
+    ident.rhs_series(ident.certified_to, reference=True)   # generators expanded
+    calls = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    ident.rhs_series(ident.certified_to, reference=True)
+    # ceil(sqrt(58)) = 8 powers, 7 Horner steps and the product with e_0;
+    # every power z^j made separately took 58
+    assert len(calls) <= 2 * 8 + 2
 
 
 @pytest.mark.slow

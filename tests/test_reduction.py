@@ -11,7 +11,8 @@ import etaram.reduction
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.generators import generator_from_quotient, generators, sort_generators
 from etaram.reduction import (
-    NotMember, VerificationFailure, express, module_basis, reduce_by_basis,
+    NotMember, VerificationFailure, _combination, _monomial_series, _z_polynomial,
+    express, module_basis, reduce_by_basis,
 )
 from etaram.series import QSeries
 
@@ -277,3 +278,45 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     assert expansions == [terms + g.pole + 2]
     assert results[0].agrees_with(expand(terms + g.pole + 2))
     assert mb._store[1] is series and i in series
+
+
+# {z degree: coefficient}: degree 0, degree 1, d + 1 a square (b = 3 and 4),
+# a middle chunk of zeros (d = 8, b = 3), a lone top term, Fractions
+Z_POLYNOMIALS = {
+    "degree-0": {0: 3},
+    "degree-1": {0: 1, 1: -2},
+    "square-8": {j: j * j - 7 for j in range(9)},
+    "square-15": {j: (-1) ** j * (j + 1) for j in range(16)},
+    "sparse-middle": {0: 5, 1: -1, 2: 4, 6: 2, 8: -3},
+    "top-only": {11: 7},
+    "fractions": {0: Fraction(1, 3), 2: Fraction(-5, 7), 3: Fraction(9, 2),
+                  7: Fraction(-1, 6)},
+}
+
+
+@pytest.mark.parametrize("label", sorted(Z_POLYNOMIALS))
+def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
+    gens = generators(11)
+    terms = 60
+    poly = {tuple(j if i == 0 else 0 for i in range(len(gens))): Fraction(c)
+            for j, c in Z_POLYNOMIALS[label].items()}
+    oracle_series, series = {}, {}
+    expected = _combination(
+        poly, lambda mono: _monomial_series(mono, gens, terms, oracle_series), terms)
+
+    products = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    got = _z_polynomial(
+        poly, lambda mono: _monomial_series(mono, gens, terms, series), terms)
+    monkeypatch.undo()
+    assert got == expected
+    d = max(Z_POLYNOMIALS[label])
+    b = next(b for b in range(1, d + 2) if b * b >= d + 1)
+    # b powers of z at most, and one Horner step per chunk below the top
+    assert len(products) <= b + (d + 1 + b - 1) // b - 1
