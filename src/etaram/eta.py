@@ -16,11 +16,14 @@ inverted.  The reference route runs the integer Euler-transform recurrence
 of the plain product (euler_transform, which the expression language in
 exprs.py uses for its products too).  The test suite cross-checks the two.
 
-Products are cached per (r, rg, route), for partition functions and for the
-canonical exponents of quotients alike: the cache holds the longest expansion
-asked for, answers shorter requests by truncation, and (on the reference
-route) extends the coefficient list from where it stopped.  One lock guards
-that cache, so derivations on several threads share it safely.
+Products are cached per route, for partition functions, the canonical
+exponents of quotients and the expression language's monomials alike: the
+fast route keys a product by (r, rg), the reference route by the
+progressions of n its exponents run over (progressions), so a spec and an
+expression with the same product read one entry.  The cache holds the longest expansion asked for,
+answers shorter requests by truncation, and (on the reference route)
+extends the coefficient list from where it stopped.  One lock guards that
+cache, so derivations and verifications on several threads share it safely.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from decimal import (
 )
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 from .series import QSeries, euler_product, product_of_powers, theta_pair
 
@@ -158,33 +161,74 @@ class PartitionSpec:
         return sliced.shift(self.slice_prefactor(m, t))
 
 
-_PRODUCT_CACHE = {}    # (r items, rg items, route) -> longest expansion held
+_PRODUCT_CACHE = {}    # (r items, rg items, "fast") or progressions + ("reference",)
 _PRODUCT_LOCK = threading.Lock()
 
 
 def _cached_product(r, rg, order, fast):
-    """_product_expansion through the per-spec cache.
+    """The product of (r, rg) to q**order through the product cache.
 
     The fast route holds a QSeries and recomputes it when a longer one is
-    asked for; the reference route holds the integer coefficient list and
-    extends it.  The two routes are keyed apart, so neither reads the other.
+    asked for; the reference route reads reference_product.  The two routes
+    are keyed apart, so neither reads the other.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
-    key = (tuple(sorted(r.items())), tuple(sorted(rg.items())),
-           "fast" if fast else "reference")
+    if not fast:
+        return QSeries.from_ints(reference_product(_spec_progressions(r, rg), order))
+    key = (tuple(sorted(r.items())), tuple(sorted(rg.items())), "fast")
     with _PRODUCT_LOCK:
         held = _PRODUCT_CACHE.get(key)
-    if fast:
-        if held is None or held.trunc < order:
-            held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order),
-                            attrgetter("trunc"))
-        return held if held.trunc == order else held.truncated(order)
+    if held is None or held.trunc < order:
+        held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order),
+                        attrgetter("trunc"))
+    return held if held.trunc == order else held.truncated(order)
+
+
+def progressions(factors) -> tuple:
+    """The reference route's key for prod (1 - q^n)^e over factors.
+
+    Each factor is ((start, step), e), raising (1 - q^n) to e for n = start,
+    start + step, ...; the key sorts them, merges equal progressions and
+    drops zero exponents.
+    """
+    merged = {}
+    for key, e in factors:
+        merged[key] = merged.get(key, 0) + e
+    return tuple(sorted((key, e) for key, e in merged.items() if e))
+
+
+def _spec_progressions(r, rg) -> tuple:
+    """progressions of (q^d; q^d)^r[d] and (q^g, q^(d-g); q^d)^rg[d, g]:
+    both residues, the same one twice when 2g = d."""
+    return progressions([((d, d), e) for d, e in r.items()]
+                        + [((start, d), e) for (d, g), e in rg.items() for start in (g, d - g)])
+
+
+def reference_product(key, order) -> list:
+    """Integer coefficients f(0..order-1) of the product `key` names.
+
+    `key` is a progressions tuple.  The cache holds the longest list made
+    for it: a shorter request is a prefix, and a longer one extends it by
+    euler_transform.
+    """
+    cache_key = key + ("reference",)
+    with _PRODUCT_LOCK:
+        held = _PRODUCT_CACHE.get(cache_key)
     if held is None or len(held) < order:
-        held = _publish(_PRODUCT_CACHE, key,
-                        _euler_transform(r, rg, order, held or ()), len)
-    return QSeries.from_ints(held[:order])
+        held = _publish(_PRODUCT_CACHE, cache_key,
+                        euler_transform(_exponents(key, order), held or ()), len)
+    return held[:order]
+
+
+def _exponents(key, order) -> list:
+    """c[n], the exponent of (1 - q^n) below q^order in the product `key` names."""
+    c = [0] * order
+    for (start, step), e in key:
+        for n in range(start, order, step):
+            c[n] += e
+    return c
 
 
 def _publish(cache, key, value, size):
@@ -210,25 +254,29 @@ _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 _str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _pack_mul(a, b) -> list:
-    """Exact product of two nonempty integer lists by one big-number product.
+def _pack_mul(a, b, lo=0, hi=None) -> list:
+    """Coefficients lo..hi-1 of the exact product of two nonempty integer
+    lists, by one big-number product.
 
     Each list is evaluated at a power B of the base, one chunk of the number
     per coefficient.  B is chosen so that every input and every product
     coefficient lies in (-B/2, B/2); that makes the chunks recoverable.
     Short products use B = 2**(8w) and CPython's int; long ones use B = 10**w
     and libmpdec (_decimal_pack_mul), unless a w-digit chunk is too long for
-    Python's int/str conversion.  This is the reference route's own kernel:
-    it shares no code with the fast route's series.py.
+    Python's int/str conversion.  The window [lo, hi) defaults to the whole
+    product, 0 <= lo <= hi <= len(a) + len(b) - 1; the int path unpacks only
+    its chunks.  This is the reference route's own kernel: it shares no code
+    with the fast route's series.py.
     """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     n = len(a) + len(b) - 1
+    hi = n if hi is None else hi
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
-        return [0] * n
+        return [0] * (hi - lo)
     # 10**(digits-1) > 2**bits > bound, since log10(2) < 0.30103
     digits = -(-bound.bit_length() * 30103 // 100000) + 1
     if min(len(a), len(b)) * digits >= _DECIMAL_DIGITS and not 0 < _str_digit_limit() < digits:
-        return _decimal_pack_mul(a, b, n, digits)
+        return _decimal_pack_mul(a, b, n, digits)[lo:hi]
     # half = B/2 is added to every chunk so every chunk is a nonnegative
     # digit; the base-B digits of product + (half in each chunk) are then the
     # coefficients plus half, with no carries
@@ -241,7 +289,7 @@ def _pack_mul(a, b) -> list:
         return int.from_bytes(digits, "little") - int.from_bytes(halves * len(cs), "little")
 
     raw = (pack(a) * pack(b) + int.from_bytes(halves * n, "little")).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(w * lo, w * hi, w)]
 
 
 def _decimal_pack_mul(a, b, n, w) -> list:
@@ -284,16 +332,7 @@ def _euler_transform(r, rg, order, known=()) -> list:
 
     `known` is a prefix of the answer from an earlier call.
     """
-    c = [0] * order
-    for d, e in r.items():
-        for n in range(d, order, d):
-            c[n] += e
-    for (d, g), e in rg.items():
-        # (q^g, q^(d-g); q^d): both residues, the same one twice when 2g = d
-        for start in (g, d - g):
-            for n in range(start, order, d):
-                c[n] += e
-    return euler_transform(c, known)
+    return euler_transform(_exponents(_spec_progressions(r, rg), order), known)
 
 
 def euler_transform(c, known=()) -> list:
@@ -320,7 +359,7 @@ def euler_transform(c, known=()) -> list:
                 s[k] -= v
     # acc[n] collects s(n-j) f(j) over every j already folded in for n
     acc = [0] * order
-    acc[len(f):] = _pack_mul(f, s[1:order])[len(f) - 1:order - 1]
+    acc[len(f):] = _pack_mul(f, s[1:order], len(f) - 1, order - 1)
 
     def solve(lo, hi):
         if hi - lo <= _EULER_BLOCK:
@@ -333,10 +372,9 @@ def euler_transform(c, known=()) -> list:
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        # f(lo + i) s(1 + k) lands on n = lo + i + k + 1
-        part = _pack_mul(f[lo:mid], s[1:hi - lo])
-        for n in range(mid, hi):
-            acc[n] += part[n - lo - 1]
+        # f(lo + i) s(1 + k) lands on n = lo + i + k + 1: read n in [mid, hi)
+        acc[mid:hi] = map(add, acc[mid:hi],
+                          _pack_mul(f[lo:mid], s[1:hi - lo], mid - lo - 1, hi - lo - 1))
         solve(mid, hi)
 
     solve(len(f), order)

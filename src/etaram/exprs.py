@@ -15,11 +15,12 @@ sum_n c[m n + t] q^n from the series of e.
 
 Evaluation is exact.  Every subtree that multiplies, divides, raises or
 negates constants, q^s and P atoms collapses to one monomial
-c q^s prod P(g, d)^e, whose product is expanded by one integer Euler
-transform: the derivation's reference route (eta.euler_transform), which
-shares no code with the theta-series fast route.  Sums and slices combine
-those expansions as series, each factor deepened by the poles of the others
-so that every result is known to the requested order.
+c q^s prod P(g, d)^e, whose product is read from the derivation's
+reference route (eta.reference_product): one integer Euler transform, held
+in the process-wide product cache under the product's exponent
+progressions, and sharing no code with the theta-series fast route.  Sums
+and slices combine those expansions as series, each factor deepened by the
+poles of the others so that every result is known to the requested order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 
-from .eta import euler_transform
+from .eta import progressions, reference_product
 from .series import QSeries, ZeroSeries
 
 
@@ -219,31 +220,21 @@ def _monomial(node):
     return c * rc, s + rs, exps
 
 
-def _expand_monomial(c, s, exps, order, memo) -> QSeries:
-    """c q^s prod P(g, d)^e to q^order by one Euler transform.
+def _expand_monomial(c, s, exps, order) -> QSeries:
+    """c q^s prod P(g, d)^e to q^order through the reference-route product cache.
 
     P(g, d) contributes e to the exponent of (1 - q^n) for every
-    n = g (mod d) from n = g (n = d when g = 0), as the plain product does.
-    A monomial starting at or past q^order is zero to that order.
-    The transform's integer coefficients depend on the exponents alone, so
-    `memo` holds the longest list made for each product: a shorter request
-    is a prefix of it, and a longer one extends it.
+    n = g (mod d) from n = g (n = d when g = 0), as the plain product does:
+    the progression (g or d, d).  A monomial starting at or past q^order is
+    zero to that order.
     """
     if s >= order:
         return QSeries.zero(order)
     lead = QSeries.monomial(s, c, order)
-    product = tuple(sorted((key, e) for key, e in exps.items() if e))
+    product = progressions(((g or d, d), e) for (g, d), e in exps.items())
     if not c or not product:
         return lead
-    terms = ceil(order - s)
-    held = memo.get(product, ())
-    if len(held) < terms:
-        cs = [0] * terms
-        for (g, d), e in product:
-            for n in range(g or d, terms, d):
-                cs[n] += e
-        held = memo[product] = euler_transform(cs, held)
-    return QSeries.from_ints(held[:terms]).shift(s).scale(c)
+    return QSeries.from_ints(reference_product(product, ceil(order - s))).shift(s).scale(c)
 
 
 def _pole(series: QSeries) -> int:
@@ -251,52 +242,50 @@ def _pole(series: QSeries) -> int:
     return max(0, ceil(-lead[0])) if lead else 0
 
 
-def evaluate(node, order: int, memo=None) -> QSeries:
+def evaluate(node, order: int) -> QSeries:
     """Expand an AST with every exponent below `order` known.
 
-    `memo` maps each monomial product to its expansion so far (see
-    _expand_monomial); a nested expression re-expands a factor at a deeper
-    order for every pole around it, and the memo turns each repeat into a
-    prefix or an extension.
+    A nested expression re-expands a factor at a deeper order for every pole
+    around it; the product cache turns each repeat of a monomial's product
+    into a prefix or an extension of the longest expansion held, in this
+    call, an earlier one or a derivation's.
     """
-    if memo is None:
-        memo = {}
     mono = _monomial(node)
     if mono is not None:
-        return _expand_monomial(*mono, order, memo)
+        return _expand_monomial(*mono, order)
     kind = node[0]
     if kind == "neg":
-        return -evaluate(node[1], order, memo)
+        return -evaluate(node[1], order)
     if kind == "pow":
         _, base, k = node
-        inner = evaluate(base, order, memo)
+        inner = evaluate(base, order)
         lead = inner.leading()
         # inner**k is known to (1 - k) * lead fewer exponents than inner
         extra = ceil((1 - k) * lead[0]) if lead else 0
         if extra > 0:
-            inner = evaluate(base, order + extra, memo)
+            inner = evaluate(base, order + extra)
         return inner ** k
     if kind == "slice":
         _, inner, m, t = node
-        full = evaluate(inner, m * order + t + 1, memo)
+        full = evaluate(inner, m * order + t + 1)
         if full.denom != 1:
             raise ParseError("slice needs integer exponents")
         return full.sift(m, t)
     op, left, right = node
     if op == "+":
-        return evaluate(left, order, memo) + evaluate(right, order, memo)
+        return evaluate(left, order) + evaluate(right, order)
     if op == "-":
-        return evaluate(left, order, memo) - evaluate(right, order, memo)
+        return evaluate(left, order) - evaluate(right, order)
     if op == "/":
         op, right = "*", ("pow", right, -1)
     if op == "*":
-        a, b = evaluate(left, order, memo), evaluate(right, order, memo)
+        a, b = evaluate(left, order), evaluate(right, order)
         # a pole of order p in one factor costs the other p known exponents
         pa, pb = _pole(a), _pole(b)
         if pb:
-            a = evaluate(left, order + pb, memo)
+            a = evaluate(left, order + pb)
         if pa:
-            b = evaluate(right, order + pa, memo)
+            b = evaluate(right, order + pa)
         return a * b
     raise ParseError("unknown node %r" % (node,))
 

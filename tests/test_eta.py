@@ -194,7 +194,7 @@ def test_euler_transform_keeps_its_exactness_check(monkeypatch):
     honest = _pack_mul
     # one unit too much in every block product: some n no longer divides
     monkeypatch.setattr(etaram.eta, "_pack_mul",
-                        lambda a, b: [c + 1 for c in honest(a, b)])
+                        lambda a, b, *window: [c + 1 for c in honest(a, b, *window)])
     with pytest.raises(AssertionError, match="left a remainder"):
         _euler_transform(r, rg, 300)
 
@@ -251,6 +251,28 @@ def test_pack_mul_is_exact_on_both_sides_of_its_cutoff(monkeypatch):
         assert _pack_mul([0] * m, random_entries(rng, n, 150)) == [0] * (m + n - 1)
     assert 0 < len(taken) < 2 * len(lengths)
     assert min(taken) * 300 * 10 >= etaram.eta._DECIMAL_DIGITS * 9
+
+
+@pytest.mark.parametrize("cutoff", [None, 0])
+def test_pack_mul_window_is_the_slice_of_the_product(monkeypatch, cutoff):
+    # cutoff 0 sends every nonzero product to libmpdec, None keeps these on int
+    if cutoff is not None:
+        monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", cutoff)
+    taken = spy_decimal_packer(monkeypatch)
+    rng = random.Random(37)
+    for _ in range(80):
+        a = random_entries(rng, rng.randint(1, 40), rng.choice([1, 30, 150]))
+        b = random_entries(rng, rng.randint(1, 40), 30)
+        full = _pack_mul(a, b)
+        assert full == schoolbook(a, b)
+        n = len(full)
+        lo = rng.randint(0, n)
+        hi = rng.randint(lo, n)
+        assert _pack_mul(a, b, lo, hi) == full[lo:hi]
+        assert _pack_mul(a, b, lo) == full[lo:]
+        assert _pack_mul(a, b, lo, lo) == []
+        assert _pack_mul([0] * len(a), b, lo, hi) == [0] * (hi - lo)
+    assert bool(taken) == (cutoff == 0)
 
 
 def test_pack_mul_keeps_chunks_past_the_int_digit_limit_off_libmpdec(monkeypatch):
@@ -367,7 +389,7 @@ def test_power_recurrence_keeps_its_exactness_check(monkeypatch):
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     calls = []
-    for name in ("_product_expansion", "_euler_transform"):
+    for name in ("_product_expansion", "euler_transform"):
         original = getattr(etaram.eta, name)
         monkeypatch.setattr(etaram.eta, name, lambda *a, _f=original, _n=name, **k:
                             calls.append(_n) or _f(*a, **k))
@@ -375,7 +397,7 @@ def test_residues_of_one_modulus_share_one_product(monkeypatch):
         fast = OVERPARTITION.slice_expansion(5, t, 20)
         reference = OVERPARTITION.slice_expansion(5, t, 20, reference=True)
         assert fast == reference and fast.bound() - fast.leading()[0] >= 20
-    assert sorted(calls) == ["_euler_transform", "_product_expansion"]
+    assert sorted(calls) == ["_product_expansion", "euler_transform"]
 
 
 def test_quotient_expansions_read_the_product_cache(monkeypatch):
@@ -393,7 +415,7 @@ def test_quotient_expansions_read_the_product_cache(monkeypatch):
         raise AssertionError("a held product was expanded again")
 
     monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
-    monkeypatch.setattr(etaram.eta, "_euler_transform", forbidden)
+    monkeypatch.setattr(etaram.eta, "euler_transform", forbidden)
     for reference, full in held.items():
         for terms in (80, 30, 1):
             assert quot.expansion(terms, reference=reference) == full.truncated(lead + terms)

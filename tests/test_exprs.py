@@ -1,6 +1,8 @@
 """The expression language's monomial path against plain Pochhammer products."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import ceil
 
@@ -9,6 +11,7 @@ import pytest
 import etaram.eta
 import etaram.exprs
 import etaram.series
+from etaram.eta import PartitionSpec
 from etaram.exprs import ParseError, expand
 from etaram.identities import verify_identity
 from etaram.series import QSeries, ZeroSeries, pochhammer
@@ -132,21 +135,31 @@ def test_verification_never_touches_the_theta_route(monkeypatch):
         assert not ok and report["exponent"] == str(order - 1)
 
 
+def spy_transforms(monkeypatch):
+    """Empty the product cache, then list (first exponents, length, known
+    length) for every Euler transform run."""
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    calls = []
+    real = etaram.eta.euler_transform
+
+    def counting(c, known=()):
+        calls.append((tuple(c[:8]), len(c), len(known)))
+        return real(c, known)
+
+    monkeypatch.setattr(etaram.eta, "euler_transform", counting)
+    return calls
+
+
 def test_nested_products_expand_each_monomial_from_scratch_once(monkeypatch):
     # the poles deepen every factor below them, and the power and the
     # quotient deepen their bases: each product is re-expanded at several
     # orders, and every repeat reads or extends the first expansion
-    fresh, extended = [], []
-    real = etaram.exprs.euler_transform
-
-    def counting(c, known=()):
-        (extended if known else fresh).append(tuple(c[:8]))
-        return real(c, known)
-
-    monkeypatch.setattr(etaram.exprs, "euler_transform", counting)
+    calls = spy_transforms(monkeypatch)
     order = 40
     got = expand("(q^-2*P(1,5) + P(2,5)^3) * (q^-1*P(0,1)^-1 - 2*P(1,5))^3"
                  " / (q + q^2*P(2,5)^3)", order)
+    fresh = [c for c, _, known in calls if not known]
+    extended = [c for c, _, known in calls if known]
     # P(1,5) (twice, as q^-2 P(1,5) and -2 P(1,5)), P(2,5)^3 (twice) and P(0,1)^-1
     assert len(fresh) == len(set(fresh)) == 3
     assert extended
@@ -155,3 +168,65 @@ def test_nested_products_expand_each_monomial_from_scratch_once(monkeypatch):
     b = pochhammer(0, 1, T).invert().shift(-1) - pochhammer(1, 5, T).scale(2)
     c = QSeries.monomial(1, 1, T) + (pochhammer(2, 5, T) ** 3).shift(2)
     assert got == (a * b ** 3 * c.invert()).truncated(order)
+
+
+def test_a_repeated_verification_runs_no_transform(monkeypatch):
+    calls = spy_transforms(monkeypatch)
+    for lhs, rhs, order in CLASSICAL:
+        first = verify_identity(lhs, rhs, order)
+        made = len(calls)
+        assert made and verify_identity(lhs, rhs, order) == first
+        assert len(calls) == made
+
+
+def test_a_verification_reads_the_product_a_derivation_expanded(monkeypatch):
+    calls = spy_transforms(monkeypatch)
+    # 1/(q;q) to the 5 * 500 + 5 terms that slice(..., 5, 4) reads at order 500
+    PartitionSpec(1, {1: -1}).product_expansion_reference(2505)
+    del calls[:]
+    assert verify_identity("slice(P(0,1)^-1,5,4)", "5*P(0,5)^5*P(0,1)^-6", 500) == (
+        True, {"order": 500, "status": "equal"})
+    # only the right-hand side's (q^5;q^5)^5 / (q;q)^6 is expanded
+    assert calls == [((0, -6, -6, -6, -6, -1, -6, -6), 500, 0)]
+
+
+def test_a_longer_request_extends_the_held_product(monkeypatch):
+    calls = spy_transforms(monkeypatch)
+    lhs, rhs = "slice(P(0,1)^-1,5,4)", "5*P(0,5)^5*P(0,1)^-6"
+    for order in (100, 300):
+        assert verify_identity(lhs, rhs, order) == (True, {"order": order, "status": "equal"})
+    assert [call[1:] for call in calls] == [(505, 0), (100, 0), (1505, 505), (300, 100)]
+    extended = expand(rhs, 300)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    assert extended == expand(rhs, 300)
+
+
+def test_concurrent_verifications_share_the_product_cache(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    cases = [(lhs, rhs, order, (True, {"order": order, "status": "equal"}))
+             for lhs, rhs, order in CLASSICAL]
+    cases += [(lhs, rhs + " + 2*q^%d" % (order - 1), order,
+               (False, {"order": order, "status": "mismatch",
+                        "exponent": str(order - 1), "difference": "-2"}))
+              for lhs, rhs, order in CLASSICAL]
+    reports = {}
+
+    def run(k):
+        # every thread verifies every case, in its own order
+        order = cases[k % len(cases):] + cases[:k % len(cases)]
+        reports[k] = {case[:3]: verify_identity(*case[:3]) for case in order}
+
+    # more threads than cores
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave the verifications finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    expected = {case[:3]: case[3] for case in cases}
+    assert reports == {k: expected for k in range(4)}
