@@ -27,14 +27,23 @@ from .lattice import StepBudgetExceeded
 from .reduction import VerificationFailure
 from .series import ZeroSeries
 
+
+class SpecFileError(ValueError):
+    """A spec file that cannot be read as a PartitionSpec."""
+
+
 # failures that come from the user's input or the size of the problem: they
 # end in a one-line message and exit code 2, like argparse's own errors
-USER_ERRORS = (ParseError, VerificationFailure, StepBudgetExceeded, ZeroSeries)
+USER_ERRORS = (ParseError, SpecFileError, VerificationFailure, StepBudgetExceeded,
+               ZeroSeries)
 
 
 def _load_spec(path: str) -> PartitionSpec:
-    with open(path) as fh:
-        return PartitionSpec.from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return PartitionSpec.from_json(json.load(fh))
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise SpecFileError("spec file %s: %s" % (path, exc)) from None
 
 
 def _cmd_derive(args) -> int:
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive an identity for a(m n + t)")
     p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive("m"), required=True)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--order", type=int, default=0, help="certification order")
     p.add_argument("--phi-box", type=int, default=32, dest="phi_box",
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dissect", help="derive all residue classes mod m")
     p.add_argument("--spec", required=True)
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive("m"), required=True)
     p.add_argument("--order", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dissect)

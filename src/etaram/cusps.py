@@ -219,12 +219,12 @@ def order_form_coefficient(N: int, lam: int, eps: int, d: int, g: int) -> Fracti
 
 @functools.lru_cache(maxsize=None)
 def _order_rows(N: int, lam: int, eps: int):
-    """Every slot's order_form_coefficient (d | N, 0 <= g <= d/2) as an
-    integer numerator over one denominator, which is returned doubled:
+    """Every canonical slot's order_form_coefficient (d | N, 0 <= g < d/2)
+    as an integer numerator over one denominator, which is returned doubled:
     order_at_cusp weights the numerators with a[d] (a plain eta power counts
-    half at its g = 0 slot) and with the integer 2*ag[d, g]."""
+    half at its g = 0 slot) and with 2*ag[d, g]."""
     coeffs = {(d, g): order_form_coefficient(N, lam, eps, d, g)
-              for d in divisors(N) for g in range(d // 2 + 1)}
+              for d in divisors(N) for g in range((d + 1) // 2)}
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, 2 * den
 
@@ -238,9 +238,9 @@ def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
     data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
     rows, den = _order_rows(N, data.lam, data.eps)
     try:
-        total = sum(rows[d, 0] * e.numerator for d, e in h.a.items())
+        total = sum(rows[d, 0] * e for d, e in h.a.items())
         for k, e in h.ag.items():
-            total += rows[k] * (2 * e.numerator // e.denominator)
+            total += rows[k] * 2 * e
     except KeyError as exc:
         raise ValueError("eta argument %d does not divide level %d"
                          % (exc.args[0][0], N)) from None

@@ -113,6 +113,8 @@ class PartitionSpec:
         unknown = set(doc) - allowed
         if unknown:
             raise ValueError("unknown spec keys: %s" % sorted(unknown))
+        if "M" not in doc:
+            raise ValueError("spec has no key M")
         r = {int(k): int(v) for k, v in doc.get("r", {}).items()}
         rg = {}
         for k, v in doc.get("rg", {}).items():
@@ -400,102 +402,80 @@ def _product_expansion(r, rg, order):
 class GenEtaQuotient:
     """prod eta(d*tau)**a[d] * prod eta_{d,g}(tau)**ag[d,g] at level N.
 
-    ag keys satisfy 0 <= g <= d//2; half-integral exponents are legal only at
-    g = 0 and g = d/2, where the factor is a plain eta power in disguise.
+    Only the canonical form is stored, every exponent an int: a is keyed by
+    divisors d of N, and ag by (d, g) with 0 < g < d/2.  The constructor
+    also takes any g (folded by g -> d - g and modulo d) and half-integral
+    exponents at g = 0 and 2g = d, where the factor is a plain eta power in
+    disguise: eta_{d,0} = eta(d tau)^2 and eta_{d,d/2} = eta(d tau/2)^2 /
+    eta(d tau)^2 (Robins 1994).  It folds those into a.
     """
 
     def __init__(self, N: int, a=None, ag=None):
         if N < 1:
             raise ValueError("level must be positive")
         self.N = N
-        acc_a: dict = {}
-        acc_g: dict = {}
+        plain: dict = {}
+        paired: dict = {}
         for d, e in (a or {}).items():
             d = int(d)
-            e = Fraction(e)
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
-            if e:
-                acc_a[d] = acc_a[d] + e if d in acc_a else e
+            plain[d] = plain.get(d, 0) + Fraction(e)
         for (d, g), e in (ag or {}).items():
             d, g = int(d), int(g)
-            e = Fraction(e)
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
-            k = (d, _fold_pair_key(d, g) if g else 0)
-            if e:
-                acc_g[k] = acc_g[k] + e if k in acc_g else e
-        for (d, g), e in acc_g.items():
-            if g == 0 or 2 * g == d:
-                if (2 * e).denominator != 1:
-                    raise NonIntegralPower("exponent at (%d, %d) must be half-integral" % (d, g))
-            elif e.denominator != 1:
-                raise NonIntegralPower("exponent at (%d, %d) must be integral" % (d, g))
-        for d, e in acc_a.items():
+            k = (d, _fold_pair_key(d, g))
+            paired[k] = paired.get(k, 0) + Fraction(e)
+        generalized = {}
+        for (d, g), e in paired.items():
+            if g and 2 * g != d:
+                if e.denominator != 1:
+                    raise NonIntegralPower("exponent at (%d, %d) must be integral" % (d, g))
+                generalized[d, g] = e
+                continue
+            if (2 * e).denominator != 1:
+                raise NonIntegralPower("exponent at (%d, %d) must be half-integral" % (d, g))
+            if g == 0:
+                plain[d] = plain.get(d, 0) + 2 * e
+            else:
+                plain[g] = plain.get(g, 0) + 2 * e
+                plain[d] = plain.get(d, 0) - 2 * e
+        for d, e in plain.items():
             if e.denominator != 1:
                 raise NonIntegralPower("plain eta exponent at %d must be integral" % d)
-        self.a = {d: e for d, e in sorted(acc_a.items()) if e}
-        self.ag = {k: e for k, e in sorted(acc_g.items()) if e}
+        self.a = {d: int(e) for d, e in sorted(plain.items()) if e}
+        self.ag = {k: int(e) for k, e in sorted(generalized.items()) if e}
 
     # -- structure ---------------------------------------------------------------
 
     def __repr__(self):
-        return "GenEtaQuotient(N=%d, a=%r, ag=%r)" % (
-            self.N, {d: str(e) for d, e in self.a.items()},
-            {k: str(e) for k, e in self.ag.items()})
+        return "GenEtaQuotient(N=%d, a=%r, ag=%r)" % (self.N, self.a, self.ag)
 
     def __eq__(self, other):
         if not isinstance(other, GenEtaQuotient):
             return NotImplemented
-        s, o = self.canonicalize(), other.canonicalize()
-        return (s.N, s.a, s.ag) == (o.N, o.a, o.ag)
+        return (self.N, self.a, self.ag) == (other.N, other.a, other.ag)
 
     def __hash__(self):
-        s = self.canonicalize()
-        return hash((s.N, tuple(s.a.items()), tuple(s.ag.items())))
+        return hash((self.N, tuple(self.a.items()), tuple(self.ag.items())))
 
     def is_one(self) -> bool:
-        s = self.canonicalize()
-        return not s.a and not s.ag
+        return not self.a and not self.ag
 
     def __mul__(self, other: "GenEtaQuotient") -> "GenEtaQuotient":
         N = self.N * other.N // gcd(self.N, other.N)
         a = dict(self.a)
         for d, e in other.a.items():
-            a[d] = a.get(d, Fraction(0)) + e
+            a[d] = a.get(d, 0) + e
         ag = dict(self.ag)
         for k, e in other.ag.items():
-            ag[k] = ag.get(k, Fraction(0)) + e
+            ag[k] = ag.get(k, 0) + e
         return GenEtaQuotient(N, a, ag)
 
     def __pow__(self, k: int) -> "GenEtaQuotient":
         return GenEtaQuotient(self.N, {d: e * k for d, e in self.a.items()},
                               {kk: e * k for kk, e in self.ag.items()})
-
-    def canonicalize(self) -> "GenEtaQuotient":
-        """Push the g = 0 and g = d/2 factors into plain eta powers.
-
-        Uses eta_{d,0} = eta(d tau)^2 and eta_{d,d/2} = eta(d tau / 2)^2
-        / eta(d tau)^2; idempotent, and the expansion is unchanged.  A
-        quotient without such a factor is canonical and is returned as is.
-        """
-        if not any(g == 0 or 2 * g == d for d, g in self.ag):
-            return self
-        a = dict(self.a)
-        ag = {}
-        for (d, g), e in self.ag.items():
-            if g == 0:
-                a[d] = a.get(d, Fraction(0)) + 2 * e
-            elif 2 * g == d:
-                half = d // 2
-                a[half] = a.get(half, Fraction(0)) + 2 * e
-                a[d] = a.get(d, Fraction(0)) - 2 * e
-            else:
-                ag[(d, g)] = e
-        for d, e in a.items():
-            if e.denominator != 1:
-                raise NonIntegralPower("half-integral plain exponent at %d" % d)
-        return GenEtaQuotient(self.N, a, ag)
 
     # -- analytic data -------------------------------------------------------------
 
@@ -503,15 +483,13 @@ class GenEtaQuotient:
         """Exact leading q-exponent of the expansion.
 
         eta(d tau) leads with d/24 and eta_{d,g} with (d/2) B2(g/d) =
-        (6g^2 - 6gd + d^2) / (12d) for 0 <= g <= d/2; both are summed as
-        integer numerators over 24N (every d divides N, and 2e is an integer
-        for every exponent e).
+        (6g^2 - 6gd + d^2) / (12d) for 0 < g < d/2; both are summed as
+        integer numerators over 24N (every d divides N).
         """
         N = self.N
-        total = sum(e.numerator * d * N for d, e in self.a.items())
+        total = sum(e * d * N for d, e in self.a.items())
         for (d, g), e in self.ag.items():
-            total += (2 * e.numerator // e.denominator
-                      * (6 * g * g - 6 * g * d + d * d) * (N // d))
+            total += 2 * e * (6 * g * g - 6 * g * d + d * d) * (N // d)
         return Fraction(total, 24 * N)
 
     def expansion(self, terms: int, reference=False) -> QSeries:
@@ -520,21 +498,15 @@ class GenEtaQuotient:
         The product is read through the cache the partition-function
         products share (_cached_product), on the route asked for.
         """
-        s = self.canonicalize()
-        r = {d: int(e) for d, e in s.a.items()}
-        rg = {k: int(e) for k, e in s.ag.items()}
-        core = _cached_product(r, rg, terms, fast=not reference)
-        return core.shift(s.lead_exponent())
+        core = _cached_product(self.a, self.ag, terms, fast=not reference)
+        return core.shift(self.lead_exponent())
 
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        s = self.canonicalize()
-        out = {}
-        for d, e in s.a.items():
-            out[str(d)] = int(e)
-        for (d, g), e in s.ag.items():
-            out["%d/%d" % (d, g)] = int(e)
+        out = {str(d): e for d, e in self.a.items()}
+        for k, e in self.ag.items():
+            out["%d/%d" % k] = e
         return out
 
     @classmethod
@@ -544,9 +516,9 @@ class GenEtaQuotient:
         for k, v in doc.items():
             if "/" in k:
                 d, _, g = k.partition("/")
-                ag[(int(d), int(g))] = Fraction(v)
+                ag[(int(d), int(g))] = v
             else:
-                a[int(k)] = Fraction(v)
+                a[int(k)] = v
         return cls(N, a, ag)
 
     @classmethod

@@ -91,7 +91,8 @@ def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
 
     A half slot's scaled entry v is twice its exponent, and eta_{d,0}^(v/2) =
     eta(d tau)^v, eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v, so the
-    quotient canonicalize() would give has the integer exponents below.
+    canonical form has the integer exponents below, and the constructor
+    stores them as they are.
     """
     a, ag = {}, {}
     for (d, g), v in zip(slots, vector):
@@ -179,13 +180,8 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
 
 def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
     """Generator record (orders, pole, sort head) for an explicit quotient."""
-    q = q.canonicalize()
-    vec = []
-    for d, g in exponent_slots(N):
-        v = q.ag.get((d, g), Fraction(0))
-        if g == 0:
-            v += Fraction(q.a.get(d, 0), 2)
-        vec.append(int(v * chi_weight(d, g)))
+    # a scaled g = 0 entry is twice the eta_{d,0} exponent, a[d] / 2
+    vec = [q.a.get(d, 0) if g == 0 else q.ag.get((d, g), 0) for d, g in exponent_slots(N)]
     return _generator_record(q, vec, ValueError, q.expansion(16), cusp_orders(q, N))
 
 
@@ -203,7 +199,7 @@ def generators(N: int) -> tuple:
     for v in lineality:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
         if not is_constant_one(q, N):
-            raise AssertionError("lineality vector did not canonicalize to 1")
+            raise AssertionError("lineality vector is not the constant 1")
     out = []
     for v in pointed:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])

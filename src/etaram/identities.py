@@ -95,7 +95,7 @@ def _monomial_quotient(N: int, gens, mono) -> GenEtaQuotient:
     for e, g in zip(mono, gens):
         if e:
             q = q * (g.quotient ** e)
-    return q.canonicalize()
+    return q
 
 
 @dataclass
@@ -116,7 +116,7 @@ class Identity:
     # -- series reconstruction -------------------------------------------------
 
     def prefactor(self) -> GenEtaQuotient:
-        return (self.phi * self.h).canonicalize()
+        return self.phi * self.h
 
     def lhs_series(self, terms: int, reference=False) -> QSeries:
         quot = self.prefactor()
@@ -275,7 +275,7 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
             tj * (-g.pole) for tj, g in zip(h_powers, gens))
         pole_budget = max(0, int(ceil(-inf_bound)))
         target = max(pole_budget + GUARD, opts.order)
-        quot = (phi * h).canonicalize()
+        quot = phi * h
         rhs_coeffs, certified = _reduce_with_retry(spec, m, t, quot, mb, target)
         identity = Identity(spec=spec, m=m, t=t, status="Derived", N=N, phi=phi,
                             h=h, h_powers=h_powers, basis=mb, rhs=rhs_coeffs,
@@ -344,6 +344,8 @@ def verify_identity(lhs: str, rhs: str, order: int):
 
 def dissect(spec: PartitionSpec, m: int, options: DeriveOptions = None):
     """Identities for every residue class mod m, plus the interleaving check."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     out = [derive_identity(spec, m, t, options) for t in range(m)]
     if all(i.status == "Derived" for i in out):
         terms = 60

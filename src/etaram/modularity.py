@@ -214,12 +214,7 @@ def is_modular_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
 def _passes(parts, phi: GenEtaQuotient) -> bool:
     """is_modular_prefactor on the linear forms of _criterion_parts."""
     plain, paired, c1, (row2, const2), (row3, const3), sign_rows = parts
-    phi = phi.canonicalize()
-    vec = [phi.a.get(d, Fraction(0)) for d in plain]
-    vec += [phi.ag.get(k, Fraction(0)) for k in paired]
-    if any(v.denominator != 1 for v in vec):
-        return False
-    vec = [int(v) for v in vec]
+    vec = [phi.a.get(d, 0) for d in plain] + [phi.ag.get(k, 0) for k in paired]
 
     if sum(c * v for c, v in zip(c1[0], vec)) + c1[1] != 0:
         return False

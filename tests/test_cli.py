@@ -78,8 +78,39 @@ def test_derive_reports_failure(tmp_path, capsys):
 def test_spec_file_rejects_unknown_keys(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"M": 1, "r": {}, "extra": 3}))
-    with pytest.raises(ValueError):
-        main(["derive", "--spec", str(spec), "-m", "1", "-t", "0"])
+    _assert_user_error(capsys, ["derive", "--spec", str(spec), "-m", "1", "-t", "0"],
+                       "unknown spec keys: ['extra']")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"M": 1, "r": {"1": -1}, "x": 2}', "unknown spec keys: ['x']"),
+    ('{"r": {"1": -1}}', "spec has no key M"),
+    ('{"M": 2, "r": {"3": -1}}', "r key 3 does not divide M=2"),
+    ('{"M": 1, "r": ', "Expecting value"),
+    ('{"M": 1, "r": [-1]}', "'list' object has no attribute 'items'"),
+], ids=["unknown-key", "no-M", "r-key-off-M", "invalid-json", "r-not-an-object"])
+def test_malformed_spec_file_is_a_user_error(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    _assert_user_error(capsys, ["derive", "--spec", str(spec), "-m", "5", "-t", "4"],
+                       "spec file %s: %s" % (spec, message))
+
+
+def test_missing_spec_file_is_a_user_error(tmp_path, capsys):
+    _assert_user_error(capsys, ["derive", "--spec", str(tmp_path / "absent.json"),
+                                "-m", "5", "-t", "4"], "No such file")
+
+
+@pytest.mark.parametrize("command", ["derive", "dissect"])
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_nonpositive_modulus_is_rejected_at_parsing(tmp_path, capsys, command, m):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"M": 1, "r": {"1": -1}}))
+    argv = [command, "--spec", str(spec), "-m", m] + (["-t", "0"] if command == "derive" else [])
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "m must be positive, got %s" % m in capsys.readouterr().err
 
 
 def test_dissect(tmp_path, capsys):

@@ -90,10 +90,15 @@ def test_fast_vs_reference_expansions():
 def pochhammer_route(r, rg, order):
     """The product multiplied out factor by factor with plain Pochhammer
     symbols, denominators inverted at the end."""
-    num = den = QSeries.one(order)
     factors = [(pochhammer(0, d, order), e) for d, e in r.items()]
     factors += [(pochhammer(g, d, order) * pochhammer(d - g, d, order), e)
                 for (d, g), e in rg.items()]
+    return multiply_out(factors, order)
+
+
+def multiply_out(factors, order):
+    """prod core**e over (core, e) pairs, denominators inverted at the end."""
+    num = den = QSeries.one(order)
     for core, e in factors:
         if e > 0:
             num = num * core ** e
@@ -365,7 +370,7 @@ def test_product_expansion_matches_the_pochhammer_route_at_diamond_size():
 
 
 def test_quotient_expansion_matches_the_pochhammer_route():
-    # g = d/2 factors reach the kernel as plain eta powers through canonicalize
+    # g = d/2 factors reach the kernel as the plain eta powers they fold into
     rng = random.Random(17)
     for _ in range(6):
         a = {d: rng.randint(-70, 70) for d in (1, 2, 5, 10)}
@@ -508,20 +513,58 @@ def test_geq_z_expansion():
     assert [e.coefficient(n) for n in range(-1, 3)] == [1, 2, 2, 1]
 
 
-def test_geq_canonicalize_plain():
+def test_geq_construction_folds_plain_slots():
     h = GenEtaQuotient(6, ag={(6, 0): Fraction(3, 2), (6, 3): Fraction(-1, 2)})
-    c = h.canonicalize()
-    assert c.ag == {}
-    assert c.a == {3: -1, 6: 4}
+    assert h.ag == {}
+    assert h.a == {3: -1, 6: 4}
     assert h.expansion(15).agrees_with(
         GenEtaQuotient(6, a={3: -1, 6: 4}).expansion(15))
-    # a g = d/2 slot alone moves too; a quotient with neither kind of slot is
-    # its own canonical form
+    # a g = d/2 slot alone moves too; the same quotient given in canonical
+    # form is stored as given, equal and with the same hash
     h = GenEtaQuotient(6, ag={(6, 3): Fraction(-1, 2), (6, 1): 2})
-    c = h.canonicalize()
+    assert (h.a, h.ag) == ({3: -1, 6: 1}, {(6, 1): 2})
+    c = GenEtaQuotient(6, a={3: -1, 6: 1}, ag={(6, 1): 2})
     assert (c.a, c.ag) == ({3: -1, 6: 1}, {(6, 1): 2})
-    assert c.canonicalize() is c
     assert c == h and hash(c) == hash(h)
+
+
+def test_stored_form_matches_the_raw_factors():
+    # random exponents on every slot kind (g = 0, 2g = d, g past d/2 and the
+    # rest), half-integral on the g = 0 and 2g = d slots: the stored form is
+    # canonical and in ints, and expands to the raw factors' product
+    rng = random.Random(19)
+    order = 60
+    halves = 0
+    for N in (4, 6, 10, 12):
+        for _ in range(10):
+            a, ag = {}, {}
+            for d in [x for x in range(1, N + 1) if N % x == 0]:
+                if rng.random() < 0.5:
+                    a[d] = rng.randint(-3, 3)
+                for g in range(d):
+                    if rng.random() < 0.4:
+                        half = g == 0 or 2 * g == d
+                        ag[(d, g)] = Fraction(rng.randint(-5, 5), 2 if half else 1)
+            halves += any(e.denominator == 2 for e in ag.values())
+            h = GenEtaQuotient(N, a, ag)
+            assert all(type(e) is int for e in [*h.a.values(), *h.ag.values()]), h
+            assert all(0 < 2 * g < d for d, g in h.ag), h
+            # eta_{d,g}^e is (q^g; q^d)^e (q^(d-g); q^d)^e, one Pochhammer
+            # symbol squared at g = 0 and 2g = d; pochhammer(0, d) is (q^d; q^d)
+            powers = {}
+            for d, e in a.items():
+                powers[0, d] = powers.get((0, d), 0) + e
+            for (d, g), e in ag.items():
+                for start in (g, (d - g) % d):
+                    powers[start, d] = powers.get((start, d), 0) + e
+            assert all(Fraction(e).denominator == 1 for e in powers.values())
+            core = multiply_out([(pochhammer(g, d, order), int(e))
+                                 for (g, d), e in powers.items()], order)
+            lead = sum(Fraction(d * e, 24) for d, e in a.items())
+            lead += sum(Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
+                        for (d, g), e in ag.items())
+            assert h.expansion(order, reference=True) == core.shift(lead), h
+    assert halves > 10
 
 
 def test_geq_half_integer_rejected_off_special_slots():

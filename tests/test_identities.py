@@ -67,10 +67,10 @@ def test_find_multiplier_overpartition():
     bounds = cusp_order_bounds(OVERPARTITION, 5, 2, PHI_PUBLISHED, N)
     h, powers = find_multiplier(bounds, gens, N)
     # the product with the published prefactor is the published multiplier * phi
-    combined = (PHI_PUBLISHED * h).canonicalize()
-    published = (PHI_PUBLISHED * GenEtaQuotient(
+    combined = PHI_PUBLISHED * h
+    published = PHI_PUBLISHED * GenEtaQuotient(
         10, a={1: 11, 2: -7, 5: -19, 10: 15},
-        ag={(5, 1): 12, (10, 1): -14})).canonicalize()
+        ag={(5, 1): 12, (10, 1): -14})
     assert combined.expansion(40).agrees_with(published.expansion(40))
     # the achieved order of hF at infinity is the published -3
     hF = combined.expansion(40) * OVERPARTITION.slice_expansion(5, 2, 40)
@@ -134,6 +134,12 @@ def test_trivial_dissection():
     direct = PARTITION.product_expansion(20)
     for n in range(20):
         assert s.coefficient(n) == direct.coefficient(n)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_dissection_needs_a_positive_modulus(m):
+    with pytest.raises(ValueError, match="need m >= 1"):
+        dissect(PARTITION, m)
 
 
 def test_rogers_ramanujan_dissection():

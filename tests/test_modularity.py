@@ -145,8 +145,8 @@ def test_prefactor_search_stops_at_the_first_occupied_radius(monkeypatch, spec, 
     best = min((sum(map(abs, v)), tuple(v)) for v in enumerate_coset(v0, basis, weight + 2))
     assert best[0] == weight
     plain, paired = _phi_variables(N)
-    vec = tuple([phi.a.get(d, 0) for d in plain] + [phi.ag.get(k, 0) for k in paired])
-    assert vec == best[1]
+    vec = best[1]
+    assert phi == GenEtaQuotient(N, dict(zip(plain, vec)), dict(zip(paired, vec[len(plain):])))
 
 
 def test_prefactor_weight_cap_bounds_the_deepening(monkeypatch):

@@ -25,7 +25,7 @@ H_ALT = GenEtaQuotient(10, a={1: 9, 2: -3, 5: -17, 10: 11},
 
 
 def overpartition_hF(h, terms):
-    quot = (PHI_PUBLISHED * h).canonicalize()
+    quot = PHI_PUBLISHED * h
     span = terms + 40
     return quot.expansion(span) * OVERPARTITION.slice_expansion(5, 2, span)
 
