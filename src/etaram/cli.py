@@ -136,18 +136,19 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def _positive(name: str):
-    """An argparse type for a positive integer, named in its error messages."""
+def _integer(name: str, low: int = 1):
+    """An argparse type for an integer >= low (1 or 0), named in its error messages."""
     def parse(text: str) -> int:
         n = int(text)
-        if n < 1:
-            raise argparse.ArgumentTypeError("%s must be positive, got %d" % (name, n))
+        if n < low:
+            raise argparse.ArgumentTypeError("%s must be %s, got %d" % (
+                name, "positive" if low else "nonnegative", n))
         return n
     parse.__name__ = name
     return parse
 
 
-level = _positive("level")
+level = _integer("level")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,12 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive an identity for a(m n + t)")
     p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("-m", type=_positive("m"), required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--order", type=int, default=0, help="certification order")
-    p.add_argument("--phi-box", type=int, default=32, dest="phi_box",
+    p.add_argument("-m", type=_integer("m"), required=True)
+    p.add_argument("-t", type=int, required=True, help="residue, 0 <= t < m")
+    p.add_argument("--order", type=_integer("order", 0), default=0,
+                   help="certification order")
+    p.add_argument("--phi-box", type=_integer("phi-box", 0), default=32, dest="phi_box",
                    help="prefactor search weight cap")
-    p.add_argument("-N", type=int, default=0, help="level override")
+    p.add_argument("-N", type=_integer("N", 0), default=0,
+                   help="level override (0: the smallest admissible)")
     p.add_argument("--out", help="write the identity document here")
     p.add_argument("--explain", action="store_true",
                    help="print each level condition with its residue")
@@ -170,20 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dissect", help="derive all residue classes mod m")
     p.add_argument("--spec", required=True)
-    p.add_argument("-m", type=_positive("m"), required=True)
-    p.add_argument("--order", type=int, default=0)
+    p.add_argument("-m", type=_integer("m"), required=True)
+    p.add_argument("--order", type=_integer("order", 0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dissect)
 
     p = sub.add_parser("verify", help="compare two expressions exactly")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--order", type=_positive("order"), default=100)
+    p.add_argument("--order", type=_integer("order"), default=100)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand", help="expand an expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=_positive("order"), default=20)
+    p.add_argument("--order", type=_integer("order"), default=20)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("cusps", help="cusp table for a level")
@@ -199,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "derive" and not 0 <= args.t < args.m:
+        parser.error("argument -t: t must lie in [0, m) = [0, %d), got %d"
+                     % (args.m, args.t))
     try:
         return args.func(args)
     except USER_ERRORS as exc:

@@ -72,18 +72,13 @@ def cusps_equivalent(N: int, s1: Cusp, s2: Cusp) -> bool:
 
     (a2, c2) must match +-(a1 + j c1, c1) mod N for some integer j; this is
     the standard criterion and is cross-checked against published cusp data and
-    index formulas in the tests.
+    index formulas in the tests.  Such a j exists exactly when gcd(c1, N)
+    divides a2 -+ a1.
     """
     a1, c1, a2, c2 = s1.a, s1.c, s2.a, s2.c
-    if (c2 - c1) % N == 0:
-        for j in range(N):
-            if (a2 - a1 - j * c1) % N == 0:
-                return True
-    if (c2 + c1) % N == 0:
-        for j in range(N):
-            if (a2 + a1 + j * c1) % N == 0:
-                return True
-    return False
+    g = gcd(c1, N)
+    return ((c2 - c1) % N == 0 and (a2 - a1) % g == 0
+            or (c2 + c1) % N == 0 and (a2 + a1) % g == 0)
 
 
 def _xgcd(a: int, b: int):

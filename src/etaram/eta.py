@@ -44,14 +44,6 @@ class NonIntegralPower(ValueError):
     """A half-integral exponent survives where an integer is required."""
 
 
-def bernoulli_p1(x) -> Fraction:
-    """First Bernoulli function: {x} - 1/2 away from integers, 0 at them."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
 def bernoulli_p2(x) -> Fraction:
     """Second Bernoulli function {x}^2 - {x} + 1/6 (period 1, even)."""
     x = Fraction(x)
@@ -61,6 +53,26 @@ def bernoulli_p2(x) -> Fraction:
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def lead_exponent(a: dict, ag: dict, N: int) -> Fraction:
+    """Leading q-exponent of prod eta(d tau)**a[d] * prod eta_{d,g}**ag[d, g].
+
+    eta(d tau) leads with d/24 and eta_{d,g} with (d/2) B2(g/d) =
+    (6g^2 - 6gd + d^2) / (12d) for 0 < g <= d/2; both are summed as
+    integer numerators over 24N (every d divides N).
+    """
+    total = sum(e * d * N for d, e in a.items())
+    for (d, g), e in ag.items():
+        total += 2 * e * (6 * g * g - 6 * g * d + d * d) * (N // d)
+    return Fraction(total, 24 * N)
+
+
+def _strict_int(value) -> int:
+    """A spec number, which must be a JSON integer: no float, no boolean."""
+    if type(value) is not int:
+        raise ValueError("spec number %r is not an integer" % (value,))
+    return value
 
 
 def _fold_pair_key(delta: int, g: int) -> int:
@@ -115,12 +127,12 @@ class PartitionSpec:
             raise ValueError("unknown spec keys: %s" % sorted(unknown))
         if "M" not in doc:
             raise ValueError("spec has no key M")
-        r = {int(k): int(v) for k, v in doc.get("r", {}).items()}
+        r = {int(k): _strict_int(v) for k, v in doc.get("r", {}).items()}
         rg = {}
         for k, v in doc.get("rg", {}).items():
             d, _, g = k.partition("/")
-            rg[(int(d), int(g))] = int(v)
-        return cls(int(doc["M"]), r, rg)
+            rg[(int(d), int(g))] = _strict_int(v)
+        return cls(_strict_int(doc["M"]), r, rg)
 
     def to_json(self) -> dict:
         out = {"M": self.M, "r": {str(d): e for d, e in self.r.items()}}
@@ -132,12 +144,7 @@ class PartitionSpec:
 
     def eta_shift(self) -> Fraction:
         """Rational l with q**(-l) * product equal to a quotient of eta factors."""
-        total = Fraction(0)
-        for d, e in self.r.items():
-            total -= Fraction(d * e, 24)
-        for (d, g), e in self.rg.items():
-            total -= Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
-        return total
+        return -lead_exponent(self.r, self.rg, self.M)
 
     def slice_prefactor(self, m: int, t: int) -> Fraction:
         return Fraction(t - self.eta_shift(), m)
@@ -480,17 +487,8 @@ class GenEtaQuotient:
     # -- analytic data -------------------------------------------------------------
 
     def lead_exponent(self) -> Fraction:
-        """Exact leading q-exponent of the expansion.
-
-        eta(d tau) leads with d/24 and eta_{d,g} with (d/2) B2(g/d) =
-        (6g^2 - 6gd + d^2) / (12d) for 0 < g < d/2; both are summed as
-        integer numerators over 24N (every d divides N).
-        """
-        N = self.N
-        total = sum(e * d * N for d, e in self.a.items())
-        for (d, g), e in self.ag.items():
-            total += 2 * e * (6 * g * g - 6 * g * d + d * d) * (N // d)
-        return Fraction(total, 24 * N)
+        """Exact leading q-exponent of the expansion."""
+        return lead_exponent(self.a, self.ag, self.N)
 
     def expansion(self, terms: int, reference=False) -> QSeries:
         """Expansion with at least `terms` known coefficients past the lead.

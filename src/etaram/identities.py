@@ -21,8 +21,8 @@ from .generators import generators
 from .lattice import DioSystem, hilbert_basis
 from .modularity import NoPhiFound, check_level, find_level, find_prefactor
 from .reduction import (
-    InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
-    _combination, _monomial_series, _z_polynomial, express, module_basis,
+    ModuleBasis, NotMember, VerificationFailure, _combination, _monomial_series,
+    _z_polynomial, express, module_basis,
 )
 from .series import QSeries
 
@@ -119,11 +119,7 @@ class Identity:
         return self.phi * self.h
 
     def lhs_series(self, terms: int, reference=False) -> QSeries:
-        quot = self.prefactor()
-        span = terms + int(ceil(-min(0, quot.lead_exponent()
-                                     + self.spec.slice_prefactor(self.m, self.t)))) + 8
-        return (quot.expansion(span, reference=reference)
-                * self.spec.slice_expansion(self.m, self.t, span, reference=reference))
+        return lhs_series(self.spec, self.m, self.t, self.prefactor(), terms, reference)
 
     def rhs_series(self, terms: int, reference=False) -> QSeries:
         """The certified right-hand side sum p_i(z) e_i, known to at least `terms`.
@@ -276,12 +272,12 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         pole_budget = max(0, int(ceil(-inf_bound)))
         target = max(pole_budget + GUARD, opts.order)
         quot = phi * h
-        rhs_coeffs, certified = _reduce_with_retry(spec, m, t, quot, mb, target)
+        rhs_coeffs = _reduce_with_retry(spec, m, t, quot, mb, target)
         identity = Identity(spec=spec, m=m, t=t, status="Derived", N=N, phi=phi,
                             h=h, h_powers=h_powers, basis=mb, rhs=rhs_coeffs,
-                            certified_to=certified)
+                            certified_to=target)
         stage = "verification"
-        _independent_check(identity, certified)
+        _independent_check(identity, target)
         return identity
     except (NoPhiFound, NoHFound, NotMember, VerificationFailure,
             RuntimeError, ValueError) as exc:
@@ -289,21 +285,26 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
                         failure="%s: %s" % (stage, exc))
 
 
+def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
+               terms: int, reference=False) -> QSeries:
+    """quot * q**((t-l)/m) * sum a(m n + t) q^n, known to at least terms + 8.
+
+    Each factor is known at least span terms past its own lead, so the
+    product is known span terms past the sum of the leads; span is terms + 8
+    plus the pole of that sum, if any.
+    """
+    span = terms + int(ceil(-min(0, quot.lead_exponent()
+                                 + spec.slice_prefactor(m, t)))) + 8
+    return (quot.expansion(span, reference=reference)
+            * spec.slice_expansion(m, t, span, reference=reference))
+
+
 def _reduce_with_retry(spec, m, t, quot, mb, target):
-    span = target + int(ceil(abs(quot.lead_exponent()))) + 16
-    for _ in range(6):
-        hF = quot.expansion(span) * spec.slice_expansion(m, t, span)
-        if hF.denom != 1:
-            raise VerificationFailure("fractional exponents survive in the product")
-        if hF.bound() >= target:
-            mb.ensure_terms(max(int(hF.bound()), target) + 4)
-            try:
-                coeffs = express(hF.truncated(target), mb, target)
-                return coeffs, target
-            except InsufficientTruncation:
-                pass
-        span *= 2
-    raise RuntimeError("could not certify to order %d" % target)
+    """The right-hand side coefficients of hF over the basis, certified to target."""
+    hF = lhs_series(spec, m, t, quot, target)
+    if hF.denom != 1:
+        raise VerificationFailure("fractional exponents survive in the product")
+    return express(hF.truncated(target), mb, target)
 
 
 def _independent_check(identity: Identity, order: int):

@@ -240,10 +240,9 @@ def reduce_mod_lattice(v, basis, passes=4):
     return x
 
 
-def enumerate_coset(v0, basis, weight_bound, box_bound=None):
+def enumerate_coset(v0, basis, weight_bound):
     """All vectors v0 + (integer combination of basis) with l1-norm <= bound.
 
-    Optionally restricts each coordinate to |v_i| <= box_bound as well.
     Returns a list of plain lists.  The enumeration walks a column-Hermite
     form of the basis so only genuine coset points are visited: fixing the
     coefficient of column j settles the rows from its pivot up to the next
@@ -266,8 +265,6 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
     head_weight = sum(abs(x) for x in prefix)
     if head_weight > weight_bound:
         return []
-    if box_bound is not None and any(abs(x) > box_bound for x in prefix):
-        return []
     if not rank:
         return [current]
 
@@ -283,11 +280,10 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
     def rec(j, used):
         lo, hi, p, support = levels[j]
         budget = weight_bound - used
-        limit = budget if box_bound is None else min(budget, box_bound)
-        # admissible coefficient range from |current[lo] + k p| <= limit, so
+        # admissible coefficient range from |current[lo] + k p| <= budget, so
         # the pivot row needs no further check
-        k_lo = -((limit + current[lo]) // p)
-        k_hi = (limit - current[lo]) // p
+        k_lo = -((budget + current[lo]) // p)
+        k_hi = (budget - current[lo]) // p
         if k_lo > k_hi:
             return
         for i, c in support:
@@ -299,10 +295,8 @@ def enumerate_coset(v0, basis, weight_bound, box_bound=None):
                 current[i] += c
             weight = used + abs(current[lo])
             if wide:
-                rest = current[lo + 1:hi]
-                weight += sum(map(abs, rest))
-                if weight > weight_bound or \
-                        box_bound is not None and max(map(abs, rest)) > box_bound:
+                weight += sum(map(abs, current[lo + 1:hi]))
+                if weight > weight_bound:
                     continue
             if last:
                 points.append(current[:])

@@ -50,14 +50,7 @@ def _is_divisible(value: Fraction, modulus: int) -> bool:
 
 
 def _alpha_t(spec: PartitionSpec, t: int) -> int:
-    if spec.is_plain():
-        return -sum(d * e for d, e in spec.r.items()) - 24 * t
-    M = spec.M
-    val = -M * sum(d * e for d, e in spec.r.items()) - 24 * M * t
-    extra = Fraction(0)
-    for (d, g), e in spec.rg.items():
-        extra += 12 * M * d * bernoulli_p2(Fraction(g, d)) * e
-    total = val - extra
+    total = 24 * (1 if spec.is_plain() else spec.M) * (spec.eta_shift() - t)
     if total.denominator != 1:
         raise ArithmeticError("alpha(t) failed to be integral")
     return int(total)
@@ -82,9 +75,7 @@ def _square_class_sweep(spec, m, t, N):
     """The progression-compatibility sweep over square residues."""
     n = 24 * m * spec.M
     seen = set()
-    plain_sum = sum(d * e for d, e in spec.r.items())
-    gen_sum = sum(Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
-                  for (d, g), e in spec.rg.items())
+    l = spec.eta_shift()
     for j in range(1, n):
         if gcd(j, n) != 1 or j % N != 1:
             continue
@@ -92,7 +83,7 @@ def _square_class_sweep(spec, m, t, N):
         if s in seen:
             continue
         seen.add(s)
-        value = Fraction(s - 1, 24) * plain_sum + (s - 1) * gen_sum + t * s - t
+        value = (s - 1) * (t - l)
         if not _is_divisible(value, m):
             return False, "fails at square residue s=%d" % s
     return True, "all %d residues pass" % len(seen)
@@ -167,8 +158,6 @@ def _phi_variables(N: int):
 def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
     """Linear forms (over the phi exponent variables) for the four conditions."""
     plain, paired = _phi_variables(N)
-    alpha = _alpha_t(spec, t)
-    M = spec.M
 
     c1 = ([1] * len(plain) + [0] * len(paired), Fraction(sum(spec.r.values())))
 
@@ -178,9 +167,7 @@ def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
 
     row3 = [Fraction(d) for d in plain]
     row3 += [12 * d * bernoulli_p2(Fraction(g, d)) for d, g in paired]
-    const3 = Fraction(m) * sum(d * e for d, e in spec.r.items())
-    const3 += 12 * m * sum(d * bernoulli_p2(Fraction(g, d)) * e for (d, g), e in spec.rg.items())
-    const3 += Fraction((m * m - 1) * alpha, m * (1 if spec.is_plain() else M))
+    const3 = -24 * (spec.eta_shift() + (m * m - 1) * t) / m
 
     sign_rows = []
     for a in range(1, 12 * N):

@@ -31,7 +31,8 @@ from .series import QSeries
 
 
 class InsufficientTruncation(RuntimeError):
-    """Expansions are too short to continue reducing; retry with more terms."""
+    """Expansions are too short to continue reducing; module_basis's closure
+    retries with more terms, and everywhere else it is a failure."""
 
 
 class NotMember(RuntimeError):

@@ -88,7 +88,12 @@ def test_spec_file_rejects_unknown_keys(tmp_path, capsys):
     ('{"M": 2, "r": {"3": -1}}', "r key 3 does not divide M=2"),
     ('{"M": 1, "r": ', "Expecting value"),
     ('{"M": 1, "r": [-1]}', "'list' object has no attribute 'items'"),
-], ids=["unknown-key", "no-M", "r-key-off-M", "invalid-json", "r-not-an-object"])
+    ('{"M": 1.5, "r": {"1": -1}}', "spec number 1.5 is not an integer"),
+    ('{"M": true, "r": {"1": -1}}', "spec number True is not an integer"),
+    ('{"M": 1, "r": {"1": -1.7}}', "spec number -1.7 is not an integer"),
+    ('{"M": 5, "rg": {"5/1": 0.5}}', "spec number 0.5 is not an integer"),
+], ids=["unknown-key", "no-M", "r-key-off-M", "invalid-json", "r-not-an-object",
+        "M-float", "M-bool", "r-float", "rg-float"])
 def test_malformed_spec_file_is_a_user_error(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -111,6 +116,26 @@ def test_nonpositive_modulus_is_rejected_at_parsing(tmp_path, capsys, command, m
         main(argv)
     assert info.value.code == 2
     assert "m must be positive, got %s" % m in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "-m", "5", "-t", "7"], "argument -t: t must lie in [0, m) = [0, 5), got 7"),
+    (["derive", "-m", "5", "-t", "-1"], "argument -t: t must lie in [0, m) = [0, 5), got -1"),
+    (["derive", "-m", "5", "-t", "4", "-N", "-3"], "argument -N: N must be nonnegative"),
+    (["derive", "-m", "5", "-t", "4", "--order", "-5"],
+     "argument --order: order must be nonnegative"),
+    (["derive", "-m", "5", "-t", "4", "--phi-box", "-1"],
+     "argument --phi-box: phi-box must be nonnegative"),
+    (["dissect", "-m", "5", "--order", "-5"], "argument --order: order must be nonnegative"),
+], ids=["t-past-m", "t-negative", "N-negative", "order-negative", "phi-box-negative",
+        "dissect-order-negative"])
+def test_out_of_range_derive_flags_are_rejected_at_parsing(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"M": 1, "r": {"1": -1}}))
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--spec", str(spec)] + argv[1:])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_dissect(tmp_path, capsys):

@@ -267,3 +267,28 @@ def test_trivial_progression_bound_at_infinity():
     phi = GenEtaQuotient(1)
     bounds = cusp_order_bounds(PARTITION, 1, 0, phi, 1)
     assert bounds[INFINITY] == Fraction(-1, 24)
+
+
+def _equivalent_by_search(N, s1, s2):
+    """cusps_equivalent by trying every j mod N, as first written."""
+    a1, c1, a2, c2 = s1.a, s1.c, s2.a, s2.c
+    if (c2 - c1) % N == 0:
+        for j in range(N):
+            if (a2 - a1 - j * c1) % N == 0:
+                return True
+    if (c2 + c1) % N == 0:
+        for j in range(N):
+            if (a2 + a1 + j * c1) % N == 0:
+                return True
+    return False
+
+
+def test_cusps_equivalent_matches_the_search_over_j():
+    for N in range(1, 31):
+        # the candidates cusp_set draws its representatives from, and infinity
+        cands = list(dict.fromkeys([make_cusp(a, c) for c in range(1, N + 1)
+                                    for a in range(N) if gcd(a, c) == 1] + [INFINITY]))
+        for s1 in cands:
+            for s2 in cands:
+                assert cusps_equivalent(N, s1, s2) == _equivalent_by_search(N, s1, s2), \
+                    (N, s1, s2)

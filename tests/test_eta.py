@@ -9,7 +9,7 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _pack_mul, _product_expansion, bernoulli_p1, bernoulli_p2,
+    _pack_mul, _product_expansion, bernoulli_p2,
 )
 from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
 
@@ -43,9 +43,6 @@ def test_bernoulli_values():
     assert bernoulli_p2(0) == Fraction(1, 6)
     assert bernoulli_p2(Fraction(1, 2)) == Fraction(-1, 12)
     assert bernoulli_p2(Fraction(7, 5)) == bernoulli_p2(Fraction(2, 5)) == Fraction(-11, 150)
-    assert bernoulli_p1(3) == 0
-    assert bernoulli_p1(Fraction(1, 4)) == Fraction(-1, 4)
-    assert bernoulli_p1(Fraction(-1, 4)) == Fraction(1, 4)
 
 
 def test_eta_shift_values():

@@ -292,11 +292,11 @@ def test_completeness_small_box_level_6():
     alphas = [list(g.scaled_vector) for g in gens]
     grades = [finite_grade(a) for a in alphas]
 
-    # walk every exponent vector of the solution lattice in a small box and
-    # confirm the generated monoid contains all of them
+    # walk every exponent vector of the solution lattice in a small l1-ball
+    # and confirm the generated monoid contains all of them
     lat = lattice_hnf(alphas + units, n)
     checked = 0
-    for vec in enumerate_coset([0] * n, lat, weight_bound=3 * n, box_bound=3):
+    for vec in enumerate_coset([0] * n, lat, weight_bound=14):
         q = quotient_from_scaled(6, slots, vec)
         orders = {d.cusp: order_at_cusp(q, 6, d) for d in cusp_set(6)}
         if any(o.denominator != 1 for o in orders.values()):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import sys
 import threading
@@ -22,7 +23,9 @@ from etaram.identities import (
 )
 from etaram.modularity import find_prefactor
 from etaram.cusps import cusp_order_bounds
-from etaram.reduction import VerificationFailure, _combination, _monomial_series
+from etaram.reduction import (
+    ModuleBasis, VerificationFailure, _combination, _monomial_series,
+)
 from etaram.series import QSeries
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -449,3 +452,41 @@ def test_concurrent_derivations_share_one_basis():
         assert ident.N == 10 and ident.basis is mb
         digest = hashlib.sha256(json.dumps(ident.to_json()).encode()).hexdigest()
         assert digest == DOCUMENT_HASHES[label]
+
+
+def test_left_side_is_known_eight_terms_past_the_ask():
+    rng = random.Random(19)
+    for _ in range(40):
+        M = rng.choice([1, 2, 3, 4, 5, 6])
+        ds = [d for d in range(1, M + 1) if M % d == 0]
+        spec = PartitionSpec(M, {d: rng.randint(-4, 4) for d in ds},
+                             {(d, g): rng.randint(-3, 3)
+                              for d in ds for g in range(1, d // 2 + 1) if rng.random() < 0.5})
+        N = rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12])
+        Nds = [d for d in range(1, N + 1) if N % d == 0]
+        quot = GenEtaQuotient(N, {d: rng.randint(-20, 20) for d in Nds},
+                              {(d, g): rng.randint(-20, 20)
+                               for d in Nds for g in range(1, (d + 1) // 2)})
+        m = rng.randint(1, 7)
+        t = rng.randrange(m)
+        terms = rng.randint(1, 30)
+        lhs = etaram.identities.lhs_series(spec, m, t, quot, terms)
+        assert lhs.bound() >= terms + 8, (spec, quot, m, t, terms)
+
+
+def test_one_derivation_grows_the_basis_store_once(monkeypatch):
+    etaram.identities.level_basis.cache_clear()
+    growths = []
+    real = ModuleBasis.ensure_terms
+
+    def spy(self, terms):
+        before = self._store[0]
+        real(self, terms)
+        if self._store[0] != before:
+            growths.append((before, self._store[0]))
+
+    monkeypatch.setattr(ModuleBasis, "ensure_terms", spy)
+    # the corpus order, past the level-11 store's first 100 terms
+    ident = derive_identity(PARTITION, 11, 6, DeriveOptions(order=150))
+    assert ident.status == "Derived"
+    assert len(growths) <= 1, growths

@@ -124,9 +124,9 @@ def _recorded_prefactor(monkeypatch, spec, m, t, N, weight_cap=32):
     walks = []
     real = modularity.enumerate_coset
 
-    def recording(v0, basis, weight_bound, box_bound=None):
+    def recording(v0, basis, weight_bound):
         walks.append((v0, basis, weight_bound))
-        return real(v0, basis, weight_bound, box_bound)
+        return real(v0, basis, weight_bound)
 
     monkeypatch.setattr(modularity, "enumerate_coset", recording)
     return find_prefactor(spec, m, t, N, weight_cap), walks
@@ -160,3 +160,88 @@ def test_prefactor_weight_cap_bounds_the_deepening(monkeypatch):
     assert phi.a == {} and phi.ag == {} and [w for _, _, w in walks] == [0]
     with pytest.raises(NoPhiFound):
         find_prefactor(PARTITION, 1, 0, 1, weight_cap=-1)
+
+
+# -- the level and prefactor conditions read one leading exponent ---------------
+
+def _random_spec(rng):
+    """A spec over a small M, with rg keys up to and including 2g = d."""
+    M = rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12])
+    ds = [d for d in range(1, M + 1) if M % d == 0]
+    r = {d: rng.randint(-4, 4) for d in rng.sample(ds, rng.randint(0, len(ds)))}
+    keys = [(d, g) for d in ds for g in range(1, d // 2 + 1)]
+    rg = {k: rng.randint(-3, 3) for k in rng.sample(keys, rng.randint(0, min(3, len(keys))))}
+    return PartitionSpec(M, r, rg)
+
+
+def _random_cases(seed, count):
+    """(spec, m, t, N) with N a divisor of 24 m M up to 120."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        spec = _random_spec(rng)
+        m = rng.randint(1, 12)
+        bound = 24 * m * spec.M
+        N = rng.choice([d for d in range(1, 121) if bound % d == 0])
+        yield spec, m, rng.randrange(m), N
+
+
+def _bernoulli_p2(x):
+    frac = x - (x.numerator // x.denominator)
+    return frac * frac - frac + Fraction(1, 6)
+
+
+def _alpha_t_by_sums(spec, t):
+    """alpha(t) summed factor by factor, as first written."""
+    if spec.is_plain():
+        return -sum(d * e for d, e in spec.r.items()) - 24 * t
+    M = spec.M
+    val = -M * sum(d * e for d, e in spec.r.items()) - 24 * M * t
+    extra = sum(12 * M * d * _bernoulli_p2(Fraction(g, d)) * e
+                for (d, g), e in spec.rg.items())
+    return val - extra
+
+
+def _sweep_by_sums(spec, m, t, N):
+    """The square residue sweep with its value summed factor by factor."""
+    n = 24 * m * spec.M
+    seen = set()
+    plain_sum = sum(d * e for d, e in spec.r.items())
+    gen_sum = sum(Fraction(d, 2) * _bernoulli_p2(Fraction(g, d)) * e
+                  for (d, g), e in spec.rg.items())
+    for j in range(1, n):
+        if gcd(j, n) != 1 or j % N != 1:
+            continue
+        s = (j * j) % n
+        if s in seen:
+            continue
+        seen.add(s)
+        value = Fraction(s - 1, 24) * plain_sum + (s - 1) * gen_sum + t * s - t
+        if Fraction(value, m).denominator != 1:
+            return False, "fails at square residue s=%d" % s
+    return True, "all %d residues pass" % len(seen)
+
+
+def _const3_by_sums(spec, m, t):
+    const3 = Fraction(m) * sum(d * e for d, e in spec.r.items())
+    const3 += 12 * m * sum(d * _bernoulli_p2(Fraction(g, d)) * e
+                           for (d, g), e in spec.rg.items())
+    alpha = _alpha_t_by_sums(spec, t)
+    return const3 + Fraction((m * m - 1) * alpha, m * (1 if spec.is_plain() else spec.M))
+
+
+def test_conditions_from_eta_shift_match_the_factor_sums():
+    halves = passes = 0
+    for spec, m, t, N in _random_cases(19, 150):
+        halves += any(2 * g == d for d, g in spec.rg)
+        assert modularity._alpha_t(spec, t) == _alpha_t_by_sums(spec, t), spec
+        verdict = modularity._square_class_sweep(spec, m, t, N)
+        assert verdict == _sweep_by_sums(spec, m, t, N), (spec, m, t, N)
+        passes += verdict[0]
+        assert _criterion_parts(spec, m, t, N)[4][1] == _const3_by_sums(spec, m, t)
+    assert halves >= 20 and passes >= 10
+
+
+def test_eta_shift_is_minus_the_quotient_lead():
+    for spec, _, _, _ in _random_cases(19, 150):
+        quot = GenEtaQuotient(spec.M, spec.r, spec.rg)
+        assert spec.eta_shift() == -quot.lead_exponent(), spec
