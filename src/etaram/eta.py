@@ -273,7 +273,7 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
     Short products use B = 2**(8w) and CPython's int; long ones use B = 10**w
     and libmpdec (_decimal_pack_mul), unless a w-digit chunk is too long for
     Python's int/str conversion.  The window [lo, hi) defaults to the whole
-    product, 0 <= lo <= hi <= len(a) + len(b) - 1; the int path unpacks only
+    product, 0 <= lo <= hi <= len(a) + len(b) - 1; either path unpacks only
     its chunks.  This is the reference route's own kernel: it shares no code
     with the fast route's series.py.
     """
@@ -285,7 +285,7 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
     # 10**(digits-1) > 2**bits > bound, since log10(2) < 0.30103
     digits = -(-bound.bit_length() * 30103 // 100000) + 1
     if min(len(a), len(b)) * digits >= _DECIMAL_DIGITS and not 0 < _str_digit_limit() < digits:
-        return _decimal_pack_mul(a, b, n, digits)[lo:hi]
+        return _decimal_pack_mul(a, b, n, digits, lo, hi)
     # half = B/2 is added to every chunk so every chunk is a nonnegative
     # digit; the base-B digits of product + (half in each chunk) are then the
     # coefficients plus half, with no carries
@@ -301,14 +301,18 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
     return [int.from_bytes(raw[i:i + w], "little") - half for i in range(w * lo, w * hi, w)]
 
 
-def _decimal_pack_mul(a, b, n, w) -> list:
-    """_pack_mul's product in base B = 10**w through the private _DECIMAL.
+def _decimal_pack_mul(a, b, n, w, lo, hi) -> list:
+    """_pack_mul's window [lo, hi) of the product in base B = 10**w through
+    the private _DECIMAL.
 
     A list packs into w-digit chunks in [0, B), a negative coefficient
     borrowing one from the next chunk; a borrow out of the top chunk is
     subtracted as B**len.  The product's digits are read back as balanced
     digits in [-B/2, B/2), carrying one upward.  A decimal string lists its
-    chunks from the highest power down.
+    chunks from the highest power down.  Only chunks lo..hi-1 are unpacked:
+    lo balanced digits reach at most lo copies of B/2 - 1 (a 4 and w - 1
+    nines), so the low lo chunks carry one into chunk lo exactly when they
+    read, as one digit string, above that.
     """
     base = 10 ** w
     half = base // 2
@@ -325,8 +329,9 @@ def _decimal_pack_mul(a, b, n, w) -> list:
 
     product = ctx.multiply(pack(a), pack(b))
     raw = ctx.to_sci_string(ctx.copy_abs(product)).zfill(w * n)
-    out, carry = [], 0
-    for i in range(w * n, 0, -w):
+    top = w * (n - lo)
+    out, carry = [], raw[top:] > ("4" + "9" * (w - 1)) * lo
+    for i in range(top, w * (n - hi), -w):
         c = int(raw[i - w:i]) + carry
         carry = c >= half
         out.append(c - base if carry else c)
@@ -498,6 +503,12 @@ class GenEtaQuotient:
         """
         core = _cached_product(self.a, self.ag, terms, fast=not reference)
         return core.shift(self.lead_exponent())
+
+    def product_coefficients(self, terms: int) -> list:
+        """Integer coefficients f(0..terms-1) of the product before its
+        q**lead_exponent() shift, from reference_product: the integer Euler
+        transform through the shared cache, no QSeries built."""
+        return reference_product(_spec_progressions(self.a, self.ag), terms)
 
     # -- serialization ----------------------------------------------------------------
 

@@ -7,13 +7,17 @@ nonnegative integer, and its order at infinity is an integer.  After scaling
 the half-integral slots these conditions become an integer Diophantine system
 whose solution monoid has a finite Hilbert basis; the pointed generators give
 the quotient generators, the lineality part only produces the constant 1.
+
+A candidate's record is built from integers: the first coefficients of its
+product from the reference route's Euler transform (product_coefficients),
+its lead exponent and its cusp orders by the closed formula.  No candidate
+is expanded on the fast route.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .cusps import INFINITY, cusp_set, order_at_cusp, order_form_coefficient
@@ -113,22 +117,23 @@ def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
     return {data.cusp: order_at_cusp(q, N, data) for data in cusp_set(N)}
 
 
-def is_constant_one(q: GenEtaQuotient, N: int, expansion=None, orders=None) -> bool:
+def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool:
     """Constant detection by two independent routes that must agree.
 
     Exponent identities beyond the plain-eta reductions can hide the constant
     1 inside a nonempty product (odd residues regrouped across divisors), so
     emptiness of the canonical form is sufficient but not necessary.  The
-    caller may pass q's expansion and its cusp_orders when it has them: 50
-    terms, or any number when q's lead exponent is nonzero, since the series
-    then reads as non-constant at every truncation.  Both routes are
-    compared either way.
+    series route reads q as 1 when its lead exponent is 0 and the integer
+    coefficients f(1..49) of its product (q.product_coefficients) are all 0;
+    the other route asks every cusp order to be 0.  The caller may pass the
+    coefficients and the cusp_orders when it has them: 50 coefficients, or
+    any number when the lead exponent is nonzero, since q then reads as
+    non-constant at every truncation.  Both routes are compared either way.
     """
     if q.is_one():
         return True
-    exp = q.expansion(50) if expansion is None else expansion
-    by_series = (exp.leading() == (Fraction(0), Fraction(1))
-                 and len(exp.coeffs) == 1)
+    f = q.product_coefficients(50) if coeffs is None else coeffs
+    by_series = not q.lead_exponent() and not any(f[1:50])
     if orders is None:
         orders = cusp_orders(q, N)
     by_orders = all(o == 0 for o in orders.values())
@@ -162,10 +167,15 @@ HEAD_TERMS = 14
 
 
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
-                      expansion, orders) -> Generator:
-    """Record of a canonical quotient from its expansion (at least HEAD_TERMS
-    terms) and its cusp_orders; raises error (the caller's failure type)
-    unless it is pole-free away from a pole at infinity."""
+                      coeffs, orders) -> Generator:
+    """Record of a canonical quotient from the integer coefficients of its
+    product (at least HEAD_TERMS, q.product_coefficients) and its
+    cusp_orders; raises error (the caller's failure type) unless it is
+    pole-free away from a pole at infinity.
+
+    The order at infinity is q's lead exponent, so the head, the
+    coefficients from q**-pole on, is the product's first HEAD_TERMS.
+    """
     for c, o in orders.items():
         if o.denominator != 1 or (not c.is_infinity and o < 0):
             raise error("quotient is not pole-free away from infinity")
@@ -173,16 +183,16 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
     pole = -orders[INFINITY]
     if pole <= 0:
         raise error("quotient has no pole at infinity")
-    head = tuple(expansion.coefficient(n) for n in range(-pole, -pole + HEAD_TERMS))
     return Generator(quotient=q, orders=orders, pole=pole,
-                     scaled_vector=tuple(scaled_vector), head=head)
+                     scaled_vector=tuple(scaled_vector), head=tuple(coeffs[:HEAD_TERMS]))
 
 
 def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
     """Generator record (orders, pole, sort head) for an explicit quotient."""
     # a scaled g = 0 entry is twice the eta_{d,0} exponent, a[d] / 2
     vec = [q.a.get(d, 0) if g == 0 else q.ag.get((d, g), 0) for d, g in exponent_slots(N)]
-    return _generator_record(q, vec, ValueError, q.expansion(16), cusp_orders(q, N))
+    return _generator_record(q, vec, ValueError, q.product_coefficients(HEAD_TERMS),
+                             cusp_orders(q, N))
 
 
 def sort_generators(gens) -> tuple:
@@ -203,16 +213,14 @@ def generators(N: int) -> tuple:
     out = []
     for v in pointed:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
-        # one expansion and one set of orders serve both consumers; past a
-        # nonzero lead the series cannot read as 1 at any truncation, so only
-        # a zero lead needs more terms than the record's head reads
-        exp = q.expansion(HEAD_TERMS)
-        if not exp.leading()[0]:
-            exp = q.expansion(50)
+        # one coefficient list and one set of orders serve both consumers;
+        # past a nonzero lead q cannot read as 1 at any truncation, so only a
+        # zero lead needs more coefficients than the record's head reads
+        coeffs = q.product_coefficients(HEAD_TERMS if q.lead_exponent() else 50)
         orders = cusp_orders(q, N)
-        if not is_constant_one(q, N, exp, orders):
+        if not is_constant_one(q, N, coeffs, orders):
             out.append(_generator_record(q, v[:pfs.nslots], AssertionError,
-                                         exp, orders))
+                                         coeffs, orders))
     out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")

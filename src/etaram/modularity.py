@@ -50,10 +50,9 @@ def _is_divisible(value: Fraction, modulus: int) -> bool:
 
 
 def _alpha_t(spec: PartitionSpec, t: int) -> int:
-    total = 24 * (1 if spec.is_plain() else spec.M) * (spec.eta_shift() - t)
-    if total.denominator != 1:
-        raise ArithmeticError("alpha(t) failed to be integral")
-    return int(total)
+    # integral: 24 eta_shift is for a plain spec, and 24 M eta_shift is
+    # because every d divides M
+    return int(24 * (1 if spec.is_plain() else spec.M) * (spec.eta_shift() - t))
 
 
 @dataclass

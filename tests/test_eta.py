@@ -224,8 +224,8 @@ def spy_decimal_packer(monkeypatch):
     """Lengths of the shorter operand of every product _pack_mul sends to libmpdec."""
     taken = []
     honest = etaram.eta._decimal_pack_mul
-    monkeypatch.setattr(etaram.eta, "_decimal_pack_mul", lambda a, b, n, w:
-                        taken.append(min(len(a), len(b))) or honest(a, b, n, w))
+    monkeypatch.setattr(etaram.eta, "_decimal_pack_mul", lambda a, b, n, w, lo, hi:
+                        taken.append(min(len(a), len(b))) or honest(a, b, n, w, lo, hi))
     return taken
 
 
@@ -274,6 +274,23 @@ def test_pack_mul_window_is_the_slice_of_the_product(monkeypatch, cutoff):
         assert _pack_mul(a, b, lo) == full[lo:]
         assert _pack_mul(a, b, lo, lo) == []
         assert _pack_mul([0] * len(a), b, lo, hi) == [0] * (hi - lo)
+    # every lo of products of both signs: the balanced digits below lo carry
+    # one into it when the highest nonzero coefficient there has the sign
+    # opposite to the product's, with zeros between them or not
+    carried = {1: 0, -1: 0}
+    for sign in carried:
+        for _ in range(12):
+            a = [rng.choice([0, 0, -1, 1, rng.randint(-10 ** 30, 10 ** 30)])
+                 for _ in range(rng.randint(1, 20))]
+            b = random_entries(rng, rng.randint(1, 20), 30)
+            a[-1], b[-1] = sign * rng.randint(1, 9), rng.randint(1, 9)
+            full = schoolbook(a, b)
+            for lo in range(len(full) + 1):
+                below = [c for c in full[:lo] if c]
+                carried[sign] += bool(below) and (below[-1] < 0) == (sign > 0)
+                assert _pack_mul(a, b, lo) == full[lo:]
+                assert _pack_mul(a, b, lo, min(lo + 2, len(full))) == full[lo:lo + 2]
+    assert all(count > 20 for count in carried.values())
     assert bool(taken) == (cutoff == 0)
 
 

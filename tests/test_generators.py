@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import etaram.eta
 from etaram.cusps import INFINITY, cusp_set, order_at_cusp
 from etaram.eta import GenEtaQuotient
 from etaram.generators import (
@@ -12,7 +13,6 @@ from etaram.generators import (
     pole_free_system, quotient_from_scaled, unit_lattice,
 )
 from etaram.lattice import enumerate_coset, in_lattice, lattice_hnf
-from etaram.series import QSeries
 
 # the package re-exports the function generators under the module's name
 generators_module = sys.modules["etaram.generators"]
@@ -138,7 +138,7 @@ def test_generator_records_are_pinned(N):
 @pytest.mark.parametrize("route", ["orders", "series"])
 def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
     # spoil one route for one non-constant candidate: its orders all read 0,
-    # or its expansion reads as the constant 1
+    # or its series (lead exponent and integer coefficients) reads as 1
     target = generators(10)[2].quotient
     if route == "orders":
         real = generators_module.order_at_cusp
@@ -148,14 +148,17 @@ def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
 
         monkeypatch.setattr(generators_module, "order_at_cusp", spoiled)
     else:
-        real = GenEtaQuotient.expansion
+        real_lead = GenEtaQuotient.lead_exponent
+        real = GenEtaQuotient.product_coefficients
 
-        def spoiled(q, terms, reference=False):
-            if q == target:
-                return QSeries.from_ints([1] + [0] * terms)
-            return real(q, terms, reference=reference)
+        def spoiled_lead(q):
+            return Fraction(0) if q == target else real_lead(q)
 
-        monkeypatch.setattr(GenEtaQuotient, "expansion", spoiled)
+        def spoiled(q, terms):
+            return [1] + [0] * (terms - 1) if q == target else real(q, terms)
+
+        monkeypatch.setattr(GenEtaQuotient, "lead_exponent", spoiled_lead)
+        monkeypatch.setattr(GenEtaQuotient, "product_coefficients", spoiled)
     with pytest.raises(AssertionError, match="constant detection disagrees"):
         generators.__wrapped__(10)      # bypass the cache, leave it untouched
 
@@ -172,19 +175,41 @@ def test_candidates_expand_to_the_head_or_to_50_terms_at_a_zero_lead(monkeypatch
     seen = []
     real_check = generators_module.is_constant_one
 
-    def spy(q, N, expansion=None, orders=None):
-        if expansion is not None:
-            seen.append((expansion.leading()[0], expansion.bound()))
-        return real_check(q, N, expansion, orders)
+    def spy(q, N, coeffs=None, orders=None):
+        if coeffs is not None:
+            seen.append((q.lead_exponent(), len(coeffs)))
+        return real_check(q, N, coeffs, orders)
 
     expect = generators(10)
     monkeypatch.setattr(generators_module, "hilbert_basis", with_unit)
     monkeypatch.setattr(generators_module, "is_constant_one", spy)
     assert generators.__wrapped__(10) == expect
     assert len(seen) == len(expect) + 1
-    for lead, bound in seen:
-        assert bound - lead == (50 if lead == 0 else generators_module.HEAD_TERMS)
+    for lead, length in seen:
+        assert length == (50 if lead == 0 else generators_module.HEAD_TERMS)
     assert sum(lead == 0 for lead, _ in seen) == 1
+
+
+@pytest.mark.parametrize("N", [10, 11, 15])
+def test_generators_expand_no_candidate_on_the_fast_route(monkeypatch, N):
+    expect = generators(N)
+
+    def forbidden(*args):
+        raise AssertionError("fast-route product expanded")
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    assert generators.__wrapped__(N) == expect
+
+
+@pytest.mark.parametrize("N", [10, 11, 14, 15])
+def test_record_heads_match_the_fast_route(N):
+    # the head is read from the reference route's integers; the fast route's
+    # expansion from q**-pole on must give the same coefficients
+    T = generators_module.HEAD_TERMS
+    for g in generators(N):
+        exp = g.quotient.expansion(T)
+        assert g.head == tuple(exp.coefficient(n) for n in range(-g.pole, -g.pole + T))
 
 
 @pytest.mark.slow
