@@ -1,14 +1,24 @@
-"""Exact integer linear algebra: Hermite forms, Diophantine solving, bounded
-coset enumeration, and Hilbert bases of linear Diophantine systems.
+"""Exact integer linear algebra: Hermite forms, Diophantine solving,
+bounded coset enumeration, and Hilbert bases of linear Diophantine systems.
 
 Everything here works on small dense matrices of python ints (a few dozen
 rows and columns at most), so the implementations favor verifiability over
-asymptotics.  The exception is the Hilbert-basis completion with its
-reducibility scan, which compares hundreds of thousands of nonnegative
-vectors coordinatewise.  They hold each vector packed into one int: entry i
-sits in bits [W i, W i + W), and W is chosen so that every entry stays below
-its field's top bit, the guard.  With H the sum of the guard bits, s <= x
-holds exactly when ((x + H) - s) & H == H: field i of x + H is
+asymptotics.  A Hilbert basis is found in the projection of the solution
+lattice to the nonnegative coordinates, a lattice L in Z^k.  When L has full
+rank k, which holds for every pole-free system at levels 2-48, its points in
+N^k are the y whose class in the finite group G = Z^k / L is 0, and the
+minimal ones are the minimal zero-sum sequences over the columns' classes.
+minimal_zero_sum_sequences walks them depth first; by the Davenport bound
+(Olson 1969) none is longer than |G|.  The walk raises StepBudgetExceeded at
+once when |G| > 2^14, since its path holds up to |G| subset-sum sets of |G|
+bits each, and when it would enter more than its node budget of sequences.
+
+A lattice of lower rank takes the slack completion (Contejean-Devie), whose
+reducibility scan compares hundreds of thousands of nonnegative vectors
+coordinatewise.  It holds each vector packed into one int: entry i sits in
+bits [W i, W i + W), and W is chosen so that every entry stays below its
+field's top bit, the guard.  With H the sum of the guard bits, s <= x holds
+exactly when ((x + H) - s) & H == H: field i of x + H is
 x[i] + 2^(W-1) < 2^W, so subtracting s[i] borrows nothing from the field
 above and leaves the guard set exactly when x[i] >= s[i].  A field cannot
 carry because W leaves room for the largest entry that can occur: the
@@ -19,11 +29,13 @@ largest candidate entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from operator import add, mul
 
 
 class StepBudgetExceeded(RuntimeError):
-    """The Hilbert-basis completion ran out of its step budget."""
+    """A Hilbert-basis computation ran out of its budget: the slack
+    completion's pops, the zero-sum walk's nodes, or the walk's group order."""
 
 
 def _identity(n):
@@ -381,6 +393,87 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     return [tuple(x >> s & mask for s in shifts) for x in minimals]
 
 
+# the walk's subset-sum sets are |G|-bit ints, up to |G| of them on its path
+MAX_GROUP_ORDER = 1 << 14
+# nodes the walk may enter: level 20 needs 36,210, level 17 over 1.5 million
+ZERO_SUM_NODE_LIMIT = 200_000
+
+
+def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
+    """Minimal nonzero y >= 0 with sum y_j classes[j] = 0 in G = prod Z/d.
+
+    classes[j] is column j's residue tuple, one entry in [0, d) per modulus d.
+    These y are the minimal zero-sum sequences over the columns, the Hilbert
+    basis of the lattice of y whose class is 0 intersected with N^k; by the
+    Davenport bound none is longer than |G| (Olson 1969).  The walk is depth
+    first over nondecreasing sequences of columns that are zero-sum free.
+    It carries the sequence's subset sums, the empty one included, as one
+    |G|-bit int S (element a sits at bit a_0 + d_0 (a_1 + d_1 (...))), and
+    its total t as the one bit of S that is the sum of all.  Column j with
+    -g_j == t closes a minimal sequence y + e_j: a proper part summing to 0
+    would leave a zero-sum part of y.  Otherwise j extends y exactly when
+    -g_j is not in S, and S grows by its translate by g_j, made one factor
+    Z/d at a time: the bits whose digit stays below d move up by a stride
+    multiple, the others wrap down.  Each sequence is reached once, so no
+    minimal vector is found twice and none needs a dominance test.
+
+    Raises StepBudgetExceeded at once when |G| > MAX_GROUP_ORDER, and when
+    the walk would enter more than node_limit sequences.
+    """
+    order = prod(moduli)
+    if order > MAX_GROUP_ORDER:
+        raise StepBudgetExceeded("group of order %d exceeds the zero-sum walk's "
+                                 "limit of %d" % (order, MAX_GROUP_ORDER))
+    full = (1 << order) - 1
+    translations = []          # per column: (low mask, high mask, up, down)
+    neg = []                   # per column: the bit of -g_j
+    for g in classes:
+        steps = []
+        at = 0
+        stride = 1
+        for a, d in zip(g, moduli):
+            at += (-a % d) * stride
+            if a:
+                # the bits whose digit of this factor is below d - a
+                low = ((1 << (d - a) * stride) - 1) * (full // ((1 << stride * d) - 1))
+                steps.append((low, full ^ low, a * stride, (d - a) * stride))
+            stride *= d
+        translations.append(steps)
+        neg.append(1 << at)
+
+    def translate(S, j):
+        for low, high, up, down in translations[j]:
+            S = (S & low) << up | (S & high) >> down
+        return S
+
+    k = len(classes)
+    y = [0] * k
+    found = []
+    nodes = 0
+    path = [[0, 1, 1]]         # per sequence: next column, subset sums S, total t
+    while path:
+        frame = path[-1]
+        j, S, t = frame
+        if j == k:
+            path.pop()
+            if path:            # the parent's cursor is one past our column
+                y[path[-1][0] - 1] -= 1
+            continue
+        frame[0] = j + 1
+        if neg[j] == t:
+            y[j] += 1
+            found.append(tuple(y))
+            y[j] -= 1
+        elif not S & neg[j]:
+            nodes += 1
+            if nodes > node_limit:
+                raise StepBudgetExceeded("zero-sum walk over a group of order %d "
+                                         "exceeded %d nodes" % (order, node_limit))
+            y[j] += 1
+            path.append([j, S | translate(S, j), translate(t, j)])
+    return found
+
+
 @dataclass
 class DioSystem:
     """Integer-coefficient equalities with a subset of variables >= 0.
@@ -403,6 +496,12 @@ def hilbert_basis(system: DioSystem):
     Returns (pointed, lineality): every solution is a nonnegative integer
     combination of pointed vectors plus an arbitrary integer combination of
     lineality vectors, and no pointed vector decomposes into others.
+
+    The minimal vectors of the projected lattice come from the zero-sum walk
+    when the lattice has full rank (no equality row among its congruence
+    conditions), else from the slack completion; either way each is lifted
+    to a solution and size-reduced against the lineality.  Raises
+    StepBudgetExceeded when the path taken runs out of its budget.
     """
     n = system.nvars
     P = sorted(system.nonneg)
@@ -428,7 +527,7 @@ def hilbert_basis(system: DioSystem):
     diag, U, rank = diagonalize_left(Mg)
 
     rows = []
-    slack_moduli = []
+    moduli = []
     for i in range(rank):
         d = abs(diag[i])
         if d > 1:
@@ -436,42 +535,13 @@ def hilbert_basis(system: DioSystem):
             reduced = [c - d if c > d - c else c for c in reduced]
             if any(reduced):
                 rows.append(reduced)
-                slack_moduli.append(d)
+                moduli.append(d)
     for i in range(rank, k):
         if any(U[i]):
             rows.append(U[i][:])
-            slack_moduli.append(0)
-    width = k + 2 * sum(1 for d in slack_moduli if d)
-    full_rows = []
-    slack_at = k
-    for row, d in zip(rows, slack_moduli):
-        r = row + [0] * (width - k)
-        if d:
-            r[slack_at] = -d
-            r[slack_at + 1] = d
-            slack_at += 2
-        full_rows.append(r)
-    if not full_rows:
-        full_rows = [[0] * width]
-
-    raw = minimal_nonneg_solutions(full_rows)
-    candidates = dict.fromkeys(y for y in (tuple(x[:k]) for x in raw) if any(y))
-
-    # packed as in minimal_nonneg_solutions: g0 <= y is one guarded subtraction
-    bits = max(map(max, candidates), default=0).bit_length() + 1
-    H = _guard_bits(k, bits)
-    packed = {y: sum(c << (bits * i) for i, c in enumerate(y)) for y in candidates}
-    lat_cols = lattice_hnf(proj, k)
-    keep = []
-    for y in sorted(candidates, key=lambda v: (sum(v), v)):
-        yp = packed[y]
-        yh = yp + H
-        for g0, g in packed.items():
-            if (yh - g) & H == H and g != yp and \
-                    in_lattice([b - a for a, b in zip(g0, y)], lat_cols):
-                break
-        else:
-            keep.append(y)
+            moduli.append(0)
+    # a modulus 0 marks an equality row: only then has the lattice rank < k
+    keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
 
     # lift the projected generators back to full solutions
     pointed = []
@@ -484,3 +554,46 @@ def hilbert_basis(system: DioSystem):
         pointed.append(x)
     pointed.sort(key=lambda v: (sum(abs(c) for c in v), v))
     return pointed, lineality
+
+
+def _group_minimals(rows, moduli, k):
+    """The Hilbert basis of the full-rank lattice {y : row . y = 0 mod d}
+    intersected with N^k: the minimal zero-sum sequences over the columns'
+    classes in the product of the Z/d."""
+    return minimal_zero_sum_sequences(
+        [tuple(r[j] % d for r, d in zip(rows, moduli)) for j in range(k)], moduli)
+
+
+def _slack_minimals(rows, moduli, k):
+    """The same Hilbert basis for rows that may include equality rows
+    (modulus 0), by the completion over one (-d, +d) slack pair per
+    congruence row, projected to the first k coordinates and filtered to
+    its minimal vectors."""
+    width = k + 2 * sum(1 for d in moduli if d)
+    full_rows = []
+    slack_at = k
+    for row, d in zip(rows, moduli):
+        r = row + [0] * (width - k)
+        if d:
+            r[slack_at] = -d
+            r[slack_at + 1] = d
+            slack_at += 2
+        full_rows.append(r)
+    if not full_rows:
+        full_rows = [[0] * width]
+
+    raw = minimal_nonneg_solutions(full_rows)
+    candidates = dict.fromkeys(y for y in (tuple(x[:k]) for x in raw) if any(y))
+
+    # every candidate lies in the lattice, so one dominated by another is
+    # their sum with a lattice vector of N^k: y is kept unless some other
+    # candidate g0 <= y, one guarded subtraction on packed vectors
+    bits = max(map(max, candidates), default=0).bit_length() + 1
+    H = _guard_bits(k, bits)
+    packed = [sum(c << (bits * i) for i, c in enumerate(y)) for y in candidates]
+    keep = []
+    for y, yp in zip(candidates, packed):
+        yh = yp + H
+        if not any((yh - g) & H == H and g != yp for g in packed):
+            keep.append(y)
+    return keep

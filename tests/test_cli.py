@@ -206,10 +206,11 @@ def test_nonpositive_level_is_rejected_at_parsing(capsys, command, N):
 
 
 def test_exhausted_completion_is_a_user_error(capsys, monkeypatch):
-    def exhausted(rows, progress_limit=0):
+    def exhausted(classes, moduli, node_limit=0):
         raise StepBudgetExceeded("completion exceeded the step budget")
 
-    monkeypatch.setattr(lattice, "minimal_nonneg_solutions", exhausted)
+    # level 10's Hilbert basis is the zero-sum walk's
+    monkeypatch.setattr(lattice, "minimal_zero_sum_sequences", exhausted)
     # bypass the generators cache, leave it untouched
     monkeypatch.setattr(cli, "generators", generators.__wrapped__)
     _assert_user_error(capsys, ["generators", "10"], "step budget")

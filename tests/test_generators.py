@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from etaram.generators import (
     chi_weight, exponent_slots, generator_from_quotient, generators,
     pole_free_system, quotient_from_scaled, unit_lattice,
 )
-from etaram.lattice import enumerate_coset, in_lattice, lattice_hnf
+from etaram import lattice
+from etaram.lattice import StepBudgetExceeded, enumerate_coset, in_lattice, lattice_hnf
 
 # the package re-exports the function generators under the module's name
 generators_module = sys.modules["etaram.generators"]
@@ -215,6 +217,25 @@ def test_record_heads_match_the_fast_route(N):
 @pytest.mark.slow
 def test_level_18_generator_count():
     assert len(generators(18)) == 377
+
+
+def test_level_generators_never_reach_the_slack_completion(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a level system reached the slack completion")
+
+    monkeypatch.setattr(lattice, "minimal_nonneg_solutions", forbidden)
+    for N in list(range(2, 17)) + [18]:
+        assert generators.__wrapped__(N) == generators(N), N
+
+
+# the walk's node budget stops levels 17 and 19, the group order 23 and 32
+@pytest.mark.parametrize("N, order, seconds", [
+    (17, 584, 5), (19, 4383, 5), (23, 408991, 1), (32, 44697600, 1)])
+def test_large_levels_raise_the_step_budget_early(N, order, seconds):
+    t0 = time.perf_counter()
+    with pytest.raises(StepBudgetExceeded, match="group of order %d " % order):
+        generators.__wrapped__(N)
+    assert time.perf_counter() - t0 < seconds
 
 
 def test_generator_orders_nonnegative_and_integral():

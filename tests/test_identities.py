@@ -12,6 +12,7 @@ import pytest
 import etaram.eta
 import etaram.exprs
 import etaram.identities
+import etaram.lattice
 
 from etaram.cusps import INFINITY, cusp_set
 from etaram.eta import GenEtaQuotient, PartitionSpec
@@ -269,6 +270,22 @@ def test_derivation_expands_only_the_generators_the_basis_uses():
     expanded = {i for i in mb._store[1] if isinstance(i, int)}
     assert expanded == {0} | e_1
     assert len(expanded) < len(mb.gens)
+
+
+def test_derivations_never_reach_the_slack_completion(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a derivation reached the slack completion")
+
+    monkeypatch.setattr(etaram.lattice, "minimal_nonneg_solutions", forbidden)
+    # find_multiplier runs its Hilbert basis in every derivation
+    assert derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60)).status == "Derived"
+    assert derive_identity(PARTITION, 11, 6).status == "Derived"
+
+
+def test_level_32_fails_at_its_generators():
+    ident = derive_identity(PARTITION, 4, 0)
+    assert ident.status == "Failed"
+    assert ident.failure.startswith("generators: group of order 44697600 exceeds")
 
 
 def test_failure_is_reported_not_raised():

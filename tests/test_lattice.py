@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -8,7 +9,7 @@ from etaram.generators import pole_free_system
 from etaram.lattice import (
     DioSystem, StepBudgetExceeded, enumerate_coset, hilbert_basis, hnf_column,
     in_lattice, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
-    reduce_mod_lattice, solve_diophantine,
+    minimal_zero_sum_sequences, reduce_mod_lattice, solve_diophantine,
 )
 
 
@@ -235,20 +236,148 @@ def test_completion_matches_full_scan_on_random_systems():
         _assert_matches_reference(_random_rows(rng))
 
 
-def test_completion_matches_full_scan_on_level_systems(monkeypatch):
-    captured = []
+LEVELS_THAT_COMPLETE = list(range(2, 17)) + [18]
+
+
+def test_group_path_matches_slack_path_on_level_systems(monkeypatch):
+    group = {N: hilbert_basis(pole_free_system(N).system) for N in LEVELS_THAT_COMPLETE}
+    captured = {}
     original = lattice.minimal_nonneg_solutions
 
     def capture(rows, *args, **kwargs):
-        captured.append(rows)
+        captured.setdefault(N, []).append(rows)
         return original(rows, *args, **kwargs)
 
+    # force the slack completion where the zero-sum walk would run
+    monkeypatch.setattr(lattice, "_group_minimals", lattice._slack_minimals)
     monkeypatch.setattr(lattice, "minimal_nonneg_solutions", capture)
+    for N in LEVELS_THAT_COMPLETE:
+        assert hilbert_basis(pole_free_system(N).system) == group[N], N
+    assert sorted(captured) == LEVELS_THAT_COMPLETE
+    assert all(len(calls) == 1 for calls in captured.values())
+    # and the completion itself matches the full scan on level-size systems
     for N in (11, 14, 15):
+        _assert_matches_reference(captured[N][0])
+
+
+def _reference_zero_sum_walk(classes, moduli):
+    """The zero-sum walk on residue tuples and python sets: the minimal
+    zero-sum vectors and the number of zero-sum-free sequences entered."""
+    k = len(classes)
+
+    def add(a, b):
+        return tuple((x + z) % d for x, z, d in zip(a, b, moduli))
+
+    zero = tuple(0 for _ in moduli)
+    negs = [tuple(-x % d for x, d in zip(g, moduli)) for g in classes]
+    found, nodes = set(), 0
+
+    def walk(lo, y, sums, total):
+        nonlocal nodes
+        for j in range(lo, k):
+            z = y[:j] + (y[j] + 1,) + y[j + 1:]
+            if negs[j] == total:
+                found.add(z)
+            elif negs[j] not in sums:
+                nodes += 1
+                walk(j, z, sums | {add(s, classes[j]) for s in sums},
+                     add(total, classes[j]))
+
+    walk(0, (0,) * k, {zero}, zero)
+    return found, nodes
+
+
+def _simplex(k, n):
+    """Every vector of k nonnegative integers summing to at most n."""
+    if k == 0:
+        yield ()
+        return
+    for x in range(n + 1):
+        for rest in _simplex(k - 1, n - x):
+            yield (x,) + rest
+
+
+def _minimal_zero_sums_by_box_scan(classes, moduli):
+    """Minimal nonzero y >= 0 of class 0, scanned over the box sum(y) <= |G|
+    (a longer sequence has a zero-sum prefix difference, so no minimal
+    vector lies outside it)."""
+    order = prod(moduli)
+    zero_sums = [y for y in _simplex(len(classes), order) if any(y) and all(
+        sum(c * g[i] for c, g in zip(y, classes)) % d == 0 for i, d in enumerate(moduli))]
+    minimals = []
+    for y in sorted(zero_sums, key=sum):
+        if not any(all(a <= b for a, b in zip(m, y)) for m in minimals):
+            minimals.append(y)
+    return set(minimals)
+
+
+GROUPS = [(), (2,), (3,), (5,), (7,), (2, 2), (2, 3), (3, 3), (2, 10), (2, 2, 2),
+          (4, 2), (12,), (30,), (2, 2, 6), (3, 9)]
+
+
+def test_zero_sum_walk_matches_box_scan():
+    rng = random.Random(21)
+    seen = set()
+    for trial in range(100):
+        moduli = list(GROUPS[trial % len(GROUPS)])
+        k = rng.randint(1, 4)
+        classes = [tuple(rng.randrange(d) for d in moduli) for _ in range(k)]
+        expect = _minimal_zero_sums_by_box_scan(classes, moduli)
+        got = minimal_zero_sum_sequences(classes, moduli)
+        assert len(got) == len(set(got))
+        assert set(got) == expect, (classes, moduli)
+        reference, nodes = _reference_zero_sum_walk(classes, moduli)
+        assert reference == expect
+        seen.add(tuple(moduli))
+    assert seen == set(GROUPS)
+
+
+def test_zero_sum_walk_budget_is_exact():
+    rng = random.Random(22)
+    for trial in range(30):
+        moduli = list(GROUPS[trial % len(GROUPS)])
+        classes = [tuple(rng.randrange(d) for d in moduli) for _ in range(rng.randint(1, 5))]
+        expect, nodes = _reference_zero_sum_walk(classes, moduli)
+        assert set(minimal_zero_sum_sequences(classes, moduli, node_limit=nodes)) == expect
+        if nodes:
+            with pytest.raises(StepBudgetExceeded, match="exceeded %d nodes" % (nodes - 1)):
+                minimal_zero_sum_sequences(classes, moduli, node_limit=nodes - 1)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _level_walk_arguments(monkeypatch, N):
+    """The (classes, moduli) that hilbert_basis hands the walk at level N."""
+    def capture(classes, moduli):
+        raise _Captured(classes, moduli)
+
+    monkeypatch.setattr(lattice, "minimal_zero_sum_sequences", capture)
+    with pytest.raises(_Captured) as info:
         hilbert_basis(pole_free_system(N).system)
-    assert len(captured) == 3
-    for rows in captured:
-        _assert_matches_reference(rows)
+    monkeypatch.undo()
+    return info.value.args
+
+
+@pytest.mark.parametrize("N, order, nodes, count", [
+    (18, 21, 2379, 377), (20, 60, 36210, 1952)])
+def test_zero_sum_walk_nodes_at_levels_under_the_budget(monkeypatch, N, order, nodes, count):
+    classes, moduli = _level_walk_arguments(monkeypatch, N)
+    assert prod(moduli) == order
+    assert nodes < lattice.ZERO_SUM_NODE_LIMIT
+    assert len(minimal_zero_sum_sequences(classes, moduli, node_limit=nodes)) == count
+    with pytest.raises(StepBudgetExceeded):
+        minimal_zero_sum_sequences(classes, moduli, node_limit=nodes - 1)
+
+
+def test_zero_sum_walk_refuses_a_large_group_at_once():
+    order = lattice.MAX_GROUP_ORDER + 1
+    with pytest.raises(StepBudgetExceeded, match="group of order %d exceeds" % order):
+        minimal_zero_sum_sequences([(1,)], [order], node_limit=0)
+    # the largest group allowed still runs: a cyclic generator closes at |G|
+    order -= 1
+    assert minimal_zero_sum_sequences([(0,), (1,)], [order]) == [(1, 0), (0, order)]
 
 
 @pytest.mark.parametrize("rows", [
