@@ -17,16 +17,17 @@ from .modularity import (
 )
 from .generators import generators
 from .reduction import (
-    InsufficientTruncation, NotMember, VerificationFailure, module_basis,
+    BasisIncomplete, InsufficientTruncation, NotMember, VerificationFailure,
+    module_basis,
 )
 from .identities import (
     DeriveOptions, Identity, NoHFound, derive_identity, dissect, verify_identity,
 )
 
 __all__ = [
-    "Cusp", "DeriveOptions", "GenEtaQuotient", "INFINITY", "Identity",
-    "InsufficientTruncation", "NoHFound", "NoPhiFound", "NonIntegralPower",
-    "NotMember", "PartitionSpec", "QSeries", "SL2Matrix",
+    "BasisIncomplete", "Cusp", "DeriveOptions", "GenEtaQuotient", "INFINITY",
+    "Identity", "InsufficientTruncation", "NoHFound", "NoPhiFound",
+    "NonIntegralPower", "NotMember", "PartitionSpec", "QSeries", "SL2Matrix",
     "VerificationFailure", "ZeroSeries", "check_level", "cusp_set",
     "derive_identity", "dissect", "euler_product", "find_level",
     "find_prefactor", "generators", "is_modular_prefactor", "module_basis",

@@ -3,17 +3,16 @@ infinity.
 
 The generator quotients span a polynomial algebra that is finitely generated
 as a module over the polynomial ring in a single distinguished generator z
-(the one of smallest pole order n).  module_basis computes a basis 1, e_1,
+(the one of smallest pole order n).  module_basis returns a basis 1, e_1,
 ... whose pole orders are pairwise incongruent modulo n, which makes
 leading-term reduction unambiguous.  It seeds each class of pole orders mod
 n with a single generator and counts the positive integers the seeds leave
 uncovered.  When that gap count equals the genus of X1(N), the Weierstrass
-gap theorem certifies that the seeds already cover every pole order a
-function with poles only at infinity can have, so they are the basis;
-otherwise a closure reduces every product of the basis with a generator.
-reduce_by_basis strips poles one at a time, and express certifies
-membership through the constancy principle (a remainder with no poles
-anywhere and positive order at infinity is zero), double-checked
+gap theorem certifies that the seeds cover every pole order a function with
+poles only at infinity can have, so they are the basis; otherwise it raises
+BasisIncomplete.  reduce_by_basis strips poles one at a time, and express
+certifies membership through the constancy principle (a remainder with no
+poles anywhere and positive order at infinity is zero), double-checked
 coefficientwise to the certified truncation.  A basis expands a generator
 the first time a monomial reads it.
 """
@@ -31,28 +30,20 @@ from .series import QSeries
 
 
 class InsufficientTruncation(RuntimeError):
-    """Expansions are too short to continue reducing; module_basis's closure
-    retries with more terms, and everywhere else it is a failure."""
+    """Expansions are too short to continue reducing."""
 
 
 class NotMember(RuntimeError):
     """Reduction stalled: no basis element covers the current pole class."""
 
 
+class BasisIncomplete(NotMember):
+    """The seeds of a generator list do not certify a module basis: a pole
+    class has no seed, or the seeds miss more pole orders than the genus."""
+
+
 class VerificationFailure(RuntimeError):
     """A coefficient survived where the constancy principle demands zero."""
-
-
-def _combo_axpy(target: dict, c: Fraction, combo: dict, shift_index=None, shift_by=0):
-    for mono, coeff in combo.items():
-        if shift_by:
-            mono = tuple(e + (shift_by if i == shift_index else 0)
-                         for i, e in enumerate(mono))
-        v = target.get(mono, Fraction(0)) - c * coeff
-        if v:
-            target[mono] = v
-        elif mono in target:
-            del target[mono]
 
 
 @dataclass
@@ -84,9 +75,6 @@ class ModuleBasis:
     @property
     def width(self) -> int:
         return len(self.elements) - 1
-
-    def by_class(self):
-        return {e.pole % self.n: e for e in self.elements}
 
     def ensure_terms(self, terms: int):
         """Raise the truncation to terms; every series is then read afresh."""
@@ -200,11 +188,8 @@ def module_basis(gens) -> ModuleBasis:
     functions with no other pole (the Weierstrass gap theorem), so seeds
     with that many gaps in all n classes already reach every pole order of
     the whole ring, and they are returned as the basis.  Fewer gaps than the
-    genus is impossible and raises.  With more, or with a class no
-    generator seeds (infinitely many gaps), the classical completion over z
-    runs: products of the basis with all generators are reduced until
-    nothing new appears, and a reduction that stops at an uncovered pole
-    replaces its class's element.
+    genus is impossible and raises AssertionError.  More gaps, or a class
+    no generator seeds, raises BasisIncomplete.
     """
     terms = max(48, 4 * max((g.pole for g in gens), default=0))
     if not gens:
@@ -213,133 +198,67 @@ def module_basis(gens) -> ModuleBasis:
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
     seeds = _seeds(gens, n)
-    if len(seeds) == n:
-        gaps = sum((e.pole - r) // n for r, e in seeds.items())
-        g = genus(gens[0].quotient.N)
-        if gaps < g:
-            raise AssertionError("the seeds miss %d pole orders, below the genus %d"
-                                 % (gaps, g))
-        if gaps == g:
-            return ModuleBasis(tuple(gens), n, _in_pole_order(seeds), _store=(terms, {}))
-    while True:
-        try:
-            basis = _closure(gens, n, terms)
-        except InsufficientTruncation:
-            terms *= 2
-            if terms > 1 << 14:
-                raise
-        else:
-            return ModuleBasis(tuple(gens), n, _in_pole_order(basis), _store=(terms, {}))
+    N = gens[0].quotient.N
+    g = genus(N)
+    empty = [r for r in range(n) if r not in seeds]
+    if empty:
+        raise BasisIncomplete("level %d (genus %d): no generator seeds pole class %d mod %d"
+                              % (N, g, empty[0], n))
+    gaps = sum((e.pole - r) // n for r, e in seeds.items())
+    if gaps < g:
+        raise AssertionError("the seeds miss %d pole orders, below the genus %d"
+                             % (gaps, g))
+    if gaps > g:
+        raise BasisIncomplete("level %d: the seeds miss %d pole orders, above the genus %d"
+                              % (N, gaps, g))
+    others = sorted((e for r, e in seeds.items() if r != 0), key=lambda e: e.pole)
+    return ModuleBasis(tuple(gens), n, (seeds[0],) + tuple(others), _store=(terms, {}))
 
 
 def _seeds(gens, n: int) -> dict:
-    """Pole class -> element: the unit at 0, then single generators (smallest
-    pole, then leanest head)."""
+    """Pole class -> element: the unit at 0, then in each other class the
+    generator of smallest pole, then leanest head, then first in the list."""
+    best = {}
+    for i, g in enumerate(gens):
+        r, key = g.pole % n, (g.pole, g.head, i)
+        if r and (r not in best or key < best[r]):
+            best[r] = key
     k = len(gens)
     seeds = {0: BasisElement({(0,) * k: Fraction(1)}, 0)}
-    for i in sorted(range(k), key=lambda i: (gens[i].pole, gens[i].head)):
-        g = gens[i]
-        r = g.pole % n
-        if r not in seeds or seeds[r].pole > g.pole:
-            mono = tuple(1 if j == i else 0 for j in range(k))
-            seeds[r] = BasisElement({mono: Fraction(1)}, g.pole)
+    for r, (pole, _, i) in best.items():
+        seeds[r] = BasisElement({tuple(int(j == i) for j in range(k)): Fraction(1)}, pole)
     return seeds
 
 
-def _in_pole_order(basis: dict) -> tuple:
-    """The unit, then the other classes' elements by pole."""
-    return (basis[0],) + tuple(sorted((e for r, e in basis.items() if r != 0),
-                                      key=lambda e: e.pole))
-
-
-def _closure(gens, n: int, terms: int) -> dict:
-    """Pole class -> element once products of the basis with every generator
-    reduce into the span, starting from the seeds."""
-    basis = _seeds(gens, n)
-    # reads series only: _reduce takes its elements from basis
-    reader = ModuleBasis(tuple(gens), n, (), _store=(terms, {}))
-    k = len(gens)
-
-    def reduce_elem(combo):
-        """Strip reducible leading poles; None when absorbed into the span."""
-        steps, rem, p = _reduce(reader.combo_series(combo), reader, basis)
-        if p is None:
-            return None
-        for e, j, c in steps:
-            _combo_axpy(combo, c, e.combo, shift_index=0, shift_by=j)
-        lead_c = rem.leading()[1]
-        return BasisElement({m: v / lead_c for m, v in combo.items()}, p)
-
-    rounds = 0
-    changed = True
-    while changed:
-        rounds += 1
-        if rounds > 10 * max(k, 1):
-            raise RuntimeError("basis closure failed to stabilize")
-        changed = False
-        for r in sorted(basis):
-            elem = basis[r]
-            for i in range(k):
-                combo = {}
-                _combo_axpy(combo, Fraction(-1), elem.combo, shift_index=i, shift_by=1)
-                red = reduce_elem(combo)
-                if red is None:
-                    continue
-                # _reduce stops only at a pole its class does not cover, so
-                # red's class is empty or held by an element of larger pole
-                basis[red.pole % n] = red
-                changed = True
-                break
-            if changed:
-                break
-    return basis
-
-
-def _reduce(series: QSeries, mb: ModuleBasis, by_class: dict):
-    """Strip leading poles with the elements of by_class (pole class ->
-    element) and powers of z.
-
-    Returns (steps, remainder, pole): steps lists the (element, z degree,
-    coefficient) subtracted in turn, and pole is the order of the first pole
-    no element covers, or None when the remainder has no visible pole.  Every
-    step must lower the pole, so the loop ends.
-    """
-    steps = []
-    while True:
-        p = _pole_of(series)
-        if p is None:
-            return steps, series, None
-        e = by_class.get(p % mb.n)
-        if e is None or e.pole > p:
-            return steps, series, p
-        j = (p - e.pole) // mb.n
-        c = series.leading()[1]
-        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
-        series2 = series - mb.combo_series(shifted).scale(c)
-        p2 = _pole_of(series2)
-        if p2 is not None and p2 >= p:
-            raise AssertionError("reduction failed to decrease the pole order")
-        steps.append((e, j, c))
-        series = series2
-
-
 def reduce_by_basis(f: QSeries, mb: ModuleBasis):
-    """Leading-pole reduction of f against the basis.
+    """Leading-pole reduction of f against the basis and powers of z.
 
     Returns ({(element index, z degree): coefficient}, remainder); the
     remainder has no visible pole.  Raises NotMember when a pole class has no
     usable basis element and InsufficientTruncation when the series runs out.
+    Every step must lower the pole, so the loop ends and no key repeats.
     """
-    steps, series, p = _reduce(f, mb, mb.by_class() if mb.gens else {})
-    if p is not None:
-        if not mb.gens:
-            raise NotMember("a pole of order %d over an empty basis" % p)
-        raise NotMember("no basis element matches pole order %d" % p)
+    by_class = {e.pole % mb.n: i for i, e in enumerate(mb.elements)} if mb.gens else {}
     coeffs = {}
-    for elem, j, c in steps:
-        key = (mb.elements.index(elem), j)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    return coeffs, series
+    while True:
+        p = _pole_of(f)
+        if p is None:
+            return coeffs, f
+        i = by_class.get(p % mb.n)
+        if i is None or mb.elements[i].pole > p:
+            if not mb.gens:
+                raise NotMember("a pole of order %d over an empty basis" % p)
+            raise NotMember("no basis element matches pole order %d" % p)
+        e = mb.elements[i]
+        j = (p - e.pole) // mb.n
+        c = f.leading()[1]
+        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
+        reduced = f - mb.combo_series(shifted).scale(c)
+        p2 = _pole_of(reduced)
+        if p2 is not None and p2 >= p:
+            raise AssertionError("reduction failed to decrease the pole order")
+        coeffs[i, j] = c
+        f = reduced
 
 
 def express(f: QSeries, mb: ModuleBasis, certify_to: int):

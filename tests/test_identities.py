@@ -402,6 +402,18 @@ def test_derive_always_runs_the_independent_check(monkeypatch):
     assert ident.failure == "verification: re-expansion spoiled on purpose"
 
 
+def test_uncertified_basis_fails_the_generators_stage(monkeypatch):
+    # without the pole-3 generators the level-11 seeds (poles 2 and 5) miss
+    # two pole orders, one more than the genus of X1(11)
+    pruned = tuple(g for g in generators(11) if g.pole != 3)
+    monkeypatch.setattr(etaram.identities, "generators", lambda N: pruned)
+    etaram.identities.level_basis.cache_clear()
+    ident = derive_identity(PARTITION, 11, 6, DeriveOptions())
+    assert ident.status == "Failed"
+    assert ident.to_json()["status"] == (
+        "Failed(generators: level 11: the seeds miss 2 pole orders, above the genus 1)")
+
+
 def test_independent_check_rejects_a_short_comparison(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
     full = etaram.identities.Identity.rhs_series

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 import etaram.reduction
+from etaram.cusps import genus
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.generators import generator_from_quotient, generators, sort_generators
 from etaram.reduction import (
-    NotMember, VerificationFailure, _combination, _monomial_series, _z_polynomial,
-    express, module_basis, reduce_by_basis,
+    BasisIncomplete, NotMember, VerificationFailure, _combination, _monomial_series,
+    _z_polynomial, express, module_basis, reduce_by_basis,
 )
 from etaram.series import QSeries
 
@@ -145,9 +146,10 @@ def _basis_json(N):
 
 
 # SHA-256 of _basis_json(N): any change to an element's combination shows up
-# here.  Every value was computed by the full closure, which reduces every
-# product of the basis with a generator; the genus certificate must return
-# the same bases.  Levels 11, 14 and 15 have width 1, 13, 16 and 18 width 2.
+# here.  Levels 6-18 were pinned by a full closure that reduced every product
+# of the basis with a generator, and level 20 by the genus-certified seeds
+# before that closure was removed.  Levels 11, 14 and 15 have width 1, 13,
+# 16 and 18 width 2, and 20 width 3.
 BASIS_HASHES = {
     6: "30bd69c76dd09d3e93194f4fd5556db231cc89910a43effc6e27b1ef02997e4b",
     10: "422efb3b936bad669308fd2ca237e3949c364f7afe6b70548b5f58b5a8704c40",
@@ -158,6 +160,7 @@ BASIS_HASHES = {
     15: "6075a2b6e00aa4fcdab9d3c78936c690eb93f031c076f6758a6519d3ccf38585",
     16: "b06a32a7cb644f0a9e43eb27bfb22cac7254fa4246c3fb1dba676a65b51e693a",
     18: "12efb6c839c05b95f196673faf0237d80e3fdaf97ade2b83d336ae92bd7c3dcf",
+    20: "8a7a86a52ce9ea99af45a26015d29bd079f319b9d47af2895d6e14b148c2de7a",
 }
 
 
@@ -167,42 +170,52 @@ def test_basis_elements_are_pinned(N):
     assert digest == BASIS_HASHES[N]
 
 
-def count_reductions(monkeypatch):
-    calls = []
-    reduce = etaram.reduction._reduce
-
-    def counted(*args):
-        calls.append(1)
-        return reduce(*args)
-
-    monkeypatch.setattr(etaram.reduction, "_reduce", counted)
-    return calls
+# every level up to 22 where generators(N) completes
+CERTIFIED_LEVELS = list(range(2, 17)) + [18, 20]
 
 
-@pytest.mark.parametrize("N", [6, 10, 11, 12, 13, 14, 15, 16])
-def test_genus_certificate_skips_the_closure(N, monkeypatch):
+@pytest.mark.parametrize("N", CERTIFIED_LEVELS)
+def test_level_basis_is_its_seeds(N, monkeypatch):
     gens = generators(N)
-    calls = count_reductions(monkeypatch)
-    module_basis(gens)
-    assert not calls
+    calls = []
+    expansion, mul = GenEtaQuotient.expansion, QSeries.__mul__
 
+    def counted_expansion(self, *args, **kw):
+        calls.append("expansion")
+        return expansion(self, *args, **kw)
 
-def test_closure_element_found_by_reduction(monkeypatch):
-    # without the pole-3 generators, class 1 (mod 2) is first filled by
-    # reducing the pole-4 generator g2 against z^2: e = g2 - z^2, pole 3.
-    # The seeds (poles 2 and 5) miss two pole orders, one more than the
-    # genus of X1(11), so the closure must run.
-    gens = tuple(g for g in generators(11) if g.pole != 3)
-    calls = count_reductions(monkeypatch)
+    def counted_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    monkeypatch.setattr(GenEtaQuotient, "expansion", counted_expansion)
+    monkeypatch.setattr(QSeries, "__mul__", counted_mul)
     mb = module_basis(gens)
-    assert calls
-    assert [e.pole for e in mb.elements] == [0, 3]
-    unit = [0] * len(gens)
-    g2, z2 = list(unit), list(unit)
-    g2[2], z2[0] = 1, 2
-    assert mb.elements[1].combo == {tuple(g2): 1, tuple(z2): -1}
-    mb.ensure_terms(20)
-    assert mb.element_series(1).leading() == (-3, 1)
+    monkeypatch.undo()
+    assert not calls
+    for e in mb.elements[1:]:
+        (mono, c), = e.combo.items()
+        assert c == 1 and sorted(mono) == [0] * (len(mono) - 1) + [1]
+        assert e.pole == gens[mono.index(1)].pole
+    assert sum((e.pole - e.pole % mb.n) // mb.n for e in mb.elements) == genus(N)
+
+
+def test_pruned_generators_raise():
+    # without the pole-3 generators the level-11 seeds (poles 2 and 5) miss
+    # two pole orders, one more than the genus of X1(11)
+    gens = tuple(g for g in generators(11) if g.pole != 3)
+    with pytest.raises(BasisIncomplete, match="^level 11: the seeds miss 2 pole orders, "
+                                              "above the genus 1$"):
+        module_basis(gens)
+
+
+def test_unseeded_pole_class_raises():
+    # the level-11 generators of even pole leave class 1 (mod 2) empty
+    gens = tuple(g for g in generators(11) if g.pole % 2 == 0)
+    assert gens[0].pole == 2
+    with pytest.raises(BasisIncomplete, match="^level 11 \\(genus 1\\): no generator seeds "
+                                              "pole class 1 mod 2$"):
+        module_basis(gens)
 
 
 def test_empty_basis_expresses_a_constant():
@@ -225,12 +238,12 @@ def test_genus_above_the_gap_count_raises(monkeypatch):
         module_basis(generators(11))
 
 
-def test_genus_below_the_gap_count_runs_the_closure(monkeypatch):
-    expected = module_basis(generators(11)).elements
+def test_genus_below_the_gap_count_raises(monkeypatch):
+    # the level-11 seeds (poles 2 and 3) miss the pole order 1
     monkeypatch.setattr(etaram.reduction, "genus", lambda N: 0)
-    calls = count_reductions(monkeypatch)
-    assert module_basis(generators(11)).elements == expected
-    assert calls
+    with pytest.raises(BasisIncomplete, match="^level 11: the seeds miss 1 pole orders, "
+                                              "above the genus 0$"):
+        module_basis(generators(11))
 
 
 def test_built_basis_is_immutable():
