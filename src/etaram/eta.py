@@ -419,7 +419,8 @@ class GenEtaQuotient:
     also takes any g (folded by g -> d - g and modulo d) and half-integral
     exponents at g = 0 and 2g = d, where the factor is a plain eta power in
     disguise: eta_{d,0} = eta(d tau)^2 and eta_{d,d/2} = eta(d tau/2)^2 /
-    eta(d tau)^2 (Robins 1994).  It folds those into a.
+    eta(d tau)^2 (Robins 1994).  It folds those into a.  An int exponent
+    stays an int through the checks; only another type is read as a Fraction.
     """
 
     def __init__(self, N: int, a=None, ag=None):
@@ -432,13 +433,13 @@ class GenEtaQuotient:
             d = int(d)
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
-            plain[d] = plain.get(d, 0) + Fraction(e)
+            plain[d] = plain.get(d, 0) + (e if isinstance(e, int) else Fraction(e))
         for (d, g), e in (ag or {}).items():
             d, g = int(d), int(g)
             if N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
             k = (d, _fold_pair_key(d, g))
-            paired[k] = paired.get(k, 0) + Fraction(e)
+            paired[k] = paired.get(k, 0) + (e if isinstance(e, int) else Fraction(e))
         generalized = {}
         for (d, g), e in paired.items():
             if g and 2 * g != d:

@@ -230,26 +230,45 @@ def in_lattice(v, basis):
     return solve_diophantine(A, list(v)) is not None
 
 
+def _size_reducer(basis, passes=4):
+    """Greedy size reduction against one lattice basis, the size-reduction
+    step of Lenstra-Lenstra-Lovasz (1982) without its Gram-Schmidt
+    orthogonalization: returns reduce(x).
+
+    Each pass visits the basis in order and subtracts k b from x, with k the
+    dot product x.b over b.b rounded half to even; a pass that changes
+    nothing ends the reduction.  The norms and each vector's nonzero entries
+    are taken once per call, so a step costs the support of b, not the
+    length of x: the lineality vectors hilbert_basis reduces against have 3
+    to 8 nonzero entries among up to 295.
+    """
+    norms = [sum(map(mul, b, b)) for b in basis]
+    supports = [[(j, c) for j, c in enumerate(b) if c] for b in basis]
+
+    def reduce(x):
+        x = list(x)
+        for _ in range(passes):
+            changed = False
+            for support, bb in zip(supports, norms):
+                if not bb:
+                    continue
+                # round half to even, as round(Fraction(dot, bb)) does
+                k, r = divmod(sum([x[j] * c for j, c in support]), bb)
+                k += 2 * r > bb or (2 * r == bb and k % 2)
+                if k:
+                    for j, c in support:
+                        x[j] -= k * c
+                    changed = True
+            if not changed:
+                break
+        return x
+
+    return reduce
+
+
 def reduce_mod_lattice(v, basis, passes=4):
     """Shrink v by subtracting lattice vectors (greedy size reduction)."""
-    if not basis:
-        return list(v)
-    x = list(v)
-    norms = [sum(map(mul, b, b)) for b in basis]
-    for _ in range(passes):
-        changed = False
-        for b, bb in zip(basis, norms):
-            if not bb:
-                continue
-            # round half to even, as round(Fraction(dot, bb)) does
-            k, r = divmod(sum(map(mul, x, b)), bb)
-            k += 2 * r > bb or (2 * r == bb and k % 2)
-            if k:
-                x = [a - k * c for a, c in zip(x, b)]
-                changed = True
-        if not changed:
-            break
-    return x
+    return _size_reducer(basis, passes)(v)
 
 
 def enumerate_coset(v0, basis, weight_bound):
@@ -543,17 +562,40 @@ def hilbert_basis(system: DioSystem):
     # a modulus 0 marks an equality row: only then has the lattice rank < k
     keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
 
-    # lift the projected generators back to full solutions
+    # lift the projected generators back to full solutions.  solve_diophantine
+    # divides exactly and sets the free coordinates to 0, so it is linear on
+    # right-hand sides it can solve: y = sum c_j b_j over the column-HNF basis
+    # b of L lifts to sum c_j lift(b_j), which is also what the solve of y
+    # itself returns.  Each b_j lies in L, so its own solve succeeds.
+    basis = lattice_hnf(proj, k)
+    pivots = [next(i for i, c in enumerate(b) if c) for b in basis]
+    lifts = [solve_diophantine(lift_rows, [0] * len(eqs) + b, lift_hnf) for b in basis]
+    lifts_t = [list(col) for col in zip(*lifts)]
+    reduce = _size_reducer(lineality)
     pointed = []
     for y in keep:
-        rhs = [0] * len(eqs) + list(y)
-        x = solve_diophantine(lift_rows, rhs, lift_hnf)
-        if x is None:
+        c = _hnf_coordinates(y, basis, pivots)
+        if c is None:
             raise RuntimeError("projected generator failed to lift")
-        x = reduce_mod_lattice(x, lineality)
-        pointed.append(x)
-    pointed.sort(key=lambda v: (sum(abs(c) for c in v), v))
+        pointed.append(reduce(_matvec(lifts_t, c)))
+    pointed.sort(key=lambda v: (sum(map(abs, v)), v))
     return pointed, lineality
+
+
+def _hnf_coordinates(y, basis, pivots):
+    """The integers c with y = sum c_j basis[j], by back-substitution on the
+    pivot rows of a column-HNF basis, or None when y is not in its lattice."""
+    residual = list(y)
+    c = []
+    for b, p in zip(basis, pivots):
+        q, r = divmod(residual[p], b[p])
+        if r:
+            return None
+        c.append(q)
+        if q:
+            for i in range(p, len(residual)):
+                residual[i] -= q * b[i]
+    return None if any(residual) else c
 
 
 def _group_minimals(rows, moduli, k):

@@ -586,6 +586,30 @@ def test_geq_half_integer_rejected_off_special_slots():
         GenEtaQuotient(10, ag={(5, 1): Fraction(1, 2)})
 
 
+def test_geq_construction_checks_every_exponent_type():
+    # int exponents on every slot kind come out as ints
+    h = GenEtaQuotient(12, a={1: 2, 4: -3}, ag={(12, 7): 4, (6, 0): 1, (6, 3): -2})
+    assert (h.a, h.ag) == ({1: 2, 3: -4, 4: -3, 6: 6}, {(12, 5): 4})
+    assert all(type(e) is int for e in [*h.a.values(), *h.ag.values()])
+    # half-integral Fractions (and a float) on the g = 0 and 2g = d slots
+    # still fold into a, beside an int on the same divisor
+    h = GenEtaQuotient(6, a={6: 1}, ag={(6, 0): Fraction(1, 2), (6, 3): 1.5})
+    assert (h.a, h.ag) == ({3: 3, 6: -1}, {})
+    assert all(type(e) is int for e in h.a.values())
+    # a Fraction that is an integer is stored as one
+    assert GenEtaQuotient(5, a={5: Fraction(4, 2)}).a == {5: 2}
+    # a non-integral exponent still raises on each slot kind
+    for a, ag in [({5: Fraction(1, 2)}, {}), ({}, {(5, 1): Fraction(1, 3)}),
+                  ({}, {(10, 0): Fraction(1, 3)}), ({}, {(10, 5): "1/4"}),
+                  ({10: Fraction(1, 2)}, {(10, 0): Fraction(1, 2)})]:
+        with pytest.raises(NonIntegralPower):
+            GenEtaQuotient(10, a, ag)
+    # and so does an argument that does not divide the level
+    for a, ag in [({4: Fraction(1)}, {}), ({}, {(4, 1): Fraction(2)})]:
+        with pytest.raises(ValueError, match="does not divide level 10"):
+            GenEtaQuotient(10, a, ag)
+
+
 def test_lead_exponent_matches_expansion():
     rng = random.Random(3)
     for _ in range(25):

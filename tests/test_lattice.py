@@ -4,13 +4,17 @@ from math import prod
 
 import pytest
 
-from etaram import lattice
-from etaram.generators import pole_free_system
+from etaram import identities, lattice
+from etaram.cusps import cusp_order_bounds
+from etaram.eta import PartitionSpec
+from etaram.generators import generators, pole_free_system
+from etaram.identities import find_multiplier
 from etaram.lattice import (
     DioSystem, StepBudgetExceeded, enumerate_coset, hilbert_basis, hnf_column,
     in_lattice, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
     minimal_zero_sum_sequences, reduce_mod_lattice, solve_diophantine,
 )
+from etaram.modularity import find_level, find_prefactor
 
 
 def matmul(A, B):
@@ -477,3 +481,172 @@ def test_hilbert_pointed_minimality():
         for i, v in enumerate(pointed):
             others = pointed[:i] + pointed[i + 1:]
             assert not in_monoid(v, others, lineality, nonneg), (eqs, v)
+
+
+# -- the lift of the minimal vectors --------------------------------------------
+
+def _greedy_size_reduction(v, basis, passes=4):
+    """The greedy loop of the per-vector lift, written out: every dot
+    product recomputed on every pass, x updated at every step."""
+    x = list(v)
+    norms = [sum(a * a for a in b) for b in basis]
+    for _ in range(passes):
+        changed = False
+        for b, bb in zip(basis, norms):
+            if not bb:
+                continue
+            k, r = divmod(sum(a * c for a, c in zip(x, b)), bb)
+            k += 2 * r > bb or (2 * r == bb and k % 2)
+            if k:
+                x = [a - k * c for a, c in zip(x, b)]
+                changed = True
+        if not changed:
+            break
+    return x
+
+
+def test_reduce_mod_lattice_is_the_greedy_loop():
+    # dense and sparse bases, a zero vector among them, and every pass count
+    rng = random.Random(24)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        basis = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 5)) for _ in range(n)]
+                 for _ in range(rng.randint(0, 4))]
+        v = [rng.randint(-40, 40) for _ in range(n)]
+        passes = 1 + trial % 4
+        assert reduce_mod_lattice(v, basis, passes) == \
+            _greedy_size_reduction(v, basis, passes), (v, basis, passes)
+
+
+def _per_vector_lift(system, keep):
+    """hilbert_basis's output from its minimal vectors by the per-vector
+    path: each y solved for on its own, then size-reduced by the loop above.
+    Also returns how many of the solves the reduction changed."""
+    n = system.nvars
+    P = sorted(system.nonneg)
+    eqs = [row[:] for row in system.equalities] or [[0] * n]
+    lift_rows = eqs + [[1 if j == i else 0 for j in range(n)] for i in P]
+    hnf = hnf_column(lift_rows)
+    lineality = kernel_basis(lift_rows, hnf)
+    pointed = []
+    reduced = 0
+    for y in keep:
+        x = solve_diophantine(lift_rows, [0] * len(eqs) + list(y), hnf)
+        assert x is not None
+        pointed.append(_greedy_size_reduction(x, lineality))
+        reduced += pointed[-1] != x
+    pointed.sort(key=lambda v: (sum(abs(c) for c in v), v))
+    return (pointed, lineality), reduced
+
+
+@pytest.fixture
+def minimals_spy(monkeypatch):
+    """Records (path, minimal vectors) for every hilbert_basis call."""
+    seen = []
+    for name in ("_group_minimals", "_slack_minimals"):
+        def spy(rows, moduli, k, real=getattr(lattice, name), name=name):
+            keep = real(rows, moduli, k)
+            seen.append((name, keep))
+            return keep
+        monkeypatch.setattr(lattice, name, spy)
+    return seen
+
+
+def _assert_lift_matches_oracle(seen, system):
+    """hilbert_basis(system) equals the per-vector path; returns the path the
+    minimal vectors took, the number the reduction changed and the largest
+    lineality entry, or None when no minimal vector was sought."""
+    seen.clear()
+    got = hilbert_basis(system)
+    if not seen:
+        return None
+    (path, keep), = seen
+    expect, reduced = _per_vector_lift(system, keep)
+    assert got == expect, system
+    return path, reduced, max((abs(c) for v in got[1] for c in v), default=0)
+
+
+def test_lift_matches_the_per_vector_path_on_random_systems(minimals_spy):
+    rng = random.Random(23)
+    kinds = set()
+    done = reduced = 0
+    while done < 120:
+        n = rng.randint(2, 6)
+        # at most three nonnegative variables keep every completion small
+        nonneg = sorted(rng.sample(range(n), rng.randint(1, min(n, 3))))
+        eqs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        # a row on the nonnegative variables alone makes an equality row of L
+        eqs += [[rng.randint(-3, 3) if j in nonneg else 0 for j in range(n)]
+                for _ in range(rng.randint(0, 1))]
+        outcome = _assert_lift_matches_oracle(minimals_spy, DioSystem(eqs, nonneg))
+        if outcome is None:
+            continue
+        path, changed, biggest = outcome
+        kinds.add((path, min(biggest, 2)))
+        reduced += changed
+        done += 1
+    # both paths, each with no lineality, with entries of +-1 only and with
+    # entries beyond; and the reduction had work to do
+    assert kinds == {(p, b) for p in ("_group_minimals", "_slack_minimals")
+                     for b in (0, 1, 2)}
+    assert reduced > 20
+
+
+@pytest.mark.parametrize("N", LEVELS_THAT_COMPLETE + [20])
+def test_lift_matches_the_per_vector_path_on_level_systems(minimals_spy, N):
+    path, _, biggest = _assert_lift_matches_oracle(minimals_spy, pole_free_system(N).system)
+    assert path == "_group_minimals"
+    assert biggest == (2 if N == 20 else 1)
+
+
+def _multiplier_system(monkeypatch, spec, m, t):
+    """The DioSystem find_multiplier hands hilbert_basis in a derivation."""
+    N = find_level(spec, m, t)
+    bounds = cusp_order_bounds(spec, m, t, find_prefactor(spec, m, t, N), N)
+    systems = []
+    real = identities.hilbert_basis
+
+    def spy(system):
+        systems.append(system)
+        return real(system)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "hilbert_basis", spy)
+        find_multiplier(bounds, generators(N), N)
+    return systems[0]
+
+
+@pytest.mark.parametrize("spec, m, t", [
+    (PartitionSpec(2, {1: -2, 2: 1}), 5, 2),    # overpartitions, level 10
+    (PartitionSpec(1, {1: -1}), 13, 6),          # partitions, level 13
+], ids=["over-5n+2", "p-13n+6"])
+def test_lift_matches_the_per_vector_path_on_multiplier_systems(
+        monkeypatch, minimals_spy, spec, m, t):
+    system = _multiplier_system(monkeypatch, spec, m, t)
+    path, reduced, biggest = _assert_lift_matches_oracle(minimals_spy, system)
+    assert path == "_group_minimals"
+    if m == 13:
+        assert reduced and biggest > 1      # 119 lineality vectors, entries to 54
+
+
+@pytest.mark.parametrize("name, system, y", [
+    # L = {(a, b) : a + b even}, full rank: (1, 0) leaves a remainder
+    ("_group_minimals", DioSystem([[1, 1, -2]], [0, 1]), (1, 0)),
+    # L = Z (2, 1), rank 1: (1, 0) leaves a remainder, (2, 0) a residual
+    ("_slack_minimals", DioSystem([[1, -2]], [0, 1]), (1, 0)),
+    ("_slack_minimals", DioSystem([[1, -2]], [0, 1]), (2, 0)),
+], ids=["walk-remainder", "slack-remainder", "slack-residual"])
+def test_a_minimal_vector_outside_the_lattice_fails_to_lift(monkeypatch, name, system, y):
+    called = []
+    real = getattr(lattice, name)
+    pointed, _ = hilbert_basis(system)
+    assert pointed
+
+    def outside(rows, moduli, k):
+        called.append(real(rows, moduli, k))
+        return [y] + called[-1]
+
+    monkeypatch.setattr(lattice, name, outside)
+    with pytest.raises(RuntimeError, match="projected generator failed to lift"):
+        hilbert_basis(system)
+    assert called
