@@ -11,7 +11,7 @@ Main entry points:
 
 from .eta import GenEtaQuotient, NonIntegralPower, PartitionSpec
 from .series import QSeries, ZeroSeries, euler_product, pair_product, pochhammer
-from .cusps import Cusp, INFINITY, SL2Matrix, cusp_set, order_at_cusp, width
+from .cusps import Cusp, INFINITY, cusp_set, order_at_cusp, width
 from .modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
 )
@@ -27,7 +27,7 @@ from .identities import (
 __all__ = [
     "BasisIncomplete", "Cusp", "DeriveOptions", "GenEtaQuotient", "INFINITY",
     "Identity", "InsufficientTruncation", "NoHFound", "NoPhiFound",
-    "NonIntegralPower", "NotMember", "PartitionSpec", "QSeries", "SL2Matrix",
+    "NonIntegralPower", "NotMember", "PartitionSpec", "QSeries",
     "VerificationFailure", "ZeroSeries", "check_level", "cusp_set",
     "derive_identity", "dissect", "euler_product", "find_level",
     "find_prefactor", "generators", "is_modular_prefactor", "module_basis",

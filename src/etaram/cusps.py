@@ -2,10 +2,9 @@
 c = 0 mod N (upper-triangular reduction), the group all modularity statements
 in this package refer to.
 
-Provides a complete set of inequivalent cusps with representative matrices,
-widths, order formulas for generalized eta-quotients at each cusp, and the
-two exponent maps used to bound the cusp orders of a prefactored progression
-slice.
+Provides a complete set of inequivalent cusps, their widths, order formulas
+for generalized eta-quotients at each cusp, and the two exponent maps used to
+bound the cusp orders of a prefactored progression slice.
 """
 
 from __future__ import annotations
@@ -43,21 +42,6 @@ class Cusp:
 INFINITY = Cusp(1, 0)
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("matrix determinant must be 1")
-
-    def apply_to_infinity(self) -> Cusp:
-        return make_cusp(self.a, self.c)
-
-
 def make_cusp(a: int, c: int) -> Cusp:
     if c == 0:
         return INFINITY
@@ -81,34 +65,6 @@ def cusps_equivalent(N: int, s1: Cusp, s2: Cusp) -> bool:
             or (c2 + c1) % N == 0 and (a2 + a1) % g == 0)
 
 
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def completion_matrix(cusp: Cusp) -> SL2Matrix:
-    """Some matrix with first column (a, c); ties broken by smallest |b|."""
-    if cusp.is_infinity:
-        return SL2Matrix(1, 0, 0, 1)
-    a, c = cusp.a, cusp.c
-    g, x, y = _xgcd(a, c)
-    # a x + c y = 1, so rows (a, -y; c, x) has det a x + c y = 1
-    b, d = -y, x
-    if a:
-        k = round(Fraction(b, a))
-        b, d = b - k * a, d - k * c
-        if abs(b + abs(a)) < abs(b):
-            b, d = b + abs(a), d + (c if a > 0 else -c)
-    return SL2Matrix(a, b, c, d)
-
-
 def width(N: int, cusp: Cusp) -> int:
     """Width of a cusp (the stated level-4 anomaly included)."""
     if N == 4 and gcd(cusp.c, 4) == 2:
@@ -119,7 +75,6 @@ def width(N: int, cusp: Cusp) -> int:
 @dataclass(frozen=True)
 class CuspData:
     cusp: Cusp
-    alpha: SL2Matrix     # alpha(infinity) = cusp
     lam: int             # equivalent form lam / (mu * eps)
     mu: int
     eps: int             # eps | N
@@ -165,8 +120,7 @@ def cusp_set(N: int) -> tuple:
     out = []
     for s in reps:
         lam, mu, eps = _lambda_mu_form(N, s)
-        out.append(CuspData(cusp=s, alpha=completion_matrix(s),
-                            lam=lam, mu=mu, eps=eps, width=width(N, s)))
+        out.append(CuspData(cusp=s, lam=lam, mu=mu, eps=eps, width=width(N, s)))
     return tuple(out)
 
 
@@ -246,15 +200,15 @@ def kappa(m: int) -> int:
     return gcd(m * m - 1, 24)
 
 
-def slice_min_exponent(spec: PartitionSpec, m: int, gamma: SL2Matrix) -> Fraction:
-    """Least q-exponent contributed by the progression slice at gamma.
+def slice_min_exponent(spec: PartitionSpec, m: int, cusp: Cusp) -> Fraction:
+    """Least q-exponent contributed by the progression slice at the cusp a/c.
 
     Minimum over the residue twist parameter of an exact rational expression
-    in gcd's of the matrix entries; the generalized factors of the spec
-    contribute a second Bernoulli term.
+    in gcd's of a and c; the generalized factors of the spec contribute a
+    second Bernoulli term.
     """
     k = kappa(m)
-    a, c = gamma.a, gamma.c
+    a, c = cusp.a, cusp.c
     best = None
     for lam in range(m):
         total = Fraction(0)
@@ -271,13 +225,12 @@ def slice_min_exponent(spec: PartitionSpec, m: int, gamma: SL2Matrix) -> Fractio
     return best
 
 
-def quotient_min_exponent(phi: GenEtaQuotient, gamma: SL2Matrix) -> Fraction:
-    """Least q-exponent contributed by the prefactor quotient at gamma.
+def quotient_min_exponent(phi: GenEtaQuotient, cusp: Cusp) -> Fraction:
+    """Least q-exponent contributed by the prefactor quotient at the cusp a/c.
 
-    Constant on double cosets, so any representative matrix of a cusp gives
-    the same value.
+    The same for every representative of the cusp's class at phi's level.
     """
-    a, c = gamma.a, gamma.c
+    a, c = cusp.a, cusp.c
     total = Fraction(0)
     for d, e in phi.a.items():
         gg = gcd(d, c)
@@ -291,9 +244,6 @@ def quotient_min_exponent(phi: GenEtaQuotient, gamma: SL2Matrix) -> Fraction:
 def cusp_order_bounds(spec: PartitionSpec, m: int, t: int,
                       phi: GenEtaQuotient, N: int) -> dict:
     """Lower bounds width * (slice + prefactor exponents) for every cusp."""
-    out = {}
-    for data in cusp_set(N):
-        bound = data.width * (slice_min_exponent(spec, m, data.alpha)
-                              + quotient_min_exponent(phi, data.alpha))
-        out[data.cusp] = bound
-    return out
+    return {data.cusp: data.width * (slice_min_exponent(spec, m, data.cusp)
+                                     + quotient_min_exponent(phi, data.cusp))
+            for data in cusp_set(N)}

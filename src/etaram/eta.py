@@ -530,7 +530,3 @@ class GenEtaQuotient:
             else:
                 a[int(k)] = v
         return cls(N, a, ag)
-
-    @classmethod
-    def one(cls, N: int) -> "GenEtaQuotient":
-        return cls(N)

@@ -74,7 +74,6 @@ def pole_free_system(N: int) -> PoleFreeSystem:
 
     nv = len(slots)
     rows = []
-    labels = ["a'(%d,%d)" % s for s in slots]
     # weight condition: the g = 0 scaled exponents sum to zero
     rows.append([1 if g == 0 else 0 for d, g in slots] + [0] * len(retained))
     for i, form in enumerate(forms):
@@ -84,9 +83,8 @@ def pole_free_system(N: int) -> PoleFreeSystem:
         row = [int(c * den) for c in form] + [0] * len(retained)
         row[nv + i] = -den
         rows.append(row)
-        labels.append("ord@%s" % retained[i].cusp)
     nonneg = [nv + i for i in range(len(retained) - 1)]  # infinity slack is free
-    return PoleFreeSystem(system=DioSystem(rows, nonneg, labels),
+    return PoleFreeSystem(system=DioSystem(rows, nonneg),
                           slots=tuple(slots), retained=tuple(retained))
 
 

@@ -72,8 +72,8 @@ def find_multiplier(bounds: dict, gens, N: int):
         eq = row + [-g0] + [0] * len(rows)
         eq[k + 1 + i] = -1
         eqs.append(eq)
-    labels = ["t%d" % i for i in range(k)] + ["s"] + ["y%d" % i for i in range(len(rows))]
-    system = DioSystem(eqs, nonneg=list(range(k, nv)), labels=labels)
+    # level 1 has no finite cusp: one zero row still gives the system nv variables
+    system = DioSystem(eqs or [[0] * nv], nonneg=list(range(k, nv)))
     pointed, _lineality = hilbert_basis(system)
     alphas = [p for p in pointed if p[k] == 1]
     if not alphas:

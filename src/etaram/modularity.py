@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
 from .lattice import enumerate_coset, hnf_column, kernel_basis, lattice_hnf, solve_diophantine
@@ -154,11 +154,16 @@ def _phi_variables(N: int):
     return plain, paired
 
 
-def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
-    """Linear forms (over the phi exponent variables) for the four conditions."""
-    plain, paired = _phi_variables(N)
+def _criterion_rows(spec: PartitionSpec, m: int, t: int, N: int):
+    """The four exponent conditions as integer rows over the phi exponents.
 
-    c1 = ([1] * len(plain) + [0] * len(paired), Fraction(sum(spec.r.values())))
+    Each row is (coefficients, const, modulus): the form plus const must
+    vanish, or be divisible by the modulus when that is not 0.  The two
+    rational conditions are cleared by the lcm of their denominators, which
+    scales their modulus 24 too.
+    """
+    plain, paired = _phi_variables(N)
+    rows = [([1] * len(plain) + [0] * len(paired), sum(spec.r.values()), 0)]
 
     row2 = [Fraction(N, d) for d in plain] + [Fraction(2 * N, d) for d, _ in paired]
     const2 = Fraction(N * m) * sum(Fraction(e, d) for d, e in spec.r.items())
@@ -168,7 +173,10 @@ def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
     row3 += [12 * d * bernoulli_p2(Fraction(g, d)) for d, g in paired]
     const3 = -24 * (spec.eta_shift() + (m * m - 1) * t) / m
 
-    sign_rows = []
+    for row, const in ((row2, const2), (row3, const3)):
+        den = lcm(*(Fraction(c).denominator for c in row + [const]))
+        rows.append(([int(c * den) for c in row], int(const * den), 24 * den))
+
     for a in range(1, 12 * N):
         if gcd(a, 6) != 1 or a % N != 1 or a == 1:
             continue
@@ -187,31 +195,23 @@ def _criterion_parts(spec: PartitionSpec, m: int, t: int, N: int):
         for (d, g), e in spec.rg.items():
             coef = Fraction((a - 1) * (2 * g - d), 2 * d)
             const += int(coef) * e
-        sign_rows.append((a, row, const % 2))
-    return plain, paired, c1, (row2, const2), (row3, const3), sign_rows
+        rows.append((row, const % 2, 2))
+    return plain, paired, rows
 
 
 def is_modular_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
                          phi: GenEtaQuotient) -> bool:
     """Exact test of the four exponent conditions for phi."""
-    return _passes(_criterion_parts(spec, m, t, N), phi)
+    return _passes(_criterion_rows(spec, m, t, N), phi)
 
 
-def _passes(parts, phi: GenEtaQuotient) -> bool:
-    """is_modular_prefactor on the linear forms of _criterion_parts."""
-    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = parts
+def _passes(criterion, phi: GenEtaQuotient) -> bool:
+    """is_modular_prefactor on the rows of _criterion_rows."""
+    plain, paired, rows = criterion
     vec = [phi.a.get(d, 0) for d in plain] + [phi.ag.get(k, 0) for k in paired]
-
-    if sum(c * v for c, v in zip(c1[0], vec)) + c1[1] != 0:
-        return False
-    v2 = sum(c * v for c, v in zip(row2, vec)) + const2
-    if not _is_divisible(v2, 24):
-        return False
-    v3 = sum(c * v for c, v in zip(row3, vec)) + const3
-    if not _is_divisible(v3, 24):
-        return False
-    for _, row, const in sign_rows:
-        if (sum(c * v for c, v in zip(row, vec)) + const) % 2:
+    for row, const, modulus in rows:
+        value = sum(c * v for c, v in zip(row, vec)) + const
+        if (value % modulus if modulus else value) != 0:
             return False
     return True
 
@@ -229,31 +229,21 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
     lexicographically on the exponent vector, is among the points found.
     NoPhiFound means no passer has weight <= weight_cap.
     """
-    parts = _criterion_parts(spec, m, t, N)
-    plain, paired, c1, (row2, const2), (row3, const3), sign_rows = parts
+    criterion = plain, paired, rows = _criterion_rows(spec, m, t, N)
     nv = len(plain) + len(paired)
 
-    # assemble (row, const, modulus): modulus 0 means exact equality
-    constraints = [(list(c1[0]), c1[1], 0)]
-    for row, const, modulus in ((row2, const2, 24), (row3, const3, 24)):
-        den = 1
-        for c in list(row) + [const]:
-            den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-        constraints.append(([int(c * den) for c in row], int(const * den), modulus * den))
-    for _, row, const in sign_rows:
-        constraints.append((list(row), const, 2))
-
-    nslack = sum(1 for _, _, mod in constraints if mod)
+    # one slack column per congruence row: form + const + modulus * s = 0
+    nslack = sum(1 for _, _, mod in rows if mod)
     A = []
     b = []
     si = 0
-    for row, const, mod in constraints:
-        full = row + [0] * nslack
+    for row, const, mod in rows:
+        slack = [0] * nslack
         if mod:
-            full[nv + si] = mod
+            slack[si] = mod
             si += 1
-        A.append(full)
-        b.append(-int(const))
+        A.append(row + slack)
+        b.append(-const)
     hnf = hnf_column(A)
     x0 = solve_diophantine(A, b, hnf)
     if x0 is None:
@@ -274,6 +264,6 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
     a = {d: vec[i] for i, d in enumerate(plain) if vec[i]}
     ag = {key: vec[len(plain) + i] for i, key in enumerate(paired) if vec[len(plain) + i]}
     phi = GenEtaQuotient(N, a, ag)
-    if not _passes(parts, phi):
+    if not _passes(criterion, phi):
         raise AssertionError("lattice enumeration produced a non-passer")
     return phi

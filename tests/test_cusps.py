@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,11 +7,12 @@ from math import gcd
 import pytest
 
 from etaram.cusps import (
-    INFINITY, Cusp, CuspData, SL2Matrix, completion_matrix, cusp_order_bounds,
-    cusp_set, cusps_equivalent, find_cusp_class, genus, make_cusp, order_at_cusp,
-    order_form_coefficient, quotient_min_exponent, slice_min_exponent, width,
+    INFINITY, Cusp, CuspData, cusp_order_bounds, cusp_set, cusps_equivalent,
+    find_cusp_class, genus, kappa, make_cusp, order_at_cusp, order_form_coefficient,
+    quotient_min_exponent, slice_min_exponent, width,
 )
 from etaram.eta import GenEtaQuotient, PartitionSpec
+from etaram.modularity import NoPhiFound, find_level, find_prefactor
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -87,12 +90,6 @@ def test_widths():
     for N in [6, 10, 11]:
         for d in cusp_set(N):
             assert d.width >= 1 and N % (d.width if N != 4 else 1) == 0
-
-
-def test_completion_matrices():
-    for N in [6, 10, 11]:
-        for d in cusp_set(N):
-            assert d.alpha.apply_to_infinity() == d.cusp
 
 
 def test_lambda_mu_eps_forms():
@@ -193,53 +190,107 @@ def test_order_rejects_divisor_outside_level():
         order_at_cusp(GenEtaQuotient(4, a={4: 1}), 6, INFINITY)
 
 
-def test_quotient_exponent_double_coset_invariance():
+def _seeded_progressions(seed, count, max_level):
+    """(spec, m, t, N) over M in {1, 2, 3, 4, 5, 6, 10, 12}, generalized keys
+    included, m in {2, 3, 5, 7, 9, 11}, N the found level, at most max_level."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        M = rng.choice([1, 2, 3, 4, 5, 6, 10, 12])
+        ds = [d for d in range(1, M + 1) if M % d == 0]
+        r = {d: rng.randint(-3, 3) for d in rng.sample(ds, rng.randint(1, len(ds)))}
+        keys = [(d, g) for d in ds for g in range(1, d // 2 + 1)]
+        rg = {k: rng.randint(-2, 2) for k in rng.sample(keys, rng.randint(0, min(2, len(keys))))}
+        spec = PartitionSpec(M, r, rg)
+        m = rng.choice([2, 3, 5, 7, 9, 11])
+        t = rng.randrange(m)
+        N = find_level(spec, m, t)
+        if N <= max_level:
+            out.append((spec, m, t, N))
+    return out
+
+
+def test_min_exponents_are_cusp_class_invariant():
+    # a/c, (a + j c)/c, -a/-c and a/(c + k N) lie in one class at level N;
+    # make_cusp would reduce a/(c + k N) to another class unless it is
+    # already in lowest terms, so only those k are tried
     rng = random.Random(7)
-    for N in [6, 10]:
-        for _ in range(50):
-            phi = random_quotient(rng, N)
-            a = rng.randint(-5, 5)
-            c = rng.randint(-5, 5)
+    tried = shifted = 0
+    for spec, m, t, N in _seeded_progressions(3, 40, 60):
+        phi = random_quotient(rng, N)
+        for _ in range(8):
+            a, c = rng.randint(-9, 9), rng.randint(-9, 9)
             if gcd(a, c) != 1:
                 continue
-            gamma1 = completion_matrix(make_cusp(a, c) if c else INFINITY)
-            # gamma2 = g_N * gamma1 * g_inf with g_N in the level group
-            x = rng.randint(-2, 2)
-            b4 = rng.randint(-3, 3)
-            gN = SL2Matrix(1 + 0 * N, x, 0, 1)  # upper unipotent is in the group
-            gN2 = SL2Matrix(1, 0, N * rng.randint(-2, 2), 1)
-            m = _mul(_mul(gN, gN2), _mul(gamma1, SL2Matrix(1, b4, 0, 1)))
-            assert quotient_min_exponent(phi, gamma1) == quotient_min_exponent(phi, m)
+            cusp = make_cusp(a, c)
+            a, c = cusp.a, cusp.c
+            j, k = rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])
+            others = [make_cusp(a + j * c, c), make_cusp(-a, -c)]
+            if gcd(a, c + k * N) == 1:
+                others.append(make_cusp(a, c + k * N))
+                shifted += 1
+            for other in others:
+                assert quotient_min_exponent(phi, other) == quotient_min_exponent(phi, cusp)
+                assert slice_min_exponent(spec, m, other) == slice_min_exponent(spec, m, cusp)
+                tried += 1
+    assert tried > 500 and shifted > 150
 
 
-def _mul(g1, g2):
-    return SL2Matrix(g1.a * g2.a + g1.b * g2.c, g1.a * g2.b + g1.b * g2.d,
-                     g1.c * g2.a + g1.d * g2.c, g1.c * g2.b + g1.d * g2.d)
-
-
-def test_slice_exponent_identity_matrix():
-    ident = SL2Matrix(1, 0, 0, 1)
-    assert slice_min_exponent(PARTITION, 1, ident) == Fraction(-1, 24)
+def test_slice_exponent_at_infinity():
+    assert slice_min_exponent(PARTITION, 1, INFINITY) == Fraction(-1, 24)
 
 
 def test_slice_exponent_constant_in_lambda_when_c_zero():
-    rng = random.Random(13)
     spec = PartitionSpec(6, {1: -2, 2: 1, 3: 1, 6: -1})
-    for _ in range(10):
-        b = rng.randint(-4, 4)
-        gamma = SL2Matrix(1, b, 0, 1)
-        from etaram.cusps import kappa
-        m = 5
+    for m in [2, 3, 5, 7]:
         k = kappa(m)
         vals = set()
         for lam in range(m):
             total = Fraction(0)
-            u = gamma.a + k * lam * gamma.c
+            u = INFINITY.a + k * lam * INFINITY.c
             for d, e in spec.r.items():
-                gg = gcd(d * u, m * gamma.c)
+                gg = gcd(d * u, m * INFINITY.c)
                 total += Fraction(gg * gg, 24 * d * m) * e
             vals.add(total)
-        assert len(vals) == 1
+        assert vals == {slice_min_exponent(spec, m, INFINITY)}
+
+
+def _bounds_record(spec, m, t, phi, N):
+    bounds = cusp_order_bounds(spec, m, t, phi, N)
+    return [N, sorted(phi.a.items()), sorted([d, g, e] for (d, g), e in phi.ag.items()),
+            [[str(c), str(b)] for c, b in bounds.items()]]
+
+
+@pytest.mark.slow
+def test_prefactors_and_bounds_are_pinned():
+    # SHA-256 of (N, phi, cusp_order_bounds) over 250 seeded progressions.
+    # The draw stops at level 28: find_prefactor takes seconds per case at
+    # levels 30-60 (up to 20 s at 54 and 60), which the next pin covers
+    # with drawn prefactors instead
+    records = []
+    for spec, m, t, N in _seeded_progressions(23, 250, 28):
+        try:
+            phi = find_prefactor(spec, m, t, N)
+        except NoPhiFound:
+            records.append([N, None])
+            continue
+        records.append(_bounds_record(spec, m, t, phi, N))
+    assert sum(r[1] is None for r in records) == 11
+    assert {r[0] for r in records} >= {4, 10, 12, 16, 18, 20, 24, 28}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "fbca1cf0376d11715575675cc5fb814db96f92553a9ad7d66ea996147efda482"
+
+
+@pytest.mark.slow
+def test_bounds_at_levels_to_60_are_pinned():
+    # SHA-256 of (N, phi, cusp_order_bounds) for 250 seeded progressions
+    # up to level 60, with phi a drawn quotient at the found level
+    rng = random.Random(29)
+    records = [_bounds_record(spec, m, t, random_quotient(rng, N), N)
+               for spec, m, t, N in _seeded_progressions(31, 250, 60)]
+    assert {r[0] for r in records} >= {30, 36, 48, 50, 54, 60}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "e2d0f1648bcc039619fb0a8c1e3b861412e9140f87c3786f579bab50e6dba1a9"
 
 
 def test_overpartition_bounds_match_published_values():

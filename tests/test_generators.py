@@ -252,6 +252,25 @@ def test_generator_orders_nonnegative_and_integral():
             assert g.orders[INFINITY] == -g.pole
 
 
+
+# a modular function's divisor has degree 0, so at every level the orders of
+# a generator sum to 0.  Level 4 breaks this: its cusp 1/2 is irregular, with
+# width(4, 1/2) = 1, yet order_at_cusp reads the order there as twice width *
+# quotient_min_exponent, so generator 0's orders {0/1: 0, 1/2: 2, oo: -1}
+# sum to 1, and find_multiplier compares those orders with the bounds of
+# cusp_order_bounds in two different units at that cusp
+ORDER_SUM_LEVELS = [pytest.param(N, marks=pytest.mark.slow) if N in SLOW_LEVELS
+                    else pytest.param(N, marks=pytest.mark.xfail(
+                        strict=True, reason="order_at_cusp doubles the order at "
+                        "the irregular cusp 1/2 of level 4")) if N == 4
+                    else N for N in list(range(2, 17)) + [18, 20]]
+
+
+@pytest.mark.parametrize("N", ORDER_SUM_LEVELS)
+def test_generator_orders_sum_to_zero(N):
+    for g in generators(N):
+        assert sum(g.orders.values()) == 0, g.quotient
+
 def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):
     """vec = sum u_i alpha_i + (unit lattice), u_i >= 0, graded search."""
     target = grade_of(vec)

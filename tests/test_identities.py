@@ -213,6 +213,8 @@ DOCUMENT_CASES = {
     "p-13n+6": (PARTITION, 13, 6, 0),
     "p-2n+0": (PARTITION, 2, 0, 0),
     "p-2n+1": (PARTITION, 2, 1, 0),
+    "eta4-2n+0": (PartitionSpec(1, {1: 4}), 2, 0, 0),
+    "level4-4n+1": (PartitionSpec(4, {1: -4, 2: 2, 4: -4}), 4, 1, 0),
 }
 # SHA-256 of json.dumps(derive_identity(...).to_json()): a change of phi, h,
 # the basis or the right-hand side of any pinned document shows up here
@@ -236,6 +238,9 @@ DOCUMENT_HASHES = {
     "p-13n+6": "7a54ef0d5993f96cf15fa7c249449f206285f2f31f83afac637c220d7a098c30",
     "p-2n+0": "4f32e79d5949de77231d667659eafd2664ed7f5cae50d0c0ab15df2fc9d039bb",
     "p-2n+1": "609ee1f081dc72af817ed4347b4ef03762169578d4dde004e85f9018ac4825ca",
+    # two level-4 derivations, whose bounds meet the irregular cusp 1/2
+    "eta4-2n+0": "b5836b59886c570acb1858ad0e4ec322ff93533865864e5d8b4cfcaff1aa4321",
+    "level4-4n+1": "6d75062be5661ca6d2bd050f5807f5c090fae19c2b5dd292de60d97b1aff913b",
 }
 # p(13n+6) takes about half a second cold on a 2-vCPU machine and p(2n),
 # p(2n+1) (level 16, whose multiplier lifts against 278 lineality vectors of
@@ -254,6 +259,11 @@ def test_identity_documents_are_pinned(label):
     digest = hashlib.sha256(json.dumps(ident.to_json()).encode()).hexdigest()
     assert digest == DOCUMENT_HASHES[label]
 
+
+
+def test_multiplier_at_level_one_is_trivial():
+    # level 1 has no finite cusp, so the multiplier's system has no row
+    assert find_multiplier({}, generators(1), 1) == (GenEtaQuotient(1), ())
 
 def test_classical_progressions_beyond_the_pinned_corpus():
     # hF collapses to the constant 5: the classical p(5n+4) evaluation

@@ -9,7 +9,7 @@ from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.lattice import enumerate_coset
 from etaram.modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
-    jacobi_symbol, _criterion_parts, _phi_variables,
+    jacobi_symbol, _criterion_rows, _phi_variables,
 )
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -94,12 +94,20 @@ def test_found_prefactors_pass_and_give_integral_exponents():
         assert F.denom == 1, (spec, m, t)
 
 
+def _sign_units(N):
+    """The units a the sign conditions run over, in the order of their rows."""
+    return [a for a in range(2, 12 * N) if gcd(a, 6) == 1 and a % N == 1]
+
+
 def test_sign_condition_multiplicative():
     rng = random.Random(31)
     spec = OVERPARTITION
     N, m, t = 10, 5, 2
-    plain, paired, c1, _, _, sign_rows = _criterion_parts(spec, m, t, N)
-    by_a = {a: (row, const) for a, row, const in sign_rows}
+    plain, paired, rows = _criterion_rows(spec, m, t, N)
+    sign_rows = rows[3:]
+    assert all(mod == 2 for _, _, mod in sign_rows)
+    assert len(sign_rows) == len(_sign_units(N))
+    by_a = {a: (row, const) for a, (row, const, _) in zip(_sign_units(N), sign_rows)}
 
     def val(a, vec):
         row, const = by_a[a]
@@ -237,7 +245,8 @@ def test_conditions_from_eta_shift_match_the_factor_sums():
         verdict = modularity._square_class_sweep(spec, m, t, N)
         assert verdict == _sweep_by_sums(spec, m, t, N), (spec, m, t, N)
         passes += verdict[0]
-        assert _criterion_parts(spec, m, t, N)[4][1] == _const3_by_sums(spec, m, t)
+        _, const3, modulus = _criterion_rows(spec, m, t, N)[2][2]
+        assert Fraction(const3, modulus // 24) == _const3_by_sums(spec, m, t)
     assert halves >= 20 and passes >= 10
 
 
@@ -245,3 +254,66 @@ def test_eta_shift_is_minus_the_quotient_lead():
     for spec, _, _, _ in _random_cases(19, 150):
         quot = GenEtaQuotient(spec.M, spec.r, spec.rg)
         assert spec.eta_shift() == -quot.lead_exponent(), spec
+
+
+def _criterion_in_fractions(spec, m, t, N, phi):
+    """The four exponent conditions on phi, each summed in Fractions."""
+    a, ag = phi.a, phi.ag
+    if sum(a.values()) + sum(spec.r.values()):
+        return False
+    v2 = (N * sum(Fraction(e, d) for d, e in a.items())
+          + 2 * N * sum(Fraction(e, d) for (d, g), e in ag.items())
+          + N * m * sum(Fraction(e, d) for d, e in spec.r.items())
+          + 2 * N * m * sum(Fraction(e, d) for (d, g), e in spec.rg.items()))
+    if Fraction(v2, 24).denominator != 1:
+        return False
+    v3 = (sum(d * e for d, e in a.items())
+          + sum(12 * d * _bernoulli_p2(Fraction(g, d)) * e for (d, g), e in ag.items())
+          + _const3_by_sums(spec, m, t))
+    if Fraction(v3, 24).denominator != 1:
+        return False
+    for u in _sign_units(N):
+        sign = Fraction(1)
+        for d, e in a.items():
+            sign *= Fraction(jacobi_symbol(d, u)) ** e
+        for d, e in spec.r.items():
+            sign *= Fraction(jacobi_symbol(m * d, u)) ** abs(e)
+        for (d, g), e in list(ag.items()) + list(spec.rg.items()):
+            power = Fraction((u - 1) * (2 * g - d), 2 * d) * e
+            assert power.denominator == 1
+            sign *= Fraction(-1) ** int(power)
+        if sign != 1:
+            return False
+    return True
+
+
+def test_integer_rows_agree_with_the_fraction_conditions():
+    # seeded passers and every one-exponent perturbation of them
+    passers = perturbed = 0
+    for spec, m, t, N in _random_cases(41, 200):
+        if N > 30 or not check_level(spec, m, t, N).ok:
+            continue
+        try:
+            phi = find_prefactor(spec, m, t, N)
+        except NoPhiFound:
+            continue
+        assert _criterion_in_fractions(spec, m, t, N, phi)
+        assert is_modular_prefactor(spec, m, t, N, phi)
+        passers += 1
+        plain, paired = _phi_variables(N)
+        for step in (-1, 1):
+            for d in plain:
+                a = dict(phi.a)
+                a[d] = a.get(d, 0) + step
+                q = GenEtaQuotient(N, a, phi.ag)
+                assert (is_modular_prefactor(spec, m, t, N, q)
+                        == _criterion_in_fractions(spec, m, t, N, q)), (spec, m, t, q)
+                perturbed += 1
+            for key in paired:
+                ag = dict(phi.ag)
+                ag[key] = ag.get(key, 0) + step
+                q = GenEtaQuotient(N, phi.a, ag)
+                assert (is_modular_prefactor(spec, m, t, N, q)
+                        == _criterion_in_fractions(spec, m, t, N, q)), (spec, m, t, q)
+                perturbed += 1
+    assert passers >= 10 and perturbed >= 200
