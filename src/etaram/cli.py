@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .cusps import cusp_set
+from .cusps import _lambda_mu_form, cusp_set
 from .eta import PartitionSpec
 from .exprs import ParseError
 from .generators import generators
@@ -105,8 +105,9 @@ def _cmd_expand(args) -> int:
 def _cmd_cusps(args) -> int:
     rows = []
     for d in cusp_set(args.N):
+        lam, mu, eps = _lambda_mu_form(args.N, d.cusp)
         rows.append({"cusp": str(d.cusp), "width": d.width,
-                     "lambda": d.lam, "mu": d.mu, "epsilon": d.eps})
+                     "lambda": lam, "mu": mu, "epsilon": eps})
     if args.json:
         print(json.dumps(rows, indent=1))
     else:

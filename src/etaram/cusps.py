@@ -2,9 +2,9 @@
 c = 0 mod N (upper-triangular reduction), the group all modularity statements
 in this package refer to.
 
-Provides a complete set of inequivalent cusps, their widths, order formulas
-for generalized eta-quotients at each cusp, and the two exponent maps used to
-bound the cusp orders of a prefactored progression slice.
+Provides a complete set of inequivalent cusps, their widths, the order of a
+generalized eta-quotient at each cusp read from its a/c and width, and the
+exponent map that bounds a progression slice's orders at the cusps.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def cusps_equivalent(N: int, s1: Cusp, s2: Cusp) -> bool:
 
 
 def width(N: int, cusp: Cusp) -> int:
-    """Width of a cusp (the stated level-4 anomaly included)."""
+    """Width of a cusp (the stated level-4 anomaly included); order_at_cusp
+    and cusp_order_bounds both count orders in its unit, q^(1/width)."""
     if N == 4 and gcd(cusp.c, 4) == 2:
         return 1
     return N // gcd(cusp.c, N)
@@ -75,13 +76,11 @@ def width(N: int, cusp: Cusp) -> int:
 @dataclass(frozen=True)
 class CuspData:
     cusp: Cusp
-    lam: int             # equivalent form lam / (mu * eps)
-    mu: int
-    eps: int             # eps | N
     width: int
 
 
 def _lambda_mu_form(N: int, cusp: Cusp):
+    """(lam, mu, eps) with lam/(mu eps) equivalent to the cusp, eps | N."""
     eps = gcd(cusp.c, N) if not cusp.is_infinity else N
     for mu in range(1, N * N + 1):
         if gcd(mu, N) != 1:
@@ -117,11 +116,7 @@ def cusp_set(N: int) -> tuple:
             reps.pop(i)
             break
     reps.append(INFINITY)
-    out = []
-    for s in reps:
-        lam, mu, eps = _lambda_mu_form(N, s)
-        out.append(CuspData(cusp=s, lam=lam, mu=mu, eps=eps, width=width(N, s)))
-    return tuple(out)
+    return tuple(CuspData(cusp=s, width=width(N, s)) for s in reps)
 
 
 def genus(N: int) -> int:
@@ -159,20 +154,15 @@ def find_cusp_class(N: int, cusp: Cusp) -> CuspData:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def order_form_coefficient(N: int, lam: int, eps: int, d: int, g: int) -> Fraction:
-    """Coefficient of the (d, g) exponent in the order value at lam/(mu*eps)."""
-    gde = gcd(d, eps)
-    return (Fraction(N, 2) * Fraction(gde * gde, d * eps)
-            * bernoulli_p2(Fraction(lam * g, gde)))
-
-
-@functools.lru_cache(maxsize=None)
-def _order_rows(N: int, lam: int, eps: int):
-    """Every canonical slot's order_form_coefficient (d | N, 0 <= g < d/2)
-    as an integer numerator over one denominator, which is returned doubled:
+def _order_rows(N: int, cusp: Cusp):
+    """Every canonical slot's coefficient (d | N, 0 <= g < d/2) in the order
+    at the cusp a/c, width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)), as an
+    integer numerator over one denominator, which is returned doubled:
     order_at_cusp weights the numerators with a[d] (a plain eta power counts
     half at its g = 0 slot) and with 2*ag[d, g]."""
-    coeffs = {(d, g): order_form_coefficient(N, lam, eps, d, g)
+    w, a, c = width(N, cusp), cusp.a, cusp.c
+    coeffs = {(d, g): Fraction(w * gcd(d, c) ** 2, 2 * d)
+              * bernoulli_p2(Fraction(a * g, gcd(d, c)))
               for d in divisors(N) for g in range((d + 1) // 2)}
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, 2 * den
@@ -185,7 +175,7 @@ def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
     The sum runs in integers over the cached _order_rows.
     """
     data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
-    rows, den = _order_rows(N, data.lam, data.eps)
+    rows, den = _order_rows(N, data.cusp)
     try:
         total = sum(rows[d, 0] * e for d, e in h.a.items())
         for k, e in h.ag.items():
@@ -225,25 +215,9 @@ def slice_min_exponent(spec: PartitionSpec, m: int, cusp: Cusp) -> Fraction:
     return best
 
 
-def quotient_min_exponent(phi: GenEtaQuotient, cusp: Cusp) -> Fraction:
-    """Least q-exponent contributed by the prefactor quotient at the cusp a/c.
-
-    The same for every representative of the cusp's class at phi's level.
-    """
-    a, c = cusp.a, cusp.c
-    total = Fraction(0)
-    for d, e in phi.a.items():
-        gg = gcd(d, c)
-        total += Fraction(gg * gg, 24 * d) * e
-    for (d, g), e in phi.ag.items():
-        gg = gcd(d, c)
-        total += Fraction(gg * gg, 2 * d) * bernoulli_p2(Fraction(a * g, gg)) * e
-    return total
-
-
 def cusp_order_bounds(spec: PartitionSpec, m: int, t: int,
                       phi: GenEtaQuotient, N: int) -> dict:
-    """Lower bounds width * (slice + prefactor exponents) for every cusp."""
-    return {data.cusp: data.width * (slice_min_exponent(spec, m, data.cusp)
-                                     + quotient_min_exponent(phi, data.cusp))
+    """Lower bounds width * slice exponent + order of phi for every cusp."""
+    return {data.cusp: data.width * slice_min_exponent(spec, m, data.cusp)
+            + order_at_cusp(phi, N, data)
             for data in cusp_set(N)}

@@ -20,14 +20,9 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .cusps import INFINITY, cusp_set, order_at_cusp, order_form_coefficient
+from .cusps import INFINITY, cusp_set, order_at_cusp
 from .eta import GenEtaQuotient, divisors
 from .lattice import DioSystem, hilbert_basis
-
-
-def chi_weight(d: int, g: int) -> int:
-    """Scaling factor making every exponent slot integral (2 on half slots)."""
-    return 2 if g == 0 or 2 * g == d else 1
 
 
 def exponent_slots(N: int):
@@ -46,31 +41,26 @@ class PoleFreeSystem:
         return len(self.slots)
 
 
-def _order_form(N: int, data) -> list:
-    """Rational coefficients of the cusp-order form over the scaled slots."""
-    out = []
-    for d, g in exponent_slots(N):
-        out.append(order_form_coefficient(N, data.lam, data.eps, d, g)
-                   / chi_weight(d, g))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def pole_free_system(N: int) -> PoleFreeSystem:
     slots = exponent_slots(N)
     all_cusps = cusp_set(N)
     finite = [c for c in all_cusps if not c.cusp.is_infinity]
     inf = next(c for c in all_cusps if c.cusp.is_infinity)
+    # a cusp's order form over the scaled slots: the orders there of the
+    # slots' unit quotients
+    units = [quotient_from_scaled(N, slots, [int(i == j) for j in range(len(slots))])
+             for i in range(len(slots))]
 
     retained = []
     forms = []
     for data in finite:
-        form = _order_form(N, data)
+        form = [order_at_cusp(u, N, data) for u in units]
         if form not in forms:
             forms.append(form)
             retained.append(data)
     retained.append(inf)
-    forms.append(_order_form(N, inf))
+    forms.append([order_at_cusp(u, N, inf) for u in units])
 
     nv = len(slots)
     rows = []

@@ -28,7 +28,7 @@ largest candidate entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from operator import add, mul
 
@@ -230,24 +230,29 @@ def in_lattice(v, basis):
     return solve_diophantine(A, list(v)) is not None
 
 
-def _size_reducer(basis, passes=4):
+# the greedy size reduction often has not settled after these passes, so the
+# pinned generator records and identity documents depend on this cap
+SIZE_REDUCTION_PASSES = 4
+
+
+def _size_reducer(basis):
     """Greedy size reduction against one lattice basis, the size-reduction
     step of Lenstra-Lenstra-Lovasz (1982) without its Gram-Schmidt
     orthogonalization: returns reduce(x).
 
-    Each pass visits the basis in order and subtracts k b from x, with k the
-    dot product x.b over b.b rounded half to even; a pass that changes
-    nothing ends the reduction.  The norms and each vector's nonzero entries
-    are taken once per call, so a step costs the support of b, not the
-    length of x: the lineality vectors hilbert_basis reduces against have 3
-    to 8 nonzero entries among up to 295.
+    Each of up to SIZE_REDUCTION_PASSES passes visits the basis in order and
+    subtracts k b from x, with k the dot product x.b over b.b rounded half to
+    even; a pass that changes nothing ends the reduction.  The norms and each
+    vector's nonzero entries are taken once per call, so a step costs the
+    support of b, not the length of x: the lineality vectors hilbert_basis
+    reduces against have 3 to 8 nonzero entries among up to 295.
     """
     norms = [sum(map(mul, b, b)) for b in basis]
     supports = [[(j, c) for j, c in enumerate(b) if c] for b in basis]
 
     def reduce(x):
         x = list(x)
-        for _ in range(passes):
+        for _ in range(SIZE_REDUCTION_PASSES):
             changed = False
             for support, bb in zip(supports, norms):
                 if not bb:
@@ -266,9 +271,9 @@ def _size_reducer(basis, passes=4):
     return reduce
 
 
-def reduce_mod_lattice(v, basis, passes=4):
+def reduce_mod_lattice(v, basis):
     """Shrink v by subtracting lattice vectors (greedy size reduction)."""
-    return _size_reducer(basis, passes)(v)
+    return _size_reducer(basis)(v)
 
 
 def enumerate_coset(v0, basis, weight_bound):
@@ -498,15 +503,14 @@ class DioSystem:
     """Integer-coefficient equalities with a subset of variables >= 0.
 
     Solutions are x in Z^n with (equalities) x = 0 and x_i >= 0 for i in
-    nonneg.  Labels name the variables for reporting.
+    nonneg.  There is at least one equality row; a zero row stands for none.
     """
     equalities: list
     nonneg: list
-    labels: list = field(default_factory=list)
 
     @property
     def nvars(self):
-        return len(self.equalities[0]) if self.equalities else len(self.labels)
+        return len(self.equalities[0])
 
 
 def hilbert_basis(system: DioSystem):
@@ -522,11 +526,11 @@ def hilbert_basis(system: DioSystem):
     to a solution and size-reduced against the lineality.  Raises
     StepBudgetExceeded when the path taken runs out of its budget.
     """
-    n = system.nvars
-    P = sorted(system.nonneg)
     eqs = [row[:] for row in system.equalities]
     if not eqs:
-        eqs = [[0] * n]
+        raise ValueError("need at least one equation row")
+    n = system.nvars
+    P = sorted(system.nonneg)
     if any(len(r) != n for r in eqs):
         raise ValueError("ragged equality rows")
 

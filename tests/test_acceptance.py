@@ -388,7 +388,7 @@ def test_criterion_13_property_suites():
         checked += 1
     # hilbert soundness plus box completeness on a random system
     eqs = [[1, -2, 1], [0, 1, -1]]
-    pointed, lineality = hilbert_basis(DioSystem(eqs, nonneg=[0, 1], labels=list("abc")))
+    pointed, lineality = hilbert_basis(DioSystem(eqs, nonneg=[0, 1]))
     for v in pointed:
         ok = ok and all(sum(r[j] * v[j] for j in range(3)) == 0 for r in eqs)
     # reduction round trip on a derived identity

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,19 @@ def test_cusps_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert {r["cusp"] for r in rows} == {"0/1", "1/2", "1/3", "oo"}
     assert all(set(r) == {"cusp", "width", "lambda", "mu", "epsilon"} for r in rows)
+
+
+@pytest.mark.slow
+def test_cusps_json_is_pinned(capsys):
+    # SHA-256 of the documents for levels 1-48, computed when cusp_set still
+    # carried the lambda, mu and epsilon columns itself; about 3 s on a
+    # 2-vCPU machine, so it runs in the slow lane
+    docs = []
+    for N in range(1, 49):
+        assert main(["cusps", str(N), "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest == "2f788fc863fc2edade70c2392f5dc6345206243b3d3087ccf216fc48e0adbdd5"
 
 
 def test_generators_json(capsys):

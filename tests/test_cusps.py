@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -7,11 +8,11 @@ from math import gcd
 import pytest
 
 from etaram.cusps import (
-    INFINITY, Cusp, CuspData, cusp_order_bounds, cusp_set, cusps_equivalent,
-    find_cusp_class, genus, kappa, make_cusp, order_at_cusp, order_form_coefficient,
-    quotient_min_exponent, slice_min_exponent, width,
+    INFINITY, Cusp, CuspData, _lambda_mu_form, _order_rows, cusp_order_bounds, cusp_set,
+    cusps_equivalent, find_cusp_class, genus, kappa, make_cusp, order_at_cusp,
+    slice_min_exponent, width,
 )
-from etaram.eta import GenEtaQuotient, PartitionSpec
+from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
 from etaram.modularity import NoPhiFound, find_level, find_prefactor
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -95,9 +96,36 @@ def test_widths():
 def test_lambda_mu_eps_forms():
     for N in [6, 10, 11, 12]:
         for d in cusp_set(N):
-            assert N % d.eps == 0
-            assert gcd(d.lam, N) == 1 and gcd(d.mu, N) == 1 and gcd(d.lam, d.mu) == 1
-            assert cusps_equivalent(N, make_cusp(d.lam, d.mu * d.eps), d.cusp)
+            lam, mu, eps = _lambda_mu_form(N, d.cusp)
+            assert N % eps == 0
+            assert gcd(lam, N) == 1 and gcd(mu, N) == 1 and gcd(lam, mu) == 1
+            assert cusps_equivalent(N, make_cusp(lam, mu * eps), d.cusp)
+
+
+_cached_lambda_mu_form = functools.lru_cache(maxsize=None)(_lambda_mu_form)
+
+
+def _lambda_mu_coefficient(N, cusp, d, g):
+    """The (d, g) coefficient of the order at a cusp from its lam/(mu eps)
+    form, (N/2) gcd(d, eps)^2 / (d eps) B2(lam g / gcd(d, eps)), counted in
+    the cusp's local parameter q^(1/width) by the factor width * eps / N."""
+    lam, _, eps = _cached_lambda_mu_form(N, cusp)
+    gde = gcd(d, eps)
+    return (Fraction(N, 2) * Fraction(gde * gde, d * eps)
+            * bernoulli_p2(Fraction(lam * g, gde)) * Fraction(width(N, cusp) * eps, N))
+
+
+def test_order_rows_match_the_lambda_mu_form():
+    # at every cusp up to level 40 the rows, read from the cusp's a/c, give
+    # the coefficients of the lam/(mu eps) representative of its class
+    for N in range(1, 41):
+        for data in cusp_set(N):
+            rows, den = _order_rows(N, data.cusp)
+            assert sorted(rows) == [(d, g) for d in range(1, N + 1) if N % d == 0
+                                    for g in range((d + 1) // 2)]
+            for (d, g), num in rows.items():
+                assert Fraction(2 * num, den) == _lambda_mu_coefficient(N, data.cusp, d, g), \
+                    (N, data.cusp, d, g)
 
 
 def test_order_of_trivial_quotient():
@@ -135,7 +163,7 @@ def _reference_order_at_cusp(N, cusp, a, ag):
     total = Fraction(0)
     for (d, g), e in combined.items():
         if e:
-            total += order_form_coefficient(N, data.lam, data.eps, d, g) * e
+            total += _lambda_mu_coefficient(N, data.cusp, d, g) * e
     return total
 
 
@@ -217,7 +245,6 @@ def test_min_exponents_are_cusp_class_invariant():
     rng = random.Random(7)
     tried = shifted = 0
     for spec, m, t, N in _seeded_progressions(3, 40, 60):
-        phi = random_quotient(rng, N)
         for _ in range(8):
             a, c = rng.randint(-9, 9), rng.randint(-9, 9)
             if gcd(a, c) != 1:
@@ -230,7 +257,7 @@ def test_min_exponents_are_cusp_class_invariant():
                 others.append(make_cusp(a, c + k * N))
                 shifted += 1
             for other in others:
-                assert quotient_min_exponent(phi, other) == quotient_min_exponent(phi, cusp)
+                assert _order_rows(N, other) == _order_rows(N, cusp)
                 assert slice_min_exponent(spec, m, other) == slice_min_exponent(spec, m, cusp)
                 tried += 1
     assert tried > 500 and shifted > 150

@@ -10,7 +10,7 @@ import etaram.eta
 from etaram.cusps import INFINITY, cusp_set, order_at_cusp
 from etaram.eta import GenEtaQuotient
 from etaram.generators import (
-    chi_weight, exponent_slots, generator_from_quotient, generators,
+    exponent_slots, generator_from_quotient, generators,
     pole_free_system, quotient_from_scaled, unit_lattice,
 )
 from etaram import lattice
@@ -68,6 +68,15 @@ def test_system_row_coefficients_level_10():
     assert coeff[(2, 1)] == Fraction(5, 24)
     assert coeff[(5, 1)] == Fraction(1, 6)
     assert coeff[(10, 5)] == Fraction(1, 24)
+
+
+def test_pole_free_systems_are_pinned():
+    # SHA-256 of the equality rows at levels 1-48 but 4, computed before the
+    # order forms were read from the cusps' a/c and widths: the rows of every
+    # level whose cusps are all regular are unchanged by that
+    rows = [[N, pole_free_system(N).system.equalities] for N in range(1, 49) if N != 4]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "993c78fdb069c87416f11b19c949bf1c17840326d28cc5c77e40a4cce60c4aa6"
 
 
 def test_trivial_level_one_system():
@@ -254,15 +263,9 @@ def test_generator_orders_nonnegative_and_integral():
 
 
 # a modular function's divisor has degree 0, so at every level the orders of
-# a generator sum to 0.  Level 4 breaks this: its cusp 1/2 is irregular, with
-# width(4, 1/2) = 1, yet order_at_cusp reads the order there as twice width *
-# quotient_min_exponent, so generator 0's orders {0/1: 0, 1/2: 2, oo: -1}
-# sum to 1, and find_multiplier compares those orders with the bounds of
-# cusp_order_bounds in two different units at that cusp
+# a generator sum to 0; at level 4 that holds because the order at the
+# irregular cusp 1/2 is counted in q^(1/width), width(4, 1/2) = 1
 ORDER_SUM_LEVELS = [pytest.param(N, marks=pytest.mark.slow) if N in SLOW_LEVELS
-                    else pytest.param(N, marks=pytest.mark.xfail(
-                        strict=True, reason="order_at_cusp doubles the order at "
-                        "the irregular cusp 1/2 of level 4")) if N == 4
                     else N for N in list(range(2, 17)) + [18, 20]]
 
 

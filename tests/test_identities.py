@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import re
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,15 +16,15 @@ import etaram.exprs
 import etaram.identities
 import etaram.lattice
 
-from etaram.cusps import INFINITY, cusp_set
-from etaram.eta import GenEtaQuotient, PartitionSpec
+from etaram.cusps import INFINITY, cusp_set, width
+from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
 from etaram.exprs import ParseError, expand, parse
 from etaram.generators import generators
 from etaram.identities import (
     DeriveOptions, NoHFound, _independent_check, derive_identity, dissect,
     find_multiplier, verify_identity,
 )
-from etaram.modularity import find_prefactor
+from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import (
     ModuleBasis, VerificationFailure, _combination, _monomial_series,
@@ -239,8 +241,8 @@ DOCUMENT_HASHES = {
     "p-2n+0": "4f32e79d5949de77231d667659eafd2664ed7f5cae50d0c0ab15df2fc9d039bb",
     "p-2n+1": "609ee1f081dc72af817ed4347b4ef03762169578d4dde004e85f9018ac4825ca",
     # two level-4 derivations, whose bounds meet the irregular cusp 1/2
-    "eta4-2n+0": "b5836b59886c570acb1858ad0e4ec322ff93533865864e5d8b4cfcaff1aa4321",
-    "level4-4n+1": "6d75062be5661ca6d2bd050f5807f5c090fae19c2b5dd292de60d97b1aff913b",
+    "eta4-2n+0": "5895114e94b2ea4dcd45e47e2163aac83ae7c5969de36422699d839b1e369dec",
+    "level4-4n+1": "f826863cb584b792d37cf7a6fc6651d14f96e35f787a5eeecde16fe6f11c12ea",
 }
 # p(13n+6) takes about half a second cold on a 2-vCPU machine and p(2n),
 # p(2n+1) (level 16, whose multiplier lifts against 278 lineality vectors of
@@ -264,6 +266,100 @@ def test_identity_documents_are_pinned(label):
 def test_multiplier_at_level_one_is_trivial():
     # level 1 has no finite cusp, so the multiplier's system has no row
     assert find_multiplier({}, generators(1), 1) == (GenEtaQuotient(1), ())
+
+
+# the level-4 documents as they read while the order at the irregular cusp
+# 1/2 was counted twice over (SHA-256 b5836b59... and 6d75062b...)
+LEVEL4_BEFORE = {
+    "eta4-2n+0": {"phi": {"1": 2, "2": -10, "4": 4}, "h": {},
+                  "z": {"1": -4, "2": 20, "4": -16, "4/1": -4},
+                  "rhs": [[0, 0, "1"]], "certified_to": "50"},
+    "level4-4n+1": {"phi": {"1": 6, "2": -8, "4": 8},
+                    "h": {"1": 10, "2": 6, "4": -16, "4/1": 6},
+                    "z": {"1": -4, "2": 20, "4": -16, "4/1": -4},
+                    "rhs": [[0, 0, "64"], [0, 1, "4"]], "certified_to": "52"},
+}
+
+
+@pytest.mark.parametrize("label", sorted(LEVEL4_BEFORE))
+def test_level4_documents_moved_only_in_presentation(label):
+    spec, m, t, order = DOCUMENT_CASES[label]
+    doc = derive_identity(spec, m, t, DeriveOptions(order=order)).to_json()
+    before = LEVEL4_BEFORE[label]
+    for key in ("phi", "rhs", "certified_to"):
+        assert doc[key] == before[key], key
+    for key in ("z", "h"):
+        old = GenEtaQuotient.from_json(4, before[key]).expansion(200)
+        new = GenEtaQuotient.from_json(4, doc[key]).expansion(200)
+        diff = new - old
+        assert diff.is_known_zero() and diff.bound() == old.bound(), key
+
+
+def _level4_progressions(seed, count):
+    """(spec, m, t) whose found level is 4: M in {1, 2, 4}, at most one
+    generalized key, m in {2, 3, 4, 6, 8}."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        M = rng.choice([1, 2, 4])
+        ds = [d for d in range(1, M + 1) if M % d == 0]
+        r = {d: rng.randint(-4, 4) for d in rng.sample(ds, rng.randint(1, len(ds)))}
+        keys = [(d, g) for d in ds for g in range(1, d // 2 + 1)]
+        rg = {k: rng.randint(-2, 2) for k in rng.sample(keys, rng.randint(0, min(1, len(keys))))}
+        spec = PartitionSpec(M, r, rg)
+        m = rng.choice([2, 3, 4, 6, 8])
+        t = rng.randrange(m)
+        if find_level(spec, m, t) == 4:
+            out.append((spec, m, t))
+    return out
+
+
+def _order_by_exponents(q, cusp):
+    """Order of a level-4 quotient at the cusp a/c written out: the cusp's
+    width times the least q-exponent of q's plain and generalized factors."""
+    a, c = cusp.a, cusp.c
+    total = Fraction(0)
+    for d, e in q.a.items():
+        gg = gcd(d, c)
+        total += Fraction(gg * gg, 24 * d) * e
+    for (d, g), e in q.ag.items():
+        gg = gcd(d, c)
+        total += Fraction(gg * gg, 2 * d) * bernoulli_p2(Fraction(a * g, gg)) * e
+    return width(4, cusp) * total
+
+
+def test_level4_multipliers_clear_every_finite_pole():
+    # orders and bounds in one unit at the irregular cusp 1/2: h lifts every
+    # finite order of hF above -1, its divisor has degree 0, and no power
+    # vector in a box around it clears the poles with a higher order of hF
+    # at infinity
+    cases = _level4_progressions(5, 30)
+    assert len({(json.dumps(spec.to_json()), m, t) for spec, m, t in cases}) >= 20
+    cusps = [data.cusp for data in cusp_set(4)]
+    gen_orders = [[_order_by_exponents(g.quotient, c) for c in cusps] for g in generators(4)]
+
+    def orders(powers):
+        return {c: sum(t * row[i] for t, row in zip(powers, gen_orders))
+                for i, c in enumerate(cusps)}
+
+    def clears(bounds, powers):
+        return all(bounds[c] + o > -1 for c, o in orders(powers).items() if not c.is_infinity)
+
+    box = list(itertools.product(range(-3, 4), repeat=len(gen_orders)))
+    nontrivial = 0
+    for spec, m, t in cases:
+        ident = derive_identity(spec, m, t)
+        assert ident.status == "Derived", (spec, m, t, ident.failure)
+        bounds = cusp_order_bounds(spec, m, t, ident.phi, 4)
+        h_orders = {c: _order_by_exponents(ident.h, c) for c in cusps}
+        assert h_orders == orders(ident.h_powers), (spec, m, t)
+        assert sum(h_orders.values()) == 0, (spec, m, t)
+        assert clears(bounds, ident.h_powers), (spec, m, t)
+        best = max(orders(p)[INFINITY] for p in box if clears(bounds, p))
+        assert h_orders[INFINITY] == best, (spec, m, t)
+        nontrivial += any(ident.h_powers)
+    assert nontrivial >= 10
+
 
 def test_classical_progressions_beyond_the_pinned_corpus():
     # hF collapses to the constant 5: the classical p(5n+4) evaluation

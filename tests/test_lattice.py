@@ -409,10 +409,13 @@ def test_step_budget_is_typed():
 
 
 def test_hilbert_trivial_one_variable():
-    sys = DioSystem(equalities=[], nonneg=[0], labels=["x"])
+    # one zero row stands for no condition; a system with no row is refused
+    sys = DioSystem(equalities=[[0]], nonneg=[0])
     pointed, lineality = hilbert_basis(sys)
     assert pointed == [[1]]
     assert lineality == []
+    with pytest.raises(ValueError):
+        hilbert_basis(DioSystem(equalities=[], nonneg=[0]))
 
 
 def in_monoid(x, pointed, lineality, nonneg):
@@ -448,7 +451,7 @@ def test_hilbert_random_small_systems_against_enumeration():
         nonneg = sorted(rng.sample(range(n), rng.randint(1, n)))
         if all(all(c == 0 for c in r) for r in eqs):
             continue
-        sys = DioSystem(equalities=eqs, nonneg=nonneg, labels=list("xyz"))
+        sys = DioSystem(equalities=eqs, nonneg=nonneg)
         try:
             pointed, lineality = hilbert_basis(sys)
         except RuntimeError:
@@ -476,7 +479,7 @@ def test_hilbert_pointed_minimality():
         n = 4
         eqs = [[rng.randint(-2, 2) for _ in range(n)]]
         nonneg = [0, 1]
-        sys = DioSystem(equalities=eqs, nonneg=nonneg, labels=list("abcd"))
+        sys = DioSystem(equalities=eqs, nonneg=nonneg)
         pointed, lineality = hilbert_basis(sys)
         for i, v in enumerate(pointed):
             others = pointed[:i] + pointed[i + 1:]
@@ -485,12 +488,13 @@ def test_hilbert_pointed_minimality():
 
 # -- the lift of the minimal vectors --------------------------------------------
 
-def _greedy_size_reduction(v, basis, passes=4):
+def _greedy_size_reduction(v, basis):
     """The greedy loop of the per-vector lift, written out: every dot
-    product recomputed on every pass, x updated at every step."""
+    product recomputed on every pass, x updated at every step, at most four
+    passes."""
     x = list(v)
     norms = [sum(a * a for a in b) for b in basis]
-    for _ in range(passes):
+    for _ in range(4):
         changed = False
         for b, bb in zip(basis, norms):
             if not bb:
@@ -506,16 +510,15 @@ def _greedy_size_reduction(v, basis, passes=4):
 
 
 def test_reduce_mod_lattice_is_the_greedy_loop():
-    # dense and sparse bases, a zero vector among them, and every pass count
+    # dense and sparse bases, a zero vector among them, at the four-pass cap
+    assert lattice.SIZE_REDUCTION_PASSES == 4
     rng = random.Random(24)
-    for trial in range(200):
+    for _ in range(200):
         n = rng.randint(1, 6)
         basis = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 5)) for _ in range(n)]
                  for _ in range(rng.randint(0, 4))]
         v = [rng.randint(-40, 40) for _ in range(n)]
-        passes = 1 + trial % 4
-        assert reduce_mod_lattice(v, basis, passes) == \
-            _greedy_size_reduction(v, basis, passes), (v, basis, passes)
+        assert reduce_mod_lattice(v, basis) == _greedy_size_reduction(v, basis), (v, basis)
 
 
 def _per_vector_lift(system, keep):
