@@ -253,11 +253,13 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
                     options: DeriveOptions = None) -> Identity:
     opts = options or DeriveOptions()
     stage = "level"
+    level = 0                # a failed Identity's N, once the level passes its checks
     try:
         N = opts.N or find_level(spec, m, t)
         report = check_level(spec, m, t, N)
         if not report.ok:
             raise RuntimeError("level %d fails: %s" % (N, sorted(report.failures())))
+        level = N
         stage = "prefactor"
         phi = find_prefactor(spec, m, t, N, opts.phi_weight)
         stage = "generators"
@@ -281,7 +283,7 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         return identity
     except (NoPhiFound, NoHFound, NotMember, VerificationFailure,
             RuntimeError, ValueError) as exc:
-        return Identity(spec=spec, m=m, t=t, status="Failed",
+        return Identity(spec=spec, m=m, t=t, status="Failed", N=level,
                         failure="%s: %s" % (stage, exc))
 
 

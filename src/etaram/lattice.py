@@ -3,11 +3,14 @@ bounded coset enumeration, and Hilbert bases of linear Diophantine systems.
 
 Everything here works on small dense matrices of python ints (a few dozen
 rows and columns at most), so the implementations favor verifiability over
-asymptotics.  A Hilbert basis is found in the projection of the solution
-lattice to the nonnegative coordinates, a lattice L in Z^k.  When L has full
-rank k, which holds for every pole-free system at levels 2-48, its points in
-N^k are the y whose class in the finite group G = Z^k / L is 0, and the
-minimal ones are the minimal zero-sum sequences over the columns' classes.
+asymptotics.  hnf_column is the one elimination routine.  A Hilbert basis
+is found in the projection of the solution lattice to the nonnegative
+coordinates, a lattice L in Z^k; one column Hermite form of the equality
+rows stacked on those coordinates' unit rows holds the lineality, a basis
+of L and its lifts.  When L has full rank k, which holds for every
+pole-free system at levels 2-48, its points in N^k are the y whose class
+in the finite group G = Z^k / L is 0, and the minimal ones are the
+minimal zero-sum sequences over the columns' classes.
 minimal_zero_sum_sequences walks them depth first; by the Davenport bound
 (Olson 1969) none is longer than |G|.  The walk raises StepBudgetExceeded at
 once when |G| > 2^14, since its path holds up to |G| subset-sum sets of |G|
@@ -141,74 +144,6 @@ def solve_diophantine(A, b, hnf=None):
     if any(residual):
         return None
     return _matvec(U, y)
-
-
-def diagonalize_left(A):
-    """Diagonalize A by unimodular row and column operations.
-
-    Returns (diag, U, rank) where U A V = D for some unimodular V that is not
-    tracked; diag holds the positive diagonal entries (length = rank).  Used
-    to turn lattice membership into congruence conditions on U-transformed
-    coordinates.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [row[:] for row in A]
-    U = _identity(m)
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero pivot in the trailing submatrix
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if M[i][j] and (best is None or abs(M[i][j]) < best):
-                    best = abs(M[i][j])
-                    pos = (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            M[t], M[i0] = M[i0], M[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for row in M:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear the column below t with row ops
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    for j in range(n):
-                        M[i][j] -= q * M[t][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[t][j]
-                    if M[i][t]:  # remainder became the smaller pivot
-                        M[t], M[i] = M[i], M[t]
-                        U[t], U[i] = U[i], U[t]
-                        break
-            else:
-                # clear the row to the right with column ops
-                for j in range(t + 1, n):
-                    if M[t][j]:
-                        q = M[t][j] // M[t][t]
-                        for i in range(m):
-                            M[i][j] -= q * M[i][t]
-                        if M[t][j]:
-                            for i in range(m):
-                                M[i][t], M[i][j] = M[i][j], M[i][t]
-                            break
-                else:
-                    break
-                continue
-        if M[t][t] < 0:
-            for j in range(n):
-                M[t][j] = -M[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
-    diag = [M[i][i] for i in range(t)]
-    return diag, U, t
 
 
 def lattice_hnf(vectors, dim):
@@ -520,11 +455,16 @@ def hilbert_basis(system: DioSystem):
     combination of pointed vectors plus an arbitrary integer combination of
     lineality vectors, and no pointed vector decomposes into others.
 
-    The minimal vectors of the projected lattice come from the zero-sum walk
-    when the lattice has full rank (no equality row among its congruence
-    conditions), else from the slack completion; either way each is lifted
-    to a solution and size-reduced against the lineality.  Raises
-    StepBudgetExceeded when the path taken runs out of its budget.
+    One factorization (H, U, pivots) of the equality rows stacked on the
+    nonnegative coordinates' unit rows gives the lineality (U's columns past
+    the pivots), the column-HNF basis of the projected lattice (H's columns
+    pivoting in a unit row, read on the unit rows) and its lifts (U's same
+    columns).  The minimal vectors of the projected lattice come from the
+    zero-sum walk when the lattice has full rank (no equality row among the
+    congruence rows of _congruence_rows), else from the slack completion;
+    either way each is lifted through its coordinates in that basis and
+    size-reduced against the lineality.  Raises StepBudgetExceeded when the
+    path taken runs out of its budget.
     """
     eqs = [row[:] for row in system.equalities]
     if not eqs:
@@ -534,56 +474,62 @@ def hilbert_basis(system: DioSystem):
     if any(len(r) != n for r in eqs):
         raise ValueError("ragged equality rows")
 
-    kern = kernel_basis(eqs)
     unit_rows = [[1 if j == i else 0 for j in range(n)] for i in P]
-    # one factorization serves the lineality and the lift below
     lift_rows = eqs + unit_rows
-    lift_hnf = hnf_column(lift_rows)
+    lift_hnf = H, U, pivots = hnf_column(lift_rows)
     lineality = kernel_basis(lift_rows, lift_hnf)
-
-    if not P or not kern:
+    # a column pivoting in a unit row is zero on every equality row, so those
+    # columns of H, read on the unit rows, are the column-HNF basis of L, and
+    # the same columns of U are its lifts
+    m = len(eqs)
+    cols = [j for j, p in enumerate(pivots) if p >= m]
+    if not cols:
         return [], lineality
 
     k = len(P)
-    proj = [[v[i] for i in P] for v in kern]       # generators of the image lattice
-    Mg = [[proj[j][i] for j in range(len(proj))] for i in range(k)]
-    diag, U, rank = diagonalize_left(Mg)
-
-    rows = []
-    moduli = []
-    for i in range(rank):
-        d = abs(diag[i])
-        if d > 1:
-            reduced = [((U[i][j] % d) + d) % d for j in range(k)]
-            reduced = [c - d if c > d - c else c for c in reduced]
-            if any(reduced):
-                rows.append(reduced)
-                moduli.append(d)
-    for i in range(rank, k):
-        if any(U[i]):
-            rows.append(U[i][:])
-            moduli.append(0)
+    basis = [[H[m + i][j] for i in range(k)] for j in cols]
+    lifts_t = [[U[i][j] for j in cols] for i in range(n)]
+    rows, moduli = _congruence_rows(basis, k)
     # a modulus 0 marks an equality row: only then has the lattice rank < k
     keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
 
-    # lift the projected generators back to full solutions.  solve_diophantine
-    # divides exactly and sets the free coordinates to 0, so it is linear on
-    # right-hand sides it can solve: y = sum c_j b_j over the column-HNF basis
-    # b of L lifts to sum c_j lift(b_j), which is also what the solve of y
-    # itself returns.  Each b_j lies in L, so its own solve succeeds.
-    basis = lattice_hnf(proj, k)
-    pivots = [next(i for i, c in enumerate(b) if c) for b in basis]
-    lifts = [solve_diophantine(lift_rows, [0] * len(eqs) + b, lift_hnf) for b in basis]
-    lifts_t = [list(col) for col in zip(*lifts)]
+    basis_pivots = [pivots[j] - m for j in cols]
     reduce = _size_reducer(lineality)
     pointed = []
     for y in keep:
-        c = _hnf_coordinates(y, basis, pivots)
+        c = _hnf_coordinates(y, basis, basis_pivots)
         if c is None:
             raise RuntimeError("projected generator failed to lift")
         pointed.append(reduce(_matvec(lifts_t, c)))
     pointed.sort(key=lambda v: (sum(map(abs, v)), v))
     return pointed, lineality
+
+
+def _congruence_rows(basis, k):
+    """Rows and moduli such that y in Z^k lies in the lattice spanned by the
+    column-HNF basis exactly when row . y = 0 mod d for every pair, where a
+    modulus 0 marks an equality row.
+
+    Column Hermite forms of the basis matrix B's transpose and of B itself,
+    alternated, reach a diagonal D = R B V (Kannan-Bachem 1979); only the
+    row transform R is kept.  y lies in the lattice exactly when R y lies in
+    D Z^r, so rows below the rank r are R's rows reduced mod D's entries
+    (the entries 1 give no condition) and the rows past r are equality rows.
+    """
+    M = [[b[i] for b in basis] for i in range(k)]
+    R = _identity(k)
+    while any(c for i, row in enumerate(M) for j, c in enumerate(row) if i != j):
+        T, V, _ = hnf_column([list(col) for col in zip(*M)])
+        R = [[sum(map(mul, v, r)) for r in zip(*R)] for v in zip(*V)]
+        M = hnf_column([list(row) for row in zip(*T)])[0]
+    rows = []
+    moduli = []
+    for i in range(len(basis)):
+        d = M[i][i]
+        if d > 1:
+            rows.append([c - d if c > d - c else c for c in (c % d for c in R[i])])
+            moduli.append(d)
+    return rows + R[len(basis):], moduli + [0] * (k - len(basis))
 
 
 def _hnf_coordinates(y, basis, pivots):

@@ -398,6 +398,8 @@ def test_level_32_fails_at_its_generators():
     ident = derive_identity(PARTITION, 4, 0)
     assert ident.status == "Failed"
     assert ident.failure.startswith("generators: group of order 44697600 exceeds")
+    # the level passed its checks, so the failure keeps it
+    assert ident.N == 32 and ident.to_json()["N"] == 32
 
 
 def test_failure_is_reported_not_raised():
@@ -405,6 +407,15 @@ def test_failure_is_reported_not_raised():
                             DeriveOptions(order=40, phi_weight=1))
     assert ident.status == "Failed"
     assert "prefactor" in ident.failure
+    assert ident.N == 10 and ident.to_json()["N"] == 10
+
+
+def test_failure_at_the_level_stage_keeps_no_level():
+    # 5 does not divide the asked level 3, so its checks fail and no level
+    # is kept
+    ident = derive_identity(PARTITION, 5, 4, DeriveOptions(N=3))
+    assert ident.failure == "level: level 3 fails: ['primes of m divide N']"
+    assert ident.N == 0 and ident.to_json()["N"] == 0
 
 
 def test_independent_check_rejects_a_perturbed_identity():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -630,6 +631,77 @@ def test_lift_matches_the_per_vector_path_on_multiplier_systems(
     assert path == "_group_minimals"
     if m == 13:
         assert reduced and biggest > 1      # 119 lineality vectors, entries to 54
+
+
+# -- one factorization per Hilbert basis ---------------------------------------
+
+def test_congruence_rows_decide_lattice_membership():
+    rng = random.Random(26)
+    ranks = set()
+    members = others = noncyclic = 0
+    for trial in range(200):
+        k = 1 if trial % 10 == 0 else rng.randint(2, 5)
+        # rank 0 every 25th trial, else up to k + 1 generators of any rank
+        gens = [] if trial % 25 == 0 else [
+            [rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(1, k + 1))]
+        basis = lattice_hnf(gens, k)
+        ranks.add((k, len(basis)))
+        rows, moduli = lattice._congruence_rows(basis, k)
+        assert all(d == 0 or d > 1 for d in moduli)
+        assert moduli.count(0) == k - len(basis)
+        noncyclic += len(moduli) - moduli.count(0) > 1
+        for y in _l1_ball(k, 4 if k < 5 else 3):
+            expect = in_lattice(list(y), basis)
+            assert expect == all(sum(map(mul, r, y)) % d == 0 if d else
+                                 sum(map(mul, r, y)) == 0
+                                 for r, d in zip(rows, moduli)), (basis, y)
+            members += expect
+            others += not expect
+        if len(basis) == k:
+            # |det| of the lower triangular basis: its pivots' product
+            assert prod(moduli) == prod(b[i] for i, b in enumerate(basis)), basis
+    # k = 1 at ranks 0 and 1, and every rank from 0 to 5 below and at k
+    assert {(1, 0), (1, 1)} <= ranks
+    assert {r for k, r in ranks if r < k} == set(range(5))
+    assert {r for k, r in ranks if r == k} == set(range(1, 6))
+    assert members > 1000 and others > 1000 and noncyclic > 5
+
+
+@pytest.fixture
+def factorization_spy(monkeypatch):
+    """Records the column count of every hnf_column call, and the calls to
+    solve_diophantine and lattice_hnf, made inside lattice."""
+    seen = {"hnf_column": [], "solve_diophantine": [], "lattice_hnf": []}
+
+    def spy(name, record):
+        real = getattr(lattice, name)
+
+        def call(*args, **kwargs):
+            seen[name].append(record(*args))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lattice, name, call)
+
+    spy("hnf_column", lambda A: len(A[0]) if A else 0)
+    spy("solve_diophantine", lambda *args: args)
+    spy("lattice_hnf", lambda *args: args)
+    return seen
+
+
+def _assert_one_factorization(seen, system):
+    for calls in seen.values():
+        calls.clear()
+    hilbert_basis(system)
+    assert seen["hnf_column"].count(system.nvars) == 1
+    assert seen["solve_diophantine"] == [] and seen["lattice_hnf"] == []
+
+
+def test_hilbert_basis_factors_a_level_system_once(factorization_spy):
+    _assert_one_factorization(factorization_spy, pole_free_system(18).system)
+
+
+def test_hilbert_basis_factors_a_multiplier_system_once(monkeypatch, factorization_spy):
+    system = _multiplier_system(monkeypatch, PartitionSpec(1, {1: -1}), 13, 6)
+    _assert_one_factorization(factorization_spy, system)
 
 
 @pytest.mark.parametrize("name, system, y", [
