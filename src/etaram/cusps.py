@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
+from .eta import GenEtaQuotient, PartitionSpec, b2_numerator, divisors
 
 
 @dataclass(frozen=True, order=True)
@@ -110,12 +110,8 @@ def cusp_set(N: int) -> tuple:
     for s in candidates:
         if not any(cusps_equivalent(N, s, r) for r in reps):
             reps.append(s)
-    # rotate the representative of the infinite class to the canonical 1/0
-    for i, r in enumerate(reps):
-        if cusps_equivalent(N, r, INFINITY):
-            reps.pop(i)
-            break
-    reps.append(INFINITY)
+    # the one representative of the infinite class goes last, as 1/0
+    reps = [r for r in reps if not cusps_equivalent(N, r, INFINITY)] + [INFINITY]
     return tuple(CuspData(cusp=s, width=width(N, s)) for s in reps)
 
 
@@ -159,13 +155,13 @@ def _order_rows(N: int, cusp: Cusp):
     at the cusp a/c, width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)), as an
     integer numerator over one denominator, which is returned doubled:
     order_at_cusp weights the numerators with a[d] (a plain eta power counts
-    half at its g = 0 slot) and with 2*ag[d, g]."""
+    half at its g = 0 slot) and with 2*ag[d, g].  In integers that is
+    width * b2_numerator(a g, e) * (N/d) over 12N, e = gcd(d, c)."""
     w, a, c = width(N, cusp), cusp.a, cusp.c
-    coeffs = {(d, g): Fraction(w * gcd(d, c) ** 2, 2 * d)
-              * bernoulli_p2(Fraction(a * g, gcd(d, c)))
-              for d in divisors(N) for g in range((d + 1) // 2)}
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, 2 * den
+    nums = {(d, g): w * b2_numerator(a * g, gcd(d, c)) * (N // d)
+            for d in divisors(N) for g in range((d + 1) // 2)}
+    common = gcd(12 * N, *nums.values())
+    return {k: v // common for k, v in nums.items()}, 24 * N // common
 
 
 def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
@@ -195,24 +191,17 @@ def slice_min_exponent(spec: PartitionSpec, m: int, cusp: Cusp) -> Fraction:
 
     Minimum over the residue twist parameter of an exact rational expression
     in gcd's of a and c; the generalized factors of the spec contribute a
-    second Bernoulli term.
+    second Bernoulli term.  Each twist's sum is an integer over 24 m M
+    (every d divides M), its Bernoulli terms read through b2_numerator.
     """
-    k = kappa(m)
-    a, c = cusp.a, cusp.c
-    best = None
-    for lam in range(m):
-        total = Fraction(0)
-        u = a + k * lam * c
-        for d, e in spec.r.items():
-            gg = gcd(d * u, m * c)
-            total += Fraction(gg * gg, 24 * d * m) * e
-        for (d, g), e in spec.rg.items():
-            gg = gcd(d * u, m * c)
-            total += (Fraction(gg * gg, 2 * d * m)
-                      * bernoulli_p2(Fraction(u * g, gg)) * e)
-        if best is None or total < best:
-            best = total
-    return best
+    a, c, M = cusp.a, cusp.c, spec.M
+
+    def twist(u):
+        return (sum(gcd(d * u, m * c) ** 2 * e * (M // d) for d, e in spec.r.items())
+                + sum(2 * b2_numerator(u * g, gcd(d * u, m * c)) * e * (M // d)
+                      for (d, g), e in spec.rg.items()))
+
+    return Fraction(min(twist(a + kappa(m) * lam * c) for lam in range(m)), 24 * m * M)
 
 
 def cusp_order_bounds(spec: PartitionSpec, m: int, t: int,

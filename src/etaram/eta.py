@@ -22,8 +22,9 @@ fast route keys a product by (r, rg), the reference route by the
 progressions of n its exponents run over (progressions), so a spec and an
 expression with the same product read one entry.  The cache holds the longest expansion asked for,
 answers shorter requests by truncation, and (on the reference route)
-extends the coefficient list from where it stopped.  One lock guards that
-cache, so derivations and verifications on several threads share it safely.
+extends the coefficient list from where it stopped; past _REFERENCE_TERMS
+reference coefficients, the entries read least recently go.  One lock guards
+that cache, so derivations and verifications on several threads share it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def bernoulli_p2(x) -> Fraction:
     return frac * frac - frac + Fraction(1, 6)
 
 
+def b2_numerator(x: int, e: int) -> int:
+    """6 e^2 B2(x/e), an integer: 6r^2 - 6re + e^2 with r = x mod e."""
+    r = x % e
+    return 6 * r * r - 6 * r * e + e * e
+
+
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -59,12 +66,12 @@ def lead_exponent(a: dict, ag: dict, N: int) -> Fraction:
     """Leading q-exponent of prod eta(d tau)**a[d] * prod eta_{d,g}**ag[d, g].
 
     eta(d tau) leads with d/24 and eta_{d,g} with (d/2) B2(g/d) =
-    (6g^2 - 6gd + d^2) / (12d) for 0 < g <= d/2; both are summed as
-    integer numerators over 24N (every d divides N).
+    b2_numerator(g, d) / (12d); both are summed as integer numerators over
+    24N (every d divides N).
     """
     total = sum(e * d * N for d, e in a.items())
     for (d, g), e in ag.items():
-        total += 2 * e * (6 * g * g - 6 * g * d + d * d) * (N // d)
+        total += 2 * e * b2_numerator(g, d) * (N // d)
     return Fraction(total, 24 * N)
 
 
@@ -220,15 +227,37 @@ def reference_product(key, order) -> list:
 
     `key` is a progressions tuple.  The cache holds the longest list made
     for it: a shorter request is a prefix, and a longer one extends it by
-    euler_transform.
+    euler_transform.  A read moves the entry last, for _bound_reference.
     """
     cache_key = key + ("reference",)
     with _PRODUCT_LOCK:
-        held = _PRODUCT_CACHE.get(cache_key)
+        held = _PRODUCT_CACHE.pop(cache_key, None)
+        if held is not None:
+            _PRODUCT_CACHE[cache_key] = held
     if held is None or len(held) < order:
         held = _publish(_PRODUCT_CACHE, cache_key,
                         euler_transform(_exponents(key, order), held or ()), len)
+        _bound_reference(cache_key, len(held))
     return held[:order]
+
+
+# coefficients the reference entries may hold: 5x the test suite's peak, ~98,000
+_REFERENCE_TERMS = 1 << 19
+_reference_held = 0     # an upper bound on what they hold, exact after a count
+
+
+def _bound_reference(kept, added):
+    """Count `added` more coefficients; past _REFERENCE_TERMS, count exactly
+    and drop the entries read least recently but `kept` until within it."""
+    global _reference_held
+    with _PRODUCT_LOCK:
+        _reference_held += added
+        if _reference_held > _REFERENCE_TERMS:
+            keys = [k for k in _PRODUCT_CACHE if k[-1] == "reference"]
+            _reference_held = sum(len(_PRODUCT_CACHE[k]) for k in keys)
+            for k in keys:
+                if _reference_held > _REFERENCE_TERMS and k != kept:
+                    _reference_held -= len(_PRODUCT_CACHE.pop(k))
 
 
 def _exponents(key, order) -> list:
@@ -371,9 +400,9 @@ def euler_transform(c, known=()) -> list:
             v = n * c[n]
             for k in range(n, order, n):
                 s[k] -= v
-    # acc[n] collects s(n-j) f(j) over every j already folded in for n
+    # acc[n] collects s(n-j) f(j) over every j already folded in: s(n) if fresh
     acc = [0] * order
-    acc[len(f):] = _pack_mul(f, s[1:order], len(f) - 1, order - 1)
+    acc[len(f):] = s[1:] if f == [1] else _pack_mul(f, s[1:order], len(f) - 1, order - 1)
 
     def solve(lo, hi):
         if hi - lo <= _EULER_BLOCK:

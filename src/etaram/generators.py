@@ -10,17 +10,19 @@ the quotient generators, the lineality part only produces the constant 1.
 
 A candidate's record is built from integers: the first coefficients of its
 product from the reference route's Euler transform (product_coefficients),
-its lead exponent and its cusp orders by the closed formula.  No candidate
-is expanded on the fast route.
+its lead exponent and its cusp orders by the closed formula (order_table).
+No candidate is expanded on the fast route.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .cusps import INFINITY, cusp_set, order_at_cusp
+from .cusps import INFINITY, _order_rows, cusp_set, order_at_cusp
 from .eta import GenEtaQuotient, divisors
 from .lattice import DioSystem, hilbert_basis
 
@@ -42,38 +44,46 @@ class PoleFreeSystem:
 
 
 @functools.lru_cache(maxsize=None)
+def order_table(N: int) -> tuple:
+    """(CuspData, row, den) per cusp of cusp_set(N), in order: there the
+    quotient of a scaled exponent vector v has order sum(row[i] v[i]) / den,
+    each row read from _order_rows by quotient_from_scaled's rule."""
+    table = []
+    for data in cusp_set(N):
+        rows, den = _order_rows(N, data.cusp)
+        row = tuple(rows[d, 0] if g == 0 else rows[g, 0] - rows[d, 0] if 2 * g == d
+                    else 2 * rows[d, g] for d, g in exponent_slots(N))
+        table.append((data, row, den))
+    return tuple(table)
+
+
+def table_orders(N: int, vector) -> dict:
+    """{cusp: order} of a scaled exponent vector's quotient by order_table:
+    an int, or a Fraction where the order is not integral."""
+    orders = {}
+    for data, row, den in order_table(N):
+        total = sum(map(mul, row, vector))
+        orders[data.cusp] = Fraction(total, den) if total % den else total // den
+    return orders
+
+
+@functools.lru_cache(maxsize=None)
 def pole_free_system(N: int) -> PoleFreeSystem:
     slots = exponent_slots(N)
-    all_cusps = cusp_set(N)
-    finite = [c for c in all_cusps if not c.cusp.is_infinity]
-    inf = next(c for c in all_cusps if c.cusp.is_infinity)
-    # a cusp's order form over the scaled slots: the orders there of the
-    # slots' unit quotients
-    units = [quotient_from_scaled(N, slots, [int(i == j) for j in range(len(slots))])
-             for i in range(len(slots))]
-
-    retained = []
-    forms = []
-    for data in finite:
-        form = [order_at_cusp(u, N, data) for u in units]
-        if form not in forms:
+    # a cusp's order form: its order_table row and denominator over their
+    # gcd; equal finite forms are kept once, infinity (last) always
+    retained, forms = [], []
+    for data, row, den in order_table(N):
+        common = gcd(den, *row)
+        form = [c // common for c in row], den // common
+        if data.cusp.is_infinity or form not in forms:
             forms.append(form)
             retained.append(data)
-    retained.append(inf)
-    forms.append([order_at_cusp(u, N, inf) for u in units])
-
-    nv = len(slots)
-    rows = []
     # weight condition: the g = 0 scaled exponents sum to zero
-    rows.append([1 if g == 0 else 0 for d, g in slots] + [0] * len(retained))
-    for i, form in enumerate(forms):
-        den = 1
-        for c in form:
-            den = den * c.denominator // gcd(den, c.denominator)
-        row = [int(c * den) for c in form] + [0] * len(retained)
-        row[nv + i] = -den
-        rows.append(row)
-    nonneg = [nv + i for i in range(len(retained) - 1)]  # infinity slack is free
+    rows = [[1 if g == 0 else 0 for d, g in slots] + [0] * len(retained)]
+    for i, (form, den) in enumerate(forms):
+        rows.append(form + [0] * i + [-den] + [0] * (len(retained) - 1 - i))
+    nonneg = [len(slots) + i for i in range(len(retained) - 1)]  # infinity slack is free
     return PoleFreeSystem(system=DioSystem(rows, nonneg),
                           slots=tuple(slots), retained=tuple(retained))
 
@@ -157,9 +167,9 @@ HEAD_TERMS = 14
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       coeffs, orders) -> Generator:
     """Record of a canonical quotient from the integer coefficients of its
-    product (at least HEAD_TERMS, q.product_coefficients) and its
-    cusp_orders; raises error (the caller's failure type) unless it is
-    pole-free away from a pole at infinity.
+    product (at least HEAD_TERMS, q.product_coefficients) and its orders
+    (cusp_orders or table_orders); raises error (the caller's failure type)
+    unless it is pole-free away from a pole at infinity.
 
     The order at infinity is q's lead exponent, so the head, the
     coefficients from q**-pole on, is the product's first HEAD_TERMS.
@@ -196,7 +206,7 @@ def generators(N: int) -> tuple:
     pointed, lineality = hilbert_basis(pfs.system)
     for v in lineality:
         q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
-        if not is_constant_one(q, N):
+        if not is_constant_one(q, N, orders=table_orders(N, v[:pfs.nslots])):
             raise AssertionError("lineality vector is not the constant 1")
     out = []
     for v in pointed:
@@ -205,7 +215,7 @@ def generators(N: int) -> tuple:
         # past a nonzero lead q cannot read as 1 at any truncation, so only a
         # zero lead needs more coefficients than the record's head reads
         coeffs = q.product_coefficients(HEAD_TERMS if q.lead_exponent() else 50)
-        orders = cusp_orders(q, N)
+        orders = table_orders(N, v[:pfs.nslots])
         if not is_constant_one(q, N, coeffs, orders):
             out.append(_generator_record(q, v[:pfs.nslots], AssertionError,
                                          coeffs, orders))

@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -126,6 +126,21 @@ def test_order_rows_match_the_lambda_mu_form():
             for (d, g), num in rows.items():
                 assert Fraction(2 * num, den) == _lambda_mu_coefficient(N, data.cusp, d, g), \
                     (N, data.cusp, d, g)
+
+
+def test_order_rows_match_the_fraction_formula():
+    # the rows are cleared in integers; written out in Fractions they are
+    # width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)) per slot, over the
+    # least common denominator, which is returned doubled
+    for N in range(1, 61):
+        for data in cusp_set(N):
+            a, c = data.cusp.a, data.cusp.c
+            coeffs = {(d, g): Fraction(data.width * gcd(d, c) ** 2, 2 * d)
+                      * bernoulli_p2(Fraction(a * g, gcd(d, c)))
+                      for d in range(1, N + 1) if N % d == 0 for g in range((d + 1) // 2)}
+            den = lcm(*(f.denominator for f in coeffs.values()))
+            rows = {k: f.numerator * (den // f.denominator) for k, f in coeffs.items()}
+            assert _order_rows(N, data.cusp) == (rows, 2 * den), (N, data.cusp)
 
 
 def test_order_of_trivial_quotient():

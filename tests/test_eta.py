@@ -191,6 +191,20 @@ def test_euler_transform_matches_the_quadratic_oracle(r, rg):
     assert _euler_transform(r, rg, 1000, oracle[:1000]) == oracle[:1000]
 
 
+def test_a_fresh_transform_of_one_block_makes_no_packed_product(monkeypatch):
+    # with no known prefix the first sums start from s(n) f(0) = s(n), so a
+    # transform no longer than one base-case block multiplies nothing
+    oracles = [_reference_euler_transform(r, rg, 64) for r, rg in ORACLE_PRODUCTS]
+
+    def forbidden(*args):
+        raise AssertionError("a fresh one-block transform made a packed product")
+
+    monkeypatch.setattr(etaram.eta, "_pack_mul", forbidden)
+    for (r, rg), oracle in zip(ORACLE_PRODUCTS, oracles):
+        for order in (1, 2, 3, 63, 64):
+            assert _euler_transform(r, rg, order) == oracle[:order]
+
+
 def test_euler_transform_keeps_its_exactness_check(monkeypatch):
     r, rg = {1: -2}, {(5, 1): 1}
     honest = _pack_mul

@@ -11,7 +11,7 @@ import pytest
 import etaram.eta
 import etaram.exprs
 import etaram.series
-from etaram.eta import PartitionSpec
+from etaram.eta import PartitionSpec, progressions
 from etaram.exprs import ParseError, expand
 from etaram.identities import verify_identity
 from etaram.series import QSeries, ZeroSeries, pochhammer
@@ -230,3 +230,33 @@ def test_concurrent_verifications_share_the_product_cache(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     expected = {case[:3]: case[3] for case in cases}
     assert reports == {k: expected for k in range(4)}
+
+
+def test_the_reference_cache_drops_the_products_read_least_recently(monkeypatch):
+    # forty verifications of distinct products at order 500, each reading
+    # its own product and 1/(q;q) to 2,505 terms
+    cases = [("slice(P(0,1)^-1*P(0,%d),5,4)" % k, "slice(P(0,1)^-1,5,4)")
+             for k in range(2, 42)]
+    keys = [progressions([((1, 1), -1), ((k, k), 1)]) + ("reference",)
+            for k in range(2, 42)]
+    partition = progressions([((1, 1), -1)]) + ("reference",)
+
+    def replay(case):
+        return verify_identity(*case, 500), expand(case[0], 500)
+
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    expected = [replay(case) for case in cases]
+    # the default bound drops none of them
+    assert set(etaram.eta._PRODUCT_CACHE) == set(keys) | {partition}
+    # room for four such products
+    bound = 4 * 2505 + 100
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_reference_held", 0)
+    monkeypatch.setattr(etaram.eta, "_REFERENCE_TERMS", bound)
+    for case, key, want in zip(cases, keys, expected):
+        assert replay(case) == want
+        cache = etaram.eta._PRODUCT_CACHE
+        assert sum(len(cache[k]) for k in cache if k[-1] == "reference") <= bound
+        # this case read 1/(q;q), then its own product twice: both survive
+        assert list(cache)[-2:] == [partition, key]
+    assert list(cache) == [keys[-3], keys[-2], partition, keys[-1]]

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import etaram.cusps
 import etaram.eta
 from etaram.cusps import INFINITY, cusp_set, order_at_cusp
 from etaram.eta import GenEtaQuotient
 from etaram.generators import (
-    exponent_slots, generator_from_quotient, generators,
-    pole_free_system, quotient_from_scaled, unit_lattice,
+    cusp_orders, exponent_slots, generator_from_quotient, generators,
+    pole_free_system, quotient_from_scaled, table_orders, unit_lattice,
 )
 from etaram import lattice
 from etaram.lattice import StepBudgetExceeded, enumerate_coset, in_lattice, lattice_hnf
@@ -151,16 +152,20 @@ def test_generator_records_are_pinned(N):
 
 @pytest.mark.parametrize("route", ["orders", "series"])
 def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
-    # spoil one route for one non-constant candidate: its orders all read 0,
-    # or its series (lead exponent and integer coefficients) reads as 1
+    # spoil one route for one non-constant candidate: its orders from the
+    # level's order table all read 0, or its series (lead exponent and
+    # integer coefficients) reads as 1
     target = generators(10)[2].quotient
     if route == "orders":
-        real = generators_module.order_at_cusp
+        real = generators_module.table_orders
 
-        def spoiled(q, N, cusp):
-            return Fraction(0) if q == target else real(q, N, cusp)
+        def spoiled(N, vector):
+            orders = real(N, vector)
+            if quotient_from_scaled(N, exponent_slots(N), vector) == target:
+                return dict.fromkeys(orders, 0)
+            return orders
 
-        monkeypatch.setattr(generators_module, "order_at_cusp", spoiled)
+        monkeypatch.setattr(generators_module, "table_orders", spoiled)
     else:
         real_lead = GenEtaQuotient.lead_exponent
         real = GenEtaQuotient.product_coefficients
@@ -273,6 +278,43 @@ ORDER_SUM_LEVELS = [pytest.param(N, marks=pytest.mark.slow) if N in SLOW_LEVELS
 def test_generator_orders_sum_to_zero(N):
     for g in generators(N):
         assert sum(g.orders.values()) == 0, g.quotient
+
+
+@pytest.mark.parametrize("N", ORDER_SUM_LEVELS)
+def test_record_orders_match_the_closed_formula(N):
+    # generators(N) reads every candidate's orders from the level's order
+    # table; the closed formula on its quotient must give them cusp by cusp
+    for g in generators(N):
+        assert g.orders == cusp_orders(g.quotient, N), g.quotient
+        assert list(g.orders) == [data.cusp for data in cusp_set(N)]
+    for v in unit_lattice(N):
+        orders = cusp_orders(quotient_from_scaled(N, exponent_slots(N), v), N)
+        assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)
+
+
+def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
+    calls = []
+    real_order = order_at_cusp
+    real_init = GenEtaQuotient.__init__
+
+    def counted_order(*args):
+        calls.append("order_at_cusp")
+        return real_order(*args)
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("GenEtaQuotient")
+        real_init(self, *args, **kwargs)
+
+    for module in (etaram.cusps, generators_module):
+        monkeypatch.setattr(module, "order_at_cusp", counted_order)
+    monkeypatch.setattr(GenEtaQuotient, "__init__", counted_init)
+    system = pole_free_system.__wrapped__(18)
+    assert calls == []
+    assert system.system.equalities == pole_free_system(18).system.equalities
+    assert system.retained == pole_free_system(18).retained
+    assert generators.__wrapped__(18) == generators(18)
+    assert "order_at_cusp" not in calls and "GenEtaQuotient" in calls
+
 
 def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):
     """vec = sum u_i alpha_i + (unit lattice), u_i >= 0, graded search."""
