@@ -20,11 +20,16 @@ Products are cached per route, for partition functions, the canonical
 exponents of quotients and the expression language's monomials alike: the
 fast route keys a product by (r, rg), the reference route by the
 progressions of n its exponents run over (progressions), so a spec and an
-expression with the same product read one entry.  The cache holds the longest expansion asked for,
-answers shorter requests by truncation, and (on the reference route)
-extends the coefficient list from where it stopped; past _REFERENCE_TERMS
-reference coefficients, the entries read least recently go.  One lock guards
-that cache, so derivations and verifications on several threads share it.
+expression with the same product read one entry.  A reference key whose
+starts and steps share a factor g > 1 names a series in q^g: it is held
+reduced, every progression divided by g, so the product in q and its q^g
+form read one entry and count once, and a q^g read spreads that entry's
+coefficients to every g-th index.  The cache holds the longest expansion
+asked for, answers shorter requests by truncation, and (on the reference
+route) extends the coefficient list from where it stopped; past
+_REFERENCE_TERMS reference coefficients, the entries read least recently
+go.  One lock guards that cache, so derivations and verifications on
+several threads share it.
 """
 
 from __future__ import annotations
@@ -225,10 +230,25 @@ def _spec_progressions(r, rg) -> tuple:
 def reference_product(key, order) -> list:
     """Integer coefficients f(0..order-1) of the product `key` names.
 
-    `key` is a progressions tuple.  The cache holds the longest list made
-    for it: a shorter request is a prefix, and a longer one extends it by
-    euler_transform.  A read moves the entry last, for _bound_reference.
+    `key` is a progressions tuple.  When every start and step shares a
+    factor g > 1, the product is a series in q^g: the key is read with each
+    progression divided by g, to ceil(order/g) coefficients, and its
+    coefficient j is spread to index g j with zeros between.  The cache
+    holds only such reduced keys, so a product and its q^g form read one
+    entry.  It holds the longest list made for a key: a shorter request is
+    a prefix, and a longer one extends it by euler_transform.  A read moves
+    the entry last, for _bound_reference.
     """
+    stride = 0
+    for (start, step), _ in key:     # sorted: one gcd when the first start is 1
+        stride = gcd(stride, start, step)
+        if stride == 1:
+            break
+    if stride > 1:
+        key = tuple(((start // stride, step // stride), e) for (start, step), e in key)
+        spread = [0] * order
+        spread[::stride] = reference_product(key, -(-order // stride))
+        return spread
     cache_key = key + ("reference",)
     with _PRODUCT_LOCK:
         held = _PRODUCT_CACHE.pop(cache_key, None)
@@ -443,7 +463,8 @@ def _product_expansion(r, rg, order):
 class GenEtaQuotient:
     """prod eta(d*tau)**a[d] * prod eta_{d,g}(tau)**ag[d,g] at level N.
 
-    Only the canonical form is stored, every exponent an int: a is keyed by
+    Only the canonical form is stored, every exponent an int, and the lead
+    exponent once it is read; the object is immutable.  a is keyed by
     divisors d of N, and ag by (d, g) with 0 < g < d/2.  The constructor
     also takes any g (folded by g -> d - g and modulo d) and half-integral
     exponents at g = 0 and 2g = d, where the factor is a plain eta power in
@@ -488,6 +509,7 @@ class GenEtaQuotient:
                 raise NonIntegralPower("plain eta exponent at %d must be integral" % d)
         self.a = {d: int(e) for d, e in sorted(plain.items()) if e}
         self.ag = {k: int(e) for k, e in sorted(generalized.items()) if e}
+        self._lead = None
 
     # -- structure ---------------------------------------------------------------
 
@@ -522,8 +544,10 @@ class GenEtaQuotient:
     # -- analytic data -------------------------------------------------------------
 
     def lead_exponent(self) -> Fraction:
-        """Exact leading q-exponent of the expansion."""
-        return lead_exponent(self.a, self.ag, self.N)
+        """Exact leading q-exponent of the expansion, kept after its first read."""
+        if self._lead is None:
+            self._lead = lead_exponent(self.a, self.ag, self.N)
+        return self._lead
 
     def expansion(self, terms: int, reference=False) -> QSeries:
         """Expansion with at least `terms` known coefficients past the lead.

@@ -10,8 +10,8 @@ Grammar (whitespace insensitive):
     exponent := signed_int | '(' signed_int '/' int ')'
 
 P(g, d) is the single-residue product over n > 0, n = g mod d of (1 - q^n),
-with P(0, d) the full (q^d; q^d) factor; slice(e, m, t) extracts
-sum_n c[m n + t] q^n from the series of e.
+with P(0, d) (and so P(d, d)) the full (q^d; q^d) factor; slice(e, m, t)
+extracts sum_n c[m n + t] q^n from the series of e.
 
 Evaluation is exact.  Every subtree that multiplies, divides, raises or
 negates constants, q^s and P atoms collapses to one monomial
@@ -162,7 +162,7 @@ class _Parser:
             self.expect(")")
             if d < 1 or g < 0:
                 raise ParseError("need delta >= 1 and g >= 0")
-            return ("poch", g, d)
+            return ("poch", g % d, d)
         if tok == "slice":
             self.expect("(")
             inner = self.expr()
@@ -223,10 +223,10 @@ def _monomial(node):
 def _expand_monomial(c, s, exps, order) -> QSeries:
     """c q^s prod P(g, d)^e to q^order through the reference-route product cache.
 
-    P(g, d) contributes e to the exponent of (1 - q^n) for every
-    n = g (mod d) from n = g (n = d when g = 0), as the plain product does:
-    the progression (g or d, d).  A monomial starting at or past q^order is
-    zero to that order.
+    P(g, d), its g read modulo d by the parser, contributes e to the
+    exponent of (1 - q^n) for every n = g (mod d) from n = g (n = d when
+    g = 0), as the plain product does: the progression (g or d, d).  A
+    monomial starting at or past q^order is zero to that order.
     """
     if s >= order:
         return QSeries.zero(order)

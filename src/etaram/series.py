@@ -475,9 +475,10 @@ def _scalar_series(c, like: QSeries) -> QSeries:
 def pochhammer(g: int, delta: int, order: int) -> QSeries:
     """Single-residue factor prod_{n>0, n=g mod delta} (1 - q^n), truncated.
 
-    g = 0 is read as the full factor (q^delta; q^delta)_infinity.  This is the
-    straightforward product and doubles as the reference implementation that
-    the theta-based fast paths are tested against.
+    g is read modulo delta, and g = 0 as the full factor
+    (q^delta; q^delta)_infinity.  This is the straightforward product and
+    doubles as the reference implementation that the theta-based fast paths
+    are tested against.
     """
     if delta < 1 or g < 0:
         raise ValueError("need delta >= 1 and g >= 0")
@@ -486,7 +487,7 @@ def pochhammer(g: int, delta: int, order: int) -> QSeries:
         raise ValueError("order must be positive")
     c = [0] * T
     c[0] = 1
-    n = g if g > 0 else delta
+    n = g % delta or delta
     while n < T:
         for i in range(T - 1 - n, -1, -1):
             if c[i]:

@@ -9,7 +9,8 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _pack_mul, _product_expansion, bernoulli_p2,
+    _exponents, _pack_mul, _product_expansion, bernoulli_p2, euler_transform,
+    progressions, reference_product,
 )
 from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
 
@@ -487,6 +488,89 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
         fast.sift(9, 3).shift(spec.slice_prefactor(9, 3)))
     assert quot.expansion(60, reference=True) == fast_quot
     assert taken
+
+
+def _random_key(rng):
+    """A progressions key of 1-4 progressions, steps up to 12, exponents
+    in [-3, 3]."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        step = rng.randint(1, 12)
+        factors.append(((rng.randint(1, step), step), rng.randint(-3, 3)))
+    return progressions(factors)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("g", [2, 3, 5, 6])
+def test_strided_products_match_the_unstrided_transform(monkeypatch, seed, g):
+    # a key in q^g is read reduced and spread; the oracle runs the
+    # transform over every exponent of the key as given
+    key = _random_key(random.Random(seed))
+    scaled = tuple(((start * g, step * g), e) for (start, step), e in key)
+    for order in (1, g - 1, 2 * g + 1, 700):
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        assert reference_product(scaled, order) == euler_transform(_exponents(scaled, order))
+    # held from the longest read, every shorter one is its prefix
+    full = euler_transform(_exponents(scaled, 700))
+    for order in (700, 2 * g + 1, g - 1, 1):
+        assert reference_product(scaled, order) == full[:order]
+
+
+def test_a_product_in_q_g_reads_its_q_form(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_reference_held", 0)
+    partitions = PartitionSpec(1, {1: -1}).product_expansion_reference(200)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a held product was expanded again")
+
+    monkeypatch.setattr(etaram.eta, "euler_transform", forbidden)
+    # 1/(q^2; q^2) to q^400 is 1/(q; q) to q^200 at every other index
+    assert PartitionSpec(2, {2: -1}).product_expansion_reference(400) == (
+        pochhammer(0, 2, 400).invert())
+    assert PartitionSpec(2, {2: -1}).product_expansion_reference(399).coefficients_range(
+        0, 399) == [c for n in range(200) for c in (partitions.coefficient(n), 0)][:399]
+    assert list(etaram.eta._PRODUCT_CACHE) == [((((1, 1), -1),) + ("reference",))]
+    assert etaram.eta._reference_held == 200
+
+
+def test_a_longer_strided_request_extends_the_reduced_entry(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    calls = []
+    real = etaram.eta.euler_transform
+
+    def spy(c, known=()):
+        calls.append((len(c), list(known)))
+        return real(c, known)
+
+    monkeypatch.setattr(etaram.eta, "euler_transform", spy)
+    key = progressions([((3, 3), -2), ((6, 9), 1)])
+    short = reference_product(key, 100)
+    longer = reference_product(key, 301)
+    # the reduced key ((1, 1), -2), ((2, 3), 1): 34 terms, then 101 from them
+    assert [(length, len(known)) for length, known in calls] == [(34, 0), (101, 34)]
+    assert calls[1][1] == short[::3]
+    assert longer == euler_transform(_exponents(key, 301))
+    assert longer[:100] == short
+
+
+@pytest.mark.parametrize("product", [
+    PartitionSpec(4, {2: -2, 4: 1}),
+    PartitionSpec(6, {2: -1}, {(6, 2): 1}),
+    GenEtaQuotient(12, {2: -3, 4: 2, 6: 1, 12: -1}, {(12, 2): 1, (12, 4): -2}),
+], ids=["spec-q2", "spec-q2-rg", "quotient-12"])
+def test_strided_products_agree_on_both_routes(monkeypatch, product):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    if isinstance(product, GenEtaQuotient):
+        fast, reference = product.expansion(600), product.expansion(600, reference=True)
+    else:
+        fast = product.product_expansion(600)
+        reference = product.product_expansion_reference(600)
+    assert fast == reference
+    # every reference entry is held reduced: none of its keys is in q^2
+    for key in etaram.eta._PRODUCT_CACHE:
+        if key[-1] == "reference":
+            assert any(start % 2 or step % 2 for (start, step), _ in key[:-1])
 
 
 def test_slice_expansion_overpartition():

@@ -98,6 +98,15 @@ def test_monomial_past_the_order_is_zero():
         assert series.is_known_zero() and series.bound() == 30
 
 
+def test_a_residue_is_read_modulo_its_step():
+    # P(g, d) runs over n > 0 with n = g (mod d), so g counts only modulo d
+    for text, same in [("P(7,5)", "P(2,5)"), ("P(12,5)", "P(2,5)"),
+                       ("P(5,5)", "P(0,5)"), ("P(10,5)", "P(0,5)")]:
+        assert expand(text, 60) == expand(same, 60)
+        assert verify_identity(text, same, 60) == (True, {"order": 60, "status": "equal"})
+    assert expand("P(7,5)", 60) == pochhammer(2, 5, 60) == pochhammer(7, 5, 60)
+
+
 def test_a_pole_deepens_the_other_factor():
     # each factor is known to q^30; without deepening the product stops at q^28
     assert expand("(q^-2 + 1)*P(0,2)^3", 30).bound() == 30

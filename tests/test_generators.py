@@ -209,6 +209,18 @@ def test_candidates_expand_to_the_head_or_to_50_terms_at_a_zero_lead(monkeypatch
     assert sum(lead == 0 for lead, _ in seen) == 1
 
 
+def test_each_candidate_reads_its_lead_exponent_once(monkeypatch):
+    expect = generators(18)
+    built, reads = [], []
+    real_quotient, real_lead = generators_module.quotient_from_scaled, etaram.eta.lead_exponent
+    monkeypatch.setattr(generators_module, "quotient_from_scaled",
+                        lambda *args: built.append(args) or real_quotient(*args))
+    monkeypatch.setattr(etaram.eta, "lead_exponent",
+                        lambda *args: reads.append(args) or real_lead(*args))
+    assert generators.__wrapped__(18) == expect
+    assert built and len(reads) <= len(built)
+
+
 @pytest.mark.parametrize("N", [10, 11, 15])
 def test_generators_expand_no_candidate_on_the_fast_route(monkeypatch, N):
     expect = generators(N)
