@@ -530,7 +530,7 @@ def test_a_product_in_q_g_reads_its_q_form(monkeypatch):
         pochhammer(0, 2, 400).invert())
     assert PartitionSpec(2, {2: -1}).product_expansion_reference(399).coefficients_range(
         0, 399) == [c for n in range(200) for c in (partitions.coefficient(n), 0)][:399]
-    assert list(etaram.eta._PRODUCT_CACHE) == [((((1, 1), -1),) + ("reference",))]
+    assert list(etaram.eta._PRODUCT_CACHE) == [(((1, 1), -1), "reference")]
     assert etaram.eta._reference_held == 200
 
 
