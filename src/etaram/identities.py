@@ -21,8 +21,8 @@ from .generators import generators
 from .lattice import DioSystem, hilbert_basis
 from .modularity import NoPhiFound, check_level, find_level, find_prefactor
 from .reduction import (
-    ModuleBasis, NotMember, VerificationFailure, _combination, _monomial_series,
-    _z_polynomial, express, module_basis,
+    ModuleBasis, NotMember, VerificationFailure, _combination, _z_polynomial,
+    express, module_basis,
 )
 from .series import QSeries
 
@@ -130,7 +130,8 @@ class Identity:
         for degree d, b = ceil(sqrt(d + 1)) powers of z and
         ceil((d + 1) / b) - 1 Horner steps, 15 full-length products where
         the power-by-power sum makes 57 at d = 57.  The powers and the
-        elements' monomials come from one series cache.
+        elements' monomials come from the basis's store for the route, so
+        derivations at one level build them once.
         """
         gens = self.basis.gens
         polys = {}                   # element index -> {monomial z^j: coefficient}
@@ -145,10 +146,10 @@ class Identity:
 
         length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
                                   for poly, element in pairs), default=0)
-        series = {}
+        self.basis.ensure_terms(length, reference)
 
         def monomial(mono):
-            return _monomial_series(mono, gens, length, series, reference)
+            return self.basis.monomial_series(mono, reference)
 
         total = QSeries.zero(terms)
         for poly, element in pairs:
@@ -255,10 +256,11 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
     stage = "level"
     level = 0                # a failed Identity's N, once the level passes its checks
     try:
-        N = opts.N or find_level(spec, m, t)
-        report = check_level(spec, m, t, N)
-        if not report.ok:
-            raise RuntimeError("level %d fails: %s" % (N, sorted(report.failures())))
+        N = opts.N or find_level(spec, m, t)     # a found level passed its checks
+        if opts.N:
+            report = check_level(spec, m, t, N)
+            if not report.ok:
+                raise RuntimeError("level %d fails: %s" % (N, sorted(report.failures())))
         level = N
         stage = "prefactor"
         phi = find_prefactor(spec, m, t, N, opts.phi_weight)

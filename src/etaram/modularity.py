@@ -4,7 +4,8 @@ Given a partition spec and a progression m n + t, a level N has to satisfy a
 finite list of congruence conditions before any quotient prefactor phi can
 make  phi * (shifted progression series)  modular.  check_level evaluates the
 list (seven conditions for plain specs, ten for specs with generalized
-factors), find_level picks the smallest admissible divisor of 24 m M, and
+factors), find_level picks the smallest admissible divisor of 24 m M (it
+tries only the multiples of M, since M | N is the first condition), and
 find_prefactor solves the exponent conditions for a sparse integral phi.
 
 Congruences with rational left-hand sides are read exactly: the value must be
@@ -71,19 +72,21 @@ class LevelReport:
 
 
 def _square_class_sweep(spec, m, t, N):
-    """The progression-compatibility sweep over square residues."""
+    """The progression-compatibility sweep over square residues: for each
+    unit j = 1 (mod N) below n = 24 m M, s = j^2 mod n must have m dividing
+    (s - 1)(t - l), read in integers as m b | (s - 1) a for t - l = a/b."""
     n = 24 * m * spec.M
+    shift = t - spec.eta_shift()
+    a, modulus = shift.numerator, m * shift.denominator
     seen = set()
-    l = spec.eta_shift()
-    for j in range(1, n):
-        if gcd(j, n) != 1 or j % N != 1:
+    for j in range(1, n, N):
+        if gcd(j, n) != 1:
             continue
         s = (j * j) % n
         if s in seen:
             continue
         seen.add(s)
-        value = (s - 1) * (t - l)
-        if not _is_divisible(value, m):
+        if (s - 1) * a % modulus:
             return False, "fails at square residue s=%d" % s
     return True, "all %d residues pass" % len(seen)
 
@@ -136,12 +139,12 @@ def check_level(spec: PartitionSpec, m: int, t: int, N: int) -> LevelReport:
 
 
 def find_level(spec: PartitionSpec, m: int, t: int) -> int:
-    """Smallest admissible N among the divisors of 24 m M."""
-    bound = 24 * m * spec.M
-    for N in divisors(bound):
+    """Smallest admissible N among the divisors of 24 m M: only multiples
+    of M pass M | N, so it tries M d for d | 24 m, ascending."""
+    for N in (spec.M * d for d in divisors(24 * m)):
         if check_level(spec, m, t, N).ok:
             return N
-    raise RuntimeError("no admissible level found below %d" % bound)
+    raise RuntimeError("no admissible level found below %d" % (24 * m * spec.M))
 
 
 # ---------------------------------------------------------------------------

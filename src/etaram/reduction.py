@@ -13,8 +13,11 @@ poles only at infinity can have, so they are the basis; otherwise it raises
 BasisIncomplete.  reduce_by_basis strips poles one at a time, and express
 certifies membership through the constancy principle (a remainder with no
 poles anywhere and positive order at infinity is zero), double-checked
-coefficientwise to the certified truncation.  A basis expands a generator
-the first time a monomial reads it.
+coefficientwise to the certified truncation.  A basis keeps one store of
+series per route: reduction reads the fast one and the independent check
+the reference one.  It expands a generator on a route the first time a
+monomial there reads it, and keeps every series it built until a longer
+truncation is asked for on that route, so each level builds them once.
 """
 
 from __future__ import annotations
@@ -56,15 +59,18 @@ class BasisElement:
 class ModuleBasis:
     """The basis 1, e_1, ... of a generator list's span over Q[z].
 
-    gens, n and elements are fixed.  The one value that changes is the
-    store, a (truncation, series) pair that ensure_terms replaces whole:
-    series maps each monomial read so far to its series, and each generator
-    index read so far to that generator's expansion.
+    gens, n and elements are fixed.  The values that change are the two
+    stores, one (truncation, series) pair per route (_stores[False] for the
+    fast route, _stores[True] for the reference route), each replaced whole
+    by ensure_terms: series maps each monomial read so far on that route to
+    its series, and each generator index read so far to that generator's
+    expansion.  Reduction reads the fast store and the independent check
+    the reference store, so a level builds each route's series once.
     """
     gens: tuple                      # Generator records, z first
     n: int                           # pole order of z
     elements: tuple                  # (unit, e_1, ...)
-    _store: tuple = field(repr=False, compare=False)
+    _stores: tuple = field(repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                   compare=False)
 
@@ -76,18 +82,20 @@ class ModuleBasis:
     def width(self) -> int:
         return len(self.elements) - 1
 
-    def ensure_terms(self, terms: int):
-        """Raise the truncation to terms; every series is then read afresh."""
+    def ensure_terms(self, terms: int, reference=False):
+        """Raise the route's truncation to terms; its series are then read afresh."""
         with self._lock:
-            if terms > self._store[0]:
-                object.__setattr__(self, "_store", (terms, {}))
+            if terms > self._stores[reference][0]:
+                stores = list(self._stores)
+                stores[reference] = (terms, {})
+                object.__setattr__(self, "_stores", tuple(stores))
 
-    def monomial_series(self, mono: tuple) -> QSeries:
-        terms, series = self._store
-        return _monomial_series(mono, self.gens, terms, series, lock=self._lock)
+    def monomial_series(self, mono: tuple, reference=False) -> QSeries:
+        terms, series = self._stores[reference]
+        return _monomial_series(mono, self.gens, terms, series, reference, self._lock)
 
     def combo_series(self, combo: dict) -> QSeries:
-        return _combination(combo, self.monomial_series, self._store[0])
+        return _combination(combo, self.monomial_series, self._stores[False][0])
 
     def element_series(self, idx: int) -> QSeries:
         return self.combo_series(self.elements[idx].combo)
@@ -194,7 +202,8 @@ def module_basis(gens) -> ModuleBasis:
     terms = max(48, 4 * max((g.pole for g in gens), default=0))
     if not gens:
         # no nonconstant functions at all: the span is the constants
-        return ModuleBasis((), 1, (BasisElement({(): Fraction(1)}, 0),), _store=(terms, {}))
+        return ModuleBasis((), 1, (BasisElement({(): Fraction(1)}, 0),),
+                           _stores=((terms, {}), (terms, {})))
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
     seeds = _seeds(gens, n)
@@ -212,7 +221,8 @@ def module_basis(gens) -> ModuleBasis:
         raise BasisIncomplete("level %d: the seeds miss %d pole orders, above the genus %d"
                               % (N, gaps, g))
     others = sorted((e for r, e in seeds.items() if r != 0), key=lambda e: e.pole)
-    return ModuleBasis(tuple(gens), n, (seeds[0],) + tuple(others), _store=(terms, {}))
+    return ModuleBasis(tuple(gens), n, (seeds[0],) + tuple(others),
+                       _stores=((terms, {}), (terms, {})))
 
 
 def _seeds(gens, n: int) -> dict:

@@ -80,6 +80,15 @@ def test_derive_explain(tmp_path, capsys):
     assert "admissibility" in out and "[ok]" in out
 
 
+def test_derive_explain_at_level_one_sweeps_every_unit(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"M": 1, "r": {"1": -1}}))
+    assert main(["derive", "--spec", str(spec), "-m", "1", "-t", "0", "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert "level 1 admissibility:" in out
+    assert "  [ok] square residue sweep: all 1 residues pass\n" in out
+
+
 def test_derive_reports_failure(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"M": 2, "r": {"1": -2, "2": 1}}))

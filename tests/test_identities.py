@@ -15,6 +15,8 @@ import etaram.eta
 import etaram.exprs
 import etaram.identities
 import etaram.lattice
+import etaram.modularity
+import etaram.reduction
 
 from etaram.cusps import INFINITY, cusp_set, width
 from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
@@ -27,7 +29,7 @@ from etaram.identities import (
 from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import (
-    ModuleBasis, VerificationFailure, _combination, _monomial_series,
+    ModuleBasis, VerificationFailure, _combination, _monomial_series, _z_polynomial,
 )
 from etaram.series import QSeries
 
@@ -379,9 +381,11 @@ def test_derivation_expands_only_the_generators_the_basis_uses():
     assert ident.status == "Derived"
     mb = etaram.identities.level_basis(11)
     e_1 = {i for mono in mb.elements[1].combo for i, e in enumerate(mono) if e}
-    expanded = {i for i in mb._store[1] if isinstance(i, int)}
+    expanded = {i for i in mb._stores[False][1] if isinstance(i, int)}
     assert expanded == {0} | e_1
     assert len(expanded) < len(mb.gens)
+    # the independent check reads the same generators on the reference route
+    assert {i for i in mb._stores[True][1] if isinstance(i, int)} == expanded
 
 
 def test_derivations_never_reach_the_slack_completion(monkeypatch):
@@ -450,9 +454,9 @@ def rhs_identities():
             for label in ("diamond-25n+14", "p-11n+6")}
 
 
-def power_by_power_rhs(ident, terms, reference):
-    """sum p_i(z) e_i with every power z^j its own product, at the length
-    rhs_series reads its monomials at."""
+def fresh_dict_rhs(ident, terms, reference, poly_sum):
+    """sum p_i(z) e_i with each p_i summed by poly_sum, every monomial read
+    through a dict of this call's own at the length rhs_series asks for."""
     gens = ident.basis.gens
     polys = {}
     for (idx, j), c in ident.rhs.items():
@@ -472,7 +476,7 @@ def power_by_power_rhs(ident, terms, reference):
 
     total = QSeries.zero(terms)
     for poly, element in pairs:
-        total = total + (_combination(poly, monomial, length)
+        total = total + (poly_sum(poly, monomial, length)
                          * _combination(element, monomial, length)).truncated(terms)
     return total
 
@@ -485,7 +489,67 @@ def test_rhs_series_equals_the_power_by_power_sum(rhs_identities, label, referen
     if label == "p-11n+6":
         assert {idx for idx, _ in ident.rhs} == {0, 1}
     order = ident.certified_to
-    assert ident.rhs_series(order, reference) == power_by_power_rhs(ident, order, reference)
+    # every power z^j its own product
+    assert (ident.rhs_series(order, reference)
+            == fresh_dict_rhs(ident, order, reference, _combination))
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_rhs_series_from_the_basis_store_equals_a_fresh_store(reference):
+    for label, (spec, m, t, order) in DOCUMENT_CASES.items():
+        if label in SLOW_DOCUMENTS:
+            continue
+        ident = derive_identity(spec, m, t, DeriveOptions(order=order))
+        assert ident.status == "Derived", label
+        # the certified order, then a shorter one read from the longer store
+        for terms in (ident.certified_to, ident.certified_to // 2):
+            assert (ident.rhs_series(terms, reference)
+                    == fresh_dict_rhs(ident, terms, reference, _z_polynomial)), (label, terms)
+
+
+def test_second_derivation_at_a_level_builds_no_reference_monomial(monkeypatch):
+    spec, m, t, order = DOCUMENT_CASES["diamond-25n+14"]
+    first = derive_identity(spec, m, t, DeriveOptions(order=order))
+    assert first.status == "Derived"
+    terms, series = first.basis._stores[True]
+    held = set(series)
+    built = []
+    real = etaram.reduction._monomial_series
+
+    def spy(mono, gens, terms, series, reference=False, *lock):
+        if reference and mono not in series:
+            built.append(mono)
+        return real(mono, gens, terms, series, reference, *lock)
+
+    monkeypatch.setattr(etaram.reduction, "_monomial_series", spy)
+    spec, m, t, order = DOCUMENT_CASES["diamond-25n+24"]
+    second = derive_identity(spec, m, t, DeriveOptions(order=order))
+    assert second.status == "Derived" and second.basis is first.basis
+    assert built == []
+    assert second.basis._stores[True] == (terms, series) and set(series) == held
+
+
+def test_derivation_checks_each_level_once(monkeypatch):
+    checked = []
+    real = etaram.modularity.check_level
+
+    def spy(spec, m, t, N):
+        checked.append(N)
+        return real(spec, m, t, N)
+
+    monkeypatch.setattr(etaram.modularity, "check_level", spy)
+    monkeypatch.setattr(etaram.identities, "check_level", spy)
+    for spec, m, t, order in [DOCUMENT_CASES["over-5n+2"], DOCUMENT_CASES["p-11n+6"]]:
+        checked.clear()
+        ident = derive_identity(spec, m, t, DeriveOptions(order=order))
+        assert ident.status == "Derived"
+        # the levels find_level tried, in its order, each once
+        assert checked == [spec.M * d for d in etaram.eta.divisors(24 * m)
+                           if spec.M * d <= ident.N]
+    # a level the caller gives is checked once too
+    checked.clear()
+    assert derive_identity(OVERPARTITION, 5, 2, DeriveOptions(N=10, order=60)).N == 10
+    assert checked == [10]
 
 
 def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypatch):
@@ -631,14 +695,15 @@ def test_one_derivation_grows_the_basis_store_once(monkeypatch):
     growths = []
     real = ModuleBasis.ensure_terms
 
-    def spy(self, terms):
-        before = self._store[0]
-        real(self, terms)
-        if self._store[0] != before:
-            growths.append((before, self._store[0]))
+    def spy(self, terms, reference=False):
+        before = self._stores[reference][0]
+        real(self, terms, reference)
+        if self._stores[reference][0] != before:
+            growths.append((reference, before, self._stores[reference][0]))
 
     monkeypatch.setattr(ModuleBasis, "ensure_terms", spy)
-    # the corpus order, past the level-11 store's first 100 terms
+    # the corpus order, past the level-11 stores' first 100 terms
     ident = derive_identity(PARTITION, 11, 6, DeriveOptions(order=150))
     assert ident.status == "Derived"
-    assert len(growths) <= 1, growths
+    for reference in (False, True):
+        assert len([g for g in growths if g[0] == reference]) <= 1, growths

@@ -39,6 +39,56 @@ def test_find_level_published_cases():
     assert find_level(RR, 2, 0) == 10
 
 
+def test_level_one_sweeps_every_unit():
+    # every unit is 1 mod 1, so at N = 1 the sweep reads all of them: the
+    # unit 7 mod 120 squares to 49, and 5 does not divide 48 (0 - 1/24)
+    sweep = check_level(PARTITION, 5, 0, 1).conditions["square residue sweep"]
+    assert sweep == (False, "fails at square residue s=49")
+    # every unit mod 24 squares to 1
+    sweep = check_level(PARTITION, 1, 0, 1).conditions["square residue sweep"]
+    assert sweep == (True, "all 1 residues pass")
+
+
+def _least_level_by_search(spec, m, t):
+    """The least divisor of 24 m M that passes check_level, or None."""
+    bound = 24 * m * spec.M
+    return next((N for N in range(1, bound + 1)
+                 if bound % N == 0 and check_level(spec, m, t, N).ok), None)
+
+
+def test_find_level_is_the_least_admissible_divisor():
+    plain_m1 = paired = found = 0
+    for spec, m, t, _ in _random_cases(23, 160):
+        expected = _least_level_by_search(spec, m, t)
+        if expected is None:
+            with pytest.raises(RuntimeError, match="no admissible level"):
+                find_level(spec, m, t)
+        else:
+            assert find_level(spec, m, t) == expected, (spec, m, t)
+            found += 1
+        plain_m1 += spec.M == 1
+        paired += not spec.is_plain()
+    assert plain_m1 >= 10 and paired >= 50 and found >= 100
+
+
+def test_find_level_tries_only_multiples_of_M(monkeypatch):
+    tried = []
+    real = modularity.check_level
+
+    def spy(spec, m, t, N):
+        tried.append((spec.M, N))
+        return real(spec, m, t, N)
+
+    monkeypatch.setattr(modularity, "check_level", spy)
+    for spec, m, t, _ in _random_cases(23, 160):
+        try:
+            find_level(spec, m, t)
+        except RuntimeError:
+            pass
+    assert tried and all(N % M == 0 for M, N in tried)
+    assert any(M > 1 for M, _ in tried)
+
+
 def test_degenerate_progression_level():
     N = find_level(PARTITION, 1, 0)
     assert check_level(PARTITION, 1, 0, N).ok
@@ -216,8 +266,8 @@ def _sweep_by_sums(spec, m, t, N):
     plain_sum = sum(d * e for d, e in spec.r.items())
     gen_sum = sum(Fraction(d, 2) * _bernoulli_p2(Fraction(g, d)) * e
                   for (d, g), e in spec.rg.items())
-    for j in range(1, n):
-        if gcd(j, n) != 1 or j % N != 1:
+    for j in range(1, n, N):
+        if gcd(j, n) != 1:
             continue
         s = (j * j) % n
         if s in seen:

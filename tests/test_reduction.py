@@ -254,9 +254,12 @@ def test_built_basis_is_immutable():
             setattr(mb, name, getattr(mb, name))
 
 
-def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
+def _expand_unused_generator_concurrently(monkeypatch, reference):
+    """Two threads read one unused generator of level 11 on a route; the
+    route's store must expand it once and keep it, the other store nothing."""
     mb = module_basis(generators(11))
-    terms, series = mb._store
+    terms, series = mb._stores[reference]
+    other = mb._stores[not reference]
     used = {i for e in mb.elements for mono in e.combo for i, x in enumerate(mono) if x}
     i = min(set(range(len(mb.gens))) - used)
     assert i not in series
@@ -266,7 +269,7 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     expand = g.expansion
 
     def counted(length, reference=False):
-        expansions.append(length)
+        expansions.append((length, reference))
         return expand(length, reference)
 
     monkeypatch.setattr(g, "expansion", counted)
@@ -275,7 +278,7 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
 
     def read():
         barrier.wait()
-        results.append(mb.monomial_series(mono))
+        results.append(mb.monomial_series(mono, reference))
 
     threads = [threading.Thread(target=read) for _ in range(2)]
     interval = sys.getswitchinterval()
@@ -288,9 +291,18 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 2 and results[0] == results[1]
-    assert expansions == [terms + g.pole + 2]
-    assert results[0].agrees_with(expand(terms + g.pole + 2))
-    assert mb._store[1] is series and i in series
+    assert expansions == [(terms + g.pole + 2, reference)]
+    assert results[0].agrees_with(expand(terms + g.pole + 2, reference))
+    assert mb._stores[reference][1] is series and i in series
+    assert mb._stores[not reference] is other and not other[1]
+
+
+def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
+    _expand_unused_generator_concurrently(monkeypatch, reference=False)
+
+
+def test_unused_generator_is_expanded_once_on_the_reference_route(monkeypatch):
+    _expand_unused_generator_concurrently(monkeypatch, reference=True)
 
 
 # {z degree: coefficient}: degree 0, degree 1, d + 1 a square (b = 3 and 4),
