@@ -56,6 +56,7 @@ def _cmd_derive(args) -> int:
         print("level %d admissibility:" % N)
         for name, (flag, detail) in report.conditions.items():
             print("  [%s] %s: %s" % ("ok" if flag else "FAIL", name, detail))
+        opts.N = N          # the printed level, not searched again
     ident = derive_identity(spec, args.m, args.t, opts)
     doc = ident.to_json()
     if args.out:

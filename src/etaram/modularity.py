@@ -8,6 +8,12 @@ factors), find_level picks the smallest admissible divisor of 24 m M (it
 tries only the multiples of M, since M | N is the first condition), and
 find_prefactor solves the exponent conditions for a sparse integral phi.
 
+The conditions' coefficient rows, and with them the lattice the passers'
+coset runs over, depend on the level alone: each level holds them once, in
+integers, in an lru_cache (_level_criterion for the rows, _prefactor_lattice
+for the system's Hermite form and its coset walker), and a progression
+computes only its constants.
+
 Congruences with rational left-hand sides are read exactly: the value must be
 an integer divisible by the stated modulus.
 """
@@ -16,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .eta import GenEtaQuotient, PartitionSpec, bernoulli_p2, divisors
-from .lattice import enumerate_coset, hnf_column, kernel_basis, lattice_hnf, solve_diophantine
+from .eta import GenEtaQuotient, PartitionSpec, b2_numerator, divisors
+from .lattice import CosetWalker, hnf_column, kernel_basis, solve_diophantine
 from .cusps import kappa
 
 
@@ -152,54 +159,72 @@ def find_level(spec: PartitionSpec, m: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _phi_variables(N: int):
-    plain = divisors(N)
-    paired = [(d, g) for d in plain for g in range(1, d // 2 + 1)]
+    plain = tuple(divisors(N))
+    paired = tuple((d, g) for d in plain for g in range(1, d // 2 + 1))
     return plain, paired
+
+
+@lru_cache(maxsize=None)
+def _level_criterion(N: int):
+    """The criterion's coefficient rows at level N, which depend on N alone.
+
+    Returns (plain, paired, rows, units): rows holds (coefficients, modulus)
+    per condition, with modulus 0 for the one equality; units holds the a of
+    the sign rows, in order.  Row 3's coefficients 12 d B2(g/d) =
+    2 b2_numerator(g, d) / d are cleared by the level's own denominator D,
+    the lcm of theirs, which scales its modulus to 24 D.  The sign rows run
+    over the units a = 1 (mod N) below 12 N, a = 1 excluded.
+    """
+    plain, paired = _phi_variables(N)
+    rows = [((1,) * len(plain) + (0,) * len(paired), 0),
+            (tuple([N // d for d in plain] + [2 * N // d for d, _ in paired]), 24)]
+    b2 = [2 * b2_numerator(g, d) for d, g in paired]
+    den = lcm(*(d // gcd(x, d) for x, (d, _) in zip(b2, paired)))
+    rows.append((tuple([den * d for d in plain] + [den * x // d for x, (d, _) in zip(b2, paired)]),
+                 24 * den))
+    units = tuple(a for a in range(N + 1, 12 * N, N) if gcd(a, 6) == 1)
+    for a in units:
+        row = [1 if jacobi_symbol(d, a) == -1 else 0 for d in plain]
+        for d, g in paired:
+            coef, rem = divmod((a - 1) * (2 * g - d), 2 * d)
+            if rem:
+                raise ArithmeticError("non-integral sign exponent")
+            row.append(coef % 2)
+        rows.append((tuple(row), 2))
+    return plain, paired, tuple(rows), units
 
 
 def _criterion_rows(spec: PartitionSpec, m: int, t: int, N: int):
     """The four exponent conditions as integer rows over the phi exponents.
 
-    Each row is (coefficients, const, modulus): the form plus const must
-    vanish, or be divisible by the modulus when that is not 0.  The two
-    rational conditions are cleared by the lcm of their denominators, which
-    scales their modulus 24 too.
+    Returns (plain, paired, rows), each row (coefficients, const, modulus):
+    the form plus const must vanish, or be divisible by the modulus when
+    that is not 0.  The coefficients and moduli are _level_criterion(N)'s;
+    only the constants are the progression's own, computed here in
+    integers.  rows is None when no integer vector passes: when row 2's
+    constant is not an integer, or row 3's is not once cleared by D.
     """
-    plain, paired = _phi_variables(N)
-    rows = [([1] * len(plain) + [0] * len(paired), sum(spec.r.values()), 0)]
-
-    row2 = [Fraction(N, d) for d in plain] + [Fraction(2 * N, d) for d, _ in paired]
-    const2 = Fraction(N * m) * sum(Fraction(e, d) for d, e in spec.r.items())
-    const2 += 2 * N * m * sum(Fraction(e, d) for (d, g), e in spec.rg.items())
-
-    row3 = [Fraction(d) for d in plain]
-    row3 += [12 * d * bernoulli_p2(Fraction(g, d)) for d, g in paired]
-    const3 = -24 * (spec.eta_shift() + (m * m - 1) * t) / m
-
-    for row, const in ((row2, const2), (row3, const3)):
-        den = lcm(*(Fraction(c).denominator for c in row + [const]))
-        rows.append(([int(c * den) for c in row], int(const * den), 24 * den))
-
-    for a in range(1, 12 * N):
-        if gcd(a, 6) != 1 or a % N != 1 or a == 1:
-            continue
-        row = []
-        for d in plain:
-            row.append(1 if jacobi_symbol(d, a) == -1 else 0)
-        for d, g in paired:
-            coef = Fraction((a - 1) * (2 * g - d), 2 * d)
-            if coef.denominator != 1:
-                raise ArithmeticError("non-integral sign exponent")
-            row.append(int(coef) % 2)
-        const = 0
-        for d, e in spec.r.items():
-            if jacobi_symbol(m * d, a) == -1:
-                const += abs(e)
+    plain, paired, rows, units = _level_criterion(N)
+    M = spec.M
+    # row 2: N m (sum e/d over r + 2 sum e/d over rg), over the common M
+    c2, r2 = divmod(N * m * (sum(e * (M // d) for d, e in spec.r.items())
+                             + 2 * sum(e * (M // d) for (d, _), e in spec.rg.items())), M)
+    # row 3: -24 (l + (m^2 - 1) t) / m for l = eta_shift = a/b, times D
+    shift = spec.eta_shift()
+    a, b = shift.numerator, shift.denominator
+    c3, r3 = divmod(-rows[2][1] * (a + (m * m - 1) * t * b), m * b)
+    if r2 or r3:
+        return plain, paired, None
+    consts = [sum(spec.r.values()), c2, c3]
+    for u in units:
+        const = sum(abs(e) for d, e in spec.r.items() if jacobi_symbol(m * d, u) == -1)
         for (d, g), e in spec.rg.items():
-            coef = Fraction((a - 1) * (2 * g - d), 2 * d)
-            const += int(coef) * e
-        rows.append((row, const % 2, 2))
-    return plain, paired, rows
+            # (u - 1)(2g - d) / 2d rounded toward zero: d need not divide N
+            num = (u - 1) * (2 * g - d)
+            q = abs(num) // (2 * d)
+            const += (q if num >= 0 else -q) * e
+        consts.append(const % 2)
+    return plain, paired, [(row, c, mod) for (row, mod), c in zip(rows, consts)]
 
 
 def is_modular_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
@@ -211,6 +236,8 @@ def is_modular_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
 def _passes(criterion, phi: GenEtaQuotient) -> bool:
     """is_modular_prefactor on the rows of _criterion_rows."""
     plain, paired, rows = criterion
+    if rows is None:
+        return False
     vec = [phi.a.get(d, 0) for d in plain] + [phi.ag.get(k, 0) for k in paired]
     for row, const, modulus in rows:
         value = sum(c * v for c, v in zip(row, vec)) + const
@@ -219,44 +246,48 @@ def _passes(criterion, phi: GenEtaQuotient) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _prefactor_lattice(N: int):
+    """The level-N criterion as one system A x = b, with one slack column per
+    congruence row (form + const + modulus * s = 0), its hnf_column, and a
+    CosetWalker over the projection of its kernel to the phi exponents: the
+    passers of every progression at level N form a coset of that lattice."""
+    _, _, rows, _ = _level_criterion(N)
+    nslack = len(rows) - 1      # every row but the equality is a congruence
+    A = [rows[0][0] + (0,) * nslack]
+    for i, (row, mod) in enumerate(rows[1:]):
+        A.append(row + (0,) * i + (mod,) + (0,) * (nslack - i - 1))
+    H, U, pivots = hnf_column([list(row) for row in A])
+    hnf = tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(pivots)
+    nv = len(rows[0][0])
+    return tuple(A), hnf, CosetWalker([v[:nv] for v in kernel_basis(A, hnf)], nv)
+
+
 def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
                    weight_cap: int = 32) -> GenEtaQuotient:
     """Sparse integral prefactor passing the modularity criterion.
 
     Strategy: conditions (1)-(3) and the finitely many sign conditions are
     all linear (equalities or congruences) in the exponents, so the passers
-    form a coset of an integer lattice.  The search deepens: it walks the
-    coset's l1-balls of radius 0, 1, 2, ... up to weight_cap and stops at the
-    first radius that holds a passer.  No passer is lighter than that
-    radius, so the passer minimizing sum |exponents|, ties broken
-    lexicographically on the exponent vector, is among the points found.
-    NoPhiFound means no passer has weight <= weight_cap.
+    form a coset of an integer lattice, which depends on N alone
+    (_prefactor_lattice).  The progression solves for one point x0 of its
+    coset against the level's Hermite form and size-reduces it once.  The
+    search then deepens: it walks the coset's l1-balls of radius 0, 1, 2,
+    ... up to weight_cap and stops at the first radius that holds a passer.
+    No passer is lighter than that radius, so the passer minimizing
+    sum |exponents|, ties broken lexicographically on the exponent vector,
+    is among the points found.  NoPhiFound means no passer has weight
+    <= weight_cap.
     """
     criterion = plain, paired, rows = _criterion_rows(spec, m, t, N)
-    nv = len(plain) + len(paired)
-
-    # one slack column per congruence row: form + const + modulus * s = 0
-    nslack = sum(1 for _, _, mod in rows if mod)
-    A = []
-    b = []
-    si = 0
-    for row, const, mod in rows:
-        slack = [0] * nslack
-        if mod:
-            slack[si] = mod
-            si += 1
-        A.append(row + slack)
-        b.append(-const)
-    hnf = hnf_column(A)
-    x0 = solve_diophantine(A, b, hnf)
+    A, hnf, walker = _prefactor_lattice(N)
+    x0 = None if rows is None else solve_diophantine(A, [-c for _, c, _ in rows], hnf)
     if x0 is None:
         raise NoPhiFound("the exponent conditions are inconsistent at level %d" % N)
-    # in Hermite form already, the basis costs each walk below little set-up
-    basis = lattice_hnf([v[:nv] for v in kernel_basis(A, hnf)], nv)
-    v0 = x0[:nv]
+    v0 = walker.reduce(x0[:walker.dim])
 
     for radius in range(weight_cap + 1):
-        points = enumerate_coset(v0, basis, radius)
+        points = walker.walk(v0, radius)
         if points:
             break
     else:

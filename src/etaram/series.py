@@ -324,7 +324,8 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         c = Fraction(c)
-        num = self.num if c.numerator == 1 else [x * c.numerator for x in self.num]
+        k = c.numerator
+        num = self.num if k == 1 else [x * k for x in self.num]
         return _make(num, self.val, self.stride, self.den * c.denominator,
                      self.trunc, self.denom)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from etaram import cli, lattice
+from etaram import cli, identities, lattice, modularity
 from etaram.cli import main
 from etaram.generators import generators
 from etaram.lattice import StepBudgetExceeded
@@ -87,6 +87,26 @@ def test_derive_explain_at_level_one_sweeps_every_unit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "level 1 admissibility:" in out
     assert "  [ok] square residue sweep: all 1 residues pass\n" in out
+
+
+def test_derive_explain_searches_the_level_once(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"M": 1, "r": {"1": -1}}))
+    args = ["derive", "--spec", str(spec), "-m", "11", "-t", "6", "--out"]
+    assert main(args + [str(tmp_path / "plain.json")]) == 0
+    searched = []
+    real = modularity.find_level
+
+    def spy(partition, m, t):
+        searched.append((m, t))
+        return real(partition, m, t)
+
+    monkeypatch.setattr(modularity, "find_level", spy)
+    monkeypatch.setattr(identities, "find_level", spy)
+    assert main(args + [str(tmp_path / "explained.json"), "--explain"]) == 0
+    assert "level 11 admissibility:" in capsys.readouterr().out
+    assert searched == [(11, 6)]
+    assert (tmp_path / "explained.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_derive_reports_failure(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +8,10 @@ import pytest
 
 import etaram.modularity as modularity
 from etaram.eta import GenEtaQuotient, PartitionSpec
-from etaram.lattice import enumerate_coset
+from etaram.identities import dissect
+from etaram.lattice import (
+    CosetWalker, enumerate_coset, kernel_basis, lattice_hnf, solve_diophantine,
+)
 from etaram.modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
     jacobi_symbol, _criterion_rows, _phi_variables,
@@ -146,7 +151,7 @@ def test_found_prefactors_pass_and_give_integral_exponents():
 
 def _sign_units(N):
     """The units a the sign conditions run over, in the order of their rows."""
-    return [a for a in range(2, 12 * N) if gcd(a, 6) == 1 and a % N == 1]
+    return [a for a in range(2, 12 * N) if gcd(a, 6) == 1 and (a - 1) % N == 0]
 
 
 def test_sign_condition_multiplicative():
@@ -178,15 +183,15 @@ def test_no_prefactor_within_tiny_weight():
 
 
 def _recorded_prefactor(monkeypatch, spec, m, t, N, weight_cap=32):
-    """find_prefactor with every coset walk recorded as (v0, basis, radius)."""
+    """find_prefactor with every per-radius walk recorded as (walker, v0, radius)."""
     walks = []
-    real = modularity.enumerate_coset
+    real = CosetWalker.walk
 
-    def recording(v0, basis, weight_bound):
-        walks.append((v0, basis, weight_bound))
-        return real(v0, basis, weight_bound)
+    def recording(walker, v0, weight_bound):
+        walks.append((walker, v0, weight_bound))
+        return real(walker, v0, weight_bound)
 
-    monkeypatch.setattr(modularity, "enumerate_coset", recording)
+    monkeypatch.setattr(CosetWalker, "walk", recording)
     return find_prefactor(spec, m, t, N, weight_cap), walks
 
 
@@ -199,8 +204,8 @@ def test_prefactor_search_stops_at_the_first_occupied_radius(monkeypatch, spec, 
     assert [radius for _, _, radius in walks] == list(range(weight + 1))
     # the answer is the least (weight, vector) of the whole coset, read here
     # from a ball two steps past the optimum
-    v0, basis, _ = walks[-1]
-    best = min((sum(map(abs, v)), tuple(v)) for v in enumerate_coset(v0, basis, weight + 2))
+    walker, v0, _ = walks[-1]
+    best = min((sum(map(abs, v)), tuple(v)) for v in walker.walk(v0, weight + 2))
     assert best[0] == weight
     plain, paired = _phi_variables(N)
     vec = best[1]
@@ -287,17 +292,33 @@ def _const3_by_sums(spec, m, t):
     return const3 + Fraction((m * m - 1) * alpha, m * (1 if spec.is_plain() else spec.M))
 
 
+def _const2_by_sums(spec, m, N):
+    return (N * m * sum(Fraction(e, d) for d, e in spec.r.items())
+            + 2 * N * m * sum(Fraction(e, d) for (d, g), e in spec.rg.items()))
+
+
 def test_conditions_from_eta_shift_match_the_factor_sums():
-    halves = passes = 0
+    halves = passes = inconsistent = 0
     for spec, m, t, N in _random_cases(19, 150):
         halves += any(2 * g == d for d, g in spec.rg)
         assert modularity._alpha_t(spec, t) == _alpha_t_by_sums(spec, t), spec
         verdict = modularity._square_class_sweep(spec, m, t, N)
         assert verdict == _sweep_by_sums(spec, m, t, N), (spec, m, t, N)
         passes += verdict[0]
-        _, const3, modulus = _criterion_rows(spec, m, t, N)[2][2]
+        # row 3's constant over the level's own denominator, modulus // 24
+        modulus = modularity._level_criterion(N)[2][2][1]
+        rows = _criterion_rows(spec, m, t, N)[2]
+        if rows is None:
+            # no integer vector passes: a constant is not integral once cleared
+            assert (Fraction(_const2_by_sums(spec, m, N)).denominator != 1
+                    or (_const3_by_sums(spec, m, t) * (modulus // 24)).denominator != 1)
+            inconsistent += 1
+            continue
+        assert rows[1][1] == _const2_by_sums(spec, m, N)
+        _, const3, row_modulus = rows[2]
+        assert row_modulus == modulus
         assert Fraction(const3, modulus // 24) == _const3_by_sums(spec, m, t)
-    assert halves >= 20 and passes >= 10
+    assert halves >= 20 and passes >= 10 and inconsistent >= 5
 
 
 def test_eta_shift_is_minus_the_quotient_lead():
@@ -367,3 +388,150 @@ def test_integer_rows_agree_with_the_fraction_conditions():
                         == _criterion_in_fractions(spec, m, t, N, q)), (spec, m, t, q)
                 perturbed += 1
     assert passers >= 10 and perturbed >= 200
+
+
+# -- the prefactor lattice, held once per level ------------------------------
+
+def test_level_one_has_the_sign_rows_of_its_units():
+    # every unit is 1 mod 1, so level 1 reads the sign rows for 5, 7 and 11
+    assert _sign_units(1) == [5, 7, 11]
+    plain, paired, rows = _criterion_rows(PARTITION, 73, 70, 1)
+    assert len(rows) == 3 + 3 and all(mod == 2 for _, _, mod in rows[3:])
+    # eta(tau) passes the first three conditions for p(73n + 70), but
+    # jacobi(73, a) = -1 for a = 5, 7 and 11, so the sign conditions fail
+    assert all(jacobi_symbol(73, a) == -1 for a in _sign_units(1))
+    assert not is_modular_prefactor(PARTITION, 73, 70, 1, GenEtaQuotient(1, {1: 1}))
+    # N = 1 is admissible for m = 1 only, where every sign row is zero with
+    # constant 0
+    assert all(not any(row) and const == 0
+               for row, const, _ in _criterion_rows(PARTITION, 1, 0, 1)[2][3:])
+
+
+def _prefactor_by_per_call_lattice(spec, m, t, N, weight_cap=32):
+    """The deepening as first written: the lattice built afresh from the
+    rows on every call, and enumerate_coset run per radius."""
+    plain, paired, rows = _criterion_rows(spec, m, t, N)
+    inconsistent = NoPhiFound("the exponent conditions are inconsistent at level %d" % N)
+    if rows is None:
+        raise inconsistent
+    nv = len(plain) + len(paired)
+    # one slack column per congruence row: form + const + modulus * s = 0
+    nslack = sum(1 for _, _, mod in rows if mod)
+    A = []
+    slack = nv
+    for row, _, mod in rows:
+        A.append(list(row) + [0] * nslack)
+        if mod:
+            A[-1][slack] = mod
+            slack += 1
+    x0 = solve_diophantine(A, [-const for _, const, _ in rows])
+    if x0 is None:
+        raise inconsistent
+    basis = lattice_hnf([v[:nv] for v in kernel_basis(A)], nv)
+    for radius in range(weight_cap + 1):
+        points = enumerate_coset(x0[:nv], basis, radius)
+        if points:
+            break
+    else:
+        raise NoPhiFound("no prefactor with exponent weight <= %d" % weight_cap)
+    vec = min((sum(map(abs, v)), tuple(v)) for v in points)[1]
+    return GenEtaQuotient(N, dict(zip(plain, vec)), dict(zip(paired, vec[len(plain):])))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoPhiFound as exc:
+        return str(exc)
+
+
+def _level_draw(seed, count, max_level):
+    """(spec, m, t, N) with N the found level, at most max_level."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        spec = _random_spec(rng)
+        m = rng.choice([2, 3, 5, 7, 9, 11])
+        t = rng.randrange(m)
+        try:
+            N = find_level(spec, m, t)
+        except RuntimeError:
+            continue
+        if N <= max_level:
+            out.append((spec, m, t, N))
+    return out
+
+
+def test_prefactor_search_matches_the_per_call_lattice():
+    # found levels up to 28, and the drawn levels of _random_cases up to 28,
+    # where most systems are inconsistent
+    cases = _level_draw(43, 200, 28)
+    cases += [c for c in _random_cases(47, 120) if c[3] <= 28]
+    paired = failed = 0
+    for spec, m, t, N in cases:
+        for cap in (32, 2):
+            got = _outcome(find_prefactor, spec, m, t, N, cap)
+            assert got == _outcome(_prefactor_by_per_call_lattice, spec, m, t, N, cap), \
+                (spec, m, t, N, cap)
+            failed += isinstance(got, str)
+        paired += not spec.is_plain()
+    assert len(cases) >= 250 and paired >= 100 and failed >= 100
+
+
+def test_a_dissection_builds_the_level_lattice_once(monkeypatch):
+    factored = []
+    real = modularity.hnf_column
+
+    def spy(A):
+        factored.append(len(A[0]))
+        return real(A)
+
+    monkeypatch.setattr(modularity, "hnf_column", spy)
+    modularity._prefactor_lattice.cache_clear()
+    slices = dissect(PARTITION, 7)
+    assert [i.N for i in slices] == [7] * 7
+    assert all(i.status == "Derived" for i in slices)
+    # one factorization for all seven residues: the level-7 system
+    assert factored == [len(modularity._prefactor_lattice(7)[0][0])]
+
+
+def test_a_row_three_constant_not_integral_once_cleared_is_inconsistent():
+    # at level 5 row 3 is cleared by D = 5, and p(2n)'s constant
+    # -24 (1/24) / 2 = -1/2 stays fractional, while row 2's is an integer
+    rows = modularity._level_criterion(5)[2]
+    assert rows[2][1] == 24 * 5
+    assert _const2_by_sums(PARTITION, 2, 5) == -10
+    assert _const3_by_sums(PARTITION, 2, 0) * 5 == Fraction(-5, 2)
+    assert _criterion_rows(PARTITION, 2, 0, 5)[2] is None
+    with pytest.raises(NoPhiFound, match="^the exponent conditions are inconsistent at level 5$"):
+        find_prefactor(PARTITION, 2, 0, 5)
+    for a in range(-2, 3):
+        assert not is_modular_prefactor(PARTITION, 2, 0, 5, GenEtaQuotient(5, {1: a, 5: 1 - a}))
+
+
+def test_concurrent_searches_share_the_level_lattice():
+    cases = [(OVERPARTITION, 5, t, 10) for t in (2, 3)] + [(RR, 2, t, 10) for t in (0, 1)]
+    serial = [find_prefactor(*case) for case in cases]
+    modularity._level_criterion.cache_clear()
+    modularity._prefactor_lattice.cache_clear()
+    results = [None] * len(cases)
+    barrier = threading.Barrier(len(cases))
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = [find_prefactor(*cases[i]) for _ in range(40)]
+
+    # four threads miss the emptied level caches together, then walk the
+    # one level-10 walker at once, 40 searches each
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [[phi] * 40 for phi in serial]
