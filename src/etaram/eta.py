@@ -102,14 +102,14 @@ class PartitionSpec:
         self.r = {}
         for d, e in (r or {}).items():
             d, e = int(d), int(e)
-            if M % d:
+            if d < 1 or M % d:
                 raise ValueError("r key %d does not divide M=%d" % (d, M))
             if e:
                 self.r[d] = self.r.get(d, 0) + e
         self.rg = {}
         for (d, g), e in (rg or {}).items():
             d, g, e = int(d), int(g), int(e)
-            if M % d:
+            if d < 1 or M % d:
                 raise ValueError("rg key delta=%d does not divide M=%d" % (d, M))
             if not 0 < g < d:
                 raise ValueError("rg key g=%d out of range for delta=%d" % (g, d))
@@ -481,12 +481,12 @@ class GenEtaQuotient:
         paired: dict = {}
         for d, e in (a or {}).items():
             d = int(d)
-            if N % d:
+            if d < 1 or N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
             plain[d] = plain.get(d, 0) + (e if isinstance(e, int) else Fraction(e))
         for (d, g), e in (ag or {}).items():
             d, g = int(d), int(g)
-            if N % d:
+            if d < 1 or N % d:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
             k = (d, _fold_pair_key(d, g))
             paired[k] = paired.get(k, 0) + (e if isinstance(e, int) else Fraction(e))

@@ -9,22 +9,32 @@ Grammar (whitespace insensitive):
             | 'slice' '(' expr ',' int ',' int ')' | '(' expr ')' | '-' factor
     exponent := signed_int | '(' signed_int '/' int ')'
 
+Tokens are ASCII: decimal integers, names of letters and digits, and the
+symbols above.  Any other character, a non-ASCII digit or letter among
+them, is a ParseError, as is a q exponent with a zero denominator.
+
 P(g, d) is the single-residue product over n > 0, n = g mod d of (1 - q^n),
 with P(0, d) (and so P(d, d)) the full (q^d; q^d) factor; slice(e, m, t)
 extracts sum_n c[m n + t] q^n from the series of e.
 
-Evaluation is exact.  Every subtree that multiplies, divides, raises or
-negates constants, q^s and P atoms collapses to one monomial
-c q^s prod P(g, d)^e, whose product is read from the derivation's
-reference route (eta.reference_product): one integer Euler transform, held
-in the process-wide product cache under the product's exponent
-progressions, and sharing no code with the theta-series fast route.  Sums
-and slices combine those expansions as series, each factor deepened by the
-poles of the others so that every result is known to the requested order.
+The parser folds monomials as it reads them: every product, quotient, power
+or negation of integers, q^s and P atoms is one node
+("mono", c, s, {(g, d): e}) for c q^s prod P(g, d)^e, a quotient arriving as
+a product with a power -1.  A sum is one flat node ("sum", [(sign, term),
+...]).  Evaluation is exact.  A monomial's product is read from the
+derivation's reference route (eta.reference_product): one integer Euler
+transform, held in the process-wide product cache under the product's
+exponent progressions, and sharing no code with the theta-series fast route.
+Sums, slices and the remaining products and powers combine those expansions
+as series, each factor deepened by the poles of the others so that every
+result is known to the requested order.  Input nested past Python's
+recursion limit (at the default, about 240 levels of parentheses or a
+product of about 1,000 sums) is a ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import ceil
 
@@ -36,34 +46,45 @@ class ParseError(ValueError):
     pass
 
 
-_TOKENS = ("+", "-", "*", "/", "^", "(", ")", ",")
+# a number, a name, a symbol, or any other visible character (an error)
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),])|(\S)", re.ASCII)
 
 
 def _tokenize(text: str):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _TOKENS:
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError("unexpected character %r" % ch)
+    for number, name, symbol, other in _TOKEN.findall(text):
+        if other:
+            raise ParseError("unexpected character %r" % other)
+        out.append(int(number) if number else name or symbol)
     return out
+
+
+def _mono(c=1, s=0, exps=None):
+    return ("mono", Fraction(c), Fraction(s), exps or {})
+
+
+def _times(a, b):
+    """a * b, one monomial when both are."""
+    if a[0] != "mono" or b[0] != "mono":
+        return ("*", a, b)
+    exps = dict(a[3])
+    for key, e in b[3].items():
+        exps[key] = exps.get(key, 0) + e
+    return ("mono", a[1] * b[1], a[2] + b[2], exps)
+
+
+def _power(a, k: int):
+    """a ** k, one monomial when a is."""
+    if a[0] != "mono":
+        return ("pow", a, k)
+    _, c, s, exps = a
+    if k < 0 and not c:
+        raise ZeroSeries("series has no known nonzero term below its truncation")
+    return ("mono", c ** k, s * k, {key: e * k for key, e in exps.items()})
+
+
+def _negate(a):
+    return ("mono", -a[1]) + a[2:] if a[0] == "mono" else ("neg", a)
 
 
 class _Parser:
@@ -81,6 +102,11 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, tok) -> bool:
+        found = self.peek() == tok
+        self.pos += found
+        return found
+
     def expect(self, tok):
         got = self.next()
         if got != tok:
@@ -93,32 +119,27 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        terms = [(1, self.term())]
         while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
+            sign = 1 if self.next() == "+" else -1
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
         node = self.factor()
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.factor()
-            node = (op, node, rhs)
+            node = _times(node, rhs if op == "*" else _power(rhs, -1))
         return node
 
     def factor(self):
         node = self.atom()
-        if self.peek() == "^":
-            self.next()
-            node = ("pow", node, self.signed_int())
-        return node
+        return _power(node, self.signed_int()) if self.accept("^") else node
 
     def signed_int(self):
         neg = False
-        while self.peek() == "-":
-            self.next()
+        while self.accept("-"):
             neg = not neg
         tok = self.next()
         if not isinstance(tok, int):
@@ -126,34 +147,28 @@ class _Parser:
         return -tok if neg else tok
 
     def q_exponent(self) -> Fraction:
-        if self.peek() == "(":
-            self.next()
-            num = self.signed_int()
-            if self.peek() == "/":
-                self.next()
-                den = self.signed_int()
-                value = Fraction(num, den)
-            else:
-                value = Fraction(num)
-            self.expect(")")
-            return value
-        return Fraction(self.signed_int())
+        if not self.accept("("):
+            return Fraction(self.signed_int())
+        num, den = self.signed_int(), 1
+        if self.accept("/"):
+            den = self.signed_int()
+            if not den:
+                raise ParseError("q exponent %d/0 has a zero denominator" % num)
+        self.expect(")")
+        return Fraction(num, den)
 
     def atom(self):
         tok = self.next()
         if tok == "-":
-            return ("neg", self.factor())
+            return _negate(self.factor())
         if tok == "(":
             node = self.expr()
             self.expect(")")
             return node
         if isinstance(tok, int):
-            return ("const", Fraction(tok))
+            return _mono(tok)
         if tok == "q":
-            if self.peek() == "^":
-                self.next()
-                return ("q", self.q_exponent())
-            return ("q", Fraction(1))
+            return _mono(s=self.q_exponent() if self.accept("^") else 1)
         if tok == "P":
             self.expect("(")
             g = self.signed_int()
@@ -162,7 +177,7 @@ class _Parser:
             self.expect(")")
             if d < 1 or g < 0:
                 raise ParseError("need delta >= 1 and g >= 0")
-            return ("poch", g % d, d)
+            return _mono(exps={(g % d, d): 1})
         if tok == "slice":
             self.expect("(")
             inner = self.expr()
@@ -179,45 +194,6 @@ class _Parser:
 
 def parse(text: str):
     return _Parser(_tokenize(text)).parse()
-
-
-def _monomial(node):
-    """(c, s, {(g, d): e}) when node is c q^s prod P(g, d)^e, else None.
-
-    A monomial is a product, quotient, power or negation of constants, q^s
-    and P atoms.
-    """
-    kind = node[0]
-    if kind == "const":
-        return node[1], Fraction(0), {}
-    if kind == "q":
-        return Fraction(1), node[1], {}
-    if kind == "poch":
-        _, g, d = node
-        return Fraction(1), Fraction(0), {(g, d): 1}
-    if kind == "neg":
-        m = _monomial(node[1])
-        return m and (-m[0], m[1], m[2])
-    if kind == "pow":
-        m = _monomial(node[1])
-        if m is None:
-            return None
-        (c, s, exps), k = m, node[2]
-        if k < 0 and not c:
-            raise ZeroSeries("series has no known nonzero term below its truncation")
-        return c ** k, s * k, {key: e * k for key, e in exps.items()}
-    if kind == "/":
-        return _monomial(("*", node[1], ("pow", node[2], -1)))
-    if kind != "*":
-        return None
-    left = _monomial(node[1])
-    right = left and _monomial(node[2])
-    if right is None:
-        return None
-    (c, s, exps), (rc, rs, rexps) = left, right
-    for key, e in rexps.items():
-        exps[key] = exps.get(key, 0) + e
-    return c * rc, s + rs, exps
 
 
 def _expand_monomial(c, s, exps, order) -> QSeries:
@@ -243,17 +219,23 @@ def _pole(series: QSeries) -> int:
 
 
 def evaluate(node, order: int) -> QSeries:
-    """Expand an AST with every exponent below `order` known.
+    """Expand a parsed expression with every exponent below `order` known.
 
     A nested expression re-expands a factor at a deeper order for every pole
     around it; the product cache turns each repeat of a monomial's product
     into a prefix or an extension of the longest expansion held, in this
     call, an earlier one or a derivation's.
     """
-    mono = _monomial(node)
-    if mono is not None:
-        return _expand_monomial(*mono, order)
     kind = node[0]
+    if kind == "mono":
+        return _expand_monomial(*node[1:], order)
+    if kind == "sum":
+        (_, first), *rest = node[1]
+        total = evaluate(first, order)
+        for sign, term in rest:
+            part = evaluate(term, order)
+            total = total + part if sign > 0 else total - part
+        return total
     if kind == "neg":
         return -evaluate(node[1], order)
     if kind == "pow":
@@ -271,24 +253,19 @@ def evaluate(node, order: int) -> QSeries:
         if full.denom != 1:
             raise ParseError("slice needs integer exponents")
         return full.sift(m, t)
-    op, left, right = node
-    if op == "+":
-        return evaluate(left, order) + evaluate(right, order)
-    if op == "-":
-        return evaluate(left, order) - evaluate(right, order)
-    if op == "/":
-        op, right = "*", ("pow", right, -1)
-    if op == "*":
-        a, b = evaluate(left, order), evaluate(right, order)
-        # a pole of order p in one factor costs the other p known exponents
-        pa, pb = _pole(a), _pole(b)
-        if pb:
-            a = evaluate(left, order + pb)
-        if pa:
-            b = evaluate(right, order + pa)
-        return a * b
-    raise ParseError("unknown node %r" % (node,))
+    _, left, right = node
+    a, b = evaluate(left, order), evaluate(right, order)
+    # a pole of order p in one factor costs the other p known exponents
+    pa, pb = _pole(a), _pole(b)
+    if pb:
+        a = evaluate(left, order + pb)
+    if pa:
+        b = evaluate(right, order + pa)
+    return a * b
 
 
 def expand(text: str, order: int) -> QSeries:
-    return evaluate(parse(text), order).truncated(order)
+    try:
+        return evaluate(parse(text), order).truncated(order)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

@@ -257,3 +257,35 @@ def test_exhausted_completion_is_a_user_error(capsys, monkeypatch):
     # bypass the generators cache, leave it untouched
     monkeypatch.setattr(cli, "generators", generators.__wrapped__)
     _assert_user_error(capsys, ["generators", "10"], "step budget")
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("q^(1/0)", "q exponent 1/0 has a zero denominator"),
+    ("q^(0/0)", "q exponent 0/0 has a zero denominator"),
+    ("q^²", "unexpected character '²'"),
+    ("q^٣", "unexpected character '٣'"),
+    ("P(٣,5)", "unexpected character '٣'"),
+    ("(" * 3000 + "q" + ")" * 3000, "expression nested too deeply"),
+], ids=["one-over-zero", "zero-over-zero", "superscript-two", "arabic-indic-three",
+        "arabic-indic-residue", "deep-parentheses"])
+def test_bad_expression_input_is_a_user_error(capsys, expr, message):
+    for argv in (["expand", "--expr", expr], ["verify", "--lhs", "1", "--rhs", expr]):
+        assert main(argv + ["--order", "3"]) == 2
+        assert capsys.readouterr().err == "etaram: error: %s\n" % message
+
+
+def test_a_long_sum_expands_on_the_command_line(capsys):
+    assert main(["expand", "--expr", "+".join(["q"] * 3000), "--order", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "3000*q^(1) + O(q^(3))"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"M": 1, "r": {"0": 1}}, "r key 0 does not divide M=1"),
+    ({"M": 1, "r": {"-1": -1}}, "r key -1 does not divide M=1"),
+    ({"M": 2, "rg": {"0/1": 1}}, "rg key delta=0 does not divide M=2"),
+], ids=["r-zero", "r-negative", "rg-zero"])
+def test_spec_key_below_one_is_a_user_error(tmp_path, capsys, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["derive", "--spec", str(spec), "-m", "5", "-t", "4"]) == 2
+    assert capsys.readouterr().err == "etaram: error: spec file %s: %s\n" % (spec, message)

@@ -742,3 +742,25 @@ def test_json_round_trip():
         PartitionSpec.from_json({"M": 2, "bogus": 1})
     q = GenEtaQuotient(10, a={10: 1}, ag={(10, 4): -8, (10, 5): 9})
     assert GenEtaQuotient.from_json(10, q.to_json()) == q
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"M": 1, "r": {"0": 1}}, "r key 0 does not divide M=1"),
+    ({"M": 1, "r": {"-1": -1}}, "r key -1 does not divide M=1"),
+    ({"M": 2, "rg": {"0/1": 1}}, "rg key delta=0 does not divide M=2"),
+    ({"M": 4, "rg": {"-2/1": 1}}, "rg key delta=-2 does not divide M=4"),
+], ids=["r-zero", "r-negative", "rg-zero", "rg-negative"])
+def test_spec_keys_below_one_are_refused(doc, message):
+    with pytest.raises(ValueError) as info:
+        PartitionSpec.from_json(doc)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("a, ag, d", [
+    ({-1: 1}, {}, -1), ({0: 1}, {}, 0), ({}, {(-5, 1): 1}, -5), ({}, {(0, 1): 1}, 0),
+])
+def test_geq_arguments_below_one_are_refused(a, ag, d):
+    with pytest.raises(ValueError) as info:
+        GenEtaQuotient(10, a, ag)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "eta argument %d does not divide level 10" % d

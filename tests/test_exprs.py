@@ -269,3 +269,51 @@ def test_the_reference_cache_drops_the_products_read_least_recently(monkeypatch)
         # this case read 1/(q;q), then its own product twice: both survive
         assert list(cache)[-2:] == [partition, key]
     assert list(cache) == [keys[-3], keys[-2], partition, keys[-1]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_folds_every_drawn_monomial_into_one_node(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        text, c, s, factors = _random_monomial(rng, 7)
+        assert etaram.exprs.parse(text) == (
+            "mono", c, s, {(g % d, d): e for g, d, e in factors}), text
+
+
+def test_a_sum_is_one_flat_node():
+    q, p = ("mono", 1, 1, {}), ("mono", 1, 0, {(1, 5): 1})
+    assert etaram.exprs.parse("q - P(6,5) + q") == ("sum", [(1, q), (-1, p), (1, q)])
+    assert etaram.exprs.parse("(q - P(6,5))*q") == ("*", ("sum", [(1, q), (-1, p)]), q)
+
+
+def test_a_nested_mix_matches_its_pochhammer_oracle():
+    order = 40
+    T = order + 5
+    base = QSeries.monomial(-1, 1, T) + pochhammer(0, 1, T)
+    oracle = -(base ** -2) * pochhammer(1, 5, T).shift(1).invert()
+    got = expand("-(q^-1 + P(0,1))^-2/(P(1,5)*q)", order)
+    assert got == oracle.truncated(order) and got.bound() == order
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q^(1/0)", "q exponent 1/0 has a zero denominator"),
+    ("q^(0/0)", "q exponent 0/0 has a zero denominator"),
+    ("P(0,1)*q^(-3/-0)", "q exponent -3/0 has a zero denominator"),
+    ("q^²", "unexpected character '²'"),
+    ("q^٣", "unexpected character '٣'"),
+    ("P(٣,5)", "unexpected character '٣'"),
+    ("(" * 3000 + "q" + ")" * 3000, "expression nested too deeply"),
+    ("*".join(["(1+q)"] * 3000), "expression nested too deeply"),
+], ids=["one-over-zero", "zero-over-zero", "negative-over-zero", "superscript-two",
+        "arabic-indic-three", "arabic-indic-residue", "deep-parentheses",
+        "long-product-of-sums"])
+def test_bad_input_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as info:
+        expand(text, 3)
+    assert type(info.value) is ParseError and str(info.value) == message
+
+
+def test_a_long_sum_expands():
+    got = expand("+".join(["q"] * 3000), 3)
+    assert got == QSeries.monomial(1, 3000, 3) and got.bound() == 3
+    assert expand("-".join(["q"] * 3001), 3) == QSeries.monomial(1, -2999, 3)
