@@ -51,18 +51,24 @@ def make_cusp(a: int, c: int) -> Cusp:
     return Cusp(a // g, c // g)
 
 
-def cusps_equivalent(N: int, s1: Cusp, s2: Cusp) -> bool:
-    """Equivalence of cusps under the level-N group.
+def class_key(N: int, cusp: Cusp) -> tuple:
+    """The cusp's class under the level-N group, as one key.
 
-    (a2, c2) must match +-(a1 + j c1, c1) mod N for some integer j; this is
-    the standard criterion and is cross-checked against published cusp data and
-    index formulas in the tests.  Such a j exists exactly when gcd(c1, N)
-    divides a2 -+ a1.
+    a2/c2 is equivalent to a1/c1 when (a2, c2) matches +-(a1 + j c1, c1)
+    mod N for some integer j, the standard criterion, cross-checked against
+    published cusp data and index formulas in the tests.  Such a j exists
+    exactly when gcd(c1, N) divides a2 -+ a1, and c2 = +-c1 mod N leaves
+    g = gcd(c, N) the same, so the key min((c mod N, a mod g),
+    (-c mod N, -a mod g)) is equal exactly for equivalent cusps.
     """
-    a1, c1, a2, c2 = s1.a, s1.c, s2.a, s2.c
-    g = gcd(c1, N)
-    return ((c2 - c1) % N == 0 and (a2 - a1) % g == 0
-            or (c2 + c1) % N == 0 and (a2 + a1) % g == 0)
+    a, c = cusp.a, cusp.c
+    g = gcd(c, N)
+    return min((c % N, a % g), (-c % N, -a % g))
+
+
+def cusps_equivalent(N: int, s1: Cusp, s2: Cusp) -> bool:
+    """Equivalence of cusps under the level-N group (class_key)."""
+    return class_key(N, s1) == class_key(N, s2)
 
 
 def width(N: int, cusp: Cusp) -> int:
@@ -79,16 +85,34 @@ class CuspData:
     width: int
 
 
+def _ascending(residues, modulus, bound):
+    """The integers in 1..bound with a residue mod modulus in residues, in
+    increasing order."""
+    firsts = sorted({r % modulus or modulus for r in residues})
+    for base in range(0, bound, modulus):
+        for r in firsts:
+            if base + r <= bound:
+                yield base + r
+
+
 def _lambda_mu_form(N: int, cusp: Cusp):
-    """(lam, mu, eps) with lam/(mu eps) equivalent to the cusp, eps | N."""
-    eps = gcd(cusp.c, N) if not cusp.is_infinity else N
-    for mu in range(1, N * N + 1):
+    """(lam, mu, eps) with lam/(mu eps) equivalent to the cusp, eps | N.
+
+    eps = gcd(c, N); of the mu and lam up to N^2, prime to N and to each
+    other, it takes the least mu and then the least lam.  lam/(mu eps) is
+    then in lowest terms with gcd(mu eps, N) = eps, so its class key equals
+    the cusp's (c0, a0) exactly when (mu eps, lam) = +-(c0, a0) mod (N, eps):
+    mu runs over two residues mod N/eps, lam over the residues its mu allows.
+    """
+    eps = gcd(cusp.c, N)
+    c0, a0 = class_key(N, cusp)
+    bound = N * N
+    for mu in _ascending({c0 // eps, -c0 // eps}, N // eps, bound):
         if gcd(mu, N) != 1:
             continue
-        for lam in range(1, N * N + 1):
-            if gcd(lam, N) != 1 or gcd(lam, mu) != 1:
-                continue
-            if cusps_equivalent(N, make_cusp(lam, mu * eps), cusp):
+        lams = {s * a0 for s in (1, -1) if (mu * eps - s * c0) % N == 0}
+        for lam in _ascending(lams, eps, bound):
+            if gcd(lam, N) == 1 and gcd(lam, mu) == 1:
                 return lam, mu, eps
     raise RuntimeError("no lambda/(mu eps) form found for %s at level %d" % (cusp, N))
 
@@ -98,21 +122,21 @@ def cusp_set(N: int) -> tuple:
     """A complete, duplicate-free tuple of CuspData for the level-N group.
 
     Infinity is listed last; the finite representatives keep their discovery
-    order (increasing denominator, then numerator).
+    order (increasing denominator, then numerator): each is the first
+    candidate with its class_key.
     """
-    reps: list[Cusp] = []
     candidates = [Cusp(0, 1)] if N == 1 else [
         make_cusp(a, c)
         for c in range(1, N + 1)
         for a in range(N)
         if gcd(a, c) == 1
     ]
+    reps = {}
     for s in candidates:
-        if not any(cusps_equivalent(N, s, r) for r in reps):
-            reps.append(s)
+        reps.setdefault(class_key(N, s), s)
     # the one representative of the infinite class goes last, as 1/0
-    reps = [r for r in reps if not cusps_equivalent(N, r, INFINITY)] + [INFINITY]
-    return tuple(CuspData(cusp=s, width=width(N, s)) for s in reps)
+    reps.pop(class_key(N, INFINITY), None)
+    return tuple(CuspData(cusp=s, width=width(N, s)) for s in [*reps.values(), INFINITY])
 
 
 def genus(N: int) -> int:

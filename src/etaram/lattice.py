@@ -1,5 +1,8 @@
 """Exact integer linear algebra: Hermite forms, Diophantine solving,
-bounded coset enumeration, and Hilbert bases of linear Diophantine systems.
+bounded coset enumeration, least coset points from reachability tables over
+a lattice's quotient Z x F (CosetTables), and Hilbert bases of linear
+Diophantine systems.  GroupBits holds subsets of a finite group as ints,
+for those tables and for the zero-sum walk below.
 
 Everything here works on small dense matrices of python ints (a few dozen
 rows and columns at most), so the implementations favor verifiability over
@@ -31,6 +34,7 @@ largest candidate entry.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import prod
 from operator import add, mul
@@ -373,6 +377,172 @@ def minimal_nonneg_solutions(rows, progress_limit=2_000_000):
     return [tuple(x >> s & mask for s in shifts) for x in minimals]
 
 
+class GroupBits:
+    """Subsets of a finite group G = prod Z/d held as |G|-bit ints.
+
+    Element a sits at bit index(a) = a_0 + d_0 (a_1 + d_1 (...)).  A set is
+    translated by g one factor Z/d at a time: the bits whose digit stays
+    below d - g_i move up by g_i strides, the others wrap down by d - g_i.
+    steps(g) lists those moves, one (low mask, high mask, up, down) per
+    nonzero g_i, for _translate; the masks are made once per (factor,
+    amount) and shared by every translation that needs them.
+    """
+
+    def __init__(self, moduli):
+        self.moduli = tuple(moduli)
+        self.strides = tuple(prod(self.moduli[:i]) for i in range(len(self.moduli)))
+        self._full = (1 << prod(self.moduli)) - 1
+        self._masks = {}
+
+    def index(self, g):
+        return sum(a % d * s for a, d, s in zip(g, self.moduli, self.strides))
+
+    def steps(self, g):
+        out = []
+        for i, (a, d, stride) in enumerate(zip(g, self.moduli, self.strides)):
+            a %= d
+            if a:
+                step = self._masks.get((i, a))
+                if step is None:
+                    # the bits whose digit of this factor is below d - a
+                    low = ((1 << (d - a) * stride) - 1) * (self._full // ((1 << stride * d) - 1))
+                    step = self._masks[i, a] = (low, self._full ^ low, a * stride,
+                                                (d - a) * stride)
+                out.append(step)
+        return tuple(out)
+
+
+def _translate(S, steps):
+    """The set S translated by the element whose GroupBits.steps are given."""
+    for low, high, up, down in steps:
+        S = (S & low) << up | (S & high) >> down
+    return S
+
+
+class CosetTables:
+    """The least points of the cosets of one lattice, found from
+    reachability tables over its quotient.
+
+    The lattice L is the set of x in Z^dim that extend to an integer
+    solution (x, s) of A (x, s) = 0, with hnf = hnf_column(A).  x -> A (x, 0)
+    maps Z^dim onto im A / S, S the span of A's columns past dim, with
+    kernel L.  In the coordinates of H's columns (a basis of im A), S is
+    spanned by the coordinates of those columns, and _congruence_rows of
+    their Hermite basis read the quotient as Z^e x F, F finite: the class of
+    x is (z, f), z its value on the equality rows and f its residues on the
+    congruence rows.  e must be at most 1 (z is 0 when e = 0).  For the
+    prefactor criterion, z is the value of its equality row and F is
+    [24, 20] at level 10 and [24, 288] at 144.
+
+    Unit vector j has class g_j = (zs[j], classes[j]).  Table T[j][w] holds
+    the classes of the vectors on coordinates j, j+1, ... of l1 weight
+    exactly w, as {z: |F|-bit int of the f} (GroupBits), and satisfies
+    T[j][w] = union over |x| <= w of T[j+1][w - |x|] + x g_j.  The union
+    splits by the sign of x into P[j][w] = T[j+1][w] | (P[j][w-1] + g_j)
+    and its mirror N[j][w] with -g_j, so a radius costs two translations per
+    coordinate, and only the last radius's P and N are kept.
+
+    The tables do not depend on the coset, so one set serves every coset
+    of L.  least(v0, bound) grows them radius by radius to the least R whose
+    T[0][R] holds v0's class, then fixes x_0, x_1, ... in turn, each at the
+    least value that keeps the rest of the class reachable at the weight
+    left: the result is the least (weight, vector) of the coset.  A growth
+    builds the new radius under a lock and replaces the tables whole, so
+    threads share them and read them without the lock.  They hold at most
+    dim (R+1)^2 sets of |F| bits.
+    """
+
+    def __init__(self, A, hnf, dim):
+        H, _, pivots = hnf
+        rank = len(pivots)
+        image = [[row[j] for row in H] for j in range(rank)]
+
+        def coordinates(j):
+            return _hnf_coordinates([row[j] for row in A], image, pivots)
+
+        slack = lattice_hnf([coordinates(j) for j in range(dim, len(A[0]))], rank)
+        if rank - len(slack) > 1:
+            raise ValueError("the quotient has more than one free factor")
+        rows, moduli = _congruence_rows(slack, rank)
+        cong = [(row, d) for row, d in zip(rows, moduli) if d]
+        free = [row for row, d in zip(rows, moduli) if not d] or [[0] * rank]
+        units = [coordinates(j) for j in range(dim)]
+        self.dim = dim
+        self.group = GroupBits([d for _, d in cong])
+        self.zs = tuple(sum(map(mul, free[0], y)) for y in units)
+        self.classes = tuple(tuple(sum(map(mul, row, y)) % d for row, d in cong)
+                             for y in units)
+        # per coordinate: the moves of +g_j and of -g_j
+        self._moves = tuple(
+            ((z, self.group.steps(g)), (-z, self.group.steps([-a for a in g])))
+            for z, g in zip(self.zs, self.classes))
+        self._lock = threading.Lock()
+        # (radius, T, PN), PN[j] = (P[j][radius], N[j][radius]); T[dim] is
+        # the empty suffix, whose one vector is 0
+        zero = ({0: 1},)
+        self._tables = (0, (zero,) * (dim + 1), ((zero[0], zero[0]),) * dim)
+
+    def _grown(self):
+        """The tables one radius on, built from the published ones; the
+        caller holds the lock."""
+        radius, tables, pn = self._tables
+        radius += 1
+        below = tables[self.dim] + ({},)
+        new_tables = [below]
+        new_pn = []
+        for j in range(self.dim - 1, -1, -1):
+            # P[j][radius] and N[j][radius], then T[j][radius] as their union
+            signed = []
+            for last, (dz, steps) in zip(pn[j], self._moves[j]):
+                grown = dict(below[radius])
+                for z, S in last.items():
+                    grown[z + dz] = grown.get(z + dz, 0) | _translate(S, steps)
+                signed.append(grown)
+            total = dict(signed[0])
+            for z, S in signed[1].items():
+                total[z] = total.get(z, 0) | S
+            below = tables[j] + (total,)
+            new_tables.append(below)
+            new_pn.append(tuple(signed))
+        return radius, tuple(new_tables[::-1]), tuple(new_pn[::-1])
+
+    def least(self, v0, bound):
+        """The least (weight, vector) point of v0 + L as (weight, list), or
+        None when every point weighs more than bound."""
+        moduli = self.group.moduli
+        z = sum(map(mul, self.zs, v0))
+        f = [sum(c[i] * v for c, v in zip(self.classes, v0)) % d for i, d in enumerate(moduli)]
+        for weight in range(bound + 1):
+            if weight > self._tables[0]:
+                with self._lock:
+                    if weight > self._tables[0]:
+                        self._tables = self._grown()
+            tables = self._tables[1]
+            if tables[0][weight].get(z, 0) >> self.group.index(f) & 1:
+                break
+        else:
+            return None
+        vec = []
+        left = weight
+        strides = self.group.strides
+        for j in range(self.dim):
+            if not left:
+                vec += [0] * (self.dim - j)
+                break
+            below, zj, cj = tables[j + 1], self.zs[j], self.classes[j]
+            for x in range(-left, left + 1):
+                S = below[left - abs(x)].get(z - x * zj)
+                if S:
+                    g = [(a - x * c) % d for a, c, d in zip(f, cj, moduli)]
+                    if S >> sum(map(mul, g, strides)) & 1:
+                        break
+            vec.append(x)
+            z -= x * zj
+            f = g
+            left -= abs(x)
+        return weight, vec
+
+
 # the walk's subset-sum sets are |G|-bit ints, up to |G| of them on its path
 MAX_GROUP_ORDER = 1 << 14
 # nodes the walk may enter: level 20 needs 36,210, level 17 over 1.5 million
@@ -392,10 +562,9 @@ def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
     its total t as the one bit of S that is the sum of all.  Column j with
     -g_j == t closes a minimal sequence y + e_j: a proper part summing to 0
     would leave a zero-sum part of y.  Otherwise j extends y exactly when
-    -g_j is not in S, and S grows by its translate by g_j, made one factor
-    Z/d at a time: the bits whose digit stays below d move up by a stride
-    multiple, the others wrap down.  Each sequence is reached once, so no
-    minimal vector is found twice and none needs a dominance test.
+    -g_j is not in S, and S grows by its translate by g_j (GroupBits).
+    Each sequence is reached once, so no minimal vector is found twice and
+    none needs a dominance test.
 
     Raises StepBudgetExceeded at once when |G| > MAX_GROUP_ORDER, and when
     the walk would enter more than node_limit sequences.
@@ -404,27 +573,9 @@ def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
     if order > MAX_GROUP_ORDER:
         raise StepBudgetExceeded("group of order %d exceeds the zero-sum walk's "
                                  "limit of %d" % (order, MAX_GROUP_ORDER))
-    full = (1 << order) - 1
-    translations = []          # per column: (low mask, high mask, up, down)
-    neg = []                   # per column: the bit of -g_j
-    for g in classes:
-        steps = []
-        at = 0
-        stride = 1
-        for a, d in zip(g, moduli):
-            at += (-a % d) * stride
-            if a:
-                # the bits whose digit of this factor is below d - a
-                low = ((1 << (d - a) * stride) - 1) * (full // ((1 << stride * d) - 1))
-                steps.append((low, full ^ low, a * stride, (d - a) * stride))
-            stride *= d
-        translations.append(steps)
-        neg.append(1 << at)
-
-    def translate(S, j):
-        for low, high, up, down in translations[j]:
-            S = (S & low) << up | (S & high) >> down
-        return S
+    group = GroupBits(moduli)
+    translations = [group.steps(g) for g in classes]
+    neg = [1 << group.index([-a for a in g]) for g in classes]   # the bit of -g_j
 
     k = len(classes)
     y = [0] * k
@@ -450,7 +601,8 @@ def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
                 raise StepBudgetExceeded("zero-sum walk over a group of order %d "
                                          "exceeded %d nodes" % (order, node_limit))
             y[j] += 1
-            path.append([j, S | translate(S, j), translate(t, j)])
+            steps = translations[j]
+            path.append([j, S | _translate(S, steps), _translate(t, steps)])
     return found
 
 

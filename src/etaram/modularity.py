@@ -11,8 +11,12 @@ find_prefactor solves the exponent conditions for a sparse integral phi.
 The conditions' coefficient rows, and with them the lattice the passers'
 coset runs over, depend on the level alone: each level holds them once, in
 integers, in an lru_cache (_level_criterion for the rows, _prefactor_lattice
-for the system's Hermite form and its coset walker), and a progression
-computes only its constants.
+for the system's Hermite form and the lattice's reachability tables), and a
+progression computes only its constants.  The tables (lattice.CosetTables)
+grow on demand to the largest radius a progression at the level has
+needed, about nv (R+1)^2 |F| bits for nv exponents and the finite part F
+of the lattice's quotient, and every later progression reads them as they
+are.
 
 Congruences with rational left-hand sides are read exactly: the value must be
 an integer divisible by the stated modulus.
@@ -26,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .eta import GenEtaQuotient, PartitionSpec, b2_numerator, divisors
-from .lattice import CosetWalker, hnf_column, kernel_basis, solve_diophantine
+from .lattice import CosetTables, hnf_column, solve_diophantine
 from .cusps import kappa
 
 
@@ -249,8 +253,8 @@ def _passes(criterion, phi: GenEtaQuotient) -> bool:
 @lru_cache(maxsize=None)
 def _prefactor_lattice(N: int):
     """The level-N criterion as one system A x = b, with one slack column per
-    congruence row (form + const + modulus * s = 0), its hnf_column, and a
-    CosetWalker over the projection of its kernel to the phi exponents: the
+    congruence row (form + const + modulus * s = 0), its hnf_column, and the
+    CosetTables of the projection of its kernel to the phi exponents: the
     passers of every progression at level N form a coset of that lattice."""
     _, _, rows, _ = _level_criterion(N)
     nslack = len(rows) - 1      # every row but the equality is a congruence
@@ -259,8 +263,7 @@ def _prefactor_lattice(N: int):
         A.append(row + (0,) * i + (mod,) + (0,) * (nslack - i - 1))
     H, U, pivots = hnf_column([list(row) for row in A])
     hnf = tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(pivots)
-    nv = len(rows[0][0])
-    return tuple(A), hnf, CosetWalker([v[:nv] for v in kernel_basis(A, hnf)], nv)
+    return tuple(A), hnf, CosetTables(A, hnf, len(rows[0][0]))
 
 
 def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
@@ -269,32 +272,30 @@ def find_prefactor(spec: PartitionSpec, m: int, t: int, N: int,
 
     Strategy: conditions (1)-(3) and the finitely many sign conditions are
     all linear (equalities or congruences) in the exponents, so the passers
-    form a coset of an integer lattice, which depends on N alone
+    form a coset of an integer lattice L, which depends on N alone
     (_prefactor_lattice).  The progression solves for one point x0 of its
-    coset against the level's Hermite form and size-reduces it once.  The
-    search then deepens: it walks the coset's l1-balls of radius 0, 1, 2,
-    ... up to weight_cap and stops at the first radius that holds a passer.
-    No passer is lighter than that radius, so the passer minimizing
-    sum |exponents|, ties broken lexicographically on the exponent vector,
-    is among the points found.  NoPhiFound means no passer has weight
-    <= weight_cap.
+    coset against the level's Hermite form; its class in Z^nv / L = Z x F
+    (the value of the equality row, and a residue in a finite group F,
+    [24, 20] at level 10 and [24, 288] at 144) is all the search reads.
+    The level's CosetTables hold, per suffix of the variables and per
+    weight w, the classes that vectors of weight w reach; they grow on
+    demand to the least radius R whose table holds the class, and the
+    passer is then fixed one exponent at a time, each the least that keeps
+    the class reachable.  That is the passer minimizing sum |exponents|,
+    ties broken lexicographically on the exponent vector.  The tables serve
+    every progression at the level and take about nv (R+1)^2 |F| bits.
+    NoPhiFound means no passer has weight <= weight_cap.
     """
     criterion = plain, paired, rows = _criterion_rows(spec, m, t, N)
-    A, hnf, walker = _prefactor_lattice(N)
+    A, hnf, tables = _prefactor_lattice(N)
     x0 = None if rows is None else solve_diophantine(A, [-c for _, c, _ in rows], hnf)
     if x0 is None:
         raise NoPhiFound("the exponent conditions are inconsistent at level %d" % N)
-    v0 = walker.reduce(x0[:walker.dim])
-
-    for radius in range(weight_cap + 1):
-        points = walker.walk(v0, radius)
-        if points:
-            break
-    else:
+    found = tables.least(x0[:tables.dim], weight_cap)
+    if found is None:
         raise NoPhiFound("no prefactor with exponent weight <= %d" % weight_cap)
 
-    # no point lies inside the previous radius, so this is the global minimum
-    vec = min((sum(map(abs, v)), tuple(v)) for v in points)[1]
+    vec = found[1]
     a = {d: vec[i] for i, d in enumerate(plain) if vec[i]}
     ag = {key: vec[len(plain) + i] for i, key in enumerate(paired) if vec[len(plain) + i]}
     phi = GenEtaQuotient(N, a, ag)

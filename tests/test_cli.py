@@ -22,17 +22,26 @@ def test_cusps_json(capsys):
     assert all(set(r) == {"cusp", "width", "lambda", "mu", "epsilon"} for r in rows)
 
 
-@pytest.mark.slow
 def test_cusps_json_is_pinned(capsys):
     # SHA-256 of the documents for levels 1-48, computed when cusp_set still
-    # carried the lambda, mu and epsilon columns itself; about 3 s on a
-    # 2-vCPU machine, so it runs in the slow lane
+    # carried the lambda, mu and epsilon columns itself
     docs = []
     for N in range(1, 49):
         assert main(["cusps", str(N), "--json"]) == 0
         docs.append(json.loads(capsys.readouterr().out))
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
     assert digest == "2f788fc863fc2edade70c2392f5dc6345206243b3d3087ccf216fc48e0adbdd5"
+
+
+def test_cusps_tables_at_large_levels_are_pinned(capsys):
+    # SHA-256 of the printed tables at levels 60, 64 and 144, as the
+    # pairwise equivalence scans printed them (5.7 s at 144 then)
+    out = ""
+    for N in (60, 64, 144):
+        assert main(["cusps", str(N)]) == 0
+        out += capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a7a5d323dc8b58dd5a30296b5473382c9b7fc41f4f616318db6292edfd9ac2e3"
 
 
 def test_generators_json(capsys):

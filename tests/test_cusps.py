@@ -306,9 +306,9 @@ def _bounds_record(spec, m, t, phi, N):
 @pytest.mark.slow
 def test_prefactors_and_bounds_are_pinned():
     # SHA-256 of (N, phi, cusp_order_bounds) over 250 seeded progressions.
-    # The draw stops at level 28: find_prefactor takes seconds per case at
-    # levels 30-60 (up to 20 s at 54 and 60), which the next pin covers
-    # with drawn prefactors instead
+    # The draw stops at level 28, from when the prefactor search took
+    # seconds per case at levels 30-60; the next two pins cover those
+    # levels' bounds, with drawn prefactors, and their prefactors
     records = []
     for spec, m, t, N in _seeded_progressions(23, 250, 28):
         try:
@@ -333,6 +333,24 @@ def test_bounds_at_levels_to_60_are_pinned():
     assert {r[0] for r in records} >= {30, 36, 48, 50, 54, 60}
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "e2d0f1648bcc039619fb0a8c1e3b861412e9140f87c3786f579bab50e6dba1a9"
+
+
+@pytest.mark.slow
+def test_prefactors_at_levels_to_60_are_pinned():
+    # SHA-256 of (N, phi or the NoPhiFound message) over 250 seeded
+    # progressions up to level 60, as the deepening coset walk found them
+    records = []
+    for spec, m, t, N in _seeded_progressions(23, 250, 60):
+        try:
+            phi = find_prefactor(spec, m, t, N)
+        except NoPhiFound as exc:
+            records.append([N, str(exc)])
+            continue
+        records.append([N, sorted(phi.a.items()), sorted([d, g, e] for (d, g), e in phi.ag.items())])
+    assert sum(isinstance(r[1], str) for r in records) == 8
+    assert {r[0] for r in records} >= {30, 36, 44, 48, 54, 60}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "c3c37c9865c2449c701d06a88e88c000dee0f9dee22df693bbfca42525bfeb63"
 
 
 def test_overpartition_bounds_match_published_values():

@@ -11,7 +11,8 @@ from etaram.eta import PartitionSpec
 from etaram.generators import generators, pole_free_system
 from etaram.identities import find_multiplier
 from etaram.lattice import (
-    DioSystem, StepBudgetExceeded, enumerate_coset, hilbert_basis, hnf_column,
+    CosetTables, DioSystem, GroupBits, StepBudgetExceeded, enumerate_coset, hilbert_basis,
+    hnf_column,
     in_lattice, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
     minimal_zero_sum_sequences, reduce_mod_lattice, solve_diophantine,
 )
@@ -161,6 +162,61 @@ def test_enumerate_coset_of_the_level_10_prefactor_shape():
     for v0 in [[0] * dim] + [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(3)]:
         found += len(_check_coset(v0, basis, 4))
     assert found > 1
+
+
+def _random_system(rng, dim, equality):
+    """An optional equality row and one or two congruence rows over dim
+    variables, each congruence with its slack column: A (x, s) = b."""
+    rows = []
+    if equality:
+        rows.append([rng.randint(-2, 2) or 1 for _ in range(dim)])
+    moduli = [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(1, 2))]
+    rows += [[rng.randint(-3, 3) for _ in range(dim)] for _ in moduli]
+    nslack = len(moduli)
+    A = [row + [0] * nslack for row in rows]
+    for i, d in enumerate(moduli):
+        A[len(rows) - nslack + i][dim + i] = d
+    return A
+
+
+def test_coset_tables_find_the_least_point_of_the_ball_scan():
+    rng = random.Random(17)
+    found = empty = 0
+    for trial in range(60):
+        dim = rng.randint(1, 4)
+        A = _random_system(rng, dim, equality=trial % 3 != 0)
+        hnf = hnf_column([row[:] for row in A])
+        tables = CosetTables(A, hnf, dim)
+        basis = [v[:dim] for v in kernel_basis(A, hnf)]
+        for _ in range(4):
+            x0 = [rng.randint(-3, 3) for _ in range(dim)]
+            W = rng.randint(0, 5)
+            scan = _coset_by_ball_scan(x0, basis, W)
+            expect = min(((sum(map(abs, v)), list(v)) for v in scan), default=None)
+            assert tables.least(x0, W) == expect, (A, x0, W)
+            found += expect is not None
+            empty += expect is None
+    assert found >= 120 and empty >= 60
+
+
+def test_coset_tables_refuse_two_free_factors():
+    # two equality rows leave Z^2 in the quotient
+    A = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError, match="more than one free factor"):
+        CosetTables(A, hnf_column([row[:] for row in A]), 3)
+
+
+def test_group_bits_translate_by_element_addition():
+    rng = random.Random(5)
+    moduli = (4, 6, 3)
+    group = GroupBits(moduli)
+    elements = list(itertools.product(*(range(d) for d in moduli)))
+    for _ in range(20):
+        chosen = rng.sample(elements, 7)
+        g = [rng.randrange(-2 * d, 2 * d) for d in moduli]
+        S = sum(1 << group.index(a) for a in chosen)
+        moved = {tuple((a + b) % d for a, b, d in zip(e, g, moduli)) for e in chosen}
+        assert lattice._translate(S, group.steps(g)) == sum(1 << group.index(e) for e in moved)
 
 
 def test_reduce_mod_lattice_stays_in_coset():

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ import etaram.modularity as modularity
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.identities import dissect
 from etaram.lattice import (
-    CosetWalker, enumerate_coset, kernel_basis, lattice_hnf, solve_diophantine,
+    CosetTables, enumerate_coset, kernel_basis, lattice_hnf, solve_diophantine,
 )
 from etaram.modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
@@ -182,46 +183,48 @@ def test_no_prefactor_within_tiny_weight():
         find_prefactor(OVERPARTITION, 5, 2, 10, weight_cap=1)
 
 
-def _recorded_prefactor(monkeypatch, spec, m, t, N, weight_cap=32):
-    """find_prefactor with every per-radius walk recorded as (walker, v0, radius)."""
-    walks = []
-    real = CosetWalker.walk
-
-    def recording(walker, v0, weight_bound):
-        walks.append((walker, v0, weight_bound))
-        return real(walker, v0, weight_bound)
-
-    monkeypatch.setattr(CosetWalker, "walk", recording)
-    return find_prefactor(spec, m, t, N, weight_cap), walks
+def _fresh_tables(N):
+    """Level N's CosetTables after emptying the level caches."""
+    modularity._level_criterion.cache_clear()
+    modularity._prefactor_lattice.cache_clear()
+    return modularity._prefactor_lattice(N)[2]
 
 
 @pytest.mark.parametrize("spec, m, t, N, weight", [
     (OVERPARTITION, 5, 2, 10, 3), (SINGULAR, 9, 3, 6, 2), (RR, 2, 0, 10, 4),
     (RR, 2, 1, 10, 2), (PARTITION, 11, 6, 11, 1)])
-def test_prefactor_search_stops_at_the_first_occupied_radius(monkeypatch, spec, m, t,
-                                                             N, weight):
-    phi, walks = _recorded_prefactor(monkeypatch, spec, m, t, N)
-    assert [radius for _, _, radius in walks] == list(range(weight + 1))
+def test_prefactor_search_stops_at_the_first_occupied_radius(spec, m, t, N, weight):
+    tables = _fresh_tables(N)
+    phi = find_prefactor(spec, m, t, N)
+    # the tables grew to the optimum's weight and no further
+    assert tables._tables[0] == weight
     # the answer is the least (weight, vector) of the whole coset, read here
-    # from a ball two steps past the optimum
-    walker, v0, _ = walks[-1]
-    best = min((sum(map(abs, v)), tuple(v)) for v in walker.walk(v0, weight + 2))
+    # from an enumerate_coset ball two steps past the optimum
+    A, hnf, _ = modularity._prefactor_lattice(N)
+    x0 = solve_diophantine(A, [-c for _, c, _ in _criterion_rows(spec, m, t, N)[2]], hnf)
+    nv = tables.dim
+    basis = [v[:nv] for v in kernel_basis(A, hnf)]
+    best = min((sum(map(abs, v)), tuple(v)) for v in enumerate_coset(x0[:nv], basis, weight + 2))
     assert best[0] == weight
     plain, paired = _phi_variables(N)
     vec = best[1]
     assert phi == GenEtaQuotient(N, dict(zip(plain, vec)), dict(zip(paired, vec[len(plain):])))
 
 
-def test_prefactor_weight_cap_bounds_the_deepening(monkeypatch):
-    with pytest.raises(NoPhiFound, match="weight <= 2"):
-        _recorded_prefactor(monkeypatch, OVERPARTITION, 5, 2, 10, weight_cap=2)
-    phi, walks = _recorded_prefactor(monkeypatch, OVERPARTITION, 5, 2, 10, weight_cap=3)
+def test_prefactor_weight_cap_bounds_the_deepening():
+    tables = _fresh_tables(10)
+    with pytest.raises(NoPhiFound, match="^no prefactor with exponent weight <= 2$"):
+        find_prefactor(OVERPARTITION, 5, 2, 10, weight_cap=2)
+    assert tables._tables[0] == 2
+    phi = find_prefactor(OVERPARTITION, 5, 2, 10, weight_cap=3)
     assert is_modular_prefactor(OVERPARTITION, 5, 2, 10, phi)
-    # cap 0 still walks radius 0, and a spec that is its own modular
+    assert tables._tables[0] == 3
+    # cap 0 still reads radius 0, and a spec that is its own modular
     # function takes phi = 1 there
-    phi, walks = _recorded_prefactor(monkeypatch, PartitionSpec(1, {}), 1, 0, 1, weight_cap=0)
-    assert phi.a == {} and phi.ag == {} and [w for _, _, w in walks] == [0]
-    with pytest.raises(NoPhiFound):
+    tables = _fresh_tables(1)
+    phi = find_prefactor(PartitionSpec(1, {}), 1, 0, 1, weight_cap=0)
+    assert phi.a == {} and phi.ag == {} and tables._tables[0] == 0
+    with pytest.raises(NoPhiFound, match="^no prefactor with exponent weight <= -1$"):
         find_prefactor(PARTITION, 1, 0, 1, weight_cap=-1)
 
 
@@ -495,6 +498,25 @@ def test_a_dissection_builds_the_level_lattice_once(monkeypatch):
     assert factored == [len(modularity._prefactor_lattice(7)[0][0])]
 
 
+def test_a_dissection_grows_the_level_tables_once(monkeypatch):
+    grown = []
+    real = CosetTables._grown
+
+    def spy(tables):
+        out = real(tables)
+        grown.append((tables, out[0]))
+        return out
+
+    monkeypatch.setattr(CosetTables, "_grown", spy)
+    tables = _fresh_tables(7)
+    slices = dissect(PARTITION, 7)
+    assert all(i.status == "Derived" for i in slices)
+    # the first residue grows the level's one set of tables to radius 3, the
+    # weight every residue needs, and the other six read them as they are
+    assert grown == [(tables, 1), (tables, 2), (tables, 3)]
+    assert modularity._prefactor_lattice(7)[2] is tables
+
+
 def test_a_row_three_constant_not_integral_once_cleared_is_inconsistent():
     # at level 5 row 3 is cleared by D = 5, and p(2n)'s constant
     # -24 (1/24) / 2 = -1/2 stays fractional, while row 2's is an integer
@@ -535,3 +557,65 @@ def test_concurrent_searches_share_the_level_lattice():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert results == [[phi] * 40 for phi in serial]
+
+
+def test_concurrent_searches_grow_each_radius_once(monkeypatch):
+    # weights 4, 3, 2 and 3 at level 10: from emptied caches, the threads
+    # race to build the level's tables and to grow them, four times over
+    cases = [(RR, 2, 0, 10), (OVERPARTITION, 5, 2, 10), (RR, 2, 1, 10), (OVERPARTITION, 5, 3, 10)]
+    serial = [find_prefactor(*case) for case in cases]
+    grown = []
+    real = CosetTables._grown
+
+    def spy(tables):
+        out = real(tables)
+        grown.append((tables, out[0]))
+        time.sleep(0.002)       # hold the growth open while the others search
+        return out
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = [find_prefactor(*cases[i]) for _ in range(10)]
+
+    monkeypatch.setattr(CosetTables, "_grown", spy)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            modularity._level_criterion.cache_clear()
+            modularity._prefactor_lattice.cache_clear()
+            grown.clear()
+            results = [None] * len(cases)
+            barrier = threading.Barrier(len(cases))
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert results == [[phi] * 10 for phi in serial]
+            # threads that miss the cache together may each build and search
+            # their own tables; every set grows one radius at a time, each
+            # once, and the weight-4 search grows one to radius 4
+            for tables in {id(t): t for t, _ in grown}.values():
+                radii = [r for t, r in grown if t is tables]
+                assert radii == list(range(1, len(radii) + 1))
+            assert max(r for _, r in grown) == 4
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.slow
+def test_prefactors_at_levels_64_and_144_are_pinned():
+    # p(8n+7) and p(6n+5): the deepening coset walk took 1 s and 64 s
+    assert find_level(PARTITION, 8, 7) == 64
+    assert find_prefactor(PARTITION, 8, 7, 64) == GenEtaQuotient(
+        64, {32: 1}, {(32, 15): 1, (64, 22): 1})
+    assert find_level(PARTITION, 6, 5) == 144
+    # from emptied caches, so the time includes the level's set-up
+    modularity._level_criterion.cache_clear()
+    modularity._prefactor_lattice.cache_clear()
+    start = time.perf_counter()
+    phi = find_prefactor(PARTITION, 6, 5, 144)
+    assert time.perf_counter() - start < 5
+    assert phi == GenEtaQuotient(144, {72: 1}, {(48, 4): -1, (72, 29): 1})
