@@ -162,11 +162,18 @@ def genus(N: int) -> int:
     return g
 
 
+@functools.lru_cache(maxsize=None)
+def _cusp_classes(N: int) -> dict:
+    """cusp_set(N) keyed by class_key."""
+    return {class_key(N, data.cusp): data for data in cusp_set(N)}
+
+
 def find_cusp_class(N: int, cusp: Cusp) -> CuspData:
-    for data in cusp_set(N):
-        if cusps_equivalent(N, data.cusp, cusp):
-            return data
-    raise LookupError("cusp %s not matched at level %d" % (cusp, N))
+    """The CuspData of cusp_set(N) equivalent to the cusp: one lookup."""
+    data = _cusp_classes(N).get(class_key(N, cusp))
+    if data is None:
+        raise LookupError("cusp %s not matched at level %d" % (cusp, N))
+    return data
 
 
 # ---------------------------------------------------------------------------

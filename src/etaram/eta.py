@@ -15,6 +15,11 @@ passes and Miller's power recurrence (series.product_of_powers); no series is
 inverted.  The reference route runs the integer Euler-transform recurrence
 of the plain product (euler_transform, which the expression language in
 exprs.py uses for its products too).  The test suite cross-checks the two.
+When the fast route already holds a product the reference route is asked
+for, the reference route checks those coefficients against the same
+recurrence instead (certify_product: two products through its own packer,
+about the cost of the transform's top level) and keeps them only if every
+one passes; otherwise it runs the transform.
 
 Products are cached per route, for partition functions, the canonical
 exponents of quotients and the expression language's monomials alike: the
@@ -191,14 +196,17 @@ def _cached_product(r, rg, order, fast):
 
     The fast route holds a QSeries and recomputes it when a longer one is
     asked for; the reference route reads reference_product.  The two routes
-    are keyed apart, so neither reads the other.
+    are keyed apart.  The reference route may adopt the fast entry of the
+    same product, but only once certify_product has proved every
+    coefficient against the Euler-transform identity; otherwise it runs the
+    transform.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
-    if not fast:
-        return QSeries.from_ints(reference_product(_spec_progressions(r, rg), order))
     key = (tuple(sorted(r.items())), tuple(sorted(rg.items())), "fast")
+    if not fast:
+        return QSeries.from_ints(reference_product(_spec_progressions(r, rg), order, key))
     with _PRODUCT_LOCK:
         held = _PRODUCT_CACHE.get(key)
     if held is None or held.trunc < order:
@@ -227,7 +235,7 @@ def _spec_progressions(r, rg) -> tuple:
                         + [((start, d), e) for (d, g), e in rg.items() for start in (g, d - g)])
 
 
-def reference_product(key, order) -> list:
+def reference_product(key, order, fast_key=None, spread=1) -> list:
     """Integer coefficients f(0..order-1) of the product `key` names.
 
     `key` is a progressions tuple.  When every start and step shares a
@@ -236,8 +244,11 @@ def reference_product(key, order) -> list:
     coefficient j is spread to index g j with zeros between.  The cache
     holds only such reduced keys, so a product and its q^g form read one
     entry.  It holds the longest list made for a key: a shorter request is
-    a prefix, and a longer one extends it by euler_transform.  A read moves
-    the entry last, for _bound_reference.
+    a prefix.  A longer one is the fast route's entry `fast_key` of the
+    same product (in q, so read at every `spread`-th index), when that
+    entry is known far enough and certify_product passes it; else
+    euler_transform extends the held list.  A read moves the entry last,
+    for _bound_reference.
     """
     stride = 0
     for (start, step), _ in key:     # sorted: one gcd when the first start is 1
@@ -246,19 +257,39 @@ def reference_product(key, order) -> list:
             break
     if stride > 1:
         key = tuple(((start // stride, step // stride), e) for (start, step), e in key)
-        spread = [0] * order
-        spread[::stride] = reference_product(key, -(-order // stride))
-        return spread
+        out = [0] * order
+        out[::stride] = reference_product(key, -(-order // stride), fast_key, stride)
+        return out
     cache_key = key + ("reference",)
     with _PRODUCT_LOCK:
         held = _PRODUCT_CACHE.pop(cache_key, None)
         if held is not None:
             _PRODUCT_CACHE[cache_key] = held
-    if held is None or len(held) < order:
-        held = _publish(_PRODUCT_CACHE, cache_key,
-                        euler_transform(_exponents(key, order), held or ()), len)
+        missing = held is None or len(held) < order
+        fast = _PRODUCT_CACHE.get(fast_key) if missing else None
+    if missing:
+        c = _exponents(key, order)
+        f = None if fast is None else _fast_coefficients(fast, order, spread)
+        if f is None or certify_product(f, c) is not None:
+            f = euler_transform(c, held or ())
+        held = _publish(_PRODUCT_CACHE, cache_key, f, len)
         _bound_reference(cache_key, len(held))
     return held[:order]
+
+
+def _fast_coefficients(series, order, spread) -> list:
+    """The coefficients of q^(spread j), j < order, of a fast-route product,
+    or None unless it is an integer series in q^spread, 1 + O(q), known that
+    far.  The list shares the series' ints."""
+    step = series.stride or spread
+    if (series.denom != 1 or series.den != 1 or series.val or step % spread
+            or series.trunc <= spread * (order - 1)):
+        return None
+    k = step // spread
+    held = min(len(series.num), -(-order // k))
+    out = [0] * order
+    out[:held * k:k] = series.num[:held]
+    return out
 
 
 # coefficients the reference entries may hold: 5x the test suite's peak, ~98,000
@@ -398,11 +429,24 @@ def _euler_transform(r, rg, order, known=()) -> list:
     return euler_transform(_exponents(_spec_progressions(r, rg), order), known)
 
 
+def _log_derivative(c) -> list:
+    """s(k) = -sum_{d | k} d c(d) for k < len(c), s(0) = 0: the logarithmic
+    derivative q f'/f of prod_{n>0} (1 - q^n)^c[n] (c[0] is ignored)."""
+    order = len(c)
+    s = [0] * order
+    for n in range(1, order):
+        if c[n]:
+            v = n * c[n]
+            for k in range(n, order, n):
+                s[k] -= v
+    return s
+
+
 def euler_transform(c, known=()) -> list:
     """Integer coefficients below q^len(c) of prod_{n>0} (1 - q^n)^c[n].
 
     The logarithmic derivative gives  n f(n) = sum_{k=1..n} s(k) f(n-k)  with
-    s(k) = -sum_{d | k} d c(d).  Every step is integer arithmetic and no
+    s = _log_derivative(c).  Every step is integer arithmetic and no
     series is multiplied or inverted; c[0] is ignored.  `known` is a prefix of
     the answer from an earlier call; the recurrence continues after it.
 
@@ -414,12 +458,7 @@ def euler_transform(c, known=()) -> list:
     f = list(known[:order]) or [1]
     if len(f) == order:
         return f
-    s = [0] * order
-    for n in range(1, order):
-        if c[n]:
-            v = n * c[n]
-            for k in range(n, order, n):
-                s[k] -= v
+    s = _log_derivative(c)
     # acc[n] collects s(n-j) f(j) over every j already folded in: s(n) if fresh
     acc = [0] * order
     acc[len(f):] = s[1:] if f == [1] else _pack_mul(f, s[1:order], len(f) - 1, order - 1)
@@ -442,6 +481,41 @@ def euler_transform(c, known=()) -> list:
 
     solve(len(f), order)
     return f
+
+
+def certify_product(f, c):
+    """The least n at which f breaks the Euler-transform identity of
+    prod_{n>0} (1 - q^n)^c[n], or None when f is that product below
+    q^len(f) = q^len(c).
+
+    f is the product exactly when f(0) = 1 and n f(n) = sum_{k=1..n} s(k)
+    f(n-k) for 0 < n < T, s = _log_derivative(c): that recurrence fixes each
+    f(n) from the ones before it.  The sums are the window [0, T-1) of
+    f[0:T-1] s[1:T], taken as two products split at h = T // 2: f[0:h]
+    s[1:T] gives every n's part from f(0..h-1), and f[h:T-1] s[1:T-h] adds
+    f(h..T-2)'s part for n > h.  The larger is euler_transform's own
+    top-level product; n <= h is checked, and its sums dropped, before the
+    other is made.
+    """
+    T = len(f)
+    if f[0] != 1:
+        return 0
+    if T == 1:
+        return None
+    s = _log_derivative(c)
+    h = T // 2
+    sums = _pack_mul(f[:h], s[1:T], 0, T - 1)
+    bad = _first_break(f, sums[:h], 1)
+    if bad is not None or h == T - 1:
+        return bad
+    del sums[:h]
+    sums = list(map(add, sums, _pack_mul(f[h:T - 1], s[1:T - h], 0, T - 1 - h)))
+    return _first_break(f, sums, h + 1)
+
+
+def _first_break(f, sums, n0):
+    """The least n >= n0 with n f(n) != sums[n - n0], or None."""
+    return next((n for n, x in enumerate(sums, n0) if x != n * f[n]), None)
 
 
 def _product_expansion(r, rg, order):

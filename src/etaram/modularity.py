@@ -10,9 +10,10 @@ find_prefactor solves the exponent conditions for a sparse integral phi.
 
 The conditions' coefficient rows, and with them the lattice the passers'
 coset runs over, depend on the level alone: each level holds them once, in
-integers, in an lru_cache (_level_criterion for the rows, _prefactor_lattice
-for the system's Hermite form and the lattice's reachability tables), and a
-progression computes only its constants.  The tables (lattice.CosetTables)
+integers (_level_criterion, an lru_cache, for the rows; _prefactor_lattice,
+built once per level under that level's lock, for the system's Hermite
+form and the lattice's reachability tables), and a progression computes
+only its constants.  The tables (lattice.CosetTables)
 grow on demand to the largest radius a progression at the level has
 needed, about nv (R+1)^2 |F| bits for nv exponents and the finite part F
 of the lattice's quotient, and every later progression reads them as they
@@ -24,9 +25,10 @@ an integer divisible by the stated modulus.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 
 from .eta import GenEtaQuotient, PartitionSpec, b2_numerator, divisors
@@ -250,12 +252,33 @@ def _passes(criterion, phi: GenEtaQuotient) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+def _once_per_level(build):
+    """A cache over the level, cleared like an lru_cache, that builds each
+    level once: threads that miss a level together wait on that level's
+    lock for one build."""
+    held, locks = {}, {}
+
+    @wraps(build)
+    def cached(N):
+        value = held.get(N)
+        if value is None:
+            with locks.setdefault(N, threading.Lock()):
+                value = held.get(N)
+                if value is None:
+                    value = held[N] = build(N)
+        return value
+
+    cached.cache_clear = held.clear
+    return cached
+
+
+@_once_per_level
 def _prefactor_lattice(N: int):
     """The level-N criterion as one system A x = b, with one slack column per
     congruence row (form + const + modulus * s = 0), its hnf_column, and the
     CosetTables of the projection of its kernel to the phi exponents: the
-    passers of every progression at level N form a coset of that lattice."""
+    passers of every progression at level N form a coset of that lattice.
+    Each level makes one set, which every thread reads."""
     _, _, rows, _ = _level_criterion(N)
     nslack = len(rows) - 1      # every row but the equality is a congruence
     A = [rows[0][0] + (0,) * nslack]

@@ -403,3 +403,20 @@ def test_cusps_equivalent_matches_the_search_over_j():
             for s2 in cands:
                 assert cusps_equivalent(N, s1, s2) == _equivalent_by_search(N, s1, s2), \
                     (N, s1, s2)
+
+
+def test_cusp_class_lookup_equals_the_scan():
+    # seeded cusps a/c, c up to 3N and a of either sign, plus infinity,
+    # against the scan of cusp_set(N) by cusps_equivalent and by the search
+    rng = random.Random(95)
+    for N in list(range(1, 61)) + [144]:
+        cusps = [INFINITY, Cusp(0, 1)]
+        while len(cusps) < 40:
+            a, c = rng.randint(-5 * N, 5 * N), rng.randint(1, 3 * N)
+            if gcd(a, c) == 1:
+                cusps.append(Cusp(a, c))
+        for cusp in cusps:
+            scanned = [data for data in cusp_set(N) if cusps_equivalent(N, data.cusp, cusp)]
+            assert scanned == [data for data in cusp_set(N)
+                               if _equivalent_by_search(N, data.cusp, cusp)]
+            assert [find_cusp_class(N, cusp)] == scanned, (N, cusp)

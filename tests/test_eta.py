@@ -1,6 +1,7 @@
 import decimal
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -9,8 +10,8 @@ import etaram.eta
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _exponents, _pack_mul, _product_expansion, bernoulli_p2, euler_transform,
-    progressions, reference_product,
+    _exponents, _pack_mul, _product_expansion, _spec_progressions, bernoulli_p2,
+    certify_product, euler_transform, progressions, reference_product,
 )
 from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
 
@@ -423,7 +424,7 @@ def test_power_recurrence_keeps_its_exactness_check(monkeypatch):
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     calls = []
-    for name in ("_product_expansion", "euler_transform"):
+    for name in ("_product_expansion", "euler_transform", "certify_product"):
         original = getattr(etaram.eta, name)
         monkeypatch.setattr(etaram.eta, name, lambda *a, _f=original, _n=name, **k:
                             calls.append(_n) or _f(*a, **k))
@@ -431,7 +432,8 @@ def test_residues_of_one_modulus_share_one_product(monkeypatch):
         fast = OVERPARTITION.slice_expansion(5, t, 20)
         reference = OVERPARTITION.slice_expansion(5, t, 20, reference=True)
         assert fast == reference and fast.bound() - fast.leading()[0] >= 20
-    assert sorted(calls) == ["_product_expansion", "euler_transform"]
+    # one expansion per route: the reference route certifies the fast one
+    assert sorted(calls) == ["_product_expansion", "certify_product"]
 
 
 def test_quotient_expansions_read_the_product_cache(monkeypatch):
@@ -458,7 +460,7 @@ def test_quotient_expansions_read_the_product_cache(monkeypatch):
     assert spec.product_expansion_reference(50) == held[True].shift(-lead).truncated(50)
 
 
-def test_reference_route_never_touches_the_fast_route(monkeypatch):
+def test_reference_route_never_trusts_the_fast_route(monkeypatch):
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
@@ -467,7 +469,8 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
     # every reference-route product goes through its own libmpdec packer
     taken = spy_decimal_packer(monkeypatch)
     monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
-    # spoil every fast-route value held: the reference route must not see it
+    transforms = spy_transform_lengths(monkeypatch)
+    # spoil every fast-route value held: the reference route must not adopt it
     cache = etaram.eta._PRODUCT_CACHE
     for key in [k for k in cache if k[-1] == "fast"]:
         cache[key] = QSeries.zero(cache[key].trunc)
@@ -488,6 +491,96 @@ def test_reference_route_never_touches_the_fast_route(monkeypatch):
         fast.sift(9, 3).shift(spec.slice_prefactor(9, 3)))
     assert quot.expansion(60, reference=True) == fast_quot
     assert taken
+    # each product ran the transform: the spec's 200 terms (the slice reads
+    # 189 of them) and the quotient's 60
+    assert transforms == [200, 60]
+
+
+def spy_transform_lengths(monkeypatch):
+    """The length of every euler_transform run, in order."""
+    lengths = []
+    real = etaram.eta.euler_transform
+    monkeypatch.setattr(etaram.eta, "euler_transform",
+                        lambda c, known=(): lengths.append(len(c)) or real(c, known))
+    return lengths
+
+
+def _random_spec(rng):
+    """A PartitionSpec with M in 1..12, one to three r keys and up to two rg
+    keys, exponents in [-3, 3], every key scaled by a stride in 1..3."""
+    g = rng.randint(1, 3)
+    M = g * rng.randint(1, 4)
+    ds = [d for d in range(g, M + 1, g) if M % d == 0]
+    r = {rng.choice(ds): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+    rg = {}
+    for _ in range(rng.randint(0, 2)):
+        d = rng.choice(ds)
+        if d // g > 1:
+            rg[d, g * rng.randint(1, d // g - 1)] = rng.randint(-3, 3)
+    return PartitionSpec(M, r, rg)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_true_product_certifies(seed):
+    rng = random.Random(seed)
+    g = rng.randint(1, 4)
+    key = _random_key(rng)
+    keys = [key, tuple(((start * g, step * g), e) for (start, step), e in key),
+            _spec_progressions(_random_spec(rng).r, _random_spec(rng).rg)]
+    for key in keys:
+        for order in (1, 2, 3, 64, 65, rng.randint(100, 900)):
+            c = _exponents(key, order)
+            assert certify_product(euler_transform(c), c) is None
+
+
+def test_one_changed_coefficient_fails_at_its_own_index():
+    key = _spec_progressions({1: -3, 2: 1, 5: 1, 10: -1}, {(5, 2): 1})
+    c = _exponents(key, 300)
+    f = euler_transform(c)
+    for j in range(300):
+        for delta in (1, -1, 10 ** 40):
+            spoiled = list(f)
+            spoiled[j] += delta
+            assert certify_product(spoiled, c) == j
+    # with two changed, the first fails
+    spoiled = list(f)
+    spoiled[250] += 1
+    spoiled[97] -= 3
+    assert certify_product(spoiled, c) == 97
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, seed):
+    rng = random.Random(seed)
+    spec = _random_spec(rng)
+    order = rng.randint(2, 600)
+    key = _spec_progressions(spec.r, spec.rg)
+    expected = euler_transform(_exponents(key, order))
+    # the true fast product is adopted: no transform runs
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    transforms = spy_transform_lengths(monkeypatch)
+    fast = spec.product_expansion(order)
+    assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
+    assert transforms == []
+    # a spoiled one never is: the transform runs and gives the true product.
+    # A key in q^g reads every g-th coefficient, up to g (ceil(order/g) - 1)
+    g = gcd(*(x for progression, _ in key for x in progression)) or 1
+    last = g * (-(-order // g) - 1)
+    n = g * rng.randint(0, last // g)
+    for spoiled in (fast + QSeries.monomial(n, rng.choice([-2, -1, 1, 2]), order),
+                    fast.scale(Fraction(1, 2)), fast.truncated(last)):
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        spec.product_expansion(order)
+        etaram.eta._PRODUCT_CACHE[spec_key(spec)] = spoiled
+        transforms.clear()
+        reference = spec.product_expansion_reference(order)
+        assert reference.coefficients_range(0, order) == expected
+        assert len(transforms) == 1
+
+
+def spec_key(spec):
+    """The fast route's product-cache key for a spec."""
+    return tuple(spec.r.items()), tuple(spec.rg.items()), "fast"
 
 
 def _random_key(rng):

@@ -435,16 +435,65 @@ def test_independent_check_rejects_a_perturbed_identity():
         _independent_check(bad, bad.certified_to)
 
 
-def test_reference_check_never_touches_the_fast_route(monkeypatch):
+def test_reference_check_never_trusts_the_fast_route(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
     fast = ident.rhs_series(60)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference check used a fast-route expansion")
 
+    # every fast-route product held is spoiled in its constant term, and
+    # every reference-route product and series is forgotten
+    held = etaram.eta._PRODUCT_CACHE
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {
+        key: series + QSeries.one(series.trunc)
+        for key, series in held.items() if key[-1] == "fast"})
+    ident = dataclasses.replace(ident, basis=dataclasses.replace(
+        ident.basis, _stores=((0, {}), (0, {}))))
+    verdicts, transforms = [], []
+    certify, transform = etaram.eta.certify_product, etaram.eta.euler_transform
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        lambda f, c: verdicts.append(certify(f, c)) or verdicts[-1])
+    monkeypatch.setattr(etaram.eta, "euler_transform",
+                        lambda c, known=(): transforms.append(len(c)) or transform(c, known))
     monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
     assert ident.rhs_series(60, reference=True) == fast
     _independent_check(ident, ident.certified_to)
+    # every spoiled product the check read failed at q^0, and the transform
+    # expanded each
+    assert verdicts and set(verdicts) == {0}
+    assert len(transforms) == len(verdicts)
+
+
+def _derive_with_fast_product(monkeypatch, spec, m, t, n, certify=True):
+    """derive_identity(spec, m, t) to order 100 with one coefficient, at q^n,
+    of the spec's fast-route product changed by one, and every other product
+    forgotten; with certify=False the reference route never adopts a fast
+    product, as before it could."""
+    options = DeriveOptions(order=100)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    derive_identity(spec, m, t, options)
+    key = tuple(spec.r.items()), tuple(spec.rg.items()), "fast"
+    fast = etaram.eta._PRODUCT_CACHE[key]
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {
+        key: fast + QSeries.monomial(n, 1, fast.trunc)})
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        etaram.eta.certify_product if certify else lambda f, c: 0)
+    return derive_identity(spec, m, t, options).to_json()
+
+
+@pytest.mark.parametrize("n", [0, 1, 38, 204])
+def test_a_fast_product_spoiled_off_the_slice_changes_no_document(monkeypatch, n):
+    clean = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100)).to_json()
+    assert clean["status"] == "Derived"
+    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == clean
+
+
+@pytest.mark.parametrize("n", [2, 52, 207])
+def test_a_fast_product_spoiled_on_the_slice_fails_as_before(monkeypatch, n):
+    doc = _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n)
+    assert doc["status"].startswith("Failed(reduction: coefficient")
+    assert doc == _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n, certify=False)
 
 
 @pytest.fixture(scope="module")

@@ -594,15 +594,53 @@ def test_concurrent_searches_grow_each_radius_once(monkeypatch):
                 th.join(timeout=120)
             assert not any(th.is_alive() for th in threads)
             assert results == [[phi] * 10 for phi in serial]
-            # threads that miss the cache together may each build and search
-            # their own tables; every set grows one radius at a time, each
-            # once, and the weight-4 search grows one to radius 4
+            # threads that miss the cache together share the level's one set
+            # of tables; it grows one radius at a time, each once, and the
+            # weight-4 search grows it to radius 4
             for tables in {id(t): t for t, _ in grown}.values():
                 radii = [r for t, r in grown if t is tables]
                 assert radii == list(range(1, len(radii) + 1))
             assert max(r for _, r in grown) == 4
     finally:
         sys.setswitchinterval(old)
+
+
+def test_threads_that_miss_a_level_together_build_it_once(monkeypatch):
+    # four threads ask for the fresh level-30 lattice at once, while its one
+    # construction is held open; the other three wait for it and read it
+    built = []
+    real = modularity.CosetTables
+
+    def spy(*args):
+        built.append(threading.get_ident())
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(modularity, "CosetTables", spy)
+    modularity._prefactor_lattice.cache_clear()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = modularity._prefactor_lattice(30)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(built) == 1
+    assert all(result is results[0] for result in results)
+    assert find_prefactor(PARTITION, 5, 4, 30) == find_prefactor(PARTITION, 5, 4, 30)
+    assert len(built) == 1
+    modularity._prefactor_lattice.cache_clear()
 
 
 @pytest.mark.slow
