@@ -8,33 +8,32 @@ a finite product of Pochhammer factors
 
 and a GenEtaQuotient is a finite product of eta(d*tau)**a[d] and generalized
 factors eta_{d,g}(tau)**ag[d, g] at some level N.  Both expand to exact
-QSeries values by one of two independent routes.  The fast route writes the
-product as powers of pentagonal and triple-product theta series, each
-1 + O(q) with a few terms, and multiplies them out in integers by sparse
-passes and Miller's power recurrence (series.product_of_powers); no series is
-inverted.  The reference route runs the integer Euler-transform recurrence
-of the plain product (euler_transform, which the expression language in
-exprs.py uses for its products too).  The test suite cross-checks the two.
-When the fast route already holds a product the reference route is asked
-for, the reference route checks those coefficients against the same
-recurrence instead (certify_product: two products through its own packer,
-about the cost of the transform's top level) and keeps them only if every
-one passes; otherwise it runs the transform.
+QSeries values through one product cache, which holds each product once, as
+the integer coefficient list of the plain product prod (1 - q^n)^c[n].  Two
+independent routes compute it.  The fast route writes the product as powers
+of pentagonal and triple-product theta series, each 1 + O(q) with a few
+terms, and multiplies them out in integers by sparse passes and Miller's
+power recurrence (series.product_of_powers); no series is inverted.  The
+reference route runs the integer Euler-transform recurrence of the plain
+product (euler_transform, which the expression language in exprs.py reads
+through reference_product too).  The fast route's list is stored only after
+certify_product has proved every coefficient against the same recurrence
+(two products through the reference route's own packer, about the cost of
+the transform's top level); a list that fails is never stored, and the
+transform runs instead.  So every entry is proved, whichever route made it.
 
-Products are cached per route, for partition functions, the canonical
-exponents of quotients and the expression language's monomials alike: the
-fast route keys a product by (r, rg), the reference route by the
-progressions of n its exponents run over (progressions), so a spec and an
-expression with the same product read one entry.  A reference key whose
-starts and steps share a factor g > 1 names a series in q^g: it is held
-reduced, every progression divided by g, so the product in q and its q^g
-form read one entry and count once, and a q^g read spreads that entry's
-coefficients to every g-th index.  The cache holds the longest expansion
-asked for, answers shorter requests by truncation, and (on the reference
-route) extends the coefficient list from where it stopped; past
-_REFERENCE_TERMS reference coefficients, the entries read least recently
-go.  One lock guards that cache, so derivations and verifications on
-several threads share it.
+An entry is keyed by the progressions of n its exponents run over
+(progressions), so a spec, a quotient and an expression with the same
+product read one entry.  The key is held in lowest terms: when its starts
+and steps share a factor g > 1 it names a series in q^g, every progression
+is divided by g, the fast route expands (r, rg) with every d and g divided
+by g, and a read spreads the entry's coefficients to every g-th index.  An
+entry holds the longest expansion asked for; a shorter request is a prefix,
+and a longer one expands the product again on the fast route (or extends
+the held list by the transform, on a reference read or a failed
+certificate).  Past _PRODUCT_TERMS coefficients in all, the entries read
+least recently go.  One lock guards the cache, so derivations and
+verifications on several threads share it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from decimal import (
 )
 from fractions import Fraction
 from math import gcd
-from operator import add, attrgetter, mul
+from operator import add, mul
 
 from .series import QSeries, euler_product, product_of_powers, theta_pair
 
@@ -170,53 +169,42 @@ class PartitionSpec:
 
     def product_expansion(self, order: int) -> QSeries:
         """Coefficients a(0..order-1) of the defining product, exact."""
-        return _cached_product(self.r, self.rg, order, fast=True)
+        return _cached_product(self.r, self.rg, order)
 
     def product_expansion_reference(self, order: int) -> QSeries:
-        """Same expansion through the integer Euler transform only."""
-        return _cached_product(self.r, self.rg, order, fast=False)
+        """The same coefficients, read by reference_product: the cache's
+        entry, made or extended by the integer Euler transform alone."""
+        return QSeries.from_ints(reference_product(_spec_progressions(self.r, self.rg), order))
 
-    def slice_expansion(self, m: int, t: int, terms: int, reference=False) -> QSeries:
+    def slice_expansion(self, m: int, t: int, terms: int) -> QSeries:
         """q**((t-l)/m) * sum_n a(m n + t) q^n with at least `terms` coefficients."""
         if not 0 <= t < m:
             raise ValueError("need 0 <= t < m")
         # whole blocks of m, so every residue of one modulus reads one product
-        full = (self.product_expansion_reference if reference
-                else self.product_expansion)(m * (terms + 1))
-        sliced = full.sift(m, t)
+        sliced = self.product_expansion(m * (terms + 1)).sift(m, t)
         return sliced.shift(self.slice_prefactor(m, t))
 
 
-_PRODUCT_CACHE = {}    # (r items, rg items, "fast") or progressions + ("reference",)
+_PRODUCT_CACHE = {}    # progressions tuple in lowest terms -> certified integer list
 _PRODUCT_LOCK = threading.Lock()
 
 
-def _cached_product(r, rg, order, fast):
-    """The product of (r, rg) to q**order through the product cache.
-
-    The fast route holds a QSeries and recomputes it when a longer one is
-    asked for; the reference route reads reference_product.  The two routes
-    are keyed apart.  The reference route may adopt the fast entry of the
-    same product, but only once certify_product has proved every
-    coefficient against the Euler-transform identity; otherwise it runs the
-    transform.
-    """
+def _cached_product(r, rg, order) -> QSeries:
+    """The product of (r, rg) to q**order through the product cache; on a
+    miss the fast route expands it, in q^g for a key in q^g (_product)."""
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
-    key = (tuple(sorted(r.items())), tuple(sorted(rg.items())), "fast")
-    if not fast:
-        return QSeries.from_ints(reference_product(_spec_progressions(r, rg), order, key))
-    with _PRODUCT_LOCK:
-        held = _PRODUCT_CACHE.get(key)
-    if held is None or held.trunc < order:
-        held = _publish(_PRODUCT_CACHE, key, _product_expansion(r, rg, order),
-                        attrgetter("trunc"))
-    return held if held.trunc == order else held.truncated(order)
+
+    def fast(g, n):
+        return _product_expansion({d // g: e for d, e in r.items()},
+                                  {(d // g, h // g): e for (d, h), e in rg.items()}, n)
+
+    return QSeries.from_ints(_product(_spec_progressions(r, rg), order, fast))
 
 
 def progressions(factors) -> tuple:
-    """The reference route's key for prod (1 - q^n)^e over factors.
+    """The product cache's key for prod (1 - q^n)^e over factors.
 
     Each factor is ((start, step), e), raising (1 - q^n) to e for n = start,
     start + step, ...; the key sorts them, merges equal progressions and
@@ -235,80 +223,55 @@ def _spec_progressions(r, rg) -> tuple:
                         + [((start, d), e) for (d, g), e in rg.items() for start in (g, d - g)])
 
 
-def reference_product(key, order, fast_key=None, spread=1) -> list:
-    """Integer coefficients f(0..order-1) of the product `key` names.
+def reference_product(key, order) -> list:
+    """Integer coefficients f(0..order-1) of the product `key` names, a
+    progressions tuple: the cache's entry, made or extended by
+    euler_transform alone on a miss."""
+    return _product(key, order)
 
-    `key` is a progressions tuple.  When every start and step shares a
-    factor g > 1, the product is a series in q^g: the key is read with each
-    progression divided by g, to ceil(order/g) coefficients, and its
-    coefficient j is spread to index g j with zeros between.  The cache
-    holds only such reduced keys, so a product and its q^g form read one
-    entry.  It holds the longest list made for a key: a shorter request is
-    a prefix.  A longer one is the fast route's entry `fast_key` of the
-    same product (in q, so read at every `spread`-th index), when that
-    entry is known far enough and certify_product passes it; else
-    euler_transform extends the held list.  A read moves the entry last,
-    for _bound_reference.
+
+def _product(key, order, fast=None) -> list:
+    """f(0..order-1) of the product `key` names, through the product cache.
+
+    g is the gcd of every start and step in the key (1 for the empty key).
+    The entry is held under the key with every progression divided by g,
+    a product in q whose coefficient j is f(g j): it is read to
+    ceil(order/g) coefficients and spread to every g-th index.  A shorter
+    list than that is a miss.  On a miss fast(g, n), when given, expands
+    those n coefficients on the fast route, and they are stored only if
+    certify_product proves them; otherwise euler_transform extends the held
+    list.  A read moves the entry last, for _publish's bound.
     """
-    stride = 0
+    g = 0
     for (start, step), _ in key:     # sorted: one gcd when the first start is 1
-        stride = gcd(stride, start, step)
-        if stride == 1:
+        g = gcd(g, start, step)
+        if g == 1:
             break
-    if stride > 1:
-        key = tuple(((start // stride, step // stride), e) for (start, step), e in key)
-        out = [0] * order
-        out[::stride] = reference_product(key, -(-order // stride), fast_key, stride)
-        return out
-    cache_key = key + ("reference",)
+    if g > 1:
+        key = tuple(((start // g, step // g), e) for (start, step), e in key)
+    else:
+        g = 1
+    n = -(-order // g)
     with _PRODUCT_LOCK:
-        held = _PRODUCT_CACHE.pop(cache_key, None)
+        held = _PRODUCT_CACHE.pop(key, None)
         if held is not None:
-            _PRODUCT_CACHE[cache_key] = held
-        missing = held is None or len(held) < order
-        fast = _PRODUCT_CACHE.get(fast_key) if missing else None
-    if missing:
-        c = _exponents(key, order)
-        f = None if fast is None else _fast_coefficients(fast, order, spread)
+            _PRODUCT_CACHE[key] = held
+    if held is None or len(held) < n:
+        c = _exponents(key, n)
+        f = None if fast is None else fast(g, n)
         if f is None or certify_product(f, c) is not None:
             f = euler_transform(c, held or ())
-        held = _publish(_PRODUCT_CACHE, cache_key, f, len)
-        _bound_reference(cache_key, len(held))
-    return held[:order]
-
-
-def _fast_coefficients(series, order, spread) -> list:
-    """The coefficients of q^(spread j), j < order, of a fast-route product,
-    or None unless it is an integer series in q^spread, 1 + O(q), known that
-    far.  The list shares the series' ints."""
-    step = series.stride or spread
-    if (series.denom != 1 or series.den != 1 or series.val or step % spread
-            or series.trunc <= spread * (order - 1)):
-        return None
-    k = step // spread
-    held = min(len(series.num), -(-order // k))
+        held = _publish(key, f)
+    if g == 1:
+        return held[:order]
     out = [0] * order
-    out[:held * k:k] = series.num[:held]
+    out[::g] = held[:n]
     return out
 
 
-# coefficients the reference entries may hold: 5x the test suite's peak, ~98,000
-_REFERENCE_TERMS = 1 << 19
-_reference_held = 0     # an upper bound on what they hold, exact after a count
-
-
-def _bound_reference(kept, added):
-    """Count `added` more coefficients; past _REFERENCE_TERMS, count exactly
-    and drop the entries read least recently but `kept` until within it."""
-    global _reference_held
-    with _PRODUCT_LOCK:
-        _reference_held += added
-        if _reference_held > _REFERENCE_TERMS:
-            keys = [k for k in _PRODUCT_CACHE if k[-1] == "reference"]
-            _reference_held = sum(len(_PRODUCT_CACHE[k]) for k in keys)
-            for k in keys:
-                if _reference_held > _REFERENCE_TERMS and k != kept:
-                    _reference_held -= len(_PRODUCT_CACHE.pop(k))
+# coefficients the cache may hold in all: 5x the test suite's peak, ~104,000
+_PRODUCT_TERMS = 1 << 19
+_held_terms = 0     # an upper bound on what it holds, exact after a count
 
 
 def _exponents(key, order) -> list:
@@ -320,14 +283,23 @@ def _exponents(key, order) -> list:
     return c
 
 
-def _publish(cache, key, value, size):
-    """Store value unless another thread already stored a longer one."""
+def _publish(key, f) -> list:
+    """Store f under key unless another thread already stored a longer list,
+    and count it; past _PRODUCT_TERMS, count exactly and drop the entries
+    read least recently but key's until within it."""
+    global _held_terms
     with _PRODUCT_LOCK:
-        held = cache.get(key)
-        if held is None or size(held) < size(value):
-            cache[key] = value
-            return value
-        return held
+        held = _PRODUCT_CACHE.get(key)
+        if held is not None and len(held) >= len(f):
+            return held
+        _PRODUCT_CACHE[key] = f
+        _held_terms += len(f)
+        if _held_terms > _PRODUCT_TERMS:
+            _held_terms = sum(map(len, _PRODUCT_CACHE.values()))
+            for k in list(_PRODUCT_CACHE):
+                if _held_terms > _PRODUCT_TERMS and k != key:
+                    _held_terms -= len(_PRODUCT_CACHE.pop(k))
+        return f
 
 
 # libmpdec multiplies by a number-theoretic transform, and _decimal_pack_mul
@@ -421,14 +393,6 @@ def _decimal_pack_mul(a, b, n, w, lo, hi) -> list:
 _EULER_BLOCK = 64   # blocks this short sum their convolution directly
 
 
-def _euler_transform(r, rg, order, known=()) -> list:
-    """Integer coefficients f(0..order-1) of the product, by euler_transform.
-
-    `known` is a prefix of the answer from an earlier call.
-    """
-    return euler_transform(_exponents(_spec_progressions(r, rg), order), known)
-
-
 def _log_derivative(c) -> list:
     """s(k) = -sum_{d | k} d c(d) for k < len(c), s(0) = 0: the logarithmic
     derivative q f'/f of prod_{n>0} (1 - q^n)^c[n] (c[0] is ignored)."""
@@ -518,8 +482,9 @@ def _first_break(f, sums, n0):
     return next((n for n, x in enumerate(sums, n0) if x != n * f[n]), None)
 
 
-def _product_expansion(r, rg, order):
-    """The product to q**order from sparse theta series only.
+def _product_expansion(r, rg, order) -> list:
+    """The product's integer coefficients below q**order from sparse theta
+    series only.
 
     (q^g, q^(d-g); q^d) = theta_pair(g, d) / (q^d; q^d), so the product is
     prod euler_product(d)**a[d] * prod theta_pair(g, d)**rg[d, g] with
@@ -623,19 +588,16 @@ class GenEtaQuotient:
             self._lead = lead_exponent(self.a, self.ag, self.N)
         return self._lead
 
-    def expansion(self, terms: int, reference=False) -> QSeries:
-        """Expansion with at least `terms` known coefficients past the lead.
-
-        The product is read through the cache the partition-function
-        products share (_cached_product), on the route asked for.
-        """
-        core = _cached_product(self.a, self.ag, terms, fast=not reference)
-        return core.shift(self.lead_exponent())
+    def expansion(self, terms: int) -> QSeries:
+        """Expansion with at least `terms` known coefficients past the lead,
+        its product read through the cache the partition-function products
+        share (_cached_product)."""
+        return _cached_product(self.a, self.ag, terms).shift(self.lead_exponent())
 
     def product_coefficients(self, terms: int) -> list:
         """Integer coefficients f(0..terms-1) of the product before its
-        q**lead_exponent() shift, from reference_product: the integer Euler
-        transform through the shared cache, no QSeries built."""
+        q**lead_exponent() shift, from reference_product: the shared cache's
+        entry, or the integer Euler transform, no QSeries built."""
         return reference_product(_spec_progressions(self.a, self.ag), terms)
 
     # -- serialization ----------------------------------------------------------------

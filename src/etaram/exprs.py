@@ -21,10 +21,11 @@ The parser folds monomials as it reads them: every product, quotient, power
 or negation of integers, q^s and P atoms is one node
 ("mono", c, s, {(g, d): e}) for c q^s prod P(g, d)^e, a quotient arriving as
 a product with a power -1.  A sum is one flat node ("sum", [(sign, term),
-...]).  Evaluation is exact.  A monomial's product is read from the
-derivation's reference route (eta.reference_product): one integer Euler
-transform, held in the process-wide product cache under the product's
-exponent progressions, and sharing no code with the theta-series fast route.
+...]).  Evaluation is exact.  A monomial's product is read by
+eta.reference_product from the process-wide product cache, under the
+product's exponent progressions, where every entry is proved; on a miss it
+is one integer Euler transform, sharing no code with the theta-series fast
+route.
 Sums, slices and the remaining products and powers combine those expansions
 as series, each factor deepened by the poles of the others so that every
 result is known to the requested order.  Input nested past Python's
@@ -197,7 +198,7 @@ def parse(text: str):
 
 
 def _expand_monomial(c, s, exps, order) -> QSeries:
-    """c q^s prod P(g, d)^e to q^order through the reference-route product cache.
+    """c q^s prod P(g, d)^e to q^order through the product cache (reference_product).
 
     P(g, d), its g read modulo d by the parser, contributes e to the
     exponent of (1 - q^n) for every n = g (mod d) from n = g (n = d when

@@ -148,8 +148,8 @@ class Generator:
     scaled_vector: tuple  # solution vector of the pole_free_system
     head: tuple = ()      # leading expansion coefficients, the canonical sort key
 
-    def expansion(self, terms, reference=False):
-        return self.quotient.expansion(terms, reference=reference)
+    def expansion(self, terms):
+        return self.quotient.expansion(terms)
 
 
 @functools.lru_cache(maxsize=None)

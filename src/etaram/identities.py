@@ -2,9 +2,11 @@
 
 derive_identity runs the whole chain: admissible level, modular prefactor,
 generator monoid, module basis, pole-clearing multiplier, reduction, and a
-final independent re-expansion of both sides.  dissect applies it to every
-residue class of a modulus, and verify_identity checks quoted q-series
-identities written in the small expression language.
+final independent check that multiplies both sides out again and compares
+them to the certified order.  Every series either side reads comes from
+products certify_product proved as they entered the product cache (eta.py).
+dissect applies it to every residue class of a modulus, and verify_identity
+checks quoted q-series identities written in the small expression language.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .cusps import INFINITY, cusp_order_bounds, cusp_set
 from .eta import GenEtaQuotient, PartitionSpec
 from .generators import generators
 from .lattice import DioSystem, hilbert_basis
-from .modularity import NoPhiFound, check_level, find_level, find_prefactor
+from .modularity import check_level, find_level, find_prefactor
 from .reduction import (
-    ModuleBasis, NotMember, VerificationFailure, _combination, _z_polynomial,
+    ModuleBasis, VerificationFailure, _combination, _z_polynomial,
     express, module_basis,
 )
 from .series import QSeries
@@ -118,20 +120,20 @@ class Identity:
     def prefactor(self) -> GenEtaQuotient:
         return self.phi * self.h
 
-    def lhs_series(self, terms: int, reference=False) -> QSeries:
-        return lhs_series(self.spec, self.m, self.t, self.prefactor(), terms, reference)
+    def lhs_series(self, terms: int) -> QSeries:
+        return lhs_series(self.spec, self.m, self.t, self.prefactor(), terms)
 
-    def rhs_series(self, terms: int, reference=False) -> QSeries:
+    def rhs_series(self, terms: int) -> QSeries:
         """The certified right-hand side sum p_i(z) e_i, known to at least `terms`.
 
-        Only the generators it uses are expanded, once each on the asked
-        route and far enough for the largest total pole of any monomial.
+        Only the generators it uses are expanded, once each and far enough
+        for the largest total pole of any monomial.
         Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial):
         for degree d, b = ceil(sqrt(d + 1)) powers of z and
         ceil((d + 1) / b) - 1 Horner steps, 15 full-length products where
         the power-by-power sum makes 57 at d = 57.  The powers and the
-        elements' monomials come from the basis's store for the route, so
-        derivations at one level build them once.
+        elements' monomials come from the basis's store, which reduction
+        reads too, so derivations at one level build them once.
         """
         gens = self.basis.gens
         polys = {}                   # element index -> {monomial z^j: coefficient}
@@ -146,11 +148,8 @@ class Identity:
 
         length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
                                   for poly, element in pairs), default=0)
-        self.basis.ensure_terms(length, reference)
-
-        def monomial(mono):
-            return self.basis.monomial_series(mono, reference)
-
+        self.basis.ensure_terms(length)
+        monomial = self.basis.monomial_series
         total = QSeries.zero(terms)
         for poly, element in pairs:
             total = total + (_z_polynomial(poly, monomial, length)
@@ -283,14 +282,13 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         stage = "verification"
         _independent_check(identity, target)
         return identity
-    except (NoPhiFound, NoHFound, NotMember, VerificationFailure,
-            RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         return Identity(spec=spec, m=m, t=t, status="Failed", N=level,
                         failure="%s: %s" % (stage, exc))
 
 
 def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
-               terms: int, reference=False) -> QSeries:
+               terms: int) -> QSeries:
     """quot * q**((t-l)/m) * sum a(m n + t) q^n, known to at least terms + 8.
 
     Each factor is known at least span terms past its own lead, so the
@@ -299,8 +297,7 @@ def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
     """
     span = terms + int(ceil(-min(0, quot.lead_exponent()
                                  + spec.slice_prefactor(m, t)))) + 8
-    return (quot.expansion(span, reference=reference)
-            * spec.slice_expansion(m, t, span, reference=reference))
+    return quot.expansion(span) * spec.slice_expansion(m, t, span)
 
 
 def _reduce_with_retry(spec, m, t, quot, mb, target):
@@ -312,8 +309,8 @@ def _reduce_with_retry(spec, m, t, quot, mb, target):
 
 
 def _independent_check(identity: Identity, order: int):
-    lhs = identity.lhs_series(order, reference=True)
-    rhs = identity.rhs_series(order, reference=True)
+    lhs = identity.lhs_series(order)
+    rhs = identity.rhs_series(order)
     diff = (lhs - rhs).truncated(order)
     if not diff.is_known_zero():
         raise VerificationFailure(

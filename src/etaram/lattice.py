@@ -133,21 +133,10 @@ def solve_diophantine(A, b, hnf=None):
     hnf, when given, must be hnf_column(A): one factorization then serves
     every right-hand side.  Use kernel_basis for the homogeneous part.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
     H, U, pivots = hnf_column(A) if hnf is None else hnf
-    y = [0] * n
-    residual = list(b)
-    for col, row in enumerate(pivots):
-        if residual[row] % H[row][col]:
-            return None
-        q = residual[row] // H[row][col]
-        y[col] = q
-        for i in range(m):
-            residual[i] -= q * H[i][col]
-    if any(residual):
-        return None
-    return _matvec(U, y)
+    y = _hnf_coordinates(b, [[row[j] for row in H] for j in range(len(pivots))], pivots)
+    # x = U y, y zero past the rank
+    return None if y is None else _matvec(U, y)
 
 
 def lattice_hnf(vectors, dim):
@@ -158,15 +147,6 @@ def lattice_hnf(vectors, dim):
     H, _, pivots = hnf_column(A)
     rank = len(pivots)
     return [[H[i][j] for i in range(dim)] for j in range(rank)]
-
-
-def in_lattice(v, basis):
-    """Membership of v in the lattice spanned by basis vectors."""
-    if not basis:
-        return not any(v)
-    dim = len(v)
-    A = [[b[i] for b in basis] for i in range(dim)]
-    return solve_diophantine(A, list(v)) is not None
 
 
 # the greedy size reduction often has not settled after these passes, so the
@@ -208,11 +188,6 @@ def _size_reducer(basis):
         return x
 
     return reduce
-
-
-def reduce_mod_lattice(v, basis):
-    """Shrink v by subtracting lattice vectors (greedy size reduction)."""
-    return _size_reducer(basis)(v)
 
 
 class CosetWalker:

@@ -14,16 +14,15 @@ BasisIncomplete.  reduce_by_basis strips poles one at a time, and express
 certifies membership through the constancy principle (a remainder with no
 poles anywhere and positive order at infinity is zero), double-checked
 coefficientwise to the certified truncation.  A basis keeps one store of
-series per route: reduction reads the fast one and the independent check
-the reference one.  It expands a generator on a route the first time a
-monomial there reads it, and keeps every series it built until a longer
-truncation is asked for on that route, so each level builds them once.
+series, which reduction and the independent check both read.  It expands a
+generator the first time a monomial reads it, and keeps every series it
+built until a longer truncation is asked for, so each level builds them
+once.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -59,18 +58,17 @@ class BasisElement:
 class ModuleBasis:
     """The basis 1, e_1, ... of a generator list's span over Q[z].
 
-    gens, n and elements are fixed.  The values that change are the two
-    stores, one (truncation, series) pair per route (_stores[False] for the
-    fast route, _stores[True] for the reference route), each replaced whole
-    by ensure_terms: series maps each monomial read so far on that route to
-    its series, and each generator index read so far to that generator's
-    expansion.  Reduction reads the fast store and the independent check
-    the reference store, so a level builds each route's series once.
+    gens, n and elements are fixed.  The one value that changes is the
+    store, a (truncation, series) pair replaced whole by ensure_terms:
+    series maps each monomial read so far to its series, and each
+    generator index read so far to that generator's expansion.  Reduction
+    and the independent check both read it, so a level builds each series
+    once.
     """
     gens: tuple                      # Generator records, z first
     n: int                           # pole order of z
     elements: tuple                  # (unit, e_1, ...)
-    _stores: tuple = field(repr=False, compare=False)
+    _store: tuple = field(repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                   compare=False)
 
@@ -82,33 +80,30 @@ class ModuleBasis:
     def width(self) -> int:
         return len(self.elements) - 1
 
-    def ensure_terms(self, terms: int, reference=False):
-        """Raise the route's truncation to terms; its series are then read afresh."""
+    def ensure_terms(self, terms: int):
+        """Raise the truncation to terms; the series are then read afresh."""
         with self._lock:
-            if terms > self._stores[reference][0]:
-                stores = list(self._stores)
-                stores[reference] = (terms, {})
-                object.__setattr__(self, "_stores", tuple(stores))
+            if terms > self._store[0]:
+                object.__setattr__(self, "_store", (terms, {}))
 
-    def monomial_series(self, mono: tuple, reference=False) -> QSeries:
-        terms, series = self._stores[reference]
-        return _monomial_series(mono, self.gens, terms, series, reference, self._lock)
+    def monomial_series(self, mono: tuple) -> QSeries:
+        terms, series = self._store
+        return _monomial_series(mono, self.gens, terms, series, self._lock)
 
     def combo_series(self, combo: dict) -> QSeries:
-        return _combination(combo, self.monomial_series, self._stores[False][0])
+        return _combination(combo, self.monomial_series, self._store[0])
 
     def element_series(self, idx: int) -> QSeries:
         return self.combo_series(self.elements[idx].combo)
 
 
-def _monomial_series(mono, gens, terms, series, reference=False,
-                     lock=nullcontext()) -> QSeries:
+def _monomial_series(mono, gens, terms, series, lock) -> QSeries:
     """prod gens[i]**mono[i], known to terms coefficients past its pole.
 
     series caches every monomial under its exponent tuple and every
     generator under its index.  A generator is expanded the first time a
-    monomial needs it, at terms + pole + 2 on the asked route, under lock,
-    so readers that share series expand it once.
+    monomial needs it, at terms + pole + 2, under lock, so readers that
+    share series expand it once.
     """
     cached = series.get(mono)
     if cached is not None:
@@ -120,8 +115,8 @@ def _monomial_series(mono, gens, terms, series, reference=False,
         below = tuple(e if j != i else e - 1 for j, e in enumerate(mono))
         with lock:
             if i not in series:
-                series[i] = gens[i].expansion(terms + gens[i].pole + 2, reference=reference)
-        out = _monomial_series(below, gens, terms, series, reference, lock) * series[i]
+                series[i] = gens[i].expansion(terms + gens[i].pole + 2)
+        out = _monomial_series(below, gens, terms, series, lock) * series[i]
     series[mono] = out
     return out
 
@@ -203,7 +198,7 @@ def module_basis(gens) -> ModuleBasis:
     if not gens:
         # no nonconstant functions at all: the span is the constants
         return ModuleBasis((), 1, (BasisElement({(): Fraction(1)}, 0),),
-                           _stores=((terms, {}), (terms, {})))
+                           _store=(terms, {}))
     n = gens[0].pole
     assert all(g.pole >= n for g in gens)
     seeds = _seeds(gens, n)
@@ -222,7 +217,7 @@ def module_basis(gens) -> ModuleBasis:
                               % (N, gaps, g))
     others = sorted((e for r, e in seeds.items() if r != 0), key=lambda e: e.pole)
     return ModuleBasis(tuple(gens), n, (seeds[0],) + tuple(others),
-                       _stores=((terms, {}), (terms, {})))
+                       _store=(terms, {}))
 
 
 def _seeds(gens, n: int) -> dict:

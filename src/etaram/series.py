@@ -609,8 +609,9 @@ def _miller_power(plus, minus, e, n):
     return g
 
 
-def product_of_powers(factors, order: int) -> QSeries:
-    """prod h**e over (h, e) in factors, to q**order, in integers.
+def product_of_powers(factors, order: int) -> list:
+    """The integer coefficients below q**order of prod h**e over (h, e) in
+    factors.
 
     Every h is a sparse series 1 + O(q) with integer coefficients, known to
     q**order at least.  The factor with the largest |e| > 1 is expanded by
@@ -633,4 +634,4 @@ def product_of_powers(factors, order: int) -> QSeries:
         f = [1] + [0] * (n - 1)
     for apply, plus, minus in passes:
         apply(f, plus, minus)
-    return QSeries.from_ints(f)
+    return f

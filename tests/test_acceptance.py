@@ -19,7 +19,7 @@ from etaram.exprs import expand
 from etaram.generators import generators, unit_lattice
 from etaram.identities import DeriveOptions, derive_identity, dissect, \
     verify_identity
-from etaram.lattice import DioSystem, hilbert_basis, in_lattice, lattice_hnf
+from etaram.lattice import DioSystem, hilbert_basis, lattice_hnf, solve_diophantine
 from etaram.reduction import express, module_basis
 from etaram.series import QSeries, pochhammer
 
@@ -121,9 +121,9 @@ def test_criterion_05_level_10_generator_monoid():
     for b in betas_published:
         q = quotient_from_scaled(10, slots, b)
         ok = ok and q.expansion(50).agrees_with(QSeries.one(50))
-        ok = ok and in_lattice(list(b), unit_cols)
+        ok = ok and solve_diophantine([list(r) for r in zip(*unit_cols)], list(b)) is not None
     for u in units:
-        ok = ok and in_lattice(u, published_cols)
+        ok = ok and solve_diophantine([list(r) for r in zip(*published_cols)], u) is not None
 
     def grade(vec):
         q = quotient_from_scaled(10, slots, vec)
@@ -136,7 +136,8 @@ def test_criterion_05_level_10_generator_monoid():
 
         def rec(idx, rem, acc):
             if rem == 0:
-                return in_lattice([a - b for a, b in zip(vec, acc)], u_cols)
+                return solve_diophantine([list(r) for r in zip(*u_cols)],
+                                         [a - b for a, b in zip(vec, acc)]) is not None
             if idx == len(alphas):
                 return False
             u = 0

@@ -7,11 +7,12 @@ from operator import mul
 import pytest
 
 import etaram.eta
+import etaram.exprs
 import etaram.series
 from etaram.eta import (
-    GenEtaQuotient, NonIntegralPower, PartitionSpec, _euler_transform,
-    _exponents, _pack_mul, _product_expansion, _spec_progressions, bernoulli_p2,
-    certify_product, euler_transform, progressions, reference_product,
+    GenEtaQuotient, NonIntegralPower, PartitionSpec, _exponents, _pack_mul,
+    _product_expansion, _spec_progressions, bernoulli_p2, certify_product,
+    euler_transform, progressions, reference_product,
 )
 from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
 
@@ -86,6 +87,11 @@ def test_fast_vs_reference_expansions():
         assert spec.product_expansion(60) == spec.product_expansion_reference(60)
 
 
+def exponents(r, rg, order):
+    """c[n], the exponent of (1 - q^n) below q^order in the product (r, rg)."""
+    return _exponents(_spec_progressions(r, rg), order)
+
+
 def pochhammer_route(r, rg, order):
     """The product multiplied out factor by factor with plain Pochhammer
     symbols, denominators inverted at the end."""
@@ -118,7 +124,7 @@ def multiply_out(factors, order):
 ])
 def test_euler_transform_matches_pochhammer_route(r, rg):
     order = 120
-    coeffs = _euler_transform(r, rg, order)
+    coeffs = euler_transform(exponents(r, rg, order))
     expected = pochhammer_route(r, rg, order)
     assert len(coeffs) == order
     assert coeffs == [expected.coefficient(n) for n in range(order)]
@@ -126,9 +132,9 @@ def test_euler_transform_matches_pochhammer_route(r, rg):
 
 def test_euler_transform_extends_a_known_prefix(monkeypatch):
     r, rg = {1: -3, 2: 1, 5: 1, 10: -1}, {(5, 2): 1}
-    fresh = _euler_transform(r, rg, 400)
-    assert _euler_transform(r, rg, 400, _euler_transform(r, rg, 50)) == fresh
-    assert _euler_transform(r, rg, 30, fresh) == fresh[:30]
+    fresh = euler_transform(exponents(r, rg, 400))
+    assert euler_transform(exponents(r, rg, 400), euler_transform(exponents(r, rg, 50))) == fresh
+    assert euler_transform(exponents(r, rg, 30), fresh) == fresh[:30]
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     spec = PartitionSpec(10, r, rg)
     short = spec.product_expansion_reference(50)
@@ -139,7 +145,7 @@ def test_euler_transform_extends_a_known_prefix(monkeypatch):
 
 def _reference_euler_transform(r, rg, order, known=()):
     """The Euler-transform recurrence with its convolution summed term by
-    term, O(order^2): the exact oracle for _euler_transform."""
+    term, O(order^2): the exact oracle for euler_transform."""
     if len(known) >= order:
         return list(known[:order])
     c = [0] * order
@@ -186,11 +192,11 @@ ORACLE_PRODUCTS = [
 def test_euler_transform_matches_the_quadratic_oracle(r, rg):
     oracle = _reference_euler_transform(r, rg, 2500)
     for order in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 2500):
-        assert _euler_transform(r, rg, order) == oracle[:order]
+        assert euler_transform(exponents(r, rg, order)) == oracle[:order]
     for k in (1, 50, 64, 137, 999):
-        assert _euler_transform(r, rg, 1000, oracle[:k]) == oracle[:1000]
-    assert _euler_transform(r, rg, 100, oracle[:1000]) == oracle[:100]
-    assert _euler_transform(r, rg, 1000, oracle[:1000]) == oracle[:1000]
+        assert euler_transform(exponents(r, rg, 1000), oracle[:k]) == oracle[:1000]
+    assert euler_transform(exponents(r, rg, 100), oracle[:1000]) == oracle[:100]
+    assert euler_transform(exponents(r, rg, 1000), oracle[:1000]) == oracle[:1000]
 
 
 def test_a_fresh_transform_of_one_block_makes_no_packed_product(monkeypatch):
@@ -204,7 +210,7 @@ def test_a_fresh_transform_of_one_block_makes_no_packed_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_pack_mul", forbidden)
     for (r, rg), oracle in zip(ORACLE_PRODUCTS, oracles):
         for order in (1, 2, 3, 63, 64):
-            assert _euler_transform(r, rg, order) == oracle[:order]
+            assert euler_transform(exponents(r, rg, order)) == oracle[:order]
 
 
 def test_euler_transform_keeps_its_exactness_check(monkeypatch):
@@ -214,7 +220,7 @@ def test_euler_transform_keeps_its_exactness_check(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_pack_mul",
                         lambda a, b, *window: [c + 1 for c in honest(a, b, *window)])
     with pytest.raises(AssertionError, match="left a remainder"):
-        _euler_transform(r, rg, 300)
+        euler_transform(exponents(r, rg, 300))
 
 
 def schoolbook(a, b):
@@ -356,7 +362,7 @@ def test_euler_transform_catches_a_spoiled_libmpdec_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
     taken = spy_decimal_packer(monkeypatch)
     with pytest.raises(AssertionError, match="left a remainder"):
-        _euler_transform({1: -2}, {(5, 1): 1}, 300)
+        euler_transform(exponents({1: -2}, {(5, 1): 1}, 300))
     assert taken
 
 
@@ -390,13 +396,14 @@ POWER_PRODUCTS = [
 def test_product_expansion_matches_the_pochhammer_route(r, rg):
     expected = pochhammer_route(r, rg, 200)
     for order in (1, 2, 50, 200):
-        assert _product_expansion(r, rg, order) == expected.truncated(order)
+        f = _product_expansion(r, rg, order)
+        assert type(f) is list and QSeries.from_ints(f) == expected.truncated(order)
 
 
 def test_product_expansion_matches_the_pochhammer_route_at_diamond_size():
     # exponents on both sides of the split: one power expansion, then passes
     r = {1: -_MAX_PASSES - 1, 2: _MAX_PASSES, 5: 1, 10: -1}
-    assert _product_expansion(r, {}, 4575) == pochhammer_route(r, {}, 4575)
+    assert QSeries.from_ints(_product_expansion(r, {}, 4575)) == pochhammer_route(r, {}, 4575)
 
 
 def test_quotient_expansion_matches_the_pochhammer_route():
@@ -429,57 +436,55 @@ def test_residues_of_one_modulus_share_one_product(monkeypatch):
         monkeypatch.setattr(etaram.eta, name, lambda *a, _f=original, _n=name, **k:
                             calls.append(_n) or _f(*a, **k))
     for t in range(5):
-        fast = OVERPARTITION.slice_expansion(5, t, 20)
-        reference = OVERPARTITION.slice_expansion(5, t, 20, reference=True)
-        assert fast == reference and fast.bound() - fast.leading()[0] >= 20
-    # one expansion per route: the reference route certifies the fast one
-    assert sorted(calls) == ["_product_expansion", "certify_product"]
+        sliced = OVERPARTITION.slice_expansion(5, t, 20)
+        assert sliced.bound() - sliced.leading()[0] >= 20
+        held = OVERPARTITION.product_expansion_reference(5 * 21)
+        assert sliced == held.sift(5, t).shift(OVERPARTITION.slice_prefactor(5, t))
+    # one expansion, certified as it was stored; the reference reads take it
+    assert calls == ["_product_expansion", "certify_product"]
 
 
 def test_quotient_expansions_read_the_product_cache(monkeypatch):
-    # on each route a quotient's product is expanded once: equal and shorter
-    # requests, and a spec with the same product, read the held expansion
+    # a quotient's product is expanded once: equal and shorter requests, its
+    # integer coefficients and a spec with the same product read the entry
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     a, ag = {1: 1, 5: 1, 10: -2}, {(5, 1): -2, (10, 1): -1}
     quot = GenEtaQuotient(10, a, ag)
     lead = quot.lead_exponent()
-    held = {reference: quot.expansion(80, reference=reference)
-            for reference in (False, True)}
-    assert held[False] == held[True]
+    full = quot.expansion(80)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a held product was expanded again")
 
-    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
-    monkeypatch.setattr(etaram.eta, "euler_transform", forbidden)
-    for reference, full in held.items():
-        for terms in (80, 30, 1):
-            assert quot.expansion(terms, reference=reference) == full.truncated(lead + terms)
+    for name in ("_product_expansion", "euler_transform", "certify_product"):
+        monkeypatch.setattr(etaram.eta, name, forbidden)
+    for terms in (80, 30, 1):
+        assert quot.expansion(terms) == full.truncated(lead + terms)
+    core = full.shift(-lead)
+    assert quot.product_coefficients(80) == core.coefficients_range(0, 80)
     spec = PartitionSpec(10, a, ag)
-    assert spec.product_expansion(50) == held[False].shift(-lead).truncated(50)
-    assert spec.product_expansion_reference(50) == held[True].shift(-lead).truncated(50)
+    assert spec.product_expansion(50) == core.truncated(50)
+    assert spec.product_expansion_reference(50) == core.truncated(50)
 
 
 def test_reference_route_never_trusts_the_fast_route(monkeypatch):
+    # on an empty cache a reference read runs the transform through its own
+    # packer and no fast-route kernel, and finds the fast route's values
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     fast = spec.product_expansion(200)
     fast_quot = quot.expansion(60)
-    # every reference-route product goes through its own libmpdec packer
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     taken = spy_decimal_packer(monkeypatch)
     monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
     transforms = spy_transform_lengths(monkeypatch)
-    # spoil every fast-route value held: the reference route must not adopt it
-    cache = etaram.eta._PRODUCT_CACHE
-    for key in [k for k in cache if k[-1] == "fast"]:
-        cache[key] = QSeries.zero(cache[key].trunc)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference route used a fast-route kernel")
 
     for module in (etaram.eta, etaram.series):
-        for name in ("euler_product", "theta_pair", "pair_product",
+        for name in ("euler_product", "theta_pair", "pair_product", "_product_expansion",
                      "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv",
                      "product_of_powers", "_signed_exponents", "_multiply_pass",
                      "_divide_pass", "_miller_power"):
@@ -487,12 +492,10 @@ def test_reference_route_never_trusts_the_fast_route(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(QSeries, "invert", forbidden)
     assert spec.product_expansion_reference(200) == fast
-    assert spec.slice_expansion(9, 3, 20, reference=True).agrees_with(
-        fast.sift(9, 3).shift(spec.slice_prefactor(9, 3)))
-    assert quot.expansion(60, reference=True) == fast_quot
+    assert QSeries.from_ints(quot.product_coefficients(60)).shift(
+        quot.lead_exponent()) == fast_quot
     assert taken
-    # each product ran the transform: the spec's 200 terms (the slice reads
-    # 189 of them) and the quotient's 60
+    # each product ran the transform: the spec's 200 terms and the quotient's 60
     assert transforms == [200, 60]
 
 
@@ -556,31 +559,30 @@ def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, s
     order = rng.randint(2, 600)
     key = _spec_progressions(spec.r, spec.rg)
     expected = euler_transform(_exponents(key, order))
-    # the true fast product is adopted: no transform runs
+    # the true fast product is certified and stored: no transform runs, and a
+    # reference read takes it as it is
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     transforms = spy_transform_lengths(monkeypatch)
-    fast = spec.product_expansion(order)
+    assert spec.product_expansion(order).coefficients_range(0, order) == expected
     assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
     assert transforms == []
-    # a spoiled one never is: the transform runs and gives the true product.
-    # A key in q^g reads every g-th coefficient, up to g (ceil(order/g) - 1)
+    # a spoiled one never is: the transform runs once and gives the true
+    # product.  A key in q^g is expanded in q^g, to ceil(order/g) coefficients
     g = gcd(*(x for progression, _ in key for x in progression)) or 1
-    last = g * (-(-order // g) - 1)
-    n = g * rng.randint(0, last // g)
-    for spoiled in (fast + QSeries.monomial(n, rng.choice([-2, -1, 1, 2]), order),
-                    fast.scale(Fraction(1, 2)), fast.truncated(last)):
+    n = -(-order // g)
+    j = rng.randrange(n)
+    delta = rng.choice([-2, -1, 1, 2])
+    honest = etaram.eta._product_expansion
+    for spoil in (lambda f: f[:j] + [f[j] + delta] + f[j + 1:],
+                  lambda f: [2 * c for c in f],
+                  lambda f: f[:-1] + [f[-1] + 1]):
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-        spec.product_expansion(order)
-        etaram.eta._PRODUCT_CACHE[spec_key(spec)] = spoiled
+        monkeypatch.setattr(etaram.eta, "_product_expansion",
+                            lambda r, rg, k, spoil=spoil: spoil(honest(r, rg, k)))
         transforms.clear()
-        reference = spec.product_expansion_reference(order)
-        assert reference.coefficients_range(0, order) == expected
-        assert len(transforms) == 1
-
-
-def spec_key(spec):
-    """The fast route's product-cache key for a spec."""
-    return tuple(spec.r.items()), tuple(spec.rg.items()), "fast"
+        assert spec.product_expansion(order).coefficients_range(0, order) == expected
+        assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
+        assert transforms == [n]
 
 
 def _random_key(rng):
@@ -611,20 +613,57 @@ def test_strided_products_match_the_unstrided_transform(monkeypatch, seed, g):
 
 def test_a_product_in_q_g_reads_its_q_form(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_reference_held", 0)
+    monkeypatch.setattr(etaram.eta, "_held_terms", 0)
     partitions = PartitionSpec(1, {1: -1}).product_expansion_reference(200)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a held product was expanded again")
 
     monkeypatch.setattr(etaram.eta, "euler_transform", forbidden)
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
     # 1/(q^2; q^2) to q^400 is 1/(q; q) to q^200 at every other index
-    assert PartitionSpec(2, {2: -1}).product_expansion_reference(400) == (
-        pochhammer(0, 2, 400).invert())
-    assert PartitionSpec(2, {2: -1}).product_expansion_reference(399).coefficients_range(
-        0, 399) == [c for n in range(200) for c in (partitions.coefficient(n), 0)][:399]
-    assert list(etaram.eta._PRODUCT_CACHE) == [(((1, 1), -1), "reference")]
-    assert etaram.eta._reference_held == 200
+    spec = PartitionSpec(2, {2: -1})
+    for read in (spec.product_expansion, spec.product_expansion_reference):
+        assert read(400) == pochhammer(0, 2, 400).invert()
+        assert read(399).coefficients_range(0, 399) == [
+            c for n in range(200) for c in (partitions.coefficient(n), 0)][:399]
+    assert list(etaram.eta._PRODUCT_CACHE) == [(((1, 1), -1),)]
+    assert etaram.eta._held_terms == 200
+
+
+def test_a_spec_a_strided_spec_a_quotient_and_an_expression_share_one_entry(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    partitions = PARTITION.product_expansion(300)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a held product was expanded again")
+
+    monkeypatch.setattr(etaram.eta, "euler_transform", forbidden)
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
+    # 1/(q^3; q^3), 1/eta(tau), P(0,1)^-1 and P(0,2)^-1 all read 1/(q; q)
+    assert PartitionSpec(3, {3: -1}).product_expansion(900).sift(3, 0) == partitions
+    assert GenEtaQuotient(1, {1: -1}).expansion(300).shift(Fraction(1, 24)) == partitions
+    assert etaram.exprs.expand("P(0,1)^-1", 300) == partitions
+    assert etaram.exprs.expand("P(0,2)^-1", 600).sift(2, 0) == partitions
+    assert list(etaram.eta._PRODUCT_CACHE) == [(((1, 1), -1),)]
+
+
+def test_the_bound_counts_every_entry_and_drops_the_one_read_least_recently(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_held_terms", 0)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_TERMS", 250)
+    eta = PartitionSpec(1, {1: 1})
+    # two entries the fast route made, 200 coefficients
+    PARTITION.product_expansion(100)
+    OVERPARTITION.product_expansion(100)
+    assert etaram.eta._held_terms == 200
+    # a read of the first moves it last; a third entry passes the bound and
+    # drops the overpartitions, read least recently
+    PARTITION.product_expansion_reference(50)
+    eta.product_expansion(100)
+    assert list(etaram.eta._PRODUCT_CACHE) == [
+        _spec_progressions(spec.r, spec.rg) for spec in (PARTITION, eta)]
+    assert etaram.eta._held_terms == 200
 
 
 def test_a_longer_strided_request_extends_the_reduced_entry(monkeypatch):
@@ -653,17 +692,30 @@ def test_a_longer_strided_request_extends_the_reduced_entry(monkeypatch):
     GenEtaQuotient(12, {2: -3, 4: 2, 6: 1, 12: -1}, {(12, 2): 1, (12, 4): -2}),
 ], ids=["spec-q2", "spec-q2-rg", "quotient-12"])
 def test_strided_products_agree_on_both_routes(monkeypatch, product):
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    # the fast route expands a product in q^2 in q^2, and its certified
+    # entry is what the transform gives and what a reference read takes
     if isinstance(product, GenEtaQuotient):
-        fast, reference = product.expansion(600), product.expansion(600, reference=True)
+        key = _spec_progressions(product.a, product.ag)
+    else:
+        key = _spec_progressions(product.r, product.rg)
+    expected = euler_transform(_exponents(key, 600))
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    lengths = []
+    honest = etaram.eta._product_expansion
+    monkeypatch.setattr(etaram.eta, "_product_expansion",
+                        lambda r, rg, k: lengths.append(k) or honest(r, rg, k))
+    if isinstance(product, GenEtaQuotient):
+        fast = product.expansion(600).shift(-product.lead_exponent())
     else:
         fast = product.product_expansion(600)
-        reference = product.product_expansion_reference(600)
-    assert fast == reference
-    # every reference entry is held reduced: none of its keys is in q^2
-    for key in etaram.eta._PRODUCT_CACHE:
-        if key[-1] == "reference":
-            assert any(start % 2 or step % 2 for (start, step), _ in key[:-1])
+    transforms = spy_transform_lengths(monkeypatch)
+    assert fast.coefficients_range(0, 600) == expected
+    assert reference_product(key, 600) == expected
+    assert lengths == [300] and transforms == []
+    # the one entry is held reduced: its key is not in q^2
+    (held,) = etaram.eta._PRODUCT_CACHE
+    assert held == tuple(((start // 2, step // 2), e) for (start, step), e in key)
+    assert any(start % 2 or step % 2 for (start, step), _ in held)
 
 
 def test_slice_expansion_overpartition():
@@ -768,7 +820,7 @@ def test_stored_form_matches_the_raw_factors():
             lead = sum(Fraction(d * e, 24) for d, e in a.items())
             lead += sum(Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
                         for (d, g), e in ag.items())
-            assert h.expansion(order, reference=True) == core.shift(lead), h
+            assert h.expansion(order) == core.shift(lead), h
     assert halves > 10
 
 

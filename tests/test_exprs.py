@@ -246,9 +246,8 @@ def test_the_reference_cache_drops_the_products_read_least_recently(monkeypatch)
     # its own product and 1/(q;q) to 2,505 terms
     cases = [("slice(P(0,1)^-1*P(0,%d),5,4)" % k, "slice(P(0,1)^-1,5,4)")
              for k in range(2, 42)]
-    keys = [progressions([((1, 1), -1), ((k, k), 1)]) + ("reference",)
-            for k in range(2, 42)]
-    partition = progressions([((1, 1), -1)]) + ("reference",)
+    keys = [progressions([((1, 1), -1), ((k, k), 1)]) for k in range(2, 42)]
+    partition = progressions([((1, 1), -1)])
 
     def replay(case):
         return verify_identity(*case, 500), expand(case[0], 500)
@@ -260,12 +259,12 @@ def test_the_reference_cache_drops_the_products_read_least_recently(monkeypatch)
     # room for four such products
     bound = 4 * 2505 + 100
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_reference_held", 0)
-    monkeypatch.setattr(etaram.eta, "_REFERENCE_TERMS", bound)
+    monkeypatch.setattr(etaram.eta, "_held_terms", 0)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_TERMS", bound)
     for case, key, want in zip(cases, keys, expected):
         assert replay(case) == want
         cache = etaram.eta._PRODUCT_CACHE
-        assert sum(len(cache[k]) for k in cache if k[-1] == "reference") <= bound
+        assert sum(map(len, cache.values())) <= bound
         # this case read 1/(q;q), then its own product twice: both survive
         assert list(cache)[-2:] == [partition, key]
     assert list(cache) == [keys[-3], keys[-2], partition, keys[-1]]

@@ -15,7 +15,7 @@ from etaram.generators import (
     pole_free_system, quotient_from_scaled, table_orders, unit_lattice,
 )
 from etaram import lattice
-from etaram.lattice import StepBudgetExceeded, enumerate_coset, in_lattice, lattice_hnf
+from etaram.lattice import StepBudgetExceeded, enumerate_coset, lattice_hnf, solve_diophantine
 
 # the package re-exports the function generators under the module's name
 generators_module = sys.modules["etaram.generators"]
@@ -335,7 +335,7 @@ def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):
     def rec(idx, remaining, acc):
         if remaining == 0:
             diff = [a - b for a, b in zip(vec, acc)]
-            return in_lattice(diff, unit_cols) if unit_cols else not any(diff)
+            return solve_diophantine([list(r) for r in zip(*unit_cols)], diff) is not None
         if idx == len(alphas):
             return False
         g = alpha_grades[idx]
@@ -376,9 +376,10 @@ def test_mutual_membership_with_published_basis():
 
     # the published unit lattice and ours coincide
     for u in units_mine:
-        assert in_lattice(u, unit_cols_paper)
+        assert solve_diophantine([list(r) for r in zip(*unit_cols_paper)], u) is not None
     for b in BETAS_10:
-        assert in_lattice(list(b), unit_cols_mine)
+        assert solve_diophantine([list(r) for r in zip(*unit_cols_mine)],
+                                 list(b)) is not None
 
     for vec in mine_alphas:
         assert _monoid_membership(vec, paper_alphas, paper_grades,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -21,9 +22,9 @@ import etaram.reduction
 from etaram.cusps import INFINITY, cusp_set, width
 from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
 from etaram.exprs import ParseError, expand, parse
-from etaram.generators import generators
+from etaram.generators import Generator, generators
 from etaram.identities import (
-    DeriveOptions, NoHFound, _independent_check, derive_identity, dissect,
+    DeriveOptions, Identity, NoHFound, _independent_check, derive_identity, dissect,
     find_multiplier, verify_identity,
 )
 from etaram.modularity import find_level, find_prefactor
@@ -381,11 +382,10 @@ def test_derivation_expands_only_the_generators_the_basis_uses():
     assert ident.status == "Derived"
     mb = etaram.identities.level_basis(11)
     e_1 = {i for mono in mb.elements[1].combo for i, e in enumerate(mono) if e}
-    expanded = {i for i in mb._stores[False][1] if isinstance(i, int)}
+    # the independent check read the store reduction filled, and added none
+    expanded = {i for i in mb._store[1] if isinstance(i, int)}
     assert expanded == {0} | e_1
     assert len(expanded) < len(mb.gens)
-    # the independent check reads the same generators on the reference route
-    assert {i for i in mb._stores[True][1] if isinstance(i, int)} == expanded
 
 
 def test_derivations_never_reach_the_slack_completion(monkeypatch):
@@ -437,63 +437,148 @@ def test_independent_check_rejects_a_perturbed_identity():
 
 def test_reference_check_never_trusts_the_fast_route(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
-    fast = ident.rhs_series(60)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the reference check used a fast-route expansion")
-
-    # every fast-route product held is spoiled in its constant term, and
-    # every reference-route product and series is forgotten
-    held = etaram.eta._PRODUCT_CACHE
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {
-        key: series + QSeries.one(series.trunc)
-        for key, series in held.items() if key[-1] == "fast"})
-    ident = dataclasses.replace(ident, basis=dataclasses.replace(
-        ident.basis, _stores=((0, {}), (0, {}))))
+    clean = ident.rhs_series(60)
+    # every product and basis series is forgotten, and every fast-route
+    # expansion is spoiled in its constant term
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    ident = dataclasses.replace(ident, basis=dataclasses.replace(ident.basis, _store=(0, {})))
     verdicts, transforms = [], []
     certify, transform = etaram.eta.certify_product, etaram.eta.euler_transform
+    honest = etaram.eta._product_expansion
     monkeypatch.setattr(etaram.eta, "certify_product",
                         lambda f, c: verdicts.append(certify(f, c)) or verdicts[-1])
     monkeypatch.setattr(etaram.eta, "euler_transform",
                         lambda c, known=(): transforms.append(len(c)) or transform(c, known))
-    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
-    assert ident.rhs_series(60, reference=True) == fast
+    monkeypatch.setattr(etaram.eta, "_product_expansion",
+                        lambda r, rg, k: [c + (n == 0) for n, c in enumerate(honest(r, rg, k))])
+    assert ident.rhs_series(60) == clean
     _independent_check(ident, ident.certified_to)
-    # every spoiled product the check read failed at q^0, and the transform
-    # expanded each
+    # every spoiled product the check read failed its certificate at q^0,
+    # and the transform expanded each
     assert verdicts and set(verdicts) == {0}
     assert len(transforms) == len(verdicts)
 
 
-def _derive_with_fast_product(monkeypatch, spec, m, t, n, certify=True):
-    """derive_identity(spec, m, t) to order 100 with one coefficient, at q^n,
-    of the spec's fast-route product changed by one, and every other product
-    forgotten; with certify=False the reference route never adopts a fast
-    product, as before it could."""
-    options = DeriveOptions(order=100)
+def _derive_with_fast_product(monkeypatch, spec, m, t, n):
+    """derive_identity(spec, m, t) to order 100 from an empty product cache,
+    with the fast route's expansion of the spec's product changed by one at
+    q^n; returns the document and how often the transform ran on that
+    product."""
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    derive_identity(spec, m, t, options)
-    key = tuple(spec.r.items()), tuple(spec.rg.items()), "fast"
-    fast = etaram.eta._PRODUCT_CACHE[key]
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {
-        key: fast + QSeries.monomial(n, 1, fast.trunc)})
-    monkeypatch.setattr(etaram.eta, "certify_product",
-                        etaram.eta.certify_product if certify else lambda f, c: 0)
-    return derive_identity(spec, m, t, options).to_json()
+    honest, transform = etaram.eta._product_expansion, etaram.eta.euler_transform
+    key = etaram.eta._spec_progressions(spec.r, spec.rg)
+    runs = []
+
+    def spoiled(r, rg, k):
+        f = honest(r, rg, k)
+        if (r, rg) == (spec.r, spec.rg) and n < k:
+            f[n] += 1
+        return f
+
+    def spy(c, known=()):
+        if c == etaram.eta._exponents(key, len(c)):
+            runs.append(len(c))
+        return transform(c, known)
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", spoiled)
+    monkeypatch.setattr(etaram.eta, "euler_transform", spy)
+    doc = derive_identity(spec, m, t, DeriveOptions(order=100)).to_json()
+    return doc, len(runs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 38, 204])
 def test_a_fast_product_spoiled_off_the_slice_changes_no_document(monkeypatch, n):
     clean = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100)).to_json()
     assert clean["status"] == "Derived"
-    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == clean
+    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == (clean, 1)
 
 
 @pytest.mark.parametrize("n", [2, 52, 207])
-def test_a_fast_product_spoiled_on_the_slice_fails_as_before(monkeypatch, n):
-    doc = _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n)
-    assert doc["status"].startswith("Failed(reduction: coefficient")
-    assert doc == _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n, certify=False)
+def test_a_fast_product_spoiled_on_the_slice_changes_no_document(monkeypatch, n):
+    # the spoiled expansion fails its certificate and is never stored, so
+    # reduction reads the transform's list
+    clean = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100)).to_json()
+    assert clean["status"] == "Derived"
+    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == (clean, 1)
+
+
+def test_every_held_product_is_one_certified_list_in_lowest_terms(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    etaram.identities.level_basis.cache_clear()
+    expanded, certified = [], []
+    expand_fast, certify, publish = (etaram.eta._product_expansion,
+                                     etaram.eta.certify_product, etaram.eta._publish)
+
+    def spy_expand(r, rg, k):
+        expanded.append(expand_fast(r, rg, k))
+        return expanded[-1]
+
+    def spy_certify(f, c):
+        certified.append(f)
+        return certify(f, c)
+
+    def spy_publish(key, f):
+        # a fast-route list is stored only after its certificate
+        assert not any(f is e for e in expanded) or any(f is e for e in certified)
+        return publish(key, f)
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", spy_expand)
+    monkeypatch.setattr(etaram.eta, "certify_product", spy_certify)
+    monkeypatch.setattr(etaram.eta, "_publish", spy_publish)
+    for spec, m, t in [(OVERPARTITION, 5, 2), (PARTITION, 11, 6),
+                       (PartitionSpec(3, {3: -1}), 15, 12)]:
+        assert derive_identity(spec, m, t).status == "Derived", (spec, m, t)
+    assert all(i.status == "Derived" for i in dissect(ROGERS_RAMANUJAN, 2))
+    assert verify_identity("slice(P(0,1)^-1,5,4)", "5*P(0,5)^5*P(0,1)^-6", 200)[0]
+    # every fast expansion ran its certificate, and nothing else did
+    assert expanded and len(certified) == len(expanded)
+    cache = etaram.eta._PRODUCT_CACHE
+    assert cache
+    for key, f in cache.items():
+        assert key == etaram.eta.progressions(key)
+        assert gcd(*(x for progression, _ in key for x in progression)) <= 1, key
+        assert f == etaram.eta.euler_transform(etaram.eta._exponents(key, len(f))), key
+
+
+def test_no_expansion_chooses_a_route():
+    # one store per basis, and no expansion takes a route flag
+    assert [f.name for f in dataclasses.fields(ModuleBasis) if f.name.startswith("_")] == [
+        "_store", "_lock"]
+    for function in (GenEtaQuotient.expansion, Generator.expansion,
+                     PartitionSpec.slice_expansion, etaram.identities.lhs_series,
+                     Identity.lhs_series, Identity.rhs_series, ModuleBasis.ensure_terms,
+                     ModuleBasis.monomial_series, _monomial_series):
+        assert "reference" not in inspect.signature(function).parameters, function
+
+
+def test_concurrent_derivations_of_one_progression_hold_each_product_once(monkeypatch):
+    def derive():
+        return json.dumps(derive_identity(OVERPARTITION, 5, 2,
+                                          DeriveOptions(order=100)).to_json())
+
+    def empty_caches():
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        etaram.identities.level_basis.cache_clear()
+
+    empty_caches()
+    sequential = derive()
+    held = dict(etaram.eta._PRODUCT_CACHE)
+    empty_caches()
+    docs = []
+    threads = [threading.Thread(target=lambda: docs.append(derive())) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave the derivations finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert docs == [sequential] * 4
+    # the same products as one derivation alone, each one entry
+    assert etaram.eta._PRODUCT_CACHE == held
 
 
 @pytest.fixture(scope="module")
@@ -503,7 +588,7 @@ def rhs_identities():
             for label in ("diamond-25n+14", "p-11n+6")}
 
 
-def fresh_dict_rhs(ident, terms, reference, poly_sum):
+def fresh_dict_rhs(ident, terms, poly_sum):
     """sum p_i(z) e_i with each p_i summed by poly_sum, every monomial read
     through a dict of this call's own at the length rhs_series asks for."""
     gens = ident.basis.gens
@@ -518,10 +603,10 @@ def fresh_dict_rhs(ident, terms, reference, poly_sum):
 
     length = terms + 4 + max(max(map(pole, poly)) + max(map(pole, element))
                              for poly, element in pairs)
-    series = {}
+    series, lock = {}, threading.Lock()
 
     def monomial(mono):
-        return _monomial_series(mono, gens, length, series, reference)
+        return _monomial_series(mono, gens, length, series, lock)
 
     total = QSeries.zero(terms)
     for poly, element in pairs:
@@ -530,52 +615,62 @@ def fresh_dict_rhs(ident, terms, reference, poly_sum):
     return total
 
 
-@pytest.mark.parametrize("reference", [False, True])
+def emptied_store(ident):
+    """ident over a copy of its basis whose store holds no series."""
+    return dataclasses.replace(ident, basis=dataclasses.replace(ident.basis, _store=(0, {})))
+
+
+# empty: the right-hand side builds every series in an emptied store; else
+# it reads the store the derivation's reduction and check filled
+@pytest.mark.parametrize("empty", [False, True])
 @pytest.mark.parametrize("label", ["diamond-25n+14", "p-11n+6"])
-def test_rhs_series_equals_the_power_by_power_sum(rhs_identities, label, reference):
+def test_rhs_series_equals_the_power_by_power_sum(rhs_identities, label, empty):
     ident = rhs_identities[label]
     assert ident.status == "Derived"
     if label == "p-11n+6":
         assert {idx for idx, _ in ident.rhs} == {0, 1}
+    if empty:
+        ident = emptied_store(ident)
     order = ident.certified_to
     # every power z^j its own product
-    assert (ident.rhs_series(order, reference)
-            == fresh_dict_rhs(ident, order, reference, _combination))
+    assert ident.rhs_series(order) == fresh_dict_rhs(ident, order, _combination)
 
 
-@pytest.mark.parametrize("reference", [False, True])
-def test_rhs_series_from_the_basis_store_equals_a_fresh_store(reference):
+@pytest.mark.parametrize("empty", [False, True])
+def test_rhs_series_from_the_basis_store_equals_a_fresh_store(empty):
     for label, (spec, m, t, order) in DOCUMENT_CASES.items():
         if label in SLOW_DOCUMENTS:
             continue
         ident = derive_identity(spec, m, t, DeriveOptions(order=order))
         assert ident.status == "Derived", label
+        if empty:
+            ident = emptied_store(ident)
         # the certified order, then a shorter one read from the longer store
         for terms in (ident.certified_to, ident.certified_to // 2):
-            assert (ident.rhs_series(terms, reference)
-                    == fresh_dict_rhs(ident, terms, reference, _z_polynomial)), (label, terms)
+            assert (ident.rhs_series(terms)
+                    == fresh_dict_rhs(ident, terms, _z_polynomial)), (label, terms)
 
 
 def test_second_derivation_at_a_level_builds_no_reference_monomial(monkeypatch):
     spec, m, t, order = DOCUMENT_CASES["diamond-25n+14"]
     first = derive_identity(spec, m, t, DeriveOptions(order=order))
     assert first.status == "Derived"
-    terms, series = first.basis._stores[True]
+    terms, series = first.basis._store
     held = set(series)
     built = []
     real = etaram.reduction._monomial_series
 
-    def spy(mono, gens, terms, series, reference=False, *lock):
-        if reference and mono not in series:
+    def spy(mono, gens, terms, series, lock):
+        if mono not in series:
             built.append(mono)
-        return real(mono, gens, terms, series, reference, *lock)
+        return real(mono, gens, terms, series, lock)
 
     monkeypatch.setattr(etaram.reduction, "_monomial_series", spy)
     spec, m, t, order = DOCUMENT_CASES["diamond-25n+24"]
     second = derive_identity(spec, m, t, DeriveOptions(order=order))
     assert second.status == "Derived" and second.basis is first.basis
     assert built == []
-    assert second.basis._stores[True] == (terms, series) and set(series) == held
+    assert second.basis._store == (terms, series) and set(series) == held
 
 
 def test_derivation_checks_each_level_once(monkeypatch):
@@ -605,7 +700,7 @@ def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypa
     ident = rhs_identities["diamond-25n+14"]
     d = max(j for _, j in ident.rhs)
     assert d == 57
-    ident.rhs_series(ident.certified_to, reference=True)   # generators expanded
+    ident.rhs_series(ident.certified_to)   # generators expanded
     calls = []
     mul = QSeries.__mul__
 
@@ -614,7 +709,7 @@ def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypa
         return mul(self, other)
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
-    ident.rhs_series(ident.certified_to, reference=True)
+    ident.rhs_series(ident.certified_to)
     # ceil(sqrt(58)) = 8 powers, 7 Horner steps and the product with e_0;
     # every power z^j made separately took 58
     assert len(calls) <= 2 * 8 + 2
@@ -622,7 +717,7 @@ def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypa
 
 @pytest.mark.slow
 def test_partition_125n99_is_divisible_by_125():
-    # about 21k terms of 1/(q;q) on the fast route and 20k on the reference route
+    # about 21k terms of 1/(q;q), expanded once and certified as it is stored
     ident = derive_identity(PARTITION, 125, 99, DeriveOptions())
     assert ident.status == "Derived"
     assert ident.congruence_modulus() % 125 == 0
@@ -654,8 +749,7 @@ def test_independent_check_rejects_a_short_comparison(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
     full = etaram.identities.Identity.rhs_series
     monkeypatch.setattr(etaram.identities.Identity, "rhs_series",
-                        lambda self, terms, reference=False:
-                        full(self, terms, reference).truncated(terms - 10))
+                        lambda self, terms: full(self, terms).truncated(terms - 10))
     with pytest.raises(VerificationFailure, match=r"known only to q\^90, need 100"):
         _independent_check(ident, ident.certified_to)
 
@@ -744,15 +838,15 @@ def test_one_derivation_grows_the_basis_store_once(monkeypatch):
     growths = []
     real = ModuleBasis.ensure_terms
 
-    def spy(self, terms, reference=False):
-        before = self._stores[reference][0]
-        real(self, terms, reference)
-        if self._stores[reference][0] != before:
-            growths.append((reference, before, self._stores[reference][0]))
+    def spy(self, terms):
+        before = self._store[0]
+        real(self, terms)
+        if self._store[0] != before:
+            growths.append((before, self._store[0]))
 
     monkeypatch.setattr(ModuleBasis, "ensure_terms", spy)
     # the corpus order, past the level-11 stores' first 100 terms
     ident = derive_identity(PARTITION, 11, 6, DeriveOptions(order=150))
     assert ident.status == "Derived"
-    for reference in (False, True):
-        assert len([g for g in growths if g[0] == reference]) <= 1, growths
+    # reduction grows it, and the independent check reads it as it is
+    assert len(growths) <= 1, growths

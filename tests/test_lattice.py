@@ -11,10 +11,9 @@ from etaram.eta import PartitionSpec
 from etaram.generators import generators, pole_free_system
 from etaram.identities import find_multiplier
 from etaram.lattice import (
-    CosetTables, DioSystem, GroupBits, StepBudgetExceeded, enumerate_coset, hilbert_basis,
-    hnf_column,
-    in_lattice, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
-    minimal_zero_sum_sequences, reduce_mod_lattice, solve_diophantine,
+    CosetTables, DioSystem, GroupBits, StepBudgetExceeded, _size_reducer, enumerate_coset,
+    hilbert_basis, hnf_column, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
+    minimal_zero_sum_sequences, solve_diophantine,
 )
 from etaram.modularity import find_level, find_prefactor
 
@@ -92,7 +91,8 @@ def _coset_by_ball_scan(v0, basis, W):
     difference from v0 lies in the lattice, so none can be missed."""
     cols = lattice_hnf(basis, len(v0))
     return {v for v in _l1_ball(len(v0), W)
-            if in_lattice([a - b for a, b in zip(v, v0)], cols)}
+            if solve_diophantine([list(r) for r in zip(*cols)],
+                                 [a - b for a, b in zip(v, v0)]) is not None}
 
 
 def _check_coset(v0, basis, W):
@@ -222,8 +222,9 @@ def test_group_bits_translate_by_element_addition():
 def test_reduce_mod_lattice_stays_in_coset():
     basis = [[3, 0, 1], [0, 2, 5]]
     v = [10, -9, 14]
-    r = reduce_mod_lattice(v, basis)
-    assert in_lattice([a - b for a, b in zip(v, r)], lattice_hnf(basis, 3))
+    r = _size_reducer(basis)(v)
+    assert solve_diophantine([list(row) for row in zip(*basis)],
+                             [a - b for a, b in zip(v, r)]) is not None
     assert sum(abs(c) for c in r) <= sum(abs(c) for c in v)
 
 
@@ -481,7 +482,7 @@ def in_monoid(x, pointed, lineality, nonneg):
     def rec(idx, acc):
         rem = [a - b for a, b in zip(x, acc)]
         if all(rem[i] >= 0 for i in nonneg):
-            diff_ok = in_lattice(rem, lin_cols) if lin_cols else not any(rem)
+            diff_ok = solve_diophantine([list(r) for r in zip(*lin_cols)], rem) is not None
             if diff_ok and all(rem[i] == 0 for i in nonneg):
                 return True
         if idx == len(pointed):
@@ -575,7 +576,7 @@ def test_reduce_mod_lattice_is_the_greedy_loop():
         basis = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 5)) for _ in range(n)]
                  for _ in range(rng.randint(0, 4))]
         v = [rng.randint(-40, 40) for _ in range(n)]
-        assert reduce_mod_lattice(v, basis) == _greedy_size_reduction(v, basis), (v, basis)
+        assert _size_reducer(basis)(v) == _greedy_size_reduction(v, basis), (v, basis)
 
 
 def _per_vector_lift(system, keep):
@@ -707,7 +708,7 @@ def test_congruence_rows_decide_lattice_membership():
         assert moduli.count(0) == k - len(basis)
         noncyclic += len(moduli) - moduli.count(0) > 1
         for y in _l1_ball(k, 4 if k < 5 else 3):
-            expect = in_lattice(list(y), basis)
+            expect = solve_diophantine([list(r) for r in zip(*basis)], list(y)) is not None
             assert expect == all(sum(map(mul, r, y)) % d == 0 if d else
                                  sum(map(mul, r, y)) == 0
                                  for r, d in zip(rows, moduli)), (basis, y)

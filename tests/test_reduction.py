@@ -254,12 +254,11 @@ def test_built_basis_is_immutable():
             setattr(mb, name, getattr(mb, name))
 
 
-def _expand_unused_generator_concurrently(monkeypatch, reference):
-    """Two threads read one unused generator of level 11 on a route; the
-    route's store must expand it once and keep it, the other store nothing."""
+def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
+    # two threads read one unused generator of level 11: the store must
+    # expand it once and keep it
     mb = module_basis(generators(11))
-    terms, series = mb._stores[reference]
-    other = mb._stores[not reference]
+    terms, series = mb._store
     used = {i for e in mb.elements for mono in e.combo for i, x in enumerate(mono) if x}
     i = min(set(range(len(mb.gens))) - used)
     assert i not in series
@@ -268,9 +267,9 @@ def _expand_unused_generator_concurrently(monkeypatch, reference):
     expansions = []
     expand = g.expansion
 
-    def counted(length, reference=False):
-        expansions.append((length, reference))
-        return expand(length, reference)
+    def counted(length):
+        expansions.append(length)
+        return expand(length)
 
     monkeypatch.setattr(g, "expansion", counted)
     barrier = threading.Barrier(2)
@@ -278,7 +277,7 @@ def _expand_unused_generator_concurrently(monkeypatch, reference):
 
     def read():
         barrier.wait()
-        results.append(mb.monomial_series(mono, reference))
+        results.append(mb.monomial_series(mono))
 
     threads = [threading.Thread(target=read) for _ in range(2)]
     interval = sys.getswitchinterval()
@@ -291,18 +290,9 @@ def _expand_unused_generator_concurrently(monkeypatch, reference):
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 2 and results[0] == results[1]
-    assert expansions == [(terms + g.pole + 2, reference)]
-    assert results[0].agrees_with(expand(terms + g.pole + 2, reference))
-    assert mb._stores[reference][1] is series and i in series
-    assert mb._stores[not reference] is other and not other[1]
-
-
-def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
-    _expand_unused_generator_concurrently(monkeypatch, reference=False)
-
-
-def test_unused_generator_is_expanded_once_on_the_reference_route(monkeypatch):
-    _expand_unused_generator_concurrently(monkeypatch, reference=True)
+    assert expansions == [terms + g.pole + 2]
+    assert results[0].agrees_with(expand(terms + g.pole + 2))
+    assert mb._store[1] is series and i in series
 
 
 # {z degree: coefficient}: degree 0, degree 1, d + 1 a square (b = 3 and 4),
@@ -325,9 +315,9 @@ def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
     terms = 60
     poly = {tuple(j if i == 0 else 0 for i in range(len(gens))): Fraction(c)
             for j, c in Z_POLYNOMIALS[label].items()}
-    oracle_series, series = {}, {}
+    oracle_series, series, lock = {}, {}, threading.Lock()
     expected = _combination(
-        poly, lambda mono: _monomial_series(mono, gens, terms, oracle_series), terms)
+        poly, lambda mono: _monomial_series(mono, gens, terms, oracle_series, lock), terms)
 
     products = []
     mul = QSeries.__mul__
@@ -338,7 +328,7 @@ def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
     got = _z_polynomial(
-        poly, lambda mono: _monomial_series(mono, gens, terms, series), terms)
+        poly, lambda mono: _monomial_series(mono, gens, terms, series, lock), terms)
     monkeypatch.undo()
     assert got == expected
     d = max(Z_POLYNOMIALS[label])
