@@ -21,6 +21,13 @@ certify_product has proved every coefficient against the same recurrence
 (two products through the reference route's own packer, about the cost of
 the transform's top level); a list that fails is never stored, and the
 transform runs instead.  So every entry is proved, whichever route made it.
+With the certificate the fast route costs more than the transform alone
+unless its sparse work is small against the product's length, so a count,
+not a timing, chooses: _cached_product takes the fast route only when
+_FAST_WORK_RATIO times series.product_work is at most the length.  In a
+derivation that is a single sparse factor over a long run, such as the
+partition product of p(11n+6) or p(125n+99); every quotient and
+multi-factor product runs the transform.
 
 An entry is keyed by the progressions of n its exponents run over
 (progressions), so a spec, a quotient and an expression with the same
@@ -29,11 +36,11 @@ and steps share a factor g > 1 it names a series in q^g, every progression
 is divided by g, the fast route expands (r, rg) with every d and g divided
 by g, and a read spreads the entry's coefficients to every g-th index.  An
 entry holds the longest expansion asked for; a shorter request is a prefix,
-and a longer one expands the product again on the fast route (or extends
-the held list by the transform, on a reference read or a failed
-certificate).  Past _PRODUCT_TERMS coefficients in all, the entries read
-least recently go.  One lock guards the cache, so derivations and
-verifications on several threads share it.
+and a longer one expands the product again on the fast route, when the
+count chooses it, or else extends the held list by the transform.  Past
+_PRODUCT_TERMS coefficients in all, the entries read least recently go.
+One lock guards the cache, so derivations and verifications on several
+threads share it.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
-from .series import QSeries, euler_product, product_of_powers, theta_pair
+from .series import QSeries, euler_product, product_of_powers, product_work, theta_pair
 
 
 class NonIntegralPower(ValueError):
@@ -169,7 +176,7 @@ class PartitionSpec:
 
     def product_expansion(self, order: int) -> QSeries:
         """Coefficients a(0..order-1) of the defining product, exact."""
-        return _cached_product(self.r, self.rg, order)
+        return QSeries.from_ints(_cached_product(self.r, self.rg, order))
 
     def product_expansion_reference(self, order: int) -> QSeries:
         """The same coefficients, read by reference_product: the cache's
@@ -180,27 +187,57 @@ class PartitionSpec:
         """q**((t-l)/m) * sum_n a(m n + t) q^n with at least `terms` coefficients."""
         if not 0 <= t < m:
             raise ValueError("need 0 <= t < m")
-        # whole blocks of m, so every residue of one modulus reads one product
-        sliced = self.product_expansion(m * (terms + 1)).sift(m, t)
-        return sliced.shift(self.slice_prefactor(m, t))
+        # whole blocks of m, so every residue of one modulus reads one
+        # product; sifted as integers, terms + 1 of them
+        sliced = _cached_product(self.r, self.rg, m * (terms + 1))[t::m]
+        return QSeries.from_ints(sliced).shift(self.slice_prefactor(m, t))
 
 
 _PRODUCT_CACHE = {}    # progressions tuple in lowest terms -> certified integer list
 _PRODUCT_LOCK = threading.Lock()
 
+# _cached_product takes the fast route only when _FAST_WORK_RATIO * W <= n.
+# Measured on the partition product at n = 1,000, where W = 50: the fast
+# route with its certificate took 14.0 ms and the transform 14.3 ms.
+_FAST_WORK_RATIO = 20
 
-def _cached_product(r, rg, order) -> QSeries:
-    """The product of (r, rg) to q**order through the product cache; on a
-    miss the fast route expands it, in q^g for a key in q^g (_product)."""
+
+def _cached_product(r, rg, order) -> list:
+    """The product's integer coefficients below q**order through the product
+    cache (_product).
+
+    On a miss the fast route expands the n coefficients, in q^g for a key
+    in q^g, only when its work W (series.product_work, about n W sparse
+    updates) is small against n: _FAST_WORK_RATIO * W <= n.  It then pays
+    certify_product as well.  Any other product runs euler_transform, as
+    after a failed certificate; the transform's cost grows with neither the
+    number of factors nor their exponents.  Each product replayed from a
+    derivation, best of 3-5 runs on a 2-vCPU machine, fast route plus
+    certificate against the transform:
+
+        singular overpartitions, 990 terms     22.8 + 7.6 ms   15.4 ms
+        overpartitions, 560 terms               6.6 + 3.1 ms    6.3 ms
+        eta-quotients, 108-183 terms         1.2-13.4 ms all   0.3-1.7 ms
+        broken diamond, 4,350 terms              151 + 87 ms    229 ms
+        partitions, 1,969 terms (p(11n+6))       16 + 19.5 ms    43 ms
+        partitions, 20,000 terms (p(125n+99))     1.08 s all    2.07 s
+
+    So only a long product of few sparse factors, like the last two, takes
+    the fast route; every quotient and multi-factor product a derivation
+    reads runs the transform.
+    """
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
 
     def fast(g, n):
-        return _product_expansion({d // g: e for d, e in r.items()},
-                                  {(d // g, h // g): e for (d, h), e in rg.items()}, n)
+        rd = {d // g: e for d, e in r.items()}
+        rgd = {(d // g, h // g): e for (d, h), e in rg.items()}
+        if _FAST_WORK_RATIO * product_work(_product_factors(rd, rgd, n), n) > n:
+            return None
+        return _product_expansion(rd, rgd, n)
 
-    return QSeries.from_ints(_product(_spec_progressions(r, rg), order, fast))
+    return _product(_spec_progressions(r, rg), order, fast)
 
 
 def progressions(factors) -> tuple:
@@ -238,9 +275,9 @@ def _product(key, order, fast=None) -> list:
     a product in q whose coefficient j is f(g j): it is read to
     ceil(order/g) coefficients and spread to every g-th index.  A shorter
     list than that is a miss.  On a miss fast(g, n), when given, expands
-    those n coefficients on the fast route, and they are stored only if
-    certify_product proves them; otherwise euler_transform extends the held
-    list.  A read moves the entry last, for _publish's bound.
+    those n coefficients on the fast route or returns None, and a list is
+    stored only if certify_product proves it; otherwise euler_transform
+    extends the held list.  A read moves the entry last, for _publish's bound.
     """
     g = 0
     for (start, step), _ in key:     # sorted: one gcd when the first start is 1
@@ -484,7 +521,12 @@ def _first_break(f, sums, n0):
 
 def _product_expansion(r, rg, order) -> list:
     """The product's integer coefficients below q**order from sparse theta
-    series only.
+    series only (series.product_of_powers of _product_factors)."""
+    return product_of_powers(_product_factors(r, rg, order), order)
+
+
+def _product_factors(r, rg, order) -> list:
+    """(h, e) with the product prod h**e below q**order, every h sparse.
 
     (q^g, q^(d-g); q^d) = theta_pair(g, d) / (q^d; q^d), so the product is
     prod euler_product(d)**a[d] * prod theta_pair(g, d)**rg[d, g] with
@@ -495,8 +537,7 @@ def _product_expansion(r, rg, order) -> list:
     for (d, g), e in rg.items():
         plain[d] = plain.get(d, 0) - e
         factors.append((theta_pair(g, d, order), e))
-    factors += [(euler_product(d, order), e) for d, e in plain.items() if e]
-    return product_of_powers(factors, order)
+    return factors + [(euler_product(d, order), e) for d, e in plain.items() if e]
 
 
 class GenEtaQuotient:
@@ -592,7 +633,8 @@ class GenEtaQuotient:
         """Expansion with at least `terms` known coefficients past the lead,
         its product read through the cache the partition-function products
         share (_cached_product)."""
-        return _cached_product(self.a, self.ag, terms).shift(self.lead_exponent())
+        return QSeries.from_ints(_cached_product(self.a, self.ag, terms)).shift(
+            self.lead_exponent())
 
     def product_coefficients(self, terms: int) -> list:
         """Integer coefficients f(0..terms-1) of the product before its

@@ -2,9 +2,10 @@
 
 derive_identity runs the whole chain: admissible level, modular prefactor,
 generator monoid, module basis, pole-clearing multiplier, reduction, and a
-final independent check that multiplies both sides out again and compares
-them to the certified order.  Every series either side reads comes from
-products certify_product proved as they entered the product cache (eta.py).
+final independent check that multiplies the right-hand side out again from
+the basis and compares it with the left side, expanded once for both
+stages, to the certified order.  Every series either side reads comes from
+products proved as they entered the product cache (eta.py).
 dissect applies it to every residue class of a modulus, and verify_identity
 checks quoted q-series identities written in the small expression language.
 """
@@ -275,12 +276,12 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         pole_budget = max(0, int(ceil(-inf_bound)))
         target = max(pole_budget + GUARD, opts.order)
         quot = phi * h
-        rhs_coeffs = _reduce_with_retry(spec, m, t, quot, mb, target)
+        hF, rhs_coeffs = _reduce_with_retry(spec, m, t, quot, mb, target)
         identity = Identity(spec=spec, m=m, t=t, status="Derived", N=N, phi=phi,
                             h=h, h_powers=h_powers, basis=mb, rhs=rhs_coeffs,
                             certified_to=target)
         stage = "verification"
-        _independent_check(identity, target)
+        _independent_check(identity, hF, target)
         return identity
     except (RuntimeError, ValueError) as exc:
         return Identity(spec=spec, m=m, t=t, status="Failed", N=level,
@@ -301,15 +302,18 @@ def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
 
 
 def _reduce_with_retry(spec, m, t, quot, mb, target):
-    """The right-hand side coefficients of hF over the basis, certified to target."""
+    """(hF, the right-hand side coefficients of hF over the basis, certified
+    to target); hF is the left side, expanded once for the reduction and
+    the independent check."""
     hF = lhs_series(spec, m, t, quot, target)
     if hF.denom != 1:
         raise VerificationFailure("fractional exponents survive in the product")
-    return express(hF.truncated(target), mb, target)
+    return hF, express(hF.truncated(target), mb, target)
 
 
-def _independent_check(identity: Identity, order: int):
-    lhs = identity.lhs_series(order)
+def _independent_check(identity: Identity, lhs: QSeries, order: int):
+    """Compare the left side lhs with the identity's right-hand side, built
+    again from the basis, to q^order."""
     rhs = identity.rhs_series(order)
     diff = (lhs - rhs).truncated(order)
     if not diff.is_known_zero():

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import add, mul, sub
 
@@ -553,7 +553,8 @@ def _signed_exponents(h: QSeries, n: int):
     if h.denom != 1 or h.den != 1 or h.val != 0 or h.num[:1] != (1,):
         raise ValueError("factor must be 1 + O(q) with integer coefficients")
     plus, minus = [], []
-    for i in range(1, min(len(h.num), -(-n // (h.stride or 1)))):
+    top = min(len(h.num), -(-n // (h.stride or 1)))
+    for i in compress(range(1, top), h.num[1:top]):     # the nonzero terms only
         c = h.num[i]
         (plus if c > 0 else minus).extend([i * h.stride] * abs(c))
     return plus, minus
@@ -609,6 +610,17 @@ def _miller_power(plus, minus, e, n):
     return g
 
 
+def _plan(factors, n):
+    """(powers, passes) for product_of_powers: each (plus, minus, e) of a
+    factor h**e, in order of decreasing |e|.  The first factor with |e| > 1
+    and any later one with |e| > _MAX_PASSES are powers, the rest passes."""
+    powers, passes = [], []
+    for h, e in sorted(factors, key=lambda he: -abs(he[1])):
+        plus, minus = _signed_exponents(h, n)
+        (powers if abs(e) > (_MAX_PASSES if powers else 1) else passes).append((plus, minus, e))
+    return powers, passes
+
+
 def product_of_powers(factors, order: int) -> list:
     """The integer coefficients below q**order of prod h**e over (h, e) in
     factors.
@@ -621,17 +633,25 @@ def product_of_powers(factors, order: int) -> list:
     an expansion costs O(order * terms of h).  No series is inverted.
     """
     n = int(order)
-    f = None
-    passes = []
-    for h, e in sorted(factors, key=lambda he: -abs(he[1])):
-        plus, minus = _signed_exponents(h, n)
-        if abs(e) > (1 if f is None else _MAX_PASSES):
-            g = _miller_power(plus, minus, e, n)
-            f = g if f is None else _int_poly_mul_trunc(f, g, n)
-        else:
-            passes += [(_multiply_pass if e > 0 else _divide_pass, plus, minus)] * abs(e)
-    if f is None:
-        f = [1] + [0] * (n - 1)
-    for apply, plus, minus in passes:
-        apply(f, plus, minus)
+    powers, passes = _plan(factors, n)
+    f = [1] + [0] * (n - 1)
+    for i, (plus, minus, e) in enumerate(powers):
+        g = _miller_power(plus, minus, e, n)
+        f = _int_poly_mul_trunc(f, g, n) if i else g
+    for plus, minus, e in passes:
+        apply = _multiply_pass if e > 0 else _divide_pass
+        for _ in range(abs(e)):
+            apply(f, plus, minus)
     return f
+
+
+def product_work(factors, order: int) -> int:
+    """W, the sparse coefficient updates product_of_powers makes per
+    coefficient: |e| t for a pass over a factor with t nonzero terms past
+    its 1 below q**order, 2t for a power recurrence, order for each dense
+    join of a second power.  The whole expansion costs about order * W."""
+    n = int(order)
+    powers, passes = _plan(factors, n)
+    return (sum(2 * (len(plus) + len(minus)) for plus, minus, _ in powers)
+            + n * max(len(powers) - 1, 0)
+            + sum(abs(e) * (len(plus) + len(minus)) for plus, minus, e in passes))

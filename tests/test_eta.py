@@ -11,10 +11,10 @@ import etaram.exprs
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _exponents, _pack_mul,
-    _product_expansion, _spec_progressions, bernoulli_p2, certify_product,
-    euler_transform, progressions, reference_product,
+    _product_expansion, _product_factors, _spec_progressions, bernoulli_p2,
+    certify_product, euler_transform, progressions, reference_product,
 )
-from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer
+from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer, product_work
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -430,6 +430,8 @@ def test_power_recurrence_keeps_its_exactness_check(monkeypatch):
 
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    # the fast route forced: at 105 terms the rule picks the transform
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     calls = []
     for name in ("_product_expansion", "euler_transform", "certify_product"):
         original = getattr(etaram.eta, name)
@@ -473,6 +475,7 @@ def test_reference_route_never_trusts_the_fast_route(monkeypatch):
     spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
     quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     fast = spec.product_expansion(200)
     fast_quot = quot.expansion(60)
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
@@ -560,8 +563,10 @@ def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, s
     key = _spec_progressions(spec.r, spec.rg)
     expected = euler_transform(_exponents(key, order))
     # the true fast product is certified and stored: no transform runs, and a
-    # reference read takes it as it is
+    # reference read takes it as it is.  The fast route is forced, as the
+    # rule sends short products to the transform
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     transforms = spy_transform_lengths(monkeypatch)
     assert spec.product_expansion(order).coefficients_range(0, order) == expected
     assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
@@ -583,6 +588,41 @@ def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, s
         assert spec.product_expansion(order).coefficients_range(0, order) == expected
         assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
         assert transforms == [n]
+
+
+def test_product_work_counts_the_sparse_updates():
+    # 25 + 25 pentagonal exponents below q^1000, t = 50; (q^2; q^2) has 36
+    def work(r):
+        return product_work(_product_factors(r, {}, 1000), 1000)
+
+    assert work({1: -1}) == work({1: 1}) == 50      # one pass, t
+    assert work({1: -3}) == 100                       # one power recurrence, 2t
+    assert work({1: -2, 2: 1}) == 100 + 36            # a recurrence and a pass
+    # two recurrences past the passes: the second joins by one dense product
+    assert work({1: -5, 2: 6}) == 72 + 100 + 1000
+    # the partition product at the ratio's measured break-even
+    assert etaram.eta._FAST_WORK_RATIO * work({1: -1}) == 1000
+
+
+def test_random_products_are_the_transform_on_either_route(monkeypatch):
+    # 40 seeded products up to 3,000 terms, each read from an empty cache;
+    # the rule sends some to the fast route and the rest to the transform
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    rng = random.Random(35)
+    routes = []
+    transform, expand = etaram.eta.euler_transform, etaram.eta._product_expansion
+    monkeypatch.setattr(etaram.eta, "euler_transform",
+                        lambda c, known=(): routes.append("transform") or transform(c, known))
+    monkeypatch.setattr(etaram.eta, "_product_expansion",
+                        lambda r, rg, n: routes.append("fast") or expand(r, rg, n))
+    for _ in range(40):
+        spec = _random_spec(rng)
+        order = rng.randint(1, 3000)
+        etaram.eta._PRODUCT_CACHE.clear()
+        read = spec.product_expansion(order).coefficients_range(0, order)
+        assert read == transform(_exponents(_spec_progressions(spec.r, spec.rg), order)), (
+            spec, order)
+    assert {"fast", "transform"} <= set(routes)
 
 
 def _random_key(rng):
@@ -653,7 +693,7 @@ def test_the_bound_counts_every_entry_and_drops_the_one_read_least_recently(monk
     monkeypatch.setattr(etaram.eta, "_held_terms", 0)
     monkeypatch.setattr(etaram.eta, "_PRODUCT_TERMS", 250)
     eta = PartitionSpec(1, {1: 1})
-    # two entries the fast route made, 200 coefficients
+    # two entries, 200 coefficients
     PARTITION.product_expansion(100)
     OVERPARTITION.product_expansion(100)
     assert etaram.eta._held_terms == 200
@@ -700,6 +740,7 @@ def test_strided_products_agree_on_both_routes(monkeypatch, product):
         key = _spec_progressions(product.r, product.rg)
     expected = euler_transform(_exponents(key, 600))
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     lengths = []
     honest = etaram.eta._product_expansion
     monkeypatch.setattr(etaram.eta, "_product_expansion",

@@ -425,22 +425,25 @@ def test_failure_at_the_level_stage_keeps_no_level():
 def test_independent_check_rejects_a_perturbed_identity():
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
     assert ident.status == "Derived"
-    _independent_check(ident, ident.certified_to)
+    lhs = ident.lhs_series(ident.certified_to)
+    _independent_check(ident, lhs, ident.certified_to)
     bad = dataclasses.replace(ident, rhs=dict(ident.rhs))
     bad.rhs[(0, 1)] += 1
     # the extra z term first shows at the pole of z
     first = -ident.basis.z.pole
     with pytest.raises(VerificationFailure,
                        match=re.escape("differs at q^%d" % first) + "$"):
-        _independent_check(bad, bad.certified_to)
+        _independent_check(bad, lhs, bad.certified_to)
 
 
 def test_reference_check_never_trusts_the_fast_route(monkeypatch):
     ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
     clean = ident.rhs_series(60)
-    # every product and basis series is forgotten, and every fast-route
-    # expansion is spoiled in its constant term
+    # every product and basis series is forgotten, every product is sent to
+    # the fast route, and every fast-route expansion is spoiled in its
+    # constant term
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     ident = dataclasses.replace(ident, basis=dataclasses.replace(ident.basis, _store=(0, {})))
     verdicts, transforms = [], []
     certify, transform = etaram.eta.certify_product, etaram.eta.euler_transform
@@ -452,7 +455,7 @@ def test_reference_check_never_trusts_the_fast_route(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_product_expansion",
                         lambda r, rg, k: [c + (n == 0) for n, c in enumerate(honest(r, rg, k))])
     assert ident.rhs_series(60) == clean
-    _independent_check(ident, ident.certified_to)
+    _independent_check(ident, ident.lhs_series(ident.certified_to), ident.certified_to)
     # every spoiled product the check read failed its certificate at q^0,
     # and the transform expanded each
     assert verdicts and set(verdicts) == {0}
@@ -461,10 +464,11 @@ def test_reference_check_never_trusts_the_fast_route(monkeypatch):
 
 def _derive_with_fast_product(monkeypatch, spec, m, t, n):
     """derive_identity(spec, m, t) to order 100 from an empty product cache,
-    with the fast route's expansion of the spec's product changed by one at
-    q^n; returns the document and how often the transform ran on that
-    product."""
+    with every product sent to the fast route and its expansion of the
+    spec's product changed by one at q^n; returns the document and how
+    often the transform ran on that product."""
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     honest, transform = etaram.eta._product_expansion, etaram.eta.euler_transform
     key = etaram.eta._spec_progressions(spec.r, spec.rg)
     runs = []
@@ -504,6 +508,8 @@ def test_a_fast_product_spoiled_on_the_slice_changes_no_document(monkeypatch, n)
 
 def test_every_held_product_is_one_certified_list_in_lowest_terms(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    # every product on the fast route, so each of them meets the certificate
+    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
     etaram.identities.level_basis.cache_clear()
     expanded, certified = [], []
     expand_fast, certify, publish = (etaram.eta._product_expansion,
@@ -716,15 +722,66 @@ def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypa
 
 
 @pytest.mark.slow
-def test_partition_125n99_is_divisible_by_125():
-    # about 21k terms of 1/(q;q), expanded once and certified as it is stored
+def test_partition_125n99_is_divisible_by_125(monkeypatch):
+    # 20,000 terms of 1/(q;q) on the fast route, certified as they are stored
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    expanded, certified, _ = spy_product_routes(monkeypatch)
     ident = derive_identity(PARTITION, 125, 99, DeriveOptions())
     assert ident.status == "Derived"
     assert ident.congruence_modulus() % 125 == 0
+    assert ({1: -1}, {}, 20000) in expanded and certified == [20000]
+
+
+def spy_product_routes(monkeypatch):
+    """(expanded, certified, transformed): the (r, rg, n) of every fast-route
+    expansion, the length of every certified list and of every
+    euler_transform run, in order."""
+    expanded, certified, transformed = [], [], []
+    expand, certify, transform = (etaram.eta._product_expansion, etaram.eta.certify_product,
+                                  etaram.eta.euler_transform)
+    monkeypatch.setattr(etaram.eta, "_product_expansion",
+                        lambda r, rg, n: expanded.append((r, rg, n)) or expand(r, rg, n))
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        lambda f, c: certified.append(len(f)) or certify(f, c))
+    monkeypatch.setattr(etaram.eta, "euler_transform",
+                        lambda c, known=(): transformed.append(len(c)) or transform(c, known))
+    return expanded, certified, transformed
+
+
+def test_only_a_long_sparse_product_takes_the_fast_route(monkeypatch):
+    # p(11n+6)'s 1,969-term partition product is the one fast expansion, and
+    # it is certified; its quotient products run the transform
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    etaram.identities.level_basis.cache_clear()
+    expanded, certified, transformed = spy_product_routes(monkeypatch)
+    assert derive_identity(PARTITION, 11, 6, DeriveOptions(order=150)).status == "Derived"
+    assert expanded == [({1: -1}, {}, 1969)] and certified == [1969]
+    assert transformed
+    # the overpartition, singular overpartition and diamond products and
+    # every quotient product run the transform, and no certificate
+    for spec, m, t, order in (DOCUMENT_CASES["over-5n+2"], DOCUMENT_CASES["singular-9n+3"],
+                              DOCUMENT_CASES["diamond-25n+14"]):
+        transformed.clear()
+        assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived"
+        assert expanded == [({1: -1}, {}, 1969)] and certified == [1969], (spec, m, t)
+        key = etaram.eta._spec_progressions(spec.r, spec.rg)
+        assert len(etaram.eta._PRODUCT_CACHE[key]) in transformed, (spec, m, t)
+
+
+def test_a_derivation_expands_its_left_side_once(monkeypatch):
+    # reduction and the independent check read one left side
+    calls = []
+    real = etaram.identities.lhs_series
+    monkeypatch.setattr(etaram.identities, "lhs_series",
+                        lambda *args: calls.append(args) or real(*args))
+    for spec, m, t, order in (DOCUMENT_CASES["over-5n+2"], DOCUMENT_CASES["p-11n+6"]):
+        calls.clear()
+        assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived"
+        assert len(calls) == 1, (spec, m, t)
 
 
 def test_derive_always_runs_the_independent_check(monkeypatch):
-    def failing(identity, order):
+    def failing(identity, lhs, order):
         raise VerificationFailure("re-expansion spoiled on purpose")
 
     monkeypatch.setattr(etaram.identities, "_independent_check", failing)
@@ -751,7 +808,7 @@ def test_independent_check_rejects_a_short_comparison(monkeypatch):
     monkeypatch.setattr(etaram.identities.Identity, "rhs_series",
                         lambda self, terms: full(self, terms).truncated(terms - 10))
     with pytest.raises(VerificationFailure, match=r"known only to q\^90, need 100"):
-        _independent_check(ident, ident.certified_to)
+        _independent_check(ident, ident.lhs_series(ident.certified_to), ident.certified_to)
 
 
 def test_concurrent_derivations_match_sequential(monkeypatch):
