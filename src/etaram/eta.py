@@ -9,38 +9,32 @@ a finite product of Pochhammer factors
 and a GenEtaQuotient is a finite product of eta(d*tau)**a[d] and generalized
 factors eta_{d,g}(tau)**ag[d, g] at some level N.  Both expand to exact
 QSeries values through one product cache, which holds each product once, as
-the integer coefficient list of the plain product prod (1 - q^n)^c[n].  Two
-independent routes compute it.  The fast route writes the product as powers
-of pentagonal and triple-product theta series, each 1 + O(q) with a few
-terms, and multiplies them out in integers by sparse passes and Miller's
-power recurrence (series.product_of_powers); no series is inverted.  The
+the integer coefficient list of the plain product prod (1 - q^n)^c[n].  The
 reference route runs the integer Euler-transform recurrence of the plain
 product (euler_transform, which the expression language in exprs.py reads
-through reference_product too).  The fast route's list is stored only after
-certify_product has proved every coefficient against the same recurrence
-(two products through the reference route's own packer, about the cost of
-the transform's top level); a list that fails is never stored, and the
-transform runs instead.  So every entry is proved, whichever route made it.
-With the certificate the fast route costs more than the transform alone
-unless its sparse work is small against the product's length, so a count,
-not a timing, chooses: _cached_product takes the fast route only when
-_FAST_WORK_RATIO times series.product_work is at most the length.  In a
-derivation that is a single sparse factor over a long run, such as the
-partition product of p(11n+6) or p(125n+99); every quotient and
-multi-factor product runs the transform.
+through reference_product too), and every product runs it but one.  The
+partition product 1/(q; q), of at least _FAST_TERMS coefficients, takes the
+fast route: Euler's pentagonal recurrence (series.partition_numbers), which
+shares no code with the transform.  Its list is stored only after
+certify_product has proved every coefficient against the transform's
+recurrence (two products through the reference route's own packer, about
+the cost of the transform's top level); a list that fails is never stored,
+and the transform runs instead.  So every entry is proved, whichever route
+made it.  In a derivation the fast route serves the partition products of
+p(11n+6) and p(125n+99); every quotient and multi-factor product runs the
+transform.
 
 An entry is keyed by the progressions of n its exponents run over
 (progressions), so a spec, a quotient and an expression with the same
 product read one entry.  The key is held in lowest terms: when its starts
 and steps share a factor g > 1 it names a series in q^g, every progression
-is divided by g, the fast route expands (r, rg) with every d and g divided
-by g, and a read spreads the entry's coefficients to every g-th index.  An
-entry holds the longest expansion asked for; a shorter request is a prefix,
-and a longer one expands the product again on the fast route, when the
-count chooses it, or else extends the held list by the transform.  Past
-_PRODUCT_TERMS coefficients in all, the entries read least recently go.
-One lock guards the cache, so derivations and verifications on several
-threads share it.
+is divided by g, so 1/(q^g; q^g) is the partition product too, and a read
+spreads the entry's coefficients to every g-th index.  An entry holds the
+longest expansion asked for; a shorter request is a prefix, and a longer
+one expands the partition product again on the fast route, or else extends
+the held list by the transform.  Past _PRODUCT_TERMS coefficients in all,
+the entries read least recently go.  One lock guards the cache, so
+derivations and verifications on several threads share it.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
-from .series import QSeries, euler_product, product_of_powers, product_work, theta_pair
+from .series import QSeries, partition_numbers
 
 
 class NonIntegralPower(ValueError):
@@ -129,6 +123,7 @@ class PartitionSpec:
                 self.rg[(d, g)] = self.rg.get((d, g), 0) + e
         self.r = {d: e for d, e in sorted(self.r.items()) if e}
         self.rg = {k: e for k, e in sorted(self.rg.items()) if e}
+        self._shift = -lead_exponent(self.r, self.rg, M)
 
     def __repr__(self):
         return "PartitionSpec(M=%d, r=%r, rg=%r)" % (self.M, self.r, self.rg)
@@ -166,11 +161,12 @@ class PartitionSpec:
     # -- invariants of the product ---------------------------------------------
 
     def eta_shift(self) -> Fraction:
-        """Rational l with q**(-l) * product equal to a quotient of eta factors."""
-        return -lead_exponent(self.r, self.rg, self.M)
+        """Rational l with q**(-l) * product equal to a quotient of eta
+        factors, held from the constructor."""
+        return self._shift
 
     def slice_prefactor(self, m: int, t: int) -> Fraction:
-        return Fraction(t - self.eta_shift(), m)
+        return Fraction(t - self._shift, m)
 
     # -- expansions -------------------------------------------------------------
 
@@ -196,48 +192,33 @@ class PartitionSpec:
 _PRODUCT_CACHE = {}    # progressions tuple in lowest terms -> certified integer list
 _PRODUCT_LOCK = threading.Lock()
 
-# _cached_product takes the fast route only when _FAST_WORK_RATIO * W <= n.
-# Measured on the partition product at n = 1,000, where W = 50: the fast
-# route with its certificate took 14.0 ms and the transform 14.3 ms.
-_FAST_WORK_RATIO = 20
+# _product takes the fast route for the partition product of at least this
+# many coefficients.  Measured at 1,000, the fast route with its certificate
+# took 14.0 ms and the transform 14.3 ms.
+_FAST_TERMS = 1000
 
 
 def _cached_product(r, rg, order) -> list:
     """The product's integer coefficients below q**order through the product
-    cache (_product).
+    cache (_product), which offers the fast route to the partition product.
 
-    On a miss the fast route expands the n coefficients, in q^g for a key
-    in q^g, only when its work W (series.product_work, about n W sparse
-    updates) is small against n: _FAST_WORK_RATIO * W <= n.  It then pays
+    On a miss the partition product of n >= _FAST_TERMS coefficients, in
+    q^g for 1/(q^g; q^g), is expanded by _product_expansion and pays
     certify_product as well.  Any other product runs euler_transform, as
-    after a failed certificate; the transform's cost grows with neither the
-    number of factors nor their exponents.  Each product replayed from a
-    derivation, best of 3-5 runs on a 2-vCPU machine, fast route plus
-    certificate against the transform:
+    after a failed certificate.  Best of 3-5 runs on a 2-vCPU machine, fast
+    route plus certificate against the transform:
 
-        singular overpartitions, 990 terms     22.8 + 7.6 ms   15.4 ms
-        overpartitions, 560 terms               6.6 + 3.1 ms    6.3 ms
-        eta-quotients, 108-183 terms         1.2-13.4 ms all   0.3-1.7 ms
-        broken diamond, 4,350 terms              151 + 87 ms    229 ms
         partitions, 1,969 terms (p(11n+6))       16 + 19.5 ms    43 ms
-        partitions, 20,000 terms (p(125n+99))     1.08 s all    2.07 s
+        partitions, 20,000 terms (p(125n+99))     0.45 + 0.57 s  1.95 s
 
-    So only a long product of few sparse factors, like the last two, takes
-    the fast route; every quotient and multi-factor product a derivation
-    reads runs the transform.
+    A product of several factors, or of a power other than -1, gained less
+    from a fast route of its own than the certificate cost at the lengths a
+    derivation reads (measured in README.md), so it runs the transform.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
-
-    def fast(g, n):
-        rd = {d // g: e for d, e in r.items()}
-        rgd = {(d // g, h // g): e for (d, h), e in rg.items()}
-        if _FAST_WORK_RATIO * product_work(_product_factors(rd, rgd, n), n) > n:
-            return None
-        return _product_expansion(rd, rgd, n)
-
-    return _product(_spec_progressions(r, rg), order, fast)
+    return _product(_spec_progressions(r, rg), order, fast=True)
 
 
 def progressions(factors) -> tuple:
@@ -267,17 +248,18 @@ def reference_product(key, order) -> list:
     return _product(key, order)
 
 
-def _product(key, order, fast=None) -> list:
+def _product(key, order, fast=False) -> list:
     """f(0..order-1) of the product `key` names, through the product cache.
 
     g is the gcd of every start and step in the key (1 for the empty key).
     The entry is held under the key with every progression divided by g,
     a product in q whose coefficient j is f(g j): it is read to
     ceil(order/g) coefficients and spread to every g-th index.  A shorter
-    list than that is a miss.  On a miss fast(g, n), when given, expands
-    those n coefficients on the fast route or returns None, and a list is
-    stored only if certify_product proves it; otherwise euler_transform
-    extends the held list.  A read moves the entry last, for _publish's bound.
+    list than that is a miss.  On a miss, when fast is set and the reduced
+    key is the partition product's, _product_expansion expands those n >=
+    _FAST_TERMS coefficients, and the list is stored only if certify_product
+    proves it; otherwise euler_transform extends the held list.  A read
+    moves the entry last, for _publish's bound.
     """
     g = 0
     for (start, step), _ in key:     # sorted: one gcd when the first start is 1
@@ -295,7 +277,8 @@ def _product(key, order, fast=None) -> list:
             _PRODUCT_CACHE[key] = held
     if held is None or len(held) < n:
         c = _exponents(key, n)
-        f = None if fast is None else fast(g, n)
+        partitions = fast and key == (((1, 1), -1),) and n >= _FAST_TERMS
+        f = _product_expansion(n) if partitions else None
         if f is None or certify_product(f, c) is not None:
             f = euler_transform(c, held or ())
         held = _publish(key, f)
@@ -519,25 +502,10 @@ def _first_break(f, sums, n0):
     return next((n for n, x in enumerate(sums, n0) if x != n * f[n]), None)
 
 
-def _product_expansion(r, rg, order) -> list:
-    """The product's integer coefficients below q**order from sparse theta
-    series only (series.product_of_powers of _product_factors)."""
-    return product_of_powers(_product_factors(r, rg, order), order)
-
-
-def _product_factors(r, rg, order) -> list:
-    """(h, e) with the product prod h**e below q**order, every h sparse.
-
-    (q^g, q^(d-g); q^d) = theta_pair(g, d) / (q^d; q^d), so the product is
-    prod euler_product(d)**a[d] * prod theta_pair(g, d)**rg[d, g] with
-    a[d] = r[d] - sum_g rg[d, g]: every factor is 1 + O(q) with a few terms.
-    """
-    plain = dict(r)
-    factors = []
-    for (d, g), e in rg.items():
-        plain[d] = plain.get(d, 0) - e
-        factors.append((theta_pair(g, d, order), e))
-    return factors + [(euler_product(d, order), e) for d, e in plain.items() if e]
+def _product_expansion(order) -> list:
+    """The fast route: the partition product's coefficients below q**order
+    by Euler's pentagonal recurrence (series.partition_numbers)."""
+    return partition_numbers(order)
 
 
 class GenEtaQuotient:

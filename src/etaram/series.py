@@ -12,9 +12,9 @@ built only when a caller reads a coefficient.  All arithmetic is exact;
 floating point is never used.  Values are immutable after construction and
 safe to share between threads.
 
-product_of_powers, at the end, multiplies out powers of sparse series
-1 + O(q) in integers by sparse passes and Miller's power recurrence; the
-fast route of eta.py expands every eta product through it.
+partition_numbers, at the end, expands 1/(q; q)_infinity in integers by
+Euler's pentagonal recurrence; it is the fast route of eta.py, which serves
+the partition product alone.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, sub
 
 
 class ZeroSeries(ArithmeticError):
@@ -538,26 +538,25 @@ def pair_product(g: int, delta: int, order: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# products of powers of sparse unit series (the fast route's product kernel)
+# the partition numbers (the fast route's one product)
 # ---------------------------------------------------------------------------
 
-_MAX_PASSES = 4   # past the first factor, |e| up to this is applied as passes
-
-
-def _signed_exponents(h: QSeries, n: int):
-    """h = 1 + sum_{k in plus} q^k - sum_{k in minus} q^k below q**n.
-
-    h must be 1 + O(q) with integer coefficients; an exponent with
-    coefficient c appears |c| times, in the list of c's sign.
+def partition_numbers(order: int) -> list:
+    """p(0), ..., p(order-1), the coefficients of 1/(q; q)_infinity, by
+    Euler's pentagonal recurrence  p(i) = sum_{k != 0} (-1)^(k+1)
+    p(i - k(3k-1)/2):  one _divide_pass of 1 by the pentagonal series
+    (q; q)_infinity = 1 + sum_{k != 0} (-1)^k q^(k(3k-1)/2).
     """
-    if h.denom != 1 or h.den != 1 or h.val != 0 or h.num[:1] != (1,):
-        raise ValueError("factor must be 1 + O(q) with integer coefficients")
-    plus, minus = [], []
-    top = min(len(h.num), -(-n // (h.stride or 1)))
-    for i in compress(range(1, top), h.num[1:top]):     # the nonzero terms only
-        c = h.num[i]
-        (plus if c > 0 else minus).extend([i * h.stride] * abs(c))
-    return plus, minus
+    n = int(order)
+    plus, minus = [], []    # the pentagonal exponents below n, by sign
+    k = 1
+    while k * (3 * k - 1) // 2 < n:
+        signed = minus if k % 2 else plus
+        signed += [j for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if j < n]
+        k += 1
+    f = [1] + [0] * (n - 1)
+    _divide_pass(f, plus, minus)
+    return f
 
 
 def _blocks(plus, minus, n):
@@ -567,91 +566,10 @@ def _blocks(plus, minus, n):
         yield lo, hi, plus[:bisect_right(plus, lo)], minus[:bisect_right(minus, lo)]
 
 
-def _multiply_pass(f, plus, minus):
-    """f <- f * h in place, truncated to len(f)."""
-    old = f[:]
-    for ks, op in ((plus, add), (minus, sub)):
-        for k in ks:
-            f[k:] = map(op, f[k:], old)
-
-
 def _divide_pass(f, plus, minus):
-    """f <- f / h in place, truncated to len(f): f(i) -= sum_k c(k) f(i-k)."""
+    """f <- f / h in place, truncated to len(f), for h = 1 + sum_{k in plus}
+    q^k - sum_{k in minus} q^k, each list sorted: f(i) -= sum_k c(k) f(i-k)."""
     for lo, hi, kp, km in _blocks(plus, minus, len(f)):
         for i in range(lo, hi):
             f[i] += (sum(map(f.__getitem__, map(i.__sub__, km)))
                      - sum(map(f.__getitem__, map(i.__sub__, kp))))
-
-
-def _miller_power(plus, minus, e, n):
-    """First n coefficients of h**e for any integer e.
-
-    J.C.P. Miller's recurrence  i g(i) = sum_k ((e+1) k - i) c(k) g(i-k)
-    follows from h * q dg/dq = e * g * q dh/dq.  Every division by i is
-    exact for integer e, and a remainder raises AssertionError.  A factor
-    in q**m alone is expanded in q**m.
-    """
-    m = gcd(*plus, *minus)
-    if m > 1:
-        g = _miller_power([k // m for k in plus], [k // m for k in minus], e, -(-n // m))
-        spread = [0] * n
-        spread[::m] = g
-        return spread
-    g = [1] + [0] * (min(plus[:1] + minus[:1] + [n]) - 1)
-    for lo, hi, kp, km in _blocks(plus, minus, n):
-        for i in range(lo, hi):
-            vp = list(map(g.__getitem__, map(i.__sub__, kp)))
-            vm = list(map(g.__getitem__, map(i.__sub__, km)))
-            weighted = sum(map(mul, kp, vp)) - sum(map(mul, km, vm))
-            total, rem = divmod((e + 1) * weighted - i * (sum(vp) - sum(vm)), i)
-            if rem:
-                raise AssertionError("power recurrence left a remainder at q^%d" % i)
-            g.append(total)
-    return g
-
-
-def _plan(factors, n):
-    """(powers, passes) for product_of_powers: each (plus, minus, e) of a
-    factor h**e, in order of decreasing |e|.  The first factor with |e| > 1
-    and any later one with |e| > _MAX_PASSES are powers, the rest passes."""
-    powers, passes = [], []
-    for h, e in sorted(factors, key=lambda he: -abs(he[1])):
-        plus, minus = _signed_exponents(h, n)
-        (powers if abs(e) > (_MAX_PASSES if powers else 1) else passes).append((plus, minus, e))
-    return powers, passes
-
-
-def product_of_powers(factors, order: int) -> list:
-    """The integer coefficients below q**order of prod h**e over (h, e) in
-    factors.
-
-    Every h is a sparse series 1 + O(q) with integer coefficients, known to
-    q**order at least.  The factor with the largest |e| > 1 is expanded by
-    _miller_power into the coefficient list; any other factor with
-    |e| > _MAX_PASSES is expanded the same way and multiplied in, and the
-    rest are applied as |e| in-place multiply or divide passes.  A pass or
-    an expansion costs O(order * terms of h).  No series is inverted.
-    """
-    n = int(order)
-    powers, passes = _plan(factors, n)
-    f = [1] + [0] * (n - 1)
-    for i, (plus, minus, e) in enumerate(powers):
-        g = _miller_power(plus, minus, e, n)
-        f = _int_poly_mul_trunc(f, g, n) if i else g
-    for plus, minus, e in passes:
-        apply = _multiply_pass if e > 0 else _divide_pass
-        for _ in range(abs(e)):
-            apply(f, plus, minus)
-    return f
-
-
-def product_work(factors, order: int) -> int:
-    """W, the sparse coefficient updates product_of_powers makes per
-    coefficient: |e| t for a pass over a factor with t nonzero terms past
-    its 1 below q**order, 2t for a power recurrence, order for each dense
-    join of a second power.  The whole expansion costs about order * W."""
-    n = int(order)
-    powers, passes = _plan(factors, n)
-    return (sum(2 * (len(plus) + len(minus)) for plus, minus, _ in powers)
-            + n * max(len(powers) - 1, 0)
-            + sum(abs(e) * (len(plus) + len(minus)) for plus, minus, e in passes))

@@ -1,7 +1,6 @@
 import decimal
 import random
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 import pytest
@@ -11,10 +10,10 @@ import etaram.exprs
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _exponents, _pack_mul,
-    _product_expansion, _product_factors, _spec_progressions, bernoulli_p2,
-    certify_product, euler_transform, progressions, reference_product,
+    _product_expansion, _spec_progressions, bernoulli_p2, certify_product,
+    euler_transform, progressions, reference_product,
 )
-from etaram.series import _MAX_PASSES, QSeries, _int_poly_mul, pochhammer, product_work
+from etaram.series import QSeries, _int_poly_mul, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -53,6 +52,20 @@ def test_eta_shift_values():
     assert OVERPARTITION.eta_shift() == 0
     # progression prefactor for p(11n+6)
     assert PARTITION.slice_prefactor(11, 6) == Fraction(6 - Fraction(1, 24), 11) == Fraction(13, 24)
+
+
+def test_slice_reads_hold_the_eta_shift(monkeypatch):
+    calls = []
+    real = etaram.eta.lead_exponent
+    monkeypatch.setattr(etaram.eta, "lead_exponent",
+                        lambda *args: calls.append(args) or real(*args))
+    for r, rg in (({1: -1}, {}), ({1: -2, 2: 1}, {}), ({1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})):
+        calls.clear()
+        spec = PartitionSpec(6, r, rg)
+        first = spec.slice_expansion(5, 2, 20)
+        for _ in range(99):
+            assert spec.slice_expansion(5, 2, 20) == first
+        assert len(calls) == 1, (r, rg)
 
 
 def test_partition_expansion_against_enumeration():
@@ -368,7 +381,7 @@ def test_euler_transform_catches_a_spoiled_libmpdec_product(monkeypatch):
 
 def _random_powers(rng, big):
     """A product with plain and rg factors (2g = d too) and exponents up to
-    big in absolute value, with at least one exponent beyond _MAX_PASSES."""
+    big in absolute value, with at least one exponent beyond 4."""
     def exponent():
         return rng.choice([-1, 1]) * rng.randint(1, big)
     r = {d: exponent() for d in rng.sample([1, 2, 3, 5, 6, 10], rng.randint(1, 3))}
@@ -377,14 +390,14 @@ def _random_powers(rng, big):
         d = rng.choice([2, 4, 5, 6, 7, 10])
         rg[(d, rng.randint(1, d // 2))] = exponent()
     d = min(r)
-    r[d] = rng.choice([-1, 1]) * rng.randint(_MAX_PASSES + 1, max(big, _MAX_PASSES + 1))
+    r[d] = rng.choice([-1, 1]) * rng.randint(5, max(big, 5))
     return r, rg
 
 
-# exponents up to 70 on both sides of the pass/Miller split
+# multi-factor products with exponents up to 70, as a prefactor reaches
 POWER_PRODUCTS = [
     ({1: -3, 2: 1, 5: 1, 10: -1}, {}),                     # broken diamond
-    ({1: _MAX_PASSES, 3: -_MAX_PASSES - 1}, {(5, 2): _MAX_PASSES + 1}),
+    ({1: 4, 3: -5}, {(5, 2): 5}),
     ({1: 69, 2: -38, 5: 27, 10: -56},                     # diamond prefactor
      {(10, 1): -34, (10, 2): 3, (10, 3): 23, (10, 4): 59}),
     ({2: -70}, {(4, 2): 70, (7, 3): -2}),                 # 2g = d, stride 2
@@ -393,21 +406,32 @@ POWER_PRODUCTS = [
 
 
 @pytest.mark.parametrize("r, rg", POWER_PRODUCTS)
-def test_product_expansion_matches_the_pochhammer_route(r, rg):
+def test_product_expansion_matches_the_pochhammer_route(monkeypatch, r, rg):
+    # each read from an empty cache: the transform, as for every product
+    # but the partition product
     expected = pochhammer_route(r, rg, 200)
     for order in (1, 2, 50, 200):
-        f = _product_expansion(r, rg, order)
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        assert PartitionSpec(420, r, rg).product_expansion(order) == expected.truncated(order)
+
+
+def test_product_expansion_matches_the_pochhammer_route_at_diamond_size(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    r = {1: -5, 2: 4, 5: 1, 10: -1}
+    assert PartitionSpec(10, r).product_expansion(4575) == pochhammer_route(r, {}, 4575)
+
+
+def test_partition_numbers_match_the_pochhammer_route():
+    # the fast route, Euler's pentagonal recurrence, at the transform's
+    # block edges and past the rule's 1,000 terms
+    expected = pochhammer_route({1: -1}, {}, 1500)
+    for order in (1, 2, 3, 5, 6, 64, 65, 200, 1000, 1500):
+        f = _product_expansion(order)
         assert type(f) is list and QSeries.from_ints(f) == expected.truncated(order)
 
 
-def test_product_expansion_matches_the_pochhammer_route_at_diamond_size():
-    # exponents on both sides of the split: one power expansion, then passes
-    r = {1: -_MAX_PASSES - 1, 2: _MAX_PASSES, 5: 1, 10: -1}
-    assert QSeries.from_ints(_product_expansion(r, {}, 4575)) == pochhammer_route(r, {}, 4575)
-
-
 def test_quotient_expansion_matches_the_pochhammer_route():
-    # g = d/2 factors reach the kernel as the plain eta powers they fold into
+    # g = d/2 factors reach the product cache as the plain eta powers they fold into
     rng = random.Random(17)
     for _ in range(6):
         a = {d: rng.randint(-70, 70) for d in (1, 2, 5, 10)}
@@ -420,28 +444,20 @@ def test_quotient_expansion_matches_the_pochhammer_route():
             assert core == expected.truncated(order)
 
 
-def test_power_recurrence_keeps_its_exactness_check(monkeypatch):
-    honest = etaram.series.mul
-    # one unit too much in every weighted term: some i no longer divides
-    monkeypatch.setattr(etaram.series, "mul", lambda a, b: honest(a, b) + 1)
-    with pytest.raises(AssertionError, match="power recurrence left a remainder"):
-        _product_expansion({1: -_MAX_PASSES - 1}, {}, 50)
-
-
 def test_residues_of_one_modulus_share_one_product(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     # the fast route forced: at 105 terms the rule picks the transform
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     calls = []
     for name in ("_product_expansion", "euler_transform", "certify_product"):
         original = getattr(etaram.eta, name)
         monkeypatch.setattr(etaram.eta, name, lambda *a, _f=original, _n=name, **k:
                             calls.append(_n) or _f(*a, **k))
     for t in range(5):
-        sliced = OVERPARTITION.slice_expansion(5, t, 20)
+        sliced = PARTITION.slice_expansion(5, t, 20)
         assert sliced.bound() - sliced.leading()[0] >= 20
-        held = OVERPARTITION.product_expansion_reference(5 * 21)
-        assert sliced == held.sift(5, t).shift(OVERPARTITION.slice_prefactor(5, t))
+        held = PARTITION.product_expansion_reference(5 * 21)
+        assert sliced == held.sift(5, t).shift(PARTITION.slice_prefactor(5, t))
     # one expansion, certified as it was stored; the reference reads take it
     assert calls == ["_product_expansion", "certify_product"]
 
@@ -472,13 +488,13 @@ def test_quotient_expansions_read_the_product_cache(monkeypatch):
 def test_reference_route_never_trusts_the_fast_route(monkeypatch):
     # on an empty cache a reference read runs the transform through its own
     # packer and no fast-route kernel, and finds the fast route's values
-    spec = PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1})
-    quot = GenEtaQuotient(10, a={1: 1, 5: 1, 10: -2}, ag={(5, 1): -2, (10, 1): -1})
+    spec = PARTITION
+    quot = GenEtaQuotient(6, a={3: -1})
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     fast = spec.product_expansion(200)
-    fast_quot = quot.expansion(60)
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    fast_quot = quot.expansion(60)
     taken = spy_decimal_packer(monkeypatch)
     monkeypatch.setattr(etaram.eta, "_DECIMAL_DIGITS", 0)
     transforms = spy_transform_lengths(monkeypatch)
@@ -489,17 +505,43 @@ def test_reference_route_never_trusts_the_fast_route(monkeypatch):
     for module in (etaram.eta, etaram.series):
         for name in ("euler_product", "theta_pair", "pair_product", "_product_expansion",
                      "_int_poly_mul", "_int_poly_mul_trunc", "_int_poly_inv",
-                     "product_of_powers", "_signed_exponents", "_multiply_pass",
-                     "_divide_pass", "_miller_power"):
+                     "partition_numbers", "_blocks", "_divide_pass"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(QSeries, "invert", forbidden)
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     assert spec.product_expansion_reference(200) == fast
+    # 1/(q^3; q^3) is the partition product in q^3
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     assert QSeries.from_ints(quot.product_coefficients(60)).shift(
         quot.lead_exponent()) == fast_quot
     assert taken
-    # each product ran the transform: the spec's 200 terms and the quotient's 60
-    assert transforms == [200, 60]
+    # each product ran the transform: the spec's 200 terms and the
+    # quotient's 60, read in q^3
+    assert transforms == [200, 20]
+
+
+def test_only_the_partition_product_reaches_the_fast_route(monkeypatch):
+    # with the length rule off, every other product still runs the transform
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product other than 1/(q^g; q^g) took the fast route")
+
+    monkeypatch.setattr(etaram.eta, "_product_expansion", forbidden)
+    specs = [OVERPARTITION,
+             PartitionSpec(6, {1: -1, 3: 1}, {(3, 1): -1, (6, 2): 1}),   # singular
+             PartitionSpec(10, {1: -3, 2: 1, 5: 1, 10: -1}),              # broken diamond
+             PartitionSpec(5, rg={(5, 1): -1, (5, 2): 1}),                # Rogers-Ramanujan
+             PartitionSpec(1, {1: -2}), PartitionSpec(1, {1: 4})]
+    for spec in specs:
+        spec.product_expansion(2000)
+    GenEtaQuotient(10, {1: 1, 5: 1, 10: -2}, {(5, 1): -2, (10, 1): -1}).expansion(2000)
+    cache = etaram.eta._PRODUCT_CACHE
+    assert len(cache) == len(specs) + 1
+    for key, f in cache.items():
+        assert f == euler_transform(_exponents(key, len(f))), key
 
 
 def spy_transform_lengths(monkeypatch):
@@ -557,8 +599,10 @@ def test_one_changed_coefficient_fails_at_its_own_index():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, seed):
+    # 1/(q^g; q^g), the fast route's one product, at a random g and level
     rng = random.Random(seed)
-    spec = _random_spec(rng)
+    g = rng.randint(1, 3)
+    spec = PartitionSpec(g * rng.randint(1, 4), {g: -1})
     order = rng.randint(2, 600)
     key = _spec_progressions(spec.r, spec.rg)
     expected = euler_transform(_exponents(key, order))
@@ -566,14 +610,13 @@ def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, s
     # reference read takes it as it is.  The fast route is forced, as the
     # rule sends short products to the transform
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     transforms = spy_transform_lengths(monkeypatch)
     assert spec.product_expansion(order).coefficients_range(0, order) == expected
     assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
     assert transforms == []
     # a spoiled one never is: the transform runs once and gives the true
     # product.  A key in q^g is expanded in q^g, to ceil(order/g) coefficients
-    g = gcd(*(x for progression, _ in key for x in progression)) or 1
     n = -(-order // g)
     j = rng.randrange(n)
     delta = rng.choice([-2, -1, 1, 2])
@@ -583,30 +626,17 @@ def test_the_reference_route_adopts_only_a_certified_fast_product(monkeypatch, s
                   lambda f: f[:-1] + [f[-1] + 1]):
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
         monkeypatch.setattr(etaram.eta, "_product_expansion",
-                            lambda r, rg, k, spoil=spoil: spoil(honest(r, rg, k)))
+                            lambda k, spoil=spoil: spoil(honest(k)))
         transforms.clear()
         assert spec.product_expansion(order).coefficients_range(0, order) == expected
         assert spec.product_expansion_reference(order).coefficients_range(0, order) == expected
         assert transforms == [n]
 
 
-def test_product_work_counts_the_sparse_updates():
-    # 25 + 25 pentagonal exponents below q^1000, t = 50; (q^2; q^2) has 36
-    def work(r):
-        return product_work(_product_factors(r, {}, 1000), 1000)
-
-    assert work({1: -1}) == work({1: 1}) == 50      # one pass, t
-    assert work({1: -3}) == 100                       # one power recurrence, 2t
-    assert work({1: -2, 2: 1}) == 100 + 36            # a recurrence and a pass
-    # two recurrences past the passes: the second joins by one dense product
-    assert work({1: -5, 2: 6}) == 72 + 100 + 1000
-    # the partition product at the ratio's measured break-even
-    assert etaram.eta._FAST_WORK_RATIO * work({1: -1}) == 1000
-
-
 def test_random_products_are_the_transform_on_either_route(monkeypatch):
-    # 40 seeded products up to 3,000 terms, each read from an empty cache;
-    # the rule sends some to the fast route and the rest to the transform
+    # 40 seeded products up to 3,000 terms, one in three of them 1/(q^g; q^g),
+    # each read from an empty cache; the rule sends the long partition
+    # products to the fast route and the rest to the transform
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     rng = random.Random(35)
     routes = []
@@ -614,9 +644,10 @@ def test_random_products_are_the_transform_on_either_route(monkeypatch):
     monkeypatch.setattr(etaram.eta, "euler_transform",
                         lambda c, known=(): routes.append("transform") or transform(c, known))
     monkeypatch.setattr(etaram.eta, "_product_expansion",
-                        lambda r, rg, n: routes.append("fast") or expand(r, rg, n))
+                        lambda n: routes.append("fast") or expand(n))
     for _ in range(40):
-        spec = _random_spec(rng)
+        g = rng.randint(1, 3)
+        spec = _random_spec(rng) if rng.randrange(3) else PartitionSpec(g, {g: -1})
         order = rng.randint(1, 3000)
         etaram.eta._PRODUCT_CACHE.clear()
         read = spec.product_expansion(order).coefficients_range(0, order)
@@ -726,25 +757,25 @@ def test_a_longer_strided_request_extends_the_reduced_entry(monkeypatch):
     assert longer[:100] == short
 
 
-@pytest.mark.parametrize("product", [
-    PartitionSpec(4, {2: -2, 4: 1}),
-    PartitionSpec(6, {2: -1}, {(6, 2): 1}),
-    GenEtaQuotient(12, {2: -3, 4: 2, 6: 1, 12: -1}, {(12, 2): 1, (12, 4): -2}),
-], ids=["spec-q2", "spec-q2-rg", "quotient-12"])
-def test_strided_products_agree_on_both_routes(monkeypatch, product):
-    # the fast route expands a product in q^2 in q^2, and its certified
-    # entry is what the transform gives and what a reference read takes
+@pytest.mark.parametrize("product, g", [
+    (PartitionSpec(2, {2: -1}), 2),
+    (PartitionSpec(6, {3: -1}), 3),
+    (GenEtaQuotient(12, {2: -1}), 2),
+], ids=["spec-q2", "spec-q3", "quotient-12"])
+def test_strided_products_agree_on_both_routes(monkeypatch, product, g):
+    # the fast route expands 1/(q^g; q^g) in q^g, and its certified entry is
+    # what the transform gives and what a reference read takes
     if isinstance(product, GenEtaQuotient):
         key = _spec_progressions(product.a, product.ag)
     else:
         key = _spec_progressions(product.r, product.rg)
     expected = euler_transform(_exponents(key, 600))
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     lengths = []
     honest = etaram.eta._product_expansion
     monkeypatch.setattr(etaram.eta, "_product_expansion",
-                        lambda r, rg, k: lengths.append(k) or honest(r, rg, k))
+                        lambda k: lengths.append(k) or honest(k))
     if isinstance(product, GenEtaQuotient):
         fast = product.expansion(600).shift(-product.lead_exponent())
     else:
@@ -752,11 +783,11 @@ def test_strided_products_agree_on_both_routes(monkeypatch, product):
     transforms = spy_transform_lengths(monkeypatch)
     assert fast.coefficients_range(0, 600) == expected
     assert reference_product(key, 600) == expected
-    assert lengths == [300] and transforms == []
-    # the one entry is held reduced: its key is not in q^2
+    assert lengths == [600 // g] and transforms == []
+    # the one entry is held reduced: its key is not in q^g
     (held,) = etaram.eta._PRODUCT_CACHE
-    assert held == tuple(((start // 2, step // 2), e) for (start, step), e in key)
-    assert any(start % 2 or step % 2 for (start, step), _ in held)
+    assert held == tuple(((start // g, step // g), e) for (start, step), e in key)
+    assert any(start % g or step % g for (start, step), _ in held)
 
 
 def test_slice_expansion_overpartition():

@@ -266,6 +266,24 @@ def test_identity_documents_are_pinned(label):
 
 
 
+# overpartition 5n+2 at order 1,700 reads an 8,560-term product, past every
+# pinned case above; the transform expands it, and its hash is the one the
+# document had while a multi-factor fast route expanded that product
+LONG_OVERPARTITION_HASH = "3f1d774528d4364f7246ef199ba3d1c5587a5708d8e724daaf408c634f68f236"
+
+
+def test_long_overpartition_document_is_pinned(monkeypatch):
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    expanded, certified, transformed = spy_product_routes(monkeypatch)
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=1700))
+    assert ident.status == "Derived"
+    digest = hashlib.sha256(json.dumps(ident.to_json()).encode()).hexdigest()
+    assert digest == LONG_OVERPARTITION_HASH
+    key = etaram.eta._spec_progressions(OVERPARTITION.r, OVERPARTITION.rg)
+    assert len(etaram.eta._PRODUCT_CACHE[key]) == 8560 and 8560 in transformed
+    assert expanded == certified == []
+
+
 def test_multiplier_at_level_one_is_trivial():
     # level 1 has no finite cusp, so the multiplier's system has no row
     assert find_multiplier({}, generators(1), 1) == (GenEtaQuotient(1), ())
@@ -437,23 +455,25 @@ def test_independent_check_rejects_a_perturbed_identity():
 
 
 def test_reference_check_never_trusts_the_fast_route(monkeypatch):
-    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=60))
+    ident = derive_identity(PARTITION, 5, 4, DeriveOptions(order=60))
     clean = ident.rhs_series(60)
-    # every product and basis series is forgotten, every product is sent to
-    # the fast route, and every fast-route expansion is spoiled in its
-    # constant term
+    # every product and basis series is forgotten, every partition product
+    # is sent to the fast route, and every fast-route expansion is spoiled
+    # in its constant term
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     ident = dataclasses.replace(ident, basis=dataclasses.replace(ident.basis, _store=(0, {})))
     verdicts, transforms = [], []
     certify, transform = etaram.eta.certify_product, etaram.eta.euler_transform
     honest = etaram.eta._product_expansion
+    partitions = (((1, 1), -1),)
     monkeypatch.setattr(etaram.eta, "certify_product",
                         lambda f, c: verdicts.append(certify(f, c)) or verdicts[-1])
-    monkeypatch.setattr(etaram.eta, "euler_transform",
-                        lambda c, known=(): transforms.append(len(c)) or transform(c, known))
+    monkeypatch.setattr(etaram.eta, "euler_transform", lambda c, known=(): (
+        c == etaram.eta._exponents(partitions, len(c)) and transforms.append(len(c))
+        or transform(c, known)))
     monkeypatch.setattr(etaram.eta, "_product_expansion",
-                        lambda r, rg, k: [c + (n == 0) for n, c in enumerate(honest(r, rg, k))])
+                        lambda k: [c + (n == 0) for n, c in enumerate(honest(k))])
     assert ident.rhs_series(60) == clean
     _independent_check(ident, ident.lhs_series(ident.certified_to), ident.certified_to)
     # every spoiled product the check read failed its certificate at q^0,
@@ -464,18 +484,18 @@ def test_reference_check_never_trusts_the_fast_route(monkeypatch):
 
 def _derive_with_fast_product(monkeypatch, spec, m, t, n):
     """derive_identity(spec, m, t) to order 100 from an empty product cache,
-    with every product sent to the fast route and its expansion of the
-    spec's product changed by one at q^n; returns the document and how
-    often the transform ran on that product."""
+    for spec the partition product, with every partition product sent to
+    the fast route and its expansion changed by one at q^n; returns the
+    document and how often the transform ran on that product."""
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     honest, transform = etaram.eta._product_expansion, etaram.eta.euler_transform
     key = etaram.eta._spec_progressions(spec.r, spec.rg)
     runs = []
 
-    def spoiled(r, rg, k):
-        f = honest(r, rg, k)
-        if (r, rg) == (spec.r, spec.rg) and n < k:
+    def spoiled(k):
+        f = honest(k)
+        if n < k:
             f[n] += 1
         return f
 
@@ -492,31 +512,31 @@ def _derive_with_fast_product(monkeypatch, spec, m, t, n):
 
 @pytest.mark.parametrize("n", [0, 1, 38, 204])
 def test_a_fast_product_spoiled_off_the_slice_changes_no_document(monkeypatch, n):
-    clean = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100)).to_json()
+    clean = derive_identity(PARTITION, 5, 2, DeriveOptions(order=100)).to_json()
     assert clean["status"] == "Derived"
-    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == (clean, 1)
+    assert _derive_with_fast_product(monkeypatch, PARTITION, 5, 2, n) == (clean, 1)
 
 
 @pytest.mark.parametrize("n", [2, 52, 207])
 def test_a_fast_product_spoiled_on_the_slice_changes_no_document(monkeypatch, n):
     # the spoiled expansion fails its certificate and is never stored, so
     # reduction reads the transform's list
-    clean = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100)).to_json()
+    clean = derive_identity(PARTITION, 5, 2, DeriveOptions(order=100)).to_json()
     assert clean["status"] == "Derived"
-    assert _derive_with_fast_product(monkeypatch, OVERPARTITION, 5, 2, n) == (clean, 1)
+    assert _derive_with_fast_product(monkeypatch, PARTITION, 5, 2, n) == (clean, 1)
 
 
 def test_every_held_product_is_one_certified_list_in_lowest_terms(monkeypatch):
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    # every product on the fast route, so each of them meets the certificate
-    monkeypatch.setattr(etaram.eta, "_FAST_WORK_RATIO", 0)
+    # every partition product on the fast route, so each meets the certificate
+    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
     etaram.identities.level_basis.cache_clear()
     expanded, certified = [], []
     expand_fast, certify, publish = (etaram.eta._product_expansion,
                                      etaram.eta.certify_product, etaram.eta._publish)
 
-    def spy_expand(r, rg, k):
-        expanded.append(expand_fast(r, rg, k))
+    def spy_expand(k):
+        expanded.append(expand_fast(k))
         return expanded[-1]
 
     def spy_certify(f, c):
@@ -565,6 +585,7 @@ def test_concurrent_derivations_of_one_progression_hold_each_product_once(monkey
     def empty_caches():
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
         etaram.identities.level_basis.cache_clear()
+        generators.cache_clear()   # its heads are products too
 
     empty_caches()
     sequential = derive()
@@ -729,18 +750,18 @@ def test_partition_125n99_is_divisible_by_125(monkeypatch):
     ident = derive_identity(PARTITION, 125, 99, DeriveOptions())
     assert ident.status == "Derived"
     assert ident.congruence_modulus() % 125 == 0
-    assert ({1: -1}, {}, 20000) in expanded and certified == [20000]
+    assert 20000 in expanded and certified == [20000]
 
 
 def spy_product_routes(monkeypatch):
-    """(expanded, certified, transformed): the (r, rg, n) of every fast-route
-    expansion, the length of every certified list and of every
-    euler_transform run, in order."""
+    """(expanded, certified, transformed): the length of every fast-route
+    expansion, of every certified list and of every euler_transform run, in
+    order."""
     expanded, certified, transformed = [], [], []
     expand, certify, transform = (etaram.eta._product_expansion, etaram.eta.certify_product,
                                   etaram.eta.euler_transform)
     monkeypatch.setattr(etaram.eta, "_product_expansion",
-                        lambda r, rg, n: expanded.append((r, rg, n)) or expand(r, rg, n))
+                        lambda n: expanded.append(n) or expand(n))
     monkeypatch.setattr(etaram.eta, "certify_product",
                         lambda f, c: certified.append(len(f)) or certify(f, c))
     monkeypatch.setattr(etaram.eta, "euler_transform",
@@ -755,7 +776,7 @@ def test_only_a_long_sparse_product_takes_the_fast_route(monkeypatch):
     etaram.identities.level_basis.cache_clear()
     expanded, certified, transformed = spy_product_routes(monkeypatch)
     assert derive_identity(PARTITION, 11, 6, DeriveOptions(order=150)).status == "Derived"
-    assert expanded == [({1: -1}, {}, 1969)] and certified == [1969]
+    assert expanded == [1969] and certified == [1969]
     assert transformed
     # the overpartition, singular overpartition and diamond products and
     # every quotient product run the transform, and no certificate
@@ -763,7 +784,7 @@ def test_only_a_long_sparse_product_takes_the_fast_route(monkeypatch):
                               DOCUMENT_CASES["diamond-25n+14"]):
         transformed.clear()
         assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived"
-        assert expanded == [({1: -1}, {}, 1969)] and certified == [1969], (spec, m, t)
+        assert expanded == [1969] and certified == [1969], (spec, m, t)
         key = etaram.eta._spec_progressions(spec.r, spec.rg)
         assert len(etaram.eta._PRODUCT_CACHE[key]) in transformed, (spec, m, t)
 
@@ -840,6 +861,51 @@ def test_concurrent_derivations_match_sequential(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert {k: sequential[t] for k, t in enumerate(residues)} == concurrent
     assert json.loads(sequential[2])["status"] == "Derived"
+
+
+CORPUS_DOCUMENTS = ("over-5n+2", "over-5n+3", "p-5n+4", "singular-9n+3", "singular-9n+6",
+                    "p-11n+6", "rogers-ramanujan-2n+0", "rogers-ramanujan-2n+1",
+                    "rogers-ramanujan-inverse-2n+0", "rogers-ramanujan-inverse-2n+1")
+
+
+def test_concurrent_corpus_derivations_match_one_thread(monkeypatch):
+    # the benchmark corpus from emptied caches, on one thread and then
+    # shared among four threads interleaved finely
+    def derive(label):
+        spec, m, t, order = DOCUMENT_CASES[label]
+        return json.dumps(derive_identity(spec, m, t, DeriveOptions(order=order)).to_json())
+
+    def empty_caches():
+        monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+        etaram.identities.level_basis.cache_clear()
+        generators.cache_clear()
+
+    empty_caches()
+    sequential = {label: derive(label) for label in CORPUS_DOCUMENTS}
+    held = dict(etaram.eta._PRODUCT_CACHE)
+    empty_caches()
+    concurrent = {}
+
+    def share(k):
+        for label in CORPUS_DOCUMENTS[k::4]:
+            concurrent[label] = derive(label)
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=600)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert concurrent == sequential
+    assert all(json.loads(doc)["status"] == "Derived" for doc in sequential.values())
+    # each product one entry, in lowest terms, as one thread left them
+    assert etaram.eta._PRODUCT_CACHE == held
+    assert all(key == etaram.eta.progressions(key) for key in held)
 
 
 def test_concurrent_derivations_share_one_basis():
