@@ -2,10 +2,12 @@
 
 derive_identity runs the whole chain: admissible level, modular prefactor,
 generator monoid, module basis, pole-clearing multiplier, reduction, and a
-final independent check that multiplies the right-hand side out again from
-the basis and compares it with the left side, expanded once for both
-stages, to the certified order.  Every series either side reads comes from
-products proved as they entered the product cache (eta.py).
+final check that compares the left side with the right-hand side to the
+certified order.  The left side is expanded once and the right-hand side
+built once, by the reduction, for both stages; an identity whose basis or
+coefficients are no longer the certified ones has its right-hand side
+multiplied out again from the basis.  Every series either side reads comes
+from products proved as they entered the product cache (eta.py).
 dissect applies it to every residue class of a modulus, and verify_identity
 checks quoted q-series identities written in the small expression language.
 """
@@ -24,8 +26,7 @@ from .generators import generators
 from .lattice import DioSystem, hilbert_basis
 from .modularity import check_level, find_level, find_prefactor
 from .reduction import (
-    ModuleBasis, VerificationFailure, _combination, _z_polynomial,
-    express, module_basis,
+    ModuleBasis, VerificationFailure, express, module_basis, right_hand_side,
 )
 from .series import QSeries
 
@@ -115,6 +116,8 @@ class Identity:
     rhs: dict = field(default_factory=dict)   # (element index, z degree) -> Fraction
     certified_to: int = 0
     failure: str = ""
+    # (basis, coefficients, series) that express certified; never copied
+    _certified: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- series reconstruction -------------------------------------------------
 
@@ -125,37 +128,19 @@ class Identity:
         return lhs_series(self.spec, self.m, self.t, self.prefactor(), terms)
 
     def rhs_series(self, terms: int) -> QSeries:
-        """The certified right-hand side sum p_i(z) e_i, known to at least `terms`.
+        """The certified right-hand side sum p_i(z) e_i, known to `terms`.
 
-        Only the generators it uses are expanded, once each and far enough
-        for the largest total pole of any monomial.
-        Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial):
-        for degree d, b = ceil(sqrt(d + 1)) powers of z and
-        ceil((d + 1) / b) - 1 Horner steps, 15 full-length products where
-        the power-by-power sum makes 57 at d = 57.  The powers and the
-        elements' monomials come from the basis's store, which reduction
-        reads too, so derivations at one level build them once.
+        A derived identity holds the series express certified its
+        coefficients by, and reads it while its basis and coefficients are
+        the ones certified and it is known that far.  Otherwise the series
+        is built again (reduction.right_hand_side): each p_i(z) by
+        Paterson-Stockmeyer, from the basis's store.
         """
-        gens = self.basis.gens
-        polys = {}                   # element index -> {monomial z^j: coefficient}
-        for (idx, j), c in self.rhs.items():
-            if c:
-                z_power = tuple(j if i == 0 else 0 for i in range(len(gens)))
-                polys.setdefault(idx, {})[z_power] = c
-        pairs = [(polys[idx], self.basis.elements[idx].combo) for idx in sorted(polys)]
-
-        def pole(mono):
-            return sum(e * g.pole for e, g in zip(mono, gens))
-
-        length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
-                                  for poly, element in pairs), default=0)
-        self.basis.ensure_terms(length)
-        monomial = self.basis.monomial_series
-        total = QSeries.zero(terms)
-        for poly, element in pairs:
-            total = total + (_z_polynomial(poly, monomial, length)
-                             * _combination(element, monomial, length)).truncated(terms)
-        return total
+        held = self._certified
+        if (held is not None and held[0] is self.basis and held[1] == self.rhs
+                and held[2].bound() >= terms):
+            return held[2].truncated(terms)
+        return right_hand_side(self.rhs, self.basis, terms)
 
     def slice_series(self, terms: int) -> QSeries:
         """sum a(m n + t) q^n recovered from the certified right-hand side."""
@@ -276,10 +261,11 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         pole_budget = max(0, int(ceil(-inf_bound)))
         target = max(pole_budget + GUARD, opts.order)
         quot = phi * h
-        hF, rhs_coeffs = _reduce_with_retry(spec, m, t, quot, mb, target)
+        hF, rhs_coeffs, rhs = _reduce_with_retry(spec, m, t, quot, mb, target)
         identity = Identity(spec=spec, m=m, t=t, status="Derived", N=N, phi=phi,
                             h=h, h_powers=h_powers, basis=mb, rhs=rhs_coeffs,
                             certified_to=target)
+        identity._certified = (mb, dict(rhs_coeffs), rhs)
         stage = "verification"
         _independent_check(identity, hF, target)
         return identity
@@ -302,18 +288,26 @@ def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
 
 
 def _reduce_with_retry(spec, m, t, quot, mb, target):
-    """(hF, the right-hand side coefficients of hF over the basis, certified
-    to target); hF is the left side, expanded once for the reduction and
-    the independent check."""
+    """(hF, the coefficients of hF over the basis, and the right-hand side
+    series they make), certified to target.  It no longer retries: it
+    expands the left side hF once, for the reduction and the independent
+    check, and express builds the right-hand side once, for both too."""
     hF = lhs_series(spec, m, t, quot, target)
     if hF.denom != 1:
         raise VerificationFailure("fractional exponents survive in the product")
-    return hF, express(hF.truncated(target), mb, target)
+    coeffs = express(hF.truncated(target), mb, target)
+    return hF, dict(coeffs), coeffs.series
 
 
 def _independent_check(identity: Identity, lhs: QSeries, order: int):
-    """Compare the left side lhs with the identity's right-hand side, built
-    again from the basis, to q^order."""
+    """Compare the left side lhs with identity.rhs_series(order) to q^order.
+
+    In a derivation that series is the one express built and certified, so
+    the check repeats express's comparison on the series the identity
+    holds, without building it again.  An identity whose basis or
+    coefficients are not the certified ones (a copy, or one changed in
+    place) has its right-hand side built again from the basis, and that is
+    compared."""
     rhs = identity.rhs_series(order)
     diff = (lhs - rhs).truncated(order)
     if not diff.is_known_zero():

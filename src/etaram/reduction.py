@@ -10,9 +10,11 @@ n with a single generator and counts the positive integers the seeds leave
 uncovered.  When that gap count equals the genus of X1(N), the Weierstrass
 gap theorem certifies that the seeds cover every pole order a function with
 poles only at infinity can have, so they are the basis; otherwise it raises
-BasisIncomplete.  reduce_by_basis strips poles one at a time, and express
-certifies membership through the constancy principle (a remainder with no
-poles anywhere and positive order at infinity is zero), double-checked
+BasisIncomplete.  express reads the coefficients of a function over the
+basis off its polar part alone, by baby steps z^j e_i and giant steps z^b
+on short integer windows, builds the right-hand side once at full length
+and certifies membership through the constancy principle (a remainder with
+no poles anywhere and positive order at infinity is zero), double-checked
 coefficientwise to the certified truncation.  A basis keeps one store of
 series, which reduction and the independent check both read.  It expands a
 generator the first time a monomial reads it, and keeps every series it
@@ -25,10 +27,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
+from operator import sub
 
 from .cusps import genus
-from .series import QSeries
+from .series import QSeries, _int_poly_mul_trunc
 
 
 class InsufficientTruncation(RuntimeError):
@@ -145,17 +148,14 @@ def _z_polynomial(poly, monomial, terms) -> QSeries:
     if not coeffs:
         return QSeries.zero(terms)
     width = len(next(iter(poly)))
-
-    def power(j):
-        return tuple(j if i == 0 else 0 for i in range(width))
-
     d = max(coeffs)
     b = isqrt(d) + 1             # ceil(sqrt(d + 1))
     total = None
     for k in range(d // b, -1, -1):
-        chunk = {power(i): coeffs[k * b + i] for i in range(b) if k * b + i in coeffs}
+        chunk = {_z_power(i, width): coeffs[k * b + i]
+                 for i in range(b) if k * b + i in coeffs}
         if total is not None:
-            total = total * monomial(power(b))
+            total = total * monomial(_z_power(b, width))
         if chunk:
             part = _combination(chunk, monomial, terms)
             total = part if total is None else total + part
@@ -235,55 +235,36 @@ def _seeds(gens, n: int) -> dict:
     return seeds
 
 
-def reduce_by_basis(f: QSeries, mb: ModuleBasis):
-    """Leading-pole reduction of f against the basis and powers of z.
+class Expression(dict):
+    """{(element index, z degree): coefficient}, as express returns it,
+    with .series, the right-hand side sum p_i(z) e_i it certified f by."""
 
-    Returns ({(element index, z degree): coefficient}, remainder); the
-    remainder has no visible pole.  Raises NotMember when a pole class has no
-    usable basis element and InsufficientTruncation when the series runs out.
-    Every step must lower the pole, so the loop ends and no key repeats.
-    """
-    by_class = {e.pole % mb.n: i for i, e in enumerate(mb.elements)} if mb.gens else {}
-    coeffs = {}
-    while True:
-        p = _pole_of(f)
-        if p is None:
-            return coeffs, f
-        i = by_class.get(p % mb.n)
-        if i is None or mb.elements[i].pole > p:
-            if not mb.gens:
-                raise NotMember("a pole of order %d over an empty basis" % p)
-            raise NotMember("no basis element matches pole order %d" % p)
-        e = mb.elements[i]
-        j = (p - e.pole) // mb.n
-        c = f.leading()[1]
-        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
-        reduced = f - mb.combo_series(shifted).scale(c)
-        p2 = _pole_of(reduced)
-        if p2 is not None and p2 >= p:
-            raise AssertionError("reduction failed to decrease the pole order")
-        coeffs[i, j] = c
-        f = reduced
+    def __init__(self, coeffs: dict, series: QSeries):
+        super().__init__(coeffs)
+        self.series = series
 
 
-def express(f: QSeries, mb: ModuleBasis, certify_to: int):
+def express(f: QSeries, mb: ModuleBasis, certify_to: int) -> Expression:
     """Membership test and expression of f over the basis.
 
+    The coefficients come from the polar window of f alone (_polar_search).
     The caller certifies that f has nonnegative order at every finite cusp;
-    then a remainder with positive order at infinity is identically zero, and
-    we additionally verify its coefficients vanish up to certify_to.
+    then f minus the right-hand side, having positive order at infinity, is
+    identically zero, and we additionally verify its coefficients vanish up
+    to certify_to: the right-hand side is built once, at full length
+    (right_hand_side), and returned with the coefficients.
     """
     lead = f.leading()
     pole0 = int(-lead[0]) if lead is not None and lead[0] < 0 else 0
-    mb.ensure_terms(certify_to + pole0 + 8)
-    coeffs, rem = reduce_by_basis(f, mb)
-    if rem.bound() <= 0:
-        raise InsufficientTruncation("remainder undetermined at order zero")
-    c0 = rem.coefficient(0)
-    if c0:
-        key = (0, 0)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c0
-        rem = rem - QSeries.monomial(0, c0, rem.bound())
+    n = mb.n
+    degree = pole0 // n
+    b = isqrt(degree) + 1                       # ceil(sqrt(degree + 1))
+    P = max(e.pole for e in mb.elements)
+    # past certify_to, the baby steps need b n + P terms beyond the pole
+    mb.ensure_terms(max(certify_to, b * n + P) + pole0 + 8)
+    coeffs = _polar_search(f, mb, b, degree // b if mb.gens else 0)
+    rhs = right_hand_side(coeffs, mb, min(ceil(f.bound()), certify_to))
+    rem = f - rhs
     if rem.bound() < certify_to:
         raise InsufficientTruncation(
             "remainder known to %s, need %d" % (rem.bound(), certify_to))
@@ -291,5 +272,163 @@ def express(f: QSeries, mb: ModuleBasis, certify_to: int):
         e, c = rem.leading()
         raise VerificationFailure(
             "coefficient %s at q^%s survives the reduction" % (c, e))
-    coeffs = {k: v for k, v in coeffs.items() if v}
+    return Expression(coeffs, rhs)
+
+
+def _polar_search(f: QSeries, mb: ModuleBasis, b: int, K: int) -> dict:
+    """The coefficients {(element index, z degree): c} of f over the basis,
+    read off the polar window of f (its terms up to q^0) by baby steps
+    z^j e_i and the giant step Z = z^b (Paterson-Stockmeyer, Brent-Kung).
+
+    Let W = 1/Z and P the largest element pole.  Chunk k reads
+    R_k = (f - the terms found so far) W^k, known to q^(k b n), starting
+    from R_K = f W^K with f cut at q^1.  A term c z^J e_i of f shows in R_k
+    as c z^(J - kb) e_i, of pole (J - kb) n + pole(e_i).  Chunk k clears the
+    poles above P - n, highest first, each by its leading coefficient
+    against the baby step z^j e_i, j = J - kb < b + P/n; the terms of lower
+    chunks lie at or below P - n.  Then R_(k-1) = R_k Z.  Chunk 0 clears
+    every pole and the constant, so with K = 0 this is the leading-pole loop
+    itself, on the polar window.  Every step is on integer lists (numerators
+    over one denominator): a chunk costs one product by Z and one
+    subtraction per pole, and the window shrinks by b n a chunk.
+
+    The poles of f are cleared in descending order, as a loop over f at
+    full length clears them, so the same pole raises the same NotMember, or
+    ValueError for a pole of fractional order.  When f is known to no
+    nonnegative order, InsufficientTruncation is raised after its poles.
+    """
+    n, elements = mb.n, mb.elements
+    by_class = {e.pole % n: i for i, e in enumerate(elements)} if mb.gens else {}
+    P = max(e.pole for e in elements)
+    lead = f.leading()
+    top = max(0, -floor(lead[0])) if lead is not None else 0
+    hi = min(1, ceil(f.bound()))          # orders below hi are read
+    fractional = [e for e, _ in f.terms() if e.denominator != 1] if f.denom != 1 else []
+    step = b * n
+    R, den, lo = _ints(f, -top, top + hi), f.den, -top
+    if K:
+        giant = _giant_power(mb, b, K)
+        R = _int_poly_mul_trunc(R, _ints(giant, K * step, len(R)), len(R))
+        den, lo = den * giant.den, lo + K * step
+        power = mb.monomial_series(_z_power(b, len(mb.gens)))
+        z_window, z_den = _ints(power, -step, len(R)), power.den
+    babies = {}
+    coeffs = {}
+    for k in range(K, -1, -1):
+        stop = n - P if k else 1           # the orders this chunk clears
+        for t in range(min(stop - lo, len(R))):
+            r = R[t]
+            if not r:
+                continue
+            p = -(lo + t)
+            if fractional and fractional[0] < -p - k * step:
+                raise ValueError("pole order is not an integer: %s" % fractional[0])
+            i = by_class.get(p % n) if p else 0
+            if i is None or elements[i].pole > p:
+                if not mb.gens:
+                    raise NotMember("a pole of order %d over an empty basis" % p)
+                raise NotMember("no basis element matches pole order %d" % (p + k * step))
+            j = (p - elements[i].pole) // n
+            if (i, j) not in babies:
+                babies[i, j] = _baby(mb, i, j, K * step + hi + p)
+            baby, baby_den = babies[i, j]
+            coeffs[i, k * b + j] = Fraction(r * baby_den, den * baby[0])
+            if baby[0] != 1:
+                R, den = [baby[0] * x for x in R], den * baby[0]
+            R[t:] = map(sub, R[t:], map(r.__mul__, baby))
+        if k:
+            cut = min(len(R), max(0, stop - lo))
+            R = _int_poly_mul_trunc(R[cut:], z_window, len(R) - cut)
+            den, lo = den * z_den, lo + cut - step
+    if fractional and fractional[0] < 0:
+        raise ValueError("pole order is not an integer: %s" % fractional[0])
+    if f.bound() <= 0:
+        raise InsufficientTruncation("series known to no terms")
     return coeffs
+
+
+def _z_power(j: int, width: int) -> tuple:
+    """The monomial z^j over a generator list of the given width."""
+    return tuple(j if i == 0 else 0 for i in range(width))
+
+
+def _baby(mb: ModuleBasis, i: int, j: int, count: int):
+    """(numerators, denominator) of z^j e_i from its pole on, count terms,
+    read from the basis's store."""
+    e = mb.elements[i]
+    combo = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()} if j else e.combo
+    series = mb.combo_series(combo)
+    out = _ints(series, -(j * mb.n + e.pole), count)
+    if not out[0]:
+        raise AssertionError("reduction failed to decrease the pole order")
+    return out, series.den
+
+
+def _giant_power(mb: ModuleBasis, b: int, K: int) -> QSeries:
+    """W^K = z^(-bK), known (K + 1) b n + P + 1 terms past its lead, which
+    covers the polar window of every f with K = (pole // n) // b.  It is
+    kept in the basis's store, made under its lock, so a level makes it once
+    for each (b, K)."""
+    key = ("giant", b, K)
+    series = mb._store[1]
+    held = series.get(key)
+    if held is not None:
+        return held
+    power = mb.monomial_series(_z_power(b, len(mb.gens)))
+    terms = (K + 1) * b * mb.n + max(e.pole for e in mb.elements) + 1
+    with mb._lock:
+        if key not in series:
+            series[key] = power.truncated(-b * mb.n + terms).invert() ** K
+    return series[key]
+
+
+def _ints(s: QSeries, lo: int, count: int) -> list:
+    """Numerators over s.den of the coefficients of q^lo ... q^(lo+count-1)
+    of s, whose exponents are read as integers."""
+    if count > 0 and lo + count - 1 >= s.bound():
+        raise InsufficientTruncation(
+            "series known to q^%s, need q^%d" % (s.bound(), lo + count - 1))
+    if count <= 0:
+        return []
+    if s.denom != 1:
+        return [s._at(e * s.denom) for e in range(lo, lo + count)]
+    out = [0] * count
+    stride = s.stride or 1
+    first = max(0, -((s.val - lo) // stride))
+    last = min(len(s.num), -((s.val - lo - count) // stride))
+    if first < last:
+        at = s.val + first * stride - lo
+        out[at:at + (last - first - 1) * stride + 1:stride] = s.num[first:last]
+    return out
+
+
+def right_hand_side(coeffs: dict, mb: ModuleBasis, terms: int) -> QSeries:
+    """sum p_i(z) e_i over coeffs {(element index, z degree): c}, known to
+    at least terms.
+
+    Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial): for
+    degree d, b = ceil(sqrt(d + 1)) powers of z and ceil((d + 1) / b) - 1
+    Horner steps, 15 full-length products where the power-by-power sum
+    makes 57 at d = 57.  The powers and the elements' monomials are read
+    from the basis's store at terms plus the largest pole of a product
+    plus 4, which express's truncation already covers.
+    """
+    gens = mb.gens
+    polys = {}                   # element index -> {monomial z^j: coefficient}
+    for (idx, j), c in coeffs.items():
+        if c:
+            polys.setdefault(idx, {})[_z_power(j, len(gens))] = c
+    pairs = [(polys[idx], mb.elements[idx].combo) for idx in sorted(polys)]
+
+    def pole(mono):
+        return sum(e * g.pole for e, g in zip(mono, gens))
+
+    length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
+                              for poly, element in pairs), default=0)
+    mb.ensure_terms(length)
+    monomial = mb.monomial_series
+    total = QSeries.zero(terms)
+    for poly, element in pairs:
+        total = total + (_z_polynomial(poly, monomial, length)
+                         * _combination(element, monomial, length)).truncated(terms)
+    return total

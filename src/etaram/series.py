@@ -39,19 +39,27 @@ def _lcm(a: int, b: int) -> int:
 # integer polynomial kernels (dense lists of python ints)
 # ---------------------------------------------------------------------------
 
+# a product whose shorter factor has at most this many terms runs the double
+# loop.  Best of 20 on a 2-vCPU machine (Python 3.11.7), against packing:
+# 8 x 8 terms 14 / 26 us at 20 bits and 20 / 41 us at 300 bits, 16 x 16
+# about even, 58 x 58 614 / 130 us at 20 bits and 939 / 529 us at 300 bits
+_LOOP_TERMS = 8
+
+
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
     """Product of two dense integer coefficient lists.
 
-    Large products are computed by packing each polynomial into a single big
-    integer (evaluation at a power of two) so that CPython's subquadratic
-    integer multiplication does the convolution.
+    Products of more than _LOOP_TERMS terms in each factor are computed by
+    packing each polynomial into a single big integer (evaluation at a power
+    of two) so that CPython's subquadratic integer multiplication does the
+    convolution.
     """
     if not a or not b:
         return []
     if len(a) > len(b):
         a, b = b, a
     n_out = len(a) + len(b) - 1
-    if len(a) <= 16 or len(a) * len(b) <= 4096:
+    if len(a) <= _LOOP_TERMS:
         out = [0] * n_out
         for i, x in enumerate(a):
             if x:

@@ -454,6 +454,17 @@ def test_independent_check_rejects_a_perturbed_identity():
         _independent_check(bad, lhs, bad.certified_to)
 
 
+def test_an_identity_changed_in_place_is_checked_afresh():
+    # the held right-hand side serves only the coefficients it was built from
+    ident = derive_identity(OVERPARTITION, 5, 2, DeriveOptions(order=100))
+    assert ident.status == "Derived"
+    lhs = ident.lhs_series(ident.certified_to)
+    ident.rhs[(0, 1)] += 1
+    with pytest.raises(VerificationFailure,
+                       match=re.escape("differs at q^%d" % -ident.basis.z.pole) + "$"):
+        _independent_check(ident, lhs, ident.certified_to)
+
+
 def test_reference_check_never_trusts_the_fast_route(monkeypatch):
     ident = derive_identity(PARTITION, 5, 4, DeriveOptions(order=60))
     clean = ident.rhs_series(60)
@@ -724,7 +735,8 @@ def test_derivation_checks_each_level_once(monkeypatch):
 
 
 def test_diamond_rhs_series_makes_order_sqrt_d_products(rhs_identities, monkeypatch):
-    ident = rhs_identities["diamond-25n+14"]
+    # a copy holds no certified series, so rhs_series builds one
+    ident = dataclasses.replace(rhs_identities["diamond-25n+14"])
     d = max(j for _, j in ident.rhs)
     assert d == 57
     ident.rhs_series(ident.certified_to)   # generators expanded
@@ -799,6 +811,28 @@ def test_a_derivation_expands_its_left_side_once(monkeypatch):
         calls.clear()
         assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived"
         assert len(calls) == 1, (spec, m, t)
+
+
+def test_a_derivation_builds_its_right_hand_side_once(monkeypatch):
+    # express builds sum p_i(z) e_i to certify the coefficients, and the
+    # independent check compares the left side with that same series
+    calls = []
+    real = etaram.reduction._z_polynomial
+    monkeypatch.setattr(etaram.reduction, "_z_polynomial",
+                        lambda *args: calls.append(args) or real(*args))
+    for label in ("over-5n+2", "p-11n+6", "diamond-25n+14"):
+        spec, m, t, order = DOCUMENT_CASES[label]
+        calls.clear()
+        ident = derive_identity(spec, m, t, DeriveOptions(order=order))
+        assert ident.status == "Derived"
+        elements = {i for i, _ in ident.rhs}
+        assert len(calls) == len(elements), label
+        if label == "p-11n+6":
+            assert elements == {0, 1}
+        # a copy holds no certified series, so its right-hand side is built
+        calls.clear()
+        dataclasses.replace(ident).rhs_series(ident.certified_to)
+        assert len(calls) == len(elements), label
 
 
 def test_derive_always_runs_the_independent_check(monkeypatch):

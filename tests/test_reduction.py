@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -12,8 +13,8 @@ from etaram.cusps import genus
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.generators import generator_from_quotient, generators, sort_generators
 from etaram.reduction import (
-    BasisIncomplete, NotMember, VerificationFailure, _combination, _monomial_series,
-    _z_polynomial, express, module_basis, reduce_by_basis,
+    BasisIncomplete, InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
+    _combination, _monomial_series, _pole_of, _z_polynomial, express, module_basis,
 )
 from etaram.series import QSeries
 
@@ -23,6 +24,60 @@ H_PUBLISHED = GenEtaQuotient(10, a={1: 11, 2: -7, 5: -19, 10: 15},
                            ag={(5, 1): 12, (10, 1): -14})
 H_ALT = GenEtaQuotient(10, a={1: 9, 2: -3, 5: -17, 10: 11},
                        ag={(5, 1): 16, (10, 1): -22})
+
+
+def full_length_reduce(f, mb):
+    """The leading-pole loop at full length, the oracle of express's
+    search: ({(element index, z degree): coefficient}, remainder)."""
+    by_class = {e.pole % mb.n: i for i, e in enumerate(mb.elements)} if mb.gens else {}
+    coeffs = {}
+    while True:
+        p = _pole_of(f)
+        if p is None:
+            return coeffs, f
+        i = by_class.get(p % mb.n)
+        if i is None or mb.elements[i].pole > p:
+            if not mb.gens:
+                raise NotMember("a pole of order %d over an empty basis" % p)
+            raise NotMember("no basis element matches pole order %d" % p)
+        e = mb.elements[i]
+        j = (p - e.pole) // mb.n
+        c = f.leading()[1]
+        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
+        reduced = f - mb.combo_series(shifted).scale(c)
+        p2 = _pole_of(reduced)
+        assert p2 is None or p2 < p
+        coeffs[i, j] = c
+        f = reduced
+
+
+def full_length_express(f, mb, certify_to):
+    """express as the full-length loop made it, one full-length product per
+    z degree, the oracle of the windowed search."""
+    lead = f.leading()
+    pole0 = int(-lead[0]) if lead is not None and lead[0] < 0 else 0
+    mb.ensure_terms(certify_to + pole0 + 8)
+    coeffs, rem = full_length_reduce(f, mb)
+    if rem.bound() <= 0:
+        raise InsufficientTruncation("remainder undetermined at order zero")
+    c0 = rem.coefficient(0)
+    if c0:
+        coeffs[0, 0] = coeffs.get((0, 0), Fraction(0)) + c0
+        rem = rem - QSeries.monomial(0, c0, rem.bound())
+    if rem.bound() < certify_to:
+        raise InsufficientTruncation(
+            "remainder known to %s, need %d" % (rem.bound(), certify_to))
+    if not rem.is_known_zero():
+        e, c = rem.leading()
+        raise VerificationFailure("coefficient %s at q^%s survives the reduction" % (c, e))
+    return {k: v for k, v in coeffs.items() if v}
+
+
+def raised(call, *args):
+    """(exception type, message) that call(*args) raises."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
 
 
 def overpartition_hF(h, terms):
@@ -108,6 +163,9 @@ def test_perturbed_series_fails_verification():
     bad = hF + QSeries.monomial(5, 1, 120)
     with pytest.raises(VerificationFailure):
         express(bad.truncated(100), mb, 100)
+    # the search and the full-length loop report the same survivor
+    assert raised(express, bad.truncated(100), mb, 100) == raised(
+        full_length_express, bad.truncated(100), mb, 100)
 
 
 def test_non_member_pole_class():
@@ -116,8 +174,9 @@ def test_non_member_pole_class():
     mb = module_basis(generators(11))
     mb.ensure_terms(30)
     f = QSeries({-1: Fraction(1)}, 30)
-    with pytest.raises(NotMember):
-        reduce_by_basis(f, mb)
+    with pytest.raises(NotMember, match="^no basis element matches pole order 1$"):
+        express(f, mb, 20)
+    assert raised(express, f, mb, 20) == raised(full_length_express, f, mb, 20)
 
 
 def test_basis_from_published_generator_fixture():
@@ -228,7 +287,8 @@ def test_empty_basis_rejects_a_pole():
     mb = module_basis(())
     f = QSeries({-1: Fraction(1), 0: Fraction(2)}, 30)
     with pytest.raises(NotMember, match="^a pole of order 1 over an empty basis$"):
-        reduce_by_basis(f, mb)
+        express(f, mb, 20)
+    assert raised(express, f, mb, 20) == raised(full_length_express, f, mb, 20)
 
 
 def test_genus_above_the_gap_count_raises(monkeypatch):
@@ -335,3 +395,74 @@ def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
     b = next(b for b in range(1, d + 2) if b * b >= d + 1)
     # b powers of z at most, and one Horner step per chunk below the top
     assert len(products) <= b + (d + 1 + b - 1) // b - 1
+
+
+def drawn_series(mb, coeffs, terms):
+    """sum c z^j e_i over coeffs {(i, j): c}, each z^j e_i its own product
+    in a store of this call's own, known to terms."""
+    pole = max((j * mb.n + mb.elements[i].pole for i, j in coeffs), default=0)
+    length = terms + pole + 8
+    series, lock = {}, threading.Lock()
+    combo = {}
+    for (i, j), c in coeffs.items():
+        for mono, v in mb.elements[i].combo.items():
+            key = (mono[0] + j,) + mono[1:]
+            combo[key] = combo.get(key, 0) + c * v
+    return _combination(combo, lambda mono: _monomial_series(
+        mono, mb.gens, length, series, lock), length).truncated(terms)
+
+
+# widths 0 (level 10, n = 1), 1 (level 11, n = 2, largest element pole 3)
+# and 2 (levels 13 and 16, n = 3, largest element pole 5): past width 0 a
+# term of a lower chunk can sit above the giant step, which the overlap of
+# the baby steps covers
+@pytest.mark.parametrize("N", [10, 11, 13, 16])
+def test_search_returns_the_drawn_coefficients(N):
+    rng = random.Random(N)
+    mb, oracle = module_basis(generators(N)), module_basis(generators(N))
+    for _ in range(10):
+        degree = rng.choice([0, 1, 2, 5, 9, 16, 30, 45])
+        density = rng.choice([0.2, 0.6, 1.0])
+        coeffs = {(i, j): Fraction(rng.randint(-60, 60), rng.choice([1, 1, 1, 2, 7]))
+                  for i in range(len(mb.elements)) for j in range(degree + 1)
+                  if rng.random() < density}
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        certify_to = rng.randint(20, 70)
+        f = drawn_series(mb, coeffs, certify_to + rng.randint(0, 6))
+        got = express(f, mb, certify_to)
+        assert got == coeffs, (N, degree)
+        assert full_length_express(f, oracle, certify_to) == coeffs, (N, degree)
+        # and the right-hand side it returns is f, to certify_to
+        assert (f - got.series).truncated(certify_to).is_known_zero()
+        assert got.series.bound() == certify_to
+
+
+def exception_cases():
+    """label -> (f, basis, certify_to) that express rejects."""
+    level10, level11 = module_basis(generators(10)), module_basis(generators(11))
+    z10 = drawn_series(level10, {(0, 6): 1, (0, 2): -3}, 80)
+    z11 = drawn_series(level11, {(0, 20): 1, (1, 15): 2, (1, 3): 5}, 90)
+    # the level-11 generators with the odd pole class left out of the basis
+    odd_less = ModuleBasis(level11.gens, level11.n, level11.elements[:1], _store=(48, {}))
+    return {
+        "survivor": (z10 + QSeries.monomial(7, 3, 80), level10, 60),
+        "survivor-of-a-width-1-basis": (z11 + QSeries.monomial(3, -2, 90), level11, 60),
+        "pole-of-no-class-in-chunk-0": (z11 + QSeries.monomial(-1, 1, 90), level11, 60),
+        "pole-of-no-class-in-a-high-chunk": (z11, odd_less, 60),
+        "short-remainder": (z10.truncated(30), level10, 50),
+        "known-to-no-order": (QSeries({-3: Fraction(1)}, 0), level10, 20),
+        "pole-of-fractional-order": (QSeries({-6: Fraction(1), -3: Fraction(2)}, 200, 2),
+                                     level10, 60),
+        "empty-basis": (QSeries({-2: Fraction(1)}, 30), module_basis(()), 20),
+    }
+
+
+@pytest.mark.parametrize("label", [
+    "survivor", "survivor-of-a-width-1-basis", "pole-of-no-class-in-chunk-0",
+    "pole-of-no-class-in-a-high-chunk", "short-remainder", "known-to-no-order",
+    "pole-of-fractional-order", "empty-basis"])
+def test_search_raises_as_the_full_length_loop(label):
+    f, mb, certify_to = exception_cases()[label]
+    got = raised(express, f, mb, certify_to)
+    assert got == raised(full_length_express, f, mb, certify_to)
+    assert got[0] in (NotMember, VerificationFailure, InsufficientTruncation, ValueError)

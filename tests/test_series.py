@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import etaram.series
 from etaram.series import (
     QSeries, ZeroSeries, euler_product, pair_product, pochhammer, theta_pair,
 )
@@ -359,3 +360,26 @@ def test_kernel_sift_matches_the_oracle():
         expected = ({(e - t) / m: c for e, c in terms.items() if (e - t) % m == 0},
                     Fraction(-((t - bound) // m)))
         check_op(lambda a: a.sift(m, t), expected, f)
+
+
+def test_both_product_paths_agree(monkeypatch):
+    # random signed, zero-heavy lists of 1-100 terms through the double
+    # loop and through packing, whatever the cutoff
+    rng = random.Random(37)
+
+    def draw():
+        bits = rng.choice([1, 8, 40, 200])
+        return [rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.4 else 0
+                for _ in range(rng.randint(1, 100))]
+
+    for _ in range(300):
+        a, b = draw(), draw()
+        monkeypatch.setattr(etaram.series, "_LOOP_TERMS", 100)
+        looped = etaram.series._int_poly_mul(a, b)
+        monkeypatch.setattr(etaram.series, "_LOOP_TERMS", 0)
+        packed = etaram.series._int_poly_mul(a, b)
+        expected = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        assert looped == packed == expected, (a, b)
