@@ -25,9 +25,7 @@ from .eta import GenEtaQuotient, PartitionSpec
 from .generators import generators
 from .lattice import DioSystem, hilbert_basis
 from .modularity import check_level, find_level, find_prefactor
-from .reduction import (
-    ModuleBasis, VerificationFailure, express, module_basis, right_hand_side,
-)
+from .reduction import ModuleBasis, VerificationFailure, express, module_basis
 from .series import QSeries
 
 
@@ -133,14 +131,14 @@ class Identity:
         A derived identity holds the series express certified its
         coefficients by, and reads it while its basis and coefficients are
         the ones certified and it is known that far.  Otherwise the series
-        is built again (reduction.right_hand_side): each p_i(z) by
-        Paterson-Stockmeyer, from the basis's store.
+        is built again (ModuleBasis.combo_series): each p_i(z) by
+        Paterson-Stockmeyer, from the basis's store of z^j e_i.
         """
         held = self._certified
         if (held is not None and held[0] is self.basis and held[1] == self.rhs
                 and held[2].bound() >= terms):
             return held[2].truncated(terms)
-        return right_hand_side(self.rhs, self.basis, terms)
+        return self.basis.combo_series(self.rhs, terms)
 
     def slice_series(self, terms: int) -> QSeries:
         """sum a(m n + t) q^n recovered from the certified right-hand side."""

@@ -10,16 +10,16 @@ n with a single generator and counts the positive integers the seeds leave
 uncovered.  When that gap count equals the genus of X1(N), the Weierstrass
 gap theorem certifies that the seeds cover every pole order a function with
 poles only at infinity can have, so they are the basis; otherwise it raises
-BasisIncomplete.  express reads the coefficients of a function over the
-basis off its polar part alone, by baby steps z^j e_i and giant steps z^b
-on short integer windows, builds the right-hand side once at full length
-and certifies membership through the constancy principle (a remainder with
-no poles anywhere and positive order at infinity is zero), double-checked
-coefficientwise to the certified truncation.  A basis keeps one store of
-series, which reduction and the independent check both read.  It expands a
-generator the first time a monomial reads it, and keeps every series it
-built until a longer truncation is asked for, so each level builds them
-once.
+BasisIncomplete.  express reads the coefficients p_i(z) of a function
+sum p_i(z) e_i off its polar part alone, by baby steps z^j e_i and giant
+steps z^b on short integer windows, builds the right-hand side once at full
+length and certifies membership through the constancy principle (a
+remainder with no poles anywhere and positive order at infinity is zero),
+double-checked coefficientwise to the certified truncation.  A basis keeps
+one store of series z^j e_i, keyed (i, j), which reduction and the
+independent check both read.  It expands a generator the first time a key
+reads it, and keeps every series it built until a longer truncation is
+asked for, so each level builds them once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class VerificationFailure(RuntimeError):
 class BasisElement:
     combo: dict      # monomial (exponents over the generator list) -> coefficient
     pole: int
+    gen: int | None = None   # index of the generator it is, None for the unit
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,9 @@ class ModuleBasis:
 
     gens, n and elements are fixed.  The one value that changes is the
     store, a (truncation, series) pair replaced whole by ensure_terms:
-    series maps each monomial read so far to its series, and each
-    generator index read so far to that generator's expansion.  Reduction
-    and the independent check both read it, so a level builds each series
-    once.
+    series maps each (i, j) read so far to z^j e_i, and ("giant", b, K)
+    to the search's giant step (_giant_power).  Reduction and the
+    independent check both read it, so a level builds each series once.
     """
     gens: tuple                      # Generator records, z first
     n: int                           # pole order of z
@@ -89,95 +89,87 @@ class ModuleBasis:
             if terms > self._store[0]:
                 object.__setattr__(self, "_store", (terms, {}))
 
-    def monomial_series(self, mono: tuple) -> QSeries:
+    def monomial_series(self, i: int, j: int = 0) -> QSeries:
+        """z^j e_i, known to the store's truncation past its pole."""
         terms, series = self._store
-        return _monomial_series(mono, self.gens, terms, series, self._lock)
+        return self._monomial(i, j, terms, series)
 
-    def combo_series(self, combo: dict) -> QSeries:
-        return _combination(combo, self.monomial_series, self._store[0])
+    def _monomial(self, i: int, j: int, terms: int, series: dict) -> QSeries:
+        """z^j e_i in series, known to terms past its pole.  (0, 0) is the
+        unit.  (0, 1) and each (i, 0) are a generator's expansion, made
+        under the lock, so readers that share series expand it once.  Every
+        other key is (0, j - 1) (0, 1) or (0, j) (i, 0)."""
+        out = series.get((i, j))
+        if out is not None:
+            return out
+        if i == j == 0:
+            out = QSeries.one(terms)
+        elif j == 0 or (i, j) == (0, 1):
+            g = self.gens[self.elements[i].gen if i else 0]
+            with self._lock:
+                if (i, j) not in series:
+                    series[i, j] = g.expansion(terms + g.pole + 2).truncated(terms - g.pole)
+            return series[i, j]
+        elif i:
+            out = self._monomial(0, j, terms, series) * self._monomial(i, 0, terms, series)
+        else:
+            out = self._monomial(0, j - 1, terms, series) * self._monomial(0, 1, terms, series)
+        series[i, j] = out
+        return out
 
-    def element_series(self, idx: int) -> QSeries:
-        return self.combo_series(self.elements[idx].combo)
+    def combo_series(self, coeffs: dict, terms: int) -> QSeries:
+        """sum p_i(z) e_i over coeffs {(i, j): c}, known to terms.
+
+        Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial): for
+        degree d, b = ceil(sqrt(d + 1)) powers of z and ceil((d + 1) / b) - 1
+        Horner steps, 15 full-length products where the power-by-power sum
+        makes 57 at d = 57.  It is multiplied by e_i unless e_i is the unit.
+        The series are read from the store at terms plus the largest pole
+        of a z^j e_i plus 4, which express's truncation already covers.
+        """
+        polys = {}                   # element index -> {z degree: coefficient}
+        for (i, j), c in coeffs.items():
+            if c:
+                polys.setdefault(i, {})[j] = c
+        length = terms + 4 + max((max(poly) * self.n + self.elements[i].pole
+                                  for i, poly in polys.items()), default=0)
+        self.ensure_terms(length)
+        total = QSeries.zero(terms)
+        for i in sorted(polys):
+            p = _z_polynomial(polys[i], lambda j: self.monomial_series(0, j))
+            if i:
+                p = p * self.monomial_series(i)
+            total = total + p.truncated(terms)
+        return total
+
+    def element_series(self, i: int) -> QSeries:
+        return self.monomial_series(i)
 
 
-def _monomial_series(mono, gens, terms, series, lock) -> QSeries:
-    """prod gens[i]**mono[i], known to terms coefficients past its pole.
+def _z_polynomial(poly: dict, power) -> QSeries:
+    """sum c z^j over poly {j: c}, every c nonzero, by Paterson-Stockmeyer,
+    reading z^j as power(j).
 
-    series caches every monomial under its exponent tuple and every
-    generator under its index.  A generator is expanded the first time a
-    monomial needs it, at terms + pole + 2, under lock, so readers that
-    share series expand it once.
+    For the top degree d, b = ceil(sqrt(d + 1)) powers z^1 ... z^b are read,
+    the chunks sum_{i<b} c[kb+i] z^i are formed by scaling and adding (an
+    all-zero chunk is skipped), and ceil((d+1)/b) - 1 Horner steps in z^b
+    join them from the top down: about 2 sqrt(d) products where the
+    power-by-power sum makes d.  Every chunk and partial sum keeps the
+    relative precision of the powers, so the result equals the
+    power-by-power sum, truncation included.
     """
-    cached = series.get(mono)
-    if cached is not None:
-        return cached
-    if not any(mono):
-        out = QSeries.one(terms)
-    else:
-        i = max(j for j, e in enumerate(mono) if e)
-        below = tuple(e if j != i else e - 1 for j, e in enumerate(mono))
-        with lock:
-            if i not in series:
-                series[i] = gens[i].expansion(terms + gens[i].pole + 2)
-        out = _monomial_series(below, gens, terms, series, lock) * series[i]
-    series[mono] = out
-    return out
-
-
-def _combination(combo, monomial, terms) -> QSeries:
-    """sum c * monomial(mono) over the combo, in sorted monomial order."""
-    total = None
-    for mono, c in sorted(combo.items()):
-        term = monomial(mono).scale(c)
-        total = term if total is None else total + term
-    return total if total is not None else QSeries.zero(terms)
-
-
-def _z_polynomial(poly, monomial, terms) -> QSeries:
-    """sum c * z**j over poly {monomial z^j: c} by Paterson-Stockmeyer.
-
-    For the top degree d, b = ceil(sqrt(d + 1)) powers z^1 ... z^b are read
-    through monomial, the chunks sum_{i<b} c[kb+i] z^i are formed by scaling
-    and adding (an all-zero chunk is skipped), and ceil((d+1)/b) - 1 Horner
-    steps in z^b join them from the top down: about 2 sqrt(d) products where
-    the power-by-power _combination makes d.  Every chunk and partial sum
-    keeps the relative precision of the powers, so the result equals
-    _combination(poly, monomial, terms), truncation included.
-    """
-    coeffs = {sum(mono[:1]): c for mono, c in poly.items() if c}   # () is z^0
-    if not coeffs:
-        return QSeries.zero(terms)
-    width = len(next(iter(poly)))
-    d = max(coeffs)
+    d = max(poly)
     b = isqrt(d) + 1             # ceil(sqrt(d + 1))
     total = None
     for k in range(d // b, -1, -1):
-        chunk = {_z_power(i, width): coeffs[k * b + i]
-                 for i in range(b) if k * b + i in coeffs}
         if total is not None:
-            total = total * monomial(_z_power(b, width))
-        if chunk:
-            part = _combination(chunk, monomial, terms)
-            total = part if total is None else total + part
+            total = total * power(b)
+        for i in range(b):
+            c = poly.get(k * b + i)
+            if c:
+                term = power(i).scale(c)
+                total = term if total is None else total + term
     return total
-
-
-def _pole_of(series: QSeries):
-    """Pole order of a series, or None when no pole is visible.
-
-    Raises when the known range cannot even decide the sign of the order.
-    """
-    lead = series.leading()
-    if lead is None:
-        if series.bound() <= 0:
-            raise InsufficientTruncation("series known to no terms")
-        return None
-    e, _ = lead
-    if e >= 0:
-        return None
-    if e.denominator != 1:
-        raise ValueError("pole order is not an integer: %s" % e)
-    return -int(e)
 
 
 def module_basis(gens) -> ModuleBasis:
@@ -231,7 +223,7 @@ def _seeds(gens, n: int) -> dict:
     k = len(gens)
     seeds = {0: BasisElement({(0,) * k: Fraction(1)}, 0)}
     for r, (pole, _, i) in best.items():
-        seeds[r] = BasisElement({tuple(int(j == i) for j in range(k)): Fraction(1)}, pole)
+        seeds[r] = BasisElement({tuple(int(j == i) for j in range(k)): Fraction(1)}, pole, i)
     return seeds
 
 
@@ -252,7 +244,7 @@ def express(f: QSeries, mb: ModuleBasis, certify_to: int) -> Expression:
     then f minus the right-hand side, having positive order at infinity, is
     identically zero, and we additionally verify its coefficients vanish up
     to certify_to: the right-hand side is built once, at full length
-    (right_hand_side), and returned with the coefficients.
+    (ModuleBasis.combo_series), and returned with the coefficients.
     """
     lead = f.leading()
     pole0 = int(-lead[0]) if lead is not None and lead[0] < 0 else 0
@@ -263,7 +255,7 @@ def express(f: QSeries, mb: ModuleBasis, certify_to: int) -> Expression:
     # past certify_to, the baby steps need b n + P terms beyond the pole
     mb.ensure_terms(max(certify_to, b * n + P) + pole0 + 8)
     coeffs = _polar_search(f, mb, b, degree // b if mb.gens else 0)
-    rhs = right_hand_side(coeffs, mb, min(ceil(f.bound()), certify_to))
+    rhs = mb.combo_series(coeffs, min(ceil(f.bound()), certify_to))
     rem = f - rhs
     if rem.bound() < certify_to:
         raise InsufficientTruncation(
@@ -310,7 +302,7 @@ def _polar_search(f: QSeries, mb: ModuleBasis, b: int, K: int) -> dict:
         giant = _giant_power(mb, b, K)
         R = _int_poly_mul_trunc(R, _ints(giant, K * step, len(R)), len(R))
         den, lo = den * giant.den, lo + K * step
-        power = mb.monomial_series(_z_power(b, len(mb.gens)))
+        power = mb.monomial_series(0, b)
         z_window, z_den = _ints(power, -step, len(R)), power.den
     babies = {}
     coeffs = {}
@@ -347,18 +339,11 @@ def _polar_search(f: QSeries, mb: ModuleBasis, b: int, K: int) -> dict:
     return coeffs
 
 
-def _z_power(j: int, width: int) -> tuple:
-    """The monomial z^j over a generator list of the given width."""
-    return tuple(j if i == 0 else 0 for i in range(width))
-
-
 def _baby(mb: ModuleBasis, i: int, j: int, count: int):
     """(numerators, denominator) of z^j e_i from its pole on, count terms,
     read from the basis's store."""
-    e = mb.elements[i]
-    combo = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()} if j else e.combo
-    series = mb.combo_series(combo)
-    out = _ints(series, -(j * mb.n + e.pole), count)
+    series = mb.monomial_series(i, j)
+    out = _ints(series, -(j * mb.n + mb.elements[i].pole), count)
     if not out[0]:
         raise AssertionError("reduction failed to decrease the pole order")
     return out, series.den
@@ -374,7 +359,7 @@ def _giant_power(mb: ModuleBasis, b: int, K: int) -> QSeries:
     held = series.get(key)
     if held is not None:
         return held
-    power = mb.monomial_series(_z_power(b, len(mb.gens)))
+    power = mb.monomial_series(0, b)
     terms = (K + 1) * b * mb.n + max(e.pole for e in mb.elements) + 1
     with mb._lock:
         if key not in series:
@@ -400,35 +385,3 @@ def _ints(s: QSeries, lo: int, count: int) -> list:
         at = s.val + first * stride - lo
         out[at:at + (last - first - 1) * stride + 1:stride] = s.num[first:last]
     return out
-
-
-def right_hand_side(coeffs: dict, mb: ModuleBasis, terms: int) -> QSeries:
-    """sum p_i(z) e_i over coeffs {(element index, z degree): c}, known to
-    at least terms.
-
-    Each p_i(z) is evaluated by Paterson-Stockmeyer (_z_polynomial): for
-    degree d, b = ceil(sqrt(d + 1)) powers of z and ceil((d + 1) / b) - 1
-    Horner steps, 15 full-length products where the power-by-power sum
-    makes 57 at d = 57.  The powers and the elements' monomials are read
-    from the basis's store at terms plus the largest pole of a product
-    plus 4, which express's truncation already covers.
-    """
-    gens = mb.gens
-    polys = {}                   # element index -> {monomial z^j: coefficient}
-    for (idx, j), c in coeffs.items():
-        if c:
-            polys.setdefault(idx, {})[_z_power(j, len(gens))] = c
-    pairs = [(polys[idx], mb.elements[idx].combo) for idx in sorted(polys)]
-
-    def pole(mono):
-        return sum(e * g.pole for e, g in zip(mono, gens))
-
-    length = terms + 4 + max((max(map(pole, poly)) + max(map(pole, element))
-                              for poly, element in pairs), default=0)
-    mb.ensure_terms(length)
-    monomial = mb.monomial_series
-    total = QSeries.zero(terms)
-    for poly, element in pairs:
-        total = total + (_z_polynomial(poly, monomial, length)
-                         * _combination(element, monomial, length)).truncated(terms)
-    return total

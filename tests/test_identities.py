@@ -29,9 +29,7 @@ from etaram.identities import (
 )
 from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
-from etaram.reduction import (
-    ModuleBasis, VerificationFailure, _combination, _monomial_series, _z_polynomial,
-)
+from etaram.reduction import ModuleBasis, VerificationFailure
 from etaram.series import QSeries
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
@@ -394,16 +392,19 @@ def test_classical_progressions_beyond_the_pinned_corpus():
     assert i75.congruence_modulus() % 7 == 0
 
 
-def test_derivation_expands_only_the_generators_the_basis_uses():
+def test_derivation_expands_only_the_generators_the_basis_uses(monkeypatch):
     etaram.identities.level_basis.cache_clear()
+    expanded = []
+    real = Generator.expansion
+    monkeypatch.setattr(Generator, "expansion",
+                        lambda self, terms: expanded.append(self) or real(self, terms))
     ident = derive_identity(PARTITION, 11, 6)
     assert ident.status == "Derived"
     mb = etaram.identities.level_basis(11)
-    e_1 = {i for mono in mb.elements[1].combo for i, e in enumerate(mono) if e}
-    # the independent check read the store reduction filled, and added none
-    expanded = {i for i in mb._store[1] if isinstance(i, int)}
-    assert expanded == {0} | e_1
-    assert len(expanded) < len(mb.gens)
+    # z and e_1, each once: the independent check read the store reduction
+    # filled, and added none
+    assert expanded == [mb.gens[0], mb.gens[mb.elements[1].gen]]
+    assert (0, 1) in mb._store[1] and (1, 0) in mb._store[1]
 
 
 def test_derivations_never_reach_the_slack_completion(monkeypatch):
@@ -584,7 +585,8 @@ def test_no_expansion_chooses_a_route():
     for function in (GenEtaQuotient.expansion, Generator.expansion,
                      PartitionSpec.slice_expansion, etaram.identities.lhs_series,
                      Identity.lhs_series, Identity.rhs_series, ModuleBasis.ensure_terms,
-                     ModuleBasis.monomial_series, _monomial_series):
+                     ModuleBasis.monomial_series, ModuleBasis._monomial,
+                     ModuleBasis.combo_series):
         assert "reference" not in inspect.signature(function).parameters, function
 
 
@@ -626,30 +628,33 @@ def rhs_identities():
             for label in ("diamond-25n+14", "p-11n+6")}
 
 
-def fresh_dict_rhs(ident, terms, poly_sum):
-    """sum p_i(z) e_i with each p_i summed by poly_sum, every monomial read
-    through a dict of this call's own at the length rhs_series asks for."""
-    gens = ident.basis.gens
-    polys = {}
-    for (idx, j), c in ident.rhs.items():
-        if c:
-            polys.setdefault(idx, {})[tuple(j if i == 0 else 0 for i in range(len(gens)))] = c
-    pairs = [(polys[idx], ident.basis.elements[idx].combo) for idx in sorted(polys)]
+def fresh_dict_rhs(ident, terms):
+    """sum c z^j e_i over the identity's coefficients, every z^j e_i built
+    power by power in a dict of this call's own, at the length rhs_series
+    asks for: e_i is the product its combination names, z^j e_i is
+    z^(j-1) e_i times z."""
+    mb = ident.basis
+    length = terms + 4 + max(j * mb.n + mb.elements[i].pole for i, j in ident.rhs)
+    series = {}
 
-    def pole(mono):
-        return sum(e * g.pole for e, g in zip(mono, gens))
-
-    length = terms + 4 + max(max(map(pole, poly)) + max(map(pole, element))
-                             for poly, element in pairs)
-    series, lock = {}, threading.Lock()
-
-    def monomial(mono):
-        return _monomial_series(mono, gens, length, series, lock)
+    def read(i, j):
+        if (i, j) not in series:
+            if j:
+                g = mb.gens[0]
+                series[i, j] = read(i, j - 1) * g.expansion(length).truncated(length - g.pole)
+            else:
+                (mono, c), = mb.elements[i].combo.items()
+                out = QSeries.one(length).scale(c)
+                for g, e in zip(mb.gens, mono):
+                    if e:
+                        out = out * g.expansion(length).truncated(length - g.pole) ** e
+                series[i, j] = out
+        return series[i, j]
 
     total = QSeries.zero(terms)
-    for poly, element in pairs:
-        total = total + (poly_sum(poly, monomial, length)
-                         * _combination(element, monomial, length)).truncated(terms)
+    for (i, j), c in sorted(ident.rhs.items()):
+        if c:
+            total = total + read(i, j).scale(c)
     return total
 
 
@@ -671,7 +676,7 @@ def test_rhs_series_equals_the_power_by_power_sum(rhs_identities, label, empty):
         ident = emptied_store(ident)
     order = ident.certified_to
     # every power z^j its own product
-    assert ident.rhs_series(order) == fresh_dict_rhs(ident, order, _combination)
+    assert ident.rhs_series(order) == fresh_dict_rhs(ident, order)
 
 
 @pytest.mark.parametrize("empty", [False, True])
@@ -686,7 +691,7 @@ def test_rhs_series_from_the_basis_store_equals_a_fresh_store(empty):
         # the certified order, then a shorter one read from the longer store
         for terms in (ident.certified_to, ident.certified_to // 2):
             assert (ident.rhs_series(terms)
-                    == fresh_dict_rhs(ident, terms, _z_polynomial)), (label, terms)
+                    == fresh_dict_rhs(ident, terms)), (label, terms)
 
 
 def test_second_derivation_at_a_level_builds_no_reference_monomial(monkeypatch):
@@ -696,14 +701,14 @@ def test_second_derivation_at_a_level_builds_no_reference_monomial(monkeypatch):
     terms, series = first.basis._store
     held = set(series)
     built = []
-    real = etaram.reduction._monomial_series
+    real = ModuleBasis._monomial
 
-    def spy(mono, gens, terms, series, lock):
-        if mono not in series:
-            built.append(mono)
-        return real(mono, gens, terms, series, lock)
+    def spy(self, i, j, terms, series):
+        if (i, j) not in series:
+            built.append((i, j))
+        return real(self, i, j, terms, series)
 
-    monkeypatch.setattr(etaram.reduction, "_monomial_series", spy)
+    monkeypatch.setattr(ModuleBasis, "_monomial", spy)
     spec, m, t, order = DOCUMENT_CASES["diamond-25n+24"]
     second = derive_identity(spec, m, t, DeriveOptions(order=order))
     assert second.status == "Derived" and second.basis is first.basis

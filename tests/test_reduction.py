@@ -12,9 +12,10 @@ import etaram.reduction
 from etaram.cusps import genus
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.generators import generator_from_quotient, generators, sort_generators
+from etaram.identities import derive_identity
 from etaram.reduction import (
     BasisIncomplete, InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
-    _combination, _monomial_series, _pole_of, _z_polynomial, express, module_basis,
+    _z_polynomial, express, module_basis,
 )
 from etaram.series import QSeries
 
@@ -26,13 +27,60 @@ H_ALT = GenEtaQuotient(10, a={1: 9, 2: -3, 5: -17, 10: 11},
                        ag={(5, 1): 16, (10, 1): -22})
 
 
-def full_length_reduce(f, mb):
+def power_by_power(mb, length):
+    """A reader (i, j) -> z^j e_i over mb's generators, known to length past
+    its pole, in a dict of its own: e_i is the product its combination
+    names, and z^j e_i is z^(j-1) e_i times z."""
+    series = {}
+
+    def generator(k):
+        if k not in series:
+            g = mb.gens[k]
+            series[k] = g.expansion(length).truncated(length - g.pole)
+        return series[k]
+
+    def read(i, j):
+        if (i, j) not in series:
+            if j:
+                out = read(i, j - 1) * generator(0)
+            else:
+                (mono, c), = mb.elements[i].combo.items()
+                out = QSeries.one(length).scale(c)
+                for k, e in enumerate(mono):
+                    for _ in range(e):
+                        out = out * generator(k)
+            series[i, j] = out
+        return series[i, j]
+    return read
+
+
+def pole_of(series):
+    """Pole order of a series, or None when no pole is visible.
+
+    Raises when the known range cannot even decide the sign of the order.
+    """
+    lead = series.leading()
+    if lead is None:
+        if series.bound() <= 0:
+            raise InsufficientTruncation("series known to no terms")
+        return None
+    e, _ = lead
+    if e >= 0:
+        return None
+    if e.denominator != 1:
+        raise ValueError("pole order is not an integer: %s" % e)
+    return -int(e)
+
+
+def full_length_reduce(f, mb, length):
     """The leading-pole loop at full length, the oracle of express's
-    search: ({(element index, z degree): coefficient}, remainder)."""
+    search: ({(element index, z degree): coefficient}, remainder), each
+    z^j e_i built power by power to length past its pole."""
     by_class = {e.pole % mb.n: i for i, e in enumerate(mb.elements)} if mb.gens else {}
+    read = power_by_power(mb, length)
     coeffs = {}
     while True:
-        p = _pole_of(f)
+        p = pole_of(f)
         if p is None:
             return coeffs, f
         i = by_class.get(p % mb.n)
@@ -40,12 +88,10 @@ def full_length_reduce(f, mb):
             if not mb.gens:
                 raise NotMember("a pole of order %d over an empty basis" % p)
             raise NotMember("no basis element matches pole order %d" % p)
-        e = mb.elements[i]
-        j = (p - e.pole) // mb.n
+        j = (p - mb.elements[i].pole) // mb.n
         c = f.leading()[1]
-        shifted = {(mono[0] + j,) + mono[1:]: v for mono, v in e.combo.items()}
-        reduced = f - mb.combo_series(shifted).scale(c)
-        p2 = _pole_of(reduced)
+        reduced = f - read(i, j).scale(c)
+        p2 = pole_of(reduced)
         assert p2 is None or p2 < p
         coeffs[i, j] = c
         f = reduced
@@ -56,8 +102,7 @@ def full_length_express(f, mb, certify_to):
     z degree, the oracle of the windowed search."""
     lead = f.leading()
     pole0 = int(-lead[0]) if lead is not None and lead[0] < 0 else 0
-    mb.ensure_terms(certify_to + pole0 + 8)
-    coeffs, rem = full_length_reduce(f, mb)
+    coeffs, rem = full_length_reduce(f, mb, certify_to + pole0 + 8)
     if rem.bound() <= 0:
         raise InsufficientTruncation("remainder undetermined at order zero")
     c0 = rem.coefficient(0)
@@ -108,7 +153,7 @@ def test_basis_level_11_has_one_extra_element():
 def test_monomial_recovery():
     mb = module_basis(generators(10))
     mb.ensure_terms(60)
-    z5 = mb.monomial_series((5, 0, 0, 0, 0))
+    z5 = mb.monomial_series(0, 5)
     assert express(z5, mb, 30) == {(0, 5): 1}
 
 
@@ -121,9 +166,8 @@ def test_generators_reduce_to_zero_remainder():
     for N in [6, 10]:
         mb = module_basis(generators(N))
         mb.ensure_terms(80)
-        for i in range(len(mb.gens)):
-            mono = tuple(1 if j == i else 0 for j in range(len(mb.gens)))
-            coeffs = express(mb.monomial_series(mono), mb, 40)
+        for g in mb.gens:
+            coeffs = express(g.expansion(80).truncated(80 - g.pole), mb, 40)
             assert coeffs  # spanned with zero remainder
 
 
@@ -151,8 +195,7 @@ def test_round_trip_re_expansion():
     mb.ensure_terms(90)
     total = QSeries.zero(70)
     for (idx, j), c in coeffs.items():
-        mono = tuple(j if k == 0 else 0 for k in range(len(mb.gens)))
-        term = mb.monomial_series(mono) * mb.element_series(idx)
+        term = mb.monomial_series(0, j) * mb.element_series(idx)
         total = total + term.scale(c).truncated(70)
     assert (hF.truncated(70) - total).truncated(70).is_known_zero()
 
@@ -315,15 +358,11 @@ def test_built_basis_is_immutable():
 
 
 def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
-    # two threads read one unused generator of level 11: the store must
-    # expand it once and keep it
-    mb = module_basis(generators(11))
+    # two threads read e_1 of level 11 from an emptied store: the store must
+    # expand its generator once and keep it
+    mb = dataclasses.replace(module_basis(generators(11)), _store=(60, {}))
     terms, series = mb._store
-    used = {i for e in mb.elements for mono in e.combo for i, x in enumerate(mono) if x}
-    i = min(set(range(len(mb.gens))) - used)
-    assert i not in series
-    mono = tuple(1 if j == i else 0 for j in range(len(mb.gens)))
-    g = mb.gens[i]
+    g = mb.gens[mb.elements[1].gen]
     expansions = []
     expand = g.expansion
 
@@ -337,7 +376,7 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
 
     def read():
         barrier.wait()
-        results.append(mb.monomial_series(mono))
+        results.append(mb.monomial_series(1, 0))
 
     threads = [threading.Thread(target=read) for _ in range(2)]
     interval = sys.getswitchinterval()
@@ -349,10 +388,24 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
             th.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     assert len(results) == 2 and results[0] == results[1]
     assert expansions == [terms + g.pole + 2]
-    assert results[0].agrees_with(expand(terms + g.pole + 2))
-    assert mb._store[1] is series and i in series
+    assert results[0] == expand(terms + g.pole + 2).truncated(terms - g.pole)
+    assert mb._store[1] is series and list(series) == [(1, 0)]
+
+
+def test_store_is_keyed_by_element_and_z_degree():
+    # a derivation at level 13 (125 generators) stores each z^j e_i under
+    # (i, j), beside the giant-step power, and no key as wide as the list
+    ident = derive_identity(PartitionSpec(1, {1: -1}), 13, 6)
+    assert ident.status == "Derived" and ident.N == 13
+    assert len(ident.basis.gens) == 125
+    keys = list(ident.basis._store[1])
+    assert (0, 1) in keys
+    for key in keys:
+        assert (len(key) == 2 and all(type(x) is int for x in key)
+                or key[0] == "giant"), key
 
 
 # {z degree: coefficient}: degree 0, degree 1, d + 1 a square (b = 3 and 4),
@@ -371,13 +424,12 @@ Z_POLYNOMIALS = {
 
 @pytest.mark.parametrize("label", sorted(Z_POLYNOMIALS))
 def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
-    gens = generators(11)
     terms = 60
-    poly = {tuple(j if i == 0 else 0 for i in range(len(gens))): Fraction(c)
-            for j, c in Z_POLYNOMIALS[label].items()}
-    oracle_series, series, lock = {}, {}, threading.Lock()
-    expected = _combination(
-        poly, lambda mono: _monomial_series(mono, gens, terms, oracle_series, lock), terms)
+    mb = dataclasses.replace(module_basis(generators(11)), _store=(terms, {}))
+    poly = {j: Fraction(c) for j, c in Z_POLYNOMIALS[label].items()}
+    read = power_by_power(mb, terms)
+    powers = [read(0, j).scale(c) for j, c in sorted(poly.items())]
+    expected = sum(powers[1:], powers[0])
 
     products = []
     mul = QSeries.__mul__
@@ -387,8 +439,7 @@ def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
-    got = _z_polynomial(
-        poly, lambda mono: _monomial_series(mono, gens, terms, series, lock), terms)
+    got = _z_polynomial(poly, lambda j: mb.monomial_series(0, j))
     monkeypatch.undo()
     assert got == expected
     d = max(Z_POLYNOMIALS[label])
@@ -398,18 +449,14 @@ def test_z_polynomial_equals_the_power_by_power_sum(label, monkeypatch):
 
 
 def drawn_series(mb, coeffs, terms):
-    """sum c z^j e_i over coeffs {(i, j): c}, each z^j e_i its own product
-    in a store of this call's own, known to terms."""
+    """sum c z^j e_i over coeffs {(i, j): c}, each z^j e_i built power by
+    power in a store of this call's own, known to terms."""
     pole = max((j * mb.n + mb.elements[i].pole for i, j in coeffs), default=0)
-    length = terms + pole + 8
-    series, lock = {}, threading.Lock()
-    combo = {}
-    for (i, j), c in coeffs.items():
-        for mono, v in mb.elements[i].combo.items():
-            key = (mono[0] + j,) + mono[1:]
-            combo[key] = combo.get(key, 0) + c * v
-    return _combination(combo, lambda mono: _monomial_series(
-        mono, mb.gens, length, series, lock), length).truncated(terms)
+    read = power_by_power(mb, terms + pole + 8)
+    total = QSeries.zero(terms)
+    for (i, j), c in sorted(coeffs.items()):
+        total = total + read(i, j).scale(c)
+    return total
 
 
 # widths 0 (level 10, n = 1), 1 (level 11, n = 2, largest element pole 3)
