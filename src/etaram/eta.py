@@ -17,12 +17,12 @@ partition product 1/(q; q), of at least _FAST_TERMS coefficients, takes the
 fast route: Euler's pentagonal recurrence (series.partition_numbers), which
 shares no code with the transform.  Its list is stored only after
 certify_product has proved every coefficient against the transform's
-recurrence (two products through the reference route's own packer, about
-the cost of the transform's top level); a list that fails is never stored,
-and the transform runs instead.  So every entry is proved, whichever route
-made it.  In a derivation the fast route serves the partition products of
-p(11n+6) and p(125n+99); every quotient and multi-factor product runs the
-transform.
+recurrence (two products through series._pack_mul, the package's one
+integer product, about the cost of the transform's top level); a list that
+fails is never stored, and the transform runs instead.  So every entry is
+proved, whichever route made it.  In a derivation the fast route serves
+the partition products of p(11n+6) and p(125n+99); every quotient and
+multi-factor product runs the transform.
 
 An entry is keyed by the progressions of n its exponents run over
 (progressions), so a spec, a quotient and an expression with the same
@@ -39,16 +39,12 @@ derivations and verifications on several threads share it.
 
 from __future__ import annotations
 
-import sys
 import threading
-from decimal import (
-    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded,
-)
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
-from .series import QSeries, partition_numbers
+from .series import QSeries, _pack_mul, partition_numbers
 
 
 class NonIntegralPower(ValueError):
@@ -320,94 +316,6 @@ def _publish(key, f) -> list:
                 if _held_terms > _PRODUCT_TERMS and k != key:
                     _held_terms -= len(_PRODUCT_CACHE.pop(k))
         return f
-
-
-# libmpdec multiplies by a number-theoretic transform, and _decimal_pack_mul
-# beats the int product once the shorter operand packs to this many decimal
-# digits.  Measured on euler_transform's 1:2 shape (f[lo:mid] times
-# s[1:hi-lo]): even at 20,000-24,000 digits for 24 to 800 bits per entry,
-# about 40,000 at 3,200 bits, and twice as fast by 95,000 digits.
-_DECIMAL_DIGITS = 24_000
-# exact in every operation: a result that would round raises instead
-_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                   traps=[Inexact, Rounded, InvalidOperation])
-# Python's int/str digit limit (0: none, as before Python 3.10.7 added it)
-_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _pack_mul(a, b, lo=0, hi=None) -> list:
-    """Coefficients lo..hi-1 of the exact product of two nonempty integer
-    lists, by one big-number product.
-
-    Each list is evaluated at a power B of the base, one chunk of the number
-    per coefficient.  B is chosen so that every input and every product
-    coefficient lies in (-B/2, B/2); that makes the chunks recoverable.
-    Short products use B = 2**(8w) and CPython's int; long ones use B = 10**w
-    and libmpdec (_decimal_pack_mul), unless a w-digit chunk is too long for
-    Python's int/str conversion.  The window [lo, hi) defaults to the whole
-    product, 0 <= lo <= hi <= len(a) + len(b) - 1; either path unpacks only
-    its chunks.  This is the reference route's own kernel: it shares no code
-    with the fast route's series.py.
-    """
-    n = len(a) + len(b) - 1
-    hi = n if hi is None else hi
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    if not bound:
-        return [0] * (hi - lo)
-    # 10**(digits-1) > 2**bits > bound, since log10(2) < 0.30103
-    digits = -(-bound.bit_length() * 30103 // 100000) + 1
-    if min(len(a), len(b)) * digits >= _DECIMAL_DIGITS and not 0 < _str_digit_limit() < digits:
-        return _decimal_pack_mul(a, b, n, digits, lo, hi)
-    # half = B/2 is added to every chunk so every chunk is a nonnegative
-    # digit; the base-B digits of product + (half in each chunk) are then the
-    # coefficients plus half, with no carries
-    w = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * w - 1)
-    halves = bytes(w - 1) + b"\x80"          # half as one little-endian chunk
-
-    def pack(cs):
-        digits = b"".join([(c + half).to_bytes(w, "little") for c in cs])
-        return int.from_bytes(digits, "little") - int.from_bytes(halves * len(cs), "little")
-
-    raw = (pack(a) * pack(b) + int.from_bytes(halves * n, "little")).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(w * lo, w * hi, w)]
-
-
-def _decimal_pack_mul(a, b, n, w, lo, hi) -> list:
-    """_pack_mul's window [lo, hi) of the product in base B = 10**w through
-    the private _DECIMAL.
-
-    A list packs into w-digit chunks in [0, B), a negative coefficient
-    borrowing one from the next chunk; a borrow out of the top chunk is
-    subtracted as B**len.  The product's digits are read back as balanced
-    digits in [-B/2, B/2), carrying one upward.  A decimal string lists its
-    chunks from the highest power down.  Only chunks lo..hi-1 are unpacked:
-    lo balanced digits reach at most lo copies of B/2 - 1 (a 4 and w - 1
-    nines), so the low lo chunks carry one into chunk lo exactly when they
-    read, as one digit string, above that.
-    """
-    base = 10 ** w
-    half = base // 2
-    ctx = _DECIMAL
-
-    def pack(cs):
-        chunks, borrow = [], 0
-        for c in cs:
-            c -= borrow
-            borrow = c < 0
-            chunks.append(c + base if borrow else c)
-        value = ctx.create_decimal("".join(["%0*d" % (w, c) for c in reversed(chunks)]))
-        return ctx.subtract(value, ctx.create_decimal("1E%d" % (w * len(cs)))) if borrow else value
-
-    product = ctx.multiply(pack(a), pack(b))
-    raw = ctx.to_sci_string(ctx.copy_abs(product)).zfill(w * n)
-    top = w * (n - lo)
-    out, carry = [], raw[top:] > ("4" + "9" * (w - 1)) * lo
-    for i in range(top, w * (n - hi), -w):
-        c = int(raw[i - w:i]) + carry
-        carry = c >= half
-        out.append(c - base if carry else c)
-    return [-c for c in out] if ctx.is_signed(product) else out
 
 
 _EULER_BLOCK = 64   # blocks this short sum their convolution directly

@@ -190,92 +190,68 @@ def _size_reducer(basis):
     return reduce
 
 
-class CosetWalker:
-    """Bounded l1 walks over the cosets of one lattice in Z^dim.
-
-    The set-up is done once per basis: a column-Hermite form of the basis,
-    its pivots, each column's nonzero entries and a size reducer against the
-    Hermite columns.  walk(v0, bound) then lists the points of the coset
-    v0 + lattice of l1-norm <= bound; it keeps its running vector local, so
-    threads may share one walker.  The walk visits only genuine coset
-    points: fixing the coefficient of column j settles the rows from its
-    pivot up to the next pivot.  One running vector holds the point being
-    built, and stepping a coefficient adds its column's nonzero entries to
-    it, so the settled rows are read off directly.  Leaving a column undoes
-    nothing: the vector stays in the coset, and each column's coefficient
-    range is read afresh from the vector's pivot row, so the walk finds the
-    same points from any starting multiple of a column, and from any
-    representative of the coset.  reduce(v) size-reduces a representative
-    once, which keeps the walk's entries small.
-    """
-
-    def __init__(self, basis, dim):
-        A = [[b[i] for b in basis] for i in range(dim)]
-        H, _, pivots = hnf_column(A)
-        rank = len(pivots)
-        cols = [[H[i][j] for i in range(dim)] for j in range(rank)]
-        self.dim = dim
-        self.reduce = _size_reducer(cols)
-        # rows above the first pivot are the same at every point of a coset
-        self.head = pivots[0] if rank else dim
-        # per column: its pivot row, the end of the rows it settles, the
-        # pivot entry and the nonzero entries (row, value), all at or below
-        # the pivot
-        self.levels = tuple(
-            (lo, hi, cols[j][lo], tuple((i, cols[j][i]) for i in range(lo, dim) if cols[j][i]))
-            for j, (lo, hi) in enumerate(zip(pivots, pivots[1:] + [dim])))
-
-    def walk(self, v0, weight_bound):
-        """The points of v0's coset with l1-norm <= weight_bound, as plain
-        lists."""
-        head_weight = sum(map(abs, v0[:self.head]))
-        if head_weight > weight_bound:
-            return []
-        current = list(v0)
-        levels = self.levels
-        if not levels:
-            return [current]
-        rank = len(levels)
-        points = []
-
-        def rec(j, used):
-            lo, hi, p, support = levels[j]
-            budget = weight_bound - used
-            # admissible coefficient range from |current[lo] + k p| <= budget,
-            # so the pivot row needs no further check
-            k_lo = -((budget + current[lo]) // p)
-            k_hi = (budget - current[lo]) // p
-            if k_lo > k_hi:
-                return
-            for i, c in support:
-                current[i] += (k_lo - 1) * c
-            last = j + 1 == rank
-            wide = hi - lo > 1
-            for _ in range(k_lo, k_hi + 1):
-                for i, c in support:
-                    current[i] += c
-                weight = used + abs(current[lo])
-                if wide:
-                    weight += sum(map(abs, current[lo + 1:hi]))
-                    if weight > weight_bound:
-                        continue
-                if last:
-                    points.append(current[:])
-                else:
-                    rec(j + 1, weight)
-
-        rec(0, head_weight)
-        return points
-
-
 def enumerate_coset(v0, basis, weight_bound):
-    """All vectors v0 + (integer combination of basis) with l1-norm <= bound.
+    """All vectors v0 + (integer combination of basis) with l1-norm <= bound,
+    as plain lists.
 
-    Returns a list of plain lists: the walk of a CosetWalker set up for this
-    basis, from v0 size-reduced against its Hermite columns.
+    The walk runs over a column-Hermite form of the basis and visits only
+    genuine coset points: fixing the coefficient of column j settles the
+    rows from its pivot up to the next pivot.  One running vector holds the
+    point being built, and stepping a coefficient adds its column's nonzero
+    entries to it, so the settled rows are read off directly.  Leaving a
+    column undoes nothing: the vector stays in the coset, and each column's
+    coefficient range is read afresh from the vector's pivot row, so the
+    walk finds the same points from any starting multiple of a column, and
+    from any representative of the coset.  v0 is size-reduced against the
+    Hermite columns first, which keeps the walk's entries small.
     """
-    walker = CosetWalker(basis, len(v0))
-    return walker.walk(walker.reduce(v0), weight_bound)
+    dim = len(v0)
+    A = [[b[i] for b in basis] for i in range(dim)]
+    H, _, pivots = hnf_column(A)
+    rank = len(pivots)
+    cols = [[H[i][j] for i in range(dim)] for j in range(rank)]
+    current = _size_reducer(cols)(v0)
+    # rows above the first pivot are the same at every point of a coset
+    head = pivots[0] if rank else dim
+    used = sum(map(abs, current[:head]))
+    if used > weight_bound:
+        return []
+    if not rank:
+        return [current]
+    # per column: its pivot row, the end of the rows it settles, the pivot
+    # entry and the nonzero entries (row, value), all at or below the pivot
+    levels = [(lo, hi, cols[j][lo], [(i, cols[j][i]) for i in range(lo, dim) if cols[j][i]])
+              for j, (lo, hi) in enumerate(zip(pivots, pivots[1:] + [dim]))]
+    points = []
+
+    def rec(j, used):
+        lo, hi, p, support = levels[j]
+        budget = weight_bound - used
+        # admissible coefficient range from |current[lo] + k p| <= budget,
+        # so the pivot row needs no further check
+        k_lo = -((budget + current[lo]) // p)
+        k_hi = (budget - current[lo]) // p
+        if k_lo > k_hi:
+            return
+        for i, c in support:
+            current[i] += (k_lo - 1) * c
+        last = j + 1 == rank
+        wide = hi - lo > 1
+        for _ in range(k_lo, k_hi + 1):
+            for i, c in support:
+                current[i] += c
+            weight = used + abs(current[lo])
+            if wide:
+                weight += sum(map(abs, current[lo + 1:hi]))
+                if weight > weight_bound:
+                    continue
+            if last:
+                points.append(current[:])
+            else:
+                rec(j + 1, weight)
+
+    rec(0, used)
+    return points
 
 
 def _guard_bits(n, width):

@@ -31,7 +31,7 @@ from math import ceil, floor, isqrt
 from operator import sub
 
 from .cusps import genus
-from .series import QSeries, _int_poly_mul_trunc
+from .series import QSeries, _pack_mul
 
 
 class InsufficientTruncation(RuntimeError):
@@ -300,7 +300,7 @@ def _polar_search(f: QSeries, mb: ModuleBasis, b: int, K: int) -> dict:
     R, den, lo = _ints(f, -top, top + hi), f.den, -top
     if K:
         giant = _giant_power(mb, b, K)
-        R = _int_poly_mul_trunc(R, _ints(giant, K * step, len(R)), len(R))
+        R = _pack_mul(R, _ints(giant, K * step, len(R)), 0, len(R))
         den, lo = den * giant.den, lo + K * step
         power = mb.monomial_series(0, b)
         z_window, z_den = _ints(power, -step, len(R)), power.den
@@ -330,7 +330,7 @@ def _polar_search(f: QSeries, mb: ModuleBasis, b: int, K: int) -> dict:
             R[t:] = map(sub, R[t:], map(r.__mul__, baby))
         if k:
             cut = min(len(R), max(0, stop - lo))
-            R = _int_poly_mul_trunc(R[cut:], z_window, len(R) - cut)
+            R = _pack_mul(R[cut:], z_window, 0, len(R) - cut)
             den, lo = den * z_den, lo + cut - step
     if fractional and fractional[0] < 0:
         raise ValueError("pole order is not an integer: %s" % fractional[0])

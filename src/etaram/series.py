@@ -12,17 +12,24 @@ built only when a caller reads a coefficient.  All arithmetic is exact;
 floating point is never used.  Values are immutable after construction and
 safe to share between threads.
 
-partition_numbers, at the end, expands 1/(q; q)_infinity in integers by
-Euler's pentagonal recurrence; it is the fast route of eta.py, which serves
-the partition product alone.
+_pack_mul, the kernel section's one integer product, multiplies two integer
+lists within a window of coefficients: for QSeries multiplication and
+inversion here, for the polar search in reduction.py, and for the Euler
+transform and its certificate in eta.py.  partition_numbers, at the end,
+expands 1/(q; q)_infinity in integers by Euler's pentagonal recurrence and
+multiplies no lists; it is the fast route of eta.py, which serves the
+partition product alone, and shares no code with the transform.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded,
+)
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import add, sub
 
@@ -36,7 +43,7 @@ def _lcm(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial kernels (dense lists of python ints)
+# the integer product kernel (dense lists of python ints)
 # ---------------------------------------------------------------------------
 
 # a product whose shorter factor has at most this many terms runs the double
@@ -44,55 +51,116 @@ def _lcm(a: int, b: int) -> int:
 # 8 x 8 terms 14 / 26 us at 20 bits and 20 / 41 us at 300 bits, 16 x 16
 # about even, 58 x 58 614 / 130 us at 20 bits and 939 / 529 us at 300 bits
 _LOOP_TERMS = 8
+# libmpdec multiplies by a number-theoretic transform, and _decimal_pack_mul
+# beats the int product once the shorter operand packs to this many decimal
+# digits.  Measured on euler_transform's 1:2 shape (f[lo:mid] times
+# s[1:hi-lo]): even at 20,000-24,000 digits for 24 to 800 bits per entry,
+# about 40,000 at 3,200 bits, and twice as fast by 95,000 digits.  On the
+# square shape of a truncated series product (173 to 1,000 terms a side,
+# median of 21) it is even at 27,000-29,000 digits and ahead from 31,000,
+# so this one cutoff sits between the two shapes' crossovers.
+_DECIMAL_DIGITS = 24_000
+# exact in every operation: a result that would round raises instead
+_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                   traps=[Inexact, Rounded, InvalidOperation])
+# Python's int/str digit limit (0: none, as before Python 3.10.7 added it)
+_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two dense integer coefficient lists.
+def _pack_mul(a, b, lo=0, hi=None) -> list:
+    """Coefficients lo..hi-1 of the exact product of two integer lists.
 
-    Products of more than _LOOP_TERMS terms in each factor are computed by
-    packing each polynomial into a single big integer (evaluation at a power
-    of two) so that CPython's subquadratic integer multiplication does the
-    convolution.
+    hi defaults to the product's length, len(a) + len(b) - 1 (0 when a
+    list is empty); past that length the coefficients are zeros, and only
+    a[:hi] and b[:hi] are read.  A shorter factor of at most _LOOP_TERMS
+    terms runs the double loop.  Otherwise each list is evaluated at a power
+    B of the base, one chunk of the number per coefficient, so that one
+    big-number product does the convolution (Kronecker substitution).  B is
+    chosen so that every input and every product coefficient lies in
+    (-B/2, B/2); that makes the chunks recoverable.  Short products use
+    B = 2**(8w) and CPython's int; long ones use B = 10**w and libmpdec
+    (_decimal_pack_mul), unless a w-digit chunk is too long for Python's
+    int/str conversion.  Either path unpacks only the window's chunks.
+    This is the package's one integer product: series multiplication and
+    inversion, the reduction's polar search and the reference route's
+    Euler transform and certificate call it; the fast route's
+    partition_numbers does not.
     """
-    if not a or not b:
-        return []
+    if hi is None:
+        hi = len(a) + len(b) - 1 if a and b else 0
+    a, b = a[:hi], b[:hi]
     if len(a) > len(b):
         a, b = b, a
-    n_out = len(a) + len(b) - 1
+    n = len(a) + len(b) - 1
+    top = min(hi, n)          # the window's end inside the product
+    if not a or lo >= top:
+        return [0] * (hi - lo)
     if len(a) <= _LOOP_TERMS:
-        out = [0] * n_out
+        out = [0] * (hi - lo)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for k, y in enumerate(b[max(lo - i, 0):hi - i], max(i - lo, 0)):
                     if y:
-                        out[i + j] += x * y
+                        out[k] += x * y
         return out
-
     bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     if not bound:
-        return [0] * n_out
-    # one chunk of nbytes per coefficient; the inputs and every coefficient
-    # of the product lie strictly inside (-half, half), so adding half to
-    # each chunk makes every digit nonnegative and nothing carries
-    nbytes = (bound.bit_length() + 2 + 7) // 8
-    half = 1 << (8 * nbytes - 1)
+        return [0] * (hi - lo)
+    pad = [0] * (hi - top)
+    # 10**(digits-1) > 2**bits > bound, since log10(2) < 0.30103
+    digits = -(-bound.bit_length() * 30103 // 100000) + 1
+    if len(a) * digits >= _DECIMAL_DIGITS and not 0 < _str_digit_limit() < digits:
+        return _decimal_pack_mul(a, b, n, digits, lo, top) + pad
+    # half = B/2 is added to every chunk so every chunk is a nonnegative
+    # digit; the base-B digits of product + (half in each chunk) are then the
+    # coefficients plus half, with no carries
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    halves = bytes(w - 1) + b"\x80"          # half as one little-endian chunk
 
-    def bias(n: int) -> int:   # half in each of n chunks
-        return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    def pack(cs):
+        digits = b"".join([(c + half).to_bytes(w, "little") for c in cs])
+        return int.from_bytes(digits, "little") - int.from_bytes(halves * len(cs), "little")
 
-    def pack(cs) -> int:
-        chunks = map(int.to_bytes, map(half.__add__, cs), repeat(nbytes), repeat("little"))
-        return int.from_bytes(b"".join(chunks), "little") - bias(len(cs))
-
-    raw = (pack(a) * pack(b) + bias(n_out)).to_bytes(nbytes * n_out, "little")
-    cuts = map(slice, range(0, len(raw), nbytes), range(nbytes, len(raw) + nbytes, nbytes))
-    digits = map(int.from_bytes, map(raw.__getitem__, cuts), repeat("little"))
-    return list(map(half.__rsub__, digits))
+    raw = (pack(a) * pack(b) + int.from_bytes(halves * n, "little")).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(w * lo, w * top, w)] + pad
 
 
-def _int_poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    out = _int_poly_mul(a[:n], b[:n])[:n]
-    return out + [0] * (n - len(out))
+def _decimal_pack_mul(a, b, n, w, lo, hi) -> list:
+    """_pack_mul's window [lo, hi) of the product in base B = 10**w through
+    the private _DECIMAL.
+
+    A list packs into w-digit chunks in [0, B), a negative coefficient
+    borrowing one from the next chunk; a borrow out of the top chunk is
+    subtracted as B**len.  The product's digits are read back as balanced
+    digits in [-B/2, B/2), carrying one upward.  A decimal string lists its
+    chunks from the highest power down.  Only chunks lo..hi-1 are unpacked:
+    lo balanced digits reach at most lo copies of B/2 - 1 (a 4 and w - 1
+    nines), so the low lo chunks carry one into chunk lo exactly when they
+    read, as one digit string, above that.
+    """
+    base = 10 ** w
+    half = base // 2
+    ctx = _DECIMAL
+
+    def pack(cs):
+        chunks, borrow = [], 0
+        for c in cs:
+            c -= borrow
+            borrow = c < 0
+            chunks.append(c + base if borrow else c)
+        value = ctx.create_decimal("".join(["%0*d" % (w, c) for c in reversed(chunks)]))
+        return ctx.subtract(value, ctx.create_decimal("1E%d" % (w * len(cs)))) if borrow else value
+
+    product = ctx.multiply(pack(a), pack(b))
+    raw = ctx.to_sci_string(ctx.copy_abs(product)).zfill(w * n)
+    top = w * (n - lo)
+    out, carry = [], raw[top:] > ("4" + "9" * (w - 1)) * lo
+    for i in range(top, w * (n - hi), -w):
+        c = int(raw[i - w:i]) + carry
+        carry = c >= half
+        out.append(c - base if carry else c)
+    return [-c for c in out] if ctx.is_signed(product) else out
 
 
 def _int_poly_inv(a: list[int], n: int) -> list[int]:
@@ -105,8 +173,8 @@ def _int_poly_inv(a: list[int], n: int) -> list[int]:
         k = len(v)
         m = min(2 * k, n)
         # a*v = 1 + q^k * e mod q^m, so 1/a = v - q^k * v * e mod q^m
-        e = _int_poly_mul_trunc(a, v, m)[k:]
-        v += [-c for c in _int_poly_mul_trunc(v, e, m - k)]
+        e = _pack_mul(a, v, k, m)
+        v += [-c for c in _pack_mul(v, e, 0, m - k)]
     return v[:n]
 
 
@@ -356,8 +424,9 @@ class QSeries:
         n = -((base - t) // stride) if stride else int(base < t)
         if not self.num or not other.num or n <= 0:
             return _make((), 0, 0, 1, t, denom)
-        prod = _int_poly_mul(_spread(self.num, fs, stride, n),
-                             _spread(other.num, gs, stride, n))
+        a, b = _spread(self.num, fs, stride, n), _spread(other.num, gs, stride, n)
+        # the window stops at the product's end too: a long truncation pads no zeros
+        prod = _pack_mul(a, b, 0, min(n, len(a) + len(b) - 1))
         return _make(prod, base, stride, self.den * other.den, t, denom)
 
     __rmul__ = __mul__

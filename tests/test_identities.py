@@ -214,6 +214,7 @@ DOCUMENT_CASES = {
     "diamond-25n+14": (DIAMOND, 25, 14, 0),
     "diamond-25n+24": (DIAMOND, 25, 24, 0),
     "p-13n+6": (PARTITION, 13, 6, 0),
+    "p-125n+99": (PARTITION, 125, 99, 0),
     "p-2n+0": (PARTITION, 2, 0, 0),
     "p-2n+1": (PARTITION, 2, 1, 0),
     "eta4-2n+0": (PartitionSpec(1, {1: 4}), 2, 0, 0),
@@ -239,17 +240,20 @@ DOCUMENT_HASHES = {
     "diamond-25n+14": "212872f0e1a6a8632ec600d8cd8690ed74e0b7c7aa0d0daab92a7ce2c54f5318",
     "diamond-25n+24": "3413dde62e8bb4019952b3d0ec417550376877d906a66668bc657981b6c63758",
     "p-13n+6": "7a54ef0d5993f96cf15fa7c249449f206285f2f31f83afac637c220d7a098c30",
+    # level 25; the one document whose series products reach libmpdec
+    "p-125n+99": "8ad444d7bebf30f48d7121905d1543945509f65416f2b1026efe28530c1a20bd",
     "p-2n+0": "4f32e79d5949de77231d667659eafd2664ed7f5cae50d0c0ab15df2fc9d039bb",
     "p-2n+1": "609ee1f081dc72af817ed4347b4ef03762169578d4dde004e85f9018ac4825ca",
     # two level-4 derivations, whose bounds meet the irregular cusp 1/2
     "eta4-2n+0": "5895114e94b2ea4dcd45e47e2163aac83ae7c5969de36422699d839b1e369dec",
     "level4-4n+1": "f826863cb584b792d37cf7a6fc6651d14f96e35f787a5eeecde16fe6f11c12ea",
 }
-# p(13n+6) takes about half a second cold on a 2-vCPU machine and p(2n),
-# p(2n+1) (level 16, whose multiplier lifts against 278 lineality vectors of
-# 295 entries) a few seconds each, so their pins run in the slow lane; both
+# p(13n+6) takes about half a second cold on a 2-vCPU machine, p(125n+99)
+# (a 20,000-term partition product) about two seconds and p(2n), p(2n+1)
+# (level 16, whose multiplier lifts against 278 lineality vectors of 295
+# entries) a few seconds each, so their pins run in the slow lane; both
 # diamonds together take about 0.7 s there
-SLOW_DOCUMENTS = ("p-13n+6", "p-2n+0", "p-2n+1")
+SLOW_DOCUMENTS = ("p-13n+6", "p-125n+99", "p-2n+0", "p-2n+1")
 
 
 @pytest.mark.parametrize("label", [pytest.param(label, marks=pytest.mark.slow)

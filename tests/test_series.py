@@ -6,7 +6,7 @@ import pytest
 
 import etaram.series
 from etaram.series import (
-    QSeries, ZeroSeries, euler_product, pair_product, pochhammer, theta_pair,
+    QSeries, ZeroSeries, _pack_mul, euler_product, pair_product, pochhammer, theta_pair,
 )
 
 
@@ -363,23 +363,33 @@ def test_kernel_sift_matches_the_oracle():
 
 
 def test_both_product_paths_agree(monkeypatch):
-    # random signed, zero-heavy lists of 1-100 terms through the double
-    # loop and through packing, whatever the cutoff
+    # random signed, zero-heavy lists of 0-100 terms through the double
+    # loop, the int packer and libmpdec, each forced by its cutoff, against
+    # a plain convolution: the whole product, and a window that may start or
+    # end past the product's end or cut the inputs short
     rng = random.Random(37)
+    decimal_products = []
+    honest = etaram.series._decimal_pack_mul
+    monkeypatch.setattr(etaram.series, "_decimal_pack_mul",
+                        lambda *args: decimal_products.append(args[2]) or honest(*args))
 
     def draw():
         bits = rng.choice([1, 8, 40, 200])
         return [rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.4 else 0
-                for _ in range(rng.randint(1, 100))]
+                for _ in range(rng.randint(0, 100))]
 
     for _ in range(300):
         a, b = draw(), draw()
-        monkeypatch.setattr(etaram.series, "_LOOP_TERMS", 100)
-        looped = etaram.series._int_poly_mul(a, b)
-        monkeypatch.setattr(etaram.series, "_LOOP_TERMS", 0)
-        packed = etaram.series._int_poly_mul(a, b)
-        expected = [0] * (len(a) + len(b) - 1)
+        expected = [0] * (len(a) + len(b) - 1 if a and b else 0)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 expected[i + j] += x * y
-        assert looped == packed == expected, (a, b)
+        lo = rng.randint(0, len(expected) + 5)
+        hi = rng.randint(lo, len(expected) + 10)
+        window = (expected + [0] * hi)[lo:hi]
+        for loop_terms, digits in ((100, 10 ** 9), (0, 10 ** 9), (0, 0)):
+            monkeypatch.setattr(etaram.series, "_LOOP_TERMS", loop_terms)
+            monkeypatch.setattr(etaram.series, "_DECIMAL_DIGITS", digits)
+            assert _pack_mul(a, b) == expected, (a, b)
+            assert _pack_mul(a, b, lo, hi) == window, (a, b, lo, hi)
+    assert decimal_products
