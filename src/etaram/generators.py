@@ -8,10 +8,11 @@ the half-integral slots these conditions become an integer Diophantine system
 whose solution monoid has a finite Hilbert basis; the pointed generators give
 the quotient generators, the lineality part only produces the constant 1.
 
-A candidate's record is built from integers: the first coefficients of its
-product from the reference route's Euler transform (product_coefficients),
-its lead exponent and its cusp orders by the closed formula (order_table).
-No candidate is expanded on the fast route.
+A candidate's record is built from integers and per-level tables: the first
+coefficients of its product by the Euler transform of its exponents,
+combined from exponent_table's rows (no product cache read), its lead
+exponent, and its cusp orders by the closed formula, one dot product per
+order form of order_table.  No candidate is expanded on the fast route.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from .cusps import INFINITY, _order_rows, cusp_set, order_at_cusp
-from .eta import GenEtaQuotient, divisors
+from .eta import GenEtaQuotient, _exponents, _spec_progressions, divisors, euler_transform
 from .lattice import DioSystem, hilbert_basis
 
 
@@ -45,47 +46,54 @@ class PoleFreeSystem:
 
 @functools.lru_cache(maxsize=None)
 def order_table(N: int) -> tuple:
-    """(CuspData, row, den) per cusp of cusp_set(N), in order: there the
-    quotient of a scaled exponent vector v has order sum(row[i] v[i]) / den,
-    each row read from _order_rows by quotient_from_scaled's rule."""
-    table = []
+    """The level-N cusps' orders grouped by order form: (forms, cusps).
+
+    forms holds (CuspData, row, den) per distinct order form, in the order
+    of cusp_set(N), the first cusp with that form named: there the quotient
+    of a scaled exponent vector v has order sum(row[i] v[i]) / den, each row
+    read from _order_rows by quotient_from_scaled's rule and divided with
+    den by their gcd.  Infinity (last) always has a form of its own.  cusps
+    is (cusp, index into forms) per cusp of cusp_set(N), in order.
+    """
+    forms, cusps, index = [], [], {}
     for data in cusp_set(N):
         rows, den = _order_rows(N, data.cusp)
-        row = tuple(rows[d, 0] if g == 0 else rows[g, 0] - rows[d, 0] if 2 * g == d
-                    else 2 * rows[d, g] for d, g in exponent_slots(N))
-        table.append((data, row, den))
-    return tuple(table)
+        row = [rows[d, 0] if g == 0 else rows[g, 0] - rows[d, 0] if 2 * g == d
+               else 2 * rows[d, g] for d, g in exponent_slots(N)]
+        common = gcd(den, *row)
+        form = tuple(c // common for c in row), den // common
+        # infinity comes last, so its own index shadows no later cusp's
+        if data.cusp.is_infinity or form not in index:
+            index[form] = len(forms)
+            forms.append((data, *form))
+        cusps.append((data.cusp, index[form]))
+    return tuple(forms), tuple(cusps)
 
 
 def table_orders(N: int, vector) -> dict:
-    """{cusp: order} of a scaled exponent vector's quotient by order_table:
-    an int, or a Fraction where the order is not integral."""
-    orders = {}
-    for data, row, den in order_table(N):
+    """{cusp: order} of a scaled exponent vector's quotient by order_table,
+    one dot product per order form: an int, or a Fraction where the order
+    is not integral."""
+    forms, cusps = order_table(N)
+    values = []
+    for _, row, den in forms:
         total = sum(map(mul, row, vector))
-        orders[data.cusp] = Fraction(total, den) if total % den else total // den
-    return orders
+        values.append(Fraction(total, den) if total % den else total // den)
+    return {cusp: values[i] for cusp, i in cusps}
 
 
 @functools.lru_cache(maxsize=None)
 def pole_free_system(N: int) -> PoleFreeSystem:
     slots = exponent_slots(N)
-    # a cusp's order form: its order_table row and denominator over their
-    # gcd; equal finite forms are kept once, infinity (last) always
-    retained, forms = [], []
-    for data, row, den in order_table(N):
-        common = gcd(den, *row)
-        form = [c // common for c in row], den // common
-        if data.cusp.is_infinity or form not in forms:
-            forms.append(form)
-            retained.append(data)
+    # one slack per order form of order_table, infinity's (last) free
+    forms, _ = order_table(N)
+    retained = tuple(data for data, _, _ in forms)
     # weight condition: the g = 0 scaled exponents sum to zero
-    rows = [[1 if g == 0 else 0 for d, g in slots] + [0] * len(retained)]
-    for i, (form, den) in enumerate(forms):
-        rows.append(form + [0] * i + [-den] + [0] * (len(retained) - 1 - i))
-    nonneg = [len(slots) + i for i in range(len(retained) - 1)]  # infinity slack is free
-    return PoleFreeSystem(system=DioSystem(rows, nonneg),
-                          slots=tuple(slots), retained=tuple(retained))
+    rows = [[1 if g == 0 else 0 for d, g in slots] + [0] * len(forms)]
+    for i, (_, form, den) in enumerate(forms):
+        rows.append(list(form) + [0] * i + [-den] + [0] * (len(forms) - 1 - i))
+    nonneg = [len(slots) + i for i in range(len(forms) - 1)]
+    return PoleFreeSystem(system=DioSystem(rows, nonneg), slots=tuple(slots), retained=retained)
 
 
 def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
@@ -110,6 +118,27 @@ def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
     return GenEtaQuotient(N, a, ag)
 
 
+@functools.lru_cache(maxsize=None)
+def exponent_table(N: int) -> tuple:
+    """c[0..49] per exponent slot of exponent_slots(N), c[n] the exponent of
+    (1 - q^n) in the product of the slot's unit vector's quotient; c is
+    linear in the scaled vector, so these rows give every quotient's."""
+    slots = exponent_slots(N)
+    table = []
+    for i in range(len(slots)):
+        q = quotient_from_scaled(N, slots, [0] * i + [1])
+        table.append(tuple(_exponents(_spec_progressions(q.a, q.ag), 50)))
+    return tuple(table)
+
+
+def table_exponents(N: int, vector, terms: int) -> list:
+    """c[0..terms-1] (terms <= 50) of a nonzero scaled exponent vector's
+    quotient, combined from exponent_table(N) over its nonzero entries."""
+    parts = [row[:terms] if v == 1 else [v * e for e in row[:terms]]
+             for v, row in zip(vector, exponent_table(N)) if v]
+    return list(map(sum, zip(*parts)))
+
+
 def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
     """{cusp: order} of q at every level-N cusp, by the closed formula."""
     return {data.cusp: order_at_cusp(q, N, data) for data in cusp_set(N)}
@@ -122,11 +151,13 @@ def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool
     1 inside a nonempty product (odd residues regrouped across divisors), so
     emptiness of the canonical form is sufficient but not necessary.  The
     series route reads q as 1 when its lead exponent is 0 and the integer
-    coefficients f(1..49) of its product (q.product_coefficients) are all 0;
-    the other route asks every cusp order to be 0.  The caller may pass the
-    coefficients and the cusp_orders when it has them: 50 coefficients, or
-    any number when the lead exponent is nonzero, since q then reads as
-    non-constant at every truncation.  Both routes are compared either way.
+    coefficients f(1..49) of its product are all 0; the other route asks
+    every cusp order to be 0.  The caller may pass the coefficients (as
+    generators does, from its exponent table's transform) and the orders
+    when it has them: 50 coefficients, or any number when the lead exponent
+    is nonzero, since q then reads as non-constant at every truncation.
+    Otherwise they are q.product_coefficients(50) and cusp_orders.  Both
+    routes are compared either way.
     """
     if q.is_one():
         return True
@@ -167,8 +198,8 @@ HEAD_TERMS = 14
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       coeffs, orders) -> Generator:
     """Record of a canonical quotient from the integer coefficients of its
-    product (at least HEAD_TERMS, q.product_coefficients) and its orders
-    (cusp_orders or table_orders); raises error (the caller's failure type)
+    product (at least HEAD_TERMS) and its orders (cusp_orders or
+    table_orders); raises error (the caller's failure type)
     unless it is pole-free away from a pole at infinity.
 
     The order at infinity is q's lead exponent, so the head, the
@@ -210,15 +241,15 @@ def generators(N: int) -> tuple:
             raise AssertionError("lineality vector is not the constant 1")
     out = []
     for v in pointed:
-        q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
+        v = v[:pfs.nslots]
+        q = quotient_from_scaled(N, pfs.slots, v)
         # one coefficient list and one set of orders serve both consumers;
         # past a nonzero lead q cannot read as 1 at any truncation, so only a
         # zero lead needs more coefficients than the record's head reads
-        coeffs = q.product_coefficients(HEAD_TERMS if q.lead_exponent() else 50)
-        orders = table_orders(N, v[:pfs.nslots])
+        coeffs = euler_transform(table_exponents(N, v, HEAD_TERMS if q.lead_exponent() else 50))
+        orders = table_orders(N, v)
         if not is_constant_one(q, N, coeffs, orders):
-            out.append(_generator_record(q, v[:pfs.nslots], AssertionError,
-                                         coeffs, orders))
+            out.append(_generator_record(q, v, AssertionError, coeffs, orders))
     out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")

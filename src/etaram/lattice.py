@@ -612,7 +612,7 @@ def hilbert_basis(system: DioSystem):
 
     k = len(P)
     basis = [[H[m + i][j] for i in range(k)] for j in cols]
-    lifts_t = [[U[i][j] for j in cols] for i in range(n)]
+    lifts = [[U[i][j] for i in range(n)] for j in cols]
     rows, moduli = _congruence_rows(basis, k)
     # a modulus 0 marks an equality row: only then has the lattice rank < k
     keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
@@ -624,7 +624,10 @@ def hilbert_basis(system: DioSystem):
         c = _hnf_coordinates(y, basis, basis_pivots)
         if c is None:
             raise RuntimeError("projected generator failed to lift")
-        pointed.append(reduce(_matvec(lifts_t, c)))
+        # c is sparse (about 4-5 of 9-10 coordinates at levels 18 and 20):
+        # sum only the lifts of its nonzero coordinates (y != 0: there is one)
+        terms = [u if x == 1 else list(map(x.__mul__, u)) for x, u in zip(c, lifts) if x]
+        pointed.append(reduce(list(map(sum, zip(*terms)))))
     pointed.sort(key=lambda v: (sum(map(abs, v)), v))
     return pointed, lineality
 

@@ -24,7 +24,7 @@ partition product alone, and shares no code with the transform.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded,
@@ -645,8 +645,18 @@ def _blocks(plus, minus, n):
 
 def _divide_pass(f, plus, minus):
     """f <- f / h in place, truncated to len(f), for h = 1 + sum_{k in plus}
-    q^k - sum_{k in minus} q^k, each list sorted: f(i) -= sum_k c(k) f(i-k)."""
+    q^k - sum_{k in minus} q^k, each list sorted: f(i) -= sum_k c(k) f(i-k).
+
+    Within a block [lo, hi) of _blocks an exponent k >= hi - lo reads f
+    below lo only, so its part is the slice f[lo-k:hi-k], all of them summed
+    column by column into f[lo:hi] at once; the smaller exponents read f
+    inside the block and are summed index by index after.
+    """
     for lo, hi, kp, km in _blocks(plus, minus, len(f)):
+        jp, jm = bisect_left(kp, hi - lo), bisect_left(km, hi - lo)
+        f[lo:hi] = map(sub, map(sum, zip(f[lo:hi], *[f[lo - k:hi - k] for k in km[jm:]])),
+                       map(sum, zip([0] * (hi - lo), *[f[lo - k:hi - k] for k in kp[jp:]])))
+        kp, km = kp[:jp], km[:jm]
         for i in range(lo, hi):
             f[i] += (sum(map(f.__getitem__, map(i.__sub__, km)))
                      - sum(map(f.__getitem__, map(i.__sub__, kp))))

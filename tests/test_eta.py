@@ -13,7 +13,7 @@ from etaram.eta import (
     _spec_progressions, bernoulli_p2, certify_product, euler_transform, progressions,
     reference_product,
 )
-from etaram.series import QSeries, _pack_mul, pochhammer
+from etaram.series import QSeries, _pack_mul, partition_numbers, pochhammer
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -428,6 +428,38 @@ def test_partition_numbers_match_the_pochhammer_route():
     for order in (1, 2, 3, 5, 6, 64, 65, 200, 1000, 1500):
         f = _product_expansion(order)
         assert type(f) is list and QSeries.from_ints(f) == expected.truncated(order)
+
+
+def per_index_divide_pass(f, plus, minus):
+    """The fast route's divide pass index by index: f(i) -= sum_k c(k) f(i-k)."""
+    for i in range(len(f)):
+        f[i] += sum(f[i - k] for k in minus if k <= i) - sum(f[i - k] for k in plus if k <= i)
+
+
+def test_blocked_divide_pass_matches_the_per_index_pass():
+    # the pentagonal series at every length to 300 and a few to 5,000, then
+    # random sparse series, some with exponents of one sign only
+    for n in list(range(1, 301)) + [1000, 2505, 5000]:
+        plus, minus = [], []
+        for k in range(1, n + 1):
+            for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if j < n:
+                    (minus if k % 2 else plus).append(j)
+        f = [1] + [0] * (n - 1)
+        per_index_divide_pass(f, sorted(plus), sorted(minus))
+        assert partition_numbers(n) == f, n
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 400)
+        exps = rng.sample(range(1, n), min(n - 1, rng.randint(0, 30)))
+        signs = rng.choice([(0, 1), (1, 0), (0, 1, 1)])
+        plus = sorted(k for k in exps if rng.choice(signs))
+        minus = sorted(set(exps) - set(plus))
+        f = [rng.randint(-9, 9) for _ in range(n)]
+        expected = f[:]
+        per_index_divide_pass(expected, plus, minus)
+        etaram.series._divide_pass(f, plus, minus)
+        assert f == expected
 
 
 def test_quotient_expansion_matches_the_pochhammer_route():

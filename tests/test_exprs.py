@@ -131,6 +131,9 @@ def test_verification_never_touches_the_theta_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("verification left the reference route")
 
+    # an empty cache, whatever ran before: every product is a miss
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(etaram.eta, "_held_terms", 0)
     for name in ("_product_expansion", "partition_numbers", "euler_product", "theta_pair",
                  "pair_product", "pochhammer", "_int_poly_inv"):
         holders = [module for module in (etaram.eta, etaram.series, etaram.exprs)

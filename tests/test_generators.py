@@ -9,10 +9,10 @@ import pytest
 import etaram.cusps
 import etaram.eta
 from etaram.cusps import INFINITY, cusp_set, order_at_cusp
-from etaram.eta import GenEtaQuotient
+from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
 from etaram.generators import (
     cusp_orders, exponent_slots, generator_from_quotient, generators,
-    pole_free_system, quotient_from_scaled, table_orders, unit_lattice,
+    pole_free_system, quotient_from_scaled, table_exponents, table_orders, unit_lattice,
 )
 from etaram import lattice
 from etaram.lattice import StepBudgetExceeded, enumerate_coset, lattice_hnf, solve_diophantine
@@ -153,8 +153,8 @@ def test_generator_records_are_pinned(N):
 @pytest.mark.parametrize("route", ["orders", "series"])
 def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
     # spoil one route for one non-constant candidate: its orders from the
-    # level's order table all read 0, or its series (lead exponent and
-    # integer coefficients) reads as 1
+    # level's order table all read 0, or its series (lead exponent and the
+    # transform of its exponents from the level's exponent table) reads as 1
     target = generators(10)[2].quotient
     if route == "orders":
         real = generators_module.table_orders
@@ -168,16 +168,17 @@ def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
         monkeypatch.setattr(generators_module, "table_orders", spoiled)
     else:
         real_lead = GenEtaQuotient.lead_exponent
-        real = GenEtaQuotient.product_coefficients
+        real = generators_module.euler_transform
+        key = _spec_progressions(target.a, target.ag)
 
         def spoiled_lead(q):
             return Fraction(0) if q == target else real_lead(q)
 
-        def spoiled(q, terms):
-            return [1] + [0] * (terms - 1) if q == target else real(q, terms)
+        def spoiled(c):
+            return [1] + [0] * (len(c) - 1) if c == _exponents(key, len(c)) else real(c)
 
         monkeypatch.setattr(GenEtaQuotient, "lead_exponent", spoiled_lead)
-        monkeypatch.setattr(GenEtaQuotient, "product_coefficients", spoiled)
+        monkeypatch.setattr(generators_module, "euler_transform", spoiled)
     with pytest.raises(AssertionError, match="constant detection disagrees"):
         generators.__wrapped__(10)      # bypass the cache, leave it untouched
 
@@ -233,13 +234,19 @@ def test_generators_expand_no_candidate_on_the_fast_route(monkeypatch, N):
     assert generators.__wrapped__(N) == expect
 
 
-@pytest.mark.parametrize("N", [10, 11, 14, 15])
+@pytest.mark.parametrize("N", [10, 11, 14, 15, pytest.param(18, marks=pytest.mark.slow)])
 def test_record_heads_match_the_fast_route(N):
-    # the head is read from the reference route's integers; the fast route's
-    # expansion from q**-pole on must give the same coefficients
+    # the head is the transform of exponents combined from the level's
+    # exponent table: the combined list must be the quotient's own, and the
+    # head its product read through the cache and the fast route's
+    # expansion from q**-pole on
     T = generators_module.HEAD_TERMS
     for g in generators(N):
-        exp = g.quotient.expansion(T)
+        q = g.quotient
+        assert table_exponents(N, g.scaled_vector, 50) == _exponents(
+            _spec_progressions(q.a, q.ag), 50)
+        assert list(g.head) == q.product_coefficients(T)
+        exp = q.expansion(T)
         assert g.head == tuple(exp.coefficient(n) for n in range(-g.pole, -g.pole + T))
 
 
