@@ -140,8 +140,13 @@ def table_exponents(N: int, vector, terms: int) -> list:
 
 
 def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
-    """{cusp: order} of q at every level-N cusp, by the closed formula."""
-    return {data.cusp: order_at_cusp(q, N, data) for data in cusp_set(N)}
+    """{cusp: order} of q at every level-N cusp, by the closed formula: an
+    int, or a Fraction where the order is not integral."""
+    orders = {}
+    for data in cusp_set(N):
+        o = order_at_cusp(q, N, data)
+        orders[data.cusp] = o.numerator if o.denominator == 1 else o
+    return orders
 
 
 def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool:
@@ -199,7 +204,8 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       coeffs, orders) -> Generator:
     """Record of a canonical quotient from the integer coefficients of its
     product (at least HEAD_TERMS) and its orders (cusp_orders or
-    table_orders); raises error (the caller's failure type)
+    table_orders, an int wherever the order is integral, kept as they are);
+    raises error (the caller's failure type)
     unless it is pole-free away from a pole at infinity.
 
     The order at infinity is q's lead exponent, so the head, the
@@ -208,7 +214,6 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
     for c, o in orders.items():
         if o.denominator != 1 or (not c.is_infinity and o < 0):
             raise error("quotient is not pole-free away from infinity")
-    orders = {c: int(o) for c, o in orders.items()}
     pole = -orders[INFINITY]
     if pole <= 0:
         raise error("quotient has no pole at infinity")

@@ -15,10 +15,13 @@ safe to share between threads.
 _pack_mul, the kernel section's one integer product, multiplies two integer
 lists within a window of coefficients: for QSeries multiplication and
 inversion here, for the polar search in reduction.py, and for the Euler
-transform and its certificate in eta.py.  partition_numbers, at the end,
-expands 1/(q; q)_infinity in integers by Euler's pentagonal recurrence and
-multiplies no lists; it is the fast route of eta.py, which serves the
-partition product alone, and shares no code with the transform.
+transform and its certificate in eta.py.  It packs each list into a big
+number, evaluated at two points +X and -X on CPython's int (so one product
+becomes two of half the size), or at one point on libmpdec for long ones.
+partition_numbers, at the end, expands 1/(q; q)_infinity in integers by
+Euler's pentagonal recurrence and multiplies no lists; it is the fast route
+of eta.py, which serves the partition product alone, and shares no code
+with the transform.
 """
 
 from __future__ import annotations
@@ -47,19 +50,20 @@ def _lcm(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 # a product whose shorter factor has at most this many terms runs the double
-# loop.  Best of 20 on a 2-vCPU machine (Python 3.11.7), against packing:
-# 8 x 8 terms 14 / 26 us at 20 bits and 20 / 41 us at 300 bits, 16 x 16
-# about even, 58 x 58 614 / 130 us at 20 bits and 939 / 529 us at 300 bits
+# loop.  Best of 20 on a 2-vCPU machine (Python 3.11.7), against the
+# two-point packing: 8 x 8 terms 10.5 / 13.7 us at 20 bits and 21.6 / 31.0 us
+# at 300 bits, even at 10 to 12 terms a side and at 8 by 400, 58 x 58
+# 338 / 60 us at 20 bits and 852 / 362 us at 300 bits
 _LOOP_TERMS = 8
 # libmpdec multiplies by a number-theoretic transform, and _decimal_pack_mul
-# beats the int product once the shorter operand packs to this many decimal
-# digits.  Measured on euler_transform's 1:2 shape (f[lo:mid] times
-# s[1:hi-lo]): even at 20,000-24,000 digits for 24 to 800 bits per entry,
-# about 40,000 at 3,200 bits, and twice as fast by 95,000 digits.  On the
-# square shape of a truncated series product (173 to 1,000 terms a side,
-# median of 21) it is even at 27,000-29,000 digits and ahead from 31,000,
-# so this one cutoff sits between the two shapes' crossovers.
-_DECIMAL_DIGITS = 24_000
+# beats the two-point int product once the shorter operand packs to this
+# many decimal digits.  Median of 21 on a 2-vCPU machine: on
+# euler_transform's 1:2 shape (f[lo:mid] times s[1:hi-lo]) even at about
+# 35,000-40,000 digits for 100 to 400 bits per entry and 50,000 at 1,600
+# bits; on the square shape of a truncated series product (150 to 1,200
+# terms a side, 60 to 400 bits) even at 50,000-60,000.  Two half-size
+# libmpdec products gain nothing on one, so that path stays single-point.
+_DECIMAL_DIGITS = 40_000
 # exact in every operation: a result that would round raises instead
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                    traps=[Inexact, Rounded, InvalidOperation])
@@ -73,18 +77,23 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
     hi defaults to the product's length, len(a) + len(b) - 1 (0 when a
     list is empty); past that length the coefficients are zeros, and only
     a[:hi] and b[:hi] are read.  A shorter factor of at most _LOOP_TERMS
-    terms runs the double loop.  Otherwise each list is evaluated at a power
-    B of the base, one chunk of the number per coefficient, so that one
-    big-number product does the convolution (Kronecker substitution).  B is
-    chosen so that every input and every product coefficient lies in
-    (-B/2, B/2); that makes the chunks recoverable.  Short products use
-    B = 2**(8w) and CPython's int; long ones use B = 10**w and libmpdec
-    (_decimal_pack_mul), unless a w-digit chunk is too long for Python's
-    int/str conversion.  Either path unpacks only the window's chunks.
-    This is the package's one integer product: series multiplication and
-    inversion, the reduction's polar search and the reference route's
-    Euler transform and certificate call it; the fast route's
-    partition_numbers does not.
+    terms runs the double loop.  Otherwise each list is packed into a big
+    number, one chunk per coefficient in base B, so that big-number
+    products do the convolution (Kronecker substitution).  B is chosen so
+    that every input and every product coefficient lies in (-B/2, B/2);
+    that makes the chunks recoverable.  Short products use CPython's int
+    and two evaluation points, +X and -X with X**2 = B = 2**(8w) (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symbolic Comput. 44 (2009)): each list splits into
+    its even- and odd-index halves, two products of half-size numbers
+    replace one of full size, and their sum and difference hold the even
+    and the odd coefficients.  Long ones use one point, B = 10**w, and
+    libmpdec (_decimal_pack_mul), unless a w-digit chunk is too long for
+    Python's int/str conversion.  Either path unpacks only the window's
+    chunks.  This is the package's one integer product: series
+    multiplication and inversion, the reduction's polar search and the
+    reference route's Euler transform and certificate call it; the fast
+    route's partition_numbers does not.
     """
     if hi is None:
         hi = len(a) + len(b) - 1 if a and b else 0
@@ -106,15 +115,19 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
     bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     if not bound:
         return [0] * (hi - lo)
-    pad = [0] * (hi - top)
     # 10**(digits-1) > 2**bits > bound, since log10(2) < 0.30103
     digits = -(-bound.bit_length() * 30103 // 100000) + 1
     if len(a) * digits >= _DECIMAL_DIGITS and not 0 < _str_digit_limit() < digits:
-        return _decimal_pack_mul(a, b, n, digits, lo, top) + pad
-    # half = B/2 is added to every chunk so every chunk is a nonnegative
-    # digit; the base-B digits of product + (half in each chunk) are then the
-    # coefficients plus half, with no carries
-    w = (bound.bit_length() + 8) // 8
+        return _decimal_pack_mul(a, b, n, digits, lo, top) + [0] * (hi - top)
+    # two points +-X, X = 2**(8 wb), and chunks of w = 2 wb bytes, so B = X**2:
+    # A(+-X) = Ae(B) +- X Ao(B) for the even- and odd-index halves of a (and
+    # the same for b), and C(X) + C(-X) = 2 Ce(B), C(X) - C(-X) = 2 X Co(B)
+    # for the product C, both shifts exact.  half = B/2 is added to every
+    # chunk so every chunk is a nonnegative digit; the base-B digits of
+    # Ce(B) + (half in each chunk) are then the coefficients plus half, with
+    # no carries, and the same for Co(B)
+    wb = (bound.bit_length() + 16) // 16
+    w = 2 * wb
     half = 1 << (8 * w - 1)
     halves = bytes(w - 1) + b"\x80"          # half as one little-endian chunk
 
@@ -122,8 +135,16 @@ def _pack_mul(a, b, lo=0, hi=None) -> list:
         digits = b"".join([(c + half).to_bytes(w, "little") for c in cs])
         return int.from_bytes(digits, "little") - int.from_bytes(halves * len(cs), "little")
 
-    raw = (pack(a) * pack(b) + int.from_bytes(halves * n, "little")).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(w * lo, w * top, w)] + pad
+    ae, ao, be, bo = pack(a[::2]), pack(a[1::2]) << 8 * wb, pack(b[::2]), pack(b[1::2]) << 8 * wb
+    p1, p2 = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
+    out = [0] * (hi - lo)
+    for odd, c in ((0, (p1 + p2) >> 1), (1, (p1 - p2) >> (8 * wb + 1))):
+        m = (n + 1 - odd) // 2                 # chunks of c: coefficients odd, odd+2, ...
+        raw = (c + int.from_bytes(halves * m, "little")).to_bytes(w * m, "little")
+        first, end = (lo + 1 - odd) // 2, (top + 1 - odd) // 2     # the window's chunks
+        out[2 * first + odd - lo:top - lo:2] = [
+            int.from_bytes(raw[i:i + w], "little") - half for i in range(w * first, w * end, w)]
+    return out
 
 
 def _decimal_pack_mul(a, b, n, w, lo, hi) -> list:

@@ -306,6 +306,8 @@ def test_record_orders_match_the_closed_formula(N):
     for g in generators(N):
         assert g.orders == cusp_orders(g.quotient, N), g.quotient
         assert list(g.orders) == [data.cusp for data in cusp_set(N)]
+        assert all(type(o) is int for o in g.orders.values()), g.quotient
+        assert all(type(o) is int for o in cusp_orders(g.quotient, N).values())
     for v in unit_lattice(N):
         orders = cusp_orders(quotient_from_scaled(N, exponent_slots(N), v), N)
         assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)

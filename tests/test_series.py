@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -364,32 +366,97 @@ def test_kernel_sift_matches_the_oracle():
 
 def test_both_product_paths_agree(monkeypatch):
     # random signed, zero-heavy lists of 0-100 terms through the double
-    # loop, the int packer and libmpdec, each forced by its cutoff, against
-    # a plain convolution: the whole product, and a window that may start or
-    # end past the product's end or cut the inputs short
+    # loop, the two-point int packer and libmpdec, each forced by its
+    # cutoff, against a plain convolution: the whole product, and a window
+    # that may start or end past the product's end or cut the inputs short
     rng = random.Random(37)
     decimal_products = []
     honest = etaram.series._decimal_pack_mul
     monkeypatch.setattr(etaram.series, "_decimal_pack_mul",
                         lambda *args: decimal_products.append(args[2]) or honest(*args))
+    loop = etaram.series._LOOP_TERMS
 
     def draw():
         bits = rng.choice([1, 8, 40, 200])
         return [rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.4 else 0
                 for _ in range(rng.randint(0, 100))]
 
-    for _ in range(300):
-        a, b = draw(), draw()
-        expected = [0] * (len(a) + len(b) - 1 if a and b else 0)
+    def convolve(a, b):
+        out = [0] * (len(a) + len(b) - 1 if a and b else 0)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                expected[i + j] += x * y
-        lo = rng.randint(0, len(expected) + 5)
-        hi = rng.randint(lo, len(expected) + 10)
-        window = (expected + [0] * hi)[lo:hi]
-        for loop_terms, digits in ((100, 10 ** 9), (0, 10 ** 9), (0, 0)):
+                out[i + j] += x * y
+        return out
+
+    def check(a, b, windows, paths):
+        expected = convolve(a, b)
+        for loop_terms, digits in paths:
             monkeypatch.setattr(etaram.series, "_LOOP_TERMS", loop_terms)
             monkeypatch.setattr(etaram.series, "_DECIMAL_DIGITS", digits)
             assert _pack_mul(a, b) == expected, (a, b)
-            assert _pack_mul(a, b, lo, hi) == window, (a, b, lo, hi)
+            for lo, hi in windows:
+                window = (expected + [0] * hi)[lo:hi]
+                assert _pack_mul(a, b, lo, hi) == window, (a, b, lo, hi)
+
+    for _ in range(300):
+        a, b = draw(), draw()
+        n = len(a) + len(b) - 1 if a and b else 0
+        lo = rng.randint(0, n + 5)
+        check(a, b, [(lo, rng.randint(lo, n + 10))], ((100, 10 ** 9), (0, 10 ** 9), (0, 0)))
     assert decimal_products
+
+    # the two-point path at its edges: every entry +-M, the signs chosen so
+    # that coefficient `peak` is +-len(a) M**2, exactly the bound the chunk
+    # width is sized from (bound.bit_length() a multiple of 16 for k = 7, 15
+    # and 63 at 2 to 4 terms); peaks of both parities, every parity of lo,
+    # top and n, one-coefficient windows, and a shorter factor of
+    # _LOOP_TERMS + 1 terms at the shipped cutoffs
+    shapes = [(2, 3), (3, 5), (4, 6), (4, 7), (loop + 1, loop + 3), (loop + 1, loop + 4), (16, 33)]
+    for k in (7, 8, 15, 16, 63, 64):
+        for M in ((1 << k) - 1, 1 << k):
+            for la, lb in shapes:
+                n = la + lb - 1
+                for peak in (la - 1, la):
+                    a = [rng.choice((M, -M)) for _ in range(la)]
+                    b = [rng.choice((M, -M)) for _ in range(lb)]
+                    for i, x in enumerate(a):
+                        b[peak - i] = x
+                    assert convolve(a, b)[peak] == la * M * M
+                    windows = [(lo, hi) for lo in (0, 1, peak, peak + 1)
+                               for hi in (lo + 1, lo + 2, n - 1, n, n + 1) if lo <= hi]
+                    for sign in (1, -1):
+                        check([sign * x for x in a], b, windows,
+                              ((loop, 10 ** 9), (0, 10 ** 9), (0, 0)))
+
+
+# the calls that pack, unpack or multiply big numbers: int.to_bytes and
+# int.from_bytes, and a decimal context's create_decimal and multiply
+BIG_NUMBER_CALLS = {"to_bytes", "from_bytes", "create_decimal", "multiply"}
+
+
+def big_number_callers(tree: ast.Module) -> set:
+    """Names of the top-level functions (or classes) of a module whose bodies,
+    nested functions included, call a BIG_NUMBER_CALLS attribute; "" for a
+    call at module level."""
+    callers = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in BIG_NUMBER_CALLS):
+                callers.add(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, child.name if named and not owner else owner)
+
+    walk(tree, "")
+    return callers
+
+
+def test_one_integer_product_packs_and_multiplies_big_numbers():
+    # series._pack_mul and its libmpdec path are the package's one integer
+    # product: no other function packs a list into a big number, unpacks
+    # one or multiplies through a decimal context, and both exist and do
+    callers = set()
+    for path in sorted(Path(etaram.series.__file__).parent.glob("*.py")):
+        callers |= {(path.stem, name) for name in big_number_callers(ast.parse(path.read_text()))}
+    assert callers == {("series", "_pack_mul"), ("series", "_decimal_pack_mul")}
