@@ -2,9 +2,10 @@
 c = 0 mod N (upper-triangular reduction), the group all modularity statements
 in this package refer to.
 
-Provides a complete set of inequivalent cusps, their widths, the order of a
-generalized eta-quotient at each cusp read from its a/c and width, and the
-exponent map that bounds a progression slice's orders at the cusps.
+Provides a complete set of inequivalent cusps, their widths, one table per
+level of the orders of generalized eta-quotients at its cusps, read from
+each cusp's a/c and width, and the exponent map that bounds a progression
+slice's orders at the cusps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
+from typing import NamedTuple
 
 from .eta import GenEtaQuotient, PartitionSpec, b2_numerator, divisors
 
@@ -162,55 +165,99 @@ def genus(N: int) -> int:
     return g
 
 
-@functools.lru_cache(maxsize=None)
-def _cusp_classes(N: int) -> dict:
-    """cusp_set(N) keyed by class_key."""
-    return {class_key(N, data.cusp): data for data in cusp_set(N)}
-
-
-def find_cusp_class(N: int, cusp: Cusp) -> CuspData:
-    """The CuspData of cusp_set(N) equivalent to the cusp: one lookup."""
-    data = _cusp_classes(N).get(class_key(N, cusp))
-    if data is None:
-        raise LookupError("cusp %s not matched at level %d" % (cusp, N))
-    return data
-
-
 # ---------------------------------------------------------------------------
 # order formulas
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _order_rows(N: int, cusp: Cusp):
-    """Every canonical slot's coefficient (d | N, 0 <= g < d/2) in the order
-    at the cusp a/c, width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)), as an
-    integer numerator over one denominator, which is returned doubled:
-    order_at_cusp weights the numerators with a[d] (a plain eta power counts
-    half at its g = 0 slot) and with 2*ag[d, g].  In integers that is
-    width * b2_numerator(a g, e) * (N/d) over 12N, e = gcd(d, c)."""
-    w, a, c = width(N, cusp), cusp.a, cusp.c
-    nums = {(d, g): w * b2_numerator(a * g, gcd(d, c)) * (N // d)
-            for d in divisors(N) for g in range((d + 1) // 2)}
-    common = gcd(12 * N, *nums.values())
-    return {k: v // common for k, v in nums.items()}, 24 * N // common
+def exponent_slots(N: int):
+    """The scaled exponent slots (d, g) of level N, d | N and 0 <= g <= d/2."""
+    return [(d, g) for d in divisors(N) for g in range(0, d // 2 + 1)]
 
 
-def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
-    """Order of a generalized eta-quotient at a cusp, by the closed formula.
+class OrderTable(NamedTuple):
+    """The level-N orders by the closed formula, one integer row per form.
 
-    Exact rational; an integer whenever h is modular for the level-N group.
-    The sum runs in integers over the cached _order_rows.
+    At a cusp a/c, eta_{d,g} has order width * gcd(d, c)^2 / (2d) *
+    B2(a g / gcd(d, c)) (Robins 1994), in integers width *
+    b2_numerator(a g, e) * (N/d) / (12N) with e = gcd(d, c).  A scaled
+    entry is the exponent of eta_{d,g} for 0 < g < d/2 and twice it at
+    g = 0 and g = d/2, so a row holds those numerators over 24N, doubled
+    for 0 < g < d/2, and is divided with its denominator by their gcd: the
+    quotient of a scaled exponent vector v has order sum(row[i] v[i]) / den.
     """
-    data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
-    rows, den = _order_rows(N, data.cusp)
+    forms: tuple      # (CuspData, row, den) per distinct form, in cusp_set(N)'s
+                      # order, the first cusp with it named; infinity's is last
+    cusps: tuple      # (cusp, index into forms) per cusp of cusp_set(N)
+    classes: dict     # class_key -> index into forms
+    slots: dict       # (d, g) -> index into exponent_slots(N)
+
+
+@functools.lru_cache(maxsize=None)
+def order_table(N: int) -> OrderTable:
+    """The level-N cusps' orders grouped by order form; infinity always has
+    a form of its own."""
+    slots = exponent_slots(N)
+    forms, cusps, classes, index = [], [], {}, {}
+    for data in cusp_set(N):
+        w, a, c = data.width, data.cusp.a, data.cusp.c
+        row = [w * b2_numerator(a * g, gcd(d, c)) * (N // d) * (1 if 2 * g % d == 0 else 2)
+               for d, g in slots]
+        common = gcd(24 * N, *row)
+        form = tuple(x // common for x in row), 24 * N // common
+        # infinity comes last, so its own index shadows no later cusp's
+        if data.cusp.is_infinity or form not in index:
+            index[form] = len(forms)
+            forms.append((data, *form))
+        cusps.append((data.cusp, index[form]))
+        classes[class_key(N, data.cusp)] = index[form]
+    return OrderTable(tuple(forms), tuple(cusps), classes,
+                      {slot: i for i, slot in enumerate(slots)})
+
+
+def _slot_entries(q: GenEtaQuotient, N: int, slots: dict) -> list:
+    """(slot index, scaled exponent) per exponent of q's canonical form:
+    a[d] at (d, 0), as eta(d tau)^a[d] = eta_{d,0}^(a[d]/2), and ag[d, g]
+    at (d, g)."""
     try:
-        total = sum(rows[d, 0] * e for d, e in h.a.items())
-        for k, e in h.ag.items():
-            total += rows[k] * 2 * e
+        return ([(slots[d, 0], e) for d, e in q.a.items()]
+                + [(slots[k], e) for k, e in q.ag.items()])
     except KeyError as exc:
         raise ValueError("eta argument %d does not divide level %d"
                          % (exc.args[0][0], N)) from None
-    return Fraction(total, den)
+
+
+def slot_vector(q: GenEtaQuotient, N: int) -> list:
+    """q's scaled exponent vector over exponent_slots(N)."""
+    slots = order_table(N).slots
+    vector = [0] * len(slots)
+    for i, e in _slot_entries(q, N, slots):
+        vector[i] = e
+    return vector
+
+
+def table_orders(N: int, vector) -> dict:
+    """{cusp: order} of a scaled exponent vector's quotient by order_table,
+    one dot product per order form: an int, or a Fraction where the order
+    is not integral."""
+    table = order_table(N)
+    values = []
+    for _, row, den in table.forms:
+        total = sum(map(mul, row, vector))
+        values.append(Fraction(total, den) if total % den else total // den)
+    return {cusp: values[i] for cusp, i in table.cusps}
+
+
+def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:
+    """Order of a generalized eta-quotient at a cusp (a Cusp, or a CuspData
+    of cusp_set(N)), by the closed formula: order_table's row for the
+    cusp's class summed over h's exponents in integers.
+
+    Exact rational; an integer whenever h is modular for the level-N group.
+    """
+    table = order_table(N)
+    key = class_key(N, cusp.cusp if isinstance(cusp, CuspData) else cusp)
+    _, row, den = table.forms[table.classes[key]]
+    return Fraction(sum(row[i] * e for i, e in _slot_entries(h, N, table.slots)), den)
 
 
 def kappa(m: int) -> int:

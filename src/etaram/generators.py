@@ -12,24 +12,17 @@ A candidate's record is built from integers and per-level tables: the first
 coefficients of its product by the Euler transform of its exponents,
 combined from exponent_table's rows (no product cache read), its lead
 exponent, and its cusp orders by the closed formula, one dot product per
-order form of order_table.  No candidate is expanded on the fast route.
+order form of cusps.order_table.  No candidate is expanded on the fast route.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from operator import mul
 
-from .cusps import INFINITY, _order_rows, cusp_set, order_at_cusp
-from .eta import GenEtaQuotient, _exponents, _spec_progressions, divisors, euler_transform
+from .cusps import INFINITY, exponent_slots, order_table, slot_vector, table_orders
+from .eta import GenEtaQuotient, _exponents, _spec_progressions, euler_transform
 from .lattice import DioSystem, hilbert_basis
-
-
-def exponent_slots(N: int):
-    return [(d, g) for d in divisors(N) for g in range(0, d // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -45,48 +38,10 @@ class PoleFreeSystem:
 
 
 @functools.lru_cache(maxsize=None)
-def order_table(N: int) -> tuple:
-    """The level-N cusps' orders grouped by order form: (forms, cusps).
-
-    forms holds (CuspData, row, den) per distinct order form, in the order
-    of cusp_set(N), the first cusp with that form named: there the quotient
-    of a scaled exponent vector v has order sum(row[i] v[i]) / den, each row
-    read from _order_rows by quotient_from_scaled's rule and divided with
-    den by their gcd.  Infinity (last) always has a form of its own.  cusps
-    is (cusp, index into forms) per cusp of cusp_set(N), in order.
-    """
-    forms, cusps, index = [], [], {}
-    for data in cusp_set(N):
-        rows, den = _order_rows(N, data.cusp)
-        row = [rows[d, 0] if g == 0 else rows[g, 0] - rows[d, 0] if 2 * g == d
-               else 2 * rows[d, g] for d, g in exponent_slots(N)]
-        common = gcd(den, *row)
-        form = tuple(c // common for c in row), den // common
-        # infinity comes last, so its own index shadows no later cusp's
-        if data.cusp.is_infinity or form not in index:
-            index[form] = len(forms)
-            forms.append((data, *form))
-        cusps.append((data.cusp, index[form]))
-    return tuple(forms), tuple(cusps)
-
-
-def table_orders(N: int, vector) -> dict:
-    """{cusp: order} of a scaled exponent vector's quotient by order_table,
-    one dot product per order form: an int, or a Fraction where the order
-    is not integral."""
-    forms, cusps = order_table(N)
-    values = []
-    for _, row, den in forms:
-        total = sum(map(mul, row, vector))
-        values.append(Fraction(total, den) if total % den else total // den)
-    return {cusp: values[i] for cusp, i in cusps}
-
-
-@functools.lru_cache(maxsize=None)
 def pole_free_system(N: int) -> PoleFreeSystem:
     slots = exponent_slots(N)
     # one slack per order form of order_table, infinity's (last) free
-    forms, _ = order_table(N)
+    forms = order_table(N).forms
     retained = tuple(data for data, _, _ in forms)
     # weight condition: the g = 0 scaled exponents sum to zero
     rows = [[1 if g == 0 else 0 for d, g in slots] + [0] * len(forms)]
@@ -139,16 +94,6 @@ def table_exponents(N: int, vector, terms: int) -> list:
     return list(map(sum, zip(*parts)))
 
 
-def cusp_orders(q: GenEtaQuotient, N: int) -> dict:
-    """{cusp: order} of q at every level-N cusp, by the closed formula: an
-    int, or a Fraction where the order is not integral."""
-    orders = {}
-    for data in cusp_set(N):
-        o = order_at_cusp(q, N, data)
-        orders[data.cusp] = o.numerator if o.denominator == 1 else o
-    return orders
-
-
 def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool:
     """Constant detection by two independent routes that must agree.
 
@@ -161,15 +106,15 @@ def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool
     generators does, from its exponent table's transform) and the orders
     when it has them: 50 coefficients, or any number when the lead exponent
     is nonzero, since q then reads as non-constant at every truncation.
-    Otherwise they are q.product_coefficients(50) and cusp_orders.  Both
-    routes are compared either way.
+    Otherwise they are q.product_coefficients(50) and the orders of q's
+    slot_vector by table_orders.  Both routes are compared either way.
     """
     if q.is_one():
         return True
     f = q.product_coefficients(50) if coeffs is None else coeffs
     by_series = not q.lead_exponent() and not any(f[1:50])
     if orders is None:
-        orders = cusp_orders(q, N)
+        orders = table_orders(N, slot_vector(q, N))
     by_orders = all(o == 0 for o in orders.values())
     if by_series != by_orders:
         raise AssertionError("constant detection disagrees for %r" % q)
@@ -203,10 +148,10 @@ HEAD_TERMS = 14
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       coeffs, orders) -> Generator:
     """Record of a canonical quotient from the integer coefficients of its
-    product (at least HEAD_TERMS) and its orders (cusp_orders or
-    table_orders, an int wherever the order is integral, kept as they are);
-    raises error (the caller's failure type)
-    unless it is pole-free away from a pole at infinity.
+    product (at least HEAD_TERMS) and its orders (table_orders, an int
+    wherever the order is integral, kept as they are); raises error (the
+    caller's failure type) unless it is pole-free away from a pole at
+    infinity.
 
     The order at infinity is q's lead exponent, so the head, the
     coefficients from q**-pole on, is the product's first HEAD_TERMS.
@@ -223,10 +168,9 @@ def _generator_record(q: GenEtaQuotient, scaled_vector, error,
 
 def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
     """Generator record (orders, pole, sort head) for an explicit quotient."""
-    # a scaled g = 0 entry is twice the eta_{d,0} exponent, a[d] / 2
-    vec = [q.a.get(d, 0) if g == 0 else q.ag.get((d, g), 0) for d, g in exponent_slots(N)]
+    vec = slot_vector(q, N)
     return _generator_record(q, vec, ValueError, q.product_coefficients(HEAD_TERMS),
-                             cusp_orders(q, N))
+                             table_orders(N, vec))
 
 
 def sort_generators(gens) -> tuple:

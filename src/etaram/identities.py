@@ -206,9 +206,8 @@ class Identity:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
-        def combo_json(elem):
-            return [[str(coef), _monomial_quotient(self.N, self.basis.gens, mono).to_json()]
-                    for mono, coef in sorted(elem.combo.items())]
+        def element_json(elem):
+            return [["1", {} if elem.gen is None else self.basis.gens[elem.gen].quotient.to_json()]]
 
         doc = {
             "spec": self.spec.to_json(),
@@ -219,7 +218,7 @@ class Identity:
             "h": self.h.to_json() if self.h else None,
             "z": (self.basis.z.quotient.to_json()
                   if self.basis and self.basis.gens else None),
-            "basis": [combo_json(e) for e in self.basis.elements] if self.basis else [],
+            "basis": [element_json(e) for e in self.basis.elements] if self.basis else [],
             "rhs": [[i, j, str(c)] for (i, j), c in sorted(self.rhs.items())],
             "certified_to": str(self.certified_to),
             "status": self.status if self.status == "Derived" else

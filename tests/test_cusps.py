@@ -3,13 +3,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from etaram.cusps import (
-    INFINITY, Cusp, CuspData, _lambda_mu_form, _order_rows, cusp_order_bounds, cusp_set,
-    cusps_equivalent, find_cusp_class, genus, kappa, make_cusp, order_at_cusp,
+    INFINITY, Cusp, CuspData, _lambda_mu_form, class_key, cusp_order_bounds, cusp_set,
+    cusps_equivalent, exponent_slots, genus, kappa, make_cusp, order_at_cusp, order_table,
     slice_min_exponent, width,
 )
 from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
@@ -115,32 +115,57 @@ def _lambda_mu_coefficient(N, cusp, d, g):
             * bernoulli_p2(Fraction(lam * g, gde)) * Fraction(width(N, cusp) * eps, N))
 
 
+def _table_row(N, cusp):
+    """order_table(N)'s row for the cusp's class, in Fractions per slot."""
+    table = order_table(N)
+    _, row, den = table.forms[table.classes[class_key(N, cusp)]]
+    return [Fraction(x, den) for x in row]
+
+
+def _fraction_row(N, cusp):
+    """The closed formula at the cusp a/c in Fractions, per scaled slot:
+    width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)) per eta_{d,g}, whose
+    exponent is half the scaled entry at g = 0 and 2g = d."""
+    a, c, w = cusp.a, cusp.c, width(N, cusp)
+    return [Fraction(w * gcd(d, c) ** 2, 2 * d) * bernoulli_p2(Fraction(a * g, gcd(d, c)))
+            / (2 if 2 * g % d == 0 else 1) for d, g in exponent_slots(N)]
+
+
 def test_order_rows_match_the_lambda_mu_form():
-    # at every cusp up to level 40 the rows, read from the cusp's a/c, give
-    # the coefficients of the lam/(mu eps) representative of its class
+    # at every cusp up to level 40 the table's row for it, read from the
+    # cusp's a/c, gives the coefficients of the lam/(mu eps) representative
+    # of its class: a g = 0 slot is half eta_{d,0}'s, and a half slot's
+    # scaled entry v is eta(d tau/2)^v / eta(d tau)^v
     for N in range(1, 41):
+        assert exponent_slots(N) == [(d, g) for d in range(1, N + 1) if N % d == 0
+                                     for g in range(d // 2 + 1)]
         for data in cusp_set(N):
-            rows, den = _order_rows(N, data.cusp)
-            assert sorted(rows) == [(d, g) for d in range(1, N + 1) if N % d == 0
-                                    for g in range((d + 1) // 2)]
-            for (d, g), num in rows.items():
-                assert Fraction(2 * num, den) == _lambda_mu_coefficient(N, data.cusp, d, g), \
-                    (N, data.cusp, d, g)
+            row = _table_row(N, data.cusp)
+            for (d, g), coeff in zip(exponent_slots(N), row):
+                if 2 * g == d:
+                    expect = (_lambda_mu_coefficient(N, data.cusp, g, 0)
+                              - _lambda_mu_coefficient(N, data.cusp, d, 0)) / 2
+                else:
+                    expect = _lambda_mu_coefficient(N, data.cusp, d, g) / (1 if g else 2)
+                assert coeff == expect, (N, data.cusp, d, g)
 
 
 def test_order_rows_match_the_fraction_formula():
-    # the rows are cleared in integers; written out in Fractions they are
-    # width * gcd(d, c)^2 / (2d) * B2(a g / gcd(d, c)) per slot, over the
-    # least common denominator, which is returned doubled
+    # the rows are cleared in integers, each divided with its denominator by
+    # their gcd; written out in Fractions they are the closed formula, at
+    # every cusp of the levels up to 60, infinity's form last and its own
     for N in range(1, 61):
-        for data in cusp_set(N):
-            a, c = data.cusp.a, data.cusp.c
-            coeffs = {(d, g): Fraction(data.width * gcd(d, c) ** 2, 2 * d)
-                      * bernoulli_p2(Fraction(a * g, gcd(d, c)))
-                      for d in range(1, N + 1) if N % d == 0 for g in range((d + 1) // 2)}
-            den = lcm(*(f.denominator for f in coeffs.values()))
-            rows = {k: f.numerator * (den // f.denominator) for k, f in coeffs.items()}
-            assert _order_rows(N, data.cusp) == (rows, 2 * den), (N, data.cusp)
+        table = order_table(N)
+        assert table.slots == {slot: i for i, slot in enumerate(exponent_slots(N))}
+        assert [cusp for cusp, _ in table.cusps] == [data.cusp for data in cusp_set(N)]
+        assert table.cusps[-1] == (INFINITY, len(table.forms) - 1)
+        assert len({(row, den) for _, row, den in table.forms[:-1]}) == len(table.forms) - 1
+        for data, row, den in table.forms:
+            assert den > 0 and gcd(den, *row) == 1
+            assert (data.cusp, table.forms.index((data, row, den))) in table.cusps
+        for cusp, i in table.cusps:
+            _, row, den = table.forms[i]
+            assert [Fraction(x, den) for x in row] == _fraction_row(N, cusp), (N, cusp)
 
 
 def test_order_of_trivial_quotient():
@@ -169,7 +194,7 @@ def _reference_order_at_cusp(N, cusp, a, ag):
     """The closed formula summed term by term in Fractions over the raw
     exponents (a, ag) a quotient was built from, with the plain eta powers
     folded into the g = 0 slots."""
-    data = cusp if isinstance(cusp, CuspData) else find_cusp_class(N, cusp)
+    data = cusp if isinstance(cusp, CuspData) else _representative(N, cusp)
     combined = {}
     for d, e in a.items():
         combined[(d, 0)] = combined.get((d, 0), Fraction(0)) + Fraction(e, 2)
@@ -180,6 +205,13 @@ def _reference_order_at_cusp(N, cusp, a, ag):
         if e:
             total += _lambda_mu_coefficient(N, data.cusp, d, g) * e
     return total
+
+
+def _representative(N, cusp):
+    """The CuspData of cusp_set(N) equivalent to the cusp, by a scan."""
+    scanned = [data for data in cusp_set(N) if cusps_equivalent(N, data.cusp, cusp)]
+    assert len(scanned) == 1, (N, cusp)
+    return scanned[0]
 
 
 def _random_half_quotient(rng, N):
@@ -272,7 +304,7 @@ def test_min_exponents_are_cusp_class_invariant():
                 others.append(make_cusp(a, c + k * N))
                 shifted += 1
             for other in others:
-                assert _order_rows(N, other) == _order_rows(N, cusp)
+                assert _fraction_row(N, other) == _fraction_row(N, cusp) == _table_row(N, other)
                 assert slice_min_exponent(spec, m, other) == slice_min_exponent(spec, m, cusp)
                 tried += 1
     assert tried > 500 and shifted > 150
@@ -363,7 +395,7 @@ def test_overpartition_bounds_match_published_values():
         Cusp(1, 2): Fraction(-2), INFINITY: Fraction(-2, 5),
     }
     for published_cusp, value in expected.items():
-        rep = find_cusp_class(10, published_cusp).cusp
+        rep = _representative(10, published_cusp).cusp
         assert bounds[rep] == value, published_cusp
 
 
@@ -406,10 +438,14 @@ def test_cusps_equivalent_matches_the_search_over_j():
 
 
 def test_cusp_class_lookup_equals_the_scan():
-    # seeded cusps a/c, c up to 3N and a of either sign, plus infinity,
-    # against the scan of cusp_set(N) by cusps_equivalent and by the search
+    # seeded cusps a/c, c up to 3N and a of either sign, plus infinity: the
+    # order table's class map sends each to the form of the one cusp of
+    # cusp_set(N) that the scans by cusps_equivalent and by the search find
     rng = random.Random(95)
     for N in list(range(1, 61)) + [144]:
+        table = order_table(N)
+        assert len(table.classes) == len(table.cusps)
+        form_of = dict(table.cusps)
         cusps = [INFINITY, Cusp(0, 1)]
         while len(cusps) < 40:
             a, c = rng.randint(-5 * N, 5 * N), rng.randint(1, 3 * N)
@@ -419,4 +455,5 @@ def test_cusp_class_lookup_equals_the_scan():
             scanned = [data for data in cusp_set(N) if cusps_equivalent(N, data.cusp, cusp)]
             assert scanned == [data for data in cusp_set(N)
                                if _equivalent_by_search(N, data.cusp, cusp)]
-            assert [find_cusp_class(N, cusp)] == scanned, (N, cusp)
+            assert len(scanned) == 1, (N, cusp)
+            assert table.classes[class_key(N, cusp)] == form_of[scanned[0].cusp], (N, cusp)

@@ -8,11 +8,11 @@ import pytest
 
 import etaram.cusps
 import etaram.eta
-from etaram.cusps import INFINITY, cusp_set, order_at_cusp
+from etaram.cusps import INFINITY, cusp_set, exponent_slots, order_at_cusp, table_orders
 from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
 from etaram.generators import (
-    cusp_orders, exponent_slots, generator_from_quotient, generators,
-    pole_free_system, quotient_from_scaled, table_exponents, table_orders, unit_lattice,
+    generator_from_quotient, generators, is_constant_one, pole_free_system,
+    quotient_from_scaled, table_exponents, unit_lattice,
 )
 from etaram import lattice
 from etaram.lattice import StepBudgetExceeded, enumerate_coset, lattice_hnf, solve_diophantine
@@ -110,6 +110,15 @@ def test_generator_from_quotient_matches_generators_and_rejects_bad_input():
     for bad in (z ** -1, z ** 0):     # a finite pole; no pole at infinity
         with pytest.raises(ValueError):
             generator_from_quotient(10, bad)
+    # an eta argument that does not divide the level, plain or generalized
+    for outside, d in ((GenEtaQuotient(20, a={4: 1, 10: -1}), 4),
+                       (GenEtaQuotient(20, ag={(20, 3): 1}), 20),
+                       (z * GenEtaQuotient(20, a={20: 2}), 20)):
+        message = "eta argument %d does not divide level 10$" % d
+        with pytest.raises(ValueError, match=message):
+            generator_from_quotient(10, outside)
+        with pytest.raises(ValueError, match=message):
+            is_constant_one(outside, 10)
 
 
 def _records_json(N):
@@ -302,18 +311,23 @@ def test_generator_orders_sum_to_zero(N):
 @pytest.mark.parametrize("N", ORDER_SUM_LEVELS)
 def test_record_orders_match_the_closed_formula(N):
     # generators(N) reads every candidate's orders from the level's order
-    # table; the closed formula on its quotient must give them cusp by cusp
+    # table by its scaled vector; order_at_cusp on its quotient's exponents
+    # must give them cusp by cusp
+    def closed_formula(q):
+        return {data.cusp: order_at_cusp(q, N, data) for data in cusp_set(N)}
+
     for g in generators(N):
-        assert g.orders == cusp_orders(g.quotient, N), g.quotient
+        assert g.orders == closed_formula(g.quotient), g.quotient
         assert list(g.orders) == [data.cusp for data in cusp_set(N)]
         assert all(type(o) is int for o in g.orders.values()), g.quotient
-        assert all(type(o) is int for o in cusp_orders(g.quotient, N).values())
     for v in unit_lattice(N):
-        orders = cusp_orders(quotient_from_scaled(N, exponent_slots(N), v), N)
+        orders = closed_formula(quotient_from_scaled(N, exponent_slots(N), v))
         assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)
 
 
 def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
+    # every name order_at_cusp is bound to in the package is counted, so a
+    # call from any module shows
     calls = []
     real_order = order_at_cusp
     real_init = GenEtaQuotient.__init__
@@ -326,7 +340,11 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
         calls.append("GenEtaQuotient")
         real_init(self, *args, **kwargs)
 
-    for module in (etaram.cusps, generators_module):
+    holders = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "etaram" and getattr(module, "order_at_cusp", None)
+               is real_order]
+    assert etaram.cusps in holders
+    for module in holders:
         monkeypatch.setattr(module, "order_at_cusp", counted_order)
     monkeypatch.setattr(GenEtaQuotient, "__init__", counted_init)
     system = pole_free_system.__wrapped__(18)
