@@ -286,9 +286,10 @@ def lhs_series(spec: PartitionSpec, m: int, t: int, quot: GenEtaQuotient,
 
 def _reduce_with_retry(spec, m, t, quot, mb, target):
     """(hF, the coefficients of hF over the basis, and the right-hand side
-    series they make), certified to target.  It no longer retries: it
-    expands the left side hF once, for the reduction and the independent
-    check, and express builds the right-hand side once, for both too."""
+    series they make), certified to target.  The left side hF is expanded
+    once, for the reduction and the independent check, and express builds
+    the right-hand side once, for both too.  bench/spans.py wraps this
+    function by name, so the name stays until the next change under bench/."""
     hF = lhs_series(spec, m, t, quot, target)
     if hF.denom != 1:
         raise VerificationFailure("fractional exponents survive in the product")

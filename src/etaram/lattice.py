@@ -4,9 +4,13 @@ a lattice's quotient Z x F (CosetTables), and Hilbert bases of linear
 Diophantine systems.  GroupBits holds subsets of a finite group as ints,
 for those tables and for the zero-sum walk below.
 
-Everything here works on small dense matrices of python ints (a few dozen
-rows and columns at most), so the implementations favor verifiability over
-asymptotics.  hnf_column is the one elimination routine.  A Hilbert basis
+Matrices are dense lists of python ints, and the implementations favor
+verifiability over asymptotics.  The prefactor lattices and the level
+monoids have tens of rows and columns; a multiplier system is wider: 17
+rows and 295 columns for p(2n), 21 rows and 1,963 columns for cphi_2(5n+3)
+at level 20, whose U holds 3.9 million entries.  hnf_column is the one
+elimination routine.  It takes A by rows and gives H and U by columns,
+which is how every reader here takes them apart.  A Hilbert basis
 is found in the projection of the solution lattice to the nonnegative
 coordinates, a lattice L in Z^k; one column Hermite form of the equality
 rows stacked on those coordinates' unit rows holds the lineality, a basis
@@ -49,82 +53,67 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matvec(A, x):
-    return [sum(map(mul, r, x)) for r in A]
-
-
 def hnf_column(A):
-    """Column Hermite form.
+    """Column Hermite form of the row-major matrix A.
 
     Returns (H, U, pivots) with H = A * U, U unimodular, H in column echelon
-    form: pivots is the list of pivot rows, one per leading column, strictly
-    increasing; columns past len(pivots) are zero.
+    form, H and U as lists of columns: pivots is the list of pivot rows, one
+    per leading column, strictly increasing; columns past len(pivots) are
+    zero.  Each column of H is held with the same column of U below it, so a
+    column swap, negation or subtraction of a multiple is one list operation.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    H = [row[:] for row in A]
-    U = _identity(n)
-
-    def col_swap(i, j):
-        for M in (H, U):
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-
-    def col_addmul(dst, src, q):
-        if q:
-            for M in (H, U):
-                for row in M:
-                    row[dst] -= q * row[src]
-
-    def col_negate(i):
-        for M in (H, U):
-            for row in M:
-                row[i] = -row[i]
-
+    cols = [[row[j] for row in A] + [0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
     pivots = []
     col = 0
     for row in range(m):
         if col >= n:
             break
         while True:
-            nz = [j for j in range(col, n) if H[row][j]]
+            nz = [j for j in range(col, n) if cols[j][row]]
             if not nz:
                 break
-            j0 = min(nz, key=lambda j: abs(H[row][j]))
-            if j0 != col:
-                col_swap(col, j0)
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            cols[col], cols[j0] = cols[j0], cols[col]
+            p = cols[col]
             done = True
             for j in range(col + 1, n):
-                if H[row][j]:
-                    q = H[row][j] // H[row][col]
-                    col_addmul(j, col, q)
-                    if H[row][j]:
+                if cols[j][row]:
+                    q = cols[j][row] // p[row]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], p)]
+                    if cols[j][row]:
                         done = False
             if done:
                 break
-        if H[row][col]:
-            if H[row][col] < 0:
-                col_negate(col)
+        p = cols[col]
+        if p[row]:
+            if p[row] < 0:
+                p = cols[col] = [-a for a in p]
             for j in range(col):
-                q = H[row][j] // H[row][col]
-                col_addmul(j, col, q)
+                q = cols[j][row] // p[row]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], p)]
             pivots.append(row)
             col += 1
-    return H, U, pivots
+    return [c[:m] for c in cols], [c[m:] for c in cols], pivots
+
+
+def _combination(coeffs, vectors, n):
+    """sum c_j vectors[j] as a list of length n, summing only the vectors
+    whose coefficient is nonzero."""
+    terms = [v if c == 1 else [c * a for a in v] for c, v in zip(coeffs, vectors) if c]
+    return list(map(sum, zip(*terms))) if terms else [0] * n
 
 
 def kernel_basis(A, hnf=None):
-    """Basis (list of int vectors) of the integer kernel of A.
+    """Basis (list of int vectors) of the integer kernel of A: the columns of
+    U past the rank.
 
     hnf, when given, must be hnf_column(A), as in solve_diophantine.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    H, U, pivots = hnf_column(A) if hnf is None else hnf
-    rank = len(pivots)
-    return [[U[i][j] for i in range(n)] for j in range(rank, n)]
+    _, U, pivots = hnf_column(A) if hnf is None else hnf
+    return [list(u) for u in U[len(pivots):]]
 
 
 def solve_diophantine(A, b, hnf=None):
@@ -134,19 +123,17 @@ def solve_diophantine(A, b, hnf=None):
     every right-hand side.  Use kernel_basis for the homogeneous part.
     """
     H, U, pivots = hnf_column(A) if hnf is None else hnf
-    y = _hnf_coordinates(b, [[row[j] for row in H] for j in range(len(pivots))], pivots)
+    y = _hnf_coordinates(b, H, pivots)
     # x = U y, y zero past the rank
-    return None if y is None else _matvec(U, y)
+    return None if y is None else _combination(y, U, len(U))
 
 
 def lattice_hnf(vectors, dim):
     """Column-HNF basis of the lattice generated by the given vectors."""
     if not vectors:
         return []
-    A = [[v[i] for v in vectors] for i in range(dim)]
-    H, _, pivots = hnf_column(A)
-    rank = len(pivots)
-    return [[H[i][j] for i in range(dim)] for j in range(rank)]
+    H, _, pivots = hnf_column([[v[i] for v in vectors] for i in range(dim)])
+    return H[:len(pivots)]
 
 
 # the greedy size reduction often has not settled after these passes, so the
@@ -206,10 +193,9 @@ def enumerate_coset(v0, basis, weight_bound):
     Hermite columns first, which keeps the walk's entries small.
     """
     dim = len(v0)
-    A = [[b[i] for b in basis] for i in range(dim)]
-    H, _, pivots = hnf_column(A)
+    H, _, pivots = hnf_column([[b[i] for b in basis] for i in range(dim)])
     rank = len(pivots)
-    cols = [[H[i][j] for i in range(dim)] for j in range(rank)]
+    cols = H[:rank]
     current = _size_reducer(cols)(v0)
     # rows above the first pivot are the same at every point of a coset
     head = pivots[0] if rank else dim
@@ -377,13 +363,14 @@ class CosetTables:
     The lattice L is the set of x in Z^dim that extend to an integer
     solution (x, s) of A (x, s) = 0, with hnf = hnf_column(A).  x -> A (x, 0)
     maps Z^dim onto im A / S, S the span of A's columns past dim, with
-    kernel L.  In the coordinates of H's columns (a basis of im A), S is
-    spanned by the coordinates of those columns, and _congruence_rows of
-    their Hermite basis read the quotient as Z^e x F, F finite: the class of
-    x is (z, f), z its value on the equality rows and f its residues on the
-    congruence rows.  e must be at most 1 (z is 0 when e = 0).  For the
-    prefactor criterion, z is the value of its equality row and F is
-    [24, 20] at level 10 and [24, 288] at 144.
+    kernel L.  H's leading columns, as hnf_column returns them, are a basis
+    of im A; in their coordinates S is spanned by the coordinates of A's
+    columns past dim, and _congruence_rows of their Hermite basis read the
+    quotient as Z^e x F, F finite: the class of x is (z, f), z its value on
+    the equality rows and f its residues on the congruence rows.  e must be
+    at most 1 (z is 0 when e = 0).  For the prefactor criterion, z is the
+    value of its equality row and F is [24, 20] at level 10 and [24, 288]
+    at 144.
 
     Unit vector j has class g_j = (zs[j], classes[j]).  Table T[j][w] holds
     the classes of the vectors on coordinates j, j+1, ... of l1 weight
@@ -406,10 +393,9 @@ class CosetTables:
     def __init__(self, A, hnf, dim):
         H, _, pivots = hnf
         rank = len(pivots)
-        image = [[row[j] for row in H] for j in range(rank)]
 
         def coordinates(j):
-            return _hnf_coordinates([row[j] for row in A], image, pivots)
+            return _hnf_coordinates([row[j] for row in A], H, pivots)
 
         slack = lattice_hnf([coordinates(j) for j in range(dim, len(A[0]))], rank)
         if rank - len(slack) > 1:
@@ -580,15 +566,15 @@ def hilbert_basis(system: DioSystem):
     lineality vectors, and no pointed vector decomposes into others.
 
     One factorization (H, U, pivots) of the equality rows stacked on the
-    nonnegative coordinates' unit rows gives the lineality (U's columns past
-    the pivots), the column-HNF basis of the projected lattice (H's columns
-    pivoting in a unit row, read on the unit rows) and its lifts (U's same
-    columns).  The minimal vectors of the projected lattice come from the
-    zero-sum walk when the lattice has full rank (no equality row among the
-    congruence rows of _congruence_rows), else from the slack completion;
-    either way each is lifted through its coordinates in that basis and
-    size-reduced against the lineality.  Raises StepBudgetExceeded when the
-    path taken runs out of its budget.
+    nonnegative coordinates' unit rows gives, as lists of columns, the
+    lineality (U's columns past the pivots), the column-HNF basis of the
+    projected lattice (H's columns pivoting in a unit row, sliced to the
+    unit rows) and its lifts (U's same columns).  The minimal vectors of the
+    projected lattice come from the zero-sum walk when the lattice has full
+    rank (no equality row among the congruence rows of _congruence_rows),
+    else from the slack completion; either way each is lifted through its
+    coordinates in that basis and size-reduced against the lineality.
+    Raises StepBudgetExceeded when the path taken runs out of its budget.
     """
     eqs = [row[:] for row in system.equalities]
     if not eqs:
@@ -611,8 +597,8 @@ def hilbert_basis(system: DioSystem):
         return [], lineality
 
     k = len(P)
-    basis = [[H[m + i][j] for i in range(k)] for j in cols]
-    lifts = [[U[i][j] for i in range(n)] for j in cols]
+    basis = [H[j][m:] for j in cols]
+    lifts = [U[j] for j in cols]
     rows, moduli = _congruence_rows(basis, k)
     # a modulus 0 marks an equality row: only then has the lattice rank < k
     keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
@@ -624,10 +610,8 @@ def hilbert_basis(system: DioSystem):
         c = _hnf_coordinates(y, basis, basis_pivots)
         if c is None:
             raise RuntimeError("projected generator failed to lift")
-        # c is sparse (about 4-5 of 9-10 coordinates at levels 18 and 20):
-        # sum only the lifts of its nonzero coordinates (y != 0: there is one)
-        terms = [u if x == 1 else list(map(x.__mul__, u)) for x, u in zip(c, lifts) if x]
-        pointed.append(reduce(list(map(sum, zip(*terms)))))
+        # c is sparse: about 4-5 of 9-10 coordinates at levels 18 and 20
+        pointed.append(reduce(_combination(c, lifts, n)))
     pointed.sort(key=lambda v: (sum(map(abs, v)), v))
     return pointed, lineality
 
@@ -639,16 +623,19 @@ def _congruence_rows(basis, k):
 
     Column Hermite forms of the basis matrix B's transpose and of B itself,
     alternated, reach a diagonal D = R B V (Kannan-Bachem 1979); only the
-    row transform R is kept.  y lies in the lattice exactly when R y lies in
-    D Z^r, so rows below the rank r are R's rows reduced mod D's entries
-    (the entries 1 give no condition) and the rows past r are equality rows.
+    row transform R is kept.  A form's columns are the rows of the next
+    form's input, so no matrix is transposed.  y lies in the lattice exactly
+    when R y lies in D Z^r, so rows below the rank r are R's rows reduced
+    mod D's entries (the entries 1 give no condition) and the rows past r
+    are equality rows.
     """
-    M = [[b[i] for b in basis] for i in range(k)]
+    M = basis
     R = _identity(k)
-    while any(c for i, row in enumerate(M) for j, c in enumerate(row) if i != j):
-        T, V, _ = hnf_column([list(col) for col in zip(*M)])
-        R = [[sum(map(mul, v, r)) for r in zip(*R)] for v in zip(*V)]
-        M = hnf_column([list(row) for row in zip(*T)])[0]
+    while any(c for j, col in enumerate(M) for i, c in enumerate(col) if i != j):
+        # hnf_column reads the columns it is given as rows: T = M^T V
+        T, V, _ = hnf_column(M)
+        R = [_combination(v, R, k) for v in V]
+        M = hnf_column(T)[0]
     rows = []
     moduli = []
     for i in range(len(basis)):

@@ -284,7 +284,7 @@ def _prefactor_lattice(N: int):
     A = [rows[0][0] + (0,) * nslack]
     for i, (row, mod) in enumerate(rows[1:]):
         A.append(row + (0,) * i + (mod,) + (0,) * (nslack - i - 1))
-    H, U, pivots = hnf_column([list(row) for row in A])
+    H, U, pivots = hnf_column(A)
     hnf = tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(pivots)
     return tuple(A), hnf, CosetTables(A, hnf, len(rows[0][0]))
 

@@ -18,9 +18,99 @@ from etaram.lattice import (
 from etaram.modularity import find_level, find_prefactor
 
 
-def matmul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-            for i in range(len(A))]
+def _row_major_hnf(A):
+    """The column Hermite form by the row-major elimination: each column
+    operation walks every row of H and of U.  The oracle for hnf_column,
+    which holds the same matrices by columns."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    H = [row[:] for row in A]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_swap(i, j):
+        for M in (H, U):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+
+    def col_addmul(dst, src, q):
+        if q:
+            for M in (H, U):
+                for row in M:
+                    row[dst] -= q * row[src]
+
+    def col_negate(i):
+        for M in (H, U):
+            for row in M:
+                row[i] = -row[i]
+
+    pivots = []
+    col = 0
+    for row in range(m):
+        if col >= n:
+            break
+        while True:
+            nz = [j for j in range(col, n) if H[row][j]]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: abs(H[row][j]))
+            if j0 != col:
+                col_swap(col, j0)
+            done = True
+            for j in range(col + 1, n):
+                if H[row][j]:
+                    col_addmul(j, col, H[row][j] // H[row][col])
+                    if H[row][j]:
+                        done = False
+            if done:
+                break
+        if H[row][col]:
+            if H[row][col] < 0:
+                col_negate(col)
+            for j in range(col):
+                col_addmul(j, col, H[row][j] // H[row][col])
+            pivots.append(row)
+            col += 1
+    return H, U, pivots
+
+
+def _columns(M, n):
+    """The n columns of the row-major matrix M."""
+    return [[row[j] for row in M] for j in range(n)]
+
+
+def _random_matrix(rng, m, n):
+    """An m x n matrix with entries in [-6, 6], some of its rows and columns
+    zero, some rows repeated."""
+    A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    for row in A:
+        if rng.random() < 0.2:
+            row[:] = [0] * n
+    for j in range(n):
+        if rng.random() < 0.2:
+            for row in A:
+                row[j] = 0
+    if m > 1 and rng.random() < 0.3:
+        A[-1] = A[0][:]
+    return A
+
+
+def test_hnf_column_is_the_row_major_elimination_by_columns():
+    rng = random.Random(1)
+    # no rows ([], which has no columns either) and rows of no columns
+    shapes = [(0, 0), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(300)]
+    ranks = set()
+    for m, n in shapes:
+        A = _random_matrix(rng, m, n)
+        H, U, pivots = _row_major_hnf(A)
+        assert hnf_column(A) == (_columns(H, n), _columns(U, n), pivots), A
+        ranks.add(min(len(pivots), 2) if m and n else None)
+    assert ranks == {None, 0, 1, 2}
+    # zero rows and zero columns at once: rank 0, U the identity
+    for m, n in [(1, 1), (3, 2), (2, 4)]:
+        A = [[0] * n for _ in range(m)]
+        H, U, pivots = hnf_column(A)
+        assert (H, pivots) == ([[0] * m] * n, [])
+        assert U == [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
 
 def test_hnf_reproduces_matrix():
@@ -29,11 +119,29 @@ def test_hnf_reproduces_matrix():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         H, U, pivots = hnf_column(A)
-        assert matmul(A, U) == H
-        # unimodular: U has determinant +-1, checked via solving both ways
+        # A u_j = h_j, column by column
+        assert [[sum(map(mul, row, u)) for row in A] for u in U] == H
         for j, row in enumerate(pivots):
-            assert H[row][j] > 0
-            assert all(H[r][j] == 0 for r in range(row))
+            assert H[j][row] > 0
+            assert all(H[j][r] == 0 for r in range(row))
+        assert all(not any(h) for h in H[len(pivots):])
+
+
+def test_rank_zero_and_empty_systems():
+    # the zero vector of length n solves A x = 0 at rank 0, and nothing
+    # solves A x = b for b != 0
+    for m, n in [(1, 1), (2, 3), (3, 1)]:
+        A = [[0] * n for _ in range(m)]
+        assert solve_diophantine(A, [0] * m) == [0] * n
+        assert solve_diophantine(A, [1] + [0] * (m - 1)) is None
+        assert kernel_basis(A) == [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    # no columns: only b = 0 is reached, by the empty vector
+    assert solve_diophantine([[], []], [0, 0]) == []
+    assert solve_diophantine([[], []], [0, 1]) is None
+    assert kernel_basis([[], []]) == []
+    # no rows
+    assert solve_diophantine([], []) == [] and kernel_basis([]) == []
+    assert lattice_hnf([], 3) == [] and lattice_hnf([[0, 0, 0]], 3) == []
 
 
 def test_kernel_and_solve():
@@ -667,9 +775,9 @@ def _multiplier_system(monkeypatch, spec, m, t):
     systems = []
     real = identities.hilbert_basis
 
-    def spy(system):
-        systems.append(system)
-        return real(system)
+    def spy(*args, **kwargs):
+        systems.append(args[0])
+        return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(identities, "hilbert_basis", spy)

@@ -485,9 +485,9 @@ def test_a_dissection_builds_the_level_lattice_once(monkeypatch):
     factored = []
     real = modularity.hnf_column
 
-    def spy(A):
-        factored.append(len(A[0]))
-        return real(A)
+    def spy(*args, **kwargs):
+        factored.append(len(args[0][0]))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(modularity, "hnf_column", spy)
     modularity._prefactor_lattice.cache_clear()
