@@ -24,8 +24,8 @@ a product with a power -1.  A sum is one flat node ("sum", [(sign, term),
 ...]).  Evaluation is exact.  A monomial's product is read by
 eta.reference_product from the process-wide product cache, under the
 product's exponent progressions, where every entry is proved; on a miss it
-is one integer Euler transform, sharing no code with the theta-series fast
-route.
+is one integer Euler transform, sharing no code with the fast route's
+pentagonal recurrence.
 Sums, slices and the remaining products and powers combine those expansions
 as series, each factor deepened by the poles of the others so that every
 result is known to the requested order.  Input nested past Python's

@@ -4,15 +4,19 @@ pole sits at infinity.
 A generalized eta-quotient is such a modular function exactly when one linear
 form in its exponents vanishes, its order at every finite cusp is a
 nonnegative integer, and its order at infinity is an integer.  After scaling
-the half-integral slots these conditions become an integer Diophantine system
-whose solution monoid has a finite Hilbert basis; the pointed generators give
-the quotient generators, the lineality part only produces the constant 1.
+the half-integral slots these conditions become an integer Diophantine system,
+pole_free_system(N) = (rows, nonneg), read from cusps.order_table(N).  Its
+solution monoid has a finite Hilbert basis, hilbert_basis(rows, nonneg); the
+pointed generators give the quotient generators, the lineality part only
+produces the constant 1.
 
-A candidate's record is built from integers and per-level tables: the first
-coefficients of its product by the Euler transform of its exponents,
-combined from exponent_table's rows (no product cache read), its lead
-exponent, and its cusp orders by the closed formula, one dot product per
-order form of cusps.order_table.  No candidate is expanded on the fast route.
+Every candidate, pointed or lineality, is read from integers and per-level
+tables: the first coefficients of its product by the Euler transform of its
+exponents, combined from exponent_table's rows (no product cache read), its
+lead exponent, and its cusp orders by the closed formula, one dot product
+per order form of cusps.order_table.  is_constant_one(q, coeffs, orders)
+compares the two constant tests on them, and a pointed candidate that is not
+constant becomes a record.  No candidate is expanded on the fast route.
 """
 
 from __future__ import annotations
@@ -20,39 +24,29 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cusps import INFINITY, exponent_slots, order_table, slot_vector, table_orders
+from .cusps import INFINITY, order_table, slot_vector, table_orders
 from .eta import GenEtaQuotient, _exponents, _spec_progressions, euler_transform
-from .lattice import DioSystem, hilbert_basis
+from .lattice import hilbert_basis
 
 
-@dataclass(frozen=True)
-class PoleFreeSystem:
-    """The cleared integer system cutting out the monoid at level N."""
-    system: DioSystem
-    slots: tuple          # (delta, g) per exponent variable
-    retained: tuple       # CuspData for each slack variable, infinity last
-
-    @property
-    def nslots(self):
-        return len(self.slots)
-
-
-@functools.lru_cache(maxsize=None)
-def pole_free_system(N: int) -> PoleFreeSystem:
-    slots = exponent_slots(N)
-    # one slack per order form of order_table, infinity's (last) free
-    forms = order_table(N).forms
-    retained = tuple(data for data, _, _ in forms)
-    # weight condition: the g = 0 scaled exponents sum to zero
-    rows = [[1 if g == 0 else 0 for d, g in slots] + [0] * len(forms)]
-    for i, (_, form, den) in enumerate(forms):
-        rows.append(list(form) + [0] * i + [-den] + [0] * (len(forms) - 1 - i))
-    nonneg = [len(slots) + i for i in range(len(forms) - 1)]
-    return PoleFreeSystem(system=DioSystem(rows, nonneg), slots=tuple(slots), retained=retained)
+def pole_free_system(N: int) -> tuple:
+    """(rows, nonneg), the cleared integer system cutting out the monoid at
+    level N, for hilbert_basis.  Its variables are the scaled exponents, one
+    per slot of order_table(N), then one slack per order form of the table,
+    in its order: the weight row asks the g = 0 entries to sum to zero, and
+    form i's row asks its order to equal slack i, which is nonnegative for
+    every form but infinity's (the last)."""
+    table = order_table(N)
+    nslots, nforms = len(table.slots), len(table.forms)
+    rows = [[1 if g == 0 else 0 for _, g in table.slots] + [0] * nforms]
+    for i, (_, form, den) in enumerate(table.forms):
+        rows.append(list(form) + [0] * i + [-den] + [0] * (nforms - 1 - i))
+    return rows, list(range(nslots, nslots + nforms - 1))
 
 
-def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
-    """The canonical quotient of a scaled exponent vector, built in integers.
+def quotient_from_scaled(N: int, vector) -> GenEtaQuotient:
+    """The canonical quotient of a scaled exponent vector over the slots of
+    order_table(N), built in integers.
 
     A half slot's scaled entry v is twice its exponent, and eta_{d,0}^(v/2) =
     eta(d tau)^v, eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v, so the
@@ -60,7 +54,7 @@ def quotient_from_scaled(N: int, slots, vector) -> GenEtaQuotient:
     stores them as they are.
     """
     a, ag = {}, {}
-    for (d, g), v in zip(slots, vector):
+    for (d, g), v in zip(order_table(N).slots, vector):
         if not v:
             continue
         if g == 0:
@@ -78,10 +72,9 @@ def exponent_table(N: int) -> tuple:
     """c[0..49] per exponent slot of exponent_slots(N), c[n] the exponent of
     (1 - q^n) in the product of the slot's unit vector's quotient; c is
     linear in the scaled vector, so these rows give every quotient's."""
-    slots = exponent_slots(N)
     table = []
-    for i in range(len(slots)):
-        q = quotient_from_scaled(N, slots, [0] * i + [1])
+    for i in range(len(order_table(N).slots)):
+        q = quotient_from_scaled(N, [0] * i + [1])
         table.append(tuple(_exponents(_spec_progressions(q.a, q.ag), 50)))
     return tuple(table)
 
@@ -94,27 +87,21 @@ def table_exponents(N: int, vector, terms: int) -> list:
     return list(map(sum, zip(*parts)))
 
 
-def is_constant_one(q: GenEtaQuotient, N: int, coeffs=None, orders=None) -> bool:
+def is_constant_one(q: GenEtaQuotient, coeffs, orders) -> bool:
     """Constant detection by two independent routes that must agree.
 
     Exponent identities beyond the plain-eta reductions can hide the constant
     1 inside a nonempty product (odd residues regrouped across divisors), so
     emptiness of the canonical form is sufficient but not necessary.  The
     series route reads q as 1 when its lead exponent is 0 and the integer
-    coefficients f(1..49) of its product are all 0; the other route asks
-    every cusp order to be 0.  The caller may pass the coefficients (as
-    generators does, from its exponent table's transform) and the orders
-    when it has them: 50 coefficients, or any number when the lead exponent
-    is nonzero, since q then reads as non-constant at every truncation.
-    Otherwise they are q.product_coefficients(50) and the orders of q's
-    slot_vector by table_orders.  Both routes are compared either way.
+    coefficients f(1..49) of its product, coeffs, are all 0; the other route
+    asks every cusp order in orders ({cusp: order}) to be 0.  coeffs holds 50
+    coefficients, or any number when the lead exponent is nonzero, since q
+    then reads as non-constant at every truncation.
     """
     if q.is_one():
         return True
-    f = q.product_coefficients(50) if coeffs is None else coeffs
-    by_series = not q.lead_exponent() and not any(f[1:50])
-    if orders is None:
-        orders = table_orders(N, slot_vector(q, N))
+    by_series = not q.lead_exponent() and not any(coeffs[1:50])
     by_orders = all(o == 0 for o in orders.values())
     if by_series != by_orders:
         raise AssertionError("constant detection disagrees for %r" % q)
@@ -131,14 +118,6 @@ class Generator:
 
     def expansion(self, terms):
         return self.quotient.expansion(terms)
-
-
-@functools.lru_cache(maxsize=None)
-def unit_lattice(N: int):
-    """Exponent vectors (scaled slots) of quotients equal to the constant 1."""
-    pfs = pole_free_system(N)
-    _, lineality = hilbert_basis(pfs.system)
-    return tuple(tuple(v[:pfs.nslots]) for v in lineality)
 
 
 # coefficients from the lead that a generator record keeps as its sort head
@@ -182,23 +161,22 @@ def sort_generators(gens) -> tuple:
 @functools.lru_cache(maxsize=None)
 def generators(N: int) -> tuple:
     """Deterministically ordered generator list for level N."""
-    pfs = pole_free_system(N)
-    pointed, lineality = hilbert_basis(pfs.system)
-    for v in lineality:
-        q = quotient_from_scaled(N, pfs.slots, v[:pfs.nslots])
-        if not is_constant_one(q, N, orders=table_orders(N, v[:pfs.nslots])):
-            raise AssertionError("lineality vector is not the constant 1")
+    pointed, lineality = hilbert_basis(*pole_free_system(N))
+    nslots = len(order_table(N).slots)
     out = []
-    for v in pointed:
-        v = v[:pfs.nslots]
-        q = quotient_from_scaled(N, pfs.slots, v)
+    for i, v in enumerate(lineality + pointed):
+        v = v[:nslots]
+        q = quotient_from_scaled(N, v)
         # one coefficient list and one set of orders serve both consumers;
         # past a nonzero lead q cannot read as 1 at any truncation, so only a
         # zero lead needs more coefficients than the record's head reads
         coeffs = euler_transform(table_exponents(N, v, HEAD_TERMS if q.lead_exponent() else 50))
         orders = table_orders(N, v)
-        if not is_constant_one(q, N, coeffs, orders):
-            out.append(_generator_record(q, v, AssertionError, coeffs, orders))
+        if is_constant_one(q, coeffs, orders):
+            continue
+        if i < len(lineality):
+            raise AssertionError("lineality vector is not the constant 1")
+        out.append(_generator_record(q, v, AssertionError, coeffs, orders))
     out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")

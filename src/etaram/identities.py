@@ -23,7 +23,7 @@ from . import exprs
 from .cusps import INFINITY, cusp_order_bounds, cusp_set
 from .eta import GenEtaQuotient, PartitionSpec
 from .generators import generators
-from .lattice import DioSystem, hilbert_basis
+from .lattice import hilbert_basis
 from .modularity import check_level, find_level, find_prefactor
 from .reduction import ModuleBasis, VerificationFailure, express, module_basis
 from .series import QSeries
@@ -75,8 +75,7 @@ def find_multiplier(bounds: dict, gens, N: int):
         eq[k + 1 + i] = -1
         eqs.append(eq)
     # level 1 has no finite cusp: one zero row still gives the system nv variables
-    system = DioSystem(eqs or [[0] * nv], nonneg=list(range(k, nv)))
-    pointed, _lineality = hilbert_basis(system)
+    pointed, _lineality = hilbert_basis(eqs or [[0] * nv], list(range(k, nv)))
     alphas = [p for p in pointed if p[k] == 1]
     if not alphas:
         raise NoHFound("no multiplier clears the finite poles")

@@ -39,7 +39,6 @@ largest candidate entry.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import prod
 from operator import add, mul
 
@@ -543,23 +542,11 @@ def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
     return found
 
 
-@dataclass
-class DioSystem:
-    """Integer-coefficient equalities with a subset of variables >= 0.
-
-    Solutions are x in Z^n with (equalities) x = 0 and x_i >= 0 for i in
-    nonneg.  There is at least one equality row; a zero row stands for none.
-    """
-    equalities: list
-    nonneg: list
-
-    @property
-    def nvars(self):
-        return len(self.equalities[0])
-
-
-def hilbert_basis(system: DioSystem):
-    """Generators of the solution monoid of a DioSystem.
+def hilbert_basis(equalities, nonneg):
+    """Generators of the solution monoid of a linear Diophantine system: the
+    x in Z^n with (equalities) x = 0 and x_i >= 0 for i in nonneg.  There is
+    at least one equality row, all of length n; a zero row stands for none.
+    The rows are read, never changed.
 
     Returns (pointed, lineality): every solution is a nonnegative integer
     combination of pointed vectors plus an arbitrary integer combination of
@@ -576,22 +563,21 @@ def hilbert_basis(system: DioSystem):
     coordinates in that basis and size-reduced against the lineality.
     Raises StepBudgetExceeded when the path taken runs out of its budget.
     """
-    eqs = [row[:] for row in system.equalities]
-    if not eqs:
+    if not equalities:
         raise ValueError("need at least one equation row")
-    n = system.nvars
-    P = sorted(system.nonneg)
-    if any(len(r) != n for r in eqs):
+    n = len(equalities[0])
+    P = sorted(nonneg)
+    if any(len(r) != n for r in equalities):
         raise ValueError("ragged equality rows")
 
     unit_rows = [[1 if j == i else 0 for j in range(n)] for i in P]
-    lift_rows = eqs + unit_rows
+    lift_rows = [*equalities, *unit_rows]
     lift_hnf = H, U, pivots = hnf_column(lift_rows)
     lineality = kernel_basis(lift_rows, lift_hnf)
     # a column pivoting in a unit row is zero on every equality row, so those
     # columns of H, read on the unit rows, are the column-HNF basis of L, and
     # the same columns of U are its lifts
-    m = len(eqs)
+    m = len(equalities)
     cols = [j for j, p in enumerate(pivots) if p >= m]
     if not cols:
         return [], lineality

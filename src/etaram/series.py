@@ -575,9 +575,8 @@ def pochhammer(g: int, delta: int, order: int) -> QSeries:
     """Single-residue factor prod_{n>0, n=g mod delta} (1 - q^n), truncated.
 
     g is read modulo delta, and g = 0 as the full factor
-    (q^delta; q^delta)_infinity.  This is the straightforward product and
-    doubles as the reference implementation that the theta-based fast paths
-    are tested against.
+    (q^delta; q^delta)_infinity.  This is the straightforward product, the
+    one the tests check the product routes against.
     """
     if delta < 1 or g < 0:
         raise ValueError("need delta >= 1 and g >= 0")

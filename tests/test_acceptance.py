@@ -13,13 +13,13 @@ from math import gcd
 import pytest
 
 from etaram.cusps import INFINITY, Cusp, cusp_order_bounds, cusp_set, \
-    cusps_equivalent, order_at_cusp, width
+    cusps_equivalent, exponent_slots, order_at_cusp, width
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.exprs import expand
-from etaram.generators import generators, unit_lattice
+from etaram.generators import generators, pole_free_system, quotient_from_scaled
 from etaram.identities import DeriveOptions, derive_identity, dissect, \
     verify_identity
-from etaram.lattice import DioSystem, hilbert_basis, lattice_hnf, solve_diophantine
+from etaram.lattice import hilbert_basis, lattice_hnf, solve_diophantine
 from etaram.reduction import express, module_basis
 from etaram.series import QSeries, pochhammer
 
@@ -109,24 +109,22 @@ def test_criterion_05_level_10_generator_monoid():
         (-1, 1, 0, 1, 0, 0, -1, 1, 0, 1, 0, 0),
         (0, 0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0),
     ]
-    from etaram.generators import pole_free_system, quotient_from_scaled
-    pfs = pole_free_system(10)
-    slots = list(pfs.slots)
-    n = len(slots)
+    n = len(exponent_slots(10))
 
-    units = [list(u) for u in unit_lattice(10)]
+    # the constant-1 quotients: the lineality of the level-10 system
+    units = [u[:n] for u in hilbert_basis(*pole_free_system(10))[1]]
     ok = len(units) == len(betas_published) == 6
     unit_cols = lattice_hnf(units, n)
     published_cols = lattice_hnf([list(b) for b in betas_published], n)
     for b in betas_published:
-        q = quotient_from_scaled(10, slots, b)
+        q = quotient_from_scaled(10, b)
         ok = ok and q.expansion(50).agrees_with(QSeries.one(50))
         ok = ok and solve_diophantine([list(r) for r in zip(*unit_cols)], list(b)) is not None
     for u in units:
         ok = ok and solve_diophantine([list(r) for r in zip(*published_cols)], u) is not None
 
     def grade(vec):
-        q = quotient_from_scaled(10, slots, vec)
+        q = quotient_from_scaled(10, vec)
         return sum(int(order_at_cusp(q, 10, d)) for d in cusp_set(10)
                    if not d.cusp.is_infinity)
 
@@ -390,7 +388,7 @@ def test_criterion_13_property_suites():
         checked += 1
     # hilbert soundness plus box completeness on a random system
     eqs = [[1, -2, 1], [0, 1, -1]]
-    pointed, lineality = hilbert_basis(DioSystem(eqs, nonneg=[0, 1]))
+    pointed, lineality = hilbert_basis(eqs, [0, 1])
     for v in pointed:
         ok = ok and all(sum(r[j] * v[j] for j in range(3)) == 0 for r in eqs)
     # reduction round trip on a derived identity

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -8,17 +10,30 @@ import pytest
 
 import etaram.cusps
 import etaram.eta
-from etaram.cusps import INFINITY, cusp_set, exponent_slots, order_at_cusp, table_orders
+from etaram.cusps import (
+    INFINITY, cusp_set, exponent_slots, order_at_cusp, order_table, slot_vector, table_orders,
+)
 from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
 from etaram.generators import (
-    generator_from_quotient, generators, is_constant_one, pole_free_system,
-    quotient_from_scaled, table_exponents, unit_lattice,
+    generator_from_quotient, generators, pole_free_system, quotient_from_scaled,
+    table_exponents,
 )
 from etaram import lattice
-from etaram.lattice import StepBudgetExceeded, enumerate_coset, lattice_hnf, solve_diophantine
+from etaram.lattice import (
+    StepBudgetExceeded, enumerate_coset, hilbert_basis, lattice_hnf, solve_diophantine,
+)
 
 # the package re-exports the function generators under the module's name
 generators_module = sys.modules["etaram.generators"]
+
+
+@functools.lru_cache(maxsize=None)
+def unit_lattice(N):
+    """Exponent vectors (scaled slots) of quotients equal to the constant 1:
+    the lineality of the level-N system, cut to its slots."""
+    _, lineality = hilbert_basis(*pole_free_system(N))
+    return tuple(tuple(v[:len(exponent_slots(N))]) for v in lineality)
+
 
 # published solution of the level-10 system: five base vectors and six units
 # (first 12 entries are the scaled exponents; the slack tail is recomputed)
@@ -48,20 +63,21 @@ PAPER_QUOTIENTS_10 = {
 
 
 def test_system_shape_level_10():
-    pfs = pole_free_system(10)
-    assert len(pfs.slots) == 12
-    assert pfs.system.nvars == 12 + 6          # six cusps survive deduplication
-    assert len(pfs.system.equalities) == 7     # weight row + one per kept cusp
-    assert len(pfs.system.nonneg) == 5         # the infinity slack is free
+    rows, nonneg = pole_free_system(10)
+    assert len(exponent_slots(10)) == 12
+    assert len(rows[0]) == 12 + 6              # six cusps survive deduplication
+    assert len(rows) == 7                      # weight row + one per kept cusp
+    assert len(nonneg) == 5                    # the infinity slack is free
 
 
 def test_system_row_coefficients_level_10():
     # the order form at the cusp 0 in the scaled variables
-    pfs = pole_free_system(10)
-    slots = list(pfs.slots)
-    data = next(d for d in pfs.retained if str(d.cusp) == "0/1")
-    idx = pfs.retained.index(data)
-    row = pfs.system.equalities[1 + idx]
+    rows, _ = pole_free_system(10)
+    slots = exponent_slots(10)
+    retained = [data for data, _, _ in order_table(10).forms]
+    data = next(d for d in retained if str(d.cusp) == "0/1")
+    idx = retained.index(data)
+    row = rows[1 + idx]
     den = -row[12 + idx]
     coeff = {s: Fraction(c, den) for s, c in zip(slots, row)}
     assert coeff[(1, 0)] == Fraction(5, 12)
@@ -75,7 +91,7 @@ def test_pole_free_systems_are_pinned():
     # SHA-256 of the equality rows at levels 1-48 but 4, computed before the
     # order forms were read from the cusps' a/c and widths: the rows of every
     # level whose cusps are all regular are unchanged by that
-    rows = [[N, pole_free_system(N).system.equalities] for N in range(1, 49) if N != 4]
+    rows = [[N, pole_free_system(N)[0]] for N in range(1, 49) if N != 4]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "993c78fdb069c87416f11b19c949bf1c17840326d28cc5c77e40a4cce60c4aa6"
 
@@ -118,7 +134,7 @@ def test_generator_from_quotient_matches_generators_and_rejects_bad_input():
         with pytest.raises(ValueError, match=message):
             generator_from_quotient(10, outside)
         with pytest.raises(ValueError, match=message):
-            is_constant_one(outside, 10)
+            slot_vector(outside, 10)
 
 
 def _records_json(N):
@@ -170,7 +186,7 @@ def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
 
         def spoiled(N, vector):
             orders = real(N, vector)
-            if quotient_from_scaled(N, exponent_slots(N), vector) == target:
+            if quotient_from_scaled(N, vector) == target:
                 return dict.fromkeys(orders, 0)
             return orders
 
@@ -194,29 +210,34 @@ def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
 
 def test_candidates_expand_to_the_head_or_to_50_terms_at_a_zero_lead(monkeypatch):
     # no pointed candidate of the levels tested has a zero lead, so hand the
-    # completion's output a unit vector: its quotient is the constant 1
+    # completion's output a unit vector: its quotient is the constant 1.
+    # The lineality vectors are checked the same way, each at a zero lead
     real_basis = generators_module.hilbert_basis
+    units = []
 
-    def with_unit(system):
-        pointed, lineality = real_basis(system)
+    def with_unit(*args, **kwargs):
+        pointed, lineality = real_basis(*args, **kwargs)
+        units.append(len(lineality))
         return pointed + [lineality[0]], lineality
 
     seen = []
     real_check = generators_module.is_constant_one
+    signature = inspect.signature(real_check)
 
-    def spy(q, N, coeffs=None, orders=None):
-        if coeffs is not None:
-            seen.append((q.lead_exponent(), len(coeffs)))
-        return real_check(q, N, coeffs, orders)
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs).arguments
+        seen.append((call["q"].lead_exponent(), len(call["coeffs"])))
+        return real_check(*args, **kwargs)
 
     expect = generators(10)
     monkeypatch.setattr(generators_module, "hilbert_basis", with_unit)
     monkeypatch.setattr(generators_module, "is_constant_one", spy)
     assert generators.__wrapped__(10) == expect
-    assert len(seen) == len(expect) + 1
+    assert units[0] > 0
+    assert len(seen) == len(expect) + 1 + units[0]
     for lead, length in seen:
         assert length == (50 if lead == 0 else generators_module.HEAD_TERMS)
-    assert sum(lead == 0 for lead, _ in seen) == 1
+    assert sum(lead == 0 for lead, _ in seen) == 1 + units[0]
 
 
 def test_each_candidate_reads_its_lead_exponent_once(monkeypatch):
@@ -321,7 +342,7 @@ def test_record_orders_match_the_closed_formula(N):
         assert list(g.orders) == [data.cusp for data in cusp_set(N)]
         assert all(type(o) is int for o in g.orders.values()), g.quotient
     for v in unit_lattice(N):
-        orders = closed_formula(quotient_from_scaled(N, exponent_slots(N), v))
+        orders = closed_formula(quotient_from_scaled(N, v))
         assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)
 
 
@@ -347,10 +368,14 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     for module in holders:
         monkeypatch.setattr(module, "order_at_cusp", counted_order)
     monkeypatch.setattr(GenEtaQuotient, "__init__", counted_init)
-    system = pole_free_system.__wrapped__(18)
+    # the system and its order table built anew, past the table's cache
+    with monkeypatch.context() as patch:
+        patch.setattr(generators_module, "order_table", etaram.cusps.order_table.__wrapped__)
+        rows, nonneg = pole_free_system(18)
+        table = etaram.cusps.order_table.__wrapped__(18)
     assert calls == []
-    assert system.system.equalities == pole_free_system(18).system.equalities
-    assert system.retained == pole_free_system(18).retained
+    assert (rows, nonneg) == pole_free_system(18)
+    assert table.forms == order_table(18).forms
     assert generators.__wrapped__(18) == generators(18)
     assert "order_at_cusp" not in calls and "GenEtaQuotient" in calls
 
@@ -380,12 +405,10 @@ def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):
 
 
 def test_mutual_membership_with_published_basis():
-    pfs = pole_free_system(10)
-    slots = list(pfs.slots)
-    n = len(slots)
+    n = len(exponent_slots(10))
 
     def finite_grade(vec):
-        q = quotient_from_scaled(10, slots, vec)
+        q = quotient_from_scaled(10, vec)
         total = 0
         for data in cusp_set(10):
             if not data.cusp.is_infinity:
@@ -417,11 +440,10 @@ def test_mutual_membership_with_published_basis():
 
 
 def test_published_vectors_solve_the_system():
-    pfs = pole_free_system(10)
-    slots = list(pfs.slots)
+    retained = [data for data, _, _ in order_table(10).forms]
     for vec in ALPHAS_10 + BETAS_10:
-        q = quotient_from_scaled(10, slots, vec)
-        for data in pfs.retained:
+        q = quotient_from_scaled(10, vec)
+        for data in retained:
             o = order_at_cusp(q, 10, data)
             assert o.denominator == 1
             if not data.cusp.is_infinity:
@@ -430,13 +452,11 @@ def test_published_vectors_solve_the_system():
 
 def test_completeness_small_box_level_6():
     # every small solution vector lies in the generated monoid
-    pfs = pole_free_system(6)
-    slots = list(pfs.slots)
-    n = len(slots)
+    n = len(exponent_slots(6))
     gens = generators(6)
 
     def finite_grade(vec):
-        q = quotient_from_scaled(6, slots, vec)
+        q = quotient_from_scaled(6, vec)
         return sum(int(order_at_cusp(q, 6, d)) for d in cusp_set(6)
                    if not d.cusp.is_infinity)
 
@@ -450,7 +470,7 @@ def test_completeness_small_box_level_6():
     lat = lattice_hnf(alphas + units, n)
     checked = 0
     for vec in enumerate_coset([0] * n, lat, weight_bound=14):
-        q = quotient_from_scaled(6, slots, vec)
+        q = quotient_from_scaled(6, vec)
         orders = {d.cusp: order_at_cusp(q, 6, d) for d in cusp_set(6)}
         if any(o.denominator != 1 for o in orders.values()):
             continue

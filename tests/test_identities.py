@@ -268,6 +268,36 @@ def test_identity_documents_are_pinned(label):
 
 
 
+def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
+    # every non-slow pinned document's multiplier system projects to a
+    # full-rank lattice, so its Hilbert basis comes from one zero-sum walk
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a multiplier system reached the slack completion")
+
+    walks, per_multiplier = [], []
+    real_walk = etaram.lattice.minimal_zero_sum_sequences
+    real_basis = etaram.identities.hilbert_basis
+
+    def walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
+
+    def basis(*args, **kwargs):
+        start = len(walks)
+        result = real_basis(*args, **kwargs)
+        per_multiplier.append(len(walks) - start)
+        return result
+
+    monkeypatch.setattr(etaram.lattice, "minimal_nonneg_solutions", forbidden)
+    monkeypatch.setattr(etaram.lattice, "minimal_zero_sum_sequences", walk)
+    monkeypatch.setattr(etaram.identities, "hilbert_basis", basis)
+    labels = [label for label in DOCUMENT_CASES if label not in SLOW_DOCUMENTS]
+    for label in labels:
+        spec, m, t, order = DOCUMENT_CASES[label]
+        assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived", label
+    assert per_multiplier == [1] * len(labels)
+
+
 # overpartition 5n+2 at order 1,700 reads an 8,560-term product, past every
 # pinned case above; the transform expands it, and its hash is the one the
 # document had while a multi-factor fast route expanded that product

@@ -11,7 +11,7 @@ from etaram.eta import PartitionSpec
 from etaram.generators import generators, pole_free_system
 from etaram.identities import find_multiplier
 from etaram.lattice import (
-    CosetTables, DioSystem, GroupBits, StepBudgetExceeded, _size_reducer, enumerate_coset,
+    CosetTables, GroupBits, StepBudgetExceeded, _size_reducer, enumerate_coset,
     hilbert_basis, hnf_column, kernel_basis, lattice_hnf, minimal_nonneg_solutions,
     minimal_zero_sum_sequences, solve_diophantine,
 )
@@ -410,7 +410,7 @@ LEVELS_THAT_COMPLETE = list(range(2, 17)) + [18]
 
 
 def test_group_path_matches_slack_path_on_level_systems(monkeypatch):
-    group = {N: hilbert_basis(pole_free_system(N).system) for N in LEVELS_THAT_COMPLETE}
+    group = {N: hilbert_basis(*pole_free_system(N)) for N in LEVELS_THAT_COMPLETE}
     captured = {}
     original = lattice.minimal_nonneg_solutions
 
@@ -422,7 +422,7 @@ def test_group_path_matches_slack_path_on_level_systems(monkeypatch):
     monkeypatch.setattr(lattice, "_group_minimals", lattice._slack_minimals)
     monkeypatch.setattr(lattice, "minimal_nonneg_solutions", capture)
     for N in LEVELS_THAT_COMPLETE:
-        assert hilbert_basis(pole_free_system(N).system) == group[N], N
+        assert hilbert_basis(*pole_free_system(N)) == group[N], N
     assert sorted(captured) == LEVELS_THAT_COMPLETE
     assert all(len(calls) == 1 for calls in captured.values())
     # and the completion itself matches the full scan on level-size systems
@@ -525,7 +525,7 @@ def _level_walk_arguments(monkeypatch, N):
 
     monkeypatch.setattr(lattice, "minimal_zero_sum_sequences", capture)
     with pytest.raises(_Captured) as info:
-        hilbert_basis(pole_free_system(N).system)
+        hilbert_basis(*pole_free_system(N))
     monkeypatch.undo()
     return info.value.args
 
@@ -576,12 +576,11 @@ def test_step_budget_is_typed():
 
 def test_hilbert_trivial_one_variable():
     # one zero row stands for no condition; a system with no row is refused
-    sys = DioSystem(equalities=[[0]], nonneg=[0])
-    pointed, lineality = hilbert_basis(sys)
+    pointed, lineality = hilbert_basis([[0]], [0])
     assert pointed == [[1]]
     assert lineality == []
     with pytest.raises(ValueError):
-        hilbert_basis(DioSystem(equalities=[], nonneg=[0]))
+        hilbert_basis([], [0])
 
 
 def in_monoid(x, pointed, lineality, nonneg):
@@ -617,9 +616,8 @@ def test_hilbert_random_small_systems_against_enumeration():
         nonneg = sorted(rng.sample(range(n), rng.randint(1, n)))
         if all(all(c == 0 for c in r) for r in eqs):
             continue
-        sys = DioSystem(equalities=eqs, nonneg=nonneg)
         try:
-            pointed, lineality = hilbert_basis(sys)
+            pointed, lineality = hilbert_basis(eqs, nonneg)
         except RuntimeError:
             continue
         # soundness: generators solve the system
@@ -645,8 +643,7 @@ def test_hilbert_pointed_minimality():
         n = 4
         eqs = [[rng.randint(-2, 2) for _ in range(n)]]
         nonneg = [0, 1]
-        sys = DioSystem(equalities=eqs, nonneg=nonneg)
-        pointed, lineality = hilbert_basis(sys)
+        pointed, lineality = hilbert_basis(eqs, nonneg)
         for i, v in enumerate(pointed):
             others = pointed[:i] + pointed[i + 1:]
             assert not in_monoid(v, others, lineality, nonneg), (eqs, v)
@@ -691,9 +688,10 @@ def _per_vector_lift(system, keep):
     """hilbert_basis's output from its minimal vectors by the per-vector
     path: each y solved for on its own, then size-reduced by the loop above.
     Also returns how many of the solves the reduction changed."""
-    n = system.nvars
-    P = sorted(system.nonneg)
-    eqs = [row[:] for row in system.equalities] or [[0] * n]
+    equalities, nonneg = system
+    n = len(equalities[0])
+    P = sorted(nonneg)
+    eqs = [row[:] for row in equalities] or [[0] * n]
     lift_rows = eqs + [[1 if j == i else 0 for j in range(n)] for i in P]
     hnf = hnf_column(lift_rows)
     lineality = kernel_basis(lift_rows, hnf)
@@ -722,11 +720,12 @@ def minimals_spy(monkeypatch):
 
 
 def _assert_lift_matches_oracle(seen, system):
-    """hilbert_basis(system) equals the per-vector path; returns the path the
-    minimal vectors took, the number the reduction changed and the largest
-    lineality entry, or None when no minimal vector was sought."""
+    """hilbert_basis(*system), system an (equalities, nonneg) pair, equals
+    the per-vector path; returns the path the minimal vectors took, the
+    number the reduction changed and the largest lineality entry, or None
+    when no minimal vector was sought."""
     seen.clear()
-    got = hilbert_basis(system)
+    got = hilbert_basis(*system)
     if not seen:
         return None
     (path, keep), = seen
@@ -747,7 +746,7 @@ def test_lift_matches_the_per_vector_path_on_random_systems(minimals_spy):
         # a row on the nonnegative variables alone makes an equality row of L
         eqs += [[rng.randint(-3, 3) if j in nonneg else 0 for j in range(n)]
                 for _ in range(rng.randint(0, 1))]
-        outcome = _assert_lift_matches_oracle(minimals_spy, DioSystem(eqs, nonneg))
+        outcome = _assert_lift_matches_oracle(minimals_spy, (eqs, nonneg))
         if outcome is None:
             continue
         path, changed, biggest = outcome
@@ -763,20 +762,21 @@ def test_lift_matches_the_per_vector_path_on_random_systems(minimals_spy):
 
 @pytest.mark.parametrize("N", LEVELS_THAT_COMPLETE + [20])
 def test_lift_matches_the_per_vector_path_on_level_systems(minimals_spy, N):
-    path, _, biggest = _assert_lift_matches_oracle(minimals_spy, pole_free_system(N).system)
+    path, _, biggest = _assert_lift_matches_oracle(minimals_spy, pole_free_system(N))
     assert path == "_group_minimals"
     assert biggest == (2 if N == 20 else 1)
 
 
 def _multiplier_system(monkeypatch, spec, m, t):
-    """The DioSystem find_multiplier hands hilbert_basis in a derivation."""
+    """The (equalities, nonneg) find_multiplier hands hilbert_basis in a
+    derivation."""
     N = find_level(spec, m, t)
     bounds = cusp_order_bounds(spec, m, t, find_prefactor(spec, m, t, N), N)
     systems = []
     real = identities.hilbert_basis
 
     def spy(*args, **kwargs):
-        systems.append(args[0])
+        systems.append(args)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -855,13 +855,13 @@ def factorization_spy(monkeypatch):
 def _assert_one_factorization(seen, system):
     for calls in seen.values():
         calls.clear()
-    hilbert_basis(system)
-    assert seen["hnf_column"].count(system.nvars) == 1
+    hilbert_basis(*system)
+    assert seen["hnf_column"].count(len(system[0][0])) == 1
     assert seen["solve_diophantine"] == [] and seen["lattice_hnf"] == []
 
 
 def test_hilbert_basis_factors_a_level_system_once(factorization_spy):
-    _assert_one_factorization(factorization_spy, pole_free_system(18).system)
+    _assert_one_factorization(factorization_spy, pole_free_system(18))
 
 
 def test_hilbert_basis_factors_a_multiplier_system_once(monkeypatch, factorization_spy):
@@ -871,15 +871,15 @@ def test_hilbert_basis_factors_a_multiplier_system_once(monkeypatch, factorizati
 
 @pytest.mark.parametrize("name, system, y", [
     # L = {(a, b) : a + b even}, full rank: (1, 0) leaves a remainder
-    ("_group_minimals", DioSystem([[1, 1, -2]], [0, 1]), (1, 0)),
+    ("_group_minimals", ([[1, 1, -2]], [0, 1]), (1, 0)),
     # L = Z (2, 1), rank 1: (1, 0) leaves a remainder, (2, 0) a residual
-    ("_slack_minimals", DioSystem([[1, -2]], [0, 1]), (1, 0)),
-    ("_slack_minimals", DioSystem([[1, -2]], [0, 1]), (2, 0)),
+    ("_slack_minimals", ([[1, -2]], [0, 1]), (1, 0)),
+    ("_slack_minimals", ([[1, -2]], [0, 1]), (2, 0)),
 ], ids=["walk-remainder", "slack-remainder", "slack-residual"])
 def test_a_minimal_vector_outside_the_lattice_fails_to_lift(monkeypatch, name, system, y):
     called = []
     real = getattr(lattice, name)
-    pointed, _ = hilbert_basis(system)
+    pointed, _ = hilbert_basis(*system)
     assert pointed
 
     def outside(rows, moduli, k):
@@ -888,5 +888,5 @@ def test_a_minimal_vector_outside_the_lattice_fails_to_lift(monkeypatch, name, s
 
     monkeypatch.setattr(lattice, name, outside)
     with pytest.raises(RuntimeError, match="projected generator failed to lift"):
-        hilbert_basis(system)
+        hilbert_basis(*system)
     assert called
