@@ -9,20 +9,19 @@ a finite product of Pochhammer factors
 and a GenEtaQuotient is a finite product of eta(d*tau)**a[d] and generalized
 factors eta_{d,g}(tau)**ag[d, g] at some level N.  Both expand to exact
 QSeries values through one product cache, which holds each product once, as
-the integer coefficient list of the plain product prod (1 - q^n)^c[n].  The
-reference route runs the integer Euler-transform recurrence of the plain
-product (euler_transform, which the expression language in exprs.py reads
-through reference_product too), and every product runs it but one.  The
-partition product 1/(q; q), of at least _FAST_TERMS coefficients, takes the
-fast route: Euler's pentagonal recurrence (series.partition_numbers), which
-shares no code with the transform.  Its list is stored only after
-certify_product has proved every coefficient against the transform's
-recurrence (two products through series._pack_mul, the package's one
-integer product, about the cost of the transform's top level); a list that
-fails is never stored, and the transform runs instead.  So every entry is
-proved, whichever route made it.  In a derivation the fast route serves
-the partition products of p(11n+6) and p(125n+99); every quotient and
-multi-factor product runs the transform.
+the integer coefficient list of the plain product prod (1 - q^n)^c[n], and
+one reader, cached_product, which specs, quotients, generator heads and the
+expression language in exprs.py all call.  The product alone picks the
+route that fills a miss.  The partition product 1/(q; q), of at least
+_FAST_TERMS coefficients, takes the fast route: Euler's pentagonal
+recurrence (series.partition_numbers), which shares no code with the
+integer Euler-transform recurrence of the plain product (euler_transform).
+Its list is stored only after certify_product has proved every coefficient
+against the transform's recurrence (two products through series._pack_mul,
+the package's one integer product, about the cost of the transform's top
+level); a list that fails is never stored, and the transform runs instead.
+Every other product runs the transform.  So every entry is proved,
+whichever route made it and whichever reader came first.
 
 An entry is keyed by the progressions of n its exponents run over
 (progressions), so a spec, a quotient and an expression with the same
@@ -49,13 +48,6 @@ from .series import QSeries, _pack_mul, partition_numbers
 
 class NonIntegralPower(ValueError):
     """A half-integral exponent survives where an integer is required."""
-
-
-def bernoulli_p2(x) -> Fraction:
-    """Second Bernoulli function {x}^2 - {x} + 1/6 (period 1, even)."""
-    x = Fraction(x)
-    frac = x - (x.numerator // x.denominator)
-    return frac * frac - frac + Fraction(1, 6)
 
 
 def b2_numerator(x: int, e: int) -> int:
@@ -168,12 +160,12 @@ class PartitionSpec:
 
     def product_expansion(self, order: int) -> QSeries:
         """Coefficients a(0..order-1) of the defining product, exact."""
-        return QSeries.from_ints(_cached_product(self.r, self.rg, order))
+        return QSeries.from_ints(cached_product(_spec_progressions(self.r, self.rg), order))
 
     def product_expansion_reference(self, order: int) -> QSeries:
-        """The same coefficients, read by reference_product: the cache's
-        entry, made or extended by the integer Euler transform alone."""
-        return QSeries.from_ints(reference_product(_spec_progressions(self.r, self.rg), order))
+        """The same read as product_expansion, through cached_product, kept
+        by this name for the benchmark's span table: no reader picks a route."""
+        return QSeries.from_ints(cached_product(_spec_progressions(self.r, self.rg), order))
 
     def slice_expansion(self, m: int, t: int, terms: int) -> QSeries:
         """q**((t-l)/m) * sum_n a(m n + t) q^n with at least `terms` coefficients."""
@@ -181,40 +173,20 @@ class PartitionSpec:
             raise ValueError("need 0 <= t < m")
         # whole blocks of m, so every residue of one modulus reads one
         # product; sifted as integers, terms + 1 of them
-        sliced = _cached_product(self.r, self.rg, m * (terms + 1))[t::m]
+        sliced = cached_product(_spec_progressions(self.r, self.rg), m * (terms + 1))[t::m]
         return QSeries.from_ints(sliced).shift(self.slice_prefactor(m, t))
 
 
 _PRODUCT_CACHE = {}    # progressions tuple in lowest terms -> certified integer list
 _PRODUCT_LOCK = threading.Lock()
 
-# _product takes the fast route for the partition product of at least this
-# many coefficients.  Measured at 1,000, the fast route with its certificate
-# took 14.0 ms and the transform 14.3 ms.
+# A miss on the partition product of at least this many coefficients takes
+# the fast route.  Median of nine alternating pairs of fresh processes on a
+# 2-vCPU machine, transform against fast route plus certificate: 250 terms
+# 2.0 against 2.0 ms, 505 terms 5.6 against 4.8 ms (4.0 against 4.7 ms in a
+# second set of eleven), 1,000 terms 15.2 against 12.3 ms and 2,505 terms
+# 74.5 against 53.0 ms.  Below 1,000 the fast route's gain is not a steady 10%.
 _FAST_TERMS = 1000
-
-
-def _cached_product(r, rg, order) -> list:
-    """The product's integer coefficients below q**order through the product
-    cache (_product), which offers the fast route to the partition product.
-
-    On a miss the partition product of n >= _FAST_TERMS coefficients, in
-    q^g for 1/(q^g; q^g), is expanded by _product_expansion and pays
-    certify_product as well.  Any other product runs euler_transform, as
-    after a failed certificate.  Best of 3-5 runs on a 2-vCPU machine, fast
-    route plus certificate against the transform:
-
-        partitions, 1,969 terms (p(11n+6))       16 + 19.5 ms    43 ms
-        partitions, 20,000 terms (p(125n+99))     0.45 + 0.57 s  1.95 s
-
-    A product of several factors, or of a power other than -1, gained less
-    from a fast route of its own than the certificate cost at the lengths a
-    derivation reads (measured in README.md), so it runs the transform.
-    """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be positive")
-    return _product(_spec_progressions(r, rg), order, fast=True)
 
 
 def progressions(factors) -> tuple:
@@ -237,26 +209,26 @@ def _spec_progressions(r, rg) -> tuple:
                         + [((start, d), e) for (d, g), e in rg.items() for start in (g, d - g)])
 
 
-def reference_product(key, order) -> list:
+def cached_product(key, order) -> list:
     """Integer coefficients f(0..order-1) of the product `key` names, a
-    progressions tuple: the cache's entry, made or extended by
-    euler_transform alone on a miss."""
-    return _product(key, order)
-
-
-def _product(key, order, fast=False) -> list:
-    """f(0..order-1) of the product `key` names, through the product cache.
+    progressions tuple, through the product cache: every reader's one read.
 
     g is the gcd of every start and step in the key (1 for the empty key).
     The entry is held under the key with every progression divided by g,
-    a product in q whose coefficient j is f(g j): it is read to
+    a product in q whose coefficient j is f(g j): it is read to n =
     ceil(order/g) coefficients and spread to every g-th index.  A shorter
-    list than that is a miss.  On a miss, when fast is set and the reduced
-    key is the partition product's, _product_expansion expands those n >=
-    _FAST_TERMS coefficients, and the list is stored only if certify_product
-    proves it; otherwise euler_transform extends the held list.  A read
-    moves the entry last, for _publish's bound.
+    list than that is a miss.  On a miss, when the reduced key is the
+    partition product's and n >= _FAST_TERMS, _product_expansion expands
+    those n coefficients, and the list is stored only if certify_product
+    proves it; otherwise euler_transform extends the held list.  A product
+    of several factors, or of a power other than -1, gained less from a
+    fast route of its own than the certificate cost at the lengths a
+    derivation reads (measured in README.md).  A read moves the entry last,
+    for _publish's bound.
     """
+    order = int(order)
+    if order < 1:
+        raise ValueError("order must be positive")
     g = 0
     for (start, step), _ in key:     # sorted: one gcd when the first start is 1
         g = gcd(g, start, step)
@@ -273,7 +245,7 @@ def _product(key, order, fast=False) -> list:
             _PRODUCT_CACHE[key] = held
     if held is None or len(held) < n:
         c = _exponents(key, n)
-        partitions = fast and key == (((1, 1), -1),) and n >= _FAST_TERMS
+        partitions = key == (((1, 1), -1),) and n >= _FAST_TERMS
         f = _product_expansion(n) if partitions else None
         if f is None or certify_product(f, c) is not None:
             f = euler_transform(c, held or ())
@@ -508,15 +480,14 @@ class GenEtaQuotient:
     def expansion(self, terms: int) -> QSeries:
         """Expansion with at least `terms` known coefficients past the lead,
         its product read through the cache the partition-function products
-        share (_cached_product)."""
-        return QSeries.from_ints(_cached_product(self.a, self.ag, terms)).shift(
-            self.lead_exponent())
+        share (cached_product)."""
+        return QSeries.from_ints(self.product_coefficients(terms)).shift(self.lead_exponent())
 
     def product_coefficients(self, terms: int) -> list:
         """Integer coefficients f(0..terms-1) of the product before its
-        q**lead_exponent() shift, from reference_product: the shared cache's
-        entry, or the integer Euler transform, no QSeries built."""
-        return reference_product(_spec_progressions(self.a, self.ag), terms)
+        q**lead_exponent() shift, no QSeries built: the same cached_product
+        read as expansion's, the route picked by the product alone."""
+        return cached_product(_spec_progressions(self.a, self.ag), terms)
 
     # -- serialization ----------------------------------------------------------------
 

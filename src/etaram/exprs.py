@@ -22,10 +22,9 @@ or negation of integers, q^s and P atoms is one node
 ("mono", c, s, {(g, d): e}) for c q^s prod P(g, d)^e, a quotient arriving as
 a product with a power -1.  A sum is one flat node ("sum", [(sign, term),
 ...]).  Evaluation is exact.  A monomial's product is read by
-eta.reference_product from the process-wide product cache, under the
-product's exponent progressions, where every entry is proved; on a miss it
-is one integer Euler transform, sharing no code with the fast route's
-pentagonal recurrence.
+eta.cached_product, the one reader of the process-wide product cache, under
+the product's exponent progressions, where every entry is proved; on a miss
+the product alone picks the route, as for a derivation's read.
 Sums, slices and the remaining products and powers combine those expansions
 as series, each factor deepened by the poles of the others so that every
 result is known to the requested order.  Input nested past Python's
@@ -39,7 +38,7 @@ import re
 from fractions import Fraction
 from math import ceil
 
-from .eta import progressions, reference_product
+from .eta import cached_product, progressions
 from .series import QSeries, ZeroSeries
 
 
@@ -198,7 +197,7 @@ def parse(text: str):
 
 
 def _expand_monomial(c, s, exps, order) -> QSeries:
-    """c q^s prod P(g, d)^e to q^order through the product cache (reference_product).
+    """c q^s prod P(g, d)^e to q^order through the product cache (cached_product).
 
     P(g, d), its g read modulo d by the parser, contributes e to the
     exponent of (1 - q^n) for every n = g (mod d) from n = g (n = d when
@@ -211,7 +210,7 @@ def _expand_monomial(c, s, exps, order) -> QSeries:
     product = progressions(((g or d, d), e) for (g, d), e in exps.items())
     if not c or not product:
         return lead
-    return QSeries.from_ints(reference_product(product, ceil(order - s))).shift(s).scale(c)
+    return QSeries.from_ints(cached_product(product, ceil(order - s))).shift(s).scale(c)
 
 
 def _pole(series: QSeries) -> int:

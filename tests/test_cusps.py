@@ -12,8 +12,9 @@ from etaram.cusps import (
     cusps_equivalent, exponent_slots, genus, kappa, make_cusp, order_at_cusp, order_table,
     slice_min_exponent, width,
 )
-from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
+from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.modularity import NoPhiFound, find_level, find_prefactor
+from oracles import bernoulli_p2
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})

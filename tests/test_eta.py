@@ -10,10 +10,10 @@ import etaram.exprs
 import etaram.series
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _exponents, _product_expansion,
-    _spec_progressions, bernoulli_p2, certify_product, euler_transform, progressions,
-    reference_product,
+    _spec_progressions, cached_product, certify_product, euler_transform, progressions,
 )
 from etaram.series import QSeries, _pack_mul, partition_numbers, pochhammer
+from oracles import bernoulli_p2
 
 
 PARTITION = PartitionSpec(1, {1: -1})
@@ -518,18 +518,14 @@ def test_quotient_expansions_read_the_product_cache(monkeypatch):
 
 
 def test_reference_route_never_trusts_the_fast_route(monkeypatch):
-    # on an empty cache a reference read runs the transform through its own
-    # packer and no fast-route kernel, and finds the fast route's values
-    spec = PARTITION
-    quot = GenEtaQuotient(6, a={3: -1})
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(etaram.eta, "_FAST_TERMS", 0)
-    fast = spec.product_expansion(200)
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    fast_quot = quot.expansion(60)
+    # the transform and the certificate that proves a fast list run through
+    # their own packer and no fast-route kernel, and find the fast route's
+    # values: 1/(q; q) to 200 terms, and 1/(q^3; q^3) to 60 over its
+    # exponents as given, not reduced to q
+    fast = _product_expansion(200)
+    fast_q3 = [x for p in _product_expansion(20) for x in (p, 0, 0)]
     taken = spy_decimal_packer(monkeypatch)
     monkeypatch.setattr(etaram.series, "_DECIMAL_DIGITS", 0)
-    transforms = spy_transform_lengths(monkeypatch)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference route used a fast-route kernel")
@@ -541,16 +537,11 @@ def test_reference_route_never_trusts_the_fast_route(monkeypatch):
         for module in holders:
             monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(QSeries, "invert", forbidden)
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    assert spec.product_expansion_reference(200) == fast
-    # 1/(q^3; q^3) is the partition product in q^3
-    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-    assert QSeries.from_ints(quot.product_coefficients(60)).shift(
-        quot.lead_exponent()) == fast_quot
+    for key, want in [((((1, 1), -1),), fast), ((((3, 3), -1),), fast_q3)]:
+        c = _exponents(key, len(want))
+        assert euler_transform(c) == want
+        assert certify_product(want, c) is None
     assert taken
-    # each product ran the transform: the spec's 200 terms and the
-    # quotient's 60, read in q^3
-    assert transforms == [200, 20]
 
 
 def test_only_the_partition_product_reaches_the_fast_route(monkeypatch):
@@ -707,11 +698,11 @@ def test_strided_products_match_the_unstrided_transform(monkeypatch, seed, g):
     scaled = tuple(((start * g, step * g), e) for (start, step), e in key)
     for order in (1, g - 1, 2 * g + 1, 700):
         monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
-        assert reference_product(scaled, order) == euler_transform(_exponents(scaled, order))
+        assert cached_product(scaled, order) == euler_transform(_exponents(scaled, order))
     # held from the longest read, every shorter one is its prefix
     full = euler_transform(_exponents(scaled, 700))
     for order in (700, 2 * g + 1, g - 1, 1):
-        assert reference_product(scaled, order) == full[:order]
+        assert cached_product(scaled, order) == full[:order]
 
 
 def test_a_product_in_q_g_reads_its_q_form(monkeypatch):
@@ -780,8 +771,8 @@ def test_a_longer_strided_request_extends_the_reduced_entry(monkeypatch):
 
     monkeypatch.setattr(etaram.eta, "euler_transform", spy)
     key = progressions([((3, 3), -2), ((6, 9), 1)])
-    short = reference_product(key, 100)
-    longer = reference_product(key, 301)
+    short = cached_product(key, 100)
+    longer = cached_product(key, 301)
     # the reduced key ((1, 1), -2), ((2, 3), 1): 34 terms, then 101 from them
     assert [(length, len(known)) for length, known in calls] == [(34, 0), (101, 34)]
     assert calls[1][1] == short[::3]
@@ -814,7 +805,7 @@ def test_strided_products_agree_on_both_routes(monkeypatch, product, g):
         fast = product.product_expansion(600)
     transforms = spy_transform_lengths(monkeypatch)
     assert fast.coefficients_range(0, 600) == expected
-    assert reference_product(key, 600) == expected
+    assert cached_product(key, 600) == expected
     assert lengths == [600 // g] and transforms == []
     # the one entry is held reduced: its key is not in q^g
     (held,) = etaram.eta._PRODUCT_CACHE

@@ -129,13 +129,12 @@ CLASSICAL = [
 
 def test_verification_never_touches_the_theta_route(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("verification left the reference route")
+        raise AssertionError("verification used a theta-route or series kernel")
 
     # an empty cache, whatever ran before: every product is a miss
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     monkeypatch.setattr(etaram.eta, "_held_terms", 0)
-    for name in ("_product_expansion", "partition_numbers", "euler_product", "theta_pair",
-                 "pair_product", "pochhammer", "_int_poly_inv"):
+    for name in ("euler_product", "theta_pair", "pair_product", "pochhammer", "_int_poly_inv"):
         holders = [module for module in (etaram.eta, etaram.series, etaram.exprs)
                    if hasattr(module, name)]
         assert holders, "no module holds %s" % name
@@ -147,6 +146,35 @@ def test_verification_never_touches_the_theta_route(monkeypatch):
         assert verify_identity(lhs, rhs, order) == (True, {"order": order, "status": "equal"})
         ok, report = verify_identity(lhs, rhs + " + 2*q^%d" % (order - 1), order)
         assert not ok and report["exponent"] == str(order - 1)
+
+
+@pytest.mark.parametrize("j", [0, 4, 1499])
+def test_a_spoiled_fast_list_never_reaches_a_verification(monkeypatch, j):
+    # the fast route's list of 1/(q; q) is changed at q^j: its certificate
+    # fails there, the transform's list is stored, and every verdict stands
+    honest, certify = etaram.eta._product_expansion, etaram.eta.certify_product
+    expanded, verdicts = [], []
+    monkeypatch.setattr(etaram.eta, "_product_expansion", lambda n: expanded.append(n) or [
+        c + (k == j) for k, c in enumerate(honest(n))])
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        lambda f, c: verdicts.append(certify(f, c)) or verdicts[-1])
+    fast_cases = []
+    for lhs, rhs, order in CLASSICAL:
+        for perturbed, verdict in [
+                (rhs, (True, {"order": order, "status": "equal"})),
+                (rhs + " + 2*q^%d" % (order - 1),
+                 (False, {"order": order, "status": "mismatch",
+                          "exponent": str(order - 1), "difference": "-2"}))]:
+            monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+            expanded.clear()
+            verdicts.clear()
+            assert verify_identity(lhs, perturbed, order) == verdict
+            assert verdicts == [j] * len(expanded)
+            fast_cases.append(bool(expanded))
+            for key, f in etaram.eta._PRODUCT_CACHE.items():
+                assert f == etaram.eta.euler_transform(etaram.eta._exponents(key, len(f)))
+    # both slices of 1/(q; q) read it to 1,500 terms and more, on the fast route
+    assert fast_cases == [True, True, True, True, False, False]
 
 
 def spy_transforms(monkeypatch):
@@ -204,15 +232,55 @@ def test_a_verification_reads_the_product_a_derivation_expanded(monkeypatch):
     assert calls == [((0, -6, -6, -6, -6, -1, -6, -6), 500, 0)]
 
 
+def spy_routes(monkeypatch):
+    """Empty the product cache, then list every route a miss runs, in
+    order: ("transform", length, known length), ("fast", length) and
+    ("certify", length)."""
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    routes = []
+    transform, expand, certify = (etaram.eta.euler_transform, etaram.eta._product_expansion,
+                                  etaram.eta.certify_product)
+    monkeypatch.setattr(etaram.eta, "euler_transform", lambda c, known=(): routes.append(
+        ("transform", len(c), len(known))) or transform(c, known))
+    monkeypatch.setattr(etaram.eta, "_product_expansion",
+                        lambda n: routes.append(("fast", n)) or expand(n))
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        lambda f, c: routes.append(("certify", len(f))) or certify(f, c))
+    return routes
+
+
 def test_a_longer_request_extends_the_held_product(monkeypatch):
-    calls = spy_transforms(monkeypatch)
+    routes = spy_routes(monkeypatch)
     lhs, rhs = "slice(P(0,1)^-1,5,4)", "5*P(0,5)^5*P(0,1)^-6"
     for order in (100, 300):
         assert verify_identity(lhs, rhs, order) == (True, {"order": order, "status": "equal"})
-    assert [call[1:] for call in calls] == [(505, 0), (100, 0), (1505, 505), (300, 100)]
+    # 1/(q; q) to 505 terms is short of _FAST_TERMS and runs the transform;
+    # to 1,505 it is expanded again on the fast route and certified, and
+    # the right-hand side's product extends its 100 terms to 300
+    assert routes == [("transform", 505, 0), ("transform", 100, 0),
+                      ("fast", 1505), ("certify", 1505), ("transform", 300, 100)]
     extended = expand(rhs, 300)
     monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
     assert extended == expand(rhs, 300)
+
+
+def test_the_route_does_not_depend_on_arrival_order(monkeypatch):
+    # 1/(q; q) to 2,505 terms, read first by a verification or first by a
+    # derivation's slice: one fast expansion and one certificate either way
+    lhs, rhs = "slice(P(0,1)^-1,5,4)", "5*P(0,5)^5*P(0,1)^-6"
+    partition = (((1, 1), -1),)
+    held = []
+    for derivation_first in (False, True):
+        routes = spy_routes(monkeypatch)
+        if derivation_first:
+            PartitionSpec(1, {1: -1}).slice_expansion(5, 4, 500)
+        assert verify_identity(lhs, rhs, 500) == (True, {"order": 500, "status": "equal"})
+        assert [route for route in routes if route[0] != "transform"] == [
+            ("fast", 2505), ("certify", 2505)]
+        cache = etaram.eta._PRODUCT_CACHE
+        assert set(cache) == {partition, progressions([((1, 1), -6), ((5, 5), 5)])}
+        held.append(cache[partition])
+    assert held[0] == held[1] and len(held[0]) == 2505
 
 
 def test_concurrent_verifications_share_the_product_cache(monkeypatch):

@@ -20,7 +20,7 @@ import etaram.modularity
 import etaram.reduction
 
 from etaram.cusps import INFINITY, cusp_set, width
-from etaram.eta import GenEtaQuotient, PartitionSpec, bernoulli_p2
+from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.exprs import ParseError, expand, parse
 from etaram.generators import Generator, generators
 from etaram.identities import (
@@ -31,6 +31,7 @@ from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import ModuleBasis, VerificationFailure
 from etaram.series import QSeries
+from oracles import bernoulli_p2
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -570,6 +571,24 @@ def test_a_fast_product_spoiled_on_the_slice_changes_no_document(monkeypatch, n)
     clean = derive_identity(PARTITION, 5, 2, DeriveOptions(order=100)).to_json()
     assert clean["status"] == "Derived"
     assert _derive_with_fast_product(monkeypatch, PARTITION, 5, 2, n) == (clean, 1)
+
+
+def test_a_spoiled_fast_list_never_reaches_a_derivation(monkeypatch):
+    # p(11n+6) reads 1/(q; q) to 1,969 terms on the fast route; its list is
+    # changed at q^1106, inside the slice, and fails its certificate there
+    monkeypatch.setattr(etaram.eta, "_PRODUCT_CACHE", {})
+    honest, certify = etaram.eta._product_expansion, etaram.eta.certify_product
+    expanded, verdicts = [], []
+    monkeypatch.setattr(etaram.eta, "_product_expansion", lambda n: expanded.append(n) or [
+        c + (k == 1106) for k, c in enumerate(honest(n))])
+    monkeypatch.setattr(etaram.eta, "certify_product",
+                        lambda f, c: verdicts.append(certify(f, c)) or verdicts[-1])
+    spec, m, t, order = DOCUMENT_CASES["p-11n+6"]
+    doc = derive_identity(spec, m, t, DeriveOptions(order=order)).to_json()
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == DOCUMENT_HASHES["p-11n+6"]
+    assert expanded and verdicts == [1106] * len(expanded)
+    for key, f in etaram.eta._PRODUCT_CACHE.items():
+        assert f == etaram.eta.euler_transform(etaram.eta._exponents(key, len(f)))
 
 
 def test_every_held_product_is_one_certified_list_in_lowest_terms(monkeypatch):

@@ -17,6 +17,7 @@ from etaram.modularity import (
     NoPhiFound, check_level, find_level, find_prefactor, is_modular_prefactor,
     jacobi_symbol, _criterion_rows, _phi_variables,
 )
+from oracles import bernoulli_p2
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -251,18 +252,13 @@ def _random_cases(seed, count):
         yield spec, m, rng.randrange(m), N
 
 
-def _bernoulli_p2(x):
-    frac = x - (x.numerator // x.denominator)
-    return frac * frac - frac + Fraction(1, 6)
-
-
 def _alpha_t_by_sums(spec, t):
     """alpha(t) summed factor by factor, as first written."""
     if spec.is_plain():
         return -sum(d * e for d, e in spec.r.items()) - 24 * t
     M = spec.M
     val = -M * sum(d * e for d, e in spec.r.items()) - 24 * M * t
-    extra = sum(12 * M * d * _bernoulli_p2(Fraction(g, d)) * e
+    extra = sum(12 * M * d * bernoulli_p2(Fraction(g, d)) * e
                 for (d, g), e in spec.rg.items())
     return val - extra
 
@@ -272,7 +268,7 @@ def _sweep_by_sums(spec, m, t, N):
     n = 24 * m * spec.M
     seen = set()
     plain_sum = sum(d * e for d, e in spec.r.items())
-    gen_sum = sum(Fraction(d, 2) * _bernoulli_p2(Fraction(g, d)) * e
+    gen_sum = sum(Fraction(d, 2) * bernoulli_p2(Fraction(g, d)) * e
                   for (d, g), e in spec.rg.items())
     for j in range(1, n, N):
         if gcd(j, n) != 1:
@@ -289,7 +285,7 @@ def _sweep_by_sums(spec, m, t, N):
 
 def _const3_by_sums(spec, m, t):
     const3 = Fraction(m) * sum(d * e for d, e in spec.r.items())
-    const3 += 12 * m * sum(d * _bernoulli_p2(Fraction(g, d)) * e
+    const3 += 12 * m * sum(d * bernoulli_p2(Fraction(g, d)) * e
                            for (d, g), e in spec.rg.items())
     alpha = _alpha_t_by_sums(spec, t)
     return const3 + Fraction((m * m - 1) * alpha, m * (1 if spec.is_plain() else spec.M))
@@ -342,7 +338,7 @@ def _criterion_in_fractions(spec, m, t, N, phi):
     if Fraction(v2, 24).denominator != 1:
         return False
     v3 = (sum(d * e for d, e in a.items())
-          + sum(12 * d * _bernoulli_p2(Fraction(g, d)) * e for (d, g), e in ag.items())
+          + sum(12 * d * bernoulli_p2(Fraction(g, d)) * e for (d, g), e in ag.items())
           + _const3_by_sums(spec, m, t))
     if Fraction(v3, 24).denominator != 1:
         return False
