@@ -307,22 +307,29 @@ def _log_derivative(c) -> list:
 
 
 def euler_transform(c, known=()) -> list:
-    """Integer coefficients below q^len(c) of prod_{n>0} (1 - q^n)^c[n].
+    """Integer coefficients below q^len(c) of prod_{n>0} (1 - q^n)^c[n]:
+    euler_recurrence on its logarithmic derivative _log_derivative(c)
+    (c[0] is ignored).  `known` is a prefix of the answer from an earlier
+    call; the recurrence continues after it."""
+    return euler_recurrence(_log_derivative(c), known)
 
-    The logarithmic derivative gives  n f(n) = sum_{k=1..n} s(k) f(n-k)  with
-    s = _log_derivative(c).  Every step is integer arithmetic and no
-    series is multiplied or inverted; c[0] is ignored.  `known` is a prefix of
-    the answer from an earlier call; the recurrence continues after it.
+
+def euler_recurrence(s, known=()) -> list:
+    """Integer coefficients f below q^len(s) of the product whose
+    logarithmic derivative q f'/f is sum s(k) q^k (s(0) = 0), by
+    n f(n) = sum_{k=1..n} s(k) f(n-k), f(0) = 1, continued after the prefix
+    `known`.  Every step is integer arithmetic and no series is multiplied
+    or inverted; a remainder raises AssertionError, since s then names no
+    integer product.
 
     The convolution is evaluated online by divide and conquer: once f on
     [lo, mid) is known, its whole contribution to [mid, hi) is one product
     through _pack_mul, so the cost is O(M(T) log T) instead of O(T^2).
     """
-    order = len(c)
+    order = len(s)
     f = list(known[:order]) or [1]
     if len(f) == order:
         return f
-    s = _log_derivative(c)
     # acc[n] collects s(n-j) f(j) over every j already folded in: s(n) if fresh
     acc = [0] * order
     acc[len(f):] = s[1:] if f == [1] else _pack_mul(f, s[1:order], len(f) - 1, order - 1)
@@ -438,6 +445,17 @@ class GenEtaQuotient:
         self.a = {d: int(e) for d, e in sorted(plain.items()) if e}
         self.ag = {k: int(e) for k, e in sorted(generalized.items()) if e}
         self._lead = None
+
+    @classmethod
+    def canonical(cls, N: int, a: dict, ag: dict, lead=None) -> "GenEtaQuotient":
+        """The quotient of a form that is canonical already, stored as it is
+        with none of the constructor's folding or checks: a and ag hold
+        nonzero int exponents in sorted key order, a keyed by divisors of
+        N, ag by (d, g) with 0 < g < d/2.  lead, when given, is the known
+        lead exponent, kept as lead_exponent()'s value."""
+        q = object.__new__(cls)
+        q.N, q.a, q.ag, q._lead = N, a, ag, lead
+        return q
 
     # -- structure ---------------------------------------------------------------
 

@@ -10,13 +10,17 @@ solution monoid has a finite Hilbert basis, hilbert_basis(rows, nonneg); the
 pointed generators give the quotient generators, the lineality part only
 produces the constant 1.
 
-Every candidate, pointed or lineality, is read from integers and per-level
-tables: the first coefficients of its product by the Euler transform of its
-exponents, combined from exponent_table's rows (no product cache read), its
-lead exponent, and its cusp orders by the closed formula, one dot product
-per order form of cusps.order_table.  is_constant_one(q, coeffs, orders)
-compares the two constant tests on them, and a pointed candidate that is not
-constant becomes a record.  No candidate is expanded on the fast route.
+Every candidate, pointed or lineality, is read from its solution vector.
+The system's row for order form i states form_i . x = den_i * slack_i, so
+the vector's slack coordinates are the candidate's cusp orders, and the
+last, infinity's, is its lead exponent and minus its pole.  The first
+coefficients of its product come from euler_recurrence on a logarithmic
+derivative summed from the level's log_derivative_table over the vector's
+nonzero entries (no product cache read), and its quotient is built from the
+canonical slot exponents as it is, with none of the constructor's checks.
+is_constant_one(q, coeffs, orders) compares the two constant tests on them,
+and a pointed candidate that is not constant becomes a record.  No candidate
+is expanded on the fast route.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import functools
 from dataclasses import dataclass
 
 from .cusps import INFINITY, order_table, slot_vector, table_orders
-from .eta import GenEtaQuotient, _exponents, _spec_progressions, euler_transform
+from .eta import (
+    GenEtaQuotient, _exponents, _log_derivative, _spec_progressions, euler_recurrence,
+)
 from .lattice import hilbert_basis
 
 
@@ -44,14 +50,17 @@ def pole_free_system(N: int) -> tuple:
     return rows, list(range(nslots, nslots + nforms - 1))
 
 
-def quotient_from_scaled(N: int, vector) -> GenEtaQuotient:
+def quotient_from_scaled(N: int, vector, lead=None) -> GenEtaQuotient:
     """The canonical quotient of a scaled exponent vector over the slots of
-    order_table(N), built in integers.
+    order_table(N), built in integers; lead, when known, is kept as its
+    lead exponent.
 
     A half slot's scaled entry v is twice its exponent, and eta_{d,0}^(v/2) =
     eta(d tau)^v, eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v, so the
-    canonical form has the integer exponents below, and the constructor
-    stores them as they are.
+    canonical form has the integer exponents below.  The slots run over
+    (d, g) in increasing order, so ag's keys come sorted, and a is sorted
+    and cleared of cancelled entries before GenEtaQuotient.canonical
+    stores both as they are.
     """
     a, ag = {}, {}
     for (d, g), v in zip(order_table(N).slots, vector):
@@ -64,26 +73,28 @@ def quotient_from_scaled(N: int, vector) -> GenEtaQuotient:
             a[d] = a.get(d, 0) - v
         else:
             ag[d, g] = v
-    return GenEtaQuotient(N, a, ag)
+    return GenEtaQuotient.canonical(N, {d: e for d, e in sorted(a.items()) if e}, ag, lead)
 
 
 @functools.lru_cache(maxsize=None)
-def exponent_table(N: int) -> tuple:
-    """c[0..49] per exponent slot of exponent_slots(N), c[n] the exponent of
-    (1 - q^n) in the product of the slot's unit vector's quotient; c is
-    linear in the scaled vector, so these rows give every quotient's."""
+def log_derivative_table(N: int) -> tuple:
+    """s[0..49] per exponent slot of order_table(N): the logarithmic
+    derivative (eta._log_derivative) of the product of the slot's unit
+    vector's quotient.  s is linear in the scaled vector, so these rows
+    give every quotient's."""
     table = []
     for i in range(len(order_table(N).slots)):
         q = quotient_from_scaled(N, [0] * i + [1])
-        table.append(tuple(_exponents(_spec_progressions(q.a, q.ag), 50)))
+        table.append(tuple(_log_derivative(_exponents(_spec_progressions(q.a, q.ag), 50))))
     return tuple(table)
 
 
-def table_exponents(N: int, vector, terms: int) -> list:
-    """c[0..terms-1] (terms <= 50) of a nonzero scaled exponent vector's
-    quotient, combined from exponent_table(N) over its nonzero entries."""
+def table_log_derivative(N: int, vector, terms: int) -> list:
+    """s[0..terms-1] (terms <= 50) of a nonzero scaled exponent vector's
+    quotient, combined from log_derivative_table(N) over its nonzero
+    entries."""
     parts = [row[:terms] if v == 1 else [v * e for e in row[:terms]]
-             for v, row in zip(vector, exponent_table(N)) if v]
+             for v, row in zip(vector, log_derivative_table(N)) if v]
     return list(map(sum, zip(*parts)))
 
 
@@ -95,9 +106,12 @@ def is_constant_one(q: GenEtaQuotient, coeffs, orders) -> bool:
     emptiness of the canonical form is sufficient but not necessary.  The
     series route reads q as 1 when its lead exponent is 0 and the integer
     coefficients f(1..49) of its product, coeffs, are all 0; the other route
-    asks every cusp order in orders ({cusp: order}) to be 0.  coeffs holds 50
-    coefficients, or any number when the lead exponent is nonzero, since q
-    then reads as non-constant at every truncation.
+    asks every cusp order in orders ({cusp: order}) to be 0.  In generators
+    the orders are the solution vector's slack coordinates and the lead its
+    infinity slack, while coeffs come from the slots' logarithmic
+    derivatives.  coeffs holds 50 coefficients, or any number when the lead
+    exponent is nonzero, since q then reads as non-constant at every
+    truncation.
     """
     if q.is_one():
         return True
@@ -127,10 +141,10 @@ HEAD_TERMS = 14
 def _generator_record(q: GenEtaQuotient, scaled_vector, error,
                       coeffs, orders) -> Generator:
     """Record of a canonical quotient from the integer coefficients of its
-    product (at least HEAD_TERMS) and its orders (table_orders, an int
-    wherever the order is integral, kept as they are); raises error (the
-    caller's failure type) unless it is pole-free away from a pole at
-    infinity.
+    product (at least HEAD_TERMS) and its orders (an int wherever the order
+    is integral, kept as they are: a solution vector's slacks, or
+    table_orders); raises error (the caller's failure type) unless it is
+    pole-free away from a pole at infinity.
 
     The order at infinity is q's lead exponent, so the head, the
     coefficients from q**-pole on, is the product's first HEAD_TERMS.
@@ -162,16 +176,20 @@ def sort_generators(gens) -> tuple:
 def generators(N: int) -> tuple:
     """Deterministically ordered generator list for level N."""
     pointed, lineality = hilbert_basis(*pole_free_system(N))
-    nslots = len(order_table(N).slots)
+    table = order_table(N)
+    nslots = len(table.slots)
     out = []
     for i, v in enumerate(lineality + pointed):
-        v = v[:nslots]
-        q = quotient_from_scaled(N, v)
-        # one coefficient list and one set of orders serve both consumers;
-        # past a nonzero lead q cannot read as 1 at any truncation, so only a
-        # zero lead needs more coefficients than the record's head reads
-        coeffs = euler_transform(table_exponents(N, v, HEAD_TERMS if q.lead_exponent() else 50))
-        orders = table_orders(N, v)
+        # form i's row states form_i . x = den_i * slack_i: the slacks are
+        # the orders, infinity's (the last) the lead exponent
+        slack, v = v[nslots:], v[:nslots]
+        lead = slack[-1]
+        q = quotient_from_scaled(N, v, lead)
+        # one coefficient list serves both consumers; past a nonzero lead q
+        # cannot read as 1 at any truncation, so only a zero lead needs more
+        # coefficients than the record's head reads
+        coeffs = euler_recurrence(table_log_derivative(N, v, HEAD_TERMS if lead else 50))
+        orders = {cusp: slack[form] for cusp, form in table.cusps}
         if is_constant_one(q, coeffs, orders):
             continue
         if i < len(lineality):

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
+from operator import mul
 
 from . import exprs
 from .cusps import INFINITY, cusp_order_bounds, cusp_set
 from .eta import GenEtaQuotient, PartitionSpec
 from .generators import generators
-from .lattice import hilbert_basis
+from .lattice import minimal_points
 from .modularity import check_level, find_level, find_prefactor
 from .reduction import ModuleBasis, VerificationFailure, express, module_basis
 from .series import QSeries
@@ -50,6 +51,16 @@ def find_multiplier(bounds: dict, gens, N: int):
     cusp, decomposes the solution set into finitely many base points plus a
     recession monoid, and returns the base point maximizing the order of hF
     at infinity (ties: lexicographically smallest power vector).
+
+    The base points are the minimal points of the system's projection to
+    the scale s and the slacks (lattice.minimal_points), read before any
+    lift: a point is a base point when its s is 1.  The gain, the order of
+    h at infinity, is linear in a point's HNF coordinates c, gain = w . c
+    with w the gains of the lifts: a lineality vector is 0 on s and on
+    every slack, so its h has order 0 at every finite cusp and so at
+    infinity too.  Only the points of greatest gain are lifted and
+    size-reduced, as hilbert_basis would, and the least reduced t among
+    them wins.
     """
     k = len(gens)
     rows = []
@@ -75,18 +86,17 @@ def find_multiplier(bounds: dict, gens, N: int):
         eq[k + 1 + i] = -1
         eqs.append(eq)
     # level 1 has no finite cusp: one zero row still gives the system nv variables
-    pointed, _lineality = hilbert_basis(eqs or [[0] * nv], list(range(k, nv)))
-    alphas = [p for p in pointed if p[k] == 1]
-    if not alphas:
+    minimal = minimal_points(eqs or [[0] * nv], list(range(k, nv)))
+    # a lift's first k entries are its powers t: its gain is -sum t_j pole_j
+    poles = [g.pole for g in gens]
+    gains = [-sum(map(mul, lift, poles)) for lift in minimal.lifts]
+    # a point's first coordinate is s
+    scored = [(sum(map(mul, gains, c)), c) for y, c in minimal.points if y[0] == 1]
+    if not scored:
         raise NoHFound("no multiplier clears the finite poles")
-    best = None
-    for p in alphas:
-        t = tuple(p[:k])
-        gain = sum(tj * (-g.pole) for tj, g in zip(t, gens))
-        key = (-gain, t)
-        if best is None or key < best:
-            best = key
-    t = best[1]
+    top = max(gain for gain, _ in scored)
+    lift = minimal.lifter()
+    t = min(tuple(lift(c)[:k]) for gain, c in scored if gain == top)
     return _monomial_quotient(N, gens, t), t
 
 

@@ -19,7 +19,9 @@ pole-free system at levels 2-48, its points in N^k are the y whose class
 in the finite group G = Z^k / L is 0, and the minimal ones are the
 minimal zero-sum sequences over the columns' classes.
 minimal_zero_sum_sequences walks them depth first; by the Davenport bound
-(Olson 1969) none is longer than |G|.  The walk raises StepBudgetExceeded at
+(Olson 1969) none is longer than |G|.  minimal_points returns those points
+with their coordinates in L's basis, before any lift, and hilbert_basis
+lifts every one of them.  The walk raises StepBudgetExceeded at
 once when |G| > 2^14, since its path holds up to |G| subset-sum sets of |G|
 bits each, and when it would enter more than its node budget of sequences.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import threading
 from math import prod
 from operator import add, mul
+from typing import NamedTuple
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -542,26 +545,37 @@ def minimal_zero_sum_sequences(classes, moduli, node_limit=ZERO_SUM_NODE_LIMIT):
     return found
 
 
-def hilbert_basis(equalities, nonneg):
-    """Generators of the solution monoid of a linear Diophantine system: the
-    x in Z^n with (equalities) x = 0 and x_i >= 0 for i in nonneg.  There is
-    at least one equality row, all of length n; a zero row stands for none.
-    The rows are read, never changed.
+class MinimalPoints(NamedTuple):
+    """The projected side of a Hilbert basis, before any lift (minimal_points)."""
+    points: list      # (y, c) per minimal y of L in N^k, c its coordinates in L's basis
+    lifts: list       # the lift in Z^n of each basis vector of L
+    lineality: list   # a basis of the solutions that are 0 on every nonneg coordinate
 
-    Returns (pointed, lineality): every solution is a nonnegative integer
-    combination of pointed vectors plus an arbitrary integer combination of
-    lineality vectors, and no pointed vector decomposes into others.
+    def lifter(self):
+        """lift(c): the solution sum c_j lifts[j], size-reduced against the
+        lineality, a list of length n."""
+        reduce = _size_reducer(self.lineality)
+        n = len(self.lifts[0]) if self.lifts else 0
+        return lambda c: reduce(_combination(c, self.lifts, n))
+
+
+def minimal_points(equalities, nonneg) -> MinimalPoints:
+    """The minimal points of the projection of the solutions of
+    (equalities) x = 0 to the nonnegative coordinates, with their HNF
+    coordinates, the lifts and the lineality: hilbert_basis's input checks
+    and factorization, without the lifts.
 
     One factorization (H, U, pivots) of the equality rows stacked on the
-    nonnegative coordinates' unit rows gives, as lists of columns, the
-    lineality (U's columns past the pivots), the column-HNF basis of the
-    projected lattice (H's columns pivoting in a unit row, sliced to the
-    unit rows) and its lifts (U's same columns).  The minimal vectors of the
-    projected lattice come from the zero-sum walk when the lattice has full
-    rank (no equality row among the congruence rows of _congruence_rows),
-    else from the slack completion; either way each is lifted through its
-    coordinates in that basis and size-reduced against the lineality.
-    Raises StepBudgetExceeded when the path taken runs out of its budget.
+    nonnegative coordinates' unit rows (sorted) gives, as lists of columns,
+    the lineality (U's columns past the pivots), the column-HNF basis of the
+    projected lattice L (H's columns pivoting in a unit row, sliced to the
+    unit rows) and its lifts (U's same columns).  The minimal points of L
+    in N^k come from the zero-sum walk when L has full rank (no equality row
+    among the congruence rows of _congruence_rows), else from the slack
+    completion.  A point y lifts to sum c_j lifts[j], determined up to the
+    lineality; a reader that ranks the points by a linear function that
+    vanishes on the lineality can rank them by c alone.  Raises
+    StepBudgetExceeded when the path taken runs out of its budget.
     """
     if not equalities:
         raise ValueError("need at least one equation row")
@@ -580,26 +594,46 @@ def hilbert_basis(equalities, nonneg):
     m = len(equalities)
     cols = [j for j, p in enumerate(pivots) if p >= m]
     if not cols:
-        return [], lineality
+        return MinimalPoints([], [], lineality)
 
     k = len(P)
     basis = [H[j][m:] for j in cols]
-    lifts = [U[j] for j in cols]
     rows, moduli = _congruence_rows(basis, k)
     # a modulus 0 marks an equality row: only then has the lattice rank < k
     keep = (_slack_minimals if 0 in moduli else _group_minimals)(rows, moduli, k)
 
     basis_pivots = [pivots[j] - m for j in cols]
-    reduce = _size_reducer(lineality)
-    pointed = []
+    points = []
     for y in keep:
         c = _hnf_coordinates(y, basis, basis_pivots)
         if c is None:
             raise RuntimeError("projected generator failed to lift")
-        # c is sparse: about 4-5 of 9-10 coordinates at levels 18 and 20
-        pointed.append(reduce(_combination(c, lifts, n)))
+        points.append((y, c))
+    return MinimalPoints(points, [U[j] for j in cols], lineality)
+
+
+def hilbert_basis(equalities, nonneg):
+    """Generators of the solution monoid of a linear Diophantine system: the
+    x in Z^n with (equalities) x = 0 and x_i >= 0 for i in nonneg.  There is
+    at least one equality row, all of length n; a zero row stands for none.
+    The rows are read, never changed.
+
+    Returns (pointed, lineality): every solution is a nonnegative integer
+    combination of pointed vectors plus an arbitrary integer combination of
+    lineality vectors, and no pointed vector decomposes into others.
+
+    minimal_points gives the minimal points of the projection to the
+    nonnegative coordinates with their HNF coordinates; every one of them is
+    lifted through its coordinates and size-reduced against the lineality,
+    and the lifts are sorted by l1 norm, then entrywise.  Raises
+    StepBudgetExceeded when the projected step runs out of its budget.
+    """
+    minimal = minimal_points(equalities, nonneg)
+    lift = minimal.lifter()
+    # c is sparse: about 4-5 of 9-10 coordinates at levels 18 and 20
+    pointed = [lift(c) for _, c in minimal.points]
     pointed.sort(key=lambda v: (sum(map(abs, v)), v))
-    return pointed, lineality
+    return pointed, minimal.lineality
 
 
 def _congruence_rows(basis, k):

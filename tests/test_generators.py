@@ -13,15 +13,16 @@ import etaram.eta
 from etaram.cusps import (
     INFINITY, cusp_set, exponent_slots, order_at_cusp, order_table, slot_vector, table_orders,
 )
-from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
+from etaram.eta import GenEtaQuotient, _exponents, _log_derivative, _spec_progressions
 from etaram.generators import (
     generator_from_quotient, generators, pole_free_system, quotient_from_scaled,
-    table_exponents,
 )
 from etaram import lattice
 from etaram.lattice import (
     StepBudgetExceeded, enumerate_coset, hilbert_basis, lattice_hnf, solve_diophantine,
 )
+
+from oracles import table_exponents
 
 # the package re-exports the function generators under the module's name
 generators_module = sys.modules["etaram.generators"]
@@ -177,33 +178,36 @@ def test_generator_records_are_pinned(N):
 
 @pytest.mark.parametrize("route", ["orders", "series"])
 def test_generators_fail_when_constant_routes_disagree(monkeypatch, route):
-    # spoil one route for one non-constant candidate: its orders from the
-    # level's order table all read 0, or its series (lead exponent and the
-    # transform of its exponents from the level's exponent table) reads as 1
-    target = generators(10)[2].quotient
+    # spoil one route for one non-constant candidate: its orders, the slack
+    # coordinates of its solution vector, all read 0, or its series (lead
+    # exponent and the recurrence on its logarithmic derivative) reads as 1
+    target = generators(10)[2]
     if route == "orders":
-        real = generators_module.table_orders
+        real_basis = generators_module.hilbert_basis
+        nslots = len(exponent_slots(10))
 
-        def spoiled(N, vector):
-            orders = real(N, vector)
-            if quotient_from_scaled(N, vector) == target:
-                return dict.fromkeys(orders, 0)
-            return orders
+        def spoiled(*args):
+            pointed, lineality = real_basis(*args)
+            return [v[:nslots] + [0] * (len(v) - nslots)
+                    if tuple(v[:nslots]) == target.scaled_vector else v
+                    for v in pointed], lineality
 
-        monkeypatch.setattr(generators_module, "table_orders", spoiled)
+        monkeypatch.setattr(generators_module, "hilbert_basis", spoiled)
     else:
         real_lead = GenEtaQuotient.lead_exponent
-        real = generators_module.euler_transform
-        key = _spec_progressions(target.a, target.ag)
+        real = generators_module.euler_recurrence
+        key = _spec_progressions(target.quotient.a, target.quotient.ag)
 
         def spoiled_lead(q):
-            return Fraction(0) if q == target else real_lead(q)
+            return Fraction(0) if q == target.quotient else real_lead(q)
 
-        def spoiled(c):
-            return [1] + [0] * (len(c) - 1) if c == _exponents(key, len(c)) else real(c)
+        def spoiled(s):
+            if s == _log_derivative(_exponents(key, len(s))):
+                return [1] + [0] * (len(s) - 1)
+            return real(s)
 
         monkeypatch.setattr(GenEtaQuotient, "lead_exponent", spoiled_lead)
-        monkeypatch.setattr(generators_module, "euler_transform", spoiled)
+        monkeypatch.setattr(generators_module, "euler_recurrence", spoiled)
     with pytest.raises(AssertionError, match="constant detection disagrees"):
         generators.__wrapped__(10)      # bypass the cache, leave it untouched
 
@@ -241,6 +245,8 @@ def test_candidates_expand_to_the_head_or_to_50_terms_at_a_zero_lead(monkeypatch
 
 
 def test_each_candidate_reads_its_lead_exponent_once(monkeypatch):
+    # the lead exponent is read once, from the solution vector's infinity
+    # slack, when the quotient is built: the formula never runs
     expect = generators(18)
     built, reads = [], []
     real_quotient, real_lead = generators_module.quotient_from_scaled, etaram.eta.lead_exponent
@@ -248,8 +254,12 @@ def test_each_candidate_reads_its_lead_exponent_once(monkeypatch):
                         lambda *args: built.append(args) or real_quotient(*args))
     monkeypatch.setattr(etaram.eta, "lead_exponent",
                         lambda *args: reads.append(args) or real_lead(*args))
-    assert generators.__wrapped__(18) == expect
-    assert built and len(reads) <= len(built)
+    got = generators.__wrapped__(18)
+    assert got == expect
+    assert built and all(len(args) == 3 and args[2] is not None for args in built)
+    # a record's quotient answers from the lead it was built with
+    assert all(g.quotient.lead_exponent() == -g.pole for g in got)
+    assert reads == []
 
 
 @pytest.mark.parametrize("N", [10, 11, 15])
@@ -346,12 +356,37 @@ def test_record_orders_match_the_closed_formula(N):
         assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)
 
 
+@pytest.mark.parametrize("N", [1] + ORDER_SUM_LEVELS)
+def test_records_match_the_routes_their_vectors_replace(N):
+    # each record's orders, pole and lead exponent are its solution vector's
+    # slacks, its head the recurrence on summed log-derivative rows, and
+    # its quotient is stored as the scaled exponents give it; the routes
+    # they replace must agree: the order table, the lead-exponent formula,
+    # the transform of the exponent table's exponents, and the constructor
+    # folding each half slot's exponent v/2 itself
+    T = generators_module.HEAD_TERMS
+    for g in generators(N):
+        v = g.scaled_vector
+        orders = table_orders(N, v)
+        assert g.orders == orders and g.pole == -orders[INFINITY], g.quotient
+        q = g.quotient
+        assert etaram.eta.lead_exponent(q.a, q.ag, N) == -g.pole
+        assert list(g.head) == etaram.eta.euler_transform(table_exponents(N, v, T))
+        folded = GenEtaQuotient(N, ag={(d, s): Fraction(e, 2) if s == 0 or 2 * s == d else e
+                                       for (d, s), e in zip(exponent_slots(N), v) if e})
+        assert folded == q and folded.to_json() == q.to_json()
+        assert folded.lead_exponent() == q.lead_exponent()
+        assert all(type(e) is int for e in [*q.a.values(), *q.ag.values()])
+
+
 def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     # every name order_at_cusp is bound to in the package is counted, so a
-    # call from any module shows
+    # call from any module shows; every quotient the records hold is built
+    # by the trusted constructor, none through GenEtaQuotient's checks
     calls = []
     real_order = order_at_cusp
     real_init = GenEtaQuotient.__init__
+    real_canonical = GenEtaQuotient.canonical.__func__
 
     def counted_order(*args):
         calls.append("order_at_cusp")
@@ -361,6 +396,10 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
         calls.append("GenEtaQuotient")
         real_init(self, *args, **kwargs)
 
+    def counted_canonical(cls, *args):
+        calls.append("canonical")
+        return real_canonical(cls, *args)
+
     holders = [module for name, module in list(sys.modules.items())
                if name.split(".")[0] == "etaram" and getattr(module, "order_at_cusp", None)
                is real_order]
@@ -368,6 +407,7 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     for module in holders:
         monkeypatch.setattr(module, "order_at_cusp", counted_order)
     monkeypatch.setattr(GenEtaQuotient, "__init__", counted_init)
+    monkeypatch.setattr(GenEtaQuotient, "canonical", classmethod(counted_canonical))
     # the system and its order table built anew, past the table's cache
     with monkeypatch.context() as patch:
         patch.setattr(generators_module, "order_table", etaram.cusps.order_table.__wrapped__)
@@ -376,8 +416,9 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     assert calls == []
     assert (rows, nonneg) == pole_free_system(18)
     assert table.forms == order_table(18).forms
+    pointed, lineality = hilbert_basis(rows, nonneg)
     assert generators.__wrapped__(18) == generators(18)
-    assert "order_at_cusp" not in calls and "GenEtaQuotient" in calls
+    assert calls == ["canonical"] * (len(pointed) + len(lineality))
 
 
 def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):

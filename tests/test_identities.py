@@ -31,7 +31,7 @@ from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import ModuleBasis, VerificationFailure
 from etaram.series import QSeries
-from oracles import bernoulli_p2
+from oracles import bernoulli_p2, lift_all_multiplier
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -271,13 +271,13 @@ def test_identity_documents_are_pinned(label):
 
 def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
     # every non-slow pinned document's multiplier system projects to a
-    # full-rank lattice, so its Hilbert basis comes from one zero-sum walk
+    # full-rank lattice, so its minimal points come from one zero-sum walk
     def forbidden(*args, **kwargs):
         raise AssertionError("a multiplier system reached the slack completion")
 
     walks, per_multiplier = [], []
     real_walk = etaram.lattice.minimal_zero_sum_sequences
-    real_basis = etaram.identities.hilbert_basis
+    real_basis = etaram.identities.minimal_points
 
     def walk(*args, **kwargs):
         walks.append(args)
@@ -291,7 +291,7 @@ def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
 
     monkeypatch.setattr(etaram.lattice, "minimal_nonneg_solutions", forbidden)
     monkeypatch.setattr(etaram.lattice, "minimal_zero_sum_sequences", walk)
-    monkeypatch.setattr(etaram.identities, "hilbert_basis", basis)
+    monkeypatch.setattr(etaram.identities, "minimal_points", basis)
     labels = [label for label in DOCUMENT_CASES if label not in SLOW_DOCUMENTS]
     for label in labels:
         spec, m, t, order = DOCUMENT_CASES[label]
@@ -320,6 +320,84 @@ def test_long_overpartition_document_is_pinned(monkeypatch):
 def test_multiplier_at_level_one_is_trivial():
     # level 1 has no finite cusp, so the multiplier's system has no row
     assert find_multiplier({}, generators(1), 1) == (GenEtaQuotient(1), ())
+
+
+def _spy_multiplier_system(monkeypatch):
+    """(systems, lifts): the (equalities, nonneg) of every minimal_points
+    call find_multiplier makes, and every power vector it lifts."""
+    systems, lifts = [], []
+    real_points, real_lifter = etaram.identities.minimal_points, etaram.lattice.MinimalPoints.lifter
+
+    def lifter(self):
+        lift = real_lifter(self)
+        return lambda c: lifts.append(c) or lift(c)
+
+    monkeypatch.setattr(etaram.identities, "minimal_points",
+                        lambda *args: systems.append(args) or real_points(*args))
+    monkeypatch.setattr(etaram.lattice.MinimalPoints, "lifter", lifter)
+    return systems, lifts
+
+
+@pytest.mark.parametrize("label", [pytest.param(label, marks=pytest.mark.slow)
+                                   if label in SLOW_DOCUMENTS else label
+                                   for label in DOCUMENT_CASES])
+def test_multiplier_is_the_lift_all_selection(monkeypatch, label):
+    # the multiplier chosen from the projected points, lifting only those of
+    # greatest gain, is the one the whole lifted Hilbert basis gives; in
+    # every pinned case one base point attains the greatest gain, so one
+    # vector is lifted
+    spec, m, t, _ = DOCUMENT_CASES[label]
+    N = find_level(spec, m, t)
+    bounds = cusp_order_bounds(spec, m, t, find_prefactor(spec, m, t, N), N)
+    gens = generators(N)
+    systems, lifts = _spy_multiplier_system(monkeypatch)
+    h, powers = find_multiplier(bounds, gens, N)
+    assert len(systems) == 1 and len(lifts) == 1
+    assert powers == lift_all_multiplier(*systems[0], gens)
+    expect = GenEtaQuotient(N)
+    for e, g in zip(powers, gens):
+        expect = expect * g.quotient ** e
+    assert h == expect
+
+
+def test_multiplier_on_drawn_bounds_is_the_lift_all_selection(monkeypatch):
+    rng = random.Random(47)
+    systems, _ = _spy_multiplier_system(monkeypatch)
+    found = 0
+    for draw in range(120):
+        N = rng.choice([5, 6, 8, 9, 10, 12])
+        gens = generators(N)
+        bounds = {data.cusp: Fraction(rng.randint(-40, 4), rng.choice([1, 2, 3, 12]))
+                  for data in cusp_set(N)}
+        del systems[:]
+        try:
+            _, powers = find_multiplier(bounds, gens, N)
+        except NoHFound:
+            with pytest.raises(NoHFound):
+                lift_all_multiplier(*systems[0], gens)
+            continue
+        assert powers == lift_all_multiplier(*systems[0], gens), (N, bounds)
+        found += 1
+    assert found > 100
+
+
+def test_multiplier_ties_lift_every_point_of_greatest_gain(monkeypatch):
+    # three stand-in generators at level 4 whose finite orders (at 0 and
+    # 1/2) are (2, 0), (1, 1) and (0, 2), each of pole 2: the reachable
+    # orders have an even sum, so asking for at least (1, 0) gives two base
+    # points, orders (2, 0) and (1, 1), both of gain -2.  Both are lifted,
+    # and the least reduced t, (0, 1, 0), wins as it did from the whole basis
+    finite = [data.cusp for data in cusp_set(4) if not data.cusp.is_infinity]
+    assert len(finite) == 2
+    gens = [Generator(quotient=GenEtaQuotient(4, {d: 1}), pole=2, scaled_vector=(),
+                      orders={finite[0]: a, finite[1]: 2 - a, INFINITY: -2})
+            for d, a in ((1, 2), (2, 1), (4, 0))]
+    bounds = {finite[0]: Fraction(-1), finite[1]: Fraction(0)}
+    systems, lifts = _spy_multiplier_system(monkeypatch)
+    h, powers = find_multiplier(bounds, gens, 4)
+    assert len(lifts) == 2
+    assert powers == (0, 1, 0) == lift_all_multiplier(*systems[0], gens)
+    assert h == GenEtaQuotient(4, {2: 1})
 
 
 # the level-4 documents as they read while the order at the irregular cusp

@@ -768,19 +768,19 @@ def test_lift_matches_the_per_vector_path_on_level_systems(minimals_spy, N):
 
 
 def _multiplier_system(monkeypatch, spec, m, t):
-    """The (equalities, nonneg) find_multiplier hands hilbert_basis in a
+    """The (equalities, nonneg) find_multiplier hands minimal_points in a
     derivation."""
     N = find_level(spec, m, t)
     bounds = cusp_order_bounds(spec, m, t, find_prefactor(spec, m, t, N), N)
     systems = []
-    real = identities.hilbert_basis
+    real = identities.minimal_points
 
     def spy(*args, **kwargs):
         systems.append(args)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(identities, "hilbert_basis", spy)
+        patch.setattr(identities, "minimal_points", spy)
         find_multiplier(bounds, generators(N), N)
     return systems[0]
 

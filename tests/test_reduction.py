@@ -11,7 +11,7 @@ import pytest
 import etaram.reduction
 from etaram.cusps import genus
 from etaram.eta import GenEtaQuotient, PartitionSpec
-from etaram.generators import generator_from_quotient, generators, sort_generators
+from etaram.generators import Generator, generator_from_quotient, generators, sort_generators
 from etaram.identities import derive_identity
 from etaram.reduction import (
     BasisIncomplete, InsufficientTruncation, ModuleBasis, NotMember, VerificationFailure,
@@ -364,13 +364,17 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     terms, series = mb._store
     g = mb.gens[mb.elements[1].gen]
     expansions = []
-    expand = g.expansion
+    expand = Generator.expansion
 
-    def counted(length):
-        expansions.append(length)
-        return expand(length)
+    # the spy sits on the class: one set on the cached record would leave a
+    # bound method in its __dict__ after the undo, hiding the record from
+    # any later spy on the class
+    def counted(self, length):
+        if self is g:
+            expansions.append(length)
+        return expand(self, length)
 
-    monkeypatch.setattr(g, "expansion", counted)
+    monkeypatch.setattr(Generator, "expansion", counted)
     barrier = threading.Barrier(2)
     results = []
 
@@ -391,8 +395,10 @@ def test_unused_generator_is_expanded_once_for_concurrent_readers(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 2 and results[0] == results[1]
     assert expansions == [terms + g.pole + 2]
-    assert results[0] == expand(terms + g.pole + 2).truncated(terms - g.pole)
+    assert results[0] == expand(g, terms + g.pole + 2).truncated(terms - g.pole)
     assert mb._store[1] is series and list(series) == [(1, 0)]
+    monkeypatch.undo()
+    assert "expansion" not in vars(g)
 
 
 def test_store_is_keyed_by_element_and_z_degree():
