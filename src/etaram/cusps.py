@@ -215,12 +215,9 @@ def order_table(N: int) -> OrderTable:
 
 
 def _slot_entries(q: GenEtaQuotient, N: int, slots: dict) -> list:
-    """(slot index, scaled exponent) per exponent of q's canonical form:
-    a[d] at (d, 0), as eta(d tau)^a[d] = eta_{d,0}^(a[d]/2), and ag[d, g]
-    at (d, g)."""
+    """(slot index, scaled exponent) per entry of q.slots()."""
     try:
-        return ([(slots[d, 0], e) for d, e in q.a.items()]
-                + [(slots[k], e) for k, e in q.ag.items()])
+        return [(slots[k], e) for k, e in q.slots()]
     except KeyError as exc:
         raise ValueError("eta argument %d does not divide level %d"
                          % (exc.args[0][0], N)) from None

@@ -395,6 +395,28 @@ def _product_expansion(order) -> list:
     return partition_numbers(order)
 
 
+def _fold_slots(entries) -> tuple:
+    """The canonical (a, ag) of the quotient with int slot entries ((d, g),
+    v), 0 <= g <= d/2: v is the exponent of eta_{d,g} for 0 < g < d/2 and
+    twice it at a half slot, g = 0 or 2g = d, where the factor is a plain
+    eta power in disguise: eta_{d,0}^(v/2) = eta(d tau)^v and
+    eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v (Robins 1994).  Equal
+    keys sum; both dicts come sorted and hold no zero exponent."""
+    a, ag = {}, {}
+    for (d, g), v in entries:
+        if not v:
+            continue
+        if g == 0:
+            a[d] = a.get(d, 0) + v
+        elif 2 * g == d:
+            a[g] = a.get(g, 0) + v
+            a[d] = a.get(d, 0) - v
+        else:
+            ag[d, g] = ag.get((d, g), 0) + v
+    return ({d: e for d, e in sorted(a.items()) if e},
+            {k: e for k, e in sorted(ag.items()) if e})
+
+
 class GenEtaQuotient:
     """prod eta(d*tau)**a[d] * prod eta_{d,g}(tau)**ag[d,g] at level N.
 
@@ -402,16 +424,16 @@ class GenEtaQuotient:
     exponent once it is read; the object is immutable.  a is keyed by
     divisors d of N, and ag by (d, g) with 0 < g < d/2.  The constructor
     also takes any g (folded by g -> d - g and modulo d) and half-integral
-    exponents at g = 0 and 2g = d, where the factor is a plain eta power in
-    disguise: eta_{d,0} = eta(d tau)^2 and eta_{d,d/2} = eta(d tau/2)^2 /
-    eta(d tau)^2 (Robins 1994).  It folds those into a.  An int exponent
-    stays an int through the checks; only another type is read as a Fraction.
+    exponents at g = 0 and 2g = d; once its checks pass, _fold_slots folds
+    those half slots into a.  An int exponent stays an int through the
+    checks; only another type is read as a Fraction.  from_slots builds a
+    quotient from int slot entries (slots() reads them back) with none of
+    the checks: the scaled vectors of the level layer, products and powers.
     """
 
     def __init__(self, N: int, a=None, ag=None):
         if N < 1:
             raise ValueError("level must be positive")
-        self.N = N
         plain: dict = {}
         paired: dict = {}
         for d, e in (a or {}).items():
@@ -425,36 +447,30 @@ class GenEtaQuotient:
                 raise ValueError("eta argument %d does not divide level %d" % (d, N))
             k = (d, _fold_pair_key(d, g))
             paired[k] = paired.get(k, 0) + (e if isinstance(e, int) else Fraction(e))
-        generalized = {}
+        entries = [((d, 0), e) for d, e in plain.items()]
         for (d, g), e in paired.items():
-            if g and 2 * g != d:
-                if e.denominator != 1:
-                    raise NonIntegralPower("exponent at (%d, %d) must be integral" % (d, g))
-                generalized[d, g] = e
-                continue
-            if (2 * e).denominator != 1:
-                raise NonIntegralPower("exponent at (%d, %d) must be half-integral" % (d, g))
-            if g == 0:
-                plain[d] = plain.get(d, 0) + 2 * e
-            else:
-                plain[g] = plain.get(g, 0) + 2 * e
-                plain[d] = plain.get(d, 0) - 2 * e
+            half = not g or 2 * g == d
+            v = 2 * e if half else e      # a half slot's entry is twice its exponent
+            if v.denominator != 1:
+                raise NonIntegralPower("exponent at (%d, %d) must be %sintegral"
+                                       % (d, g, "half-" if half else ""))
+            entries.append(((d, g), v))
         for d, e in plain.items():
             if e.denominator != 1:
                 raise NonIntegralPower("plain eta exponent at %d must be integral" % d)
-        self.a = {d: int(e) for d, e in sorted(plain.items()) if e}
-        self.ag = {k: int(e) for k, e in sorted(generalized.items()) if e}
+        self.N = N
+        self.a, self.ag = _fold_slots(((k, int(v)) for k, v in entries))
         self._lead = None
 
     @classmethod
-    def canonical(cls, N: int, a: dict, ag: dict, lead=None) -> "GenEtaQuotient":
-        """The quotient of a form that is canonical already, stored as it is
-        with none of the constructor's folding or checks: a and ag hold
-        nonzero int exponents in sorted key order, a keyed by divisors of
-        N, ag by (d, g) with 0 < g < d/2.  lead, when given, is the known
-        lead exponent, kept as lead_exponent()'s value."""
+    def from_slots(cls, N: int, entries, lead=None) -> "GenEtaQuotient":
+        """The quotient at level N of int slot entries ((d, g), v)
+        (_fold_slots), d | N and 0 <= g <= d/2, with none of the
+        constructor's checks.  lead, when given, is the known lead exponent,
+        kept as lead_exponent()'s value."""
         q = object.__new__(cls)
-        q.N, q.a, q.ag, q._lead = N, a, ag, lead
+        q.N, q._lead = N, lead
+        q.a, q.ag = _fold_slots(entries)
         return q
 
     # -- structure ---------------------------------------------------------------
@@ -473,19 +489,18 @@ class GenEtaQuotient:
     def is_one(self) -> bool:
         return not self.a and not self.ag
 
+    def slots(self) -> list:
+        """The canonical form's int slot entries ((d, g), v), from_slots'
+        input: a[d] at (d, 0), as eta(d tau)^a[d] = eta_{d,0}^(a[d]/2), then
+        ag[d, g] at (d, g)."""
+        return [((d, 0), e) for d, e in self.a.items()] + list(self.ag.items())
+
     def __mul__(self, other: "GenEtaQuotient") -> "GenEtaQuotient":
-        N = self.N * other.N // gcd(self.N, other.N)
-        a = dict(self.a)
-        for d, e in other.a.items():
-            a[d] = a.get(d, 0) + e
-        ag = dict(self.ag)
-        for k, e in other.ag.items():
-            ag[k] = ag.get(k, 0) + e
-        return GenEtaQuotient(N, a, ag)
+        return GenEtaQuotient.from_slots(self.N * other.N // gcd(self.N, other.N),
+                                         self.slots() + other.slots())
 
     def __pow__(self, k: int) -> "GenEtaQuotient":
-        return GenEtaQuotient(self.N, {d: e * k for d, e in self.a.items()},
-                              {kk: e * k for kk, e in self.ag.items()})
+        return GenEtaQuotient.from_slots(self.N, [(s, e * k) for s, e in self.slots()])
 
     # -- analytic data -------------------------------------------------------------
 

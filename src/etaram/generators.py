@@ -16,8 +16,9 @@ the vector's slack coordinates are the candidate's cusp orders, and the
 last, infinity's, is its lead exponent and minus its pole.  The first
 coefficients of its product come from euler_recurrence on a logarithmic
 derivative summed from the level's log_derivative_table over the vector's
-nonzero entries (no product cache read), and its quotient is built from the
-canonical slot exponents as it is, with none of the constructor's checks.
+nonzero entries (no product cache read), and its quotient is the vector's
+slot entries folded once (GenEtaQuotient.from_slots), with its lead and
+none of the constructor's checks.
 is_constant_one(q, coeffs, orders) compares the two constant tests on them,
 and a pointed candidate that is not constant becomes a record.  No candidate
 is expanded on the fast route.
@@ -52,28 +53,9 @@ def pole_free_system(N: int) -> tuple:
 
 def quotient_from_scaled(N: int, vector, lead=None) -> GenEtaQuotient:
     """The canonical quotient of a scaled exponent vector over the slots of
-    order_table(N), built in integers; lead, when known, is kept as its
-    lead exponent.
-
-    A half slot's scaled entry v is twice its exponent, and eta_{d,0}^(v/2) =
-    eta(d tau)^v, eta_{d,d/2}^(v/2) = eta(d tau/2)^v / eta(d tau)^v, so the
-    canonical form has the integer exponents below.  The slots run over
-    (d, g) in increasing order, so ag's keys come sorted, and a is sorted
-    and cleared of cancelled entries before GenEtaQuotient.canonical
-    stores both as they are.
-    """
-    a, ag = {}, {}
-    for (d, g), v in zip(order_table(N).slots, vector):
-        if not v:
-            continue
-        if g == 0:
-            a[d] = a.get(d, 0) + v
-        elif 2 * g == d:
-            a[g] = a.get(g, 0) + v
-            a[d] = a.get(d, 0) - v
-        else:
-            ag[d, g] = v
-    return GenEtaQuotient.canonical(N, {d: e for d, e in sorted(a.items()) if e}, ag, lead)
+    order_table(N), folded by GenEtaQuotient.from_slots; lead, when known,
+    is kept as its lead exponent."""
+    return GenEtaQuotient.from_slots(N, zip(order_table(N).slots, vector), lead)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from operator import mul
 from . import exprs
 from .cusps import INFINITY, cusp_order_bounds, cusp_set
 from .eta import GenEtaQuotient, PartitionSpec
-from .generators import generators
+from .generators import generators, quotient_from_scaled
 from .lattice import minimal_points
 from .modularity import check_level, find_level, find_prefactor
 from .reduction import ModuleBasis, VerificationFailure, express, module_basis
@@ -60,7 +60,9 @@ def find_multiplier(bounds: dict, gens, N: int):
     every slack, so its h has order 0 at every finite cusp and so at
     infinity too.  Only the points of greatest gain are lifted and
     size-reduced, as hilbert_basis would, and the least reduced t among
-    them wins.
+    them wins.  h is read from t's slot vector, sum_j t_j times generator
+    j's scaled vector, with the gain top as its lead exponent: the gain is
+    h's order at infinity.
     """
     k = len(gens)
     rows = []
@@ -97,16 +99,8 @@ def find_multiplier(bounds: dict, gens, N: int):
     top = max(gain for gain, _ in scored)
     lift = minimal.lifter()
     t = min(tuple(lift(c)[:k]) for gain, c in scored if gain == top)
-    return _monomial_quotient(N, gens, t), t
-
-
-def _monomial_quotient(N: int, gens, mono) -> GenEtaQuotient:
-    """prod gens[i].quotient**mono[i] at level N, canonical."""
-    q = GenEtaQuotient(N)
-    for e, g in zip(mono, gens):
-        if e:
-            q = q * (g.quotient ** e)
-    return q
+    vector = [sum(map(mul, t, col)) for col in zip(*(g.scaled_vector for g in gens))]
+    return quotient_from_scaled(N, vector, top), t
 
 
 @dataclass
@@ -262,8 +256,7 @@ def derive_identity(spec: PartitionSpec, m: int, t: int,
         bounds = cusp_order_bounds(spec, m, t, phi, N)
         h, h_powers = find_multiplier(bounds, gens, N)
         stage = "reduction"
-        inf_bound = bounds[INFINITY] + sum(
-            tj * (-g.pole) for tj, g in zip(h_powers, gens))
+        inf_bound = bounds[INFINITY] + h.lead_exponent()
         pole_budget = max(0, int(ceil(-inf_bound)))
         target = max(pole_budget + GUARD, opts.order)
         quot = phi * h

@@ -467,9 +467,6 @@ class QSeries:
         nterms = (self.trunc - lead + stride - 1) // stride
         vec = list(self.num) + [0] * (nterms - len(self.num))
         c0 = vec[0]
-        if abs(c0) == 1:
-            inv = _int_poly_inv(vec, nterms)
-            return _make([self.den * v for v in inv], -lead, stride, 1, trunc, self.denom)
         scaled = [1] + [vec[i] * c0 ** (i - 1) for i in range(1, nterms)]
         inv = _int_poly_inv(scaled, nterms)
         # the coefficient at index i is den * inv[i] / c0**(i+1): bring all

@@ -5,7 +5,7 @@ import functools
 from fractions import Fraction
 
 from etaram.cusps import order_table
-from etaram.eta import _exponents, _spec_progressions
+from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
 from etaram.generators import quotient_from_scaled
 from etaram.identities import NoHFound
 from etaram.lattice import hilbert_basis
@@ -36,6 +36,17 @@ def table_exponents(N: int, vector, terms: int) -> list:
     parts = [row[:terms] if v == 1 else [v * e for e in row[:terms]]
              for v, row in zip(vector, exponent_table(N)) if v]
     return list(map(sum, zip(*parts)))
+
+
+def monomial_quotient(N: int, gens, mono) -> GenEtaQuotient:
+    """prod gens[i].quotient**mono[i] at level N, multiplied out one
+    generator power at a time: the multiplier h as it was built before it
+    was read from its slot vector."""
+    q = GenEtaQuotient(N)
+    for e, g in zip(mono, gens):
+        if e:
+            q = q * (g.quotient ** e)
+    return q
 
 
 def lift_all_multiplier(equalities, nonneg, gens) -> tuple:

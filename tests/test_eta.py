@@ -8,10 +8,12 @@ import pytest
 import etaram.eta
 import etaram.exprs
 import etaram.series
+from etaram.cusps import exponent_slots
 from etaram.eta import (
     GenEtaQuotient, NonIntegralPower, PartitionSpec, _exponents, _product_expansion,
     _spec_progressions, cached_product, certify_product, euler_transform, progressions,
 )
+from etaram.generators import quotient_from_scaled
 from etaram.series import QSeries, _pack_mul, partition_numbers, pochhammer
 from oracles import bernoulli_p2
 
@@ -917,6 +919,39 @@ def test_stored_form_matches_the_raw_factors():
                         for (d, g), e in ag.items())
             assert h.expansion(order) == core.shift(lead), h
     assert halves > 10
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 18])
+def test_scaled_vectors_expand_to_their_slot_products(N):
+    # seeded scaled vectors over every slot of the level, half slots
+    # included: the quotient's product is the slots' Pochhammer factors
+    # multiplied out one by one, each to the power of its entry, and its
+    # lead exponent the slots' Bernoulli terms, halved at a half slot; no
+    # fold and no product cache on this side
+    rng = random.Random(N)
+    slots = exponent_slots(N)
+    halves = 0
+    for _ in range(8):
+        v = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in slots]
+        factors, lead = [], Fraction(0)
+        for (d, g), e in zip(slots, v):
+            if not e:
+                continue
+            half = g == 0 or 2 * g == d
+            halves += half
+            if g == 0:
+                core = pochhammer(0, d, 40)                  # (q^d; q^d)
+            elif half:
+                core = pochhammer(g, d, 40)                  # (q^(d/2); q^d)
+            else:
+                core = pochhammer(g, d, 40) * pochhammer(d - g, d, 40)
+            factors.append((core, e))
+            lead += Fraction(d, 4 if half else 2) * bernoulli_p2(Fraction(g, d)) * e
+        expected = multiply_out(factors, 40)
+        q = quotient_from_scaled(N, v)
+        assert q.product_coefficients(40) == [expected.coefficient(n) for n in range(40)], v
+        assert q.lead_exponent() == lead, v
+    assert halves > 8
 
 
 def test_geq_half_integer_rejected_off_special_slots():

@@ -386,7 +386,7 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     calls = []
     real_order = order_at_cusp
     real_init = GenEtaQuotient.__init__
-    real_canonical = GenEtaQuotient.canonical.__func__
+    real_from_slots = GenEtaQuotient.from_slots.__func__
 
     def counted_order(*args):
         calls.append("order_at_cusp")
@@ -396,9 +396,9 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
         calls.append("GenEtaQuotient")
         real_init(self, *args, **kwargs)
 
-    def counted_canonical(cls, *args):
-        calls.append("canonical")
-        return real_canonical(cls, *args)
+    def counted_from_slots(cls, *args):
+        calls.append("from_slots")
+        return real_from_slots(cls, *args)
 
     holders = [module for name, module in list(sys.modules.items())
                if name.split(".")[0] == "etaram" and getattr(module, "order_at_cusp", None)
@@ -407,7 +407,7 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     for module in holders:
         monkeypatch.setattr(module, "order_at_cusp", counted_order)
     monkeypatch.setattr(GenEtaQuotient, "__init__", counted_init)
-    monkeypatch.setattr(GenEtaQuotient, "canonical", classmethod(counted_canonical))
+    monkeypatch.setattr(GenEtaQuotient, "from_slots", classmethod(counted_from_slots))
     # the system and its order table built anew, past the table's cache
     with monkeypatch.context() as patch:
         patch.setattr(generators_module, "order_table", etaram.cusps.order_table.__wrapped__)
@@ -418,7 +418,7 @@ def test_level_system_and_records_call_no_order_at_cusp(monkeypatch):
     assert table.forms == order_table(18).forms
     pointed, lineality = hilbert_basis(rows, nonneg)
     assert generators.__wrapped__(18) == generators(18)
-    assert calls == ["canonical"] * (len(pointed) + len(lineality))
+    assert calls == ["from_slots"] * (len(pointed) + len(lineality))
 
 
 def _monoid_membership(vec, alphas, alpha_grades, unit_cols, grade_of):

@@ -19,7 +19,7 @@ import etaram.lattice
 import etaram.modularity
 import etaram.reduction
 
-from etaram.cusps import INFINITY, cusp_set, width
+from etaram.cusps import INFINITY, cusp_set, slot_vector, width
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.exprs import ParseError, expand, parse
 from etaram.generators import Generator, generators
@@ -31,7 +31,7 @@ from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import ModuleBasis, VerificationFailure
 from etaram.series import QSeries
-from oracles import bernoulli_p2, lift_all_multiplier
+from oracles import bernoulli_p2, lift_all_multiplier, monomial_quotient
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -354,10 +354,7 @@ def test_multiplier_is_the_lift_all_selection(monkeypatch, label):
     h, powers = find_multiplier(bounds, gens, N)
     assert len(systems) == 1 and len(lifts) == 1
     assert powers == lift_all_multiplier(*systems[0], gens)
-    expect = GenEtaQuotient(N)
-    for e, g in zip(powers, gens):
-        expect = expect * g.quotient ** e
-    assert h == expect
+    assert h == monomial_quotient(N, gens, powers)
 
 
 def test_multiplier_on_drawn_bounds_is_the_lift_all_selection(monkeypatch):
@@ -371,12 +368,18 @@ def test_multiplier_on_drawn_bounds_is_the_lift_all_selection(monkeypatch):
                   for data in cusp_set(N)}
         del systems[:]
         try:
-            _, powers = find_multiplier(bounds, gens, N)
+            h, powers = find_multiplier(bounds, gens, N)
         except NoHFound:
             with pytest.raises(NoHFound):
                 lift_all_multiplier(*systems[0], gens)
             continue
         assert powers == lift_all_multiplier(*systems[0], gens), (N, bounds)
+        # h, read from its slot vector with the gain as its lead, is the
+        # product of generator powers, and the gain its order at infinity
+        expect = monomial_quotient(N, gens, powers)
+        assert h == expect, (N, bounds)
+        gain = -sum(tj * g.pole for tj, g in zip(powers, gens))
+        assert h.lead_exponent() == expect.lead_exponent() == gain, (N, bounds)
         found += 1
     assert found > 100
 
@@ -386,10 +389,12 @@ def test_multiplier_ties_lift_every_point_of_greatest_gain(monkeypatch):
     # 1/2) are (2, 0), (1, 1) and (0, 2), each of pole 2: the reachable
     # orders have an even sum, so asking for at least (1, 0) gives two base
     # points, orders (2, 0) and (1, 1), both of gain -2.  Both are lifted,
-    # and the least reduced t, (0, 1, 0), wins as it did from the whole basis
+    # and the least reduced t, (0, 1, 0), wins as it did from the whole basis.
+    # h is read from the stand-ins' slot vectors, so each carries its own
     finite = [data.cusp for data in cusp_set(4) if not data.cusp.is_infinity]
     assert len(finite) == 2
-    gens = [Generator(quotient=GenEtaQuotient(4, {d: 1}), pole=2, scaled_vector=(),
+    gens = [Generator(quotient=GenEtaQuotient(4, {d: 1}), pole=2,
+                      scaled_vector=tuple(slot_vector(GenEtaQuotient(4, {d: 1}), 4)),
                       orders={finite[0]: a, finite[1]: 2 - a, INFINITY: -2})
             for d, a in ((1, 2), (2, 1), (4, 0))]
     bounds = {finite[0]: Fraction(-1), finite[1]: Fraction(0)}
