@@ -232,16 +232,15 @@ def slot_vector(q: GenEtaQuotient, N: int) -> list:
     return vector
 
 
-def table_orders(N: int, vector) -> dict:
-    """{cusp: order} of a scaled exponent vector's quotient by order_table,
-    one dot product per order form: an int, or a Fraction where the order
-    is not integral."""
-    table = order_table(N)
+def form_orders(N: int, vector) -> list:
+    """The orders of a scaled exponent vector's quotient, one per order
+    form of order_table(N), infinity's last: an int, or a Fraction where
+    the order is not integral."""
     values = []
-    for _, row, den in table.forms:
+    for _, row, den in order_table(N).forms:
         total = sum(map(mul, row, vector))
         values.append(Fraction(total, den) if total % den else total // den)
-    return {cusp: values[i] for cusp, i in table.cusps}
+    return values
 
 
 def order_at_cusp(h: GenEtaQuotient, N: int, cusp) -> Fraction:

@@ -12,24 +12,25 @@ produces the constant 1.
 
 Every candidate, pointed or lineality, is read from its solution vector.
 The system's row for order form i states form_i . x = den_i * slack_i, so
-the vector's slack coordinates are the candidate's cusp orders, and the
-last, infinity's, is its lead exponent and minus its pole.  The first
-coefficients of its product come from euler_recurrence on a logarithmic
-derivative summed from the level's log_derivative_table over the vector's
-nonzero entries (no product cache read), and its quotient is the vector's
-slot entries folded once (GenEtaQuotient.from_slots), with its lead and
-none of the constructor's checks.
+the vector's slack coordinates are the candidate's orders, one per order
+form, and the last, infinity's, is its lead exponent and minus its pole.
+The first coefficients of its product come from euler_recurrence on a
+logarithmic derivative summed from the level's log_derivative_table over
+the vector's nonzero slot entries (no product cache read), and its
+quotient is the slot entries folded once (GenEtaQuotient.from_slots), with
+its lead and none of the constructor's checks.
 is_constant_one(q, coeffs, orders) compares the two constant tests on them,
-and a pointed candidate that is not constant becomes a record.  No candidate
-is expanded on the fast route.
+and a pointed candidate that is not constant becomes a record: the
+quotient, the whole solution vector and the head.  No candidate is
+expanded on the fast route.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cusps import INFINITY, order_table, slot_vector, table_orders
+from .cusps import form_orders, order_table, slot_vector
 from .eta import (
     GenEtaQuotient, _exponents, _log_derivative, _spec_progressions, euler_recurrence,
 )
@@ -88,7 +89,7 @@ def is_constant_one(q: GenEtaQuotient, coeffs, orders) -> bool:
     emptiness of the canonical form is sufficient but not necessary.  The
     series route reads q as 1 when its lead exponent is 0 and the integer
     coefficients f(1..49) of its product, coeffs, are all 0; the other route
-    asks every cusp order in orders ({cusp: order}) to be 0.  In generators
+    asks every order in orders (one per order form) to be 0.  In generators
     the orders are the solution vector's slack coordinates and the lead its
     infinity slack, while coeffs come from the slots' logarithmic
     derivatives.  coeffs holds 50 coefficients, or any number when the lead
@@ -98,7 +99,7 @@ def is_constant_one(q: GenEtaQuotient, coeffs, orders) -> bool:
     if q.is_one():
         return True
     by_series = not q.lead_exponent() and not any(coeffs[1:50])
-    by_orders = all(o == 0 for o in orders.values())
+    by_orders = not any(orders)
     if by_series != by_orders:
         raise AssertionError("constant detection disagrees for %r" % q)
     return by_series
@@ -106,11 +107,28 @@ def is_constant_one(q: GenEtaQuotient, coeffs, orders) -> bool:
 
 @dataclass
 class Generator:
+    """A level-N generator held as its solution vector of pole_free_system(N):
+    the scaled exponents, then its order at each order form, infinity's last.
+    The quotient is at level N, whose order_table the properties read; head,
+    the sort key, is the product's first HEAD_TERMS coefficients."""
     quotient: GenEtaQuotient
-    orders: dict          # Cusp -> int
-    pole: int             # -order at infinity (> 0)
-    scaled_vector: tuple  # solution vector of the pole_free_system
-    head: tuple = ()      # leading expansion coefficients, the canonical sort key
+    vector: tuple
+    head: tuple = ()
+    pole: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # minus the order at infinity, read once: module_basis reads it per pass
+        self.pole = -self.vector[-1]
+
+    @property
+    def scaled_vector(self) -> tuple:
+        return self.vector[:len(order_table(self.quotient.N).slots)]
+
+    @property
+    def orders(self) -> dict:
+        """{cusp: order}: the form entries spread over order_table's cusps."""
+        table = order_table(self.quotient.N)
+        return {cusp: self.vector[len(table.slots) + i] for cusp, i in table.cusps}
 
     def expansion(self, terms):
         return self.quotient.expansion(terms)
@@ -120,32 +138,18 @@ class Generator:
 HEAD_TERMS = 14
 
 
-def _generator_record(q: GenEtaQuotient, scaled_vector, error,
-                      coeffs, orders) -> Generator:
-    """Record of a canonical quotient from the integer coefficients of its
-    product (at least HEAD_TERMS) and its orders (an int wherever the order
-    is integral, kept as they are: a solution vector's slacks, or
-    table_orders); raises error (the caller's failure type) unless it is
-    pole-free away from a pole at infinity.
-
-    The order at infinity is q's lead exponent, so the head, the
-    coefficients from q**-pole on, is the product's first HEAD_TERMS.
-    """
-    for c, o in orders.items():
-        if o.denominator != 1 or (not c.is_infinity and o < 0):
-            raise error("quotient is not pole-free away from infinity")
-    pole = -orders[INFINITY]
-    if pole <= 0:
-        raise error("quotient has no pole at infinity")
-    return Generator(quotient=q, orders=orders, pole=pole,
-                     scaled_vector=tuple(scaled_vector), head=tuple(coeffs[:HEAD_TERMS]))
-
-
 def generator_from_quotient(N: int, q: GenEtaQuotient) -> Generator:
-    """Generator record (orders, pole, sort head) for an explicit quotient."""
-    vec = slot_vector(q, N)
-    return _generator_record(q, vec, ValueError, q.product_coefficients(HEAD_TERMS),
-                             table_orders(N, vec))
+    """The record of an explicit quotient at level N, from its slot vector;
+    raises ValueError for an eta argument that does not divide N, and
+    unless q is pole-free away from a pole at infinity."""
+    slots = slot_vector(q, N)
+    orders = form_orders(N, slots)
+    if any(type(o) is not int for o in orders) or any(o < 0 for o in orders[:-1]):
+        raise ValueError("quotient is not pole-free away from infinity")
+    if orders[-1] >= 0:
+        raise ValueError("quotient has no pole at infinity")
+    return Generator(quotient_from_scaled(N, slots, orders[-1]), tuple(slots + orders),
+                     tuple(q.product_coefficients(HEAD_TERMS)))
 
 
 def sort_generators(gens) -> tuple:
@@ -158,25 +162,23 @@ def sort_generators(gens) -> tuple:
 def generators(N: int) -> tuple:
     """Deterministically ordered generator list for level N."""
     pointed, lineality = hilbert_basis(*pole_free_system(N))
-    table = order_table(N)
-    nslots = len(table.slots)
+    nslots = len(order_table(N).slots)
     out = []
     for i, v in enumerate(lineality + pointed):
-        # form i's row states form_i . x = den_i * slack_i: the slacks are
-        # the orders, infinity's (the last) the lead exponent
-        slack, v = v[nslots:], v[:nslots]
-        lead = slack[-1]
-        q = quotient_from_scaled(N, v, lead)
+        # the slacks are the form orders, infinity's (the last) the lead
+        slots, orders, lead = v[:nslots], v[nslots:], v[-1]
+        q = quotient_from_scaled(N, slots, lead)
         # one coefficient list serves both consumers; past a nonzero lead q
         # cannot read as 1 at any truncation, so only a zero lead needs more
         # coefficients than the record's head reads
-        coeffs = euler_recurrence(table_log_derivative(N, v, HEAD_TERMS if lead else 50))
-        orders = {cusp: slack[form] for cusp, form in table.cusps}
+        coeffs = euler_recurrence(table_log_derivative(N, slots, HEAD_TERMS if lead else 50))
         if is_constant_one(q, coeffs, orders):
             continue
         if i < len(lineality):
             raise AssertionError("lineality vector is not the constant 1")
-        out.append(_generator_record(q, v, AssertionError, coeffs, orders))
+        if lead >= 0:
+            raise AssertionError("quotient has no pole at infinity")
+        out.append(Generator(q, tuple(v), tuple(coeffs[:HEAD_TERMS])))
     out = sort_generators(out)
     if any(a.pole == b.pole and a.head == b.head for a, b in zip(out, out[1:])):
         raise AssertionError("generator sort key collision")

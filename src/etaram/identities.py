@@ -21,7 +21,7 @@ from math import ceil, gcd
 from operator import mul
 
 from . import exprs
-from .cusps import INFINITY, cusp_order_bounds, cusp_set
+from .cusps import INFINITY, cusp_order_bounds, order_table
 from .eta import GenEtaQuotient, PartitionSpec
 from .generators import generators, quotient_from_scaled
 from .lattice import minimal_points
@@ -60,38 +60,36 @@ def find_multiplier(bounds: dict, gens, N: int):
     every slack, so its h has order 0 at every finite cusp and so at
     infinity too.  Only the points of greatest gain are lifted and
     size-reduced, as hilbert_basis would, and the least reduced t among
-    them wins.  h is read from t's slot vector, sum_j t_j times generator
-    j's scaled vector, with the gain top as its lead exponent: the gain is
-    h's order at infinity.
+    them wins.  Rows, gains and h read the generators' solution vectors: a
+    finite cusp's row is their entries at its order form, cusps with equal
+    rows share one at the largest of their floors (the others are implied,
+    and would leave the projection rank-deficient), the gains read the
+    infinity entries, and h is the slot part of sum_j t_j times generator
+    j's vector, with the gain top, its order at infinity, as its lead.
     """
     k = len(gens)
-    rows = []
-    rhs = []
-    seen = set()
-    for data in cusp_set(N):
-        if data.cusp.is_infinity:
+    table = order_table(N)
+    nslots = len(table.slots)
+    form_rows = [tuple(g.vector[nslots + i] for g in gens) for i in range(len(table.forms))]
+    floors = {}    # row -> the largest floor among its cusps
+    for cusp, form in table.cusps:
+        if cusp.is_infinity:
             continue
-        row = tuple(g.orders[data.cusp] for g in gens)
-        d = bounds[data.cusp]
         # integer order strictly above -1 - d means order >= floor(-1-d) + 1
-        bound_floor = (-1 - d).__floor__() + 1
-        key = (row, bound_floor)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(list(row))
-        rhs.append(bound_floor)
-    nv = k + 1 + len(rows)  # t variables, the scale s, one slack per row
+        bound_floor = (-1 - bounds[cusp]).__floor__() + 1
+        row = form_rows[form]
+        floors[row] = max(floors.get(row, bound_floor), bound_floor)
+    nv = k + 1 + len(floors)  # t variables, the scale s, one slack per row
     eqs = []
-    for i, (row, g0) in enumerate(zip(rows, rhs)):
-        eq = row + [-g0] + [0] * len(rows)
+    for i, (row, g0) in enumerate(floors.items()):
+        eq = list(row) + [-g0] + [0] * len(floors)
         eq[k + 1 + i] = -1
         eqs.append(eq)
     # level 1 has no finite cusp: one zero row still gives the system nv variables
     minimal = minimal_points(eqs or [[0] * nv], list(range(k, nv)))
-    # a lift's first k entries are its powers t: its gain is -sum t_j pole_j
-    poles = [g.pole for g in gens]
-    gains = [-sum(map(mul, lift, poles)) for lift in minimal.lifts]
+    # a lift's first k entries are its powers t: its gain is sum t_j ord_inf(g_j)
+    infinity = form_rows[-1]
+    gains = [sum(map(mul, lift, infinity)) for lift in minimal.lifts]
     # a point's first coordinate is s
     scored = [(sum(map(mul, gains, c)), c) for y, c in minimal.points if y[0] == 1]
     if not scored:
@@ -99,8 +97,8 @@ def find_multiplier(bounds: dict, gens, N: int):
     top = max(gain for gain, _ in scored)
     lift = minimal.lifter()
     t = min(tuple(lift(c)[:k]) for gain, c in scored if gain == top)
-    vector = [sum(map(mul, t, col)) for col in zip(*(g.scaled_vector for g in gens))]
-    return quotient_from_scaled(N, vector, top), t
+    v = [sum(map(mul, t, col)) for col in zip(*(g.vector for g in gens))]
+    return quotient_from_scaled(N, v[:nslots], top), t
 
 
 @dataclass

@@ -4,7 +4,7 @@ module under src/ reads them."""
 import functools
 from fractions import Fraction
 
-from etaram.cusps import order_table
+from etaram.cusps import cusp_set, order_table
 from etaram.eta import GenEtaQuotient, _exponents, _spec_progressions
 from etaram.generators import quotient_from_scaled
 from etaram.identities import NoHFound
@@ -47,6 +47,29 @@ def monomial_quotient(N: int, gens, mono) -> GenEtaQuotient:
         if e:
             q = q * (g.quotient ** e)
     return q
+
+
+def cusp_multiplier_system(bounds: dict, gens, N: int) -> tuple:
+    """(equalities, nonneg) of find_multiplier's system as it was built cusp
+    by cusp: one row per distinct pair of the generators' orders at a
+    finite cusp (Generator.orders) and the cusp's floor, so an order form
+    whose cusps have two floors gave two rows."""
+    k = len(gens)
+    keys = []
+    for data in cusp_set(N):
+        if data.cusp.is_infinity:
+            continue
+        key = (tuple(g.orders[data.cusp] for g in gens),
+               (-1 - bounds[data.cusp]).__floor__() + 1)
+        if key not in keys:
+            keys.append(key)
+    nv = k + 1 + len(keys)
+    eqs = []
+    for i, (row, floor) in enumerate(keys):
+        eq = list(row) + [-floor] + [0] * len(keys)
+        eq[k + 1 + i] = -1
+        eqs.append(eq)
+    return eqs or [[0] * nv], list(range(k, nv))
 
 
 def lift_all_multiplier(equalities, nonneg, gens) -> tuple:

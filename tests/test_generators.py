@@ -5,13 +5,14 @@ import json
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import etaram.cusps
 import etaram.eta
 from etaram.cusps import (
-    INFINITY, cusp_set, exponent_slots, order_at_cusp, order_table, slot_vector, table_orders,
+    INFINITY, cusp_set, exponent_slots, form_orders, order_at_cusp, order_table, slot_vector,
 )
 from etaram.eta import GenEtaQuotient, _exponents, _log_derivative, _spec_progressions
 from etaram.generators import (
@@ -34,6 +35,13 @@ def unit_lattice(N):
     the lineality of the level-N system, cut to its slots."""
     _, lineality = hilbert_basis(*pole_free_system(N))
     return tuple(tuple(v[:len(exponent_slots(N))]) for v in lineality)
+
+
+def spread_orders(N, vector):
+    """{cusp: order} of a scaled exponent vector's quotient: its form
+    orders spread over the cusps of order_table(N)."""
+    values = form_orders(N, vector)
+    return {cusp: values[i] for cusp, i in order_table(N).cusps}
 
 
 # published solution of the level-10 system: five base vectors and six units
@@ -123,9 +131,23 @@ def test_generator_from_quotient_matches_generators_and_rejects_bad_input():
         rec = generator_from_quotient(10, g.quotient)
         assert (rec.quotient, rec.orders, rec.pole, rec.head) == \
             (g.quotient, g.orders, g.pole, g.head)
+        # the record holds the quotient's own slot vector, where the
+        # Hilbert-basis vector may present the same quotient through other
+        # slots; the form orders agree, and so does the record when the
+        # slots do
+        assert rec.scaled_vector == tuple(slot_vector(g.quotient, 10))
+        assert rec.vector[len(rec.scaled_vector):] == g.vector[len(g.scaled_vector):]
+        assert (rec == g) == (rec.scaled_vector == g.scaled_vector)
+    # a quotient given at a multiple of the level is recorded at the level
     z = generators(10)[0].quotient
+    rec = generator_from_quotient(10, GenEtaQuotient(20, z.a, z.ag))
+    assert rec == generator_from_quotient(10, z) and rec.quotient.N == 10
     for bad in (z ** -1, z ** 0):     # a finite pole; no pole at infinity
         with pytest.raises(ValueError):
+            generator_from_quotient(10, bad)
+    # a finite pole beside a pole at infinity, and a non-integral order
+    for bad in (z ** 2 * generators(10)[1].quotient ** -1, GenEtaQuotient(10, a={1: 1})):
+        with pytest.raises(ValueError, match="not pole-free away from infinity$"):
             generator_from_quotient(10, bad)
     # an eta argument that does not divide the level, plain or generalized
     for outside, d in ((GenEtaQuotient(20, a={4: 1, 10: -1}), 4),
@@ -353,7 +375,30 @@ def test_record_orders_match_the_closed_formula(N):
         assert all(type(o) is int for o in g.orders.values()), g.quotient
     for v in unit_lattice(N):
         orders = closed_formula(quotient_from_scaled(N, v))
-        assert table_orders(N, v) == orders == dict.fromkeys(orders, 0)
+        assert spread_orders(N, v) == orders == dict.fromkeys(orders, 0)
+
+
+def _assert_record_solves_the_level_system(N, g):
+    """g's vector solves pole_free_system(N): every row dotted with it is 0,
+    its finite form orders are nonnegative and infinity's negative, and
+    its slot part gives the quotient."""
+    rows, nonneg = pole_free_system(N)
+    nslots = len(exponent_slots(N))
+    assert len(g.vector) == len(rows[0]) and nonneg == list(range(nslots, len(g.vector) - 1))
+    assert all(sum(map(mul, row, g.vector)) == 0 for row in rows), g.quotient
+    assert all(g.vector[i] >= 0 for i in nonneg) and g.vector[-1] < 0, g.quotient
+    assert g.quotient == quotient_from_scaled(N, g.vector[:nslots])
+
+
+@pytest.mark.parametrize("N", ORDER_SUM_LEVELS)
+def test_records_solve_the_level_system(N):
+    for g in generators(N):
+        _assert_record_solves_the_level_system(N, g)
+
+
+def test_published_records_solve_the_level_system():
+    for q in PAPER_QUOTIENTS_10.values():
+        _assert_record_solves_the_level_system(10, generator_from_quotient(10, q))
 
 
 @pytest.mark.parametrize("N", [1] + ORDER_SUM_LEVELS)
@@ -367,7 +412,7 @@ def test_records_match_the_routes_their_vectors_replace(N):
     T = generators_module.HEAD_TERMS
     for g in generators(N):
         v = g.scaled_vector
-        orders = table_orders(N, v)
+        orders = spread_orders(N, v)
         assert g.orders == orders and g.pole == -orders[INFINITY], g.quotient
         q = g.quotient
         assert etaram.eta.lead_exponent(q.a, q.ag, N) == -g.pole

@@ -19,7 +19,7 @@ import etaram.lattice
 import etaram.modularity
 import etaram.reduction
 
-from etaram.cusps import INFINITY, cusp_set, slot_vector, width
+from etaram.cusps import INFINITY, cusp_set, make_cusp, order_table, slot_vector, width
 from etaram.eta import GenEtaQuotient, PartitionSpec
 from etaram.exprs import ParseError, expand, parse
 from etaram.generators import Generator, generators
@@ -31,7 +31,9 @@ from etaram.modularity import find_level, find_prefactor
 from etaram.cusps import cusp_order_bounds
 from etaram.reduction import ModuleBasis, VerificationFailure
 from etaram.series import QSeries
-from oracles import bernoulli_p2, lift_all_multiplier, monomial_quotient
+from oracles import (
+    bernoulli_p2, cusp_multiplier_system, lift_all_multiplier, monomial_quotient,
+)
 
 OVERPARTITION = PartitionSpec(2, {1: -2, 2: 1})
 PARTITION = PartitionSpec(1, {1: -1})
@@ -269,9 +271,9 @@ def test_identity_documents_are_pinned(label):
 
 
 
-def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
-    # every non-slow pinned document's multiplier system projects to a
-    # full-rank lattice, so its minimal points come from one zero-sum walk
+def _assert_multipliers_walk_once(monkeypatch, labels):
+    """Each document's multiplier system projects to a full-rank lattice,
+    so its minimal points come from one zero-sum walk."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a multiplier system reached the slack completion")
 
@@ -292,11 +294,21 @@ def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
     monkeypatch.setattr(etaram.lattice, "minimal_nonneg_solutions", forbidden)
     monkeypatch.setattr(etaram.lattice, "minimal_zero_sum_sequences", walk)
     monkeypatch.setattr(etaram.identities, "minimal_points", basis)
-    labels = [label for label in DOCUMENT_CASES if label not in SLOW_DOCUMENTS]
     for label in labels:
         spec, m, t, order = DOCUMENT_CASES[label]
         assert derive_identity(spec, m, t, DeriveOptions(order=order)).status == "Derived", label
     assert per_multiplier == [1] * len(labels)
+
+
+def test_document_multipliers_never_reach_the_slack_completion(monkeypatch):
+    # every non-slow pinned document
+    _assert_multipliers_walk_once(
+        monkeypatch, [label for label in DOCUMENT_CASES if label not in SLOW_DOCUMENTS])
+
+
+@pytest.mark.slow
+def test_slow_document_multipliers_never_reach_the_slack_completion(monkeypatch):
+    _assert_multipliers_walk_once(monkeypatch, SLOW_DOCUMENTS)
 
 
 # overpartition 5n+2 at order 1,700 reads an 8,560-term product, past every
@@ -353,6 +365,9 @@ def test_multiplier_is_the_lift_all_selection(monkeypatch, label):
     systems, lifts = _spy_multiplier_system(monkeypatch)
     h, powers = find_multiplier(bounds, gens, N)
     assert len(systems) == 1 and len(lifts) == 1
+    # every order form of the pinned cases has one floor, so the system is
+    # the one built cusp by cusp
+    assert systems[0] == cusp_multiplier_system(bounds, gens, N)
     assert powers == lift_all_multiplier(*systems[0], gens)
     assert h == monomial_quotient(N, gens, powers)
 
@@ -372,8 +387,13 @@ def test_multiplier_on_drawn_bounds_is_the_lift_all_selection(monkeypatch):
         except NoHFound:
             with pytest.raises(NoHFound):
                 lift_all_multiplier(*systems[0], gens)
+            with pytest.raises(NoHFound):
+                lift_all_multiplier(*cusp_multiplier_system(bounds, gens, N), gens)
             continue
         assert powers == lift_all_multiplier(*systems[0], gens), (N, bounds)
+        by_cusp = cusp_multiplier_system(bounds, gens, N)
+        assert len(systems[0][0]) <= len(by_cusp[0])
+        assert powers == lift_all_multiplier(*by_cusp, gens), (N, bounds)
         # h, read from its slot vector with the gain as its lead, is the
         # product of generator powers, and the gain its order at infinity
         expect = monomial_quotient(N, gens, powers)
@@ -390,19 +410,58 @@ def test_multiplier_ties_lift_every_point_of_greatest_gain(monkeypatch):
     # orders have an even sum, so asking for at least (1, 0) gives two base
     # points, orders (2, 0) and (1, 1), both of gain -2.  Both are lifted,
     # and the least reduced t, (0, 1, 0), wins as it did from the whole basis.
-    # h is read from the stand-ins' slot vectors, so each carries its own
+    # rows and h are read from the stand-ins' vectors, so each carries its
+    # own slot vector followed by the made-up orders at the forms of 0, 1/2
+    # and infinity
     finite = [data.cusp for data in cusp_set(4) if not data.cusp.is_infinity]
     assert len(finite) == 2
-    gens = [Generator(quotient=GenEtaQuotient(4, {d: 1}), pole=2,
-                      scaled_vector=tuple(slot_vector(GenEtaQuotient(4, {d: 1}), 4)),
-                      orders={finite[0]: a, finite[1]: 2 - a, INFINITY: -2})
+    assert order_table(4).cusps == ((finite[0], 0), (finite[1], 1), (INFINITY, 2))
+    gens = [Generator(quotient=GenEtaQuotient(4, {d: 1}),
+                      vector=tuple(slot_vector(GenEtaQuotient(4, {d: 1}), 4)) + (a, 2 - a, -2))
             for d, a in ((1, 2), (2, 1), (4, 0))]
+    assert [g.pole for g in gens] == [2, 2, 2]
     bounds = {finite[0]: Fraction(-1), finite[1]: Fraction(0)}
     systems, lifts = _spy_multiplier_system(monkeypatch)
     h, powers = find_multiplier(bounds, gens, 4)
     assert len(lifts) == 2
     assert powers == (0, 1, 0) == lift_all_multiplier(*systems[0], gens)
     assert h == GenEtaQuotient(4, {2: 1})
+
+
+def test_multiplier_keeps_one_row_per_form_at_its_largest_floor(monkeypatch):
+    # at level 10 the cusps 0/1 and 1/3 share order form 0.  Bounds -2 and
+    # -1 there ask for orders of at least 2 and 1, so the system has one row
+    # for the form, at floor 2.  Built cusp by cusp it also had the implied
+    # row at floor 1, whose projection is rank-deficient and reached the
+    # slack completion; the multiplier is the same
+    zero, third = make_cusp(0, 1), make_cusp(1, 3)
+    forms = dict(order_table(10).cusps)
+    assert forms[zero] == forms[third] == 0
+    bounds = {data.cusp: Fraction(0) for data in cusp_set(10)}
+    bounds[zero], bounds[third] = Fraction(-2), Fraction(-1)
+    gens = generators(10)
+    k, nslots = len(gens), len(order_table(10).slots)
+    completions = []
+    real_completion = etaram.lattice.minimal_nonneg_solutions
+    monkeypatch.setattr(etaram.lattice, "minimal_nonneg_solutions",
+                        lambda *args: completions.append(args) or real_completion(*args))
+    systems, _ = _spy_multiplier_system(monkeypatch)
+    h, powers = find_multiplier(bounds, gens, 10)
+    assert completions == []
+    eqs, _ = systems[0]
+    form0 = [g.vector[nslots] for g in gens]
+    assert [eq[k] for eq in eqs if eq[:k] == form0] == [-2]
+    assert powers == (0, 0, 0, 0, 2)
+    assert h.lead_exponent() == -4
+    assert h == GenEtaQuotient(10, a={1: 6, 2: -4, 5: 2, 10: -4},
+                               ag={(10, 1): -2, (10, 3): 2, (10, 4): 4})
+    two_rows = cusp_multiplier_system(bounds, gens, 10)
+    assert [eq[k] for eq in two_rows[0] if eq[:k] == form0] == [-2, -1]
+    assert len(two_rows[0]) == len(eqs) + 1
+    assert powers == lift_all_multiplier(*two_rows, gens)
+    del completions[:]
+    etaram.lattice.minimal_points(*two_rows)
+    assert len(completions) == 1
 
 
 # the level-4 documents as they read while the order at the irregular cusp
